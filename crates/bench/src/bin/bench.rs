@@ -17,8 +17,8 @@
 //! `duration_ms`) plus the measurement `rows`, a `metrics` section
 //! with per-strategy instruction/cycle histograms aggregated through
 //! `magicdiv-trace`, and an `exposition` field holding the same
-//! registry rendered as Prometheus-style text. `bench-compare` diffs
-//! two such files (and still reads the v1 flat-array schema).
+//! registry rendered as Prometheus-style text. `drift` diffs two such
+//! files row by row (and still reads the v1 flat-array schema).
 //!
 //! `bench overhead [iters] [out.json]` instead runs the tracing
 //! overhead self-profile (see `magicdiv_bench::overhead`): baseline /

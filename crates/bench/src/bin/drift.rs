@@ -8,8 +8,8 @@
 //!   releases): plan drift from `magic explain --json` streams (and
 //!   black-box dump `.jsonl` files — their `guard.*`/`cache.*` events
 //!   replay as comparable keys), metric drift from `magic metrics`
-//!   `.prom` expositions, bench drift from bench reports (threshold
-//!   like `bench-compare`), and mutation-kill-rate drift from verify
+//!   `.prom` expositions, bench drift from bench reports (rows slower
+//!   than the threshold), and mutation-kill-rate drift from verify
 //!   summaries — one combined report.
 //! * `drift check-ledger <ledger.jsonl>` — validates every record of a
 //!   run ledger against the v1 schema.

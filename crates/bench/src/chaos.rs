@@ -27,7 +27,7 @@
 //!
 //! [`FaultBudget`]: magicdiv::FaultBudget
 
-use magicdiv::plan::{UdivPlan, UdivStrategy};
+use magicdiv::plan::UdivPlan;
 use magicdiv::{
     fault_budget, Fault, FaultKind, GuardPolicy, GuardState, GuardedUnsignedDivisor, PlanCache,
     UWord,
@@ -269,28 +269,7 @@ impl ChaosReport {
 /// constants live in the low `width + 1` bits; anything above is
 /// truncated away by `from_plan` and the injection would be a no-op).
 pub fn corrupt_udiv_plan(plan: &UdivPlan, bit: u32) -> UdivPlan {
-    let bit = bit % plan.width();
-    let strategy = match plan.strategy() {
-        UdivStrategy::Identity => UdivStrategy::Shift { sh: 1 },
-        UdivStrategy::Shift { sh } => UdivStrategy::Shift { sh: sh ^ 1 },
-        UdivStrategy::MulShift { m, sh_pre, sh_post } => UdivStrategy::MulShift {
-            m: m ^ (1u128 << bit),
-            sh_pre,
-            sh_post,
-        },
-        UdivStrategy::MulAddShift {
-            m_minus_pow2n,
-            sh_post,
-        } => UdivStrategy::MulAddShift {
-            m_minus_pow2n: m_minus_pow2n ^ (1u128 << bit),
-            sh_post,
-        },
-        UdivStrategy::MulRoundUp { m, sh_post } => UdivStrategy::MulRoundUp {
-            m: m ^ (1u128 << bit),
-            sh_post,
-        },
-    };
-    UdivPlan::from_raw(plan.divisor(), plan.width(), strategy)
+    plan.flip_bit(bit % plan.width())
 }
 
 fn random_divisor(rng: &mut SplitMix, width: u32) -> u64 {

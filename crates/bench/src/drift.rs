@@ -13,7 +13,7 @@
 //!   extracted into a flat summary; any difference is plan drift and a
 //!   regression (a plan must never change silently between releases);
 //! * **bench reports** — rows matched by name, `ns_per_op` growth
-//!   beyond the threshold is bench drift (like `bench-compare`);
+//!   beyond the threshold is bench drift;
 //! * **verify summaries** — a mutation kill-rate drop, new mismatches
 //!   or new surviving mutants are mutation drift;
 //! * **calibration reports** — rank-correlation movement beyond 0.05

@@ -1,7 +1,7 @@
 //! A minimal JSON reader for the harness's own report files.
 //!
 //! The repository builds offline with no external crates, so the
-//! `bench-compare` tool parses its inputs with this small
+//! `drift` tool parses its inputs with this small
 //! recursive-descent parser instead of serde. It accepts exactly the
 //! JSON this repository writes (objects, arrays, strings with the
 //! escapes [`crate`] emits, numbers, booleans, null) — it is a reader

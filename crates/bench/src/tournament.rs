@@ -238,20 +238,9 @@ mod tests {
 
     #[test]
     fn oracle_certifier_fails_a_corrupted_plan() {
-        // An off-by-one magic multiplier must be caught.
-        let good = UdivPlan::new(10, 32).unwrap();
-        let bad = match good.strategy() {
-            magicdiv::plan::UdivStrategy::MulShift { m, sh_pre, sh_post } => UdivPlan::from_raw(
-                10,
-                32,
-                magicdiv::plan::UdivStrategy::MulShift {
-                    m: m - 1,
-                    sh_pre,
-                    sh_post,
-                },
-            ),
-            s => panic!("unexpected {s:?}"),
-        };
+        // An off-by-one magic multiplier must be caught: d = 10's
+        // multiplier (2^34 + 1)/5 is odd, so flipping bit 0 subtracts one.
+        let bad = UdivPlan::new(10, 32).unwrap().flip_bit(0);
         assert!(matches!(
             OracleCertifier.certify(&DivPlan::from(bad)),
             Certification::Failed { .. }

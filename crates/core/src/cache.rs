@@ -8,10 +8,11 @@
 //! defenses the plain constructors don't need:
 //!
 //! * **Entry poisoning detection** — every cached entry carries an
-//!   FNV-1a checksum over the plan's constants. A corrupted entry (a
-//!   bit flipped in a stored magic multiplier, say) fails the checksum
-//!   on its next hit, is evicted, counted (`cache.poisoned`) and
-//!   rebuilt from scratch; the corrupt constants are never served.
+//!   FNV-1a checksum over the plan's derived `Hash`, which covers every
+//!   constant. A corrupted entry (a bit flipped in a stored magic
+//!   multiplier, say) fails the checksum on its next hit, is evicted,
+//!   counted (`cache.poisoned`) and rebuilt from scratch; the corrupt
+//!   constants are never served.
 //! * **Lock poisoning degradation** — if a writer panics while holding
 //!   a shard lock, subsequent lookups on that shard bypass the cache
 //!   entirely (`cache.lock_poisoned`) and build plans directly. The
@@ -25,29 +26,24 @@
 //!
 //! ```
 //! use magicdiv::cache::PlanCache;
+//! use magicdiv::UnsignedDivisor;
 //!
 //! let cache = PlanCache::new(64);
-//! let by7 = cache.unsigned_divisor::<u32>(7)?;
+//! let by7 = UnsignedDivisor::<u32>::from_plan(&cache.udiv(7, 32)?);
 //! assert_eq!(by7.divide(1000), 142);
 //! // Second lookup is a hit:
-//! let _ = cache.unsigned_divisor::<u32>(7)?;
+//! let _ = cache.udiv(7, 32)?;
 //! assert_eq!(cache.stats().hits, 1);
 //! # Ok::<(), magicdiv::Fault>(())
 //! ```
 
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use crate::error::{Fault, FaultKind, FaultLayer};
-use crate::floor::FloorDivisor;
-use crate::plan::{
-    DivPlan, DivisibilityPlan, DwordPlan, ExactPlan, FloorPlan, SdivPlan, UdivPlan, UremPlan,
-};
-use crate::signed::SignedDivisor;
-use crate::udword_div::DwordDivisor;
-use crate::unsigned::UnsignedDivisor;
-use crate::word::{SWord, UWord};
+use crate::error::{DivisorError, Fault, FaultKind, FaultLayer};
+use crate::plan::{DivPlan, DwordPlan, ExactPlan, FloorPlan, SdivPlan, UdivPlan};
 
 /// Number of independently locked shards. A power of two so the shard
 /// index is a mask.
@@ -60,10 +56,7 @@ enum PlanShape {
     Sdiv,
     Floor,
     ExactUnsigned,
-    ExactSigned,
     Dword,
-    Urem,
-    Divisibility,
 }
 
 /// Cache key: family, width and the divisor's full bit pattern (signed
@@ -83,196 +76,64 @@ struct Entry {
     stamp: u64,
 }
 
-/// Incremental FNV-1a over little-endian words.
+/// FNV-1a, byte at a time: the shard hash and the entry checksum.
 struct Fnv(u64);
 
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn u64(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
+impl Hasher for Fnv {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
             self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
         }
     }
 
-    fn u128(&mut self, x: u128) {
-        self.u64(x as u64);
-        self.u64((x >> 64) as u64);
-    }
-
-    fn u32(&mut self, x: u32) {
-        self.u64(u64::from(x));
-    }
-
-    fn bool(&mut self, x: bool) {
-        self.u64(u64::from(x));
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
-fn checksum_udiv(h: &mut Fnv, p: &UdivPlan) {
-    use crate::plan::UdivStrategy;
-    h.u64(1);
-    h.u32(p.width);
-    h.u128(p.d);
-    match p.strategy {
-        UdivStrategy::Identity => h.u64(10),
-        UdivStrategy::Shift { sh } => {
-            h.u64(11);
-            h.u32(sh);
-        }
-        UdivStrategy::MulShift { m, sh_pre, sh_post } => {
-            h.u64(12);
-            h.u128(m);
-            h.u32(sh_pre);
-            h.u32(sh_post);
-        }
-        UdivStrategy::MulAddShift {
-            m_minus_pow2n,
-            sh_post,
-        } => {
-            h.u64(13);
-            h.u128(m_minus_pow2n);
-            h.u32(sh_post);
-        }
-        UdivStrategy::MulRoundUp { m, sh_post } => {
-            h.u64(14);
-            h.u128(m);
-            h.u32(sh_post);
-        }
-    }
+fn fnv(x: &impl Hash) -> u64 {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    x.hash(&mut h);
+    h.finish()
 }
 
-fn checksum_sdiv(h: &mut Fnv, p: &SdivPlan) {
-    use crate::plan::SdivStrategy;
-    h.u64(2);
-    h.u32(p.width);
-    h.u128(p.d as u128);
-    h.bool(p.negate);
-    match p.strategy {
-        SdivStrategy::Identity => h.u64(20),
-        SdivStrategy::Shift { l } => {
-            h.u64(21);
-            h.u32(l);
-        }
-        SdivStrategy::MulShift { m, sh_post } => {
-            h.u64(22);
-            h.u128(m);
-            h.u32(sh_post);
-        }
-        SdivStrategy::MulAddShift {
-            m_minus_pow2n,
-            sh_post,
-        } => {
-            h.u64(23);
-            h.u128(m_minus_pow2n);
-            h.u32(sh_post);
-        }
-    }
-}
-
-fn checksum_floor(h: &mut Fnv, p: &FloorPlan) {
-    use crate::plan::FloorStrategy;
-    h.u64(3);
-    h.u32(p.width);
-    h.u128(p.d as u128);
-    match &p.strategy {
-        FloorStrategy::Identity => h.u64(30),
-        FloorStrategy::Shift { l } => {
-            h.u64(31);
-            h.u32(*l);
-        }
-        FloorStrategy::MulShift { m, sh_post } => {
-            h.u64(32);
-            h.u128(*m);
-            h.u32(*sh_post);
-        }
-        FloorStrategy::NegativeTrunc { trunc } => {
-            h.u64(33);
-            checksum_sdiv(h, trunc);
-        }
-    }
-}
-
-fn checksum_exact(h: &mut Fnv, p: &ExactPlan) {
-    h.u64(4);
-    h.u32(p.width);
-    h.u128(p.d_abs);
-    h.bool(p.signed);
-    h.bool(p.negate);
-    h.u32(p.e);
-    h.u128(p.dinv);
-    h.u128(p.qmax);
-    h.u128(p.low_mask);
-    h.bool(p.is_pow2);
-}
-
-fn checksum_dword(h: &mut Fnv, p: &DwordPlan) {
-    h.u64(5);
-    h.u32(p.width);
-    h.u128(p.d);
-    h.u128(p.m_prime);
-    h.u32(p.l);
-    h.u128(p.d_norm);
-}
-
-fn checksum_urem(h: &mut Fnv, p: &UremPlan) {
-    use crate::plan::UremStrategy;
-    h.u64(6);
-    h.u32(p.width());
-    h.u128(p.divisor());
-    match p.strategy() {
-        UremStrategy::Mask { low_mask } => {
-            h.u64(60);
-            h.u128(low_mask);
-        }
-        UremStrategy::Fraction { c_hi, c_lo } => {
-            h.u64(61);
-            h.u128(c_hi);
-            h.u128(c_lo);
-        }
-        UremStrategy::MulBack { udiv } => {
-            h.u64(62);
-            checksum_udiv(h, &UdivPlan::from_raw(p.divisor(), p.width(), udiv));
-        }
-    }
-}
-
-fn checksum_divisibility(h: &mut Fnv, p: &DivisibilityPlan) {
-    use crate::plan::DivisibilityStrategy;
-    h.u64(7);
-    h.u32(p.width());
-    h.u128(p.divisor());
-    match p.strategy() {
-        DivisibilityStrategy::Mask { low_mask } => {
-            h.u64(70);
-            h.u128(low_mask);
-        }
-        DivisibilityStrategy::InverseRotate { e, dinv, qmax } => {
-            h.u64(71);
-            h.u32(e);
-            h.u128(dinv);
-            h.u128(qmax);
-        }
-    }
-}
-
-/// FNV-1a digest over every constant a plan carries — the integrity
-/// check cached entries are verified against on each hit.
+/// FNV-1a digest over the plan's derived [`Hash`], which covers every
+/// constant it carries — the integrity check cached entries are
+/// verified against on each hit.
 pub fn plan_checksum(plan: &DivPlan) -> u64 {
-    let mut h = Fnv::new();
-    match plan {
-        DivPlan::Unsigned(p) => checksum_udiv(&mut h, p),
-        DivPlan::Signed(p) => checksum_sdiv(&mut h, p),
-        DivPlan::Floor(p) => checksum_floor(&mut h, p),
-        DivPlan::Exact(p) => checksum_exact(&mut h, p),
-        DivPlan::Dword(p) => checksum_dword(&mut h, p),
-        DivPlan::Urem(p) => checksum_urem(&mut h, p),
-        DivPlan::Divisibility(p) => checksum_divisibility(&mut h, p),
-    }
-    h.0
+    fnv(plan)
 }
+
+/// A plan family the cache memoizes: its key tag, its constructor from
+/// the divisor's bit pattern, and the way back out of a [`DivPlan`].
+trait Cached: Copy + Into<DivPlan> {
+    const SHAPE: PlanShape;
+    fn build(d_bits: u128, width: u32) -> Result<Self, DivisorError>;
+    fn from_div_plan(plan: DivPlan) -> Option<Self>;
+}
+
+macro_rules! cached {
+    ($plan:ty, $shape:ident, $variant:ident, $build:expr) => {
+        impl Cached for $plan {
+            const SHAPE: PlanShape = PlanShape::$shape;
+            fn build(d_bits: u128, width: u32) -> Result<Self, DivisorError> {
+                $build(d_bits, width)
+            }
+            fn from_div_plan(plan: DivPlan) -> Option<Self> {
+                match plan {
+                    DivPlan::$variant(p) => Some(p),
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+cached!(UdivPlan, Udiv, Unsigned, UdivPlan::new);
+cached!(SdivPlan, Sdiv, Signed, |d, w| SdivPlan::new(d as i128, w));
+cached!(FloorPlan, Floor, Floor, |d, w| FloorPlan::new(d as i128, w));
+cached!(ExactPlan, ExactUnsigned, Exact, ExactPlan::new_unsigned);
+cached!(DwordPlan, Dword, Dword, DwordPlan::new);
 
 /// Counters a [`PlanCache`] accumulates over its lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -322,20 +183,18 @@ impl PlanCache {
     }
 
     fn shard_index(key: &CacheKey) -> usize {
-        let mut h = Fnv::new();
-        h.u64(key.shape as u64);
-        h.u32(key.width);
-        h.u128(key.d_bits);
-        (h.0 as usize) & (SHARDS - 1)
+        (fnv(key) as usize) & (SHARDS - 1)
     }
 
-    /// The memoization core: serve a checksum-verified hit, or build,
-    /// insert (evicting if full) and return.
-    fn get_or_build(
-        &self,
-        key: CacheKey,
-        build: impl Fn() -> Result<DivPlan, Fault>,
-    ) -> Result<DivPlan, Fault> {
+    /// The one lookup behind every accessor: serve a checksum-verified
+    /// hit on the `P` for the divisor whose bit pattern is `d_bits`, or
+    /// build, insert (evicting if full) and return it.
+    fn lookup<P: Cached>(&self, d_bits: u128, width: u32) -> Result<P, Fault> {
+        let key = CacheKey {
+            shape: P::SHAPE,
+            width,
+            d_bits,
+        };
         let shard = &self.shards[Self::shard_index(&key)];
         let mut map = match shard.lock() {
             Ok(map) => map,
@@ -346,16 +205,17 @@ impl PlanCache {
                 self.lock_poisoned.fetch_add(1, Ordering::Relaxed);
                 magicdiv_trace::event!("cache.lock_poisoned",
                     "width" => key.width);
-                return build();
+                return Ok(P::build(d_bits, width)?);
             }
         };
         if let Some(entry) = map.get(&key) {
-            if plan_checksum(&entry.plan) == entry.checksum {
+            let healthy = plan_checksum(&entry.plan) == entry.checksum;
+            if let Some(plan) = P::from_div_plan(entry.plan).filter(|_| healthy) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 magicdiv_trace::event!("cache.hit",
                     "width" => key.width,
                     "d_bits" => key.d_bits);
-                return Ok(entry.plan);
+                return Ok(plan);
             }
             // Corrupt entry: evict, count, fall through to rebuild.
             map.remove(&key);
@@ -369,7 +229,7 @@ impl PlanCache {
                 "width" => key.width,
                 "d_bits" => key.d_bits);
         }
-        let plan = build()?;
+        let plan = P::build(d_bits, width)?;
         if map.len() >= self.per_shard_capacity {
             // Evict the oldest-stamped entry in this shard.
             if let Some(oldest) = map.iter().min_by_key(|(_, e)| e.stamp).map(|(k, _)| *k) {
@@ -378,11 +238,12 @@ impl PlanCache {
                 magicdiv_trace::event!("cache.evicted", "width" => key.width);
             }
         }
+        let stored = plan.into();
         map.insert(
             key,
             Entry {
-                plan,
-                checksum: plan_checksum(&plan),
+                plan: stored,
+                checksum: plan_checksum(&stored),
                 stamp: self.stamp.fetch_add(1, Ordering::Relaxed),
             },
         );
@@ -400,15 +261,7 @@ impl PlanCache {
     /// Panics when `width` is unsupported or `d` does not fit, exactly
     /// as [`UdivPlan::new`].
     pub fn udiv(&self, d: u128, width: u32) -> Result<UdivPlan, Fault> {
-        let key = CacheKey {
-            shape: PlanShape::Udiv,
-            width,
-            d_bits: d,
-        };
-        match self.get_or_build(key, || Ok(DivPlan::Unsigned(UdivPlan::new(d, width)?)))? {
-            DivPlan::Unsigned(p) => Ok(p),
-            _ => Ok(UdivPlan::new(d, width)?),
-        }
+        self.lookup(d, width)
     }
 
     /// Cached [`SdivPlan`] for dividing by `d` at `width` bits.
@@ -421,15 +274,7 @@ impl PlanCache {
     ///
     /// As [`SdivPlan::new`].
     pub fn sdiv(&self, d: i128, width: u32) -> Result<SdivPlan, Fault> {
-        let key = CacheKey {
-            shape: PlanShape::Sdiv,
-            width,
-            d_bits: d as u128,
-        };
-        match self.get_or_build(key, || Ok(DivPlan::Signed(SdivPlan::new(d, width)?)))? {
-            DivPlan::Signed(p) => Ok(p),
-            _ => Ok(SdivPlan::new(d, width)?),
-        }
+        self.lookup(d as u128, width)
     }
 
     /// Cached [`FloorPlan`] for floor-dividing by `d` at `width` bits.
@@ -442,15 +287,7 @@ impl PlanCache {
     ///
     /// As [`FloorPlan::new`].
     pub fn floor(&self, d: i128, width: u32) -> Result<FloorPlan, Fault> {
-        let key = CacheKey {
-            shape: PlanShape::Floor,
-            width,
-            d_bits: d as u128,
-        };
-        match self.get_or_build(key, || Ok(DivPlan::Floor(FloorPlan::new(d, width)?)))? {
-            DivPlan::Floor(p) => Ok(p),
-            _ => Ok(FloorPlan::new(d, width)?),
-        }
+        self.lookup(d as u128, width)
     }
 
     /// Cached unsigned [`ExactPlan`] for exact division by `d`.
@@ -463,38 +300,7 @@ impl PlanCache {
     ///
     /// As [`ExactPlan::new_unsigned`].
     pub fn exact_unsigned(&self, d: u128, width: u32) -> Result<ExactPlan, Fault> {
-        let key = CacheKey {
-            shape: PlanShape::ExactUnsigned,
-            width,
-            d_bits: d,
-        };
-        match self.get_or_build(key, || {
-            Ok(DivPlan::Exact(ExactPlan::new_unsigned(d, width)?))
-        })? {
-            DivPlan::Exact(p) => Ok(p),
-            _ => Ok(ExactPlan::new_unsigned(d, width)?),
-        }
-    }
-
-    /// Cached signed [`ExactPlan`] for exact division by `d`.
-    ///
-    /// # Errors
-    ///
-    /// `DivideByZero` when `d == 0`.
-    ///
-    /// # Panics
-    ///
-    /// As [`ExactPlan::new_signed`].
-    pub fn exact_signed(&self, d: i128, width: u32) -> Result<ExactPlan, Fault> {
-        let key = CacheKey {
-            shape: PlanShape::ExactSigned,
-            width,
-            d_bits: d as u128,
-        };
-        match self.get_or_build(key, || Ok(DivPlan::Exact(ExactPlan::new_signed(d, width)?)))? {
-            DivPlan::Exact(p) => Ok(p),
-            _ => Ok(ExactPlan::new_signed(d, width)?),
-        }
+        self.lookup(d, width)
     }
 
     /// Cached [`DwordPlan`] for doubleword division by `d`.
@@ -507,98 +313,7 @@ impl PlanCache {
     ///
     /// As [`DwordPlan::new`].
     pub fn dword(&self, d: u128, width: u32) -> Result<DwordPlan, Fault> {
-        let key = CacheKey {
-            shape: PlanShape::Dword,
-            width,
-            d_bits: d,
-        };
-        match self.get_or_build(key, || Ok(DivPlan::Dword(DwordPlan::new(d, width)?)))? {
-            DivPlan::Dword(p) => Ok(p),
-            _ => Ok(DwordPlan::new(d, width)?),
-        }
-    }
-
-    /// Cached direct-remainder [`UremPlan`] (LKK fraction, or a mask
-    /// for powers of two) for `n mod d` at `width` bits.
-    ///
-    /// # Errors
-    ///
-    /// `DivideByZero` when `d == 0`.
-    ///
-    /// # Panics
-    ///
-    /// As [`UremPlan::new_direct`].
-    pub fn urem_direct(&self, d: u128, width: u32) -> Result<UremPlan, Fault> {
-        let key = CacheKey {
-            shape: PlanShape::Urem,
-            width,
-            d_bits: d,
-        };
-        match self.get_or_build(key, || Ok(DivPlan::Urem(UremPlan::new_direct(d, width)?)))? {
-            DivPlan::Urem(p) => Ok(p),
-            _ => Ok(UremPlan::new_direct(d, width)?),
-        }
-    }
-
-    /// Cached [`DivisibilityPlan`] for testing `d | n` at `width` bits.
-    ///
-    /// # Errors
-    ///
-    /// `DivideByZero` when `d == 0`.
-    ///
-    /// # Panics
-    ///
-    /// As [`DivisibilityPlan::new`].
-    pub fn divisibility(&self, d: u128, width: u32) -> Result<DivisibilityPlan, Fault> {
-        let key = CacheKey {
-            shape: PlanShape::Divisibility,
-            width,
-            d_bits: d,
-        };
-        match self.get_or_build(key, || {
-            Ok(DivPlan::Divisibility(DivisibilityPlan::new(d, width)?))
-        })? {
-            DivPlan::Divisibility(p) => Ok(p),
-            _ => Ok(DivisibilityPlan::new(d, width)?),
-        }
-    }
-
-    /// An [`UnsignedDivisor`] built from the cached plan.
-    ///
-    /// # Errors
-    ///
-    /// `DivideByZero` when `d == 0`.
-    pub fn unsigned_divisor<T: UWord>(&self, d: T) -> Result<UnsignedDivisor<T>, Fault> {
-        Ok(UnsignedDivisor::from_plan(
-            &self.udiv(d.to_u128(), T::BITS)?,
-        ))
-    }
-
-    /// A [`SignedDivisor`] built from the cached plan.
-    ///
-    /// # Errors
-    ///
-    /// `DivideByZero` when `d == 0`.
-    pub fn signed_divisor<S: SWord>(&self, d: S) -> Result<SignedDivisor<S>, Fault> {
-        Ok(SignedDivisor::from_plan(&self.sdiv(d.to_i128(), S::BITS)?))
-    }
-
-    /// A [`FloorDivisor`] built from the cached plan.
-    ///
-    /// # Errors
-    ///
-    /// `DivideByZero` when `d == 0`.
-    pub fn floor_divisor<S: SWord>(&self, d: S) -> Result<FloorDivisor<S>, Fault> {
-        Ok(FloorDivisor::from_plan(&self.floor(d.to_i128(), S::BITS)?))
-    }
-
-    /// A [`DwordDivisor`] built from the cached plan.
-    ///
-    /// # Errors
-    ///
-    /// `DivideByZero` when `d == 0`.
-    pub fn dword_divisor<T: UWord>(&self, d: T) -> Result<DwordDivisor<T>, Fault> {
-        Ok(DwordDivisor::from_plan(&self.dword(d.to_u128(), T::BITS)?))
+        self.lookup(d, width)
     }
 
     /// Lifetime counters plus the current entry count.
@@ -662,6 +377,16 @@ impl PlanCache {
 
     // -- chaos / fault-injection hooks -------------------------------------
 
+    /// The key and shard of the cached [`UdivPlan`] for (`d`, `width`).
+    fn udiv_shard(&self, d: u128, width: u32) -> (CacheKey, &Mutex<BTreeMap<CacheKey, Entry>>) {
+        let key = CacheKey {
+            shape: PlanShape::Udiv,
+            width,
+            d_bits: d,
+        };
+        (key, &self.shards[Self::shard_index(&key)])
+    }
+
     /// Fault injection: flips one bit in the *stored* plan for
     /// (`d`, `width`) — the multiplier constant when the strategy has
     /// one, else the divisor — leaving the checksum stale. Returns
@@ -671,13 +396,7 @@ impl PlanCache {
     /// corruption, evict and rebuild; this is how the chaos harness
     /// exercises the poisoning path.
     pub fn chaos_corrupt_udiv(&self, d: u128, width: u32) -> bool {
-        use crate::plan::UdivStrategy;
-        let key = CacheKey {
-            shape: PlanShape::Udiv,
-            width,
-            d_bits: d,
-        };
-        let shard = &self.shards[Self::shard_index(&key)];
+        let (key, shard) = self.udiv_shard(d, width);
         let Ok(mut map) = shard.lock() else {
             return false;
         };
@@ -687,26 +406,7 @@ impl PlanCache {
         let DivPlan::Unsigned(plan) = &mut entry.plan else {
             return false;
         };
-        plan.strategy = match plan.strategy {
-            UdivStrategy::Identity => UdivStrategy::Shift { sh: 1 },
-            UdivStrategy::Shift { sh } => UdivStrategy::Shift { sh: sh ^ 1 },
-            UdivStrategy::MulShift { m, sh_pre, sh_post } => UdivStrategy::MulShift {
-                m: m ^ (1 << 11),
-                sh_pre,
-                sh_post,
-            },
-            UdivStrategy::MulAddShift {
-                m_minus_pow2n,
-                sh_post,
-            } => UdivStrategy::MulAddShift {
-                m_minus_pow2n: m_minus_pow2n ^ (1 << 11),
-                sh_post,
-            },
-            UdivStrategy::MulRoundUp { m, sh_post } => UdivStrategy::MulRoundUp {
-                m: m ^ (1 << 11),
-                sh_post,
-            },
-        };
+        *plan = plan.flip_bit(11);
         true
     }
 
@@ -721,12 +421,7 @@ impl PlanCache {
     // panic-freedom gate exempts it knowingly.
     #[allow(clippy::panic)]
     pub fn chaos_poison_lock_udiv(&self, d: u128, width: u32) -> bool {
-        let key = CacheKey {
-            shape: PlanShape::Udiv,
-            width,
-            d_bits: d,
-        };
-        let shard = &self.shards[Self::shard_index(&key)];
+        let (_, shard) = self.udiv_shard(d, width);
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _guard = shard
                 .lock()

@@ -207,6 +207,13 @@ impl<T: UWord> ExactUnsignedDivisor<T> {
     #[inline]
     pub fn divide_exact(&self, n: T) -> T {
         debug_assert!(self.divides(n), "divide_exact requires d | n");
+        self.divide_exact_unchecked(n)
+    }
+
+    /// [`divide_exact`](Self::divide_exact) without the debug check, for
+    /// the guard, whose constants may be corrupt so that `divides` lies.
+    #[inline]
+    pub(crate) fn divide_exact_unchecked(&self, n: T) -> T {
         // MULL(dinv, n) == 2^e * q (mod 2^N) and 2^e * q fits in N bits,
         // so one logical shift recovers q.
         self.dinv.mull(n).shr_full(self.e)

@@ -7,8 +7,8 @@
 //! multiplier sitting in live memory — silently yields wrong quotients,
 //! and the optimal-bounds analysis (Lemire–Bartlett–Kaser, arXiv
 //! 2012.12369) shows many winning constants sit exactly one bit from
-//! incorrectness. This module wraps every divisor family in a
-//! [`GuardedUnsignedDivisor`]-style guard with a three-state machine:
+//! incorrectness. This module wraps every divisor family in one
+//! [`Guarded`] guard with a three-state machine:
 //!
 //! * **Verified** — construction ran a self-verification probe (boundary
 //!   plus seeded-random witnesses, each checked against native
@@ -27,6 +27,12 @@
 //! process whose plan constants keep failing has a systemic memory
 //! problem and should serve everything through hardware division until
 //! it is recycled.
+//!
+//! The probe, the cross-check and the demotion are written once, in
+//! [`Guarded`]; each family's kernel supplies only its plan, kernel
+//! call, native reference and witness set through [`GuardKernel`].
+//! [`GuardedUnsignedDivisor`] and its four siblings name the five
+//! instances.
 //!
 //! # Examples
 //!
@@ -50,10 +56,10 @@ use core::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 use magicdiv_dword::{DWord, Limb};
 
-use crate::error::{DwordDivError, Fault, FaultKind, FaultLayer};
+use crate::error::{DivisorError, DwordDivError, Fault, FaultKind, FaultLayer};
 use crate::exact::ExactUnsignedDivisor;
 use crate::floor::FloorDivisor;
-use crate::plan::{DwordPlan, ExactPlan, FloorPlan, SdivPlan, UdivPlan};
+use crate::plan::{DivPlan, DwordPlan, ExactPlan, FloorPlan, SdivPlan, UdivPlan};
 use crate::signed::SignedDivisor;
 use crate::udword_div::DwordDivisor;
 use crate::unsigned::UnsignedDivisor;
@@ -169,13 +175,9 @@ impl FaultBudget {
     /// [`FaultKind::FaultBudgetExhausted`] at [`FaultLayer::Guard`].
     pub fn check(&self) -> Result<(), Fault> {
         if self.exhausted() {
-            Err(Fault {
-                layer: FaultLayer::Guard,
-                kind: FaultKind::FaultBudgetExhausted {
-                    limit: self.limit(),
-                },
-                at: None,
-            })
+            Err(guard_fault(FaultKind::FaultBudgetExhausted {
+                limit: self.limit(),
+            }))
         } else {
             Ok(())
         }
@@ -223,48 +225,213 @@ const STATE_VERIFIED: u8 = 0;
 const STATE_HARDENED: u8 = 1;
 const STATE_DEMOTED: u8 = 2;
 
-/// Shared interior-mutable guard machinery: state, call counter and
-/// sampling policy.
+/// A fault at [`FaultLayer::Guard`].
+fn guard_fault(kind: FaultKind) -> Fault {
+    Fault {
+        layer: FaultLayer::Guard,
+        kind,
+        at: None,
+    }
+}
+
+/// Builds the [`Fault`] a failed self-check reports.
+fn self_check_fault(n: u128, got: u128, want: u128) -> Fault {
+    guard_fault(FaultKind::SelfCheckFailed { n, got, want })
+}
+
+/// `count` seeded-random 128-bit probe witnesses for the divisor whose
+/// bit pattern is `d_bits`; each family truncates them to its word.
+fn random_witnesses(policy: &GuardPolicy, d_bits: u128, count: u32) -> impl Iterator<Item = u128> {
+    let mut rng = policy.seed ^ d_bits as u64;
+    (0..count).map(move |_| splitmix128(&mut rng))
+}
+
+/// What one divisor family contributes to [`Guarded`]: its plan, the
+/// kernel call, the native reference and the probe's witness set. The
+/// probe, the sampled cross-check and the demotion are [`Guarded`]'s.
+pub trait GuardKernel: Sized {
+    /// The width-erased plan the kernel is built from.
+    type Plan: Copy + Into<DivPlan>;
+    /// The divisor's word type.
+    type Word: Copy;
+    /// The argument of one guarded call.
+    type Input: Copy;
+    /// The result of one guarded call.
+    type Output: Copy + PartialEq;
+    /// The family's tag in `guard.probe` and `guard.demotion` events.
+    const SHAPE: &'static str;
+    /// The word width in bits; a plan of any other width is refused.
+    const BITS: u32;
+
+    /// Plans division by `d` at [`BITS`](Self::BITS) bits.
+    ///
+    /// # Errors
+    ///
+    /// [`DivisorError::Zero`] when `d == 0`.
+    fn plan(d: Self::Word) -> Result<Self::Plan, DivisorError>;
+
+    /// Builds the kernel from a plan of width [`BITS`](Self::BITS),
+    /// together with its divisor.
+    fn build(plan: &Self::Plan) -> (Self, Self::Word);
+
+    /// The answer computed from the plan's (possibly corrupt) constants.
+    fn planned(&self, n: Self::Input) -> Self::Output;
+
+    /// The answer computed without the plan's constants.
+    fn native(d: Self::Word, n: Self::Input) -> Self::Output;
+
+    /// Whether the cross-check applies to `n`: a kernel whose contract
+    /// covers only some inputs is not checked on the others.
+    fn in_contract(_d: Self::Word, _n: Self::Input) -> bool {
+        true
+    }
+
+    /// The probe's witnesses: a boundary set, then seeded-random inputs.
+    fn witnesses(d: Self::Word, policy: &GuardPolicy) -> Vec<Self::Input>;
+
+    /// The self-check fault for a wrong answer `got` at `n`.
+    fn mismatch(n: Self::Input, got: Self::Output, want: Self::Output) -> Fault;
+
+    /// The divisor as the `d` field of a `guard.demotion` event.
+    fn trace_d(d: Self::Word) -> magicdiv_trace::Value;
+}
+
+/// A divisor kernel `K` wrapped in the Verified → Hardened → Demoted
+/// guard state machine.
 #[derive(Debug)]
-struct GuardCore {
+pub struct Guarded<K: GuardKernel> {
+    kernel: K,
+    d: K::Word,
     state: AtomicU8,
     calls: AtomicU64,
     sample_every: u64,
 }
 
-impl GuardCore {
-    fn new(state: GuardState, sample_every: u64) -> Self {
-        GuardCore {
-            state: AtomicU8::new(match state {
-                GuardState::Verified => STATE_VERIFIED,
-                GuardState::Hardened => STATE_HARDENED,
-                GuardState::Demoted => STATE_DEMOTED,
-            }),
-            calls: AtomicU64::new(0),
-            sample_every,
-        }
+/// [`UnsignedDivisor`] under the guard (§4).
+pub type GuardedUnsignedDivisor<T> = Guarded<UnsignedDivisor<T>>;
+/// [`SignedDivisor`] under the guard (§5).
+pub type GuardedSignedDivisor<S> = Guarded<SignedDivisor<S>>;
+/// [`FloorDivisor`] under the guard (§6).
+pub type GuardedFloorDivisor<S> = Guarded<FloorDivisor<S>>;
+/// [`ExactUnsignedDivisor`] under the guard (§9). Its cross-check only
+/// fires on multiples of `d`, the only inputs `divide_exact` answers.
+pub type GuardedExactDivisor<T> = Guarded<ExactUnsignedDivisor<T>>;
+/// [`DwordDivisor`] under the guard (§8). The native reference is the
+/// portable shift-subtract division of [`magicdiv_dword`], which is
+/// independent of the Figure 8.1 constants being guarded.
+pub type GuardedDwordDivisor<T> = Guarded<DwordDivisor<T>>;
+
+impl<K: GuardKernel> Guarded<K> {
+    /// Builds and probes a guarded divisor under the default policy
+    /// (probe only, no runtime sampling).
+    ///
+    /// # Errors
+    ///
+    /// `DivideByZero` for `d == 0`; [`FaultKind::SelfCheckFailed`] when
+    /// the probe catches a wrong answer.
+    pub fn new(d: K::Word) -> Result<Self, Fault> {
+        Self::from_plan(&K::plan(d)?, &GuardPolicy::default())
     }
 
-    /// Initial state for a fresh construction under `policy`, honouring
-    /// the circuit breaker.
-    fn initial(policy: &GuardPolicy) -> GuardState {
-        if fault_budget().exhausted() {
+    /// Wraps an existing plan (e.g. one served by the
+    /// [`crate::cache::PlanCache`]), probing its constants first.
+    ///
+    /// # Errors
+    ///
+    /// [`FaultKind::UnsupportedWidth`] when the plan's width is not the
+    /// word's; [`FaultKind::SelfCheckFailed`] when any probe witness
+    /// gets a wrong answer — the typical symptom of a corrupted constant.
+    /// Both at [`FaultLayer::Guard`].
+    pub fn from_plan(plan: &K::Plan, policy: &GuardPolicy) -> Result<Self, Fault> {
+        let width = Into::<DivPlan>::into(*plan).width();
+        if width != K::BITS {
+            return Err(guard_fault(FaultKind::UnsupportedWidth { width }));
+        }
+        let this = Self::from_plan_unprobed(plan, policy);
+        if this.state() == GuardState::Demoted {
+            return Ok(this); // circuit open: native division, no probe
+        }
+        let outcome = this.probe(policy);
+        magicdiv_trace::event!("guard.probe",
+            "shape" => K::SHAPE,
+            "width" => K::BITS,
+            "witnesses" => policy.probe_witnesses,
+            "ok" => if outcome.is_ok() { 1u32 } else { 0u32 });
+        outcome.map(|()| this)
+    }
+
+    /// Wraps a plan *without* probing it — the entry point
+    /// fault-injection harnesses use to smuggle corrupted constants past
+    /// construction so the runtime cross-check path can be exercised.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the plan's width is not the word's.
+    pub fn from_plan_unprobed(plan: &K::Plan, policy: &GuardPolicy) -> Self {
+        let (kernel, d) = K::build(plan);
+        // The circuit breaker: once the budget is spent, start demoted.
+        let state = if fault_budget().exhausted() {
             magicdiv_trace::event!("guard.circuit_bypass",
                 "demotions" => fault_budget().demotions());
-            GuardState::Demoted
+            STATE_DEMOTED
         } else if policy.sample_every > 0 {
-            GuardState::Hardened
+            STATE_HARDENED
         } else {
-            GuardState::Verified
+            STATE_VERIFIED
+        };
+        Guarded {
+            kernel,
+            d,
+            state: AtomicU8::new(state),
+            calls: AtomicU64::new(0),
+            sample_every: policy.sample_every,
         }
     }
 
-    fn state(&self) -> GuardState {
+    fn probe(&self, policy: &GuardPolicy) -> Result<(), Fault> {
+        for n in K::witnesses(self.d, policy) {
+            let got = self.kernel.planned(n);
+            let want = K::native(self.d, n);
+            if got != want {
+                return Err(K::mismatch(n, got, want));
+            }
+        }
+        Ok(())
+    }
+
+    /// The divisor this guard protects.
+    #[inline]
+    pub fn divisor(&self) -> K::Word {
+        self.d
+    }
+
+    /// Current position in the state machine.
+    pub fn state(&self) -> GuardState {
         match self.state.load(Ordering::Acquire) {
             STATE_VERIFIED => GuardState::Verified,
             STATE_HARDENED => GuardState::Hardened,
             _ => GuardState::Demoted,
         }
+    }
+
+    /// One guarded call. Demoted: the native answer. Otherwise the
+    /// planned answer, which in hardened mode a sampled fraction of
+    /// calls cross-checks against native; a mismatch demotes the
+    /// instance and returns the *native* answer, so a detected fault is
+    /// never served.
+    fn run(&self, n: K::Input) -> K::Output {
+        if self.state.load(Ordering::Acquire) == STATE_DEMOTED {
+            return K::native(self.d, n);
+        }
+        let got = self.kernel.planned(n);
+        if self.should_check() && K::in_contract(self.d, n) {
+            let want = K::native(self.d, n);
+            if got != want {
+                self.demote(&K::mismatch(n, got, want));
+                return want;
+            }
+        }
+        got
     }
 
     /// Whether this call should be cross-checked (hardened mode only).
@@ -279,114 +446,49 @@ impl GuardCore {
     /// Transitions to Demoted, charges the budget, emits the typed
     /// `guard.demotion` event carrying the offending divisor key `d`
     /// (the flight recorder's black-box dumps key on it).
-    fn demote(&self, shape: &'static str, width: u32, d: magicdiv_trace::Value, fault: &Fault) {
+    fn demote(&self, fault: &Fault) {
         self.state.store(STATE_DEMOTED, Ordering::Release);
         fault_budget().record_demotion();
         magicdiv_trace::event!("guard.demotion",
-            "shape" => shape,
-            "width" => width,
-            "d" => d,
+            "shape" => K::SHAPE,
+            "width" => K::BITS,
+            "d" => K::trace_d(self.d),
             "why" => format!("{fault}"));
     }
-}
-
-/// Builds the [`Fault`] a failed self-check reports.
-fn self_check_fault(n: u128, got: u128, want: u128) -> Fault {
-    Fault {
-        layer: FaultLayer::Guard,
-        kind: FaultKind::SelfCheckFailed { n, got, want },
-        at: None,
-    }
-}
-
-/// Emits the probe-outcome event shared by every shape.
-fn probe_event(shape: &'static str, width: u32, witnesses: u32, ok: bool) {
-    magicdiv_trace::event!("guard.probe",
-        "shape" => shape,
-        "width" => width,
-        "witnesses" => witnesses,
-        "ok" => if ok { 1u32 } else { 0u32 });
 }
 
 // ---------------------------------------------------------------------------
 // Unsigned (§4)
 // ---------------------------------------------------------------------------
 
-/// [`UnsignedDivisor`] wrapped in the Verified → Hardened → Demoted
-/// guard state machine.
-#[derive(Debug)]
-pub struct GuardedUnsignedDivisor<T> {
-    inner: UnsignedDivisor<T>,
-    d: T,
-    core: GuardCore,
-}
+impl<T: UWord> GuardKernel for UnsignedDivisor<T> {
+    type Plan = UdivPlan;
+    type Word = T;
+    type Input = T;
+    type Output = T;
+    const SHAPE: &'static str = "unsigned";
+    const BITS: u32 = T::BITS;
 
-impl<T: UWord> GuardedUnsignedDivisor<T> {
-    /// Builds and probes a guarded divisor under the default policy
-    /// (probe only, no runtime sampling).
-    ///
-    /// # Errors
-    ///
-    /// `DivideByZero` for `d == 0`; [`FaultKind::SelfCheckFailed`] when
-    /// the probe catches a wrong quotient.
-    pub fn new(d: T) -> Result<Self, Fault> {
-        let plan = UdivPlan::new(d.to_u128(), T::BITS).map_err(Fault::from)?;
-        Self::from_plan(&plan, &GuardPolicy::default())
+    fn plan(d: T) -> Result<UdivPlan, DivisorError> {
+        UdivPlan::new(d.to_u128(), T::BITS)
     }
 
-    /// Builds and probes a guarded divisor under `policy`.
-    ///
-    /// # Errors
-    ///
-    /// As [`new`](Self::new).
-    pub fn with_policy(d: T, policy: &GuardPolicy) -> Result<Self, Fault> {
-        let plan = UdivPlan::new(d.to_u128(), T::BITS).map_err(Fault::from)?;
-        Self::from_plan(&plan, policy)
+    fn build(plan: &UdivPlan) -> (Self, T) {
+        let kernel = UnsignedDivisor::from_plan(plan);
+        (kernel, kernel.divisor())
     }
 
-    /// Wraps an existing plan (e.g. one served by the
-    /// [`crate::cache::PlanCache`]), probing its constants first.
-    ///
-    /// # Errors
-    ///
-    /// [`FaultKind::SelfCheckFailed`] when any probe witness divides
-    /// wrongly — the typical symptom of a corrupted constant.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `plan.width() != T::BITS`.
-    pub fn from_plan(plan: &UdivPlan, policy: &GuardPolicy) -> Result<Self, Fault> {
-        let this = Self::from_plan_unprobed(plan, policy);
-        if this.core.state() == GuardState::Demoted {
-            return Ok(this); // circuit open: native division, no probe
-        }
-        let outcome = this.probe(policy);
-        probe_event("unsigned", T::BITS, policy.probe_witnesses, outcome.is_ok());
-        outcome.map(|()| this)
+    fn planned(&self, n: T) -> T {
+        self.divide(n)
     }
 
-    /// Wraps a plan *without* probing it — the entry point
-    /// fault-injection harnesses use to smuggle corrupted constants past
-    /// construction so the runtime cross-check path can be exercised.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `plan.width() != T::BITS`.
-    pub fn from_plan_unprobed(plan: &UdivPlan, policy: &GuardPolicy) -> Self {
-        GuardedUnsignedDivisor {
-            inner: UnsignedDivisor::from_plan(plan),
-            d: T::from_u128_truncate(plan.divisor()),
-            core: GuardCore::new(GuardCore::initial(policy), policy.sample_every),
-        }
+    fn native(d: T, n: T) -> T {
+        n.checked_div(d).unwrap_or(T::ZERO) // d != 0 by construction
     }
 
-    fn native(&self, n: T) -> T {
-        n.checked_div(self.d).unwrap_or(T::ZERO) // d != 0 by construction
-    }
-
-    fn probe(&self, policy: &GuardPolicy) -> Result<(), Fault> {
-        let d = self.d;
-        let mut witnesses = vec![
+    fn witnesses(d: T, policy: &GuardPolicy) -> Vec<T> {
+        let half = T::MAX.shr_full(1);
+        let mut ws = vec![
             T::ZERO,
             T::ONE,
             d.wrapping_sub(T::ONE),
@@ -395,64 +497,32 @@ impl<T: UWord> GuardedUnsignedDivisor<T> {
             d.wrapping_add(d),
             T::MAX,
             T::MAX.wrapping_sub(T::ONE),
-            T::MAX.shr_full(1),
-            T::MAX.shr_full(1).wrapping_add(T::ONE),
+            half,
+            half.wrapping_add(T::ONE),
         ];
-        let mut rng = policy.seed ^ d.to_u128() as u64;
-        for _ in 0..policy.probe_witnesses {
-            witnesses.push(T::from_u128_truncate(splitmix128(&mut rng)));
-        }
-        for n in witnesses {
-            let got = self.inner.divide(n);
-            let want = self.native(n);
-            if got != want {
-                return Err(self_check_fault(n.to_u128(), got.to_u128(), want.to_u128()));
-            }
-        }
-        Ok(())
+        let random = random_witnesses(policy, d.to_u128(), policy.probe_witnesses);
+        ws.extend(random.map(T::from_u128_truncate));
+        ws
     }
 
-    /// The divisor this guard protects.
-    #[inline]
-    pub fn divisor(&self) -> T {
-        self.d
+    fn mismatch(n: T, got: T, want: T) -> Fault {
+        self_check_fault(n.to_u128(), got.to_u128(), want.to_u128())
     }
 
-    /// Current position in the state machine.
-    pub fn state(&self) -> GuardState {
-        self.core.state()
+    fn trace_d(d: T) -> magicdiv_trace::Value {
+        d.to_u128().into()
     }
+}
 
-    /// The wrapped plan-backed divisor (for introspection).
-    pub fn inner(&self) -> &UnsignedDivisor<T> {
-        &self.inner
-    }
-
-    /// Computes `⌊n / d⌋`. In hardened mode a sampled fraction of calls
-    /// is cross-checked against native division; a mismatch demotes the
-    /// instance and the *native* quotient is returned, so a detected
-    /// fault is never served.
+impl<T: UWord> Guarded<UnsignedDivisor<T>> {
+    /// Computes `⌊n / d⌋` under the guard.
     pub fn divide(&self, n: T) -> T {
-        if self.core.state() == GuardState::Demoted {
-            return self.native(n);
-        }
-        let q = self.inner.divide(n);
-        if self.core.should_check() {
-            let want = self.native(n);
-            if q != want {
-                let fault = self_check_fault(n.to_u128(), q.to_u128(), want.to_u128());
-                self.core
-                    .demote("unsigned", T::BITS, self.d.to_u128().into(), &fault);
-                return want;
-            }
-        }
-        q
+        self.run(n)
     }
 
-    /// Computes `n mod d` with the same guard semantics as
-    /// [`divide`](Self::divide).
+    /// Computes `n mod d` from the guarded quotient.
     pub fn remainder(&self, n: T) -> T {
-        n.wrapping_sub(self.divide(n).wrapping_mul(self.d))
+        self.div_rem(n).1
     }
 
     /// Quotient and remainder together.
@@ -463,16 +533,8 @@ impl<T: UWord> GuardedUnsignedDivisor<T> {
 }
 
 // ---------------------------------------------------------------------------
-// Signed trunc (§5)
+// Signed trunc (§5) and floor (§6)
 // ---------------------------------------------------------------------------
-
-/// [`SignedDivisor`] wrapped in the guard state machine.
-#[derive(Debug)]
-pub struct GuardedSignedDivisor<S> {
-    inner: SignedDivisor<S>,
-    d: S,
-    core: GuardCore,
-}
 
 /// Native truncating division with hardware wrap on `MIN / -1`.
 fn native_trunc<S: SWord>(n: S, d: S) -> S {
@@ -497,270 +559,99 @@ fn native_floor<S: SWord>(n: S, d: S) -> S {
     }
 }
 
-impl<S: SWord> GuardedSignedDivisor<S> {
-    /// Builds and probes a guarded signed divisor (default policy).
-    ///
-    /// # Errors
-    ///
-    /// `DivideByZero` for `d == 0`; [`FaultKind::SelfCheckFailed`] when
-    /// the probe catches a wrong quotient.
-    pub fn new(d: S) -> Result<Self, Fault> {
-        Self::with_policy(d, &GuardPolicy::default())
+/// The signed families' boundary witnesses (`MAX − 1` only for trunc),
+/// then the seeded-random draws.
+fn signed_witnesses<S: SWord>(d: S, policy: &GuardPolicy, max_minus_one: bool) -> Vec<S> {
+    let mut ws = vec![
+        S::ZERO,
+        S::ONE,
+        S::MINUS_ONE,
+        d,
+        d.wrapping_neg(),
+        d.wrapping_add(S::ONE),
+        d.wrapping_sub(S::ONE),
+        S::MIN,
+        S::MIN.wrapping_add(S::ONE),
+        S::MAX,
+    ];
+    if max_minus_one {
+        ws.push(S::MAX.wrapping_sub(S::ONE));
     }
+    let random = random_witnesses(policy, d.as_unsigned().to_u128(), policy.probe_witnesses);
+    ws.extend(random.map(|x| S::from_unsigned(<S::Unsigned as Limb>::from_u128_truncate(x))));
+    ws
+}
 
-    /// Builds and probes under `policy`.
-    ///
-    /// # Errors
-    ///
-    /// As [`new`](Self::new).
-    pub fn with_policy(d: S, policy: &GuardPolicy) -> Result<Self, Fault> {
-        let plan = SdivPlan::new(d.to_i128(), S::BITS).map_err(Fault::from)?;
-        Self::from_plan(&plan, policy)
-    }
+/// The two signed families differ only in their plan, kernel, native
+/// reference and whether `MAX − 1` is a boundary witness.
+macro_rules! signed_kernel {
+    ($kernel:ident, $plan:ident, $shape:literal, $native:ident, $max_minus_one:literal) => {
+        impl<S: SWord> GuardKernel for $kernel<S> {
+            type Plan = $plan;
+            type Word = S;
+            type Input = S;
+            type Output = S;
+            const SHAPE: &'static str = $shape;
+            const BITS: u32 = S::BITS;
 
-    /// Wraps an existing plan, probing its constants first.
-    ///
-    /// # Errors
-    ///
-    /// [`FaultKind::SelfCheckFailed`] when any probe witness divides
-    /// wrongly.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `plan.width() != S::BITS`.
-    pub fn from_plan(plan: &SdivPlan, policy: &GuardPolicy) -> Result<Self, Fault> {
-        let this = Self::from_plan_unprobed(plan, policy);
-        if this.core.state() == GuardState::Demoted {
-            return Ok(this);
-        }
-        let outcome = this.probe(policy);
-        probe_event("signed", S::BITS, policy.probe_witnesses, outcome.is_ok());
-        outcome.map(|()| this)
-    }
+            fn plan(d: S) -> Result<$plan, DivisorError> {
+                $plan::new(d.to_i128(), S::BITS)
+            }
 
-    /// Wraps a plan without probing (fault-injection entry point).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `plan.width() != S::BITS`.
-    pub fn from_plan_unprobed(plan: &SdivPlan, policy: &GuardPolicy) -> Self {
-        GuardedSignedDivisor {
-            inner: SignedDivisor::from_plan(plan),
-            d: S::from_i128_truncate(plan.divisor()),
-            core: GuardCore::new(GuardCore::initial(policy), policy.sample_every),
-        }
-    }
+            fn build(plan: &$plan) -> (Self, S) {
+                let kernel = $kernel::from_plan(plan);
+                (kernel, kernel.divisor())
+            }
 
-    fn probe(&self, policy: &GuardPolicy) -> Result<(), Fault> {
-        let d = self.d;
-        let mut witnesses = vec![
-            S::ZERO,
-            S::ONE,
-            S::MINUS_ONE,
-            d,
-            d.wrapping_neg(),
-            d.wrapping_add(S::ONE),
-            d.wrapping_sub(S::ONE),
-            S::MIN,
-            S::MIN.wrapping_add(S::ONE),
-            S::MAX,
-            S::MAX.wrapping_sub(S::ONE),
-        ];
-        let mut rng = policy.seed ^ d.as_unsigned().to_u128() as u64;
-        for _ in 0..policy.probe_witnesses {
-            witnesses.push(S::from_unsigned(<S::Unsigned as Limb>::from_u128_truncate(
-                splitmix128(&mut rng),
-            )));
-        }
-        for n in witnesses {
-            let got = self.inner.divide(n);
-            let want = native_trunc(n, d);
-            if got != want {
-                return Err(self_check_fault(
-                    n.as_unsigned().to_u128(),
-                    got.as_unsigned().to_u128(),
-                    want.as_unsigned().to_u128(),
-                ));
+            fn planned(&self, n: S) -> S {
+                self.divide(n)
+            }
+
+            fn native(d: S, n: S) -> S {
+                $native(n, d)
+            }
+
+            fn witnesses(d: S, policy: &GuardPolicy) -> Vec<S> {
+                signed_witnesses(d, policy, $max_minus_one)
+            }
+
+            /// In two's-complement bits.
+            fn mismatch(n: S, got: S, want: S) -> Fault {
+                let bits = |x: S| x.as_unsigned().to_u128();
+                self_check_fault(bits(n), bits(got), bits(want))
+            }
+
+            fn trace_d(d: S) -> magicdiv_trace::Value {
+                d.to_i128().into()
             }
         }
-        Ok(())
-    }
+    };
+}
 
-    /// The divisor this guard protects.
-    #[inline]
-    pub fn divisor(&self) -> S {
-        self.d
-    }
+signed_kernel!(SignedDivisor, SdivPlan, "signed", native_trunc, true);
+signed_kernel!(FloorDivisor, FloorPlan, "floor", native_floor, false);
 
-    /// Current position in the state machine.
-    pub fn state(&self) -> GuardState {
-        self.core.state()
-    }
-
-    /// Computes `TRUNC(n / d)` with guard semantics (see
-    /// [`GuardedUnsignedDivisor::divide`]).
+impl<S: SWord> Guarded<SignedDivisor<S>> {
+    /// Computes `TRUNC(n / d)` under the guard.
     pub fn divide(&self, n: S) -> S {
-        if self.core.state() == GuardState::Demoted {
-            return native_trunc(n, self.d);
-        }
-        let q = self.inner.divide(n);
-        if self.core.should_check() {
-            let want = native_trunc(n, self.d);
-            if q != want {
-                let fault = self_check_fault(
-                    n.as_unsigned().to_u128(),
-                    q.as_unsigned().to_u128(),
-                    want.as_unsigned().to_u128(),
-                );
-                self.core
-                    .demote("signed", S::BITS, self.d.to_i128().into(), &fault);
-                return want;
-            }
-        }
-        q
+        self.run(n)
     }
 
-    /// Computes the remainder (sign of the dividend) with guard
-    /// semantics.
+    /// Computes the remainder (sign of the dividend) from the guarded
+    /// quotient.
     pub fn remainder(&self, n: S) -> S {
         n.wrapping_sub(self.divide(n).wrapping_mul(self.d))
     }
 }
 
-// ---------------------------------------------------------------------------
-// Floor (§6)
-// ---------------------------------------------------------------------------
-
-/// [`FloorDivisor`] wrapped in the guard state machine.
-#[derive(Debug)]
-pub struct GuardedFloorDivisor<S: SWord> {
-    inner: FloorDivisor<S>,
-    d: S,
-    core: GuardCore,
-}
-
-impl<S: SWord> GuardedFloorDivisor<S> {
-    /// Builds and probes a guarded floor divisor (default policy).
-    ///
-    /// # Errors
-    ///
-    /// `DivideByZero` for `d == 0`; [`FaultKind::SelfCheckFailed`] when
-    /// the probe catches a wrong quotient.
-    pub fn new(d: S) -> Result<Self, Fault> {
-        Self::with_policy(d, &GuardPolicy::default())
-    }
-
-    /// Builds and probes under `policy`.
-    ///
-    /// # Errors
-    ///
-    /// As [`new`](Self::new).
-    pub fn with_policy(d: S, policy: &GuardPolicy) -> Result<Self, Fault> {
-        let plan = FloorPlan::new(d.to_i128(), S::BITS).map_err(Fault::from)?;
-        Self::from_plan(&plan, policy)
-    }
-
-    /// Wraps an existing plan, probing its constants first.
-    ///
-    /// # Errors
-    ///
-    /// [`FaultKind::SelfCheckFailed`] when any probe witness divides
-    /// wrongly.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `plan.width() != S::BITS`.
-    pub fn from_plan(plan: &FloorPlan, policy: &GuardPolicy) -> Result<Self, Fault> {
-        let this = Self::from_plan_unprobed(plan, policy);
-        if this.core.state() == GuardState::Demoted {
-            return Ok(this);
-        }
-        let outcome = this.probe(policy);
-        probe_event("floor", S::BITS, policy.probe_witnesses, outcome.is_ok());
-        outcome.map(|()| this)
-    }
-
-    /// Wraps a plan without probing (fault-injection entry point).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `plan.width() != S::BITS`.
-    pub fn from_plan_unprobed(plan: &FloorPlan, policy: &GuardPolicy) -> Self {
-        GuardedFloorDivisor {
-            inner: FloorDivisor::from_plan(plan),
-            d: S::from_i128_truncate(plan.divisor()),
-            core: GuardCore::new(GuardCore::initial(policy), policy.sample_every),
-        }
-    }
-
-    fn probe(&self, policy: &GuardPolicy) -> Result<(), Fault> {
-        let d = self.d;
-        let mut witnesses = vec![
-            S::ZERO,
-            S::ONE,
-            S::MINUS_ONE,
-            d,
-            d.wrapping_neg(),
-            d.wrapping_add(S::ONE),
-            d.wrapping_sub(S::ONE),
-            S::MIN,
-            S::MIN.wrapping_add(S::ONE),
-            S::MAX,
-        ];
-        let mut rng = policy.seed ^ d.as_unsigned().to_u128() as u64;
-        for _ in 0..policy.probe_witnesses {
-            witnesses.push(S::from_unsigned(<S::Unsigned as Limb>::from_u128_truncate(
-                splitmix128(&mut rng),
-            )));
-        }
-        for n in witnesses {
-            let got = self.inner.divide(n);
-            let want = native_floor(n, d);
-            if got != want {
-                return Err(self_check_fault(
-                    n.as_unsigned().to_u128(),
-                    got.as_unsigned().to_u128(),
-                    want.as_unsigned().to_u128(),
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// The divisor this guard protects.
-    #[inline]
-    pub fn divisor(&self) -> S {
-        self.d
-    }
-
-    /// Current position in the state machine.
-    pub fn state(&self) -> GuardState {
-        self.core.state()
-    }
-
-    /// Computes `⌊n / d⌋` (round toward `-∞`) with guard semantics.
+impl<S: SWord> Guarded<FloorDivisor<S>> {
+    /// Computes `⌊n / d⌋` (round toward `-∞`) under the guard.
     pub fn divide(&self, n: S) -> S {
-        if self.core.state() == GuardState::Demoted {
-            return native_floor(n, self.d);
-        }
-        let q = self.inner.divide(n);
-        if self.core.should_check() {
-            let want = native_floor(n, self.d);
-            if q != want {
-                let fault = self_check_fault(
-                    n.as_unsigned().to_u128(),
-                    q.as_unsigned().to_u128(),
-                    want.as_unsigned().to_u128(),
-                );
-                self.core
-                    .demote("floor", S::BITS, self.d.to_i128().into(), &fault);
-                return want;
-            }
-        }
-        q
+        self.run(n)
     }
 
-    /// Computes `n mod d` (sign of the divisor) with guard semantics.
+    /// Computes `n mod d` (sign of the divisor) from the guarded
+    /// quotient.
     pub fn modulus(&self, n: S) -> S {
         n.wrapping_sub(self.divide(n).wrapping_mul(self.d))
     }
@@ -770,169 +661,111 @@ impl<S: SWord> GuardedFloorDivisor<S> {
 // Exact / divisibility (§9)
 // ---------------------------------------------------------------------------
 
-/// [`ExactUnsignedDivisor`] wrapped in the guard state machine.
-///
-/// The guarded contract narrows `divide_exact` slightly: its result is
-/// only meaningful when `d | n` (as before), and the cross-check only
-/// fires on such inputs.
-#[derive(Debug)]
-pub struct GuardedExactDivisor<T> {
-    inner: ExactUnsignedDivisor<T>,
-    d: T,
-    core: GuardCore,
+/// Which exact-division call a guarded input is for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExactOp {
+    /// `divide_exact`: `n / d` for a multiple `n` of `d`.
+    Quotient,
+    /// `divides`: whether `d | n`, answered as `1` or `0`.
+    Divides,
 }
 
-impl<T: UWord> GuardedExactDivisor<T> {
-    /// Builds and probes a guarded exact divisor (default policy).
-    ///
-    /// # Errors
-    ///
-    /// `DivideByZero` for `d == 0`; [`FaultKind::SelfCheckFailed`] when
-    /// the probe catches a wrong exact quotient or divisibility verdict.
-    pub fn new(d: T) -> Result<Self, Fault> {
-        Self::with_policy(d, &GuardPolicy::default())
+fn native_rem<T: UWord>(d: T, n: T) -> T {
+    n.wrapping_sub(n.checked_div(d).unwrap_or(T::ZERO).wrapping_mul(d))
+}
+
+impl<T: UWord> GuardKernel for ExactUnsignedDivisor<T> {
+    type Plan = ExactPlan;
+    type Word = T;
+    type Input = (ExactOp, T);
+    type Output = T;
+    const SHAPE: &'static str = "exact";
+    const BITS: u32 = T::BITS;
+
+    fn plan(d: T) -> Result<ExactPlan, DivisorError> {
+        ExactPlan::new_unsigned(d.to_u128(), T::BITS)
     }
 
-    /// Builds and probes under `policy`.
-    ///
-    /// # Errors
-    ///
-    /// As [`new`](Self::new).
-    pub fn with_policy(d: T, policy: &GuardPolicy) -> Result<Self, Fault> {
-        let plan = ExactPlan::new_unsigned(d.to_u128(), T::BITS).map_err(Fault::from)?;
-        Self::from_plan(&plan, policy)
-    }
-
-    /// Wraps an existing plan, probing its constants first.
-    ///
-    /// # Errors
-    ///
-    /// [`FaultKind::SelfCheckFailed`] when a probe witness misbehaves.
-    ///
     /// # Panics
     ///
-    /// Panics when `plan.width() != T::BITS` or the plan is signed.
-    pub fn from_plan(plan: &ExactPlan, policy: &GuardPolicy) -> Result<Self, Fault> {
-        let this = Self::from_plan_unprobed(plan, policy);
-        if this.core.state() == GuardState::Demoted {
-            return Ok(this);
-        }
-        let outcome = this.probe(policy);
-        probe_event("exact", T::BITS, policy.probe_witnesses, outcome.is_ok());
-        outcome.map(|()| this)
+    /// Panics when the plan is signed.
+    fn build(plan: &ExactPlan) -> (Self, T) {
+        let kernel = ExactUnsignedDivisor::from_plan(plan);
+        (kernel, kernel.divisor())
     }
 
-    /// Wraps a plan without probing (fault-injection entry point).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `plan.width() != T::BITS` or the plan is signed.
-    pub fn from_plan_unprobed(plan: &ExactPlan, policy: &GuardPolicy) -> Self {
-        GuardedExactDivisor {
-            inner: ExactUnsignedDivisor::from_plan(plan),
-            d: T::from_u128_truncate(plan.divisor_abs()),
-            core: GuardCore::new(GuardCore::initial(policy), policy.sample_every),
+    fn planned(&self, (op, n): (ExactOp, T)) -> T {
+        match op {
+            ExactOp::Quotient => self.divide_exact_unchecked(n),
+            ExactOp::Divides => T::from_u128_truncate(self.divides(n).into()),
         }
     }
 
-    fn native_rem(&self, n: T) -> T {
-        n.wrapping_sub(
-            n.checked_div(self.d)
-                .unwrap_or(T::ZERO)
-                .wrapping_mul(self.d),
-        )
+    fn native(d: T, (op, n): (ExactOp, T)) -> T {
+        match op {
+            ExactOp::Quotient => n.checked_div(d).unwrap_or(T::ZERO),
+            ExactOp::Divides => T::from_u128_truncate((native_rem(d, n) == T::ZERO).into()),
+        }
     }
 
-    fn probe(&self, policy: &GuardPolicy) -> Result<(), Fault> {
-        let d = self.d;
+    fn in_contract(d: T, (op, n): (ExactOp, T)) -> bool {
+        op == ExactOp::Divides || native_rem(d, n) == T::ZERO
+    }
+
+    /// For each probe quotient `q`: the exact quotient of `q·d`, the
+    /// verdict that `d | q·d`, and — unless `d == 1` or it wraps to a
+    /// multiple — the verdict that `d ∤ q·d + 1`.
+    fn witnesses(d: T, policy: &GuardPolicy) -> Vec<(ExactOp, T)> {
         let qmax = T::MAX.checked_div(d).unwrap_or(T::ZERO);
-        let mut quotients = vec![
+        let span = qmax.wrapping_add(T::ONE);
+        let random = random_witnesses(policy, d.to_u128(), policy.probe_witnesses).map(|r| {
+            let q = T::from_u128_truncate(r);
+            if qmax == T::ZERO {
+                T::ZERO
+            } else {
+                q.wrapping_sub(q.checked_div(span).unwrap_or(T::ZERO).wrapping_mul(span))
+            }
+        });
+        let boundary = [
             T::ZERO,
             T::ONE,
             qmax,
             qmax.shr_full(1),
             qmax.wrapping_sub(T::ONE),
         ];
-        let mut rng = policy.seed ^ d.to_u128() as u64;
-        for _ in 0..policy.probe_witnesses {
-            let q = T::from_u128_truncate(splitmix128(&mut rng));
-            quotients.push(if qmax == T::ZERO {
-                T::ZERO
-            } else {
-                q.wrapping_sub(
-                    q.checked_div(qmax.wrapping_add(T::ONE))
-                        .unwrap_or(T::ZERO)
-                        .wrapping_mul(qmax.wrapping_add(T::ONE)),
-                )
-            });
-        }
-        for q in quotients {
-            let q = if q > qmax { qmax } else { q };
-            let n = q.wrapping_mul(d);
-            let got = self.inner.divide_exact(n);
-            if got != q {
-                return Err(self_check_fault(n.to_u128(), got.to_u128(), q.to_u128()));
-            }
-            if !self.inner.divides(n) {
-                return Err(self_check_fault(n.to_u128(), 0, 1));
-            }
-            // A non-multiple must be rejected (d == 1 divides everything).
+        let mut ws = Vec::new();
+        for q in boundary.into_iter().chain(random) {
+            let n = if q > qmax { qmax } else { q }.wrapping_mul(d);
+            ws.extend([(ExactOp::Quotient, n), (ExactOp::Divides, n)]);
             let off = n.wrapping_add(T::ONE);
-            if d != T::ONE && self.native_rem(off) != T::ZERO && self.inner.divides(off) {
-                return Err(self_check_fault(off.to_u128(), 1, 0));
+            if d != T::ONE && native_rem(d, off) != T::ZERO {
+                ws.push((ExactOp::Divides, off));
             }
         }
-        Ok(())
+        ws
     }
 
-    /// The divisor this guard protects.
-    #[inline]
-    pub fn divisor(&self) -> T {
-        self.d
+    fn mismatch((_, n): (ExactOp, T), got: T, want: T) -> Fault {
+        self_check_fault(n.to_u128(), got.to_u128(), want.to_u128())
     }
 
-    /// Current position in the state machine.
-    pub fn state(&self) -> GuardState {
-        self.core.state()
+    fn trace_d(d: T) -> magicdiv_trace::Value {
+        d.to_u128().into()
     }
+}
 
-    /// Computes `n / d` for `n` a multiple of `d`, with guard semantics.
+impl<T: UWord> Guarded<ExactUnsignedDivisor<T>> {
+    /// Computes `n / d` for `n` a multiple of `d`, under the guard.
     /// Inputs that are not multiples return native `n / d` (demoted) or
-    /// the inner garbage value (verified), exactly as the unguarded
+    /// the kernel's garbage value (otherwise), exactly as the unguarded
     /// contract documents.
     pub fn divide_exact(&self, n: T) -> T {
-        if self.core.state() == GuardState::Demoted {
-            return n.checked_div(self.d).unwrap_or(T::ZERO);
-        }
-        let q = self.inner.divide_exact(n);
-        if self.core.should_check() && self.native_rem(n) == T::ZERO {
-            let want = n.checked_div(self.d).unwrap_or(T::ZERO);
-            if q != want {
-                let fault = self_check_fault(n.to_u128(), q.to_u128(), want.to_u128());
-                self.core
-                    .demote("exact", T::BITS, self.d.to_u128().into(), &fault);
-                return want;
-            }
-        }
-        q
+        self.run((ExactOp::Quotient, n))
     }
 
-    /// Tests `d | n` with guard semantics.
+    /// Tests `d | n` under the guard.
     pub fn divides(&self, n: T) -> bool {
-        if self.core.state() == GuardState::Demoted {
-            return self.native_rem(n) == T::ZERO;
-        }
-        let verdict = self.inner.divides(n);
-        if self.core.should_check() {
-            let want = self.native_rem(n) == T::ZERO;
-            if verdict != want {
-                let fault = self_check_fault(n.to_u128(), u128::from(verdict), u128::from(want));
-                self.core
-                    .demote("exact", T::BITS, self.d.to_u128().into(), &fault);
-                return want;
-            }
-        }
-        verdict
+        self.run((ExactOp::Divides, n)) == T::ONE
     }
 }
 
@@ -940,144 +773,66 @@ impl<T: UWord> GuardedExactDivisor<T> {
 // Dword (§8)
 // ---------------------------------------------------------------------------
 
-/// [`DwordDivisor`] wrapped in the guard state machine. The native
-/// reference is the portable shift-subtract division of
-/// [`magicdiv_dword`], which is independent of the Figure 8.1 constants
-/// being guarded.
-#[derive(Debug)]
-pub struct GuardedDwordDivisor<T> {
-    inner: DwordDivisor<T>,
-    d: T,
-    core: GuardCore,
+impl<T: UWord> GuardKernel for DwordDivisor<T> {
+    type Plan = DwordPlan;
+    type Word = T;
+    type Input = DWord<T>;
+    type Output = (T, T);
+    const SHAPE: &'static str = "dword";
+    const BITS: u32 = T::BITS;
+
+    fn plan(d: T) -> Result<DwordPlan, DivisorError> {
+        DwordPlan::new(d.to_u128(), T::BITS)
+    }
+
+    fn build(plan: &DwordPlan) -> (Self, T) {
+        let kernel = DwordDivisor::from_plan(plan);
+        (kernel, kernel.divisor())
+    }
+
+    /// Every guarded input has `HIGH(n) < d`, so the kernel's
+    /// quotient-overflow error cannot occur here.
+    fn planned(&self, n: DWord<T>) -> (T, T) {
+        self.div_rem(n).unwrap_or((T::ZERO, T::ZERO))
+    }
+
+    fn native(d: T, n: DWord<T>) -> (T, T) {
+        n.div_rem_limb(d)
+            .map_or((T::ZERO, T::ZERO), |(q, r)| (q.lo(), r))
+    }
+
+    fn witnesses(d: T, policy: &GuardPolicy) -> Vec<DWord<T>> {
+        let random = random_witnesses(policy, d.to_u128(), policy.probe_witnesses.div_ceil(4));
+        let his = [T::ZERO, T::ONE, d.shr_full(1), d.wrapping_sub(T::ONE)];
+        let los = [T::ZERO, T::ONE, T::MAX, d.wrapping_sub(T::ONE)];
+        his.into_iter()
+            .chain(random.map(T::from_u128_truncate))
+            .filter(|&hi| hi < d)
+            .flat_map(|hi| los.map(|lo| DWord::from_parts(hi, lo)))
+            .collect()
+    }
+
+    fn mismatch(n: DWord<T>, got: (T, T), want: (T, T)) -> Fault {
+        self_check_fault(n.lo().to_u128(), got.0.to_u128(), want.0.to_u128())
+    }
+
+    fn trace_d(d: T) -> magicdiv_trace::Value {
+        d.to_u128().into()
+    }
 }
 
-impl<T: UWord> GuardedDwordDivisor<T> {
-    /// Builds and probes a guarded dword divisor (default policy).
-    ///
-    /// # Errors
-    ///
-    /// `DivideByZero` for `d == 0`; [`FaultKind::SelfCheckFailed`] when
-    /// the probe catches a wrong quotient or remainder.
-    pub fn new(d: T) -> Result<Self, Fault> {
-        Self::with_policy(d, &GuardPolicy::default())
-    }
-
-    /// Builds and probes under `policy`.
-    ///
-    /// # Errors
-    ///
-    /// As [`new`](Self::new).
-    pub fn with_policy(d: T, policy: &GuardPolicy) -> Result<Self, Fault> {
-        let plan = DwordPlan::new(d.to_u128(), T::BITS).map_err(Fault::from)?;
-        Self::from_plan(&plan, policy)
-    }
-
-    /// Wraps an existing plan, probing its constants first.
-    ///
-    /// # Errors
-    ///
-    /// [`FaultKind::SelfCheckFailed`] when a probe witness misdivides.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `plan.width() != T::BITS`.
-    pub fn from_plan(plan: &DwordPlan, policy: &GuardPolicy) -> Result<Self, Fault> {
-        let this = Self::from_plan_unprobed(plan, policy);
-        if this.core.state() == GuardState::Demoted {
-            return Ok(this);
-        }
-        let outcome = this.probe(policy);
-        probe_event("dword", T::BITS, policy.probe_witnesses, outcome.is_ok());
-        outcome.map(|()| this)
-    }
-
-    /// Wraps a plan without probing (fault-injection entry point).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `plan.width() != T::BITS`.
-    pub fn from_plan_unprobed(plan: &DwordPlan, policy: &GuardPolicy) -> Self {
-        GuardedDwordDivisor {
-            inner: DwordDivisor::from_plan(plan),
-            d: T::from_u128_truncate(plan.divisor()),
-            core: GuardCore::new(GuardCore::initial(policy), policy.sample_every),
-        }
-    }
-
-    /// Portable reference division (independent of the guarded
-    /// constants).
-    fn native(&self, n: DWord<T>) -> Result<(T, T), DwordDivError> {
-        if n.hi() >= self.d {
-            return Err(DwordDivError::QuotientOverflow);
-        }
-        let (q, r) = n
-            .div_rem_limb(self.d)
-            .unwrap_or((DWord::from_lo(T::ZERO), T::ZERO));
-        Ok((q.lo(), r))
-    }
-
-    fn probe(&self, policy: &GuardPolicy) -> Result<(), Fault> {
-        let d = self.d;
-        let mut his = vec![T::ZERO, T::ONE, d.shr_full(1), d.wrapping_sub(T::ONE)];
-        let los = [T::ZERO, T::ONE, T::MAX, d.wrapping_sub(T::ONE)];
-        let mut rng = policy.seed ^ d.to_u128() as u64;
-        for _ in 0..policy.probe_witnesses.div_ceil(4) {
-            his.push(T::from_u128_truncate(splitmix128(&mut rng)));
-        }
-        for hi in his {
-            if hi >= d {
-                continue;
-            }
-            for &lo in &los {
-                let n = DWord::from_parts(hi, lo);
-                let got = self.inner.div_rem(n).map_err(|_| {
-                    self_check_fault(lo.to_u128(), 0, 1) // spurious overflow
-                })?;
-                let want = self.native(n).unwrap_or((T::ZERO, T::ZERO));
-                if got != want {
-                    return Err(self_check_fault(
-                        lo.to_u128(),
-                        got.0.to_u128(),
-                        want.0.to_u128(),
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The divisor this guard protects.
-    #[inline]
-    pub fn divisor(&self) -> T {
-        self.d
-    }
-
-    /// Current position in the state machine.
-    pub fn state(&self) -> GuardState {
-        self.core.state()
-    }
-
-    /// Divides the doubleword `n` with guard semantics.
+impl<T: UWord> Guarded<DwordDivisor<T>> {
+    /// Divides the doubleword `n` under the guard.
     ///
     /// # Errors
     ///
     /// [`DwordDivError::QuotientOverflow`] when `HIGH(n) >= d`, exactly
     /// as the unguarded divisor.
     pub fn div_rem(&self, n: DWord<T>) -> Result<(T, T), DwordDivError> {
-        if self.core.state() == GuardState::Demoted {
-            return self.native(n);
+        if n.hi() >= self.d {
+            return Err(DwordDivError::QuotientOverflow);
         }
-        let out = self.inner.div_rem(n)?;
-        if self.core.should_check() {
-            let want = self.native(n)?;
-            if out != want {
-                let fault = self_check_fault(n.lo().to_u128(), out.0.to_u128(), want.0.to_u128());
-                self.core
-                    .demote("dword", T::BITS, self.d.to_u128().into(), &fault);
-                return Ok(want);
-            }
-        }
-        Ok(out)
+        Ok(self.run(n))
     }
 }
 
@@ -1119,55 +874,208 @@ mod tests {
         assert_eq!(err.kind, FaultKind::DivideByZero);
     }
 
-    /// Flips one multiplier/shift bit of whatever strategy the
-    /// tournament picked, so the tests don't depend on the winner.
-    fn corrupt(plan: &UdivPlan, bit: u32) -> UdivPlan {
-        use crate::plan::UdivStrategy;
-        let strategy = match plan.strategy() {
-            UdivStrategy::Identity => UdivStrategy::Shift { sh: 1 },
-            UdivStrategy::Shift { sh } => UdivStrategy::Shift { sh: sh ^ 1 },
-            UdivStrategy::MulShift { m, sh_pre, sh_post } => UdivStrategy::MulShift {
-                m: m ^ (1 << bit),
-                sh_pre,
-                sh_post,
-            },
-            UdivStrategy::MulAddShift {
-                m_minus_pow2n,
-                sh_post,
-            } => UdivStrategy::MulAddShift {
-                m_minus_pow2n: m_minus_pow2n ^ (1 << bit),
-                sh_post,
-            },
-            UdivStrategy::MulRoundUp { m, sh_post } => UdivStrategy::MulRoundUp {
-                m: m ^ (1 << bit),
-                sh_post,
-            },
-        };
-        UdivPlan::from_raw(plan.divisor(), plan.width(), strategy)
-    }
-
     #[test]
-    fn corrupted_plan_fails_the_probe() {
-        let bad = corrupt(&UdivPlan::new(10, 32).expect("plan"), 7);
-        let err = GuardedUnsignedDivisor::<u32>::from_plan(&bad, &GuardPolicy::default())
-            .expect_err("probe must catch the flip");
-        assert_eq!(err.layer, FaultLayer::Guard);
-        assert!(matches!(err.kind, FaultKind::SelfCheckFailed { .. }));
-    }
-
-    #[test]
-    fn hardened_demotion_returns_correct_quotients_forever() {
-        fault_budget().reset();
-        let before = fault_budget().demotions();
-        let bad = corrupt(&UdivPlan::new(10, 32).expect("plan"), 29);
-        let g = GuardedUnsignedDivisor::<u32>::from_plan_unprobed(&bad, &GuardPolicy::hardened(1));
-        assert_eq!(g.state(), GuardState::Hardened);
-        // Every call must come back correct even while the plan is bad.
-        for n in [u32::MAX, 12345, 0, 10, 99] {
-            assert_eq!(g.divide(n), n / 10, "n={n}");
+    fn wrong_width_plans_are_a_typed_fault() -> Result<(), DivisorError> {
+        fn refused<K: GuardKernel>(plan: K::Plan) {
+            let built = Guarded::<K>::from_plan(&plan, &GuardPolicy::default());
+            let err = built.err().expect("width mismatch must be refused");
+            assert_eq!(err.layer, FaultLayer::Guard);
+            assert_eq!(err.kind, FaultKind::UnsupportedWidth { width: 64 });
         }
-        assert_eq!(g.state(), GuardState::Demoted);
-        assert!(fault_budget().demotions() > before);
+        refused::<UnsignedDivisor<u32>>(UdivPlan::new(7, 64)?);
+        refused::<SignedDivisor<i32>>(SdivPlan::new(-7, 64)?);
+        refused::<FloorDivisor<i32>>(FloorPlan::new(-7, 64)?);
+        refused::<ExactUnsignedDivisor<u32>>(ExactPlan::new_unsigned(12, 64)?);
+        refused::<DwordDivisor<u32>>(DwordPlan::new(10, 64)?);
+        Ok(())
+    }
+
+    /// One family's bit-flip campaign at one width: for d ∈ {3, 7, 10,
+    /// 641} and every bit of the word, `corrupt(d, bit)` flips that bit
+    /// of the magic constant. Returns how many corrupt plans the probe
+    /// rejects and how many hardened guards demote, asserting on the way
+    /// that every answer served for `cases(d)` is right.
+    fn flips<K: GuardKernel>(
+        corrupt: impl Fn(u128, u32) -> K::Plan,
+        cases: impl Fn(u128) -> Vec<(K::Input, K::Output)>,
+    ) -> [u32; 2]
+    where
+        K::Output: core::fmt::Debug,
+    {
+        let mut counts = [0, 0];
+        for d in [3, 7, 10, 641] {
+            for bit in 0..K::BITS {
+                let bad = corrupt(d, bit);
+                let probed = Guarded::<K>::from_plan(&bad, &GuardPolicy::default());
+                counts[0] += u32::from(probed.is_err());
+                let g = Guarded::<K>::from_plan_unprobed(&bad, &GuardPolicy::hardened(1));
+                for (n, want) in cases(d) {
+                    assert_eq!(g.run(n), want, "{} w{} d={d} bit={bit}", K::SHAPE, K::BITS);
+                }
+                counts[1] += u32::from(g.state() == GuardState::Demoted);
+            }
+        }
+        counts
+    }
+
+    /// A family's counts over its three widths.
+    fn sum(widths: [[u32; 2]; 3]) -> [u32; 2] {
+        let [a, b, c] = widths;
+        [a[0] + b[0] + c[0], a[1] + b[1] + c[1]]
+    }
+
+    fn unsigned_flips() -> [u32; 2] {
+        sum([
+            unsigned_at::<u16>(),
+            unsigned_at::<u32>(),
+            unsigned_at::<u64>(),
+        ])
+    }
+
+    fn unsigned_at<T: UWord>() -> [u32; 2] {
+        let max = T::MAX.to_u128();
+        flips::<UnsignedDivisor<T>>(
+            |d, bit| UdivPlan::new(d, T::BITS).expect("plan").flip_bit(bit),
+            |d| {
+                let ns = [0, 1, d - 1, d, d + 1, max / 2, max / 2 + 1, max - 1, max];
+                ns.map(|n| (T::from_u128_truncate(n), T::from_u128_truncate(n / d)))
+                    .to_vec()
+            },
+        )
+    }
+
+    /// Boundary dividends around `±d` and the ends of the signed range,
+    /// with `q(n)` as the right answer.
+    fn signed_cases<S: SWord>(d: u128, q: fn(i128, i128) -> i128) -> Vec<(S, S)> {
+        let (d, min, max) = (d as i128, S::MIN.to_i128(), S::MAX.to_i128());
+        let around_d = [-d - 1, -d, -1, 0, 1, d - 1, d, d + 1];
+        let word = S::from_i128_truncate;
+        [min, min + 1, max - 1, max]
+            .into_iter()
+            .chain(around_d)
+            .map(|n| (word(n), word(q(n, d))))
+            .collect()
+    }
+
+    fn signed_flips() -> [u32; 2] {
+        sum([signed_at::<i16>(), signed_at::<i32>(), signed_at::<i64>()])
+    }
+
+    fn signed_at<S: SWord>() -> [u32; 2] {
+        use crate::plan::SdivStrategy::{MulAddShift, MulShift};
+        flips::<SignedDivisor<S>>(
+            |d, bit| {
+                let mut plan = SdivPlan::new(d as i128, S::BITS).expect("plan");
+                if let MulShift { m, .. }
+                | MulAddShift {
+                    m_minus_pow2n: m, ..
+                } = &mut plan.strategy
+                {
+                    *m ^= 1 << bit;
+                }
+                plan
+            },
+            |d| signed_cases::<S>(d, |n, d| n / d),
+        )
+    }
+
+    fn floor_flips() -> [u32; 2] {
+        sum([floor_at::<i16>(), floor_at::<i32>(), floor_at::<i64>()])
+    }
+
+    fn floor_at<S: SWord>() -> [u32; 2] {
+        use crate::plan::FloorStrategy::MulShift;
+        flips::<FloorDivisor<S>>(
+            |d, bit| {
+                let mut plan = FloorPlan::new(d as i128, S::BITS).expect("plan");
+                if let MulShift { m, .. } = &mut plan.strategy {
+                    *m ^= 1 << bit;
+                }
+                plan
+            },
+            |d| signed_cases::<S>(d, i128::div_euclid),
+        )
+    }
+
+    fn exact_flips() -> [u32; 2] {
+        sum([exact_at::<u16>(), exact_at::<u32>(), exact_at::<u64>()])
+    }
+
+    fn exact_at<T: UWord>() -> [u32; 2] {
+        let word = T::from_u128_truncate;
+        flips::<ExactUnsignedDivisor<T>>(
+            |d, bit| {
+                let mut plan = ExactPlan::new_unsigned(d, T::BITS).expect("plan");
+                plan.dinv ^= 1 << bit;
+                plan
+            },
+            |d| {
+                let qmax = T::MAX.to_u128() / d;
+                let mut cases = Vec::new();
+                for q in [0, 1, 2, qmax / 2, qmax - 1, qmax] {
+                    let off = (q * d + 1) & T::MAX.to_u128();
+                    cases.push(((ExactOp::Quotient, word(q * d)), word(q)));
+                    cases.push(((ExactOp::Divides, word(q * d)), T::ONE));
+                    cases.push(((ExactOp::Divides, word(off)), word((off % d == 0).into())));
+                }
+                cases
+            },
+        )
+    }
+
+    fn dword_flips() -> [u32; 2] {
+        sum([dword_at::<u16>(), dword_at::<u32>(), dword_at::<u64>()])
+    }
+
+    fn dword_at<T: UWord>() -> [u32; 2] {
+        let word = T::from_u128_truncate;
+        flips::<DwordDivisor<T>>(
+            |d, bit| {
+                let mut plan = DwordPlan::new(d, T::BITS).expect("plan");
+                plan.m_prime ^= 1 << bit;
+                plan
+            },
+            |d| {
+                let mut cases = Vec::new();
+                for hi in [0, 1, d / 2, d - 1] {
+                    for lo in [0, 1, d - 1, T::MAX.to_u128()] {
+                        let n = (hi << T::BITS) | lo;
+                        let answer = (word(n / d), word(n % d));
+                        cases.push((DWord::from_parts(word(hi), word(lo)), answer));
+                    }
+                }
+                cases
+            },
+        )
+    }
+
+    /// Flips every bit of each family's magic constant (`m`, `dinv` or
+    /// `m_prime`) at w16/w32/w64. Every served answer must be right, and
+    /// the counts of probe rejections and demotions are pinned: a change
+    /// to any family's witness set, native reference or check moves them.
+    #[test]
+    fn every_family_probes_and_demotes_bit_flipped_constants() {
+        // Thousands of induced demotions: keep the circuit closed so
+        // every construction probes.
+        fault_budget().set_limit(u64::MAX);
+        let before = fault_budget().demotions();
+        let got = [
+            unsigned_flips(),
+            signed_flips(),
+            floor_flips(),
+            exact_flips(),
+            dword_flips(),
+        ];
+        // [probe rejections, demotions] of 448 flips — 4 divisors ×
+        // (16 + 32 + 64) bits — for unsigned, signed, floor, exact, dword.
+        let pinned = [[446, 441], [442, 440], [442, 440], [445, 445], [439, 439]];
+        assert_eq!(got, pinned);
+        let demoted: u32 = got.iter().map(|c| c[1]).sum();
+        let charged = fault_budget().demotions() - before;
+        assert!(
+            charged >= u64::from(demoted),
+            "every demotion charges the budget"
+        );
     }
 
     #[test]

@@ -301,6 +301,24 @@ impl UdivPlan {
         UdivPlan { width, d, strategy }
     }
 
+    /// This plan with bit `bit` (< 128) of its multiplier flipped, or a
+    /// wrong shift when the strategy has no multiplier — the one
+    /// fault-injection corruption the guard tests, the cache's chaos
+    /// hook and the chaos campaign share.
+    pub fn flip_bit(&self, bit: u32) -> UdivPlan {
+        let mut plan = *self;
+        match &mut plan.strategy {
+            s @ UdivStrategy::Identity => *s = UdivStrategy::Shift { sh: 1 },
+            UdivStrategy::Shift { sh } => *sh ^= 1,
+            UdivStrategy::MulShift { m, .. }
+            | UdivStrategy::MulAddShift {
+                m_minus_pow2n: m, ..
+            }
+            | UdivStrategy::MulRoundUp { m, .. } => *m ^= 1u128 << bit,
+        }
+        plan
+    }
+
     /// The bit width this plan was computed for.
     #[inline]
     pub fn width(&self) -> u32 {

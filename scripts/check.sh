@@ -94,10 +94,25 @@ grep -q '"name":"plan.tournament"' target/urem_drift_a.jsonl || {
     exit 1
 }
 
-echo "== bench report self-diff (bench-compare must find zero regressions) =="
-mkdir -p target
-./target/release/bench 50 target/bench_ci.json > /dev/null
-./target/release/bench-compare target/bench_ci.json target/bench_ci.json 5
+echo "== bench report drift gate (two bench runs must compare row for row) =="
+rm -rf target/bench_drift_a target/bench_drift_b
+mkdir -p target/bench_drift_a target/bench_drift_b
+./target/release/bench 50 target/bench_drift_a/bench.json > /dev/null
+./target/release/bench 50 target/bench_drift_b/bench.json > /dev/null
+# The threshold is large on purpose: this gate checks that the reports
+# are comparable, not how fast this host ran them.
+./target/release/drift target/bench_drift_a target/bench_drift_b 1000 > target/bench_drift.txt || {
+    cat target/bench_drift.txt >&2
+    echo "drift found a bench row more than 1000% slower, or could not read a report" >&2
+    exit 1
+}
+# Any note about bench.json means an unparseable report, a report
+# without rows, or a row that vanished between the runs.
+if grep -q '\[note\] bench\.json:' target/bench_drift.txt; then
+    cat target/bench_drift.txt >&2
+    echo "the two bench reports are not comparable row for row" >&2
+    exit 1
+fi
 
 echo "== calibration smoke run (tiny budget; report must parse) =="
 ./target/release/magic calibrate 20 2 target/calibration_ci.json > /dev/null
@@ -109,6 +124,13 @@ echo "== chaos smoke gate (fixed seed; zero silently wrong quotients) =="
 ./target/release/magic chaos 0xC4A05D1F 4 target/chaos_ci.json > /dev/null
 grep -q '"silent_wrong": 0,' target/chaos_ci.json || {
     echo "chaos report does not pin silent_wrong to zero" >&2
+    exit 1
+}
+
+echo "== chaos golden gate (fixed seed must reproduce results/chaos.json) =="
+./target/release/magic chaos 0xC4A05D1F 8 target/chaos_golden.json > /dev/null
+diff <(grep -v '"git_sha"' results/chaos.json) <(grep -v '"git_sha"' target/chaos_golden.json) || {
+    echo "fixed-seed chaos report moved from the committed results/chaos.json" >&2
     exit 1
 }
 

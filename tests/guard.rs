@@ -225,19 +225,19 @@ fn plan_cache_recovers_from_poisoning_and_serves_working_divisors() {
     // Divisors built through the cache divide exactly like divisors
     // built directly.
     for d in [1u32, 2, 3, 7, 10, 641, u32::MAX] {
-        let cached = cache.unsigned_divisor(d).expect("nonzero");
+        let cached = UnsignedDivisor::from_plan(&cache.udiv(d.into(), 32).expect("nonzero"));
         let direct = UnsignedDivisor::new(d).expect("nonzero");
         for n in [0u32, 1, d.wrapping_sub(1), d, u32::MAX] {
             assert_eq!(cached.divide(n), direct.divide(n));
         }
     }
     for d in [-7i32, 3, 127] {
-        let cached = cache.signed_divisor(d).expect("nonzero");
+        let cached = SignedDivisor::from_plan(&cache.sdiv(d.into(), 32).expect("nonzero"));
         let direct = SignedDivisor::new(d).expect("nonzero");
         for n in [i32::MIN, -100, -1, 0, 1, 100, i32::MAX] {
             assert_eq!(cached.divide(n), direct.divide(n));
         }
-        let cached = cache.floor_divisor(d).expect("nonzero");
+        let cached = FloorDivisor::from_plan(&cache.floor(d.into(), 32).expect("nonzero"));
         let direct = FloorDivisor::new(d).expect("nonzero");
         for n in [i32::MIN, -100, -1, 0, 1, 100, i32::MAX] {
             assert_eq!(cached.divide(n), direct.divide(n));
@@ -253,7 +253,7 @@ fn plan_cache_recovers_from_poisoning_and_serves_working_divisors() {
         cache.check_integrity().is_err(),
         "corruption must be visible"
     );
-    let rebuilt = cache.unsigned_divisor(7u32).expect("nonzero");
+    let rebuilt = UnsignedDivisor::<u32>::from_plan(&cache.udiv(7, 32).expect("nonzero"));
     assert_eq!(cache.stats().poisoned, before.poisoned + 1);
     for n in [0u32, 6, 7, 48, 49, u32::MAX] {
         assert_eq!(rebuilt.divide(n), n / 7);
@@ -265,14 +265,14 @@ fn plan_cache_recovers_from_poisoning_and_serves_working_divisors() {
 
     // Poison a shard lock: lookups bypass the cache but stay correct.
     assert!(cache.chaos_poison_lock_udiv(10, 32));
-    let bypassed = cache.unsigned_divisor(10u32).expect("nonzero");
+    let bypassed = UnsignedDivisor::<u32>::from_plan(&cache.udiv(10, 32).expect("nonzero"));
     assert!(cache.stats().lock_poisoned > 0);
     for n in [0u32, 9, 10, 101, u32::MAX] {
         assert_eq!(bypassed.divide(n), n / 10);
     }
 
     // Zero stays a typed fault through the cache path too.
-    let fault = cache.unsigned_divisor(0u32).expect_err("zero divisor");
+    let fault = cache.udiv(0, 32).expect_err("zero divisor");
     assert_eq!(fault.kind, FaultKind::DivideByZero);
 }
 
@@ -286,7 +286,7 @@ fn exact_divisor_family_survives_cache_round_trip() {
             assert_eq!(ex.divide_exact(q * d), q);
         }
     }
-    let dd: DwordDivisor<u16> = cache.dword_divisor(9u16).expect("nonzero");
+    let dd = DwordDivisor::<u16>::from_plan(&cache.dword(9, 16).expect("nonzero"));
     let (q, r) = dd.div_rem(DWord::from_parts(4u16, 321u16)).expect("hi < d");
     let wide = (4u32 << 16) | 321;
     assert_eq!((q as u32, r as u32), (wide / 9, wide % 9));
