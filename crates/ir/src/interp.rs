@@ -38,6 +38,14 @@ pub enum EvalError {
         /// The exhausted budget.
         limit: u64,
     },
+    /// [`Program::eval1`] was given a program that does not return
+    /// exactly one value.
+    ResultCount {
+        /// Results the caller expects.
+        expected: usize,
+        /// Results the program returns.
+        got: usize,
+    },
 }
 
 impl fmt::Display for EvalError {
@@ -53,6 +61,9 @@ impl fmt::Display for EvalError {
             EvalError::FuelExhausted { limit } => {
                 write!(f, "evaluation fuel of {limit} instructions exhausted")
             }
+            EvalError::ResultCount { expected, got } => {
+                write!(f, "expected {expected} result values, got {got}")
+            }
         }
     }
 }
@@ -66,6 +77,7 @@ impl From<EvalError> for Fault {
             EvalError::DivideByZero { at } => (FaultKind::DivideByZero, Some(at)),
             EvalError::SignedOverflow { at } => (FaultKind::SignedOverflow, Some(at)),
             EvalError::FuelExhausted { limit } => (FaultKind::StepLimit { limit }, None),
+            EvalError::ResultCount { .. } => (FaultKind::BadProgram(e.to_string()), None),
         };
         Fault {
             layer: FaultLayer::IrInterp,
@@ -108,6 +120,10 @@ pub fn sign_extend(x: u64, width: u32) -> i64 {
     let shift = 64 - width;
     ((x << shift) as i64) >> shift
 }
+
+/// Instructions [`Program::eval1`] evaluates in a stack buffer; longer
+/// programs fall back to a heap buffer.
+const EVAL1_STACK_SLOTS: usize = 64;
 
 fn wide_mul(a: u64, b: u64) -> u128 {
     (a as u128) * (b as u128)
@@ -163,6 +179,46 @@ impl Program {
     /// );
     /// ```
     pub fn eval_with(&self, args: &[u64], opts: &EvalOptions) -> Result<Vec<u64>, EvalError> {
+        let mut vals = vec![0u64; self.insts().len()];
+        self.eval_into(args, opts, &mut vals)?;
+        Ok(self.results().iter().map(|r| vals[r.index()]).collect())
+    }
+
+    /// Evaluates a single-result program, returning that value. Programs
+    /// of up to 64 instructions are evaluated without touching the heap.
+    ///
+    /// # Errors
+    ///
+    /// As [`Program::eval`], plus [`EvalError::ResultCount`] when the
+    /// program does not return exactly one value.
+    pub fn eval1(&self, args: &[u64]) -> Result<u64, EvalError> {
+        let [result] = self.results() else {
+            return Err(EvalError::ResultCount {
+                expected: 1,
+                got: self.results().len(),
+            });
+        };
+        let n = self.insts().len();
+        let mut stack = [0u64; EVAL1_STACK_SLOTS];
+        let mut heap = Vec::new();
+        let vals = if n <= EVAL1_STACK_SLOTS {
+            &mut stack[..n]
+        } else {
+            heap.resize(n, 0);
+            &mut heap[..]
+        };
+        self.eval_into(args, &EvalOptions::default(), vals)?;
+        Ok(vals[result.index()])
+    }
+
+    /// The interpreter: writes the value of instruction `i` to `vals[i]`
+    /// (`vals` holds one slot per instruction).
+    fn eval_into(
+        &self,
+        args: &[u64],
+        opts: &EvalOptions,
+        vals: &mut [u64],
+    ) -> Result<(), EvalError> {
         if args.len() != self.arg_count() as usize {
             return Err(EvalError::ArgCount {
                 expected: self.arg_count(),
@@ -174,7 +230,6 @@ impl Program {
         let min_signed = 1u64 << (w - 1).min(63); // bit pattern of iN::MIN
         let tracing = magicdiv_trace::enabled();
         let mut class_counts = [0u64; 8];
-        let mut vals: Vec<u64> = Vec::with_capacity(self.insts().len());
         for (i, op) in self.insts().iter().enumerate() {
             if let Some(fuel) = opts.fuel {
                 if i as u64 >= fuel {
@@ -184,7 +239,11 @@ impl Program {
             if tracing {
                 class_counts[op.class().index()] += 1;
             }
-            let v = |r: crate::Reg| vals[r.index()];
+            // Operands name earlier instructions only (SSA order); the
+            // slice turns a forward reference into a bounds panic instead
+            // of a read of an unwritten slot.
+            let done = &vals[..i];
+            let v = |r: crate::Reg| done[r.index()];
             let result = match *op {
                 Op::Arg(k) => args[k as usize] & m,
                 Op::Const(c) => c & m,
@@ -238,7 +297,7 @@ impl Program {
                     x.wrapping_rem(y) as u64
                 }
             };
-            vals.push(result & m);
+            vals[i] = result & m;
         }
         if tracing {
             use crate::cost::OpClass;
@@ -253,22 +312,7 @@ impl Program {
                 "mul_high" => class_counts[OpClass::MulHigh.index()],
                 "div" => class_counts[OpClass::Div.index()]);
         }
-        Ok(self.results().iter().map(|r| vals[r.index()]).collect())
-    }
-
-    /// Evaluates a single-result program, returning that value.
-    ///
-    /// # Errors
-    ///
-    /// As [`Program::eval`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the program returns more than one value.
-    pub fn eval1(&self, args: &[u64]) -> Result<u64, EvalError> {
-        let out = self.eval(args)?;
-        assert_eq!(out.len(), 1, "eval1 requires a single-result program");
-        Ok(out[0])
+        Ok(())
     }
 }
 

@@ -51,11 +51,7 @@ fn latency(model: &TimingModel, op: &Op) -> u64 {
 /// assert!(magic < hw, "magic {magic} >= divide {hw}");
 /// ```
 pub fn cycles_for_program(prog: &Program, model: &TimingModel) -> u64 {
-    trace_program(prog, model)
-        .iter()
-        .map(|t| t.complete)
-        .max()
-        .unwrap_or(0)
+    schedule(prog, model, |_, _, _, _| {})
 }
 
 /// Prices a division *plan* in cycles under `model`: the plan is lowered
@@ -110,6 +106,13 @@ pub fn cycles_for_plan(plan: &DivPlan, model: &TimingModel) -> u64 {
 /// assert_eq!(fault.kind, FaultKind::UnsupportedWidth { width: 128 });
 /// ```
 pub fn try_cycles_for_plan(plan: &DivPlan, model: &TimingModel) -> Result<u64, Fault> {
+    let prog = lower_plan(plan)?;
+    Ok(price(plan, &prog, model))
+}
+
+/// Lowers `plan` to the optimized program `magicdiv-codegen` emits for
+/// the same divisor, or the fault [`try_cycles_for_plan`] documents.
+fn lower_plan(plan: &DivPlan) -> Result<Program, Fault> {
     let width = plan.width();
     let fault = |kind: FaultKind| Fault {
         layer: FaultLayer::SimCpu,
@@ -122,12 +125,12 @@ pub fn try_cycles_for_plan(plan: &DivPlan, model: &TimingModel) -> Result<u64, F
     // The Fig 8.1 plan is two-argument (hi, lo) and two-result (q, r);
     // the word plans take a single dividend. Each arm builds the same
     // optimized program `magicdiv-codegen` emits for that divisor.
-    let prog = match plan {
+    match plan {
         DivPlan::Dword(p) => {
             let mut b = Builder::new(width, 2);
             let (hi, lo) = (b.arg(0), b.arg(1));
             let (q, r) = lower_dword_div(&mut b, hi, lo, p);
-            optimize(&b.finish([q, r]))
+            Ok(optimize(&b.finish([q, r])))
         }
         _ => {
             let mut b = Builder::new(width, 1);
@@ -145,15 +148,20 @@ pub fn try_cycles_for_plan(plan: &DivPlan, model: &TimingModel) -> Result<u64, F
                     ))))
                 }
             };
-            optimize(&b.finish([q]))
+            Ok(optimize(&b.finish([q])))
         }
-    };
-    let cycles = cycles_for_program(&prog, model);
+    }
+}
+
+/// Prices `prog`, the lowering of `plan`, under `model` and reports the
+/// total as a `simcpu.plan_cycles` event.
+fn price(plan: &DivPlan, prog: &Program, model: &TimingModel) -> u64 {
+    let cycles = cycles_for_program(prog, model);
     magicdiv_trace::event!("simcpu.plan_cycles",
         "model" => model.name, "strategy" => plan.strategy_name(),
-        "width" => width, "ops" => prog.op_counts().total_executed(),
+        "width" => plan.width(), "ops" => prog.op_counts().total_executed(),
         "cycles" => cycles, "paper" => "Table 1.1 latencies");
-    Ok(cycles)
+    cycles
 }
 
 /// One Table 1.1 model's predicted cycle total for a plan — the unit the
@@ -168,14 +176,14 @@ pub struct PlanPrediction {
 
 /// Prices `plan` under **every** Table 1.1 model in one call, in the
 /// paper's row order. This is the joining surface for measured-vs-
-/// predicted calibration: one lowering per model, every total labelled
-/// with its model name.
+/// predicted calibration: the plan is lowered once and that program is
+/// priced under every model, each total labelled with its model name.
 ///
 /// # Errors
 ///
 /// Same conditions as [`try_cycles_for_plan`] (width above the IR limit,
-/// unknown plan kind); the first failing model aborts the table since
-/// the failure is a property of the plan, not the model.
+/// unknown plan kind): the failure is a property of the plan, not the
+/// model, so no model is priced.
 ///
 /// # Examples
 ///
@@ -189,15 +197,14 @@ pub struct PlanPrediction {
 /// assert!(preds.iter().all(|p| p.cycles > 0));
 /// ```
 pub fn predictions_for_plan(plan: &DivPlan) -> Result<Vec<PlanPrediction>, Fault> {
-    crate::models::table_1_1()
+    let prog = lower_plan(plan)?;
+    Ok(crate::models::table_1_1()
         .iter()
-        .map(|model| {
-            try_cycles_for_plan(plan, model).map(|cycles| PlanPrediction {
-                model: model.name,
-                cycles,
-            })
+        .map(|model| PlanPrediction {
+            model: model.name,
+            cycles: price(plan, &prog, model),
         })
-        .collect()
+        .collect())
 }
 
 /// One instruction's simulated schedule.
@@ -228,10 +235,31 @@ pub struct InstrTiming {
 /// assert!(trace.windows(2).all(|w| w[0].issue <= w[1].issue)); // in order
 /// ```
 pub fn trace_program(prog: &Program, model: &TimingModel) -> Vec<InstrTiming> {
+    let mut trace = Vec::new();
+    schedule(prog, model, |index, op, issue, complete| {
+        trace.push(InstrTiming {
+            index,
+            text: format!("{op:?}"),
+            issue,
+            complete,
+        });
+    });
+    trace
+}
+
+/// The scheduler behind [`cycles_for_program`] and [`trace_program`]:
+/// simulates `prog` under `model`, calls `on_inst(index, op, issue,
+/// complete)` once per executed instruction, and returns the cycle the
+/// last result is available.
+fn schedule(
+    prog: &Program,
+    model: &TimingModel,
+    mut on_inst: impl FnMut(usize, &Op, u64, u64),
+) -> u64 {
     let insts = prog.insts();
     let tracing = magicdiv_trace::enabled();
     let mut class_busy = [0u64; 8];
-    let mut trace = Vec::new();
+    let mut executed = 0usize;
     let mut ready = vec![0u64; insts.len()];
     // Earliest cycle at which the next instruction may issue, plus how
     // many issue slots that cycle has already consumed (superscalar
@@ -296,20 +324,14 @@ pub fn trace_program(prog: &Program, model: &TimingModel) -> Vec<InstrTiming> {
         if matches!(op, Op::DivU(..) | Op::DivS(..)) {
             last_div = Some((i, op));
         }
-        trace.push(InstrTiming {
-            index: i,
-            text: format!("{op:?}"),
-            issue,
-            complete: ready[i],
-        });
+        executed += 1;
+        on_inst(i, op, issue, ready[i]);
     }
-    let _ = finish;
     if tracing {
-        use magicdiv_ir::OpClass;
         magicdiv_trace::event!("simcpu.cycles",
             "model" => model.name,
-            "total" => trace.iter().map(|t| t.complete).max().unwrap_or(0),
-            "instructions" => trace.len(),
+            "total" => finish,
+            "instructions" => executed,
             "add_sub_busy" => class_busy[OpClass::AddSub.index()],
             "shift_busy" => class_busy[OpClass::Shift.index()],
             "bit_op_busy" => class_busy[OpClass::BitOp.index()],
@@ -319,7 +341,7 @@ pub fn trace_program(prog: &Program, model: &TimingModel) -> Vec<InstrTiming> {
             "div_busy" => class_busy[OpClass::Div.index()],
             "paper" => "Table 1.1 latencies, single-issue in-order");
     }
-    trace
+    finish
 }
 
 /// Prices a loop kernel: `iterations` executions of `body` plus

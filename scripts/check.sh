@@ -33,6 +33,22 @@ echo "== tier-1 verify: cargo build --release && cargo test -q =="
 cargo build --release --offline
 cargo test -q --offline
 
+echo "== end-to-end benchmark package tests =="
+cargo test -q --offline --manifest-path e2ebench/Cargo.toml
+
+echo "== compile_pipeline smoke run (1 s; correct results, exact code_insts) =="
+cargo run --release --offline --quiet --manifest-path e2ebench/Cargo.toml --bin e2e -- \
+    --workload compile_pipeline --seed 1 --seconds 1 --trace 0 \
+    --out target/e2e_cp_ci.json > /dev/null
+grep -q '"correct": true' target/e2e_cp_ci.json || {
+    echo "compile_pipeline smoke run did not report correct results" >&2
+    exit 1
+}
+grep -q '"code_insts": {"value": 18185,' target/e2e_cp_ci.json || {
+    echo "compile_pipeline code_insts moved from 18185 (emitted code changed)" >&2
+    exit 1
+}
+
 echo "== differential + mutation harness (fixed seed; corpus replay ran in tier-1) =="
 cargo build --release --offline -p magicdiv-bench
 ./target/release/verify 20000 24029 --no-corpus-write
