@@ -287,11 +287,13 @@ pub fn execute_radix_listing_with_limit(
 ) -> Result<String, AsmError> {
     let mut m = Machine::new(asm.target);
     // Place the argument in the incoming register.
-    let argreg = asm.target.arg_register(0);
-    m.set(&argreg, x as u64);
+    m.set(asm.target.arg_register(0), x as u64);
 
+    // Render the listing once: the interpreter checks the text itself.
+    // One typed line renders to one text line, so indices agree.
+    let text: Vec<String> = asm.lines.iter().map(ToString::to_string).collect();
+    let lines: Vec<&str> = text.iter().map(String::as_str).collect();
     // Index labels.
-    let lines: Vec<&str> = asm.lines.iter().map(String::as_str).collect();
     let mut labels: HashMap<&str, usize> = HashMap::new();
     for (i, l) in lines.iter().enumerate() {
         if !l.starts_with('\t') && l.trim_end().ends_with(':') {
@@ -1204,6 +1206,7 @@ fn step(m: &mut Machine, inst: &str, labels: &HashMap<&str, usize>) -> Result<Fl
 mod tests {
     use super::*;
     use crate::radix::emit_radix_loop;
+    use crate::targets::{ins, Line};
 
     #[test]
     fn magic_listings_convert_correctly_on_all_targets() {
@@ -1256,7 +1259,7 @@ mod tests {
     fn unknown_instruction_is_an_error_not_a_skip() {
         let asm = Assembly {
             target: Target::Mips,
-            lines: vec!["f:".into(), "\tfrobnicate $1,$2".into()],
+            lines: vec![Line::Label("f".into()), Line::Ins(ins!("frobnicate $1,$2"))],
         };
         let err = execute_radix_listing(&asm, 1).unwrap_err();
         assert!(matches!(err.kind, AsmErrorKind::UnknownInstruction(_)));
@@ -1268,10 +1271,10 @@ mod tests {
         let asm = Assembly {
             target: Target::Mips,
             lines: vec![
-                "f:".into(),
-                "\tli $4,1".into(),
-                ".L1:".into(),
-                "\tbne $4,$0,.L1".into(),
+                Line::Label("f".into()),
+                Line::Ins(ins!("li $4,1")),
+                Line::Label(".L1".into()),
+                Line::Ins(ins!("bne $4,$0,.L1")),
             ],
         };
         let err = execute_radix_listing(&asm, 1).unwrap_err();

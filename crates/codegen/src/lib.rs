@@ -80,4 +80,6 @@ pub use crate::mulconst::{
     emit_mul_const, expansion_profitable, plan_mul_const, plan_op_count, MulStep,
 };
 pub use crate::radix::{emit_radix_loop, radix_body, RadixStyle};
-pub use crate::targets::{emit_assembly, emit_body, Assembly, EmittedBody, Target};
+pub use crate::targets::{
+    emit_assembly, emit_body, Assembly, EmittedBody, Ins, Line, Operand, Target,
+};

@@ -11,7 +11,7 @@ use magicdiv_ir::{optimize, Builder, Op, Program};
 
 use crate::divgen::emit_unsigned_div;
 use crate::mulconst::emit_mul_const;
-use crate::targets::{emit_body, Assembly, Target};
+use crate::targets::{emit_body, ins, Assembly, Line, Operand, Target};
 
 /// How the per-digit `x / 10`, `x % 10` pair is computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -109,99 +109,96 @@ pub fn emit_radix_loop(target: Target, magic: bool) -> Assembly {
     let width = if target == Target::Alpha { 64 } else { 32 };
     let body = radix_body(width, style);
     let emitted = emit_body(&body, target);
-    let (q_reg, digit_reg) = (&emitted.result_regs[0], &emitted.result_regs[1]);
+    let (q, digit) = (emitted.results[0], emitted.results[1]);
 
-    let mut lines: Vec<String> = Vec::new();
-    lines.push("decimal:".into());
     // Prologue: bp = buf + BUFSIZE - 1; *bp = '\0'.
-    match target {
-        Target::Alpha => {
-            lines.push("\tlda $2,buf".into());
-            lines.push("\taddq $2,49,$9".into());
-            lines.push("\tstb $31,0($9)".into());
-        }
-        Target::Mips => {
-            lines.push("\tla $16,buf+49".into());
-            lines.push("\tsb $0,0($16)".into());
-        }
-        Target::Power => {
-            lines.push("\tl 30,LC..0(2)".into());
-            lines.push("\tcal 30,49(30)".into());
-            lines.push("\tstb 0,0(30)".into());
-        }
-        Target::Sparc => {
-            lines.push("\tsethi %hi(buf+49),%l7".into());
-            lines.push("\tor %l7,%lo(buf+49),%l7".into());
-            lines.push("\tstb %g0,[%l7]".into());
-        }
-        Target::X86 => {
-            lines.push("\tmov esi,buf+49".into());
-            lines.push("\tmov byte [esi],0".into());
-        }
-    }
-    // Loop-invariant constants load once, before the loop (as in the
-    // paper's listings).
-    lines.extend(emitted.const_lines.iter().cloned());
-    lines.push(".L1:".into());
-    lines.extend(emitted.lines.iter().cloned());
+    let prologue = match target {
+        Target::Alpha => vec![
+            ins!("lda $2,buf"),
+            ins!("addq $2,49,$9"),
+            ins!("stb $31,0($9)"),
+        ],
+        Target::Mips => vec![ins!("la $16,buf+49"), ins!("sb $0,0($16)")],
+        Target::Power => vec![
+            ins!("l 30,LC..0(2)"),
+            ins!("cal 30,49(30)"),
+            ins!("stb 0,0(30)"),
+        ],
+        Target::Sparc => vec![
+            ins!("sethi %hi(buf+49),%l7"),
+            ins!("or %l7,%lo(buf+49),%l7"),
+            ins!("stb %g0,[%l7]"),
+        ],
+        Target::X86 => vec![ins!("mov esi,buf+49"), ins!("mov byte [esi],0")],
+    };
     // Store digit, decrement pointer, loop while q != 0, feeding q back
     // into the argument register.
-    let x_reg = target.arg_register(0);
+    let x = Operand::Sym(target.arg_register(0));
+    let mut epilogue = Vec::new();
     match target {
         Target::Alpha => {
-            lines.push("\tsubq $9,1,$9".into());
-            lines.push(format!("\tstb {digit_reg},0($9)"));
-            lines.push(format!("\tbis {q_reg},{q_reg},{x_reg}"));
-            lines.push(format!("\tbne {q_reg},.L1"));
-            lines.push("\tbis $9,$9,$0".into());
-            lines.push("\tret $31,($26),1".into());
+            epilogue.push(ins!("subq $9,1,$9"));
+            epilogue.push(ins!("stb {},0($9)", digit));
+            epilogue.push(ins!("bis {},{},{}", q, q, x));
+            epilogue.push(ins!("bne {},.L1", q));
+            epilogue.push(ins!("bis $9,$9,$0"));
+            epilogue.push(ins!("ret $31,($26),1"));
         }
         Target::Mips => {
-            lines.push("\tsubu $16,$16,1".into());
-            lines.push(format!("\tsb {digit_reg},0($16)"));
-            if &x_reg != q_reg {
-                lines.push(format!("\tmove {x_reg},{q_reg}"));
+            epilogue.push(ins!("subu $16,$16,1"));
+            epilogue.push(ins!("sb {},0($16)", digit));
+            if x != q {
+                epilogue.push(ins!("move {},{}", x, q));
             }
-            lines.push(format!("\tbne {q_reg},$0,.L1"));
-            lines.push("\tmove $2,$16".into());
-            lines.push("\tj $31".into());
+            epilogue.push(ins!("bne {},$0,.L1", q));
+            epilogue.push(ins!("move $2,$16"));
+            epilogue.push(ins!("j $31"));
         }
         Target::Power => {
-            lines.push("\tai 30,30,-1".into());
-            lines.push(format!("\tstb {digit_reg},0(30)"));
-            if &x_reg != q_reg {
-                lines.push(format!("\tmr {x_reg},{q_reg}"));
+            epilogue.push(ins!("ai 30,30,-1"));
+            epilogue.push(ins!("stb {},0(30)", digit));
+            if x != q {
+                epilogue.push(ins!("mr {},{}", x, q));
             }
-            lines.push(format!("\tcmpi 0,{q_reg},0"));
-            lines.push("\tbne .L1".into());
-            lines.push("\tmr 3,30".into());
-            lines.push("\tbr".into());
+            epilogue.push(ins!("cmpi 0,{},0", q));
+            epilogue.push(ins!("bne .L1"));
+            epilogue.push(ins!("mr 3,30"));
+            epilogue.push(ins!("br"));
         }
         Target::Sparc => {
-            lines.push("\tadd %l7,-1,%l7".into());
-            lines.push(format!("\tstb {digit_reg},[%l7]"));
-            if &x_reg != q_reg {
-                lines.push(format!("\tmov {q_reg},{x_reg}"));
+            epilogue.push(ins!("add %l7,-1,%l7"));
+            epilogue.push(ins!("stb {},[%l7]", digit));
+            if x != q {
+                epilogue.push(ins!("mov {},{}", q, x));
             }
-            lines.push(format!("\torcc {q_reg},%g0,%g0"));
-            lines.push("\tbne .L1".into());
-            lines.push("\tnop".into());
-            lines.push("\tretl".into());
-            lines.push("\tmov %l7,%o0".into());
+            epilogue.push(ins!("orcc {},%g0,%g0", q));
+            epilogue.push(ins!("bne .L1"));
+            epilogue.push(ins!("nop"));
+            epilogue.push(ins!("retl"));
+            epilogue.push(ins!("mov %l7,%o0"));
         }
         Target::X86 => {
-            lines.push("\tdec esi".into());
+            epilogue.push(ins!("dec esi"));
             // Stage the digit through edx so the store has a byte register
             // regardless of where allocation put it.
-            lines.push(format!("\tmov edx,{digit_reg}"));
-            lines.push("\tmov byte [esi],dl".into());
-            lines.push(format!("\tmov {x_reg},{q_reg}"));
-            lines.push(format!("\ttest {q_reg},{q_reg}"));
-            lines.push("\tjnz .L1".into());
-            lines.push("\tmov eax,esi".into());
-            lines.push("\tret".into());
+            epilogue.push(ins!("mov edx,{}", digit));
+            epilogue.push(ins!("mov byte [esi],dl"));
+            epilogue.push(ins!("mov {},{}", x, q));
+            epilogue.push(ins!("test {},{}", q, q));
+            epilogue.push(ins!("jnz .L1"));
+            epilogue.push(ins!("mov eax,esi"));
+            epilogue.push(ins!("ret"));
         }
     }
+
+    let mut lines = vec![Line::Label("decimal".into())];
+    lines.extend(prologue.into_iter().map(Line::Ins));
+    // Loop-invariant constants load once, before the loop (as in the
+    // paper's listings).
+    lines.extend(emitted.const_lines);
+    lines.push(Line::Label(".L1".into()));
+    lines.extend(emitted.lines);
+    lines.extend(epilogue.into_iter().map(Line::Ins));
     Assembly { target, lines }
 }
 

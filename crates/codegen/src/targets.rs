@@ -11,7 +11,7 @@
 //! last-use register recycling; the straight-line programs the paper
 //! generates never exceed a RISC temp pool.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::fmt;
 
 use magicdiv_ir::{mask, Op, Program, Reg};
@@ -48,39 +48,51 @@ impl Target {
         }
     }
 
-    fn temp_registers(self) -> Vec<String> {
+    /// The allocatable temp registers, in allocation order.
+    fn temp_registers(self) -> &'static [&'static str] {
         match self {
-            Target::Alpha => (1..=8).chain(22..=25).map(|i| format!("${i}")).collect(),
-            Target::Mips => [4, 5, 6, 7]
-                .into_iter()
-                .chain(8..=15)
-                .chain([24, 25, 2, 3])
-                .map(|i| format!("${i}"))
-                .collect(),
-            Target::Power => (3..=12).map(|i| format!("{i}")).collect(),
-            Target::Sparc => [
+            Target::Alpha => &[
+                "$1", "$2", "$3", "$4", "$5", "$6", "$7", "$8", "$22", "$23", "$24", "$25",
+            ],
+            Target::Mips => &[
+                "$4", "$5", "$6", "$7", "$8", "$9", "$10", "$11", "$12", "$13", "$14", "$15",
+                "$24", "$25", "$2", "$3",
+            ],
+            Target::Power => &["3", "4", "5", "6", "7", "8", "9", "10", "11", "12"],
+            Target::Sparc => &[
                 "%o0", "%o1", "%o2", "%o3", "%o4", "%o5", "%g1", "%g2", "%g3", "%g4", "%l0", "%l1",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
+            ],
             // eax/edx are reserved: one-operand mul/div clobber them.
-            Target::X86 => ["ecx", "ebx", "edi", "ebp"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
+            Target::X86 => &["ecx", "ebx", "edi", "ebp"],
         }
     }
 
     /// The register holding argument `i` under the target's calling
     /// convention.
-    pub fn arg_register(self, i: u32) -> String {
+    ///
+    /// # Panics
+    ///
+    /// Panics when the convention passes argument `i` on the stack (from
+    /// the fifth argument on MIPS and the third on x86).
+    pub fn arg_register(self, i: u32) -> &'static str {
+        let regs: &[&str] = match self {
+            Target::Alpha => &["$16", "$17", "$18", "$19", "$20", "$21"],
+            Target::Mips => &["$4", "$5", "$6", "$7"],
+            Target::Power => &["3", "4", "5", "6", "7", "8", "9", "10"],
+            Target::Sparc => &["%o0", "%o1", "%o2", "%o3", "%o4", "%o5"],
+            Target::X86 => &["eax", "edx"],
+        };
+        regs[i as usize]
+    }
+
+    /// The registers a function returns its two results in.
+    fn return_registers(self) -> [&'static str; 2] {
         match self {
-            Target::Alpha => format!("${}", 16 + i),
-            Target::Mips => format!("${}", 4 + i),
-            Target::Power => format!("{}", 3 + i),
-            Target::Sparc => format!("%o{i}"),
-            Target::X86 => ["eax", "edx"][i as usize].to_string(),
+            Target::Alpha => ["$0", "$1"],
+            Target::Mips => ["$2", "$3"],
+            Target::Power => ["3", "4"],
+            Target::Sparc => ["%o0", "%o1"],
+            Target::X86 => ["eax", "edx"],
         }
     }
 }
@@ -91,13 +103,156 @@ impl fmt::Display for Target {
     }
 }
 
-/// An emitted assembly listing.
+/// One operand of an [`Ins`] template.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Operand {
+    /// A register or symbol name, rendered as is.
+    Sym(&'static str),
+    /// An integer rendered in decimal.
+    Dec(u64),
+    /// An integer rendered as a `0x`-prefixed hex immediate.
+    Imm(u64),
+}
+
+impl From<&'static str> for Operand {
+    fn from(name: &'static str) -> Operand {
+        Operand::Sym(name)
+    }
+}
+
+impl From<u32> for Operand {
+    fn from(v: u32) -> Operand {
+        Operand::Dec(u64::from(v))
+    }
+}
+
+impl From<u64> for Operand {
+    fn from(v: u64) -> Operand {
+        Operand::Dec(v)
+    }
+}
+
+impl fmt::Display for Operand {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Operand::Sym(s) => f.write_str(s),
+            Operand::Dec(v) => write!(f, "{v}"),
+            Operand::Imm(v) => write!(f, "0x{v:x}"),
+        }
+    }
+}
+
+/// One machine instruction: a text template whose `{}` holes are filled,
+/// in order, by up to four operands when the instruction is rendered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ins {
+    template: &'static str,
+    ops: [Operand; 4],
+    len: u8,
+}
+
+impl Ins {
+    /// Builds an instruction from its template and operands (see
+    /// [`ins!`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics when given more than four operands. Debug builds also check
+    /// that the template has one `{}` hole per operand.
+    #[track_caller]
+    pub(crate) fn new(template: &'static str, operands: &[Operand]) -> Ins {
+        debug_assert_eq!(
+            template.matches("{}").count(),
+            operands.len(),
+            "one operand per hole in {template:?}"
+        );
+        let mut ops = [Operand::Sym(""); 4];
+        ops[..operands.len()].copy_from_slice(operands);
+        Ins {
+            template,
+            ops,
+            len: operands.len() as u8,
+        }
+    }
+
+    /// The operands, in template order.
+    fn operands(&self) -> &[Operand] {
+        &self.ops[..usize::from(self.len)]
+    }
+
+    /// The mnemonic: the template's first word, or the first operand when
+    /// the template starts with a hole.
+    fn mnemonic(&self) -> &'static str {
+        let head = self.template.split(' ').next().unwrap_or_default();
+        match (head, self.ops[0]) {
+            ("{}", Operand::Sym(mn)) => mn,
+            _ => head,
+        }
+    }
+
+    /// `true` for a divide instruction or a call to a division routine.
+    fn divides(&self) -> bool {
+        let mn = self.mnemonic();
+        mn.starts_with("div")
+            || mn.starts_with("udiv")
+            || mn.starts_with("sdiv")
+            || self.operands().iter().any(|op| {
+                matches!(op, Operand::Sym(s) if s.starts_with("__div") || s.starts_with("__rem"))
+            })
+    }
+}
+
+impl fmt::Display for Ins {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut pieces = self.template.split("{}");
+        f.write_str(pieces.next().unwrap_or_default())?;
+        for (op, piece) in self.operands().iter().zip(pieces) {
+            write!(f, "{op}{piece}")?;
+        }
+        Ok(())
+    }
+}
+
+/// Builds an [`Ins`] that reads like the text it renders:
+/// `ins!("addq {},{},{}", ra, rb, dst)`.
+macro_rules! ins {
+    ($template:literal $(, $op:expr)* $(,)?) => {
+        $crate::targets::Ins::new(
+            $template,
+            &[$($crate::targets::Operand::from($op)),*],
+        )
+    };
+}
+pub(crate) use ins;
+
+/// One line of an assembly listing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Line {
+    /// A label, rendered flush left with a trailing `:`.
+    Label(Cow<'static, str>),
+    /// A comment, rendered as a tab-indented `# ` line.
+    Comment(&'static str),
+    /// A machine instruction, rendered tab-indented.
+    Ins(Ins),
+}
+
+impl fmt::Display for Line {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Line::Label(name) => write!(f, "{name}:"),
+            Line::Comment(text) => write!(f, "\t# {text}"),
+            Line::Ins(ins) => write!(f, "\t{ins}"),
+        }
+    }
+}
+
+/// An emitted assembly listing. Its text is rendered by `Display`.
 #[derive(Debug, Clone)]
 pub struct Assembly {
     /// Which architecture the listing targets.
     pub target: Target,
-    /// The instruction lines (tab-indented mnemonics, label lines flush).
-    pub lines: Vec<String>,
+    /// The listing, one typed line per text line.
+    pub lines: Vec<Line>,
 }
 
 impl Assembly {
@@ -105,31 +260,16 @@ impl Assembly {
     pub fn instruction_count(&self) -> usize {
         self.lines
             .iter()
-            .filter(|l| {
-                !l.trim_start().starts_with('#')
-                    && !l.trim_end().ends_with(':')
-                    && !l.trim().is_empty()
-            })
+            .filter(|l| matches!(l, Line::Ins(_)))
             .count()
     }
 
-    /// `true` if any instruction uses a divide (or divide-subroutine)
-    /// mnemonic. Labels (flush-left lines) and comments are ignored.
+    /// `true` if any instruction uses a divide mnemonic or calls a
+    /// division routine (`__div*`, `__rem*`).
     pub fn uses_divide(&self) -> bool {
-        self.lines.iter().any(|l| {
-            if !l.starts_with('\t') {
-                return false; // label line
-            }
-            let t = l.trim_start();
-            if t.starts_with('#') {
-                return false;
-            }
-            t.starts_with("div")
-                || t.starts_with("udiv")
-                || t.starts_with("sdiv")
-                || t.contains("__div")
-                || t.contains("__rem")
-        })
+        self.lines
+            .iter()
+            .any(|l| matches!(l, Line::Ins(ins) if ins.divides()))
     }
 }
 
@@ -144,15 +284,15 @@ impl fmt::Display for Assembly {
 
 struct Emitter {
     target: Target,
-    lines: Vec<String>,
+    lines: Vec<Line>,
     /// Constant materializations, kept separate so loop emitters can hoist
     /// them out of the loop body (as the paper's listings do).
-    const_lines: Vec<String>,
+    const_lines: Vec<Line>,
     emit_to_consts: bool,
     /// Free temp registers (reverse-ordered stack).
-    free: Vec<String>,
+    free: Vec<&'static str>,
     /// value index -> currently assigned register.
-    loc: HashMap<usize, String>,
+    loc: Vec<Option<&'static str>>,
     /// value index -> index of its last use.
     last_use: Vec<usize>,
     use_count: Vec<usize>,
@@ -181,65 +321,59 @@ impl Emitter {
                 last_use[i] = n;
             }
         }
-        let mut free = target.temp_registers();
-        free.reverse();
         Emitter {
             target,
-            lines: Vec::new(),
+            lines: Vec::with_capacity(2 * n),
             const_lines: Vec::new(),
             emit_to_consts: false,
-            free,
-            loc: HashMap::new(),
+            free: target.temp_registers().iter().rev().copied().collect(),
+            loc: vec![None; n],
             last_use,
             use_count,
         }
     }
 
-    fn emit(&mut self, line: String) {
+    fn emit(&mut self, ins: Ins) {
         if self.emit_to_consts {
-            self.const_lines.push(format!("\t{line}"));
+            self.const_lines.push(Line::Ins(ins));
         } else {
-            self.lines.push(format!("\t{line}"));
+            self.lines.push(Line::Ins(ins));
         }
     }
 
-    fn comment(&mut self, text: &str) {
-        self.lines.push(format!("\t# {text}"));
+    fn comment(&mut self, text: &'static str) {
+        self.lines.push(Line::Comment(text));
     }
 
-    fn alloc(&mut self, value: usize) -> String {
+    fn alloc(&mut self, value: usize) -> &'static str {
         let reg = self
             .free
             .pop()
             .expect("register pool exhausted (program too large for straight-line allocation)");
-        self.loc.insert(value, reg.clone());
+        self.loc[value] = Some(reg);
         reg
     }
 
     /// Claims a specific register from the pool for `value`; returns
     /// `false` when the register is not in the pool.
     fn alloc_specific(&mut self, value: usize, name: &str) -> bool {
-        match self.free.iter().position(|r| r == name) {
+        match self.free.iter().position(|&r| r == name) {
             Some(pos) => {
-                let reg = self.free.remove(pos);
-                self.loc.insert(value, reg);
+                self.loc[value] = Some(self.free.remove(pos));
                 true
             }
             None => false,
         }
     }
 
-    fn reg(&self, r: Reg) -> String {
-        self.loc
-            .get(&r.index())
-            .expect("register allocator assigned every live value")
-            .clone()
+    fn reg(&self, r: Reg) -> &'static str {
+        self.loc[r.index()].expect("register allocator assigned every live value")
     }
 
     fn release_dead(&mut self, at: usize, op: &Op) {
         for r in op.operands() {
             if self.last_use[r.index()] == at {
-                if let Some(reg) = self.loc.remove(&r.index()) {
+                if let Some(reg) = self.loc[r.index()].take() {
                     self.free.push(reg);
                 }
             }
@@ -257,7 +391,8 @@ impl Emitter {
 /// # Panics
 ///
 /// Panics if the program needs more simultaneously-live values than the
-/// target's temp pool (never the case for the paper's sequences).
+/// target's temp pool (never the case for the paper's sequences; the x86
+/// pool of four is too small for the doubleword sequence).
 ///
 /// # Examples
 ///
@@ -271,51 +406,44 @@ impl Emitter {
 /// ```
 pub fn emit_assembly(prog: &Program, target: Target, name: &str) -> Assembly {
     let body = emit_body(prog, target);
-    let mut lines = vec![format!("{name}:")];
-    lines.extend(body.const_lines.iter().cloned());
-    lines.extend(body.lines.iter().cloned());
+    let mut lines = Vec::with_capacity(body.const_lines.len() + body.lines.len() + 5);
+    lines.push(Line::Label(Cow::Owned(name.to_owned())));
+    lines.extend(body.const_lines);
+    lines.extend(body.lines);
     // Move results to return registers.
-    let ret_names: Vec<&str> = match target {
-        Target::Alpha => vec!["$0", "$1"],
-        Target::Mips => vec!["$2", "$3"],
-        Target::Power => vec!["3", "4"],
-        Target::Sparc => vec!["%o0", "%o1"],
-        Target::X86 => vec!["eax", "edx"],
+    for (&src, dst) in body.results.iter().zip(target.return_registers()) {
+        if src != Operand::Sym(dst) {
+            lines.push(Line::Ins(match target {
+                Target::Alpha => ins!("bis {},{},{}", src, src, dst),
+                Target::Mips => ins!("move {},{}", dst, src),
+                Target::Power => ins!("mr {},{}", dst, src),
+                Target::Sparc => ins!("mov {},{}", src, dst),
+                Target::X86 => ins!("mov {},{}", dst, src),
+            }));
+        }
+    }
+    let ret: &[Ins] = match target {
+        Target::Alpha => &[ins!("ret $31,($26),1")],
+        Target::Mips => &[ins!("j $31")],
+        Target::Power => &[ins!("br")],
+        Target::Sparc => &[ins!("retl"), ins!("nop")],
+        Target::X86 => &[ins!("ret")],
     };
-    for (src, dstn) in body.result_regs.iter().zip(&ret_names) {
-        if src != dstn {
-            lines.push(match target {
-                Target::Alpha => format!("\tbis {src},{src},{dstn}"),
-                Target::Mips => format!("\tmove {dstn},{src}"),
-                Target::Power => format!("\tmr {dstn},{src}"),
-                Target::Sparc => format!("\tmov {src},{dstn}"),
-                Target::X86 => format!("\tmov {dstn},{src}"),
-            });
-        }
-    }
-    match target {
-        Target::Alpha => lines.push("\tret $31,($26),1".into()),
-        Target::Mips => lines.push("\tj $31".into()),
-        Target::Power => lines.push("\tbr".into()),
-        Target::Sparc => {
-            lines.push("\tretl".into());
-            lines.push("\tnop".into());
-        }
-        Target::X86 => lines.push("\tret".into()),
-    }
+    lines.extend(ret.iter().copied().map(Line::Ins));
     Assembly { target, lines }
 }
 
 /// A function body without prologue/epilogue: the instruction lines plus
-/// the registers holding each result (used by the loop-kernel emitters).
+/// where each result lives (used by the loop-kernel emitters).
 #[derive(Debug, Clone)]
 pub struct EmittedBody {
     /// Constant materializations (loop-invariant; emit before any loop).
-    pub const_lines: Vec<String>,
-    /// Tab-indented instruction lines.
-    pub lines: Vec<String>,
-    /// Register names holding each program result, in order.
-    pub result_regs: Vec<String>,
+    pub const_lines: Vec<Line>,
+    /// The body's instruction and comment lines.
+    pub lines: Vec<Line>,
+    /// Each program result, in order: the register holding it, or on x86
+    /// (which folds constants as immediates) the constant itself.
+    pub results: Vec<Operand>,
 }
 
 /// Emits just the body of `prog` for `target` (no label, no return),
@@ -323,36 +451,37 @@ pub struct EmittedBody {
 pub fn emit_body(prog: &Program, target: Target) -> EmittedBody {
     let mut e = Emitter::new(target, prog);
     let w = prog.width();
+    let insts = prog.insts();
 
-    // Alpha fold map: values whose Sll is folded into a scaled add.
-    // value index -> (base reg value, shift) for shift in {2,3}.
-    let mut alpha_fold: HashMap<usize, (Reg, u32)> = HashMap::new();
-    if target == Target::Alpha {
-        for (i, op) in prog.insts().iter().enumerate() {
-            if let Op::Sll(a, sh @ (2 | 3)) = op {
-                if e.use_count[i] == 1 {
-                    // Only fold when the single use is an Add (either
-                    // operand) or the *scaled* (first) operand of a Sub —
-                    // s4subq computes 4*a - b, not a - 4*b.
-                    let foldable = prog.insts().iter().any(|o| {
-                        matches!(o, Op::Add(x, y) if x.index() == i || y.index() == i)
-                            || matches!(o, Op::Sub(x, _) if x.index() == i)
-                    });
-                    if foldable {
-                        alpha_fold.insert(i, (*a, *sh));
-                    }
-                }
-            }
-        }
-    }
+    // Alpha fold map: value index -> (base reg value, shift) for an Sll by
+    // 2 or 3 that is folded into a scaled add.
+    let alpha_fold: Vec<Option<(Reg, u32)>> = if target == Target::Alpha {
+        insts
+            .iter()
+            .enumerate()
+            .map(|(i, op)| match *op {
+                // Only fold when the single use is an Add (either operand)
+                // or the *scaled* (first) operand of a Sub — s4subq
+                // computes 4*a - b, not a - 4*b. A single use's index is
+                // its last use (a live-out value's points past the end).
+                Op::Sll(a, sh @ (2 | 3)) if e.use_count[i] == 1 => match insts.get(e.last_use[i]) {
+                    Some(Op::Add(x, y)) if x.index() == i || y.index() == i => Some((a, sh)),
+                    Some(Op::Sub(x, _)) if x.index() == i => Some((a, sh)),
+                    _ => None,
+                },
+                _ => None,
+            })
+            .collect()
+    } else {
+        Vec::new()
+    };
 
     // Pre-pass A: pin arguments to their calling-convention registers
     // when those registers are in the temp pool (MIPS/POWER/SPARC keep x
     // in the incoming register, as the paper's listings do).
-    for (i, op) in prog.insts().iter().enumerate() {
+    for (i, op) in insts.iter().enumerate() {
         if let Op::Arg(k) = op {
-            let conv = target.arg_register(*k);
-            e.alloc_specific(i, &conv);
+            e.alloc_specific(i, target.arg_register(*k));
         }
     }
     // Pre-pass B: materialize every constant, so constant registers are
@@ -361,30 +490,28 @@ pub fn emit_body(prog: &Program, target: Target) -> EmittedBody {
     // which is only sound if no body instruction touches them. (x86 folds
     // constants as immediate operands instead — it has imm32 forms and
     // only four free registers.)
-    for (i, op) in prog.insts().iter().enumerate() {
-        if target == Target::X86 {
-            break;
+    if target != Target::X86 {
+        e.emit_to_consts = true;
+        for (i, op) in insts.iter().enumerate() {
+            if let Op::Const(c) = op {
+                let dst = e.alloc(i);
+                load_const(&mut e, dst, *c, w);
+            }
         }
-        if let Op::Const(c) = op {
-            e.emit_to_consts = true;
-            let dst = e.alloc(i);
-            load_const(&mut e, &dst, *c, w);
-            e.emit_to_consts = false;
-        }
+        e.emit_to_consts = false;
     }
 
-    for (i, op) in prog.insts().iter().enumerate() {
+    for (i, op) in insts.iter().enumerate() {
         if matches!(op, Op::Const(_)) && target != Target::X86 {
             continue; // materialized in the pre-pass
         }
-        if matches!(op, Op::Arg(_)) && e.loc.contains_key(&i) {
+        if matches!(op, Op::Arg(_)) && e.loc[i].is_some() {
             continue; // pinned to its incoming register in pre-pass A
         }
-        if alpha_fold.contains_key(&i) {
+        if let Some(&Some((base, _))) = alpha_fold.get(i) {
             // Folded into the consuming scaled add; emit nothing, but the
             // base must stay live until the consumer — conservatively keep
             // our own last_use bookkeeping: extend base's last use.
-            let (base, _) = alpha_fold[&i];
             let consumer = e.last_use[i];
             if e.last_use[base.index()] < consumer {
                 e.last_use[base.index()] = consumer;
@@ -395,69 +522,76 @@ pub fn emit_body(prog: &Program, target: Target) -> EmittedBody {
         e.release_dead(i, op);
     }
 
-    let result_regs = prog.results().iter().map(|r| e.reg(*r)).collect();
+    let results = prog
+        .results()
+        .iter()
+        .map(|&r| match insts[r.index()] {
+            Op::Const(c) if target == Target::X86 => Operand::Imm(c),
+            _ => Operand::Sym(e.reg(r)),
+        })
+        .collect();
     EmittedBody {
         const_lines: e.const_lines,
         lines: e.lines,
-        result_regs,
+        results,
     }
 }
 
-fn load_const(e: &mut Emitter, dst: &str, c: u64, width: u32) {
+fn load_const(e: &mut Emitter, dst: &'static str, c: u64, width: u32) {
     let c = c & mask(width);
     match e.target {
         Target::Alpha => {
             // lda/ldah build 32-bit constants; wider ones via shifts. For
             // listing purposes emit the canonical pair (or one lda).
             if c <= 0x7fff {
-                e.emit(format!("lda {dst},{c}"));
+                e.emit(ins!("lda {},{}", dst, c));
             } else if c <= 0xffff_ffff {
                 let hi = (c >> 16) & 0xffff;
                 let lo = c & 0xffff;
-                e.emit(format!("ldah {dst},{hi}($31)"));
+                e.emit(ins!("ldah {},{}($31)", dst, hi));
                 if lo != 0 {
-                    e.emit(format!("lda {dst},{lo}({dst})"));
+                    e.emit(ins!("lda {},{}({})", dst, lo, dst));
                 }
             } else {
-                e.emit(format!("ldiq {dst},{c:#x}")); // assembler macro
+                e.emit(ins!("ldiq {},{}", dst, Operand::Imm(c))); // assembler macro
             }
         }
         Target::Mips => {
             let hi = (c >> 16) & 0xffff;
             let lo = c & 0xffff;
             if hi != 0 {
-                e.emit(format!("lui {dst},0x{hi:x}"));
+                e.emit(ins!("lui {},{}", dst, Operand::Imm(hi)));
                 if lo != 0 {
-                    e.emit(format!("ori {dst},{dst},0x{lo:x}"));
+                    e.emit(ins!("ori {},{},{}", dst, dst, Operand::Imm(lo)));
                 }
             } else {
-                e.emit(format!("li {dst},0x{lo:x}"));
+                e.emit(ins!("li {},{}", dst, Operand::Imm(lo)));
             }
         }
         Target::Power => {
             let hi = (c >> 16) & 0xffff;
             let lo = c & 0xffff;
             if hi != 0 {
-                e.emit(format!("cau {dst},0,0x{hi:x}"));
+                e.emit(ins!("cau {},0,{}", dst, Operand::Imm(hi)));
                 if lo != 0 {
-                    e.emit(format!("oril {dst},{dst},0x{lo:x}"));
+                    e.emit(ins!("oril {},{},{}", dst, dst, Operand::Imm(lo)));
                 }
             } else {
-                e.emit(format!("cal {dst},0x{lo:x}(0)"));
+                e.emit(ins!("cal {},{}(0)", dst, Operand::Imm(lo)));
             }
         }
         Target::Sparc => {
             if c < 0x1000 {
-                e.emit(format!("mov {c},{dst}"));
+                e.emit(ins!("mov {},{}", c, dst));
             } else {
-                e.emit(format!("sethi %hi(0x{c:x}),{dst}"));
+                e.emit(ins!("sethi %hi({}),{}", Operand::Imm(c), dst));
                 if c & 0x3ff != 0 {
-                    e.emit(format!("or {dst},%lo(0x{c:x}),{dst}"));
+                    e.emit(ins!("or {},%lo({}),{}", dst, Operand::Imm(c), dst));
                 }
             }
         }
         Target::X86 => {
-            e.emit(format!("mov {dst},0x{c:x}"));
+            e.emit(ins!("mov {},{}", dst, Operand::Imm(c)));
         }
     }
 }
@@ -469,17 +603,19 @@ fn emit_one(
     i: usize,
     op: &Op,
     w: u32,
-    alpha_fold: &HashMap<usize, (Reg, u32)>,
+    alpha_fold: &[Option<(Reg, u32)>],
 ) {
     if e.target == Target::X86 {
         emit_one_x86(e, prog, i, op);
         return;
     }
     // Resolve an operand that may be a folded Alpha scaled shift.
-    let scaled = |e: &Emitter, r: Reg| -> Option<(String, u32)> {
+    let scaled = |e: &Emitter, r: Reg| -> Option<(&'static str, u32)> {
         alpha_fold
-            .get(&r.index())
-            .map(|(base, sh)| (e.reg(*base), *sh))
+            .get(r.index())
+            .copied()
+            .flatten()
+            .map(|(base, sh)| (e.reg(base), sh))
     };
     match *op {
         Op::Arg(k) => {
@@ -492,21 +628,21 @@ fn emit_one(
                             // zapnot zero-extends the 32-bit argument into
                             // the 64-bit working register (Table 11.1's
                             // `zapnot $16,15,$3`).
-                            e.emit(format!("zapnot {argreg},15,{dst}"));
+                            e.emit(ins!("zapnot {},15,{}", argreg, dst));
                         } else {
-                            e.emit(format!("bis {argreg},{argreg},{dst}"));
+                            e.emit(ins!("bis {},{},{}", argreg, argreg, dst));
                         }
                     }
-                    Target::Mips => e.emit(format!("move {dst},{argreg}")),
-                    Target::Power => e.emit(format!("mr {dst},{argreg}")),
-                    Target::Sparc => e.emit(format!("mov {argreg},{dst}")),
+                    Target::Mips => e.emit(ins!("move {},{}", dst, argreg)),
+                    Target::Power => e.emit(ins!("mr {},{}", dst, argreg)),
+                    Target::Sparc => e.emit(ins!("mov {},{}", argreg, dst)),
                     Target::X86 => unreachable!("x86 uses emit_one_x86"),
                 }
             }
         }
         Op::Const(c) => {
             let dst = e.alloc(i);
-            load_const(e, &dst, c, w);
+            load_const(e, dst, c, w);
         }
         Op::Add(a, b) => {
             // Alpha scaled-add folding: 4*x + y / 8*x + y.
@@ -515,24 +651,24 @@ fn emit_one(
                     let yb = e.reg(b);
                     let dst = e.alloc(i);
                     let mn = if sh == 2 { "s4addq" } else { "s8addq" };
-                    e.emit(format!("{mn} {base},{yb},{dst}"));
+                    e.emit(ins!("{} {},{},{}", mn, base, yb, dst));
                     return;
                 }
                 if let Some((base, sh)) = scaled(e, b) {
                     let ya = e.reg(a);
                     let dst = e.alloc(i);
                     let mn = if sh == 2 { "s4addq" } else { "s8addq" };
-                    e.emit(format!("{mn} {base},{ya},{dst}"));
+                    e.emit(ins!("{} {},{},{}", mn, base, ya, dst));
                     return;
                 }
             }
             let (ra, rb) = (e.reg(a), e.reg(b));
             let dst = e.alloc(i);
             match e.target {
-                Target::Alpha => e.emit(format!("addq {ra},{rb},{dst}")),
-                Target::Mips => e.emit(format!("addu {dst},{ra},{rb}")),
-                Target::Power => e.emit(format!("a {dst},{ra},{rb}")),
-                Target::Sparc => e.emit(format!("add {ra},{rb},{dst}")),
+                Target::Alpha => e.emit(ins!("addq {},{},{}", ra, rb, dst)),
+                Target::Mips => e.emit(ins!("addu {},{},{}", dst, ra, rb)),
+                Target::Power => e.emit(ins!("a {},{},{}", dst, ra, rb)),
+                Target::Sparc => e.emit(ins!("add {},{},{}", ra, rb, dst)),
                 Target::X86 => unreachable!("x86 uses emit_one_x86"),
             }
         }
@@ -542,17 +678,17 @@ fn emit_one(
                     let yb = e.reg(b);
                     let dst = e.alloc(i);
                     let mn = if sh == 2 { "s4subq" } else { "s8subq" };
-                    e.emit(format!("{mn} {base},{yb},{dst}"));
+                    e.emit(ins!("{} {},{},{}", mn, base, yb, dst));
                     return;
                 }
             }
             let (ra, rb) = (e.reg(a), e.reg(b));
             let dst = e.alloc(i);
             match e.target {
-                Target::Alpha => e.emit(format!("subq {ra},{rb},{dst}")),
-                Target::Mips => e.emit(format!("subu {dst},{ra},{rb}")),
-                Target::Power => e.emit(format!("sf {dst},{rb},{ra}")),
-                Target::Sparc => e.emit(format!("sub {ra},{rb},{dst}")),
+                Target::Alpha => e.emit(ins!("subq {},{},{}", ra, rb, dst)),
+                Target::Mips => e.emit(ins!("subu {},{},{}", dst, ra, rb)),
+                Target::Power => e.emit(ins!("sf {},{},{}", dst, rb, ra)),
+                Target::Sparc => e.emit(ins!("sub {},{},{}", ra, rb, dst)),
                 Target::X86 => unreachable!("x86 uses emit_one_x86"),
             }
         }
@@ -560,10 +696,10 @@ fn emit_one(
             let ra = e.reg(a);
             let dst = e.alloc(i);
             match e.target {
-                Target::Alpha => e.emit(format!("subq $31,{ra},{dst}")),
-                Target::Mips => e.emit(format!("negu {dst},{ra}")),
-                Target::Power => e.emit(format!("neg {dst},{ra}")),
-                Target::Sparc => e.emit(format!("sub %g0,{ra},{dst}")),
+                Target::Alpha => e.emit(ins!("subq $31,{},{}", ra, dst)),
+                Target::Mips => e.emit(ins!("negu {},{}", dst, ra)),
+                Target::Power => e.emit(ins!("neg {},{}", dst, ra)),
+                Target::Sparc => e.emit(ins!("sub %g0,{},{}", ra, dst)),
                 Target::X86 => unreachable!("x86 uses emit_one_x86"),
             }
         }
@@ -571,13 +707,13 @@ fn emit_one(
             let (ra, rb) = (e.reg(a), e.reg(b));
             let dst = e.alloc(i);
             match e.target {
-                Target::Alpha => e.emit(format!("mulq {ra},{rb},{dst}")),
+                Target::Alpha => e.emit(ins!("mulq {},{},{}", ra, rb, dst)),
                 Target::Mips => {
-                    e.emit(format!("multu {ra},{rb}"));
-                    e.emit(format!("mflo {dst}"));
+                    e.emit(ins!("multu {},{}", ra, rb));
+                    e.emit(ins!("mflo {}", dst));
                 }
-                Target::Power => e.emit(format!("muls {dst},{ra},{rb}")),
-                Target::Sparc => e.emit(format!("umul {ra},{rb},{dst}")),
+                Target::Power => e.emit(ins!("muls {},{},{}", dst, ra, rb)),
+                Target::Sparc => e.emit(ins!("umul {},{},{}", ra, rb, dst)),
                 Target::X86 => unreachable!("x86 uses emit_one_x86"),
             }
         }
@@ -588,20 +724,20 @@ fn emit_one(
                 Target::Alpha => {
                     if w == 32 {
                         // 64-bit full product then a 32-bit shift down.
-                        e.emit(format!("mulq {ra},{rb},{dst}"));
-                        e.emit(format!("srl {dst},32,{dst}"));
+                        e.emit(ins!("mulq {},{},{}", ra, rb, dst));
+                        e.emit(ins!("srl {},32,{}", dst, dst));
                     } else {
-                        e.emit(format!("umulh {ra},{rb},{dst}"));
+                        e.emit(ins!("umulh {},{},{}", ra, rb, dst));
                     }
                 }
                 Target::Mips => {
-                    e.emit(format!("multu {ra},{rb}"));
-                    e.emit(format!("mfhi {dst}"));
+                    e.emit(ins!("multu {},{}", ra, rb));
+                    e.emit(ins!("mfhi {}", dst));
                 }
-                Target::Power => e.emit(format!("mulhwu {dst},{ra},{rb}")),
+                Target::Power => e.emit(ins!("mulhwu {},{},{}", dst, ra, rb)),
                 Target::Sparc => {
-                    e.emit(format!("umul {ra},{rb},%g0"));
-                    e.emit(format!("rd %y,{dst}"));
+                    e.emit(ins!("umul {},{},%g0", ra, rb));
+                    e.emit(ins!("rd %y,{}", dst));
                 }
                 Target::X86 => unreachable!("x86 uses emit_one_x86"),
             }
@@ -612,28 +748,28 @@ fn emit_one(
             match e.target {
                 Target::Alpha => {
                     if w == 32 {
-                        e.emit(format!("mulq {ra},{rb},{dst}"));
-                        e.emit(format!("sra {dst},32,{dst}"));
+                        e.emit(ins!("mulq {},{},{}", ra, rb, dst));
+                        e.emit(ins!("sra {},32,{}", dst, dst));
                     } else {
                         // No mulsh on Alpha: umulh + the §3 correction.
-                        e.emit(format!("umulh {ra},{rb},{dst}"));
+                        e.emit(ins!("umulh {},{},{}", ra, rb, dst));
                         e.comment("mulsh correction: dst -= (a<0 ? b : 0) + (b<0 ? a : 0)");
-                        e.emit(format!("sra {ra},63,$28"));
-                        e.emit(format!("and $28,{rb},$28"));
-                        e.emit(format!("subq {dst},$28,{dst}"));
-                        e.emit(format!("sra {rb},63,$28"));
-                        e.emit(format!("and $28,{ra},$28"));
-                        e.emit(format!("subq {dst},$28,{dst}"));
+                        e.emit(ins!("sra {},63,$28", ra));
+                        e.emit(ins!("and $28,{},$28", rb));
+                        e.emit(ins!("subq {},$28,{}", dst, dst));
+                        e.emit(ins!("sra {},63,$28", rb));
+                        e.emit(ins!("and $28,{},$28", ra));
+                        e.emit(ins!("subq {},$28,{}", dst, dst));
                     }
                 }
                 Target::Mips => {
-                    e.emit(format!("mult {ra},{rb}"));
-                    e.emit(format!("mfhi {dst}"));
+                    e.emit(ins!("mult {},{}", ra, rb));
+                    e.emit(ins!("mfhi {}", dst));
                 }
-                Target::Power => e.emit(format!("mulhw {dst},{ra},{rb}")),
+                Target::Power => e.emit(ins!("mulhw {},{},{}", dst, ra, rb)),
                 Target::Sparc => {
-                    e.emit(format!("smul {ra},{rb},%g0"));
-                    e.emit(format!("rd %y,{dst}"));
+                    e.emit(ins!("smul {},{},%g0", ra, rb));
+                    e.emit(ins!("rd %y,{}", dst));
                 }
                 Target::X86 => unreachable!("x86 uses emit_one_x86"),
             }
@@ -647,10 +783,10 @@ fn emit_one(
                 _ => ("xor", "xor", "xor", "xor"),
             };
             match e.target {
-                Target::Alpha => e.emit(format!("{alpha} {ra},{rb},{dst}")),
-                Target::Mips => e.emit(format!("{mips} {dst},{ra},{rb}")),
-                Target::Power => e.emit(format!("{power} {dst},{ra},{rb}")),
-                Target::Sparc => e.emit(format!("{sparc} {ra},{rb},{dst}")),
+                Target::Alpha => e.emit(ins!("{} {},{},{}", alpha, ra, rb, dst)),
+                Target::Mips => e.emit(ins!("{} {},{},{}", mips, dst, ra, rb)),
+                Target::Power => e.emit(ins!("{} {},{},{}", power, dst, ra, rb)),
+                Target::Sparc => e.emit(ins!("{} {},{},{}", sparc, ra, rb, dst)),
                 Target::X86 => unreachable!("x86 uses emit_one_x86"),
             }
         }
@@ -658,10 +794,10 @@ fn emit_one(
             let ra = e.reg(a);
             let dst = e.alloc(i);
             match e.target {
-                Target::Alpha => e.emit(format!("ornot $31,{ra},{dst}")),
-                Target::Mips => e.emit(format!("nor {dst},{ra},$0")),
-                Target::Power => e.emit(format!("sfi {dst},{ra},-1")),
-                Target::Sparc => e.emit(format!("xnor {ra},%g0,{dst}")),
+                Target::Alpha => e.emit(ins!("ornot $31,{},{}", ra, dst)),
+                Target::Mips => e.emit(ins!("nor {},{},$0", dst, ra)),
+                Target::Power => e.emit(ins!("sfi {},{},-1", dst, ra)),
+                Target::Sparc => e.emit(ins!("xnor {},%g0,{}", ra, dst)),
                 Target::X86 => unreachable!("x86 uses emit_one_x86"),
             }
         }
@@ -681,34 +817,34 @@ fn emit_one(
                     // w == 32 sra first sign-extends with addl.
                     match kind {
                         0 => {
-                            e.emit(format!("sll {ra},{n},{dst}"));
+                            e.emit(ins!("sll {},{},{}", ra, n, dst));
                             if w == 32 {
-                                e.emit(format!("zapnot {dst},15,{dst}"));
+                                e.emit(ins!("zapnot {},15,{}", dst, dst));
                             }
                         }
-                        1 => e.emit(format!("srl {ra},{n},{dst}")),
+                        1 => e.emit(ins!("srl {},{},{}", ra, n, dst)),
                         _ => {
                             if w == 32 {
-                                e.emit(format!("addl {ra},0,{dst}")); // sign-extend
-                                e.emit(format!("sra {dst},{n},{dst}"));
-                                e.emit(format!("zapnot {dst},15,{dst}"));
+                                e.emit(ins!("addl {},0,{}", ra, dst)); // sign-extend
+                                e.emit(ins!("sra {},{},{}", dst, n, dst));
+                                e.emit(ins!("zapnot {},15,{}", dst, dst));
                             } else {
-                                e.emit(format!("sra {ra},{n},{dst}"));
+                                e.emit(ins!("sra {},{},{}", ra, n, dst));
                             }
                         }
                     }
                 }
                 Target::Mips => {
                     let mn = ["sll", "srl", "sra"][kind];
-                    e.emit(format!("{mn} {dst},{ra},{n}"));
+                    e.emit(ins!("{} {},{},{}", mn, dst, ra, n));
                 }
                 Target::Power => {
                     let mn = ["sli", "sri", "srai"][kind];
-                    e.emit(format!("{mn} {dst},{ra},{n}"));
+                    e.emit(ins!("{} {},{},{}", mn, dst, ra, n));
                 }
                 Target::Sparc => {
                     let mn = ["sll", "srl", "sra"][kind];
-                    e.emit(format!("{mn} {ra},{n},{dst}"));
+                    e.emit(ins!("{} {},{},{}", mn, ra, n, dst));
                 }
                 Target::X86 => unreachable!("x86 uses emit_one_x86"),
             }
@@ -720,16 +856,16 @@ fn emit_one(
             match e.target {
                 Target::Alpha => {
                     if w == 32 {
-                        e.emit(format!("addl {ra},0,{dst}"));
-                        e.emit(format!("sra {dst},31,{dst}"));
-                        e.emit(format!("zapnot {dst},15,{dst}"));
+                        e.emit(ins!("addl {},0,{}", ra, dst));
+                        e.emit(ins!("sra {},31,{}", dst, dst));
+                        e.emit(ins!("zapnot {},15,{}", dst, dst));
                     } else {
-                        e.emit(format!("sra {ra},63,{dst}"));
+                        e.emit(ins!("sra {},63,{}", ra, dst));
                     }
                 }
-                Target::Mips => e.emit(format!("sra {dst},{ra},{n}")),
-                Target::Power => e.emit(format!("srai {dst},{ra},{n}")),
-                Target::Sparc => e.emit(format!("sra {ra},{n},{dst}")),
+                Target::Mips => e.emit(ins!("sra {},{},{}", dst, ra, n)),
+                Target::Power => e.emit(ins!("srai {},{},{}", dst, ra, n)),
+                Target::Sparc => e.emit(ins!("sra {},{},{}", ra, n, dst)),
                 Target::X86 => unreachable!("x86 uses emit_one_x86"),
             }
         }
@@ -740,23 +876,21 @@ fn emit_one(
             match e.target {
                 Target::Alpha => {
                     let mn = if signed { "cmplt" } else { "cmpult" };
-                    e.emit(format!("{mn} {ra},{rb},{dst}"));
+                    e.emit(ins!("{} {},{},{}", mn, ra, rb, dst));
                 }
                 Target::Mips => {
                     let mn = if signed { "slt" } else { "sltu" };
-                    e.emit(format!("{mn} {dst},{ra},{rb}"));
+                    e.emit(ins!("{} {},{},{}", mn, dst, ra, rb));
                 }
                 Target::Power => {
                     // POWER lacks set-less-than; the classic expansion.
                     e.comment("slt via subfc/subfe carry sequence");
-                    e.emit(format!(
-                        "{} {dst},{ra},{rb}",
-                        if signed { "slt.pseudo" } else { "sltu.pseudo" }
-                    ));
+                    let mn = if signed { "slt.pseudo" } else { "sltu.pseudo" };
+                    e.emit(ins!("{} {},{},{}", mn, dst, ra, rb));
                 }
                 Target::Sparc => {
-                    e.emit(format!("cmp {ra},{rb}"));
-                    e.emit(format!("addx %g0,0,{dst}"));
+                    e.emit(ins!("cmp {},{}", ra, rb));
+                    e.emit(ins!("addx %g0,0,{}", dst));
                     if signed {
                         e.comment("signed variant uses bl/set sequence on V8");
                     }
@@ -776,26 +910,26 @@ fn emit_one(
                     if w == 32 {
                         // Zero-extended 32-bit operands: the carry is
                         // bit 32 of the exact 64-bit sum.
-                        e.emit(format!("addq {ra},{rb},$28"));
-                        e.emit(format!("srl $28,32,{dst}"));
+                        e.emit(ins!("addq {},{},$28", ra, rb));
+                        e.emit(ins!("srl $28,32,{}", dst));
                     } else {
-                        e.emit(format!("addq {ra},{rb},$28"));
-                        e.emit(format!("cmpult $28,{ra},{dst}"));
+                        e.emit(ins!("addq {},{},$28", ra, rb));
+                        e.emit(ins!("cmpult $28,{},{}", ra, dst));
                     }
                 }
                 Target::Mips => {
-                    e.emit(format!("addu {dst},{ra},{rb}"));
-                    e.emit(format!("sltu {dst},{dst},{ra}"));
+                    e.emit(ins!("addu {},{},{}", dst, ra, rb));
+                    e.emit(ins!("sltu {},{},{}", dst, dst, ra));
                 }
                 Target::Power => {
                     e.comment("carry-out via XER CA: a sets it, aze reads it");
-                    e.emit(format!("a {dst},{ra},{rb}"));
-                    e.emit(format!("lil {dst},0"));
-                    e.emit(format!("aze {dst},{dst}"));
+                    e.emit(ins!("a {},{},{}", dst, ra, rb));
+                    e.emit(ins!("lil {},0", dst));
+                    e.emit(ins!("aze {},{}", dst, dst));
                 }
                 Target::Sparc => {
-                    e.emit(format!("addcc {ra},{rb},%g0"));
-                    e.emit(format!("addx %g0,0,{dst}"));
+                    e.emit(ins!("addcc {},{},%g0", ra, rb));
+                    e.emit(ins!("addx %g0,0,{}", dst));
                 }
                 Target::X86 => unreachable!("x86 uses emit_one_x86"),
             }
@@ -806,17 +940,17 @@ fn emit_one(
             let (ra, rb) = (e.reg(a), e.reg(b));
             let dst = e.alloc(i);
             match e.target {
-                Target::Alpha => e.emit(format!("cmpult {ra},{rb},{dst}")),
-                Target::Mips => e.emit(format!("sltu {dst},{ra},{rb}")),
+                Target::Alpha => e.emit(ins!("cmpult {},{},{}", ra, rb, dst)),
+                Target::Mips => e.emit(ins!("sltu {},{},{}", dst, ra, rb)),
                 Target::Power => {
                     e.comment("borrow = 1 - CA after subtract-from");
-                    e.emit(format!("sf {dst},{rb},{ra}"));
-                    e.emit(format!("sfe {dst},{dst},{dst}"));
-                    e.emit(format!("neg {dst},{dst}"));
+                    e.emit(ins!("sf {},{},{}", dst, rb, ra));
+                    e.emit(ins!("sfe {},{},{}", dst, dst, dst));
+                    e.emit(ins!("neg {},{}", dst, dst));
                 }
                 Target::Sparc => {
-                    e.emit(format!("cmp {ra},{rb}"));
-                    e.emit(format!("addx %g0,0,{dst}"));
+                    e.emit(ins!("cmp {},{}", ra, rb));
+                    e.emit(ins!("addx %g0,0,{}", dst));
                 }
                 Target::X86 => unreachable!("x86 uses emit_one_x86"),
             }
@@ -840,42 +974,37 @@ fn emit_one(
                         (true, true) => "__remqu",
                         (false, true) => "__remq",
                     };
-                    e.emit(format!("bis {ra},{ra},$24"));
-                    e.emit(format!("bis {rb},{rb},$25"));
-                    e.emit(format!("jsr $23,{f}"));
-                    e.emit(format!("bis $27,$27,{dst}"));
+                    e.emit(ins!("bis {},{},$24", ra, ra));
+                    e.emit(ins!("bis {},{},$25", rb, rb));
+                    e.emit(ins!("jsr $23,{}", f));
+                    e.emit(ins!("bis $27,$27,{}", dst));
                 }
                 Target::Mips => {
                     let mn = if unsigned { "divu" } else { "div" };
-                    e.emit(format!("{mn} $0,{ra},{rb}"));
-                    e.emit(format!("{} {dst}", if rem { "mfhi" } else { "mflo" }));
+                    e.emit(ins!("{} $0,{},{}", mn, ra, rb));
+                    e.emit(ins!("{} {}", if rem { "mfhi" } else { "mflo" }, dst));
                 }
                 Target::Power => {
                     let mn = if unsigned { "divwu" } else { "divw" };
+                    e.emit(ins!("{} {},{},{}", mn, dst, ra, rb));
                     if rem {
-                        e.emit(format!("{mn} {dst},{ra},{rb}"));
-                        e.emit(format!("muls {dst},{dst},{rb}"));
-                        e.emit(format!("sf {dst},{dst},{ra}"));
-                    } else {
-                        e.emit(format!("{mn} {dst},{ra},{rb}"));
+                        e.emit(ins!("muls {},{},{}", dst, dst, rb));
+                        e.emit(ins!("sf {},{},{}", dst, dst, ra));
                     }
                 }
                 Target::Sparc => {
                     let mn = if unsigned { "udiv" } else { "sdiv" };
-                    e.emit("wr %g0,%g0,%y".into());
+                    e.emit(ins!("wr %g0,%g0,%y"));
+                    e.emit(ins!("{} {},{},{}", mn, ra, rb, dst));
                     if rem {
-                        e.emit(format!("{mn} {ra},{rb},{dst}"));
-                        e.emit(format!("smul {dst},{rb},{dst}"));
-                        e.emit(format!("sub {ra},{dst},{dst}"));
-                    } else {
-                        e.emit(format!("{mn} {ra},{rb},{dst}"));
+                        e.emit(ins!("smul {},{},{}", dst, rb, dst));
+                        e.emit(ins!("sub {},{},{}", ra, dst, dst));
                     }
                 }
                 Target::X86 => unreachable!("x86 uses emit_one_x86"),
             }
         }
     }
-    let _ = prog;
 }
 
 /// Two-address x86 emission: every value-producing op starts with a
@@ -883,39 +1012,39 @@ fn emit_one(
 /// constants fold as `imm32` operands (x86 has them; the pool only has
 /// four registers once `eax`/`edx` are reserved for `mul`/`div`).
 fn emit_one_x86(e: &mut Emitter, prog: &Program, i: usize, op: &Op) {
-    // Resolve an operand to either its register name or an immediate.
-    let rm = |e: &Emitter, r: Reg| -> (String, bool) {
+    // Resolve an operand to either its register or an immediate.
+    let rm = |e: &Emitter, r: Reg| -> (Operand, bool) {
         match prog.insts()[r.index()] {
-            Op::Const(c) => (format!("0x{c:x}"), true),
-            _ => (e.reg(r), false),
+            Op::Const(c) => (Operand::Imm(c), true),
+            _ => (Operand::Sym(e.reg(r)), false),
         }
     };
-    let two_addr = |e: &mut Emitter, i: usize, mn: &str, a: Reg, b: Reg| {
+    let two_addr = |e: &mut Emitter, i: usize, mn: &'static str, a: Reg, b: Reg| {
         let (ra, a_imm) = rm(e, a);
         let (rb, _) = rm(e, b);
         let dst = e.alloc(i);
         // An immediate first operand always needs staging; a register one
         // only when allocation picked a different destination.
-        if a_imm || dst != ra {
-            e.emit(format!("mov {dst},{ra}"));
+        if a_imm || Operand::Sym(dst) != ra {
+            e.emit(ins!("mov {},{}", dst, ra));
         }
-        e.emit(format!("{mn} {dst},{rb}"));
+        e.emit(ins!("{} {},{}", mn, dst, rb));
     };
-    let unary = |e: &mut Emitter, i: usize, mn: &str, a: Reg| {
+    let unary = |e: &mut Emitter, i: usize, mn: &'static str, a: Reg| {
         let (ra, _) = rm(e, a);
         let dst = e.alloc(i);
-        if dst != ra {
-            e.emit(format!("mov {dst},{ra}"));
+        if Operand::Sym(dst) != ra {
+            e.emit(ins!("mov {},{}", dst, ra));
         }
-        e.emit(format!("{mn} {dst}"));
+        e.emit(ins!("{} {}", mn, dst));
     };
-    let shift = |e: &mut Emitter, i: usize, mn: &str, a: Reg, n: u32| {
+    let shift = |e: &mut Emitter, i: usize, mn: &'static str, a: Reg, n: u32| {
         let (ra, _) = rm(e, a);
         let dst = e.alloc(i);
-        if dst != ra {
-            e.emit(format!("mov {dst},{ra}"));
+        if Operand::Sym(dst) != ra {
+            e.emit(ins!("mov {},{}", dst, ra));
         }
-        e.emit(format!("{mn} {dst},{n}"));
+        e.emit(ins!("{} {},{}", mn, dst, n));
     };
     match *op {
         Op::Arg(k) => {
@@ -923,7 +1052,7 @@ fn emit_one_x86(e: &mut Emitter, prog: &Program, i: usize, op: &Op) {
             let dst = e.alloc(i);
             // eax is not in the pool, so this always moves the argument
             // into a callee-chosen register (eax stays free for mul/div).
-            e.emit(format!("mov {dst},{argreg}"));
+            e.emit(ins!("mov {},{}", dst, argreg));
         }
         Op::Const(_) => {
             // Folded as an immediate at each use; nothing to emit.
@@ -954,16 +1083,16 @@ fn emit_one_x86(e: &mut Emitter, prog: &Program, i: usize, op: &Op) {
             let dst = e.alloc(i);
             match (a_imm, b_imm) {
                 (false, false) | (true, false) => {
-                    e.emit(format!("mov eax,{ra}"));
-                    e.emit(format!("{mn} {rb}"));
+                    e.emit(ins!("mov eax,{}", ra));
+                    e.emit(ins!("{} {}", mn, rb));
                 }
                 (false, true) => {
-                    e.emit(format!("mov eax,{rb}"));
-                    e.emit(format!("{mn} {ra}"));
+                    e.emit(ins!("mov eax,{}", rb));
+                    e.emit(ins!("{} {}", mn, ra));
                 }
                 (true, true) => unreachable!("const*const folds in the optimizer"),
             }
-            e.emit(format!("mov {dst},edx"));
+            e.emit(ins!("mov {},edx", dst));
         }
         Op::SltU(a, b) | Op::SltS(a, b) => {
             let set = if matches!(op, Op::SltU(..)) {
@@ -976,25 +1105,25 @@ fn emit_one_x86(e: &mut Emitter, prog: &Program, i: usize, op: &Op) {
             let dst = e.alloc(i);
             if a_imm {
                 // cmp's first operand must be r/m: stage the immediate.
-                e.emit(format!("mov {dst},{ra}"));
-                e.emit(format!("cmp {dst},{rb}"));
+                e.emit(ins!("mov {},{}", dst, ra));
+                e.emit(ins!("cmp {},{}", dst, rb));
             } else {
-                e.emit(format!("cmp {ra},{rb}"));
+                e.emit(ins!("cmp {},{}", ra, rb));
             }
-            e.emit(format!("{set} dl"));
-            e.emit(format!("movzx {dst},dl"));
+            e.emit(ins!("{} dl", set));
+            e.emit(ins!("movzx {},dl", dst));
         }
         Op::Carry(a, b) => {
             // x86 has the real flag: add sets CF, setc materializes it.
             let (ra, a_imm) = rm(e, a);
             let (rb, _) = rm(e, b);
             let dst = e.alloc(i);
-            if a_imm || dst != ra {
-                e.emit(format!("mov {dst},{ra}"));
+            if a_imm || Operand::Sym(dst) != ra {
+                e.emit(ins!("mov {},{}", dst, ra));
             }
-            e.emit(format!("add {dst},{rb}"));
-            e.emit("setc dl".into());
-            e.emit(format!("movzx {dst},dl"));
+            e.emit(ins!("add {},{}", dst, rb));
+            e.emit(ins!("setc dl"));
+            e.emit(ins!("movzx {},dl", dst));
         }
         Op::Borrow(a, b) => {
             // Same compare shape as unsigned set-less-than: CF after cmp
@@ -1003,13 +1132,13 @@ fn emit_one_x86(e: &mut Emitter, prog: &Program, i: usize, op: &Op) {
             let (rb, _) = rm(e, b);
             let dst = e.alloc(i);
             if a_imm {
-                e.emit(format!("mov {dst},{ra}"));
-                e.emit(format!("cmp {dst},{rb}"));
+                e.emit(ins!("mov {},{}", dst, ra));
+                e.emit(ins!("cmp {},{}", dst, rb));
             } else {
-                e.emit(format!("cmp {ra},{rb}"));
+                e.emit(ins!("cmp {},{}", ra, rb));
             }
-            e.emit("setb dl".into());
-            e.emit(format!("movzx {dst},dl"));
+            e.emit(ins!("setb dl"));
+            e.emit(ins!("movzx {},dl", dst));
         }
         Op::DivU(a, b) | Op::DivS(a, b) | Op::RemU(a, b) | Op::RemS(a, b) => {
             let (unsigned, rem) = match op {
@@ -1021,23 +1150,23 @@ fn emit_one_x86(e: &mut Emitter, prog: &Program, i: usize, op: &Op) {
             let (ra, _) = rm(e, a);
             let (rb, b_imm) = rm(e, b);
             let dst = e.alloc(i);
-            e.emit(format!("mov eax,{ra}"));
+            e.emit(ins!("mov eax,{}", ra));
             let divisor = if b_imm {
                 // The divisor must be r/m: stage it in dst (read before
                 // dst is overwritten with the result).
-                e.emit(format!("mov {dst},{rb}"));
-                dst.clone()
+                e.emit(ins!("mov {},{}", dst, rb));
+                Operand::Sym(dst)
             } else {
                 rb
             };
             if unsigned {
-                e.emit("xor edx,edx".into());
-                e.emit(format!("div {divisor}"));
+                e.emit(ins!("xor edx,edx"));
+                e.emit(ins!("div {}", divisor));
             } else {
-                e.emit("cdq".into());
-                e.emit(format!("idiv {divisor}"));
+                e.emit(ins!("cdq"));
+                e.emit(ins!("idiv {}", divisor));
             }
-            e.emit(format!("mov {dst},{}", if rem { "edx" } else { "eax" }));
+            e.emit(ins!("mov {},{}", dst, if rem { "edx" } else { "eax" }));
         }
     }
 }

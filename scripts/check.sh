@@ -33,6 +33,9 @@ echo "== tier-1 verify: cargo build --release && cargo test -q =="
 cargo build --release --offline
 cargo test -q --offline
 
+echo "== workspace tests: every crate's unit, integration and doc tests =="
+cargo test -q --offline --workspace --release
+
 echo "== end-to-end benchmark package tests =="
 cargo test -q --offline --manifest-path e2ebench/Cargo.toml
 
@@ -147,6 +150,14 @@ echo "== chaos golden gate (fixed seed must reproduce results/chaos.json) =="
 ./target/release/magic chaos 0xC4A05D1F 8 target/chaos_golden.json > /dev/null
 diff <(grep -v '"git_sha"' results/chaos.json) <(grep -v '"git_sha"' target/chaos_golden.json) || {
     echo "fixed-seed chaos report moved from the committed results/chaos.json" >&2
+    exit 1
+}
+
+echo "== Table 11.1 listing gate (the bin must reproduce results/table_11_1.txt) =="
+./target/release/table_11_1 > target/table_11_1_ci.txt
+diff -u results/table_11_1.txt target/table_11_1_ci.txt || {
+    echo "table_11_1 output moved from the committed results/table_11_1.txt" >&2
+    echo "regenerate: cargo run --release -p magicdiv-bench --bin table_11_1 > results/table_11_1.txt" >&2
     exit 1
 }
 

@@ -5,8 +5,8 @@
 //! allocation → target syntax → simulated machine.
 
 use magicdiv_suite::magicdiv_codegen::{
-    emit_assembly, emit_radix_loop, execute_radix_listing, gen_signed_div, gen_unsigned_div,
-    gen_unsigned_divrem, Target,
+    emit_assembly, emit_radix_loop, execute_radix_listing, gen_divisibility_test, gen_signed_div,
+    gen_unsigned_div, gen_unsigned_divrem, gen_unsigned_rem, gen_urem_direct, Target,
 };
 use magicdiv_suite::magicdiv_ir::Program;
 
@@ -95,6 +95,25 @@ fn generated_programs_validate_across_widths() {
         for d in [1u64, 3, 10, 255] {
             gen_unsigned_div(d, width).validate().unwrap();
             gen_signed_div(d as i64, width).validate().unwrap();
+        }
+    }
+}
+
+#[test]
+fn x86_materializes_a_constant_result_in_eax() {
+    // Optimized `n % 1` is the constant 0 and `1 | n` the constant 1. x86
+    // folds constants as immediates, so neither ever had a register.
+    for w in [8, 16, 32, 64] {
+        for (prog, want) in [
+            (gen_urem_direct(1, w), "\tmov eax,0x0\n"),
+            (gen_unsigned_rem(1, w), "\tmov eax,0x0\n"),
+            (gen_divisibility_test(1, w), "\tmov eax,0x1\n"),
+        ] {
+            let asm = emit_assembly(&prog, Target::X86, "f");
+            let text = asm.to_string();
+            assert!(text.contains(want), "w{w}:\n{text}");
+            assert!(text.ends_with("\tret\n"), "w{w}:\n{text}");
+            assert!(!asm.uses_divide(), "w{w}:\n{text}");
         }
     }
 }
