@@ -34,6 +34,7 @@ use magicdiv::{
 };
 use magicdiv_codegen::{emit_radix_loop, execute_radix_listing_with_limit, AsmErrorKind, Target};
 use magicdiv_ir::{mask, EvalOptions};
+use std::sync::{Mutex, PoisonError};
 
 use crate::diff::{Case, Shape, SplitMix};
 use crate::runmeta::git_sha;
@@ -539,9 +540,18 @@ fn run_forced_demotion(rng: &mut SplitMix, tally: &mut ScenarioTally, demotions:
     budget.set_limit(saved_limit);
 }
 
-/// Runs the full campaign. Pure function of `cfg` (modulo the global
-/// fault budget, which is saved and restored).
+/// Serializes campaigns: each one resets, trips and restores the
+/// process-wide fault budget, so two on different threads would read
+/// each other's demotions.
+static CAMPAIGN: Mutex<()> = Mutex::new(());
+
+/// Runs the full campaign. Pure function of `cfg`: it holds a
+/// process-wide campaign lock for its whole run, so concurrent callers
+/// take turns with the global fault budget, which is saved and restored.
 pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
+    // A campaign that panicked left nothing behind that the next one
+    // does not reset, so a poisoned lock is still usable.
+    let _campaign = CAMPAIGN.lock().unwrap_or_else(PoisonError::into_inner);
     let mut rng = SplitMix(cfg.seed);
     let mut scenarios = Vec::new();
     let mut demotions = 0u64;

@@ -18,6 +18,8 @@
 //!   by binary descent, producing the one-line reproducers persisted in
 //!   `tests/corpus/`.
 
+use magicdiv::testkit::directed_unsigned_dividends;
+use magicdiv::validity::fraction_valid;
 use magicdiv_ir::{
     apply_mutation, mask, mutations, sign_extend, EvalOptions, Mutation, Op, Program, Reg,
 };
@@ -348,6 +350,12 @@ impl Case {
             }
             out.push(top);
             out.extend(self.dword_carry_boundary_inputs());
+        } else if !self.shape.signed() {
+            out.extend(
+                directed_unsigned_dividends(u128::from(self.d.max(1)), self.width)
+                    .into_iter()
+                    .map(|n| n as u64),
+            );
         } else {
             out.extend([0, 1, 2, 3, m, m - 1, m - 2]);
             // Sign boundaries.
@@ -357,54 +365,21 @@ impl Case {
                 let p = 1u64 << j;
                 out.extend([p, p - 1, (p + 1) & m]);
             }
-            // The divisor neighborhood, small and at maximal magnitude:
-            // t = largest multiple of d ≤ mask; t − 1 carries the largest
-            // residue at the largest quotient (kills e′ > 0 multiplier
-            // perturbations), t itself kills e′ < 0 ones. Signed shapes
-            // measure the neighborhood with |d| and top out at the
-            // positive signed maximum (the mirroring below covers the
-            // negative side).
-            let d = if self.shape.signed() {
-                self.d_signed().unsigned_abs().max(1)
-            } else {
-                self.d.max(1)
-            };
-            let top = if self.shape.signed() { m >> 1 } else { m };
+            // The divisor neighborhood, small and at maximal magnitude,
+            // measured with |d| and topped out at the positive signed
+            // maximum: t = largest multiple of |d| <= top; t - 1 carries
+            // the largest residue at the largest quotient (kills e' > 0
+            // multiplier perturbations), t itself kills e' < 0 ones.
+            let d = self.d_signed().unsigned_abs().max(1);
+            let top = m >> 1;
             let t = top - top % d;
             for base in [d, d.wrapping_mul(2) & m, t, t.wrapping_sub(d)] {
                 out.extend([base, base.wrapping_sub(1) & m, base.wrapping_add(1) & m]);
             }
-            if matches!(
-                self.shape,
-                Shape::Divisibility | Shape::Urem | Shape::UremMulBack
-            ) {
-                // The §9 test compares n·d⁻¹ against c = ⌊mask/d⌋, so a
-                // perturbed threshold c ± 2^b only misclassifies inputs
-                // whose product lands in the moved band: multiples with
-                // quotients just past c (they wrap modulo 2^N) and the
-                // walk of in-range multiples ±1. The same walk pins the
-                // LKK fraction's band boundaries (n·c mod 2^2N is
-                // smallest at multiples of d, largest just below them),
-                // so the remainder shapes share it.
-                out.extend([t.wrapping_add(d) & m, t.wrapping_add(d.wrapping_mul(2)) & m]);
-                let qmax = m / d;
-                for j in 0..self.width {
-                    let q = 1u64 << j;
-                    if q > qmax {
-                        break;
-                    }
-                    let n = q.wrapping_mul(d) & m;
-                    out.extend([n, n.wrapping_sub(1) & m, n.wrapping_add(1) & m]);
-                }
-                let mid = (qmax / 2).wrapping_mul(d) & m;
-                out.extend([mid, mid.wrapping_sub(1) & m, mid.wrapping_add(1) & m]);
-            }
-            if self.shape.signed() {
-                // Mirror everything through negation to cover the n < 0
-                // paths (XSIGN corrections, Fig 5.2's add-before-shift).
-                let mirrored: Vec<u64> = out.iter().map(|v| v.wrapping_neg() & m).collect();
-                out.extend(mirrored);
-            }
+            // Mirror everything through negation to cover the n < 0
+            // paths (XSIGN corrections, Fig 5.2's add-before-shift).
+            let mirrored: Vec<u64> = out.iter().map(|v| v.wrapping_neg() & m).collect();
+            out.extend(mirrored);
         }
         out.retain(|&n| self.input_valid(n));
         out.sort_unstable();
@@ -751,53 +726,9 @@ fn small_scope_equivalent(case: &Case, m: Mutation) -> bool {
     false
 }
 
-/// Whether a perturbed LKK fraction constant `c` still computes
-/// `n mod d` for every `N`-bit `n` (Thm 1 admissibility). Writing
-/// `e = c·d − 2^2N` and `n = q·d + r`, the kernel's fraction is
-/// `(q·e + r·c) mod 2^2N` and the scaled high word is
-/// `r + ⌊e·n / 2^2N⌋`, so the plan is exact whenever
-///
-/// * `e >= 1` (c rounds *up*: `c > 2^2N / d`),
-/// * `e·(2^N − 1) < 2^2N` (the error never reaches the next residue),
-/// * `qmax·e + (d−1)·c < 2^2N` (the fraction never wraps).
-///
-/// The bounds are sufficient, not tight, which is the right polarity
-/// for a mutation certificate: a `c` this fails to certify stays
-/// [`MutantFate::Survived`]. At width 64 the `< 2^128` comparisons are
-/// exactly "the u128 checked ops did not overflow".
-fn lkk_admissible(c_hi: u128, c_lo: u128, d: u64, width: u32) -> bool {
-    let below_f = |v: u128| width == 64 || v < 1u128 << (2 * width);
-    let d = u128::from(d);
-    let n_max = u128::from(mask(width));
-    let c = (c_hi << width) | c_lo;
-    // e = c*d - 2^2N without forming c*d (which overflows u128 at
-    // width 64): split c*d into words above/below 2^width via the limbs.
-    let p_lo = c_lo * d;
-    let Some(hi_words) = c_hi
-        .checked_mul(d)
-        .and_then(|p| p.checked_add(p_lo >> width))
-    else {
-        return false;
-    };
-    let Some(e_hi) = hi_words.checked_sub(1u128 << width) else {
-        return false; // c*d < 2^2N: c rounds down, wrong at n = d
-    };
-    if e_hi > n_max {
-        return false; // e >= 2^2N / 2^N-ish: hopelessly large
-    }
-    let e = (e_hi << width) | (p_lo & n_max);
-    if e == 0 {
-        return false;
-    }
-    let no_wrap = (n_max / d)
-        .checked_mul(e)
-        .and_then(|qe| (d - 1).checked_mul(c).and_then(|rc| qe.checked_add(rc)));
-    e.checked_mul(n_max).is_some_and(below_f) && no_wrap.is_some_and(below_f)
-}
-
 /// Certifies a `ConstFlip` on a direct-remainder kernel as equivalent
 /// when the flipped fraction limb leaves `c` inside the Thm 1
-/// admissible interval (see [`lkk_admissible`]) — the interval is
+/// admissible interval (see [`fraction_valid`]) — the interval is
 /// ~`2^N/d` wide at `F = 2N`, so most upward low-limb flips are
 /// legitimately equivalent plans no finite probe set can kill. The
 /// flipped constant is identified by *position* in the lowered kernel
@@ -837,7 +768,7 @@ fn urem_fraction_equivalent(case: &Case, m: Mutation) -> bool {
     } else {
         return false;
     }
-    lkk_admissible(hi, lo, case.d, case.width)
+    fraction_valid(u128::from(case.d), case.width, hi, lo).is_ok()
 }
 
 /// Classifies one mutation of `case`'s kernel against the differential
@@ -1285,8 +1216,8 @@ mod tests {
         let magicdiv::plan::UremStrategy::Fraction { c_hi, c_lo } = plan.strategy() else {
             panic!("d = 7 takes the fraction path");
         };
-        assert!(!lkk_admissible(c_hi, c_lo - 1, 7, 32));
-        assert!(lkk_admissible(c_hi, c_lo, 7, 32));
+        assert!(fraction_valid(7, 32, c_hi, c_lo - 1).is_err());
+        assert!(fraction_valid(7, 32, c_hi, c_lo).is_ok());
         let case = Case::new(Shape::Urem, 32, 7);
         let d_inst = case
             .program()

@@ -236,7 +236,14 @@ pub fn render_tournament(t: &TournamentResult) -> String {
                 .cycles
                 .map_or_else(|| "-".to_string(), |cy| cy.to_string());
             let certified = match c.certification {
-                Certification::Passed { inputs } => format!("passed ({inputs} inputs)"),
+                Certification::Passed {
+                    inputs,
+                    proved: false,
+                } => format!("passed ({inputs} inputs)"),
+                Certification::Passed {
+                    inputs,
+                    proved: true,
+                } => format!("proved (+{inputs} probes)"),
                 Certification::Failed { n, .. } => format!("FAILED at n={n}"),
                 Certification::Skipped => "skipped".to_string(),
             };

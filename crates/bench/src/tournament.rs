@@ -12,13 +12,11 @@
 
 use magicdiv::plan::DivPlan;
 use magicdiv::{
-    run_udiv_tournament, Certification, DivisorError, PlanCertifier, PlanScorer, TournamentResult,
+    certify_plan, run_udiv_tournament, ArithmeticCertifier, Certification, DivisorError,
+    PlanCertifier, PlanScorer, TournamentResult,
 };
 use magicdiv_codegen::{gen_udiv_plan, gen_urem_plan};
-use magicdiv_ir::mask;
 use magicdiv_simcpu::{find_model, TimingModel};
-
-use crate::diff::SplitMix;
 
 /// The default cost model for tournaments: pipelined multiplier, the
 /// mid-range of Table 1.1 — a model where multiply-heavy candidates can
@@ -77,15 +75,13 @@ impl PlanScorer for SimcpuScorer {
     }
 }
 
-/// Random probes per candidate above the exhaustive width.
-const RANDOM_PROBES: usize = 4096;
-
-/// Certifies an unsigned or direct-remainder candidate by executing its
-/// *lowered, optimized* IR program against native division — exhaustively
-/// through width 16, directed boundaries (word edges, powers of two, the
-/// multiples-of-`d` neighborhood at the top of the range) plus
-/// deterministic pseudorandom probes above. Plans with no competing
-/// candidate pool (signed, floor, …) are [`Certification::Skipped`].
+/// Certifies an unsigned or direct-remainder candidate on its *lowered,
+/// optimized* IR program through [`certify_plan`]: every dividend through
+/// width 16; above, the plan's exact validity predicate plus the directed
+/// probes, which here run the program and so exercise the lowering. At
+/// width 128, beyond the IR interpreter's words, it defers to the
+/// [`ArithmeticCertifier`]. Plans with no competing candidate pool
+/// (signed, floor, …) are [`Certification::Skipped`].
 ///
 /// This is strictly stronger than the core's arithmetic certifier: a bug
 /// in the lowering (not just the plan constants) fails certification
@@ -95,73 +91,22 @@ pub struct OracleCertifier;
 
 impl PlanCertifier for OracleCertifier {
     fn certify(&self, plan: &DivPlan) -> Certification {
+        if plan.width() > 64 {
+            return ArithmeticCertifier.certify(plan);
+        }
         // (divisor, lowered program, reference function) per shape under
         // tournament. The remainder oracle is `n % d` — the same ground
         // truth the diff harness pins `Shape::Urem` to.
-        let (width, d, prog, oracle): (u32, u64, _, fn(u64, u64) -> u64) = match plan {
-            DivPlan::Unsigned(p) => (p.width(), p.divisor() as u64, gen_udiv_plan(p), |n, d| {
-                n / d
-            }),
-            DivPlan::Urem(p) => (p.width(), p.divisor() as u64, gen_urem_plan(p), |n, d| {
-                n % d
-            }),
+        let (d, prog, oracle): (u64, _, fn(u64, u64) -> u64) = match plan {
+            DivPlan::Unsigned(p) => (p.divisor() as u64, gen_udiv_plan(p), |n, d| n / d),
+            DivPlan::Urem(p) => (p.divisor() as u64, gen_urem_plan(p), |n, d| n % d),
             _ => return Certification::Skipped,
         };
-        if !(1..=64).contains(&width) {
-            return Certification::Skipped;
-        }
-        let m = mask(width);
-        let mut inputs = 0u64;
-        let mut check = |n: u64| -> Option<Certification> {
-            inputs += 1;
-            let got = prog.eval1(&[n]).ok();
-            let want = oracle(n, d);
-            (got != Some(want)).then(|| Certification::Failed {
-                n: u128::from(n),
-                got: got.map_or(u128::MAX, u128::from),
-                want: u128::from(want),
-            })
-        };
-        if width <= 16 {
-            for n in 0..=m {
-                if let Some(fail) = check(n) {
-                    return fail;
-                }
-            }
-            return Certification::Passed { inputs };
-        }
-        // Directed boundaries, mirroring the diff harness's probes.
-        let q_top = m / d;
-        let mut probes: Vec<u64> = vec![
-            0,
-            1,
-            2,
-            d - 1,
-            d,
-            d.wrapping_add(1) & m,
-            d.wrapping_mul(2) & m,
-            q_top * d - 1,
-            q_top * d,
-            (q_top * d).wrapping_add(1) & m,
-            m - 1,
-            m,
-        ];
-        for j in 1..width {
-            let p2 = 1u64 << j;
-            probes.extend([p2 - 1, p2, (p2 + 1) & m]);
-        }
-        for n in probes {
-            if let Some(fail) = check(n) {
-                return fail;
-            }
-        }
-        let mut rng = SplitMix(0x5eed_cafe ^ d.rotate_left(width));
-        for _ in 0..RANDOM_PROBES {
-            if let Some(fail) = check(rng.next_u64() & m) {
-                return fail;
-            }
-        }
-        Certification::Passed { inputs }
+        certify_plan(plan, |n| {
+            let n = n as u64;
+            let got = prog.eval1(&[n]).map_or(u128::MAX, u128::from);
+            (got, u128::from(oracle(n, d)))
+        })
     }
 }
 
@@ -230,7 +175,7 @@ mod tests {
         for (d, width) in [(3u128, 8u32), (10, 16), (7, 32), (274177, 64)] {
             let plan = DivPlan::from(UdivPlan::new(d, width).unwrap());
             match OracleCertifier.certify(&plan) {
-                Certification::Passed { inputs } => assert!(inputs > 0),
+                Certification::Passed { inputs, .. } => assert!(inputs > 0),
                 other => panic!("d={d} w={width}: {other:?}"),
             }
         }
@@ -266,7 +211,7 @@ mod tests {
         for (d, width) in [(3u128, 8u32), (10, 16), (7, 32), (641, 64)] {
             let plan = DivPlan::from(UremPlan::new_direct(d, width).unwrap());
             match OracleCertifier.certify(&plan) {
-                Certification::Passed { inputs } => assert!(inputs > 0),
+                Certification::Passed { inputs, .. } => assert!(inputs > 0),
                 other => panic!("d={d} w={width}: {other:?}"),
             }
         }

@@ -26,6 +26,7 @@ use core::fmt;
 
 use crate::error::DivisorError;
 use crate::plan::{DivPlan, UdivPlan, UdivStrategy, UremPlan};
+use crate::validity::udiv_valid;
 
 /// `2^width - 1` as a `u128` (widths `1..=64` here — candidate search
 /// needs `2^(2N)`-scale intermediates, which cap the erased width at 64).
@@ -140,8 +141,9 @@ impl CandidateGen for PaperBaselineGen {
 /// ```
 ///
 /// (the lower bound binds at `n = q_top * d`, the largest exact multiple;
-/// the upper bound always holds because `m` rounds down). The generator
-/// emits the smallest valid `s`, since `s == 0` drops the final shift.
+/// the upper bound always holds because `m` rounds down) — the check
+/// [`udiv_valid`] makes. The generator emits the smallest valid `s`,
+/// since `s == 0` drops the final shift.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RoundUpGen;
 
@@ -159,24 +161,17 @@ impl CandidateGen for RoundUpGen {
             // 128 exceeds the u128 search arithmetic.
             return Ok(Vec::new());
         }
-        let nmax = mask(width);
-        let q_top = nmax / d;
         let l = 128 - (d - 1).leading_zeros(); // ⌈log2 d⌉, d >= 2
         for s in 0..l {
             // s <= l - 1 keeps m = ⌊2^(N+s)/d⌋ < 2^N.
             let k = width + s;
-            let pow2k = 1u128 << k;
-            let m = pow2k / d;
-            let e = pow2k % d; // > 0: d is not a power of two
-            debug_assert!(m <= nmax);
-            // Validity: e * (d * q_top + 1) <= 2^k. All factors fit u128:
-            // e < d <= 2^64 and d * q_top + 1 <= 2^64.
-            if e * (d * q_top + 1) <= pow2k {
-                let plan = UdivPlan {
-                    width,
-                    d,
-                    strategy: UdivStrategy::MulRoundUp { m, sh_post: s },
-                };
+            let m = (1u128 << k) / d;
+            let plan = UdivPlan {
+                width,
+                d,
+                strategy: UdivStrategy::MulRoundUp { m, sh_post: s },
+            };
+            if udiv_valid(&plan).is_ok() {
                 return Ok(vec![Candidate {
                     plan: DivPlan::Unsigned(plan),
                     source: CandidateSource::RoundUp,
@@ -200,15 +195,13 @@ impl CandidateGen for RoundUpGen {
 ///
 /// ```text
 /// m_min = ⌈2^k / d⌉
-/// m_max = min( ⌊(2^k * q_top  - 1) / (q_top * d - 1)⌋,     // full groups
-///              ⌊(2^k * (q_top + 1) - 1) / (2^N - 1)⌋ )      // partial top
+/// m_max = ⌊(2^k * q_top - 1) / (q_top * d - 1)⌋      // last full group
 /// ```
 ///
-/// where `q_top = ⌊(2^N - 1)/d⌋` (the full-group bound is monotone in the
-/// quotient, so only the last full group `n = q_top*d - 1` binds). When
-/// the interval contains a value `< 2^N`, the plan is a bare
-/// `MulShift { sh_pre: 0, sh_post: k - N }` — no add fixup, no pre-shift.
-/// The generator emits the smallest such `k`.
+/// where `q_top = ⌊(2^N - 1)/d⌋`, so a word-sized multiplier exists at
+/// `k` iff `m_min < 2^N` passes [`udiv_valid`]. The plan is then a bare
+/// `MulShift { sh_pre: 0, sh_post: k - N }` — no add fixup, no
+/// pre-shift. The generator emits the smallest such `k`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OptimalBoundsGen;
 
@@ -224,48 +217,28 @@ impl CandidateGen for OptimalBoundsGen {
         if !(1..=64).contains(&width) || d > mask(width) || d.is_power_of_two() {
             return Ok(Vec::new());
         }
-        let nmax = mask(width);
-        let q_top = nmax / d;
         let l = 128 - (d - 1).leading_zeros();
-        // Since d is not a power of two, the last dividend with remainder
-        // d-1 is n* = q_top*d - 1 (the group of quotient q_top - 1 when
-        // q_top*d - 1 < q_top*d, i.e. always the end of the last FULL
-        // group), and nmax sits in the partial group of quotient q_top.
-        let n_star = q_top * d - 1;
         for k in width..=(width + l).min(127) {
-            let pow2k = 1u128 << k;
-            let m_min = pow2k / d + 1; // ⌈2^k/d⌉, exact since d ∤ 2^k
-            if m_min > nmax {
+            let m_min = (1u128 << k) / d + 1; // ⌈2^k/d⌉, exact since d ∤ 2^k
+            if m_min > mask(width) {
                 // Larger k only grows m_min; nothing fits a word anymore.
                 break;
             }
-            // Upper bound from the last full group: m*n < 2^k*(q+1) for
-            // n = n*, q = q_top - 1 — i.e. m <= (2^k*q_top - 1)/n*.
-            let full = match pow2k.checked_mul(q_top) {
-                Some(p) => (p - 1) / n_star,
-                None => u128::MAX, // bound beyond any word-sized m
+            let plan = UdivPlan {
+                width,
+                d,
+                strategy: UdivStrategy::MulShift {
+                    m: m_min,
+                    sh_pre: 0,
+                    sh_post: k - width,
+                },
             };
-            // Upper bound from the partial group at nmax (quotient q_top).
-            let partial = match pow2k.checked_mul(q_top + 1) {
-                Some(p) => (p - 1) / nmax,
-                None => u128::MAX,
-            };
-            let m_max = full.min(partial);
-            if m_min <= m_max {
-                let plan = UdivPlan {
-                    width,
-                    d,
-                    strategy: UdivStrategy::MulShift {
-                        m: m_min,
-                        sh_pre: 0,
-                        sh_post: k - width,
-                    },
-                };
+            if udiv_valid(&plan).is_ok() {
                 return Ok(vec![Candidate {
                     plan: DivPlan::Unsigned(plan),
                     source: CandidateSource::OptimalBounds,
                     why: format!(
-                        "word-sized m in [{m_min:#x}, {m_max:#x}] at k={k}: \
+                        "smallest word-sized m = {m_min:#x} at k={k}: \
                          plain MULUH+SRL, no fixup or pre-shift"
                     ),
                 }]);

@@ -87,6 +87,7 @@ pub mod testkit;
 pub mod tournament;
 mod udword_div;
 mod unsigned;
+pub mod validity;
 mod word;
 
 pub use crate::cache::{global_plan_cache, CacheStats, PlanCache};
@@ -111,9 +112,10 @@ pub use crate::plan::{
 };
 pub use crate::signed::{InvariantSignedDivisor, SignedDivisor, SignedStrategy};
 pub use crate::tournament::{
-    paper_only_tournament, run_udiv_tournament, run_urem_tournament, select_udiv, select_urem,
-    ArithmeticCertifier, Certification, LossReason, OpCountScorer, Outcome, PlanCertifier,
-    PlanScorer, ScoredCandidate, Strategy, TournamentResult, UdivSelection, UremSelection,
+    certify_plan, paper_only_tournament, run_udiv_tournament, run_urem_tournament, select_udiv,
+    select_urem, ArithmeticCertifier, Certification, LossReason, OpCountScorer, Outcome,
+    PlanCertifier, PlanScorer, ScoredCandidate, Strategy, TournamentResult, UdivSelection,
+    UremSelection,
 };
 pub use crate::udword_div::DwordDivisor;
 pub use crate::unsigned::{InvariantUnsignedDivisor, UnsignedDivisor, UnsignedStrategy};

@@ -37,7 +37,7 @@ use crate::error::DivisorError;
 
 /// `2^width - 1` as a `u128`.
 #[inline]
-fn mask(width: u32) -> u128 {
+pub(crate) fn mask(width: u32) -> u128 {
     if width == 128 {
         u128::MAX
     } else {

@@ -73,6 +73,70 @@ pub fn interesting_unsigned_dividends<T: UWord>(d: T) -> Vec<T> {
     out
 }
 
+/// The directed boundary dividends for divisor `d` (`1 <= d < 2^width`)
+/// at `width` bits (`1..=128`), sorted and deduplicated: the probes the
+/// tournament certifiers run on a candidate and the differential harness
+/// runs on every unsigned kernel.
+///
+/// They sit where a wrong constant or a wrong lowering first shows:
+/// the word edges and the sign boundary, every power of two and its
+/// neighbors, and the multiples-of-`d` neighborhood at both ends of the
+/// range (`t = ⌊(2^N-1)/d⌋·d`: `t - 1` carries the largest residue at
+/// the largest quotient). A walk of multiples `q·d ± 1` at power-of-two
+/// quotients pins the band edges of the remainder fraction and of the
+/// §9 threshold.
+///
+/// # Examples
+///
+/// ```
+/// use magicdiv::testkit::directed_unsigned_dividends;
+///
+/// let ns = directed_unsigned_dividends(10, 32);
+/// let t = u32::MAX as u128 / 10 * 10;
+/// for n in [0, 9, 10, 11, t - 1, t, u32::MAX as u128] {
+///     assert!(ns.contains(&n), "{n}");
+/// }
+/// ```
+pub fn directed_unsigned_dividends(d: u128, width: u32) -> Vec<u128> {
+    let m = crate::plan::mask(width);
+    let half = m >> 1;
+    let t = m - m % d;
+    let q_top = m / d;
+    // Each base contributes itself and both neighbors, modulo 2^N.
+    let mut bases = vec![
+        0,
+        2,
+        m,
+        m - 1,
+        half,
+        half + 1,
+        d,
+        d.wrapping_mul(2),
+        t,
+        t - d,
+    ];
+    bases.extend([
+        t.wrapping_add(d),
+        t.wrapping_add(d.wrapping_mul(2)),
+        q_top / 2 * d,
+    ]);
+    bases.extend((0..width).map(|j| 1u128 << j));
+    bases.extend(
+        (0..width)
+            .map(|j| 1u128 << j)
+            .take_while(|&q| q <= q_top)
+            .map(|q| q * d),
+    );
+    let mut out: Vec<u128> = bases
+        .into_iter()
+        .flat_map(|b| [b.wrapping_sub(1), b, b.wrapping_add(1)])
+        .map(|n| n & m)
+        .collect();
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
 /// Interesting signed divisors at width `S` (all nonzero, both signs).
 ///
 /// # Examples

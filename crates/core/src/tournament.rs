@@ -23,8 +23,10 @@ use core::fmt;
 use crate::candidates::{unsigned_generators, urem_candidates, Candidate, CandidateSource};
 use crate::error::DivisorError;
 use crate::plan::{
-    DivPlan, DivisibilityPlan, DivisibilityStrategy, UdivPlan, UdivStrategy, UremPlan, UremStrategy,
+    mask, DivPlan, DivisibilityStrategy, UdivPlan, UdivStrategy, UremPlan, UremStrategy,
 };
+use crate::testkit::directed_unsigned_dividends;
+use crate::validity;
 
 /// How a public constructor selects its plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -64,6 +66,9 @@ pub enum Certification {
     Passed {
         /// How many dividends were checked (`2^width` when exhaustive).
         inputs: u64,
+        /// Whether an exact validity predicate proved the plan for every
+        /// dividend, the `inputs` being directed probes on top.
+        proved: bool,
     },
     /// A counterexample was found; the candidate is disqualified.
     Failed {
@@ -221,185 +226,86 @@ impl PlanScorer for OpCountScorer {
     }
 }
 
-/// Evaluates an unsigned strategy in `u128` arithmetic — the same
-/// formulas the runtime divisors compute at their native word types.
-/// Defined for `width <= 64` (the products need at most 128 bits).
-pub(crate) fn eval_unsigned(plan: &UdivPlan, n: u128) -> u128 {
-    let w = plan.width();
-    match plan.strategy() {
-        UdivStrategy::Identity => n,
-        UdivStrategy::Shift { sh } => n >> sh,
-        UdivStrategy::MulShift { m, sh_pre, sh_post } => ((m * (n >> sh_pre)) >> w) >> sh_post,
-        UdivStrategy::MulAddShift {
-            m_minus_pow2n,
-            sh_post,
-        } => {
-            let t1 = (m_minus_pow2n * n) >> w;
-            (t1 + ((n - t1) >> 1)) >> (sh_post - 1)
-        }
-        UdivStrategy::MulRoundUp { m, sh_post } => (m * (n + 1)) >> (w + sh_post),
-    }
-}
-
-/// Evaluates an unsigned-remainder strategy in `u128` arithmetic, limb
-/// by limb — the same sequence `lower_urem` emits. Defined for
-/// `width <= 64`.
-pub(crate) fn eval_urem(plan: &UremPlan, n: u128) -> u128 {
-    let w = plan.width();
-    let m = if w == 64 {
-        u64::MAX as u128
-    } else {
-        (1u128 << w) - 1
-    };
-    match plan.strategy() {
-        UremStrategy::Mask { low_mask } => n & low_mask,
-        UremStrategy::Fraction { c_hi, c_lo } => {
-            let d = plan.divisor();
-            // frac = (n * c) mod 2^2N in two N-bit limbs.
-            let frac_lo = (n * c_lo) & m;
-            let frac_hi = (((n * c_lo) >> w) + n * c_hi) & m;
-            // r = ⌊frac * d / 2^2N⌋ = HI(frac_hi*d) + carry(LO(frac_hi*d)
-            //     + HI(frac_lo*d)).
-            let p = frac_hi * d;
-            let b = (frac_lo * d) >> w;
-            let carry = ((p & m) + b) >> w;
-            ((p >> w) + carry) & m
-        }
-        UremStrategy::MulBack { udiv } => {
-            let q = eval_unsigned(&UdivPlan::from_raw(plan.divisor(), w, udiv), n);
-            n.wrapping_sub(q.wrapping_mul(plan.divisor())) & m
-        }
-    }
-}
-
-/// Evaluates a divisibility-test strategy in `u128` arithmetic (result
-/// `1` when `d | n`, else `0`). Defined for `width <= 64`.
-pub(crate) fn eval_divisibility(plan: &DivisibilityPlan, n: u128) -> u128 {
-    let w = plan.width();
-    let m = if w == 64 {
-        u64::MAX as u128
-    } else {
-        (1u128 << w) - 1
-    };
-    match plan.strategy() {
-        DivisibilityStrategy::Mask { low_mask } => u128::from(n & low_mask == 0),
-        DivisibilityStrategy::InverseRotate { e, dinv, qmax } => {
-            let q0 = dinv.wrapping_mul(n) & m;
-            let rot = if e == 0 {
-                q0
-            } else {
-                ((q0 >> e) | (q0 << (w - e))) & m
-            };
-            u128::from(rot <= qmax)
-        }
-    }
-}
-
-/// SplitMix64 step — the same deterministic generator the bench harness
-/// uses, inlined here so the core certifier needs no dependency.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Random probes per candidate at widths above the exhaustive range.
-const RANDOM_PROBES: u64 = 4096;
-
-/// The core default certifier: evaluates unsigned plans arithmetically
-/// against native `u128` division — exhaustively for `width <= 16`,
-/// directed boundaries plus deterministic pseudorandom probes above.
-/// Non-unsigned shapes and width 128 are [`Certification::Skipped`]
-/// (`magicdiv-bench` certifies those against the lowered IR and the
-/// i128 differential oracle).
+/// The core default certifier: evaluates unsigned quotient, remainder
+/// and divisibility plans arithmetically (see [`certify_plan`]) against
+/// native `u128` division. Other shapes are [`Certification::Skipped`]
+/// (`magicdiv-bench` certifies against the lowered IR).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ArithmeticCertifier;
 
-/// The shared probe driver behind [`ArithmeticCertifier`]: exhaustive at
-/// `width <= 16`, directed boundaries plus deterministic pseudorandom
-/// probes above. `eval_want` returns `(got, want)` for one dividend.
-fn certify_by_probes(
-    w: u32,
-    d: u128,
-    mut eval_want: impl FnMut(u128) -> (u128, u128),
-) -> Certification {
-    let nmax = if w == 64 {
-        u64::MAX as u128
-    } else {
-        (1u128 << w) - 1
+/// The certification driver both tournament certifiers share. `run(n)`
+/// returns `(got, want)` for one dividend: what the candidate computes
+/// (however the caller runs it) and the truth.
+///
+/// At `width <= 16` every dividend is run. Above, the plan must satisfy
+/// its exact [`validity`](crate::validity) predicate — a proof for every
+/// dividend — and then agree on the
+/// [`directed_unsigned_dividends`](crate::testkit::directed_unsigned_dividends),
+/// which exercise the code that runs rather than the constants. A plan
+/// the predicate refutes fails at the predicate's witness. Shapes
+/// without a predicate are [`Certification::Skipped`].
+pub fn certify_plan(plan: &DivPlan, mut run: impl FnMut(u128) -> (u128, u128)) -> Certification {
+    let d = match plan {
+        DivPlan::Unsigned(p) => p.divisor(),
+        DivPlan::Urem(p) => p.divisor(),
+        DivPlan::Divisibility(p) => p.divisor(),
+        _ => return Certification::Skipped,
     };
+    let w = plan.width();
     let mut inputs = 0u64;
-    let mut check = |n: u128| -> Option<Certification> {
-        inputs += 1;
-        let (got, want) = eval_want(n);
-        (got != want).then_some(Certification::Failed { n, got, want })
-    };
     if w <= 16 {
-        for n in 0..=nmax {
-            if let Some(fail) = check(n) {
-                return fail;
-            }
-        }
-        return Certification::Passed { inputs };
+        return first_failure(0..=mask(w), &mut run, &mut inputs).unwrap_or(
+            Certification::Passed {
+                inputs,
+                proved: false,
+            },
+        );
     }
-    // Directed boundaries: around 0, d, the largest multiple of d,
-    // every power of two, and the top of the range.
-    let q_top = nmax / d;
-    let mut probes: Vec<u128> = vec![
-        0,
-        1,
-        2,
-        d - 1,
-        d,
-        d + 1,
-        (2 * d).min(nmax),
-        q_top * d - 1,
-        q_top * d,
-        (q_top * d + 1).min(nmax),
-        nmax - 1,
-        nmax,
-    ];
-    for j in 1..w {
-        let p2 = 1u128 << j;
-        probes.extend([p2 - 1, p2, (p2 + 1).min(nmax)]);
-    }
-    for n in probes {
-        if let Some(fail) = check(n) {
+    let mut proved = true;
+    if let Some(Err(n)) = validity::plan_valid(plan) {
+        if let Some(fail) = first_failure([n], &mut run, &mut inputs) {
             return fail;
         }
+        // The predicate refuted the plan but its witness agrees. Only two
+        // plans get here: a multiply-back remainder with even `d`, whose
+        // quotient is wrong at `n` while the remainder can still be right,
+        // and a §9 test with a wrong inverse whose witness search came up
+        // empty. No proof either way, so certify on the probes alone.
+        proved = false;
     }
-    let mut state = 0x5eed_0000_0000_0000u64 ^ (d as u64).rotate_left(w);
-    for _ in 0..RANDOM_PROBES {
-        let n = (splitmix(&mut state) as u128) & nmax;
-        if let Some(fail) = check(n) {
-            return fail;
-        }
-    }
-    Certification::Passed { inputs }
+    first_failure(directed_unsigned_dividends(d, w), &mut run, &mut inputs)
+        .unwrap_or(Certification::Passed { inputs, proved })
+}
+
+/// Runs `ns` in order, counting them in `inputs`, up to the first that
+/// disagrees with the truth.
+fn first_failure(
+    ns: impl IntoIterator<Item = u128>,
+    run: &mut impl FnMut(u128) -> (u128, u128),
+    inputs: &mut u64,
+) -> Option<Certification> {
+    ns.into_iter().find_map(|n| {
+        *inputs += 1;
+        let (got, want) = run(n);
+        (got != want).then_some(Certification::Failed { n, got, want })
+    })
 }
 
 impl PlanCertifier for ArithmeticCertifier {
     fn certify(&self, plan: &DivPlan) -> Certification {
-        if plan.width() > 64 {
-            return Certification::Skipped;
-        }
         match plan {
             DivPlan::Unsigned(p) => {
-                let d = p.divisor();
-                certify_by_probes(p.width(), d, |n| (eval_unsigned(p, n), n / d))
+                certify_plan(plan, |n| (validity::eval_unsigned(p, n), n / p.divisor()))
             }
             DivPlan::Urem(p) => {
-                let d = p.divisor();
-                certify_by_probes(p.width(), d, |n| (eval_urem(p, n), n % d))
+                certify_plan(plan, |n| (validity::eval_urem(p, n), n % p.divisor()))
             }
-            DivPlan::Divisibility(p) => {
-                let d = p.divisor();
-                certify_by_probes(p.width(), d, |n| {
-                    (eval_divisibility(p, n), u128::from(n % d == 0))
-                })
-            }
+            DivPlan::Divisibility(p) => certify_plan(plan, |n| {
+                (
+                    validity::eval_divisibility(p, n),
+                    u128::from(n % p.divisor() == 0),
+                )
+            }),
             _ => Certification::Skipped,
         }
     }
@@ -735,6 +641,8 @@ pub fn paper_only_tournament(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::DivisibilityPlan;
+    use crate::validity::{eval_divisibility, eval_unsigned, eval_urem};
 
     #[test]
     fn paper_only_matches_legacy_selection() {
@@ -774,7 +682,7 @@ mod tests {
             .unwrap();
             let t = sel.tournament.expect("tournament ran");
             match t.winning().certification {
-                Certification::Passed { inputs } => assert_eq!(inputs, 256, "d={d}"),
+                Certification::Passed { inputs, .. } => assert_eq!(inputs, 256, "d={d}"),
                 other => panic!("d={d}: winner not certified: {other:?}"),
             }
             // The winner's plan must actually divide.
@@ -900,7 +808,7 @@ mod tests {
             .unwrap();
             let t = sel.tournament.expect("tournament ran");
             match t.winning().certification {
-                Certification::Passed { inputs } => assert_eq!(inputs, 256, "d={d}"),
+                Certification::Passed { inputs, .. } => assert_eq!(inputs, 256, "d={d}"),
                 other => panic!("d={d}: winner not certified: {other:?}"),
             }
             for n in 0u128..=255 {
@@ -956,6 +864,59 @@ mod tests {
             ArithmeticCertifier.certify(&DivPlan::Urem(good)),
             Certification::Passed { .. }
         ));
+    }
+
+    /// Width-128 divisors: small, the paper's worked examples, a Fermat
+    /// factor and one just past half the range.
+    const W128_DIVISORS: [u128; 5] = [3, 7, 10, 641, (1 << 127) + 1];
+
+    #[test]
+    fn w128_tournament_is_proved_not_skipped() {
+        for d in W128_DIVISORS {
+            let t = run_udiv_tournament(d, 128, &OpCountScorer, &ArithmeticCertifier).unwrap();
+            for row in &t.scoreboard {
+                assert_ne!(row.certification, Certification::Skipped, "d={d}");
+            }
+            assert!(
+                matches!(
+                    t.winning().certification,
+                    Certification::Passed { proved: true, .. }
+                ),
+                "d={d}: {:?}",
+                t.winning().certification
+            );
+        }
+    }
+
+    #[test]
+    fn w128_paper_multiplier_minus_one_fails_at_a_real_witness() {
+        for d in W128_DIVISORS {
+            let paper = UdivPlan::new(d, 128).unwrap();
+            let strategy = match paper.strategy() {
+                UdivStrategy::MulShift { m, sh_pre, sh_post } => UdivStrategy::MulShift {
+                    m: m - 1,
+                    sh_pre,
+                    sh_post,
+                },
+                UdivStrategy::MulAddShift {
+                    m_minus_pow2n,
+                    sh_post,
+                } => UdivStrategy::MulAddShift {
+                    m_minus_pow2n: m_minus_pow2n - 1,
+                    sh_post,
+                },
+                s => panic!("d={d}: no multiplier in {s:?}"),
+            };
+            let bad = UdivPlan::from_raw(d, 128, strategy);
+            match ArithmeticCertifier.certify(&DivPlan::Unsigned(bad)) {
+                Certification::Failed { n, got, want } => {
+                    assert_eq!(want, n / d, "d={d}");
+                    assert_eq!(got, eval_unsigned(&bad, n), "d={d}");
+                    assert_ne!(got, want, "d={d}: witness {n} is not a counterexample");
+                }
+                other => panic!("d={d}: corrupted multiplier not refuted: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -36,6 +36,9 @@ cargo test -q --offline
 echo "== workspace tests: every crate's unit, integration and doc tests =="
 cargo test -q --offline --workspace --release
 
+echo "== exact validity predicates match exhaustive evaluation at width 16 =="
+cargo test -q --offline --release -p magicdiv -- --ignored predicates_match_exhaustive_evaluation_w16
+
 echo "== end-to-end benchmark package tests =="
 cargo test -q --offline --manifest-path e2ebench/Cargo.toml
 
