@@ -27,10 +27,14 @@
 //! or a divisor that does not fit is a typed [`Fault`], and such a key
 //! is never inserted, so hits pay nothing for the check.
 //!
-//! Capacity is bounded: each shard evicts its least-recently-stamped
-//! entry once full, so a divisor-churning workload cannot grow the
-//! cache without bound. Stamps are unique, so the victim does not
-//! depend on the map's iteration order.
+//! Capacity is bounded: each shard evicts in FIFO order once full, so a
+//! divisor-churning workload cannot grow the cache without bound. A hit
+//! does not refresh an entry, so the victim is always the shard's oldest
+//! insert. Each shard keeps its inserts in a queue of `(key, stamp)`
+//! pairs, which makes an eviction O(1) instead of a scan over the
+//! shard. Stamps are unique: a queued pair whose stamp no longer
+//! matches its entry (evicted as poisoned, then rebuilt) is stale and
+//! skipped.
 //!
 //! # Examples
 //!
@@ -47,7 +51,7 @@
 //! # Ok::<(), magicdiv::Fault>(())
 //! ```
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -195,6 +199,79 @@ pub fn plan_checksum(plan: &DivPlan) -> u64 {
 /// that size (64 entries in the global cache).
 type ShardMap = HashMap<CacheKey, Box<Entry>, BuildHasherDefault<WordHash>>;
 
+/// One queued insert: its key and its entry's stamp. Packed to 8-byte
+/// alignment it takes 32 bytes, where a `(CacheKey, u64)` pair takes 48.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, packed(8))]
+struct Queued {
+    d_bits: u128,
+    stamp: u64,
+    width: u32,
+    shape: PlanShape,
+}
+
+impl Queued {
+    fn key(self) -> CacheKey {
+        CacheKey {
+            shape: self.shape,
+            width: self.width,
+            d_bits: self.d_bits,
+        }
+    }
+}
+
+/// One shard: its map and the insertion-ordered queue eviction pops.
+#[derive(Debug, Default)]
+struct Shard {
+    map: ShardMap,
+    /// Every insert, oldest first. A queued insert is live while its
+    /// key's entry still carries its stamp; stale ones are skipped on
+    /// eviction and dropped when the queue is compacted.
+    fifo: VecDeque<Queued>,
+}
+
+impl Shard {
+    fn is_live(&self, q: Queued) -> bool {
+        // Copied out: a closure may not borrow a packed field.
+        let stamp = q.stamp;
+        self.map.get(&q.key()).is_some_and(|e| e.stamp == stamp)
+    }
+
+    /// Removes the oldest live entry, returning whether there was one.
+    fn evict_oldest(&mut self) -> bool {
+        while let Some(q) = self.fifo.pop_front() {
+            if self.is_live(q) {
+                self.map.remove(&q.key());
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Inserts an entry and queues it. A queue already holding twice
+    /// `capacity` inserts is first compacted to its live ones, so it
+    /// never holds more than that.
+    fn insert(&mut self, key: CacheKey, entry: Entry, capacity: usize) {
+        if self.fifo.len() >= 2 * capacity {
+            let mut fifo = core::mem::take(&mut self.fifo);
+            fifo.retain(|&q| self.is_live(q));
+            self.fifo = fifo;
+        }
+        self.fifo.push_back(Queued {
+            d_bits: key.d_bits,
+            stamp: entry.stamp,
+            width: key.width,
+            shape: key.shape,
+        });
+        self.map.insert(key, Box::new(entry));
+    }
+
+    fn clear(&mut self) {
+        self.map.clear();
+        self.fifo.clear();
+    }
+}
+
 /// A plan family the cache memoizes: its key tag, whether its divisor
 /// is signed, its constructor from the divisor's bit pattern, and the
 /// way back out of a [`DivPlan`].
@@ -279,7 +356,7 @@ pub struct CacheStats {
 /// See the [module docs](self) for the poisoning policy.
 #[derive(Debug)]
 pub struct PlanCache {
-    shards: [Mutex<ShardMap>; SHARDS],
+    shards: [Mutex<Shard>; SHARDS],
     per_shard_capacity: usize,
     stamp: AtomicU64,
     hits: AtomicU64,
@@ -323,8 +400,8 @@ impl PlanCache {
             d_bits,
         };
         let shard = &self.shards[Self::shard_index(&key)];
-        let mut map = match shard.lock() {
-            Ok(map) => map,
+        let mut shard = match shard.lock() {
+            Ok(shard) => shard,
             Err(_) => {
                 // A writer panicked while holding this shard. The map's
                 // contents are suspect and the lock stays poisoned, so
@@ -335,7 +412,7 @@ impl PlanCache {
                 return build(d_bits, width);
             }
         };
-        if let Some(entry) = map.get(&key) {
+        if let Some(entry) = shard.map.get(&key) {
             let healthy = plan_checksum(&entry.plan) == entry.checksum;
             if let Some(plan) = P::from_div_plan(entry.plan).filter(|_| healthy) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -344,8 +421,9 @@ impl PlanCache {
                     "d_bits" => key.d_bits);
                 return Ok(plan);
             }
-            // Corrupt entry: evict, count, fall through to rebuild.
-            map.remove(&key);
+            // Corrupt entry: evict, count, fall through to rebuild. Its
+            // queued pair goes stale.
+            shard.map.remove(&key);
             self.poisoned.fetch_add(1, Ordering::Relaxed);
             magicdiv_trace::event!("cache.poisoned",
                 "width" => key.width,
@@ -357,23 +435,18 @@ impl PlanCache {
                 "d_bits" => key.d_bits);
         }
         let plan = build::<P>(d_bits, width)?;
-        if map.len() >= self.per_shard_capacity {
-            // Evict the oldest-stamped entry in this shard.
-            if let Some(oldest) = map.iter().min_by_key(|(_, e)| e.stamp).map(|(k, _)| *k) {
-                map.remove(&oldest);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                magicdiv_trace::event!("cache.evicted", "width" => key.width);
-            }
+        if shard.map.len() >= self.per_shard_capacity && shard.evict_oldest() {
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            magicdiv_trace::event!("cache.evicted", "width" => key.width);
         }
         let stored = plan.into();
-        map.insert(
-            key,
-            Box::new(Entry {
-                plan: stored,
-                checksum: plan_checksum(&stored),
-                stamp: self.stamp.fetch_add(1, Ordering::Relaxed),
-            }),
-        );
+        // Stamped under the shard lock, so each queue is in stamp order.
+        let entry = Entry {
+            plan: stored,
+            checksum: plan_checksum(&stored),
+            stamp: self.stamp.fetch_add(1, Ordering::Relaxed),
+        };
+        shard.insert(key, entry, self.per_shard_capacity);
         Ok(plan)
     }
 
@@ -441,7 +514,7 @@ impl PlanCache {
         self.shards
             .iter()
             .filter_map(|s| s.lock().ok())
-            .map(|m| m.len())
+            .map(|s| s.map.len())
             .sum()
     }
 
@@ -454,8 +527,8 @@ impl PlanCache {
     /// left alone — they are bypassed anyway).
     pub fn clear(&self) {
         for shard in &self.shards {
-            if let Ok(mut map) = shard.lock() {
-                map.clear();
+            if let Ok(mut shard) = shard.lock() {
+                shard.clear();
             }
         }
     }
@@ -469,8 +542,8 @@ impl PlanCache {
     /// this is a diagnostic, the next lookup repairs).
     pub fn check_integrity(&self) -> Result<(), Fault> {
         for shard in &self.shards {
-            if let Ok(map) = shard.lock() {
-                for entry in map.values() {
+            if let Ok(shard) = shard.lock() {
+                for entry in shard.map.values() {
                     if plan_checksum(&entry.plan) != entry.checksum {
                         return Err(Fault {
                             layer: FaultLayer::Cache,
@@ -487,7 +560,7 @@ impl PlanCache {
     // -- chaos / fault-injection hooks -------------------------------------
 
     /// The key and shard of the cached [`UdivPlan`] for (`d`, `width`).
-    fn udiv_shard(&self, d: u128, width: u32) -> (CacheKey, &Mutex<ShardMap>) {
+    fn udiv_shard(&self, d: u128, width: u32) -> (CacheKey, &Mutex<Shard>) {
         let key = CacheKey {
             shape: PlanShape::Udiv,
             width,
@@ -506,10 +579,10 @@ impl PlanCache {
     /// exercises the poisoning path.
     pub fn chaos_corrupt_udiv(&self, d: u128, width: u32) -> bool {
         let (key, shard) = self.udiv_shard(d, width);
-        let Ok(mut map) = shard.lock() else {
+        let Ok(mut shard) = shard.lock() else {
             return false;
         };
-        let Some(entry) = map.get_mut(&key) else {
+        let Some(entry) = shard.map.get_mut(&key) else {
             return false;
         };
         let DivPlan::Unsigned(plan) = &mut entry.plan else {
@@ -598,6 +671,94 @@ mod tests {
         assert!(cache.stats().evictions > 0);
     }
 
+    /// Live keys of every shard, and the longest insertion queue.
+    fn live_keys(cache: &PlanCache) -> (Vec<Vec<u128>>, usize) {
+        let mut longest = 0;
+        let keys = cache
+            .shards
+            .iter()
+            .map(|s| {
+                let shard = s.lock().expect("healthy shard");
+                longest = longest.max(shard.fifo.len());
+                let mut keys: Vec<u128> = shard.map.keys().map(|k| k.d_bits).collect();
+                keys.sort_unstable();
+                keys
+            })
+            .collect();
+        (keys, longest)
+    }
+
+    /// A seeded stream of udiv lookups over 96 keys, with interleaved
+    /// entry poisonings and clears, against a model in which each shard
+    /// maps key → stamp and evicts its minimum stamp when full. After
+    /// every step the live keys must agree and every queue must hold at
+    /// most twice the per-shard capacity.
+    #[test]
+    fn fifo_eviction_matches_the_minimum_stamp_model() {
+        let cache = PlanCache::new(64); // 4 entries per shard
+        let cap = 4;
+        let mut model: Vec<HashMap<u128, u64>> = vec![HashMap::new(); SHARDS];
+        let mut corrupt = std::collections::HashSet::new();
+        let (mut stamp, mut poisoned, mut evictions) = (0u64, 0u64, 0u64);
+        let mut rng = 0x5eed_u64;
+        for step in 0..20_000 {
+            rng = rng
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let (roll, d) = ((rng >> 33) % 100, (rng >> 45) % 96 + 1);
+            let d = u128::from(d);
+            let shard = PlanCache::shard_index(&CacheKey {
+                shape: PlanShape::Udiv,
+                width: 32,
+                d_bits: d,
+            });
+            let m = &mut model[shard];
+            if roll == 0 {
+                cache.clear();
+                model.iter_mut().for_each(HashMap::clear);
+                corrupt.clear();
+            } else if roll < 15 {
+                // A corrupt entry stays live, with its stamp, until its
+                // next lookup removes it and inserts it afresh. The
+                // injection flips one bit, so a second one repairs it.
+                assert_eq!(cache.chaos_corrupt_udiv(d, 32), m.contains_key(&d));
+                if m.contains_key(&d) && !corrupt.remove(&d) {
+                    corrupt.insert(d);
+                }
+            } else {
+                cache.udiv(d, 32).expect("plan");
+                if corrupt.remove(&d) && m.remove(&d).is_some() {
+                    poisoned += 1;
+                }
+                if !m.contains_key(&d) {
+                    if m.len() >= cap {
+                        let oldest = *m.iter().min_by_key(|(_, s)| **s).expect("full").0;
+                        m.remove(&oldest);
+                        corrupt.remove(&oldest);
+                        evictions += 1;
+                    }
+                    m.insert(d, stamp);
+                    stamp += 1;
+                }
+            }
+            let (live, longest) = live_keys(&cache);
+            let want: Vec<Vec<u128>> = model
+                .iter()
+                .map(|m| {
+                    let mut keys: Vec<u128> = m.keys().copied().collect();
+                    keys.sort_unstable();
+                    keys
+                })
+                .collect();
+            assert_eq!(live, want, "step {step}");
+            assert!(longest <= 2 * cap, "step {step}: queue of {longest}");
+        }
+        assert_eq!(core::mem::size_of::<Queued>(), 32);
+        let stats = cache.stats();
+        assert_eq!((stats.poisoned, stats.evictions), (poisoned, evictions));
+        assert!(poisoned > 200 && evictions > 1000, "{stats:?}");
+    }
+
     #[test]
     fn corrupted_entry_is_detected_evicted_and_rebuilt() {
         let cache = PlanCache::new(64);
@@ -661,79 +822,9 @@ mod tests {
         }
     }
 
-    /// `plan` with bit `bit` of its `field`-th constant flipped, or `None`
-    /// when the plan has no such field (or the field is a shift narrower
-    /// than `bit`). Constants are the divisor, multipliers, inverses,
-    /// masks and shift counts.
-    fn flip_constant(plan: DivPlan, field: usize, bit: u32) -> Option<DivPlan> {
-        use crate::plan::{FloorStrategy, SdivStrategy, UdivStrategy};
-        let wide = 1u128 << bit;
-        let narrow = 1u32.checked_shl(bit);
-        let mut p = plan;
-        match &mut p {
-            DivPlan::Unsigned(u) => match (field, &mut u.strategy) {
-                (0, _) => u.d ^= wide,
-                (
-                    1,
-                    UdivStrategy::MulShift { m, .. }
-                    | UdivStrategy::MulAddShift {
-                        m_minus_pow2n: m, ..
-                    }
-                    | UdivStrategy::MulRoundUp { m, .. },
-                ) => *m ^= wide,
-                (2, UdivStrategy::MulShift { sh_pre, .. }) => *sh_pre ^= narrow?,
-                (
-                    3,
-                    UdivStrategy::MulShift { sh_post, .. }
-                    | UdivStrategy::MulAddShift { sh_post, .. }
-                    | UdivStrategy::MulRoundUp { sh_post, .. },
-                ) => *sh_post ^= narrow?,
-                _ => return None,
-            },
-            DivPlan::Signed(sd) => match (field, &mut sd.strategy) {
-                (0, _) => sd.d ^= wide as i128,
-                (
-                    1,
-                    SdivStrategy::MulShift { m, .. }
-                    | SdivStrategy::MulAddShift {
-                        m_minus_pow2n: m, ..
-                    },
-                ) => *m ^= wide,
-                (
-                    2,
-                    SdivStrategy::MulShift { sh_post, .. }
-                    | SdivStrategy::MulAddShift { sh_post, .. },
-                ) => *sh_post ^= narrow?,
-                _ => return None,
-            },
-            DivPlan::Floor(f) => match (field, &mut f.strategy) {
-                (0, _) => f.d ^= wide as i128,
-                (1, FloorStrategy::MulShift { m, .. }) => *m ^= wide,
-                (2, FloorStrategy::MulShift { sh_post, .. }) => *sh_post ^= narrow?,
-                _ => return None,
-            },
-            DivPlan::Exact(x) => match field {
-                0 => x.d_abs ^= wide,
-                1 => x.dinv ^= wide,
-                2 => x.qmax ^= wide,
-                3 => x.low_mask ^= wide,
-                4 => x.e ^= narrow?,
-                _ => return None,
-            },
-            DivPlan::Dword(w) => match field {
-                0 => w.d ^= wide,
-                1 => w.m_prime ^= wide,
-                2 => w.d_norm ^= wide,
-                3 => w.l ^= narrow?,
-                _ => return None,
-            },
-            _ => return None,
-        }
-        Some(p)
-    }
-
     #[test]
     fn every_single_bit_flip_changes_the_checksum() {
+        use crate::testkit::flip_constant;
         let mut flips = 0u32;
         for width in [16u32, 32, 64] {
             for d in [3u128, 7, 10, 641] {

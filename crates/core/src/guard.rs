@@ -10,9 +10,13 @@
 //! incorrectness. This module wraps every divisor family in one
 //! [`Guarded`] guard with a three-state machine:
 //!
-//! * **Verified** — construction ran a self-verification probe (boundary
-//!   plus seeded-random witnesses, each checked against native
-//!   division); execution trusts the plan with zero per-call overhead;
+//! * **Verified** — construction ran a self-verification probe: an exact
+//!   validity predicate on the constants the kernel holds
+//!   ([`GuardKernel::valid`], from [`crate::validity`]), which proves the
+//!   kernel right for every input or names one it gets wrong, plus a
+//!   handful of boundary witnesses checked against native division,
+//!   which exercise the kernel code itself; execution trusts the plan
+//!   with zero per-call overhead;
 //! * **Hardened** — execution additionally cross-checks every
 //!   `sample_every`-th quotient against native division;
 //! * **Demoted** — a cross-check mismatched: the instance permanently
@@ -30,7 +34,8 @@
 //!
 //! The probe, the cross-check and the demotion are written once, in
 //! [`Guarded`]; each family's kernel supplies only its plan, kernel
-//! call, native reference and witness set through [`GuardKernel`].
+//! call, native reference, validity predicate and boundary witnesses
+//! through [`GuardKernel`].
 //! [`GuardedUnsignedDivisor`] and its four siblings name the five
 //! instances.
 //!
@@ -63,6 +68,7 @@ use crate::plan::{DivPlan, DwordPlan, ExactPlan, FloorPlan, SdivPlan, UdivPlan};
 use crate::signed::SignedDivisor;
 use crate::udword_div::DwordDivisor;
 use crate::unsigned::UnsignedDivisor;
+use crate::validity::{dword_valid, exact_valid, floor_valid, sdiv_valid, udiv_valid};
 use crate::word::{SWord, UWord};
 
 /// Where a guarded divisor sits in the Verified → Hardened → Demoted
@@ -87,28 +93,14 @@ impl core::fmt::Display for GuardState {
     }
 }
 
-/// How a guarded divisor is constructed and executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How a guarded divisor is executed. Every policy probes at
+/// construction; the default never cross-checks at runtime.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GuardPolicy {
-    /// Seeded-random witnesses the construction probe adds to the
-    /// boundary set.
-    pub probe_witnesses: u32,
     /// Cross-check every `sample_every`-th call in hardened mode;
     /// `0` disables runtime checks (the divisor starts Verified),
     /// `1` checks every call.
     pub sample_every: u64,
-    /// Seed for the probe's witness generator (deterministic).
-    pub seed: u64,
-}
-
-impl Default for GuardPolicy {
-    fn default() -> Self {
-        GuardPolicy {
-            probe_witnesses: 16,
-            sample_every: 0,
-            seed: 0x9e37_79b9_7f4a_7c15,
-        }
-    }
 }
 
 impl GuardPolicy {
@@ -117,7 +109,6 @@ impl GuardPolicy {
     pub fn hardened(sample_every: u64) -> Self {
         GuardPolicy {
             sample_every: sample_every.max(1),
-            ..GuardPolicy::default()
         }
     }
 }
@@ -206,21 +197,6 @@ pub fn fault_budget() -> &'static FaultBudget {
     &BUDGET
 }
 
-/// splitmix64 — the same tiny deterministic generator the bench harness
-/// uses, reimplemented here so the core crate stays dependency-free.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// 128-bit witness from two splitmix draws.
-fn splitmix128(state: &mut u64) -> u128 {
-    (u128::from(splitmix(state)) << 64) | u128::from(splitmix(state))
-}
-
 const STATE_VERIFIED: u8 = 0;
 const STATE_HARDENED: u8 = 1;
 const STATE_DEMOTED: u8 = 2;
@@ -239,16 +215,10 @@ fn self_check_fault(n: u128, got: u128, want: u128) -> Fault {
     guard_fault(FaultKind::SelfCheckFailed { n, got, want })
 }
 
-/// `count` seeded-random 128-bit probe witnesses for the divisor whose
-/// bit pattern is `d_bits`; each family truncates them to its word.
-fn random_witnesses(policy: &GuardPolicy, d_bits: u128, count: u32) -> impl Iterator<Item = u128> {
-    let mut rng = policy.seed ^ d_bits as u64;
-    (0..count).map(move |_| splitmix128(&mut rng))
-}
-
 /// What one divisor family contributes to [`Guarded`]: its plan, the
-/// kernel call, the native reference and the probe's witness set. The
-/// probe, the sampled cross-check and the demotion are [`Guarded`]'s.
+/// kernel call, the native reference, the validity predicate and the
+/// probe's boundary witnesses. The probe, the sampled cross-check and
+/// the demotion are [`Guarded`]'s.
 pub trait GuardKernel: Sized {
     /// The width-erased plan the kernel is built from.
     type Plan: Copy + Into<DivPlan>;
@@ -286,8 +256,21 @@ pub trait GuardKernel: Sized {
         true
     }
 
-    /// The probe's witnesses: a boundary set, then seeded-random inputs.
-    fn witnesses(d: Self::Word, policy: &GuardPolicy) -> Vec<Self::Input>;
+    /// The family's validity predicate from [`crate::validity`], run on
+    /// the constants this kernel holds: `Ok` proves
+    /// [`planned`](Self::planned) equals [`native`](Self::native) on
+    /// every input in contract.
+    ///
+    /// # Errors
+    ///
+    /// An input to report when the predicate cannot prove the kernel. It
+    /// is a wrong answer for every family but doubleword, whose
+    /// predicate also refuses some right constants.
+    fn valid(&self) -> Result<(), Self::Input>;
+
+    /// The probe's boundary witnesses, which run the kernel code on the
+    /// inputs around `0`, `d` and the ends of the range.
+    fn witnesses(d: Self::Word) -> impl Iterator<Item = Self::Input>;
 
     /// The self-check fault for a wrong answer `got` at `n`.
     fn mismatch(n: Self::Input, got: Self::Output, want: Self::Output) -> Fault;
@@ -316,8 +299,9 @@ pub type GuardedFloorDivisor<S> = Guarded<FloorDivisor<S>>;
 /// [`ExactUnsignedDivisor`] under the guard (§9). Its cross-check only
 /// fires on multiples of `d`, the only inputs `divide_exact` answers.
 pub type GuardedExactDivisor<T> = Guarded<ExactUnsignedDivisor<T>>;
-/// [`DwordDivisor`] under the guard (§8). The native reference is the
-/// portable shift-subtract division of [`magicdiv_dword`], which is
+/// [`DwordDivisor`] under the guard (§8). The native reference is
+/// [`DWord::div_rem_limb`], schoolbook long division by one word (a
+/// native double-width division up to 64-bit limbs), which is
 /// independent of the Figure 8.1 constants being guarded.
 pub type GuardedDwordDivisor<T> = Guarded<DwordDivisor<T>>;
 
@@ -351,12 +335,13 @@ impl<K: GuardKernel> Guarded<K> {
         if this.state() == GuardState::Demoted {
             return Ok(this); // circuit open: native division, no probe
         }
-        let outcome = this.probe(policy);
+        let (ran, proved, outcome) = this.probe();
         magicdiv_trace::event!("guard.probe",
             "shape" => K::SHAPE,
             "width" => K::BITS,
-            "witnesses" => policy.probe_witnesses,
-            "ok" => if outcome.is_ok() { 1u32 } else { 0u32 });
+            "witnesses" => ran,
+            "proved" => u32::from(proved),
+            "ok" => u32::from(outcome.is_ok()));
         outcome.map(|()| this)
     }
 
@@ -388,15 +373,25 @@ impl<K: GuardKernel> Guarded<K> {
         }
     }
 
-    fn probe(&self, policy: &GuardPolicy) -> Result<(), Fault> {
-        for n in K::witnesses(self.d, policy) {
-            let got = self.kernel.planned(n);
-            let want = K::native(self.d, n);
-            if got != want {
-                return Err(K::mismatch(n, got, want));
+    /// The construction probe: the boundary witnesses up to the first
+    /// wrong answer, then the validity predicate. Returns how many
+    /// witnesses ran, whether the predicate proved the plan, and the
+    /// first fault.
+    fn probe(&self) -> (u32, bool, Result<(), Fault>) {
+        // A sound but incomplete predicate (dword) may name an input the
+        // kernel gets right; it still refuses the constants.
+        let fault = |n| K::mismatch(n, self.kernel.planned(n), K::native(self.d, n));
+        let mut ran = 0u32;
+        let mut witnesses = Ok(());
+        for n in K::witnesses(self.d) {
+            ran += 1;
+            if self.kernel.planned(n) != K::native(self.d, n) {
+                witnesses = Err(fault(n));
+                break;
             }
         }
-        Ok(())
+        let proof = self.kernel.valid();
+        (ran, proof.is_ok(), witnesses.and(proof.map_err(fault)))
     }
 
     /// The divisor this guard protects.
@@ -486,9 +481,13 @@ impl<T: UWord> GuardKernel for UnsignedDivisor<T> {
         n.checked_div(d).unwrap_or(T::ZERO) // d != 0 by construction
     }
 
-    fn witnesses(d: T, policy: &GuardPolicy) -> Vec<T> {
+    fn valid(&self) -> Result<(), T> {
+        udiv_valid(&self.plan()).map_err(T::from_u128_truncate)
+    }
+
+    fn witnesses(d: T) -> impl Iterator<Item = T> {
         let half = T::MAX.shr_full(1);
-        let mut ws = vec![
+        [
             T::ZERO,
             T::ONE,
             d.wrapping_sub(T::ONE),
@@ -499,10 +498,8 @@ impl<T: UWord> GuardKernel for UnsignedDivisor<T> {
             T::MAX.wrapping_sub(T::ONE),
             half,
             half.wrapping_add(T::ONE),
-        ];
-        let random = random_witnesses(policy, d.to_u128(), policy.probe_witnesses);
-        ws.extend(random.map(T::from_u128_truncate));
-        ws
+        ]
+        .into_iter()
     }
 
     fn mismatch(n: T, got: T, want: T) -> Fault {
@@ -536,33 +533,27 @@ impl<T: UWord> Guarded<UnsignedDivisor<T>> {
 // Signed trunc (§5) and floor (§6)
 // ---------------------------------------------------------------------------
 
-/// Native truncating division with hardware wrap on `MIN / -1`.
+/// Native truncating division with hardware wrap on `MIN / -1` (the
+/// only quotient `checked_div` refuses for `d != 0`).
 fn native_trunc<S: SWord>(n: S, d: S) -> S {
-    if n == S::MIN && d == S::MINUS_ONE {
-        return S::MIN;
-    }
-    S::from_i128_truncate(n.to_i128() / d.to_i128())
+    n.checked_div(d).unwrap_or(S::MIN)
 }
 
 /// Native floor division with hardware wrap on `MIN / -1`.
 fn native_floor<S: SWord>(n: S, d: S) -> S {
-    if n == S::MIN && d == S::MINUS_ONE {
+    let (Some(q), Some(r)) = (n.checked_div(d), n.checked_rem(d)) else {
         return S::MIN;
-    }
-    let (ni, di) = (n.to_i128(), d.to_i128());
-    let q = ni / di;
-    let r = ni % di;
-    if r != 0 && (r < 0) != (di < 0) {
-        S::from_i128_truncate(q - 1)
+    };
+    if r != S::ZERO && (r < S::ZERO) != (d < S::ZERO) {
+        q.wrapping_sub(S::ONE)
     } else {
-        S::from_i128_truncate(q)
+        q
     }
 }
 
-/// The signed families' boundary witnesses (`MAX − 1` only for trunc),
-/// then the seeded-random draws.
-fn signed_witnesses<S: SWord>(d: S, policy: &GuardPolicy, max_minus_one: bool) -> Vec<S> {
-    let mut ws = vec![
+/// The signed families' boundary witnesses (`MAX − 1` only for trunc).
+fn signed_witnesses<S: SWord>(d: S, max_minus_one: bool) -> impl Iterator<Item = S> {
+    let ws = [
         S::ZERO,
         S::ONE,
         S::MINUS_ONE,
@@ -574,18 +565,14 @@ fn signed_witnesses<S: SWord>(d: S, policy: &GuardPolicy, max_minus_one: bool) -
         S::MIN.wrapping_add(S::ONE),
         S::MAX,
     ];
-    if max_minus_one {
-        ws.push(S::MAX.wrapping_sub(S::ONE));
-    }
-    let random = random_witnesses(policy, d.as_unsigned().to_u128(), policy.probe_witnesses);
-    ws.extend(random.map(|x| S::from_unsigned(<S::Unsigned as Limb>::from_u128_truncate(x))));
-    ws
+    let extra = max_minus_one.then(|| S::MAX.wrapping_sub(S::ONE));
+    ws.into_iter().chain(extra)
 }
 
 /// The two signed families differ only in their plan, kernel, native
 /// reference and whether `MAX − 1` is a boundary witness.
 macro_rules! signed_kernel {
-    ($kernel:ident, $plan:ident, $shape:literal, $native:ident, $max_minus_one:literal) => {
+    ($kernel:ident, $plan:ident, $shape:literal, $native:ident, $valid:ident, $max_minus_one:literal) => {
         impl<S: SWord> GuardKernel for $kernel<S> {
             type Plan = $plan;
             type Word = S;
@@ -611,8 +598,12 @@ macro_rules! signed_kernel {
                 $native(n, d)
             }
 
-            fn witnesses(d: S, policy: &GuardPolicy) -> Vec<S> {
-                signed_witnesses(d, policy, $max_minus_one)
+            fn valid(&self) -> Result<(), S> {
+                $valid(&self.plan()).map_err(S::from_i128_truncate)
+            }
+
+            fn witnesses(d: S) -> impl Iterator<Item = S> {
+                signed_witnesses(d, $max_minus_one)
             }
 
             /// In two's-complement bits.
@@ -628,8 +619,22 @@ macro_rules! signed_kernel {
     };
 }
 
-signed_kernel!(SignedDivisor, SdivPlan, "signed", native_trunc, true);
-signed_kernel!(FloorDivisor, FloorPlan, "floor", native_floor, false);
+signed_kernel!(
+    SignedDivisor,
+    SdivPlan,
+    "signed",
+    native_trunc,
+    sdiv_valid,
+    true
+);
+signed_kernel!(
+    FloorDivisor,
+    FloorPlan,
+    "floor",
+    native_floor,
+    floor_valid,
+    false
+);
 
 impl<S: SWord> Guarded<SignedDivisor<S>> {
     /// Computes `TRUNC(n / d)` under the guard.
@@ -712,20 +717,27 @@ impl<T: UWord> GuardKernel for ExactUnsignedDivisor<T> {
         op == ExactOp::Divides || native_rem(d, n) == T::ZERO
     }
 
+    /// A wrong answer to `divide_exact` if there is one at the named
+    /// dividend, else to `divides`.
+    fn valid(&self) -> Result<(), (ExactOp, T)> {
+        exact_valid(&self.plan()).map_err(|n| {
+            let n = T::from_u128_truncate(n);
+            let quotient = (ExactOp::Quotient, n);
+            let d = self.divisor();
+            if Self::in_contract(d, quotient) && self.planned(quotient) != Self::native(d, quotient)
+            {
+                quotient
+            } else {
+                (ExactOp::Divides, n)
+            }
+        })
+    }
+
     /// For each probe quotient `q`: the exact quotient of `q·d`, the
     /// verdict that `d | q·d`, and — unless `d == 1` or it wraps to a
     /// multiple — the verdict that `d ∤ q·d + 1`.
-    fn witnesses(d: T, policy: &GuardPolicy) -> Vec<(ExactOp, T)> {
+    fn witnesses(d: T) -> impl Iterator<Item = (ExactOp, T)> {
         let qmax = T::MAX.checked_div(d).unwrap_or(T::ZERO);
-        let span = qmax.wrapping_add(T::ONE);
-        let random = random_witnesses(policy, d.to_u128(), policy.probe_witnesses).map(|r| {
-            let q = T::from_u128_truncate(r);
-            if qmax == T::ZERO {
-                T::ZERO
-            } else {
-                q.wrapping_sub(q.checked_div(span).unwrap_or(T::ZERO).wrapping_mul(span))
-            }
-        });
         let boundary = [
             T::ZERO,
             T::ONE,
@@ -733,16 +745,18 @@ impl<T: UWord> GuardKernel for ExactUnsignedDivisor<T> {
             qmax.shr_full(1),
             qmax.wrapping_sub(T::ONE),
         ];
-        let mut ws = Vec::new();
-        for q in boundary.into_iter().chain(random) {
+        boundary.into_iter().flat_map(move |q| {
             let n = if q > qmax { qmax } else { q }.wrapping_mul(d);
-            ws.extend([(ExactOp::Quotient, n), (ExactOp::Divides, n)]);
             let off = n.wrapping_add(T::ONE);
-            if d != T::ONE && native_rem(d, off) != T::ZERO {
-                ws.push((ExactOp::Divides, off));
-            }
-        }
-        ws
+            let not_multiple = d != T::ONE && native_rem(d, off) != T::ZERO;
+            [
+                Some((ExactOp::Quotient, n)),
+                Some((ExactOp::Divides, n)),
+                not_multiple.then_some((ExactOp::Divides, off)),
+            ]
+            .into_iter()
+            .flatten()
+        })
     }
 
     fn mismatch((_, n): (ExactOp, T), got: T, want: T) -> Fault {
@@ -801,15 +815,18 @@ impl<T: UWord> GuardKernel for DwordDivisor<T> {
             .map_or((T::ZERO, T::ZERO), |(q, r)| (q.lo(), r))
     }
 
-    fn witnesses(d: T, policy: &GuardPolicy) -> Vec<DWord<T>> {
-        let random = random_witnesses(policy, d.to_u128(), policy.probe_witnesses.div_ceil(4));
+    fn valid(&self) -> Result<(), DWord<T>> {
+        dword_valid(&self.plan()).map_err(|(hi, lo)| {
+            DWord::from_parts(T::from_u128_truncate(hi), T::from_u128_truncate(lo))
+        })
+    }
+
+    fn witnesses(d: T) -> impl Iterator<Item = DWord<T>> {
         let his = [T::ZERO, T::ONE, d.shr_full(1), d.wrapping_sub(T::ONE)];
         let los = [T::ZERO, T::ONE, T::MAX, d.wrapping_sub(T::ONE)];
         his.into_iter()
-            .chain(random.map(T::from_u128_truncate))
-            .filter(|&hi| hi < d)
-            .flat_map(|hi| los.map(|lo| DWord::from_parts(hi, lo)))
-            .collect()
+            .filter(move |&hi| hi < d)
+            .flat_map(move |hi| los.map(|lo| DWord::from_parts(hi, lo)))
     }
 
     fn mismatch(n: DWord<T>, got: (T, T), want: (T, T)) -> Fault {
@@ -1053,6 +1070,14 @@ mod tests {
     /// `m_prime`) at w16/w32/w64. Every served answer must be right, and
     /// the counts of probe rejections and demotions are pinned: a change
     /// to any family's witness set, native reference or check moves them.
+    ///
+    /// The predicates reject every flip that is wrong anywhere, so
+    /// rejections exceed demotions (which see only the boundary cases).
+    /// Unsigned, signed and floor reject all 448: no flip of their
+    /// multipliers is harmless at these divisors. Exact accepts 3, the top
+    /// bit of `dinv` for `d = 10` at each width, which multiplies only
+    /// even dividends and so never reaches the result. Doubleword rejects
+    /// all 448: its predicate asks for Lemma 8.1's exact `m'`.
     #[test]
     fn every_family_probes_and_demotes_bit_flipped_constants() {
         // Thousands of induced demotions: keep the circuit closed so
@@ -1068,7 +1093,7 @@ mod tests {
         ];
         // [probe rejections, demotions] of 448 flips — 4 divisors ×
         // (16 + 32 + 64) bits — for unsigned, signed, floor, exact, dword.
-        let pinned = [[446, 441], [442, 440], [442, 440], [445, 445], [439, 439]];
+        let pinned = [[448, 441], [448, 440], [448, 440], [445, 445], [448, 439]];
         assert_eq!(got, pinned);
         let demoted: u32 = got.iter().map(|c| c[1]).sum();
         let charged = fault_budget().demotions() - before;
@@ -1076,6 +1101,226 @@ mod tests {
             charged >= u64::from(demoted),
             "every demotion charges the budget"
         );
+    }
+
+    /// For each plan: does the probe accept it, and is it right on every
+    /// input? An exact predicate makes the two agree; a sound one only
+    /// ever refuses extra plans. Returns how many right plans the probe
+    /// refuses, and asserts every rejection of a wrong plan names a
+    /// dividend it really gets wrong — except for doubleword, whose
+    /// predicate names the top of the range without proving it wrong.
+    fn refused_but_right<K: GuardKernel>(
+        plans: Vec<K::Plan>,
+        inputs: impl Fn(K::Word) -> Vec<K::Input>,
+    ) -> u32
+    where
+        K::Plan: core::fmt::Debug,
+    {
+        let mut refused = 0;
+        for plan in plans {
+            let (kernel, d) = K::build(&plan);
+            let right = inputs(d)
+                .into_iter()
+                .filter(|&n| K::in_contract(d, n))
+                .all(|n| kernel.planned(n) == K::native(d, n));
+            match Guarded::<K>::from_plan(&plan, &GuardPolicy::default()) {
+                Ok(_) => assert!(right, "{} accepted a wrong plan: {plan:?}", K::SHAPE),
+                Err(_) if right => refused += 1,
+                Err(fault) => match fault.kind {
+                    FaultKind::SelfCheckFailed { got, want, .. } => {
+                        let named = K::SHAPE == "dword" || got != want;
+                        assert!(named, "{} witness for {plan:?}", K::SHAPE);
+                    }
+                    other => panic!("{other:?}"),
+                },
+            }
+        }
+        refused
+    }
+
+    fn all_u16(_: u16) -> Vec<u16> {
+        (0..=u16::MAX).collect()
+    }
+
+    fn all_i16(_: i16) -> Vec<i16> {
+        (i16::MIN..=i16::MAX).collect()
+    }
+
+    /// Every input of the exact kernel: both calls on every dividend.
+    fn all_exact_inputs(_: u16) -> Vec<(ExactOp, u16)> {
+        (0..=u16::MAX)
+            .flat_map(|n| [(ExactOp::Quotient, n), (ExactOp::Divides, n)])
+            .collect()
+    }
+
+    /// Every dividend the w8 doubleword kernel accepts: `HIGH(n) < d`.
+    fn all_dword_inputs(d: u8) -> Vec<DWord<u8>> {
+        (0..d)
+            .flat_map(|hi| (0..=u8::MAX).map(move |lo| DWord::from_parts(hi, lo)))
+            .collect()
+    }
+
+    /// Every plan one of `plans` becomes with one bit of one constant
+    /// flipped ([`crate::testkit::flip_constant`]), as a `P`, keeping
+    /// those its kernel can run: `MulAddShift` needs `sh_post >= 1`, the
+    /// exact kernel `e < N` and the doubleword kernel `l <= N`.
+    fn flipped<P: Copy + Into<DivPlan>>(
+        plans: impl IntoIterator<Item = P>,
+        back: fn(DivPlan) -> Option<P>,
+    ) -> Vec<P> {
+        use crate::plan::UdivStrategy::MulAddShift;
+        let runnable = |plan: &DivPlan| match plan {
+            DivPlan::Unsigned(p) => !matches!(p.strategy, MulAddShift { sh_post: 0, .. }),
+            DivPlan::Exact(p) => p.e < p.width,
+            DivPlan::Dword(p) => p.l <= p.width,
+            _ => true,
+        };
+        let mut out = Vec::new();
+        for plan in plans.into_iter().map(Into::into) {
+            for field in 0..5 {
+                for bit in 0..plan.width() {
+                    let flip = crate::testkit::flip_constant(plan, field, bit);
+                    out.extend(flip.filter(runnable).and_then(back));
+                }
+            }
+        }
+        out
+    }
+
+    /// Flips every bit of every constant of every family — at w16, and
+    /// at w8 for doubleword, where the dividends are 16 bits — and
+    /// compares the probe's verdict with exhaustive evaluation. The
+    /// unsigned, signed, floor and exact predicates are exact on these
+    /// flips: the probe refuses a plan iff some input gets a wrong
+    /// answer. The doubleword predicate is sound, not exact: it asks for
+    /// Lemma 8.1's constants, and the kernel's correction step absorbs
+    /// many others. Of the doubleword flips it refuses 1552 right ones:
+    /// 1513 of `d_norm` (which only feeds the quotient estimate), 31 of
+    /// `m'` and 8 of `d`.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "~100M kernel calls: a second in release")]
+    fn probe_verdict_matches_exhaustive_evaluation() {
+        fault_budget().set_limit(u64::MAX);
+        let exact = |refused: u32, family: &str| assert_eq!(refused, 0, "{family}");
+        let unsigned = [3u128, 7, 10, 641, 1000, 32_769, 60_000, 65_535];
+        let plans = flipped(
+            unsigned.map(|d| UdivPlan::new(d, 16).expect("plan")),
+            |p| match p {
+                DivPlan::Unsigned(p) => Some(p),
+                _ => None,
+            },
+        );
+        exact(
+            refused_but_right::<UnsignedDivisor<u16>>(plans, all_u16),
+            "unsigned",
+        );
+        let signed = [3i128, -3, 7, -7, 10, -10, 641, -641, 1000, 32_767, -32_767];
+        let plans = flipped(
+            signed.map(|d| SdivPlan::new(d, 16).expect("plan")),
+            |p| match p {
+                DivPlan::Signed(p) => Some(p),
+                _ => None,
+            },
+        );
+        exact(
+            refused_but_right::<SignedDivisor<i16>>(plans, all_i16),
+            "signed",
+        );
+        // Positive divisors take Fig 6.1; negative ones a trunc plan, whose
+        // constants are flipped too.
+        let floor = [
+            3i128, 7, 10, 641, 1000, 32_767, -3, -7, -10, -641, -1000, -32_767,
+        ];
+        let plans = flipped(
+            floor.map(|d| FloorPlan::new(d, 16).expect("plan")),
+            |p| match p {
+                DivPlan::Floor(p) => Some(p),
+                _ => None,
+            },
+        );
+        exact(
+            refused_but_right::<FloorDivisor<i16>>(plans, all_i16),
+            "floor",
+        );
+        let exact_ds = [3u128, 7, 10, 12, 641, 1000, 40_000];
+        let exact_plans = exact_ds.map(|d| ExactPlan::new_unsigned(d, 16).expect("plan"));
+        let plans = flipped(exact_plans, |p| match p {
+            DivPlan::Exact(p) => Some(p),
+            _ => None,
+        });
+        exact(
+            refused_but_right::<ExactUnsignedDivisor<u16>>(plans, all_exact_inputs),
+            "exact",
+        );
+        let dword = (1..=255).map(|d| DwordPlan::new(d, 8).expect("plan"));
+        let plans = flipped(dword, |p| match p {
+            DivPlan::Dword(p) => Some(p),
+            _ => None,
+        });
+        let dword_refused = refused_but_right::<DwordDivisor<u8>>(plans, all_dword_inputs);
+        assert_eq!(dword_refused, 1552, "dword");
+    }
+
+    /// `[witnesses, proved, ok]` of the one `guard.probe` event that
+    /// `from_plan` emits for `plan`.
+    fn probe_event<K: GuardKernel>(plan: &K::Plan) -> [u64; 3] {
+        use magicdiv_trace::{install, CaptureSink};
+        let capture = std::sync::Arc::new(CaptureSink::new());
+        {
+            let _g = install(capture.clone());
+            let _ = Guarded::<K>::from_plan(plan, &GuardPolicy::default());
+        }
+        let events = capture.named("guard.probe");
+        assert_eq!(events.len(), 1, "one probe event per construction");
+        ["witnesses", "proved", "ok"].map(|key| {
+            let value = events[0].get(key).and_then(magicdiv_trace::Value::as_u64);
+            value.expect("integer field")
+        })
+    }
+
+    /// The probe event counts the boundary witnesses that actually ran,
+    /// per family, and says whether the predicate proved the plan.
+    #[test]
+    fn probe_event_counts_the_witnesses_run_and_the_proof() -> Result<(), DivisorError> {
+        fault_budget().set_limit(u64::MAX);
+        let ok = |witnesses| [witnesses, 1, 1];
+        assert_eq!(
+            probe_event::<UnsignedDivisor<u32>>(&UdivPlan::new(7, 32)?),
+            ok(10)
+        );
+        assert_eq!(
+            probe_event::<SignedDivisor<i32>>(&SdivPlan::new(-7, 32)?),
+            ok(11)
+        );
+        assert_eq!(
+            probe_event::<FloorDivisor<i32>>(&FloorPlan::new(10, 32)?),
+            ok(10)
+        );
+        // Five probe quotients, each with `q·d`, as a quotient and a
+        // verdict, and the non-multiple `q·d + 1`.
+        let exact = ExactPlan::new_unsigned(12, 32)?;
+        assert_eq!(probe_event::<ExactUnsignedDivisor<u32>>(&exact), ok(15));
+        // Four high words below d = 10, four low words each.
+        assert_eq!(
+            probe_event::<DwordDivisor<u32>>(&DwordPlan::new(10, 32)?),
+            ok(16)
+        );
+        // Division by 8 for d = 7 first errs at the fourth witness, d
+        // itself, and the predicate refuses it too.
+        let shift = UdivPlan::from_raw(7, 32, crate::plan::UdivStrategy::Shift { sh: 3 });
+        assert_eq!(probe_event::<UnsignedDivisor<u32>>(&shift), [4, 0, 0]);
+        // Some multiplier flips pass all ten boundary witnesses: only the
+        // proof refuses them.
+        let mut proof_only = 0;
+        for d in [3, 7, 10, 641] {
+            let good = UdivPlan::new(d, 64)?;
+            for bit in 0..64 {
+                let event = probe_event::<UnsignedDivisor<u64>>(&good.flip_bit(bit));
+                proof_only += u32::from(event == [10, 0, 0]);
+            }
+        }
+        assert!(proof_only > 0, "no flip needed the proof");
+        Ok(())
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! the Fermat-factor divisors 641 and 274177, `MIN`/`MAX`, and the paper's
 //! worked examples).
 
+#[cfg(test)]
+use crate::plan::DivPlan;
 use crate::word::{SWord, UWord};
 
 /// Interesting unsigned divisors at width `T` (all nonzero).
@@ -193,6 +195,87 @@ pub fn interesting_signed_dividends<S: SWord>(d: S) -> Vec<S> {
     out.sort_unstable();
     out.dedup();
     out
+}
+
+/// `plan` with bit `bit` of its `field`-th constant flipped, or `None`
+/// when the plan has no such field (or the field is a shift narrower
+/// than `bit`). Constants are the divisor, multipliers, inverses,
+/// masks and shift counts; a signed plan's negation is one more field,
+/// flipped at bit 0, and a floor plan for `d < 0` flips its trunc
+/// plan's fields after its own divisor.
+#[cfg(test)]
+pub(crate) fn flip_constant(plan: DivPlan, field: usize, bit: u32) -> Option<DivPlan> {
+    use crate::plan::{FloorStrategy, SdivStrategy, UdivStrategy};
+    let wide = 1u128 << bit;
+    let narrow = 1u32.checked_shl(bit);
+    let mut p = plan;
+    match &mut p {
+        DivPlan::Unsigned(u) => match (field, &mut u.strategy) {
+            (0, _) => u.d ^= wide,
+            (
+                1,
+                UdivStrategy::MulShift { m, .. }
+                | UdivStrategy::MulAddShift {
+                    m_minus_pow2n: m, ..
+                }
+                | UdivStrategy::MulRoundUp { m, .. },
+            ) => *m ^= wide,
+            (2, UdivStrategy::MulShift { sh_pre, .. }) => *sh_pre ^= narrow?,
+            (
+                3,
+                UdivStrategy::MulShift { sh_post, .. }
+                | UdivStrategy::MulAddShift { sh_post, .. }
+                | UdivStrategy::MulRoundUp { sh_post, .. },
+            ) => *sh_post ^= narrow?,
+            _ => return None,
+        },
+        DivPlan::Signed(sd) => match (field, &mut sd.strategy) {
+            (0, _) => sd.d ^= wide as i128,
+            (3, _) if bit == 0 => sd.negate = !sd.negate,
+            (
+                1,
+                SdivStrategy::MulShift { m, .. }
+                | SdivStrategy::MulAddShift {
+                    m_minus_pow2n: m, ..
+                },
+            ) => *m ^= wide,
+            (
+                2,
+                SdivStrategy::MulShift { sh_post, .. } | SdivStrategy::MulAddShift { sh_post, .. },
+            ) => *sh_post ^= narrow?,
+            _ => return None,
+        },
+        DivPlan::Floor(f) => match (field, &mut f.strategy) {
+            (0, _) => f.d ^= wide as i128,
+            (1, FloorStrategy::MulShift { m, .. }) => *m ^= wide,
+            (2, FloorStrategy::MulShift { sh_post, .. }) => *sh_post ^= narrow?,
+            (1.., FloorStrategy::NegativeTrunc { trunc }) => {
+                let DivPlan::Signed(flipped) = flip_constant((*trunc).into(), field - 1, bit)?
+                else {
+                    return None;
+                };
+                *trunc = flipped;
+            }
+            _ => return None,
+        },
+        DivPlan::Exact(x) => match field {
+            0 => x.d_abs ^= wide,
+            1 => x.dinv ^= wide,
+            2 => x.qmax ^= wide,
+            3 => x.low_mask ^= wide,
+            4 => x.e ^= narrow?,
+            _ => return None,
+        },
+        DivPlan::Dword(w) => match field {
+            0 => w.d ^= wide,
+            1 => w.m_prime ^= wide,
+            2 => w.d_norm ^= wide,
+            3 => w.l ^= narrow?,
+            _ => return None,
+        },
+        _ => return None,
+    }
+    Some(p)
 }
 
 #[cfg(test)]

@@ -336,7 +336,11 @@ fn tie_break_key(c: &Candidate) -> (bool, bool, u128) {
     let m = match &c.plan {
         DivPlan::Unsigned(p) => match p.strategy() {
             UdivStrategy::MulShift { m, .. } | UdivStrategy::MulRoundUp { m, .. } => m,
-            UdivStrategy::MulAddShift { m_minus_pow2n, .. } => m_minus_pow2n | (1 << p.width()),
+            // 2^N + m', except at w128, where only m' fits (and orders
+            // the same: `wider_multiply` already sets these apart).
+            UdivStrategy::MulAddShift { m_minus_pow2n, .. } => {
+                m_minus_pow2n | 1u128.checked_shl(p.width()).unwrap_or(0)
+            }
             _ => 0,
         },
         _ => 0,

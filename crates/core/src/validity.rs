@@ -16,6 +16,19 @@
 //! | multiply-back (`UremStrategy::MulBack`) | its embedded quotient strategy |
 //! | masks | `d == 2^e` and `mask == 2^e - 1` |
 //! | §9 inverse-rotate test | `e = v2(d)`, `dinv·d_odd ≡ 1 (mod 2^(N-e))`, `qmax = ⌊(2^N-1)/d⌋` |
+//! | signed trunc (Fig 5.2) | round-down for `n >= 0`; `⌊(c·a - 1)/2^k⌋ = ⌊a/\|d\|⌋` for `a = -n` |
+//! | floor (Fig 6.1) | round-down on the sign-folded dividend; for `d < 0`, a trunc quotient at most one step off |
+//! | §9 exact quotient | `MULL(dinv, d) = 2^e` up to the last quotient, plus the §9 test |
+//! | doubleword (Fig 8.1) | Lemma 8.1: `d_norm` normalized and `2^N + m' = ⌊(2^2N - 1)/d_norm⌋` |
+//!
+//! The last four rows, with the round-down row, are what the guard's
+//! construction probe checks ([`crate::guard::GuardKernel::valid`]).
+//! Two cases are sound but not complete. The doubleword kernel's final
+//! correction step also absorbs some `m'` and `d_norm` next to Lemma
+//! 8.1's. A signed plan whose negation contradicts the sign of `d` is
+//! refused, though a negative multiplier can make one right. The
+//! predicates refuse such constants rather than accept them without a
+//! proof.
 //!
 //! Constants are read the way the kernels read them: reduced to the
 //! plan's word width.
@@ -39,8 +52,8 @@ use magicdiv_dword::DWord;
 
 use crate::exact::mod_inverse_newton;
 use crate::plan::{
-    mask, DivPlan, DivisibilityPlan, DivisibilityStrategy, UdivPlan, UdivStrategy, UremPlan,
-    UremStrategy,
+    mask, DivPlan, DivisibilityPlan, DivisibilityStrategy, DwordPlan, ExactPlan, FloorPlan,
+    FloorStrategy, SdivPlan, SdivStrategy, UdivPlan, UdivStrategy, UremPlan, UremStrategy,
 };
 
 type D = DWord<u128>;
@@ -410,6 +423,315 @@ pub fn divisibility_valid(plan: &DivisibilityPlan) -> Result<(), u128> {
 /// tries last.
 const BACKSTOP: u128 = 1 << 12;
 
+/// The low `w` bits of `x`, sign-extended: how an `iN` kernel reads a
+/// constant.
+fn sext(x: u128, w: u32) -> i128 {
+    let s = 128 - w;
+    ((x << s) as i128) >> s
+}
+
+/// The negative half of the signed kernels: `⌊(c·a - 1)/2^k⌋ = ⌊a/d⌋`
+/// for every `1 <= a <= a_max`, with `1 <= d <= a_max`. Writing `n_c` for
+/// the [`last_full_group`], this holds iff `c·d > 2^k` and `c·n_c <=
+/// ((n_c + 1)/d)·2^k`: the low end of every group is bounded by the
+/// first inequality and the high end of every full group by the second
+/// (with `e = c·d - 2^k`, the `j`-th group needs `j·e <= c`, which
+/// tightens as `j` climbs). A partial last group follows from the last
+/// full one, since `d <= a_max` makes that group's `j >= 1`, so `e <=
+/// c`. Each failure names the `a` where it fails.
+fn round_down_minus_one(d: u128, a_max: u128, c: D, k: u32) -> Result<(), u128> {
+    // c < 2^129 and d <= 2^127, so c·d < 2^256 <= 2^k from here on.
+    if k > 255 {
+        return Err(d);
+    }
+    if Wide::mul(c, d) <= Wide::pow2(k) {
+        return Err(d);
+    }
+    let n_c = last_full_group(d, a_max);
+    if Wide::mul(c, n_c) > Wide::mul(D::pow2(k), (n_c + 1) / d) {
+        return Err(n_c);
+    }
+    Ok(())
+}
+
+/// The multiplier of a signed `MulShift`/`MulAddShift` kernel, which
+/// computes `⌊c·n/2^k⌋ - XSIGN(n)` before negation, with `k = N +
+/// sh_post`: `MulShift` reads `m` as an `iN`, `MulAddShift` reads `c =
+/// 2^N + (m - 2^N)`. `None` for the shapes without a multiplier.
+///
+/// # Errors
+///
+/// A dividend the kernel gets wrong whatever the divisor: `-1` when `c
+/// <= 0` (`q0(-1) >= 1`, but `TRUNC(-1/|d|) <= 0`), and `MIN` when
+/// `MulAddShift` reads `m - 2^N >= 1` with a post-shift. Then
+/// `n + MULSH(m - 2^N, n)` wraps at `n = MIN` to a positive value, so
+/// `q0(MIN) >= 1`. (With no post-shift the wrap is harmless: `q0` is
+/// then `⌊c·n/2^N⌋ + 1` modulo `2^N`, which is all the answer is
+/// compared modulo.)
+fn signed_multiplier(strategy: SdivStrategy, w: u32) -> Result<Option<(D, u32)>, i128> {
+    let (c, sh_post) = match strategy {
+        SdivStrategy::MulShift { m, sh_post } => {
+            let m = u128::try_from(sext(m, w)).ok().filter(|&m| m > 0);
+            (D::from_lo(m.ok_or(-1)?), sh_post)
+        }
+        SdivStrategy::MulAddShift {
+            m_minus_pow2n,
+            sh_post,
+        } => {
+            let v = sext(m_minus_pow2n, w);
+            if v > 0 && sh_post > 0 {
+                return Err((1u128 << (w - 1)).wrapping_neg() as i128);
+            }
+            let c = if v < 0 {
+                D::pow2(w).wrapping_sub(D::from_lo(v.unsigned_abs()))
+            } else {
+                D::pow2(w).wrapping_add(D::from_lo(v as u128))
+            };
+            (c, sh_post)
+        }
+        SdivStrategy::Identity | SdivStrategy::Shift { .. } => return Ok(None),
+    };
+    Ok(Some((c, w.saturating_add(sh_post))))
+}
+
+/// Whether a signed truncating plan computes `TRUNC(n/d)` (wrapping
+/// `MIN / -1` to `MIN`, as hardware does) for every `N`-bit `n`;
+/// `Err(n)` names a dividend where it does not.
+///
+/// The kernel computes a quotient `q0` for `|d|` and negates it when
+/// the plan says so. The predicate asks that it negate exactly when `d <
+/// 0`, as every planned constant set does; then negation is a bijection
+/// on the quotients in range, the plan is right iff `q0 = TRUNC(n/|d|)`
+/// everywhere, and the predicate is exact. (A plan with the other
+/// negation is refused, although some are right: a negative multiplier
+/// can divide by `d` directly.) `Identity` is right iff `|d| = 1` and
+/// `Shift { l }` iff `|d| = 2^l`. The multiply shapes compute
+/// `⌊c·n/2^k⌋` for `n >= 0`, a round-down on `[0, 2^(N-1) - 1]`, and
+/// for `n = -a`, `a` in `[1, 2^(N-1)]`, they compute `⌊c·n/2^k⌋ + 1`,
+/// which is `-⌊(c·a - 1)/2^k⌋` and must be `-⌊a/|d|⌋`.
+pub fn sdiv_valid(plan: &SdivPlan) -> Result<(), i128> {
+    let w = plan.width();
+    let d = sext(plan.divisor() as u128, w);
+    let abs = d.unsigned_abs();
+    let half = 1u128 << (w - 1);
+    if d == 0 {
+        return Err(1);
+    }
+    // -a for 1 <= a <= 2^(N-1), which wraps to i128::MIN at w128.
+    let neg = |a: u128| (a as i128).wrapping_neg();
+    match plan.strategy() {
+        SdivStrategy::Identity if abs != 1 => return Err(neg(abs)),
+        SdivStrategy::Shift { l } if !(1..w).contains(&l) || abs != 1 << l => {
+            // Off by a power of two: -min(|d|, 2^l) has trunc quotient -1
+            // by the smaller and 0 by the larger.
+            let pow = 1u128.checked_shl(l).unwrap_or(half).min(half);
+            return Err(neg(abs.min(pow)));
+        }
+        strategy => {
+            let Some((c, k)) = signed_multiplier(strategy, w)? else {
+                return check_sign(plan.negate(), d);
+            };
+            if abs < half {
+                round_down(abs, half - 1, c, k).map_err(|n| n as i128)?;
+            } else if k <= 256 && Wide::mul(c, half - 1) >= Wide::pow2(k) {
+                // |d| = 2^(N-1): every quotient of a nonnegative n is 0.
+                return Err((half - 1) as i128);
+            }
+            round_down_minus_one(abs, half, c, k).map_err(neg)?;
+        }
+    }
+    check_sign(plan.negate(), d)
+}
+
+/// The last step of [`sdiv_valid`], once `q0` is right: the kernel must
+/// negate exactly when `d < 0`, else it errs at `n = -|d|`, where `q0 =
+/// -1`.
+fn check_sign(negate: bool, d: i128) -> Result<(), i128> {
+    if negate == (d < 0) {
+        Ok(())
+    } else {
+        Err((d.unsigned_abs() as i128).wrapping_neg())
+    }
+}
+
+/// Whether a floor plan computes `⌊n/d⌋` for every `N`-bit `n`; `Err(n)`
+/// names a dividend where it does not.
+///
+/// `Identity` is right iff `d = 1` and `Shift { l }` iff `d = 2^l`.
+/// `MulShift` computes `⌊m·u/2^k⌋` on `u = n` or `u = !n`, both in `[0,
+/// 2^(N-1) - 1]`, and folds the sign back in, so it is right iff that is
+/// a round-down for `d > 0` on that range. `NegativeTrunc` corrects a
+/// trunc quotient `q` to `q - [r > 0]`, so it is right iff the trunc
+/// kernel's quotient for `|d|` is at most one step below `⌈n/|d|⌉`
+/// everywhere: a wider condition than [`sdiv_valid`], checked exactly for
+/// the multiply shapes.
+pub fn floor_valid(plan: &FloorPlan) -> Result<(), i128> {
+    let w = plan.width();
+    let d = sext(plan.divisor() as u128, w);
+    let half = 1u128 << (w - 1);
+    match plan.strategy() {
+        FloorStrategy::Identity if d == 1 => Ok(()),
+        // ⌊1/d⌋ = -1 for d < 0; ⌊d/d⌋ = 1.
+        FloorStrategy::Identity => Err(if d < 0 { 1 } else { d }),
+        FloorStrategy::Shift { l } => {
+            let pow = 1u128.checked_shl(l).unwrap_or(u128::MAX);
+            match d {
+                // SRA(-1, l) = -1, where ⌊-1/d⌋ >= 0.
+                ..=0 => Err(-1),
+                _ if (d as u128) < pow => Err(d),
+                _ if (d as u128) > pow => Err(pow as i128),
+                _ => Ok(()),
+            }
+        }
+        FloorStrategy::MulShift { m, sh_post } if d > 0 => round_down(
+            d as u128,
+            half - 1,
+            D::from_lo(m & mask(w)),
+            w.saturating_add(sh_post),
+        )
+        .map_err(|n| n as i128),
+        // A nonnegative quotient at n = 1, where ⌊1/d⌋ = -1.
+        FloorStrategy::MulShift { .. } => Err(1),
+        FloorStrategy::NegativeTrunc { trunc } => {
+            if d >= 0 || trunc.width() != w || sext(trunc.divisor() as u128, w) != d {
+                return Err(1);
+            }
+            floor_negative_valid(&trunc)
+        }
+    }
+}
+
+/// The floor plan for `d < 0`: a trunc plan for `d` whose quotient `q`
+/// is corrected to `q - [r > 0]`, `r = n - q·d`. With `D = |d|` and `q =
+/// -q0`, that is `⌈n/D⌉` negated iff `q0 ∈ {⌈n/D⌉ - 1, ⌈n/D⌉}`: the
+/// correction repairs a trunc quotient one step off on one side, so this
+/// is wider than [`sdiv_valid`]. (For `D = 2^(N-1)`, `r` wraps unless
+/// `q0(MIN) = -1` exactly.) For the multiply shapes it is exact:
+///
+/// * `c·D > 2^k` (fails at `n = -D`);
+/// * for `n >= 0`, where `q0 = ⌊c·n/2^k⌋`: `c·h·D < (h + 1)·2^k` at the
+///   last full group `h = ⌊(2^(N-1) - 1)/D⌋`, and the partial group's top
+///   `2^(N-1) - 1` below `(h + 2)·2^k`;
+/// * for `n = -a < 0`, where `q0 = -⌊(c·a - 1)/2^k⌋`: `c·n_c <= (j + 1)·
+///   2^k` at the [`last_full_group`] `n_c = j·D - 1`, and `c·2^(N-1) <=
+///   (⌊2^(N-1)/D⌋ + 2)·2^k` when that group is partial (`+ 1` for `D =
+///   2^(N-1)`).
+///
+/// Other trunc plans are judged by [`sdiv_valid`], which is sufficient.
+fn floor_negative_valid(trunc: &SdivPlan) -> Result<(), i128> {
+    let w = trunc.width();
+    let abs = sext(trunc.divisor() as u128, w).unsigned_abs();
+    let half = 1u128 << (w - 1);
+    let neg = |a: u128| (a as i128).wrapping_neg();
+    if !trunc.negate() {
+        return sdiv_valid(trunc);
+    }
+    let Some((c, k)) = signed_multiplier(trunc.strategy(), w)? else {
+        return sdiv_valid(trunc);
+    };
+    if k > 255 || Wide::mul(c, abs) <= Wide::pow2(k) {
+        return Err(neg(abs));
+    }
+    let times_pow2k = |j: u128| Wide::mul(D::pow2(k), j);
+    let n_max = half - 1;
+    let h = n_max / abs;
+    if h > 0 && Wide::mul(c, h * abs) >= times_pow2k(h + 1) {
+        return Err((h * abs) as i128);
+    }
+    if n_max % abs != 0 && Wide::mul(c, n_max) >= times_pow2k(h + 2) {
+        return Err(n_max as i128);
+    }
+    let n_c = last_full_group(abs, half);
+    if Wide::mul(c, n_c) > times_pow2k((n_c + 1) / abs + 1) {
+        return Err(neg(n_c));
+    }
+    let slack = if abs == half { 1 } else { 2 };
+    if n_c != half && Wide::mul(c, half) > times_pow2k(half / abs + slack) {
+        return Err(neg(half));
+    }
+    Ok(())
+}
+
+/// Whether an unsigned exact-division plan answers both of its calls
+/// for every `N`-bit input: `divide_exact` (`MULL(dinv, n) >> e`) on
+/// every multiple `n = j·d`, and `divides` (the §9 inverse-rotate test)
+/// on every `n`. `Err(n)` names an input where one of them is wrong.
+///
+/// With `c = MULL(dinv, d)` the quotient of `j·d` reads
+/// `(j·c mod 2^N) >> e`, which is `j` for every `j <= q_top =
+/// ⌊(2^N - 1)/d⌋` iff `c >> e = 1` (at `j = 1`), `q_top·c < 2^N` (the
+/// first wrap lands below its `j·2^e`) and `(q_top·c) >> e = q_top` (the
+/// error `j·(c - 2^e)` grows with `j`). The test is
+/// [`divisibility_valid`].
+///
+/// # Panics
+///
+/// Panics when the plan is signed.
+pub fn exact_valid(plan: &ExactPlan) -> Result<(), u128> {
+    assert!(!plan.is_signed(), "signed exact plans have no kernel here");
+    let w = plan.width();
+    let n_max = mask(w);
+    let d = plan.d_abs & n_max;
+    if d == 0 {
+        return Err(0);
+    }
+    let q_top = n_max / d;
+    let c = mul_wide(plan.dinv & n_max, d, w).1;
+    if shr(c, plan.e) != 1 {
+        return Err(d);
+    }
+    // The last quotient whose j·c does not wrap: q_top, or the one
+    // before the first wrap, which then lands below its j·2^e.
+    let wraps = mul_wide(q_top, c, w).0 != 0;
+    let j = if wraps { n_max / c } else { q_top };
+    if shr(j * c, plan.e) != j {
+        return Err(j * d);
+    }
+    if wraps {
+        return Err((j + 1) * d);
+    }
+    let test = DivisibilityPlan {
+        width: w,
+        d,
+        strategy: DivisibilityStrategy::InverseRotate {
+            e: plan.e,
+            dinv: plan.dinv,
+            qmax: plan.qmax,
+        },
+    };
+    divisibility_valid(&test)
+}
+
+/// Whether a doubleword plan carries Lemma 8.1's constants for its
+/// divisor, which the Figure 8.1 kernel is proved correct with: `l` is
+/// the bit length of `d`, `d_norm = d·2^(N-l)` has its top bit set, and
+/// `(2^N + m')·d_norm <= 2^2N - 1 < (2^N + m' + 1)·d_norm`.
+///
+/// This is sound, not complete: the kernel's final correction step also
+/// absorbs some `m'` and `d_norm` next to Lemma 8.1's. `Err((hi, lo))`
+/// names the largest dividend, `(d - 1)·2^N + 2^N - 1`, as the input to
+/// report; the kernel need not be wrong there.
+pub fn dword_valid(plan: &DwordPlan) -> Result<(), (u128, u128)> {
+    let w = plan.width();
+    let n_max = mask(w);
+    let d = plan.divisor() & n_max;
+    let witness = (d.saturating_sub(1), n_max);
+    let l = 128 - d.leading_zeros();
+    if d == 0 || plan.l() != l || plan.d_norm() & n_max != d << (w - l) {
+        return Err(witness);
+    }
+    let c = D::pow2(w).wrapping_add(D::from_lo(plan.m_prime() & n_max));
+    let two_n = Wide::pow2(2 * w);
+    let d_norm = plan.d_norm() & n_max;
+    let fits = Wide::mul(c, d_norm) < two_n;
+    let tight = Wide::mul(c.wrapping_add(D::from_lo(1)), d_norm) >= two_n;
+    if fits && tight {
+        Ok(())
+    } else {
+        Err(witness)
+    }
+}
+
 /// The exact validity predicate for any plan shape the tournament
 /// fields — unsigned quotient, remainder and divisibility — or `None`
 /// for the shapes it does not cover (signed, floor, exact, doubleword).
@@ -600,6 +922,154 @@ mod tests {
             sweep_udiv(w, w <= 8);
             sweep_fraction(w, 1);
             sweep_divisibility(w, 1);
+        }
+    }
+
+    /// Runs the predicate on each of `plans` against exhaustive
+    /// evaluation of the real kernel: it must never accept a wrong plan,
+    /// and, when `named` is set, its witness for a wrong one must be an
+    /// input the kernel really gets wrong. Returns the right plans it
+    /// refuses, which an exact predicate never does.
+    fn refused_but_right<P: core::fmt::Debug, N: Copy + core::fmt::Debug>(
+        plans: impl IntoIterator<Item = P>,
+        verdict: impl Fn(&P) -> Result<(), N>,
+        wrong_at: impl Fn(&P, N) -> bool,
+        inputs: &[N],
+        named: bool,
+    ) -> Vec<P> {
+        let mut refused = Vec::new();
+        for plan in plans {
+            let right = !inputs.iter().any(|&n| wrong_at(&plan, n));
+            match verdict(&plan) {
+                Ok(()) => assert!(right, "{plan:?}: accepted, but wrong"),
+                Err(_) if right => refused.push(plan),
+                Err(n) => assert!(
+                    !named || wrong_at(&plan, n),
+                    "{plan:?}: witness {n:?} is right"
+                ),
+            }
+        }
+        refused
+    }
+
+    fn all_i8() -> Vec<i128> {
+        (-128..=127).collect()
+    }
+
+    /// `TRUNC(n/d)` and `⌊n/d⌋` at `i8`, wrapping `MIN / -1`.
+    fn trunc8(n: i8, d: i8) -> i8 {
+        n.checked_div(d).unwrap_or(i8::MIN)
+    }
+
+    fn floor8(n: i8, d: i8) -> i8 {
+        match (n.checked_div(d), n.checked_rem(d)) {
+            (Some(q), Some(r)) if r != 0 && (r < 0) != (d < 0) => q - 1,
+            (Some(q), _) => q,
+            _ => i8::MIN,
+        }
+    }
+
+    /// Every multiply-shape trunc plan at `i8` for `d`: both shapes, every
+    /// multiplier, every post-shift up to 9, either negation.
+    fn signed_mul_plans(d: i128) -> Vec<SdivPlan> {
+        let base = SdivPlan::new(d, 8).unwrap();
+        let mut plans = Vec::new();
+        for m in 0..=255u128 {
+            for sh_post in 0..=9 {
+                for strategy in [
+                    SdivStrategy::MulShift { m, sh_post },
+                    SdivStrategy::MulAddShift {
+                        m_minus_pow2n: m,
+                        sh_post,
+                    },
+                ] {
+                    for negate in [false, true] {
+                        plans.push(SdivPlan {
+                            strategy,
+                            negate,
+                            ..base
+                        });
+                    }
+                }
+            }
+        }
+        plans
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "~200M kernel calls: seconds in release")]
+    fn signed_floor_and_exact_predicates_match_the_kernels_at_w8() {
+        use crate::{ExactUnsignedDivisor, FloorDivisor, SignedDivisor};
+        let ns = all_i8();
+        // Trunc plans whose negation contradicts the sign of d are only
+        // checked for soundness: the predicates refuse them, though some
+        // are right, such as a negative multiplier with no negation, a
+        // floor division by a negative divisor in round-up form.
+        for d in (-128i128..=127).filter(|&d| d != 0) {
+            let (plans, flipped): (Vec<SdivPlan>, Vec<SdivPlan>) = signed_mul_plans(d)
+                .into_iter()
+                .partition(|p| p.negate == (d < 0));
+            let trunc = |p: &SdivPlan, n: i128| {
+                let k = SignedDivisor::<i8>::from_plan(p);
+                k.divide(n as i8) != trunc8(n as i8, d as i8)
+            };
+            let refused = refused_but_right(plans.iter().copied(), sdiv_valid, trunc, &ns, true);
+            assert_eq!(refused, [], "d = {d}");
+            refused_but_right(flipped.iter().copied(), sdiv_valid, trunc, &ns, false);
+            let floor = |p: &FloorPlan, n: i128| {
+                FloorDivisor::<i8>::from_plan(p).divide(n as i8) != floor8(n as i8, d as i8)
+            };
+            let base = FloorPlan::new(d, 8).unwrap();
+            let with_trunc = |trunc| FloorPlan {
+                strategy: FloorStrategy::NegativeTrunc { trunc },
+                ..base
+            };
+            let floors: Vec<FloorPlan> = if d < 0 {
+                let flipped = flipped.into_iter().map(with_trunc);
+                refused_but_right(flipped, floor_valid, floor, &ns, false);
+                plans.into_iter().map(with_trunc).collect()
+            } else {
+                (0..=255u128)
+                    .flat_map(|m| {
+                        (0..=9).map(move |sh_post| FloorPlan {
+                            strategy: FloorStrategy::MulShift { m, sh_post },
+                            ..base
+                        })
+                    })
+                    .collect()
+            };
+            assert_eq!(
+                refused_but_right(floors, floor_valid, floor, &ns, true),
+                [],
+                "d = {d}"
+            );
+        }
+        // Exact division: every inverse, thresholds around the right one
+        // and shifts around v2(d); both calls on every dividend.
+        let inputs: Vec<u128> = (0..=255).collect();
+        for d in 1..=255u128 {
+            let base = ExactPlan::new_unsigned(d, 8).unwrap();
+            let plans = (0..=255u128).flat_map(|dinv| {
+                let qmaxes = base.qmax.saturating_sub(2)..=(base.qmax + 2).min(255);
+                qmaxes.flat_map(move |qmax| {
+                    (base.e.saturating_sub(1)..=(base.e + 1).min(7)).map(move |e| ExactPlan {
+                        dinv,
+                        qmax,
+                        e,
+                        ..base
+                    })
+                })
+            });
+            let wrong = |p: &ExactPlan, n: u128| {
+                let k = ExactUnsignedDivisor::<u8>::from_plan(p);
+                let (n, d8) = (n as u8, d as u8);
+                k.divides(n) != (n % d8 == 0)
+                    || n % d8 == 0 && k.divide_exact_unchecked(n) != n / d8
+            };
+            assert_eq!(
+                refused_but_right(plans, exact_valid, wrong, &inputs, true),
+                []
+            );
         }
     }
 

@@ -276,42 +276,16 @@ impl<T: Limb> DWord<T> {
     /// Divides by a single limb, returning the doubleword quotient and the
     /// limb remainder, or `None` when `d == 0`.
     ///
-    /// This is a restoring binary long division — `2N` iterations — used
-    /// only at "compile time" (multiplier selection), never on the divide
-    /// fast path, so simplicity beats speed.
+    /// Two word-sized steps of schoolbook long division: `HIGH / d`, then
+    /// the 2-by-1 step [`Limb::div_rem_wide`] on `(HIGH mod d, LOW)`. It
+    /// runs under multiplier selection and as the native reference of the
+    /// hardened doubleword guard, so it costs one double-width division,
+    /// not a loop over the dividend's bits.
     pub fn div_rem_limb(self, d: T) -> Option<(Self, T)> {
-        if d == T::ZERO {
-            return None;
-        }
-        // Fast path: dividend fits in one limb.
-        if self.hi == T::ZERO {
-            let q = self.lo.checked_div(d)?;
-            let r = self.lo.checked_rem(d)?;
-            return Some((DWord::from_lo(q), r));
-        }
-        let mut rem = T::ZERO;
-        let mut quot = DWord::from_lo(T::ZERO);
-        let total = 2 * T::BITS;
-        for i in (0..total).rev() {
-            // rem = rem*2 + bit_i(self); rem never reaches 2d <= 2^(N+1),
-            // but the shift could carry out of the limb when d has its top
-            // bit set, so handle the carry explicitly.
-            let carry = rem.msb();
-            rem = rem.shl_full(1);
-            let bit = if i >= T::BITS {
-                self.hi.bit(i - T::BITS)
-            } else {
-                self.lo.bit(i)
-            };
-            if bit {
-                rem = rem | T::ONE;
-            }
-            if carry || rem >= d {
-                rem = rem.wrapping_sub(d);
-                quot = quot.wrapping_add(DWord::pow2(i));
-            }
-        }
-        Some((quot, rem))
+        let q_hi = self.hi.checked_div(d)?;
+        let r_hi = self.hi.wrapping_sub(q_hi.wrapping_mul(d));
+        let (q_lo, r) = r_hi.div_rem_wide(self.lo, d);
+        Some((DWord { hi: q_hi, lo: q_lo }, r))
     }
 
     /// Full doubleword division, returning `(quotient, remainder)`, or

@@ -97,6 +97,17 @@ pub trait Limb:
     /// `MULL(self, rhs)`.
     fn widening_mul(self, rhs: Self) -> (Self, Self);
 
+    /// Divides the doubleword `self·2^N + lo` by `d`, returning the
+    /// one-word `(quotient, remainder)`: the 2-by-1 step of long
+    /// division by a single word.
+    ///
+    /// Requires `self < d`, which makes `d` nonzero and the quotient fit
+    /// in one word (checked by a debug assertion). Limbs up to 64 bits
+    /// use native double-width division; `u128` divides one 64-bit
+    /// half-word at a time (Knuth's Algorithm D with two digits, Hacker's
+    /// Delight `divlu`).
+    fn div_rem_wide(self, lo: Self, d: Self) -> (Self, Self);
+
     /// The most significant bit, i.e. the sign bit under a signed reading.
     #[inline]
     fn msb(self) -> bool {
@@ -185,6 +196,48 @@ pub(crate) fn widening_mul_schoolbook<T: Limb>(a: T, b: T) -> (T, T) {
     (hi, lo)
 }
 
+/// [`Limb::div_rem_wide`] in `N`-bit arithmetic on `N/2`-bit digits:
+/// normalize `d` so its top bit is set, then produce the two quotient
+/// digits one at a time, each estimated from the divisor's top digit and
+/// corrected at most twice (Knuth, TAOCP vol. 2, §4.3.1, Algorithm D).
+///
+/// Used directly for `u128` (which has no wider native type) and as the
+/// algorithm the narrower limbs' native division tests.
+pub(crate) fn div_rem_wide_halves<T: Limb>(hi: T, lo: T, d: T) -> (T, T) {
+    debug_assert!(hi < d, "2-by-1 division needs hi < d");
+    let h = T::BITS / 2;
+    let base = T::ONE.shl_full(h);
+    let low = base.wrapping_sub(T::ONE);
+    let s = d.leading_zeros();
+    let d = d.shl_full(s);
+    let (dh, dl) = (d.shr_full(h), d & low);
+    // The normalized dividend as a high word and two low digits.
+    let top = hi.shl_full(s) | lo.shr_full(T::BITS - s);
+    let low_word = lo.shl_full(s);
+    // One quotient digit of `rem·2^h + digit`, for `rem < d`: the
+    // estimate `rem / dh` exceeds the digit by at most two.
+    let digit_step = |rem: T, digit: T| {
+        let mut q = rem.checked_div(dh).unwrap_or(T::MAX);
+        let mut rhat = rem.wrapping_sub(q.wrapping_mul(dh));
+        while q >= base || q.wrapping_mul(dl) > rhat.shl_full(h) | digit {
+            q = q.wrapping_sub(T::ONE);
+            rhat = rhat.wrapping_add(dh);
+            if rhat >= base {
+                break;
+            }
+        }
+        // The true remainder is below d, so the wrapping arithmetic is exact.
+        let next = rem
+            .shl_full(h)
+            .wrapping_add(digit)
+            .wrapping_sub(q.wrapping_mul(d));
+        (q, next)
+    };
+    let (q1, rem) = digit_step(top, low_word.shr_full(h));
+    let (q0, rem) = digit_step(rem, low_word & low);
+    (q1.shl_full(h) | q0, rem.shr_full(s))
+}
+
 macro_rules! impl_limb_narrow {
     ($t:ty, $wide:ty) => {
         impl Limb for $t {
@@ -269,6 +322,13 @@ macro_rules! impl_limb_narrow {
             fn widening_mul(self, rhs: Self) -> (Self, Self) {
                 let wide = (self as $wide) * (rhs as $wide);
                 ((wide >> Self::BITS) as $t, wide as $t)
+            }
+            #[inline]
+            fn div_rem_wide(self, lo: Self, d: Self) -> (Self, Self) {
+                debug_assert!(self < d, "2-by-1 division needs hi < d");
+                let n = ((self as $wide) << Self::BITS) | lo as $wide;
+                let d = d as $wide;
+                ((n / d) as $t, (n % d) as $t)
             }
         }
     };
@@ -360,6 +420,10 @@ impl Limb for u128 {
     #[inline]
     fn widening_mul(self, rhs: Self) -> (Self, Self) {
         widening_mul_schoolbook(self, rhs)
+    }
+    #[inline]
+    fn div_rem_wide(self, lo: Self, d: Self) -> (Self, Self) {
+        div_rem_wide_halves(self, lo, d)
     }
 }
 
@@ -481,5 +545,74 @@ mod tests {
                 assert_eq!(Limb::widening_mul(a, b), oracle(a, b), "{a} * {b}");
             }
         }
+    }
+
+    /// `q·d + r == hi·2^N + lo` and `r < d`, via the full product.
+    fn assert_div_rem_wide<T: Limb>(hi: T, lo: T, d: T, (q, r): (T, T)) {
+        let (p_hi, p_lo) = q.widening_mul(d);
+        let (sum_lo, carry) = p_lo.overflowing_add(r);
+        let sum_hi = p_hi.wrapping_add(if carry { T::ONE } else { T::ZERO });
+        assert_eq!((sum_hi, sum_lo), (hi, lo), "q·d + r for ({hi}, {lo}) / {d}");
+        assert!(r < d, "remainder {r} of ({hi}, {lo}) / {d}");
+    }
+
+    /// Both the limb's own 2-by-1 step and the half-word algorithm.
+    fn check_div_rem_wide<T: Limb>(hi: T, lo: T, d: T) {
+        let native = hi.div_rem_wide(lo, d);
+        assert_div_rem_wide(hi, lo, d, native);
+        assert_eq!(div_rem_wide_halves(hi, lo, d), native, "({hi}, {lo}) / {d}");
+    }
+
+    /// Every `(hi, lo, d)` with `hi < d`: 8.4M divisions, under 2 s in
+    /// a debug build.
+    #[test]
+    fn div_rem_wide_u8_exhaustive() {
+        for d in 1..=u8::MAX {
+            for hi in 0..d {
+                for lo in 0..=u8::MAX {
+                    check_div_rem_wide(hi, lo, d);
+                }
+            }
+        }
+    }
+
+    /// The boundary divisors `1, 2^k, 2^k ± 1, MAX`, with `hi ∈ {0, 1,
+    /// d/2, d - 1}` and `lo ∈ {0, 1, MAX}`, then seeded random triples.
+    fn div_rem_wide_sweep<T: Limb>() {
+        let powers = (1..T::BITS).map(|k| T::ONE.shl_full(k));
+        let ds = powers
+            .flat_map(|p| [p.wrapping_sub(T::ONE), p, p.wrapping_add(T::ONE)])
+            .chain([T::ONE, T::MAX]);
+        for d in ds {
+            let his = [T::ZERO, T::ONE, d.shr_full(1), d.wrapping_sub(T::ONE)];
+            for hi in his.into_iter().filter(|&hi| hi < d) {
+                for lo in [T::ZERO, T::ONE, T::MAX] {
+                    check_div_rem_wide(hi, lo, d);
+                }
+            }
+        }
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut draw = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            u128::from(z ^ (z >> 31))
+        };
+        let mut next = || T::from_u128_truncate(draw() << 64 | draw());
+        for _ in 0..20_000 {
+            // A random divisor width exercises every normalization shift.
+            let d = next().shr_full(next().to_u128() as u32 % T::BITS) | T::ONE;
+            let hi = next().checked_rem(d).unwrap_or(T::ZERO);
+            check_div_rem_wide(hi, next(), d);
+        }
+    }
+
+    #[test]
+    fn div_rem_wide_boundaries_and_random() {
+        div_rem_wide_sweep::<u16>();
+        div_rem_wide_sweep::<u32>();
+        div_rem_wide_sweep::<u64>();
+        div_rem_wide_sweep::<u128>();
     }
 }

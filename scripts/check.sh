@@ -39,6 +39,12 @@ cargo test -q --offline --workspace --release
 echo "== exact validity predicates match exhaustive evaluation at width 16 =="
 cargo test -q --offline --release -p magicdiv -- --ignored predicates_match_exhaustive_evaluation_w16
 
+echo "== exhaustive u8 2-by-1 division step, exact guard verdicts at w16 and w8 (release) =="
+cargo test -q --offline --release -p magicdiv-dword -- div_rem_wide
+cargo test -q --offline --release -p magicdiv -- \
+    probe_verdict_matches_exhaustive_evaluation \
+    signed_floor_and_exact_predicates_match_the_kernels_at_w8
+
 echo "== end-to-end benchmark package tests =="
 cargo test -q --offline --manifest-path e2ebench/Cargo.toml
 

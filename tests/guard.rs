@@ -2,8 +2,10 @@
 //!
 //! The guard's contract has three clauses, each pinned here:
 //!
-//! 1. **Verified**: construction probes a plan against native division
-//!    and refuses corrupt constants with a typed fault.
+//! 1. **Verified**: construction proves a plan right for every dividend
+//!    (an exact validity predicate on its constants, plus boundary
+//!    witnesses against native division) and refuses corrupt constants
+//!    with a typed fault.
 //! 2. **Hardened**: a corrupt plan that slips past the probe (or is
 //!    corrupted *after* construction) is caught by the sampled runtime
 //!    cross-check; the caller receives the native quotient and the
@@ -54,14 +56,28 @@ fn probe_catches_or_hardening_contains<T: UWord>(d: u64, bit: u32) {
             );
         }
         Ok(guarded) => {
-            // The probe passed, so either the flip was semantically
-            // harmless or its error set is sparse; hardening must keep
-            // every served quotient equal to hardware regardless.
+            // The probe proved the flip harmless: the plan is right on
+            // every dividend. At w16 that is checked on all of them, with
+            // hardening off; wider, on the boundaries.
             let m = width_mask(width);
-            for n in [0u64, 1, 2, d - 1, d, d + 1, m >> 1, m - 1, m] {
+            let unhardened = UnsignedDivisor::<T>::from_plan(&bad);
+            let all: Vec<u64> = if width == 16 {
+                (0..=m).collect()
+            } else {
+                Vec::new()
+            };
+            let boundary = [0u64, 1, 2, d - 1, d, d + 1, m >> 1, m - 1, m];
+            for n in boundary.into_iter().chain(all) {
                 let n = n & m;
+                let want = (n / d) as u128;
+                let q = unhardened.divide(T::from_u128_truncate(n as u128));
+                assert_eq!(
+                    q.to_u128(),
+                    want,
+                    "accepted wrong plan: d={d} bit={bit} n={n}"
+                );
                 let q = guarded.divide(T::from_u128_truncate(n as u128));
-                assert_eq!(q.to_u128(), (n / d) as u128, "d={d} bit={bit} n={n}");
+                assert_eq!(q.to_u128(), want, "d={d} bit={bit} n={n}");
             }
         }
     }
