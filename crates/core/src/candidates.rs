@@ -287,24 +287,7 @@ pub fn urem_candidates(d: u128, width: u32) -> Result<Vec<Candidate>, DivisorErr
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Evaluate an unsigned strategy in u128 arithmetic (width <= 64).
-    fn eval(plan: &UdivPlan, n: u128) -> u128 {
-        let w = plan.width();
-        match plan.strategy() {
-            UdivStrategy::Identity => n,
-            UdivStrategy::Shift { sh } => n >> sh,
-            UdivStrategy::MulShift { m, sh_pre, sh_post } => ((m * (n >> sh_pre)) >> w) >> sh_post,
-            UdivStrategy::MulAddShift {
-                m_minus_pow2n,
-                sh_post,
-            } => {
-                let t1 = (m_minus_pow2n * n) >> w;
-                (t1 + ((n - t1) >> 1)) >> (sh_post - 1)
-            }
-            UdivStrategy::MulRoundUp { m, sh_post } => (m * (n + 1)) >> (w + sh_post),
-        }
-    }
+    use crate::validity::eval_unsigned;
 
     fn unsigned_plan(c: &Candidate) -> UdivPlan {
         match c.plan {
@@ -319,7 +302,7 @@ mod tests {
             for c in RoundUpGen.generate(d, 8).unwrap() {
                 let p = unsigned_plan(&c);
                 for n in 0u128..=255 {
-                    assert_eq!(eval(&p, n), n / d, "d={d} n={n} [{p}]");
+                    assert_eq!(eval_unsigned(&p, n), n / d, "d={d} n={n} [{p}]");
                 }
             }
         }
@@ -331,7 +314,7 @@ mod tests {
             for c in OptimalBoundsGen.generate(d, 8).unwrap() {
                 let p = unsigned_plan(&c);
                 for n in 0u128..=255 {
-                    assert_eq!(eval(&p, n), n / d, "d={d} n={n} [{p}]");
+                    assert_eq!(eval_unsigned(&p, n), n / d, "d={d} n={n} [{p}]");
                 }
             }
         }
@@ -393,7 +376,7 @@ mod tests {
                 // Spot-check the extremes at width 32.
                 let p = unsigned_plan(&cs[0]);
                 for n in [0u128, 1, 6, 7, 8, (u32::MAX - 3) as u128, u32::MAX as u128] {
-                    assert_eq!(eval(&p, n), n / 7, "n={n}");
+                    assert_eq!(eval_unsigned(&p, n), n / 7, "n={n}");
                 }
             }
             s => panic!("unexpected {s:?}"),

@@ -21,9 +21,7 @@ use magicdiv_dword::Limb;
 
 use crate::error::DivisorError;
 use crate::plan::ExactPlan;
-use crate::tournament::{
-    paper_only_tournament, ArithmeticCertifier, OpCountScorer, Strategy, TournamentResult,
-};
+use crate::tournament::{paper_only_scoreboard, Strategy, TournamentResult};
 use crate::word::{SWord, UWord};
 
 /// Multiplicative inverse of an odd word modulo `2^N` by Newton's
@@ -338,14 +336,7 @@ impl<S: SWord> ExactSignedDivisor<S> {
         strategy: Strategy,
     ) -> Result<(Self, Option<TournamentResult>), DivisorError> {
         let this = Self::new(d)?;
-        let tournament = match strategy {
-            Strategy::PaperOnly => None,
-            Strategy::Tournament => Some(paper_only_tournament(
-                this.plan().into(),
-                &OpCountScorer,
-                &ArithmeticCertifier,
-            )),
-        };
+        let tournament = paper_only_scoreboard(this.plan(), strategy);
         Ok((this, tournament))
     }
 

@@ -18,25 +18,8 @@ use magicdiv_dword::Limb;
 use crate::error::DivisorError;
 use crate::plan::{FloorPlan, FloorStrategy};
 use crate::signed::SignedDivisor;
-use crate::tournament::{
-    paper_only_tournament, ArithmeticCertifier, OpCountScorer, Strategy, TournamentResult,
-};
+use crate::tournament::{paper_only_scoreboard, Strategy, TournamentResult};
 use crate::word::{SWord, UWord};
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Variant<S: SWord> {
-    /// `d == 1`.
-    Identity,
-    /// `d == 2^l`, `d > 0`: `q = SRA(n, l)` — floor rounding is exactly
-    /// what an arithmetic shift does (the paper's Fig 6.1 fast case).
-    Shift { l: u32 },
-    /// Constant `d > 2` (not a power of two), Figure 6.1:
-    /// `nsign = XSIGN(n); q0 = MULUH(m, EOR(nsign, n));`
-    /// `q = EOR(nsign, SRL(q0, sh_post))`.
-    MulShift { m: S::Unsigned, sh_post: u32 },
-    /// `d < 0`: trunc division plus the floor correction.
-    NegativeTrunc { trunc: SignedDivisor<S> },
-}
 
 /// A precomputed signed divisor rounding quotients toward `-∞`.
 ///
@@ -60,7 +43,8 @@ enum Variant<S: SWord> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FloorDivisor<S: SWord> {
     d: S,
-    variant: Variant<S>,
+    /// The `d < 0` arm runs the same kernel as [`SignedDivisor::divide`].
+    strategy: FloorStrategy<S::Unsigned, SignedDivisor<S>>,
 }
 
 impl<S: SWord> FloorDivisor<S> {
@@ -103,20 +87,13 @@ impl<S: SWord> FloorDivisor<S> {
             S::BITS,
             "plan width does not match divisor word width"
         );
-        let variant = match plan.strategy() {
-            FloorStrategy::Identity => Variant::Identity,
-            FloorStrategy::NegativeTrunc { trunc } => Variant::NegativeTrunc {
-                trunc: SignedDivisor::from_plan(&trunc),
-            },
-            FloorStrategy::Shift { l } => Variant::Shift { l },
-            FloorStrategy::MulShift { m, sh_post } => Variant::MulShift {
-                m: <S::Unsigned as Limb>::from_u128_truncate(m),
-                sh_post,
-            },
-        };
         FloorDivisor {
             d: S::from_i128_truncate(plan.divisor()),
-            variant,
+            strategy: plan
+                .strategy()
+                .map(<S::Unsigned as Limb>::from_u128_truncate, |trunc| {
+                    SignedDivisor::from_plan(&trunc)
+                }),
         }
     }
 
@@ -136,14 +113,7 @@ impl<S: SWord> FloorDivisor<S> {
         strategy: Strategy,
     ) -> Result<(Self, Option<TournamentResult>), DivisorError> {
         let this = Self::new(d)?;
-        let tournament = match strategy {
-            Strategy::PaperOnly => None,
-            Strategy::Tournament => Some(paper_only_tournament(
-                this.plan().into(),
-                &OpCountScorer,
-                &ArithmeticCertifier,
-            )),
-        };
+        let tournament = paper_only_scoreboard(this.plan(), strategy);
         Ok((this, tournament))
     }
 
@@ -156,21 +126,10 @@ impl<S: SWord> FloorDivisor<S> {
     /// The width-erased [`FloorPlan`] this divisor caches — the same plan
     /// `magicdiv-codegen` lowers to IR and `magicdiv-simcpu` prices.
     pub fn plan(&self) -> FloorPlan {
-        let strategy = match &self.variant {
-            Variant::Identity => FloorStrategy::Identity,
-            Variant::Shift { l } => FloorStrategy::Shift { l: *l },
-            Variant::MulShift { m, sh_post } => FloorStrategy::MulShift {
-                m: m.to_u128(),
-                sh_post: *sh_post,
-            },
-            Variant::NegativeTrunc { trunc } => FloorStrategy::NegativeTrunc {
-                trunc: trunc.plan(),
-            },
-        };
         FloorPlan {
             width: S::BITS,
             d: self.d.to_i128(),
-            strategy,
+            strategy: self.strategy.map(Limb::to_u128, |trunc| trunc.plan()),
         }
     }
 
@@ -180,10 +139,10 @@ impl<S: SWord> FloorDivisor<S> {
     /// agree there).
     #[inline]
     pub fn divide(&self, n: S) -> S {
-        match &self.variant {
-            Variant::Identity => n,
-            Variant::Shift { l } => n.sra_full(*l),
-            Variant::MulShift { m, sh_post } => {
+        match &self.strategy {
+            FloorStrategy::Identity => n,
+            FloorStrategy::Shift { l } => n.sra_full(*l),
+            FloorStrategy::MulShift { m, sh_post } => {
                 // Fig 6.1: EOR(nsign, n) maps n >= 0 to itself and n < 0 to
                 // -n - 1 >= 0, both < 2^(N-1), so one unsigned MULUH
                 // computes the trunc quotient; the outer EOR folds the
@@ -192,7 +151,7 @@ impl<S: SWord> FloorDivisor<S> {
                 let q0 = m.muluh(nsign ^ n.as_unsigned());
                 S::from_unsigned(nsign ^ q0.shr_full(*sh_post))
             }
-            Variant::NegativeTrunc { trunc } => {
+            FloorStrategy::NegativeTrunc { trunc } => {
                 let (q, r) = trunc.div_rem(n);
                 // Floor correction: the remainder is nonzero and has the
                 // sign of the dividend; for d < 0 that means r > 0.
@@ -421,12 +380,12 @@ mod tests {
         // §6: r = n mod 10 with the (2^33+3)/5 multiplier. Our FloorDivisor
         // reproduces the same results.
         let fd = FloorDivisor::<i32>::new(10).unwrap();
-        match fd.variant {
-            Variant::MulShift { m, sh_post } => {
+        match fd.strategy {
+            FloorStrategy::MulShift { m, sh_post } => {
                 assert_eq!(m as u64, ((1u64 << 33) + 3) / 5);
                 assert_eq!(sh_post, 2);
             }
-            ref v => panic!("unexpected variant {v:?}"),
+            ref s => panic!("unexpected strategy {s:?}"),
         }
         for n in [-100i32, -1, 0, 1, 9, 10, 11, i32::MIN, i32::MAX] {
             let r = fd.modulus(n);
@@ -504,6 +463,14 @@ mod tests {
         for d in [-10i32, -2, -1, 1, 2, 10, 16, 641, i32::MIN, i32::MAX] {
             let fd = FloorDivisor::new(d).unwrap();
             assert_eq!(fd.plan(), FloorPlan::new(d as i128, 32).unwrap(), "d={d}");
+        }
+        for d in [-1_000_000_007i64, -7, -2, -1, i64::MIN, i64::MIN + 1] {
+            let fd = FloorDivisor::new(d).unwrap();
+            assert_eq!(fd.plan(), FloorPlan::new(d as i128, 64).unwrap(), "d={d}");
+        }
+        for d in [-(1i128 << 100) - 1, -7, -2, -1, i128::MIN, i128::MIN + 1] {
+            let fd = FloorDivisor::new(d).unwrap();
+            assert_eq!(fd.plan(), FloorPlan::new(d, 128).unwrap(), "d={d}");
         }
     }
 

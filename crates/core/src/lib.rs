@@ -108,9 +108,10 @@ pub use crate::guard::{
     GuardedExactDivisor, GuardedFloorDivisor, GuardedSignedDivisor, GuardedUnsignedDivisor,
 };
 pub use crate::plan::{
-    DivPlan, DivisibilityPlan, ExactPlan, FloorPlan, SdivPlan, UdivPlan, UremPlan,
+    DivPlan, DivisibilityPlan, ExactPlan, FloorPlan, SdivPlan, SdivStrategy, UdivPlan,
+    UdivStrategy, UremPlan,
 };
-pub use crate::signed::{InvariantSignedDivisor, SignedDivisor, SignedStrategy};
+pub use crate::signed::{InvariantSignedDivisor, SignedDivisor};
 pub use crate::tournament::{
     certify_plan, paper_only_tournament, run_udiv_tournament, run_urem_tournament, select_udiv,
     select_urem, ArithmeticCertifier, Certification, LossReason, OpCountScorer, Outcome,
@@ -118,7 +119,7 @@ pub use crate::tournament::{
     UremSelection,
 };
 pub use crate::udword_div::DwordDivisor;
-pub use crate::unsigned::{InvariantUnsignedDivisor, UnsignedDivisor, UnsignedStrategy};
+pub use crate::unsigned::{InvariantUnsignedDivisor, UnsignedDivisor};
 pub use crate::word::{SWord, UWord};
 
 // Re-export the doubleword substrate: DwordDivisor takes DWord dividends.

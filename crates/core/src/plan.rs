@@ -25,9 +25,12 @@
 //! and the generated code can therefore never disagree about strategy.
 //!
 //! Constants are stored as `u128` (the widest supported word), masked to
-//! the plan's width. Supported widths are `1..=64` (the IR's range, used
-//! by the code generators at arbitrary widths) and exactly `128` (the
-//! runtime divisors' widest type); widths 65–127 are rejected because no
+//! the plan's width. The strategy enums are generic over that constant
+//! type: the typed divisors hold the same enum at their native word,
+//! converted once by `map`, so each code shape is defined only here.
+//! Supported widths are `1..=64` (the IR's range, used by the code
+//! generators at arbitrary widths) and exactly `128` (the runtime
+//! divisors' widest type); widths 65–127 are rejected because no
 //! doubleword substrate exists for them.
 
 use core::fmt;
@@ -159,10 +162,11 @@ fn mod_inverse(d_odd: u128, width: u32) -> u128 {
     inv & m
 }
 
-/// The code shape Figure 4.2 selects for an unsigned divisor — the
-/// width-erased twin of [`UnsignedStrategy`](crate::UnsignedStrategy).
+/// The code shape Figure 4.2 selects for an unsigned divisor, with its
+/// constants as `C`: `u128` in a plan, the native word in an
+/// [`UnsignedDivisor`](crate::UnsignedDivisor).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum UdivStrategy {
+pub enum UdivStrategy<C = u128> {
     /// `d == 1`: the quotient is the dividend.
     Identity,
     /// `d == 2^sh`: a single logical right shift.
@@ -173,7 +177,7 @@ pub enum UdivStrategy {
     /// `m < 2^N`: `q = SRL(MULUH(m, SRL(n, sh_pre)), sh_post)`.
     MulShift {
         /// The magic multiplier, `m < 2^N`.
-        m: u128,
+        m: C,
         /// Pre-shift (log2 of the even part of `d`), often 0.
         sh_pre: u32,
         /// Post-shift applied to the high product half.
@@ -183,7 +187,7 @@ pub enum UdivStrategy {
     /// `t = MULUH(m - 2^N, n); q = SRL(t + SRL(n - t, 1), sh_post - 1)`.
     MulAddShift {
         /// The multiplier with its `2^N` bit removed.
-        m_minus_pow2n: u128,
+        m_minus_pow2n: C,
         /// Post-shift (at least 1).
         sh_post: u32,
     },
@@ -193,10 +197,36 @@ pub enum UdivStrategy {
     /// produced by the paper baseline; only a tournament candidate.
     MulRoundUp {
         /// The round-down magic multiplier, `m = ⌊2^(N+sh_post)/d⌋ < 2^N`.
-        m: u128,
+        m: C,
         /// Post-shift applied to the fixed-up high product half.
         sh_post: u32,
     },
+}
+
+impl<C> UdivStrategy<C> {
+    /// The same code shape with every constant converted by `f`.
+    #[inline]
+    pub fn map<D>(self, f: impl Fn(C) -> D) -> UdivStrategy<D> {
+        match self {
+            UdivStrategy::Identity => UdivStrategy::Identity,
+            UdivStrategy::Shift { sh } => UdivStrategy::Shift { sh },
+            UdivStrategy::MulShift { m, sh_pre, sh_post } => UdivStrategy::MulShift {
+                m: f(m),
+                sh_pre,
+                sh_post,
+            },
+            UdivStrategy::MulAddShift {
+                m_minus_pow2n,
+                sh_post,
+            } => UdivStrategy::MulAddShift {
+                m_minus_pow2n: f(m_minus_pow2n),
+                sh_post,
+            },
+            UdivStrategy::MulRoundUp { m, sh_post } => {
+                UdivStrategy::MulRoundUp { m: f(m), sh_post }
+            }
+        }
+    }
 }
 
 /// A complete unsigned-division plan: divisor, width and selected
@@ -381,12 +411,13 @@ impl fmt::Display for UdivPlan {
     }
 }
 
-/// The code shape Figure 5.2 selects for a signed divisor — the
-/// width-erased twin of [`SignedStrategy`](crate::SignedStrategy).
+/// The code shape Figure 5.2 selects for a signed divisor, with its
+/// constants as `C`: the `N`-bit pattern in a `u128` in a plan, the
+/// native signed word in a [`SignedDivisor`](crate::SignedDivisor).
 /// Constants are the `|d|` sequence; [`SdivPlan::negate`] records the
 /// final negation for `d < 0`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SdivStrategy {
+pub enum SdivStrategy<C = u128> {
     /// `|d| == 1`: copy (and negate when `d == -1`).
     Identity,
     /// `|d| == 2^l`: `q = SRA(n + SRL(SRA(n, l-1), N-l), l)`.
@@ -397,7 +428,7 @@ pub enum SdivStrategy {
     /// `m < 2^(N-1)`: `q = SRA(MULSH(m, n), sh_post) - XSIGN(n)`.
     MulShift {
         /// The magic multiplier (a positive `N`-bit pattern).
-        m: u128,
+        m: C,
         /// Post-shift applied to the high product half.
         sh_post: u32,
     },
@@ -406,10 +437,29 @@ pub enum SdivStrategy {
     MulAddShift {
         /// `m` as an `N`-bit pattern — read as signed it is the negative
         /// `m - 2^N`.
-        m_minus_pow2n: u128,
+        m_minus_pow2n: C,
         /// Post-shift applied after the add fixup.
         sh_post: u32,
     },
+}
+
+impl<C> SdivStrategy<C> {
+    /// The same code shape with every constant converted by `f`.
+    #[inline]
+    pub fn map<D>(self, f: impl Fn(C) -> D) -> SdivStrategy<D> {
+        match self {
+            SdivStrategy::Identity => SdivStrategy::Identity,
+            SdivStrategy::Shift { l } => SdivStrategy::Shift { l },
+            SdivStrategy::MulShift { m, sh_post } => SdivStrategy::MulShift { m: f(m), sh_post },
+            SdivStrategy::MulAddShift {
+                m_minus_pow2n,
+                sh_post,
+            } => SdivStrategy::MulAddShift {
+                m_minus_pow2n: f(m_minus_pow2n),
+                sh_post,
+            },
+        }
+    }
 }
 
 /// A complete signed truncating-division plan (Figure 5.2).
@@ -563,9 +613,13 @@ impl fmt::Display for SdivPlan {
     }
 }
 
-/// The code shape selected for a signed floor division (Figure 6.1).
+/// The code shape selected for a signed floor division (Figure 6.1),
+/// with its multiplier as `C` and the `d < 0` truncating division as
+/// `Trunc`: a `u128` and an [`SdivPlan`] in a plan, the native unsigned
+/// word and a [`SignedDivisor`](crate::SignedDivisor) in a
+/// [`FloorDivisor`](crate::FloorDivisor).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FloorStrategy {
+pub enum FloorStrategy<C = u128, Trunc = SdivPlan> {
     /// `d == 1`.
     Identity,
     /// `d == 2^l`, `d > 0`: `q = SRA(n, l)` — an arithmetic shift floors.
@@ -578,7 +632,7 @@ pub enum FloorStrategy {
     /// `q = EOR(nsign, SRL(q0, sh_post))`.
     MulShift {
         /// The magic multiplier (unsigned, `m < 2^N`).
-        m: u128,
+        m: C,
         /// Post-shift applied to the high product half.
         sh_post: u32,
     },
@@ -586,8 +640,28 @@ pub enum FloorStrategy {
     /// correction `q -= (r > 0)`.
     NegativeTrunc {
         /// The Figure 5.2 plan for the truncating division by `d`.
-        trunc: SdivPlan,
+        trunc: Trunc,
     },
+}
+
+impl<C, Trunc> FloorStrategy<C, Trunc> {
+    /// The same code shape with its multiplier converted by `f` and its
+    /// truncating division by `trunc`.
+    #[inline]
+    pub fn map<D, T2>(
+        self,
+        f: impl FnOnce(C) -> D,
+        trunc: impl FnOnce(Trunc) -> T2,
+    ) -> FloorStrategy<D, T2> {
+        match self {
+            FloorStrategy::Identity => FloorStrategy::Identity,
+            FloorStrategy::Shift { l } => FloorStrategy::Shift { l },
+            FloorStrategy::MulShift { m, sh_post } => FloorStrategy::MulShift { m: f(m), sh_post },
+            FloorStrategy::NegativeTrunc { trunc: t } => {
+                FloorStrategy::NegativeTrunc { trunc: trunc(t) }
+            }
+        }
+    }
 }
 
 /// A complete signed floor-division plan (Figure 6.1, with the `d < 0`
@@ -1069,27 +1143,47 @@ impl fmt::Display for DwordPlan {
 /// `(n·c) mod 2^F` scaled by `d` yields `n mod d` exactly for every
 /// `N`-bit `n`. Both paths are first-class here so the tournament can
 /// price them against each other per width/divisor cell.
+///
+/// Constants are `C`: `u128` in a plan, the native word in an
+/// [`UnsignedDivisor`](crate::UnsignedDivisor).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum UremStrategy {
+pub enum UremStrategy<C = u128> {
     /// `d == 2^e`: `r = AND(n, 2^e - 1)` — no multiplier at all.
     Mask {
         /// `2^e - 1`.
-        low_mask: u128,
+        low_mask: C,
     },
     /// LKK Thm 1: `r = MULUH_2N((n·c) mod 2^2N, d)` with the doubleword
     /// fraction multiplier `c = ⌈2^2N/d⌉` split into `N`-bit limbs.
     Fraction {
         /// High limb of `c`: `⌊c / 2^N⌋` (always `>= 1`).
-        c_hi: u128,
+        c_hi: C,
         /// Low limb of `c`: `c mod 2^N`.
-        c_lo: u128,
+        c_lo: C,
     },
     /// Quotient-then-multiply-back (§1): the embedded Figure 4.2 quotient
     /// strategy followed by `r = n - q*d`.
     MulBack {
         /// The quotient plan whose result is multiplied back.
-        udiv: UdivStrategy,
+        udiv: UdivStrategy<C>,
     },
+}
+
+impl<C> UremStrategy<C> {
+    /// The same code shape with every constant converted by `f`.
+    #[inline]
+    pub fn map<D>(self, f: impl Fn(C) -> D) -> UremStrategy<D> {
+        match self {
+            UremStrategy::Mask { low_mask } => UremStrategy::Mask {
+                low_mask: f(low_mask),
+            },
+            UremStrategy::Fraction { c_hi, c_lo } => UremStrategy::Fraction {
+                c_hi: f(c_hi),
+                c_lo: f(c_lo),
+            },
+            UremStrategy::MulBack { udiv } => UremStrategy::MulBack { udiv: udiv.map(f) },
+        }
+    }
 }
 
 /// A complete unsigned-remainder plan: divisor, width and selected

@@ -17,51 +17,10 @@ use core::ops::{Div, Rem};
 
 use crate::error::DivisorError;
 use crate::plan::{SdivPlan, SdivStrategy};
-use crate::tournament::{
-    paper_only_tournament, ArithmeticCertifier, OpCountScorer, Strategy, TournamentResult,
-};
+use crate::tournament::{paper_only_scoreboard, Strategy, TournamentResult};
 use magicdiv_dword::Limb;
 
 use crate::word::SWord;
-
-/// The code shape Figure 5.2 selects for a constant signed divisor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum SignedStrategy<S> {
-    /// `|d| == 1`: copy (and negate when `d == -1`).
-    Identity,
-    /// `|d| == 2^l`:
-    /// `q = SRA(n + SRL(SRA(n, l-1), N-l), l)`, negated when `d < 0`.
-    Shift {
-        /// `log2 |d|`.
-        l: u32,
-    },
-    /// `m < 2^(N-1)`:
-    /// `q = SRA(MULSH(m, n), sh_post) - XSIGN(n)`, negated when `d < 0`.
-    MulShift {
-        /// The magic multiplier as a (positive) signed word.
-        m: S,
-        /// Post-shift applied to the high product half.
-        sh_post: u32,
-    },
-    /// `2^(N-1) <= m < 2^N`:
-    /// `q = SRA(n + MULSH(m - 2^N, n), sh_post) - XSIGN(n)`, negated when
-    /// `d < 0`. Note `m - 2^N` is negative.
-    MulAddShift {
-        /// `m - 2^N`, a negative signed word.
-        m_minus_pow2n: S,
-        /// Post-shift applied after the add fixup.
-        sh_post: u32,
-    },
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Variant<S> {
-    Identity,
-    Shift { l: u32 },
-    MulShift { m: S, sh_post: u32 },
-    MulAddShift { m_minus_pow2n: S, sh_post: u32 },
-}
 
 /// A precomputed signed divisor rounding quotients toward zero,
 /// following the Figure 5.2 constant-divisor strategy.
@@ -82,7 +41,7 @@ enum Variant<S> {
 pub struct SignedDivisor<S> {
     d: S,
     negate: bool,
-    variant: Variant<S>,
+    strategy: SdivStrategy<S>,
 }
 
 impl<S: SWord> SignedDivisor<S> {
@@ -125,26 +84,12 @@ impl<S: SWord> SignedDivisor<S> {
             S::BITS,
             "plan width does not match divisor word width"
         );
-        let from_bits = |m: u128| S::from_unsigned(<S::Unsigned as Limb>::from_u128_truncate(m));
-        let variant = match plan.strategy() {
-            SdivStrategy::Identity => Variant::Identity,
-            SdivStrategy::Shift { l } => Variant::Shift { l },
-            SdivStrategy::MulShift { m, sh_post } => Variant::MulShift {
-                m: from_bits(m),
-                sh_post,
-            },
-            SdivStrategy::MulAddShift {
-                m_minus_pow2n,
-                sh_post,
-            } => Variant::MulAddShift {
-                m_minus_pow2n: from_bits(m_minus_pow2n),
-                sh_post,
-            },
-        };
         SignedDivisor {
             d: S::from_i128_truncate(plan.divisor()),
             negate: plan.negate(),
-            variant,
+            strategy: plan
+                .strategy()
+                .map(|m| S::from_unsigned(<S::Unsigned as Limb>::from_u128_truncate(m))),
         }
     }
 
@@ -166,14 +111,7 @@ impl<S: SWord> SignedDivisor<S> {
         strategy: Strategy,
     ) -> Result<(Self, Option<TournamentResult>), DivisorError> {
         let this = Self::new(d)?;
-        let tournament = match strategy {
-            Strategy::PaperOnly => None,
-            Strategy::Tournament => Some(paper_only_tournament(
-                this.plan().into(),
-                &OpCountScorer,
-                &ArithmeticCertifier,
-            )),
-        };
+        let tournament = paper_only_scoreboard(this.plan(), strategy);
         Ok((this, tournament))
     }
 
@@ -183,46 +121,21 @@ impl<S: SWord> SignedDivisor<S> {
         self.d
     }
 
-    /// Which Figure 5.2 code shape was selected.
-    pub fn strategy(&self) -> SignedStrategy<S> {
-        match self.variant {
-            Variant::Identity => SignedStrategy::Identity,
-            Variant::Shift { l } => SignedStrategy::Shift { l },
-            Variant::MulShift { m, sh_post } => SignedStrategy::MulShift { m, sh_post },
-            Variant::MulAddShift {
-                m_minus_pow2n,
-                sh_post,
-            } => SignedStrategy::MulAddShift {
-                m_minus_pow2n,
-                sh_post,
-            },
-        }
+    /// Which Figure 5.2 code shape was selected, with its constants as
+    /// native signed words.
+    #[inline]
+    pub fn strategy(&self) -> SdivStrategy<S> {
+        self.strategy
     }
 
     /// The width-erased [`SdivPlan`] this divisor caches — the same plan
     /// `magicdiv-codegen` lowers to IR and `magicdiv-simcpu` prices.
     pub fn plan(&self) -> SdivPlan {
-        let bits = |m: S| m.as_unsigned().to_u128();
-        let strategy = match self.variant {
-            Variant::Identity => SdivStrategy::Identity,
-            Variant::Shift { l } => SdivStrategy::Shift { l },
-            Variant::MulShift { m, sh_post } => SdivStrategy::MulShift {
-                m: bits(m),
-                sh_post,
-            },
-            Variant::MulAddShift {
-                m_minus_pow2n,
-                sh_post,
-            } => SdivStrategy::MulAddShift {
-                m_minus_pow2n: bits(m_minus_pow2n),
-                sh_post,
-            },
-        };
         SdivPlan {
             width: S::BITS,
             d: self.d.to_i128(),
             negate: self.negate,
-            strategy,
+            strategy: self.strategy.map(|m| m.as_unsigned().to_u128()),
         }
     }
 
@@ -232,19 +145,19 @@ impl<S: SWord> SignedDivisor<S> {
     /// returning `MIN` exactly as two's-complement hardware does.
     #[inline]
     pub fn divide(&self, n: S) -> S {
-        let q = match self.variant {
-            Variant::Identity => n,
-            Variant::Shift { l } => {
+        let q = match self.strategy {
+            SdivStrategy::Identity => n,
+            SdivStrategy::Shift { l } => {
                 // q = SRA(n + SRL(SRA(n, l-1), N-l), l): adds d-1 to
                 // negative dividends so the arithmetic shift truncates
                 // toward zero.
                 let bias = n.sra_full(l - 1).as_unsigned().shr_full(S::BITS - l);
                 n.wrapping_add(S::from_unsigned(bias)).sra_full(l)
             }
-            Variant::MulShift { m, sh_post } => {
+            SdivStrategy::MulShift { m, sh_post } => {
                 m.mulsh(n).sra_full(sh_post).wrapping_sub(n.xsign())
             }
-            Variant::MulAddShift {
+            SdivStrategy::MulAddShift {
                 m_minus_pow2n,
                 sh_post,
             } => n
@@ -649,7 +562,7 @@ mod tests {
         // check: (2^32+2)/3 = 1431655766 < 2^31 = 2147483648 — MulShift.
         let d = SignedDivisor::<i32>::new(3).unwrap();
         match d.strategy() {
-            SignedStrategy::MulShift { m, sh_post } => {
+            SdivStrategy::MulShift { m, sh_post } => {
                 assert_eq!(m as u64, ((1u64 << 32) + 2) / 3);
                 assert_eq!(sh_post, 0);
             }
@@ -665,7 +578,7 @@ mod tests {
         // MulAddShift path with a negative m - 2^32 is used.
         let d = SignedDivisor::<i32>::new(7).unwrap();
         match d.strategy() {
-            SignedStrategy::MulAddShift {
+            SdivStrategy::MulAddShift {
                 m_minus_pow2n,
                 sh_post,
             } => {
@@ -682,19 +595,19 @@ mod tests {
     fn power_of_two_and_identity_strategies() {
         assert_eq!(
             SignedDivisor::<i32>::new(1).unwrap().strategy(),
-            SignedStrategy::Identity
+            SdivStrategy::Identity
         );
         assert_eq!(
             SignedDivisor::<i32>::new(-1).unwrap().strategy(),
-            SignedStrategy::Identity
+            SdivStrategy::Identity
         );
         assert_eq!(
             SignedDivisor::<i32>::new(16).unwrap().strategy(),
-            SignedStrategy::Shift { l: 4 }
+            SdivStrategy::Shift { l: 4 }
         );
         assert_eq!(
             SignedDivisor::<i32>::new(-16).unwrap().strategy(),
-            SignedStrategy::Shift { l: 4 }
+            SdivStrategy::Shift { l: 4 }
         );
     }
 

@@ -642,6 +642,24 @@ pub fn paper_only_tournament(
     result
 }
 
+/// The scoreboard a single-family constructor returns for `strategy`:
+/// none under [`Strategy::PaperOnly`], otherwise `plan` wrapped by
+/// [`paper_only_tournament`] under the core's op-count scorer and
+/// arithmetic certifier.
+pub(crate) fn paper_only_scoreboard(
+    plan: impl Into<DivPlan>,
+    strategy: Strategy,
+) -> Option<TournamentResult> {
+    match strategy {
+        Strategy::PaperOnly => None,
+        Strategy::Tournament => Some(paper_only_tournament(
+            plan.into(),
+            &OpCountScorer,
+            &ArithmeticCertifier,
+        )),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

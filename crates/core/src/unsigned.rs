@@ -26,87 +26,6 @@ use crate::tournament::{
 };
 use crate::word::UWord;
 
-/// The code shape Figure 4.2 selects for a given constant divisor.
-///
-/// Exposed so the code generator and the benchmarks can introspect which
-/// strategy a divisor got; constructing a variant directly is not possible
-/// outside the crate (all fields are crate-private behind accessors).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum UnsignedStrategy<T> {
-    /// `d == 1`: the quotient is the dividend.
-    Identity,
-    /// `d == 2^sh`: a single logical right shift.
-    Shift {
-        /// The shift count `log2 d`.
-        sh: u32,
-    },
-    /// `m < 2^N`: `q = SRL(MULUH(m, SRL(n, sh_pre)), sh_post)`.
-    MulShift {
-        /// The magic multiplier, `m < 2^N`.
-        m: T,
-        /// Pre-shift (log2 of the even part of `d`), often 0.
-        sh_pre: u32,
-        /// Post-shift applied to the high product half.
-        sh_post: u32,
-    },
-    /// `m >= 2^N` (odd `d`): the Figure 4.1 long sequence
-    /// `t = MULUH(m - 2^N, n); q = SRL(t + SRL(n - t, 1), sh_post - 1)`.
-    MulAddShift {
-        /// The multiplier with its `2^N` bit removed.
-        m_minus_pow2n: T,
-        /// Post-shift (at least 1).
-        sh_post: u32,
-    },
-    /// Round-*down* multiplier applied to `n + 1` (Li, arXiv 2412.03680):
-    /// `q = SRL(MULUH(m, n) + carry(MULL(m, n) + m), sh_post)`. Never
-    /// selected by Figure 4.2 — only a tournament winner
-    /// ([`UnsignedDivisor::with_strategy`]) carries it.
-    MulRoundUp {
-        /// The round-down magic multiplier, `m = ⌊2^(N+sh_post)/d⌋ < 2^N`.
-        m: T,
-        /// Post-shift applied to the fixed-up high product half.
-        sh_post: u32,
-    },
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Variant<T> {
-    Identity,
-    Shift { sh: u32 },
-    MulShift { m: T, sh_pre: u32, sh_post: u32 },
-    MulAddShift { m_minus_pow2n: T, sh_post: u32 },
-    MulRoundUp { m: T, sh_post: u32 },
-}
-
-/// How `remainder` / the `r` half of `div_rem_slice` is computed — the
-/// native-word cache of a [`UremPlan`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum RemVariant<T> {
-    /// `d == 2^e`: `r = AND(n, 2^e - 1)`.
-    Mask { low_mask: T },
-    /// Lemire–Kaser–Kurz direct fraction: `r` from the low bits of
-    /// `n * c`, never forming the quotient.
-    Fraction { c_hi: T, c_lo: T },
-    /// §1 multiply-back: `r = n - divide(n) * d`.
-    MulBack,
-}
-
-impl<T: UWord> RemVariant<T> {
-    fn from_plan(plan: &UremPlan) -> Self {
-        match plan.strategy() {
-            UremStrategy::Mask { low_mask } => RemVariant::Mask {
-                low_mask: T::from_u128_truncate(low_mask),
-            },
-            UremStrategy::Fraction { c_hi, c_lo } => RemVariant::Fraction {
-                c_hi: T::from_u128_truncate(c_hi),
-                c_lo: T::from_u128_truncate(c_lo),
-            },
-            UremStrategy::MulBack { .. } => RemVariant::MulBack,
-        }
-    }
-}
-
 /// A precomputed unsigned divisor following the Figure 4.2 constant-divisor
 /// strategy.
 ///
@@ -124,8 +43,10 @@ impl<T: UWord> RemVariant<T> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct UnsignedDivisor<T> {
     d: T,
-    variant: Variant<T>,
-    rem: RemVariant<T>,
+    strategy: UdivStrategy<T>,
+    /// The remainder path. A `MulBack` payload always equals `strategy`,
+    /// the quotient this divisor runs.
+    rem: UremStrategy<T>,
 }
 
 impl<T: UWord> UnsignedDivisor<T> {
@@ -168,37 +89,18 @@ impl<T: UWord> UnsignedDivisor<T> {
             T::BITS,
             "plan width does not match divisor word width"
         );
-        let variant = match plan.strategy() {
-            UdivStrategy::Identity => Variant::Identity,
-            UdivStrategy::Shift { sh } => Variant::Shift { sh },
-            UdivStrategy::MulShift { m, sh_pre, sh_post } => Variant::MulShift {
-                m: T::from_u128_truncate(m),
-                sh_pre,
-                sh_post,
-            },
-            UdivStrategy::MulAddShift {
-                m_minus_pow2n,
-                sh_post,
-            } => Variant::MulAddShift {
-                m_minus_pow2n: T::from_u128_truncate(m_minus_pow2n),
-                sh_post,
-            },
-            UdivStrategy::MulRoundUp { m, sh_post } => Variant::MulRoundUp {
-                m: T::from_u128_truncate(m),
-                sh_post,
-            },
-        };
-        let rem = match variant {
+        let strategy = plan.strategy().map(T::from_u128_truncate);
+        let rem = match strategy {
             // Powers of two (and d == 1): the remainder is a bare mask,
             // bit-identical to multiply-back but one op.
-            Variant::Identity | Variant::Shift { .. } => RemVariant::Mask {
+            UdivStrategy::Identity | UdivStrategy::Shift { .. } => UremStrategy::Mask {
                 low_mask: T::from_u128_truncate(plan.divisor() - 1),
             },
-            _ => RemVariant::MulBack,
+            udiv => UremStrategy::MulBack { udiv },
         };
         UnsignedDivisor {
             d: T::from_u128_truncate(plan.divisor()),
-            variant,
+            strategy,
             rem,
         }
     }
@@ -213,7 +115,9 @@ impl<T: UWord> UnsignedDivisor<T> {
     /// Returns [`DivisorError::Zero`] when `d == 0`.
     pub fn new_direct_rem(d: T) -> Result<Self, DivisorError> {
         let mut div = Self::new(d)?;
-        div.rem = RemVariant::from_plan(&UremPlan::new_direct(d.to_u128(), T::BITS)?);
+        div.rem = UremPlan::new_direct(d.to_u128(), T::BITS)?
+            .strategy()
+            .map(T::from_u128_truncate);
         Ok(div)
     }
 
@@ -267,7 +171,7 @@ impl<T: UWord> UnsignedDivisor<T> {
     ) -> Result<(Self, Option<TournamentResult>), DivisorError> {
         let selection = select_urem(d.to_u128(), T::BITS, strategy, scorer, certifier)?;
         let mut div = Self::new(d)?;
-        div.rem = RemVariant::from_plan(&selection.plan);
+        div.rem = selection.plan.strategy().map(T::from_u128_truncate);
         Ok((div, selection.tournament))
     }
 
@@ -290,53 +194,17 @@ impl<T: UWord> UnsignedDivisor<T> {
         self.d
     }
 
-    /// Which Figure 4.2 code shape was selected.
-    pub fn strategy(&self) -> UnsignedStrategy<T> {
-        match self.variant {
-            Variant::Identity => UnsignedStrategy::Identity,
-            Variant::Shift { sh } => UnsignedStrategy::Shift { sh },
-            Variant::MulShift { m, sh_pre, sh_post } => {
-                UnsignedStrategy::MulShift { m, sh_pre, sh_post }
-            }
-            Variant::MulAddShift {
-                m_minus_pow2n,
-                sh_post,
-            } => UnsignedStrategy::MulAddShift {
-                m_minus_pow2n,
-                sh_post,
-            },
-            Variant::MulRoundUp { m, sh_post } => UnsignedStrategy::MulRoundUp { m, sh_post },
-        }
+    /// Which Figure 4.2 code shape was selected, with its constants at
+    /// the native word.
+    #[inline]
+    pub fn strategy(&self) -> UdivStrategy<T> {
+        self.strategy
     }
 
     /// The width-erased [`UdivPlan`] this divisor caches — the same plan
     /// `magicdiv-codegen` lowers to IR and `magicdiv-simcpu` prices.
     pub fn plan(&self) -> UdivPlan {
-        let strategy = match self.variant {
-            Variant::Identity => UdivStrategy::Identity,
-            Variant::Shift { sh } => UdivStrategy::Shift { sh },
-            Variant::MulShift { m, sh_pre, sh_post } => UdivStrategy::MulShift {
-                m: m.to_u128(),
-                sh_pre,
-                sh_post,
-            },
-            Variant::MulAddShift {
-                m_minus_pow2n,
-                sh_post,
-            } => UdivStrategy::MulAddShift {
-                m_minus_pow2n: m_minus_pow2n.to_u128(),
-                sh_post,
-            },
-            Variant::MulRoundUp { m, sh_post } => UdivStrategy::MulRoundUp {
-                m: m.to_u128(),
-                sh_post,
-            },
-        };
-        UdivPlan {
-            width: T::BITS,
-            d: self.d.to_u128(),
-            strategy,
-        }
+        UdivPlan::from_raw(self.d.to_u128(), T::BITS, self.strategy.map(T::to_u128))
     }
 
     /// The width-erased [`UremPlan`] this divisor caches for its
@@ -344,19 +212,7 @@ impl<T: UWord> UnsignedDivisor<T> {
     /// the LKK fraction from [`new_direct_rem`](Self::new_direct_rem) or
     /// a tournament win.
     pub fn urem_plan(&self) -> UremPlan {
-        let strategy = match self.rem {
-            RemVariant::Mask { low_mask } => UremStrategy::Mask {
-                low_mask: low_mask.to_u128(),
-            },
-            RemVariant::Fraction { c_hi, c_lo } => UremStrategy::Fraction {
-                c_hi: c_hi.to_u128(),
-                c_lo: c_lo.to_u128(),
-            },
-            RemVariant::MulBack => UremStrategy::MulBack {
-                udiv: self.plan().strategy(),
-            },
-        };
-        UremPlan::from_raw(self.d.to_u128(), T::BITS, strategy)
+        UremPlan::from_raw(self.d.to_u128(), T::BITS, self.rem.map(T::to_u128))
     }
 
     /// The LKK fraction remainder at the native word: two multiplies to
@@ -392,13 +248,13 @@ impl<T: UWord> UnsignedDivisor<T> {
     /// Computes `⌊n / d⌋` without a division instruction.
     #[inline]
     pub fn divide(&self, n: T) -> T {
-        match self.variant {
-            Variant::Identity => n,
-            Variant::Shift { sh } => n.shr_full(sh),
-            Variant::MulShift { m, sh_pre, sh_post } => {
+        match self.strategy {
+            UdivStrategy::Identity => n,
+            UdivStrategy::Shift { sh } => n.shr_full(sh),
+            UdivStrategy::MulShift { m, sh_pre, sh_post } => {
                 m.muluh(n.shr_full(sh_pre)).shr_full(sh_post)
             }
-            Variant::MulAddShift {
+            UdivStrategy::MulAddShift {
                 m_minus_pow2n,
                 sh_post,
             } => {
@@ -408,7 +264,7 @@ impl<T: UWord> UnsignedDivisor<T> {
                 t1.wrapping_add(n.wrapping_sub(t1).shr_full(1))
                     .shr_full(sh_post - 1)
             }
-            Variant::MulRoundUp { m, sh_post } => {
+            UdivStrategy::MulRoundUp { m, sh_post } => {
                 // q = ⌊m(n+1)/2^(N+sh_post)⌋: the high half of m*n plus
                 // the carry out of the low half's + m, then a shift. The
                 // sum cannot wrap: t_hi + 1 <= m < 2^N.
@@ -432,9 +288,9 @@ impl<T: UWord> UnsignedDivisor<T> {
     #[inline]
     pub fn remainder(&self, n: T) -> T {
         match self.rem {
-            RemVariant::Mask { low_mask } => n & low_mask,
-            RemVariant::Fraction { c_hi, c_lo } => self.rem_fraction(n, c_hi, c_lo),
-            RemVariant::MulBack => n.wrapping_sub(self.divide(n).wrapping_mul(self.d)),
+            UremStrategy::Mask { low_mask } => n & low_mask,
+            UremStrategy::Fraction { c_hi, c_lo } => self.rem_fraction(n, c_hi, c_lo),
+            UremStrategy::MulBack { .. } => n.wrapping_sub(self.divide(n).wrapping_mul(self.d)),
         }
     }
 
@@ -511,19 +367,19 @@ impl<T: UWord> UnsignedDivisor<T> {
     /// ```
     pub fn div_slice(&self, ns: &[T], out: &mut [T]) {
         assert_eq!(ns.len(), out.len(), "div_slice: length mismatch");
-        match self.variant {
-            Variant::Identity => out.copy_from_slice(ns),
-            Variant::Shift { sh } => {
+        match self.strategy {
+            UdivStrategy::Identity => out.copy_from_slice(ns),
+            UdivStrategy::Shift { sh } => {
                 for (o, &n) in out.iter_mut().zip(ns) {
                     *o = n.shr_full(sh);
                 }
             }
-            Variant::MulShift { m, sh_pre, sh_post } => {
+            UdivStrategy::MulShift { m, sh_pre, sh_post } => {
                 for (o, &n) in out.iter_mut().zip(ns) {
                     *o = m.muluh(n.shr_full(sh_pre)).shr_full(sh_post);
                 }
             }
-            Variant::MulAddShift {
+            UdivStrategy::MulAddShift {
                 m_minus_pow2n,
                 sh_post,
             } => {
@@ -534,7 +390,7 @@ impl<T: UWord> UnsignedDivisor<T> {
                         .shr_full(sh_post - 1);
                 }
             }
-            Variant::MulRoundUp { m, sh_post } => {
+            UdivStrategy::MulRoundUp { m, sh_post } => {
                 for (o, &n) in out.iter_mut().zip(ns) {
                     let t_lo = m.wrapping_mul(n);
                     let (_, carry) = t_lo.overflowing_add(m);
@@ -563,7 +419,7 @@ impl<T: UWord> UnsignedDivisor<T> {
         assert_eq!(ns.len(), q.len(), "div_rem_slice: length mismatch");
         assert_eq!(ns.len(), r.len(), "div_rem_slice: length mismatch");
         let d = self.d;
-        if matches!(self.variant, Variant::Identity) {
+        if matches!(self.strategy, UdivStrategy::Identity) {
             q.copy_from_slice(ns);
             for r in r.iter_mut() {
                 *r = T::ZERO;
@@ -571,23 +427,23 @@ impl<T: UWord> UnsignedDivisor<T> {
             return;
         }
         let pairs = q.iter_mut().zip(r.iter_mut()).zip(ns);
-        match self.variant {
-            Variant::Identity => {}
-            Variant::Shift { sh } => {
+        match self.strategy {
+            UdivStrategy::Identity => {}
+            UdivStrategy::Shift { sh } => {
                 let low_mask = d.wrapping_sub(T::ONE);
                 for ((q, r), &n) in pairs {
                     *q = n.shr_full(sh);
                     *r = n & low_mask;
                 }
             }
-            Variant::MulShift { m, sh_pre, sh_post } => {
+            UdivStrategy::MulShift { m, sh_pre, sh_post } => {
                 for ((q, r), &n) in pairs {
                     let quot = m.muluh(n.shr_full(sh_pre)).shr_full(sh_post);
                     *q = quot;
                     *r = n.wrapping_sub(quot.wrapping_mul(d));
                 }
             }
-            Variant::MulAddShift {
+            UdivStrategy::MulAddShift {
                 m_minus_pow2n,
                 sh_post,
             } => {
@@ -600,7 +456,7 @@ impl<T: UWord> UnsignedDivisor<T> {
                     *r = n.wrapping_sub(quot.wrapping_mul(d));
                 }
             }
-            Variant::MulRoundUp { m, sh_post } => {
+            UdivStrategy::MulRoundUp { m, sh_post } => {
                 for ((q, r), &n) in pairs {
                     let t_lo = m.wrapping_mul(n);
                     let (_, carry) = t_lo.overflowing_add(m);
@@ -625,17 +481,17 @@ impl<T: UWord> UnsignedDivisor<T> {
     pub fn rem_slice(&self, ns: &[T], r: &mut [T]) {
         assert_eq!(ns.len(), r.len(), "rem_slice: length mismatch");
         match self.rem {
-            RemVariant::Mask { low_mask } => {
+            UremStrategy::Mask { low_mask } => {
                 for (r, &n) in r.iter_mut().zip(ns) {
                     *r = n & low_mask;
                 }
             }
-            RemVariant::Fraction { c_hi, c_lo } => {
+            UremStrategy::Fraction { c_hi, c_lo } => {
                 for (r, &n) in r.iter_mut().zip(ns) {
                     *r = self.rem_fraction(n, c_hi, c_lo);
                 }
             }
-            RemVariant::MulBack => {
+            UremStrategy::MulBack { .. } => {
                 for (r, &n) in r.iter_mut().zip(ns) {
                     *r = n.wrapping_sub(self.divide(n).wrapping_mul(self.d));
                 }
@@ -854,7 +710,7 @@ mod tests {
     fn paper_strategy_d10() {
         let d = UnsignedDivisor::<u32>::new(10).unwrap();
         match d.strategy() {
-            UnsignedStrategy::MulShift { m, sh_pre, sh_post } => {
+            UdivStrategy::MulShift { m, sh_pre, sh_post } => {
                 assert_eq!(m as u128, ((1u128 << 34) + 1) / 5);
                 assert_eq!(sh_pre, 0);
                 assert_eq!(sh_post, 3);
@@ -867,7 +723,7 @@ mod tests {
     fn paper_strategy_d7_long_sequence() {
         let d = UnsignedDivisor::<u32>::new(7).unwrap();
         match d.strategy() {
-            UnsignedStrategy::MulAddShift {
+            UdivStrategy::MulAddShift {
                 m_minus_pow2n,
                 sh_post,
             } => {
@@ -883,7 +739,7 @@ mod tests {
     fn paper_strategy_d14_pre_shift() {
         let d = UnsignedDivisor::<u32>::new(14).unwrap();
         match d.strategy() {
-            UnsignedStrategy::MulShift { m, sh_pre, sh_post } => {
+            UdivStrategy::MulShift { m, sh_pre, sh_post } => {
                 assert_eq!(m as u128, ((1u128 << 34) + 5) / 7);
                 assert_eq!(sh_pre, 1);
                 assert_eq!(sh_post, 2);
@@ -896,11 +752,11 @@ mod tests {
     fn powers_of_two_use_shift() {
         for k in 1..32 {
             let d = UnsignedDivisor::<u32>::new(1 << k).unwrap();
-            assert_eq!(d.strategy(), UnsignedStrategy::Shift { sh: k });
+            assert_eq!(d.strategy(), UdivStrategy::Shift { sh: k });
         }
         assert_eq!(
             UnsignedDivisor::<u32>::new(1).unwrap().strategy(),
-            UnsignedStrategy::Identity
+            UdivStrategy::Identity
         );
     }
 
@@ -1011,6 +867,11 @@ mod tests {
 #[cfg(test)]
 mod rounding_tests {
     use super::*;
+    use crate::candidates::unsigned_generators;
+    use crate::plan::DivPlan;
+    use crate::testkit::interesting_unsigned_divisors;
+    use crate::tournament::Strategy;
+    use std::collections::BTreeSet;
 
     #[test]
     fn divide_ceil_exhaustive_u8() {
@@ -1032,23 +893,85 @@ mod rounding_tests {
         assert_eq!(xs, expect);
     }
 
-    #[test]
-    fn plan_roundtrips_selection() {
-        // The cached variant must reconstruct the exact plan the shared
-        // layer would choose from scratch.
-        for d in [1u32, 2, 7, 10, 14, 16, 641, 0x8000_0000, u32::MAX] {
+    /// Round-trips, for each `d` at `T`'s width, every candidate each
+    /// unsigned generator fields and the urem plan of every remainder
+    /// constructor through the native-word strategies. Records each
+    /// candidate's `(source, strategy)` in `seen`.
+    fn assert_plans_roundtrip<T: UWord>(
+        ds: Vec<T>,
+        seen: &mut BTreeSet<(&'static str, &'static str)>,
+    ) {
+        for d in ds {
+            let (d128, w) = (d.to_u128(), T::BITS);
+            for gen in unsigned_generators() {
+                for c in gen.generate(d128, w).unwrap() {
+                    let DivPlan::Unsigned(p) = c.plan else {
+                        panic!("unsigned generator produced {}", c.plan)
+                    };
+                    assert_eq!(UnsignedDivisor::<T>::from_plan(&p).plan(), p, "[{p}]");
+                    seen.insert((c.source.name(), c.plan.strategy_name()));
+                }
+            }
             let cd = UnsignedDivisor::new(d).unwrap();
-            assert_eq!(cd.plan(), UdivPlan::new(d as u128, 32).unwrap(), "d={d}");
-        }
-        for d in [1u128, 7, 10, 1 << 100, u128::MAX] {
-            let cd = UnsignedDivisor::new(d).unwrap();
-            assert_eq!(cd.plan(), UdivPlan::new(d, 128).unwrap(), "d={d}");
+            assert_eq!(cd.plan(), UdivPlan::new(d128, w).unwrap(), "d={d}");
+            assert_eq!(cd.urem_plan(), UremPlan::new(d128, w).unwrap(), "d={d}");
+            let direct = UnsignedDivisor::new_direct_rem(d).unwrap().urem_plan();
+            assert_eq!(direct, UremPlan::new_direct(d128, w).unwrap(), "d={d}");
+            let (sel, t) = UnsignedDivisor::with_urem_strategy(d, Strategy::Tournament).unwrap();
+            let won = t.expect("tournament ran").winning().candidate.plan;
+            assert_eq!(DivPlan::Urem(sel.urem_plan()), won, "d={d}");
         }
     }
 
     #[test]
+    fn plan_roundtrips_selection() {
+        // The cached strategies must reconstruct the exact plans the
+        // shared layer chose, for every candidate family and every
+        // remainder constructor.
+        let mut seen = BTreeSet::new();
+        assert_plans_roundtrip((1..=u8::MAX).collect(), &mut seen);
+        for (source, strategy) in [
+            ("paper", "identity"),
+            ("paper", "shift"),
+            ("paper", "mul_shift"),
+            ("paper", "mul_add_shift"),
+            ("round_up", "mul_round_up"),
+            ("optimal_bounds", "mul_shift"),
+        ] {
+            assert!(seen.contains(&(source, strategy)), "{source}/{strategy}");
+        }
+        assert_plans_roundtrip(interesting_unsigned_divisors::<u16>(), &mut seen);
+        assert_plans_roundtrip(interesting_unsigned_divisors::<u32>(), &mut seen);
+        assert_plans_roundtrip(interesting_unsigned_divisors::<u64>(), &mut seen);
+        assert_plans_roundtrip(interesting_unsigned_divisors::<u128>(), &mut seen);
+    }
+
+    #[test]
+    fn mulback_remainder_reports_the_executed_quotient() {
+        // A multiply-back urem plan must embed the quotient strategy the
+        // divisor actually runs, whichever constructor built it.
+        let mut non_paper_quotients = 0;
+        for d in 1u8..=u8::MAX {
+            for (cd, _) in [
+                UnsignedDivisor::with_strategy(d, Strategy::PaperOnly).unwrap(),
+                UnsignedDivisor::with_strategy(d, Strategy::Tournament).unwrap(),
+                UnsignedDivisor::with_urem_strategy(d, Strategy::Tournament).unwrap(),
+            ] {
+                if let UremStrategy::MulBack { udiv } = cd.urem_plan().strategy() {
+                    assert_eq!(udiv, cd.plan().strategy(), "d={d}");
+                    non_paper_quotients +=
+                        usize::from(cd.plan() != UdivPlan::new(d.into(), 8).unwrap());
+                }
+            }
+        }
+        assert!(
+            non_paper_quotients > 0,
+            "no tournament quotient was multiplied back"
+        );
+    }
+
+    #[test]
     fn tournament_strategy_divides_correctly_exhaustive_u8() {
-        use crate::tournament::Strategy;
         for d in 1u8..=u8::MAX {
             let (td, t) = UnsignedDivisor::with_strategy(d, Strategy::Tournament).unwrap();
             assert!(t.is_some(), "tournament scoreboard present d={d}");
@@ -1067,7 +990,6 @@ mod rounding_tests {
 
     #[test]
     fn paper_only_strategy_is_new() {
-        use crate::tournament::Strategy;
         for d in [1u32, 2, 7, 10, 14, 641, u32::MAX] {
             let (pd, t) = UnsignedDivisor::with_strategy(d, Strategy::PaperOnly).unwrap();
             assert_eq!(pd, UnsignedDivisor::new(d).unwrap(), "d={d}");
@@ -1137,7 +1059,6 @@ mod rounding_tests {
 
     #[test]
     fn direct_rem_pow2_is_mask_and_plan_roundtrips() {
-        use crate::plan::UremStrategy;
         let dd = UnsignedDivisor::<u32>::new_direct_rem(16).unwrap();
         assert!(
             matches!(
@@ -1165,7 +1086,6 @@ mod rounding_tests {
 
     #[test]
     fn urem_strategy_selection_agrees_with_oracle_u8() {
-        use crate::tournament::Strategy;
         for d in 1u8..=u8::MAX {
             let (td, _) = UnsignedDivisor::with_urem_strategy(d, Strategy::Tournament).unwrap();
             for n in 0u8..=u8::MAX {

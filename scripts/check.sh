@@ -170,6 +170,14 @@ diff -u results/table_11_1.txt target/table_11_1_ci.txt || {
     exit 1
 }
 
+echo "== magic constants gate (magic 10 32 must reproduce results/magic_d10.txt) =="
+./target/release/magic 10 32 > target/magic_d10_ci.txt
+diff -u results/magic_d10.txt target/magic_d10_ci.txt || {
+    echo "magic 10 32 output moved from the committed results/magic_d10.txt" >&2
+    echo "regenerate: ./target/release/magic 10 32 > results/magic_d10.txt" >&2
+    exit 1
+}
+
 echo "== chaos drift gate (same seed, same build: guard/cache counters must agree) =="
 rm -rf target/chaos_drift_a target/chaos_drift_b
 sha="$(git rev-parse HEAD)"

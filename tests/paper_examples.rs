@@ -6,7 +6,7 @@
 #![allow(clippy::manual_div_ceil)] // the manual forms are the subject matter
 use magicdiv_suite::magicdiv::{
     choose_multiplier, mod_inverse_newton, DivisibilityScanner, ExactSignedDivisor, FloorDivisor,
-    SignedDivisor, SignedStrategy, UnsignedDivisor, UnsignedStrategy,
+    SdivStrategy, SignedDivisor, UdivStrategy, UnsignedDivisor,
 };
 use magicdiv_suite::magicdiv_codegen::{
     emit_radix_loop, gen_unsigned_div, plan_mul_const, plan_op_count, Target,
@@ -23,7 +23,7 @@ fn section4_example_d10() {
     assert_eq!(c.multiplier.to_u128(), ((1u128 << 34) + 1) / 5);
     assert_eq!((c.sh_post, c.l), (3, 4));
     match UnsignedDivisor::<u32>::new(10).unwrap().strategy() {
-        UnsignedStrategy::MulShift { m, sh_pre, sh_post } => {
+        UdivStrategy::MulShift { m, sh_pre, sh_post } => {
             assert_eq!(m as u128, ((1u128 << 34) + 1) / 5);
             assert_eq!((sh_pre, sh_post), (0, 3));
         }
@@ -40,7 +40,7 @@ fn section4_example_d7() {
     assert!(!c.multiplier.fits_limb());
     assert!(matches!(
         UnsignedDivisor::<u32>::new(7).unwrap().strategy(),
-        UnsignedStrategy::MulAddShift { .. }
+        UdivStrategy::MulAddShift { .. }
     ));
 }
 
@@ -49,7 +49,7 @@ fn section4_example_d14() {
     // "The suggested code uses separate divisions by 2 and 7:
     //  q = SRL(MULUH((2^34+5)/7, SRL(n, 1)), 2)."
     match UnsignedDivisor::<u32>::new(14).unwrap().strategy() {
-        UnsignedStrategy::MulShift { m, sh_pre, sh_post } => {
+        UdivStrategy::MulShift { m, sh_pre, sh_post } => {
             assert_eq!(m as u128, ((1u128 << 34) + 5) / 7);
             assert_eq!((sh_pre, sh_post), (1, 2));
         }
@@ -66,7 +66,7 @@ fn section5_example_d3_signed() {
     assert_eq!(c.multiplier.to_u128(), ((1u128 << 32) + 2) / 3);
     assert_eq!(c.sh_post, 0);
     match SignedDivisor::<i32>::new(3).unwrap().strategy() {
-        SignedStrategy::MulShift { m, sh_post } => {
+        SdivStrategy::MulShift { m, sh_post } => {
             assert_eq!(m as u64, ((1u64 << 32) + 2) / 3);
             assert_eq!(sh_post, 0);
         }
