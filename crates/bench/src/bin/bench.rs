@@ -34,11 +34,12 @@ use std::time::Instant;
 use magicdiv::plan::{DivPlan, DivisibilityPlan, SdivPlan, UdivPlan, UremPlan};
 use magicdiv::{SignedDivisor, UnsignedDivisor};
 use magicdiv_bench::{
-    git_sha, measure_ns_min, render_table, run_overhead, unix_time_ms, RunLedger,
+    git_sha, measure_ns_min, render_table, run_overhead, strategy_divisors, unix_time_ms, RunLedger,
 };
 use magicdiv_simcpu::{table_1_1, try_cycles_for_plan};
 use magicdiv_trace::{
-    install, render_exposition, CaptureSink, ExpositionOptions, MetricsSink, Registry, Value,
+    install, json_string, render_exposition, CaptureSink, ExpositionOptions, MetricsSink, Registry,
+    Value,
 };
 
 const LEN: u64 = 1024;
@@ -55,12 +56,6 @@ struct Row {
     ns_per_op: f64,
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-}
-
 fn write_json(
     path: &str,
     iters: u64,
@@ -71,18 +66,15 @@ fn write_json(
 ) -> std::io::Result<()> {
     let mut out = String::from("{\n");
     out.push_str("  \"version\": 2,\n");
-    out.push_str(&format!(
-        "  \"git_sha\": \"{}\",\n",
-        json_escape(&git_sha())
-    ));
+    out.push_str(&format!("  \"git_sha\": {},\n", json_string(&git_sha())));
     out.push_str(&format!("  \"unix_ms\": {},\n", unix_time_ms()));
     out.push_str(&format!("  \"iters\": {iters},\n"));
     out.push_str(&format!("  \"duration_ms\": {duration_ms},\n"));
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"width\": {}, \"divisor\": {}, \"strategy\": \"{}\", \"ns_per_op\": {:.4}}}{}\n",
-            json_escape(&r.name),
+            "    {{\"name\": {}, \"width\": {}, \"divisor\": {}, \"strategy\": \"{}\", \"ns_per_op\": {:.4}}}{}\n",
+            json_string(&r.name),
             r.width,
             r.divisor,
             r.strategy,
@@ -92,10 +84,7 @@ fn write_json(
     }
     out.push_str("  ],\n");
     out.push_str(&format!("  \"metrics\": {metrics_json},\n"));
-    out.push_str(&format!(
-        "  \"exposition\": \"{}\"\n",
-        json_escape(exposition)
-    ));
+    out.push_str(&format!("  \"exposition\": {}\n", json_string(exposition)));
     out.push_str("}\n");
     std::fs::write(path, out)
 }
@@ -161,13 +150,6 @@ fn collect_metrics() -> (String, String) {
     let snapshot = registry.snapshot();
     let exposition = render_exposition(&snapshot, &ExpositionOptions::default());
     (snapshot.to_json(), exposition)
-}
-
-/// One divisor per unsigned strategy at a width: the values the planning
-/// layer classifies as identity / shift / mul_shift / mul_add_shift.
-fn strategy_divisors(width: u32) -> [u64; 4] {
-    // d = 7 needs the add-fixup sequence at every supported width.
-    [1, 1 << (width / 2), 10, 7]
 }
 
 macro_rules! bench_unsigned_at {

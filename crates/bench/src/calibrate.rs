@@ -128,9 +128,24 @@ pub struct CalibrationReport {
     pub models: Vec<ModelScore>,
 }
 
-/// One divisor per unsigned strategy at a width (mirrors the `bench`
-/// bin): identity / shift / mul_shift / mul_add_shift.
-fn strategy_divisors(width: u32) -> [u64; 4] {
+/// One divisor per unsigned strategy at a width — the values the
+/// planning layer classifies as identity / shift / mul_shift /
+/// mul_add_shift — shared by calibration and the `bench` bin.
+///
+/// # Examples
+///
+/// ```
+/// use magicdiv::plan::{DivPlan, UdivPlan};
+/// use magicdiv_bench::strategy_divisors;
+///
+/// let names: Vec<_> = strategy_divisors(32)
+///     .iter()
+///     .map(|&d| DivPlan::from(UdivPlan::new(d.into(), 32).unwrap()).strategy_name())
+///     .collect();
+/// assert_eq!(names, ["identity", "shift", "mul_shift", "mul_add_shift"]);
+/// ```
+pub fn strategy_divisors(width: u32) -> [u64; 4] {
+    // d = 7 needs the add-fixup sequence at every supported width.
     [1, 1 << (width / 2), 10, 7]
 }
 

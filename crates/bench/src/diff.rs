@@ -18,10 +18,13 @@
 //!   by binary descent, producing the one-line reproducers persisted in
 //!   `tests/corpus/`.
 
+use magicdiv::mod_inverse_newton;
+use magicdiv::plan::{DivPlan, DwordPlan};
 use magicdiv::testkit::directed_unsigned_dividends;
 use magicdiv::validity::fraction_valid;
 use magicdiv_ir::{
-    apply_mutation, mask, mutations, sign_extend, EvalOptions, Mutation, Op, Program, Reg,
+    apply_mutation, lower_plan, mask, mutations, optimize, sign_extend, EvalOptions, Mutation, Op,
+    Program, Reg,
 };
 
 /// Fuel budget for every harness evaluation of a (possibly mutated)
@@ -181,22 +184,6 @@ impl Case {
         sign_extend(self.d, self.width)
     }
 
-    /// The effective divisor magnitude for the exact shape.
-    ///
-    /// `gen_exact_div` sign-extends its divisor argument even on the
-    /// unsigned path, dividing by `|d|` and negating the quotient when
-    /// the sign-extended value is negative — so a top-bit-set pattern
-    /// like `d = 252` at width 8 means "divide by 4, negate".
-    fn exact_magnitude(&self) -> u64 {
-        self.d_signed().unsigned_abs() & mask(self.width)
-    }
-
-    /// Whether the exact shape negates its quotient (sign-extended
-    /// divisor pattern is negative).
-    fn exact_negates(&self) -> bool {
-        self.d_signed() < 0
-    }
-
     /// Generates the pristine program for this case.
     ///
     /// # Panics
@@ -226,7 +213,7 @@ impl Case {
                     &magicdiv::ArithmeticCertifier,
                 )
                 .expect("d != 0 checked above");
-                magicdiv_codegen::gen_udiv_plan(&sel.plan)
+                optimize(&lower_plan(&DivPlan::from(sel.plan)).expect("case widths fit the IR"))
             }
             Shape::Urem => magicdiv_codegen::gen_urem_direct(self.d, self.width),
             Shape::UremMulBack => magicdiv_codegen::gen_unsigned_rem(self.d, self.width),
@@ -245,7 +232,7 @@ impl Case {
         }
         let n = n & mask(self.width);
         match self.shape {
-            Shape::Exact => n % self.exact_magnitude() == 0,
+            Shape::Exact => n % self.d == 0,
             Shape::Floor => {
                 !(sign_extend(n, self.width) == self.min_signed() && self.d_signed() == -1)
             }
@@ -272,7 +259,6 @@ impl Case {
         let sn = sign_extend(n, self.width) as i128;
         let sd = self.d_signed() as i128;
         Some(match self.shape {
-            Shape::Udiv | Shape::UdivTournament => n / self.d,
             // i128 division cannot overflow on 64-bit operands; masking
             // the quotient reproduces the wrapping MIN / -1 result.
             Shape::Sdiv => (sn / sd) as u64 & m,
@@ -280,14 +266,7 @@ impl Case {
                 let q = sn.div_euclid(sd) - i128::from(sd < 0 && sn.rem_euclid(sd) != 0);
                 q as u64 & m
             }
-            Shape::Exact => {
-                let q = n / self.exact_magnitude();
-                if self.exact_negates() {
-                    q.wrapping_neg() & m
-                } else {
-                    q
-                }
-            }
+            Shape::Exact | Shape::Udiv | Shape::UdivTournament => n / self.d,
             Shape::Divisibility => u64::from(n % self.d == 0),
             Shape::Urem | Shape::UremMulBack => n % self.d,
             // Handled by the packed early return above.
@@ -308,17 +287,16 @@ impl Case {
         let mut out: Vec<u64> = Vec::new();
         if self.shape == Shape::Exact {
             // Only multiples are contractual: walk quotients instead.
-            let dm = self.exact_magnitude();
-            let qmax = m / dm;
+            let qmax = m / self.d;
             for q in [0, 1, 2, 3, qmax, qmax.saturating_sub(1), qmax / 2] {
-                out.push(q.wrapping_mul(dm) & m);
+                out.push(q * self.d);
             }
             for j in 0..self.width {
                 let p = 1u64 << j;
                 if p > qmax {
                     break;
                 }
-                out.push(p.wrapping_mul(dm) & m);
+                out.push(p * self.d);
             }
         } else if self.shape == Shape::Dword {
             // Packed (hi << width) | lo grid: word boundaries on both
@@ -411,14 +389,15 @@ impl Case {
         if l == 0 || l >= w || l > 6 {
             return Vec::new();
         }
-        let m_prime = ((((1u128 << (w + l)) - 1) / u128::from(d) - (1u128 << w)) as u64) & wm;
+        let Ok(plan) = DwordPlan::new(u128::from(d), w) else {
+            return Vec::new();
+        };
+        let (m_prime, d_norm) = (plan.m_prime() as u64, plan.d_norm() as u64);
         if m_prime == 0 {
             return Vec::new();
         }
-        let d_norm = (d << (w - l)) & wm;
         let z = m_prime.trailing_zeros();
-        let u = m_prime >> z;
-        let uinv = inverse_mod_pow2(u, w - z);
+        let uinv = mod_inverse_newton::<u64>(m_prime >> z) & mask(w - z);
         let step = 1i128 << z;
         let mut out = Vec::new();
         for a in 0..(1u64 << l) {
@@ -463,14 +442,13 @@ impl Case {
         let m = mask(self.width);
         match self.shape {
             Shape::Exact => {
-                let dm = self.exact_magnitude();
-                let qmax = m / dm;
+                let qmax = m / self.d;
                 let q = if qmax == u64::MAX {
                     rng.next_u64()
                 } else {
                     rng.next_u64() % (qmax + 1)
                 };
-                q.wrapping_mul(dm) & m
+                q * self.d
             }
             // Uniform over the packed doubleword domain [0, d·2^N).
             Shape::Dword => rng.next_u64() % (self.d << self.width),
@@ -482,16 +460,6 @@ impl Case {
             },
         }
     }
-}
-
-/// Inverse of an odd `u` modulo `2^bits` by Newton iteration (each step
-/// doubles the number of correct low bits).
-fn inverse_mod_pow2(u: u64, bits: u32) -> u64 {
-    let mut x = 1u64;
-    for _ in 0..6 {
-        x = x.wrapping_mul(2u64.wrapping_sub(u.wrapping_mul(x)));
-    }
-    x & mask(bits)
 }
 
 /// Largest packed dword domain (`d·2^width`) the harness will sweep
@@ -682,10 +650,8 @@ fn small_scope_equivalent(case: &Case, m: Mutation) -> bool {
         if case.width <= small_width {
             continue;
         }
-        // Exact sign-extends its divisor pattern, so downscale the
-        // signed value for it as well as for the signed shapes.
         let half = 1i64 << (small_width - 1);
-        let d_small = if case.shape.signed() || case.shape == Shape::Exact {
+        let d_small = if case.shape.signed() {
             let ds = case.d_signed();
             if !(-half..half).contains(&ds) {
                 continue;
@@ -878,7 +844,7 @@ fn fails_at(case: &Case, prog: &Program, n: u64) -> bool {
 /// covers multiples).
 fn magnitude(case: &Case, n: u64) -> u64 {
     match case.shape {
-        Shape::Exact => (n & mask(case.width)) / case.exact_magnitude(),
+        Shape::Exact => (n & mask(case.width)) / case.d,
         // Packed doubleword: descend on the full 2N-bit value (hi and
         // lo shrink together; validity is enforced by `input_valid`).
         Shape::Dword => n,
@@ -890,7 +856,7 @@ fn magnitude(case: &Case, n: u64) -> u64 {
 fn from_magnitude(case: &Case, mag: u64, negative: bool) -> u64 {
     let m = mask(case.width);
     match case.shape {
-        Shape::Exact => mag.wrapping_mul(case.exact_magnitude()) & m,
+        Shape::Exact => mag.wrapping_mul(case.d) & m,
         Shape::Dword => mag,
         _ if case.shape.signed() && negative => (mag as i64).wrapping_neg() as u64 & m,
         _ => mag & m,

@@ -17,10 +17,7 @@ use magicdiv::plan::{
     DivPlan, DivisibilityPlan, DwordPlan, ExactPlan, FloorPlan, SdivPlan, UdivPlan, UremPlan,
 };
 use magicdiv::{Certification, Outcome, TournamentResult};
-use magicdiv_ir::{
-    lower_divisibility, lower_dword_div, lower_exact_div, lower_floor_div, lower_sdiv, lower_udiv,
-    lower_urem, optimize, Builder, Program,
-};
+use magicdiv_ir::{lower_plan, optimize};
 use magicdiv_simcpu::{cycles_for_plan, table_1_1};
 use magicdiv_trace::{install, CaptureSink, Event, JsonlSink, TextTreeSink};
 
@@ -157,34 +154,6 @@ fn unsigned_divisor(width: u32, d: i128) -> Result<u128, String> {
         return Err(format!("divisor {d} does not fit in u{width}"));
     }
     Ok(du)
-}
-
-/// Lowers a plan into raw (pre-optimization) IR. The Fig 8.1 plan lowers
-/// to a two-argument (`hi`, `lo`), two-result (`q`, `r`) program; the
-/// word shapes take the single dividend.
-fn lower_plan(plan: &DivPlan, width: u32) -> Result<Program, String> {
-    match plan {
-        DivPlan::Dword(p) => {
-            let mut b = Builder::new(width, 2);
-            let (hi, lo) = (b.arg(0), b.arg(1));
-            let (q, r) = lower_dword_div(&mut b, hi, lo, p);
-            Ok(b.finish([q, r]))
-        }
-        _ => {
-            let mut b = Builder::new(width, 1);
-            let n = b.arg(0);
-            let q = match plan {
-                DivPlan::Unsigned(p) => lower_udiv(&mut b, n, p),
-                DivPlan::Signed(p) => lower_sdiv(&mut b, n, p),
-                DivPlan::Floor(p) => lower_floor_div(&mut b, n, p),
-                DivPlan::Exact(p) => lower_exact_div(&mut b, n, p),
-                DivPlan::Urem(p) => lower_urem(&mut b, n, p),
-                DivPlan::Divisibility(p) => lower_divisibility(&mut b, n, p),
-                other => return Err(format!("no lowering for plan kind {other:?}")),
-            };
-            Ok(b.finish([q]))
-        }
-    }
 }
 
 fn indent(text: &str) -> String {
@@ -324,7 +293,7 @@ pub fn explain(shape: ExplainShape, width: u32, d: i128) -> Result<String, Strin
     }
 
     // 2. Lowering and optimization under a capture sink: per-pass history.
-    let raw = lower_plan(&plan, width)?;
+    let raw = lower_plan(&plan).map_err(|kind| kind.to_string())?;
     let capture = Arc::new(CaptureSink::new());
     let optimized = {
         let _guard = install(capture.clone());
@@ -385,7 +354,7 @@ pub fn explain_jsonl(shape: ExplainShape, width: u32, d: i128) -> Result<String,
         let _guard = install(sink.clone());
         let plan = build_plan(shape, width, d)?;
         if width <= 64 {
-            let raw = lower_plan(&plan, width)?;
+            let raw = lower_plan(&plan).map_err(|kind| kind.to_string())?;
             let _optimized = optimize(&raw);
             for model in table_1_1() {
                 cycles_for_plan(&plan, &model);

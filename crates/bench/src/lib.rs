@@ -11,8 +11,8 @@
 //! | `op_counts` | The per-figure operation-count claims (Figs 4.1–6.1, §9) |
 //! | `spec_like` | The §11 SPEC92 note — division-heavy kernels, measured on the host |
 //!
-//! The Criterion benches in `benches/` measure the same claims on the
-//! host CPU.
+//! The `benches/` targets (`cargo bench`, timed with [`measure_ns`])
+//! measure the same claims on the host CPU.
 
 // This repository *reimplements division*: clippy's suggestions to use the
 // standard division helpers (div_ceil, is_multiple_of, ...) would replace
@@ -36,8 +36,8 @@ mod tournament;
 
 pub use crate::asmprofile::{dynamic_op_profile, OpProfile};
 pub use crate::calibrate::{
-    run_calibration, score_models, CalibrationCell, CalibrationConfig, CalibrationReport,
-    Inversion, ModelScore,
+    run_calibration, score_models, strategy_divisors, CalibrationCell, CalibrationConfig,
+    CalibrationReport, Inversion, ModelScore,
 };
 pub use crate::chaos::{
     corrupt_udiv_plan, run_chaos, ChaosConfig, ChaosReport, ScenarioTally, CHAOS_WIDTHS,

@@ -19,7 +19,7 @@
 //! Each configuration runs scalar (one cache lookup + one division per
 //! request) and batch (one lookup amortized over a [`BATCH_LEN`]-wide
 //! `div_slice`) shapes, min-of-k timed via
-//! [`measure_ns_min`](crate::measure_ns_min). The report carries pinned
+//! [`measure_ns_min`]. The report carries pinned
 //! budgets and pass/fail gates; `bench overhead` exits nonzero when a
 //! gate fails, and check.sh runs it so tracing-off staying free is CI-
 //! enforced, not aspirational.
@@ -35,8 +35,8 @@ use crate::measure_ns_min;
 /// Batch shape width: divisions per `div_slice` request.
 pub const BATCH_LEN: usize = 1024;
 
-/// Divisors the request stream cycles through (one per unsigned
-/// strategy class, mirroring the bench bin's `strategy_divisors`).
+/// Divisors the request stream cycles through: the paper's small
+/// mul-shift and add-fixup divisors plus the Fermat factor 641.
 const DIVISORS: [u64; 4] = [3, 7, 10, 641];
 
 /// Scalar recorder gate: `recorder` may cost at most this many times

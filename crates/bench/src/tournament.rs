@@ -15,7 +15,7 @@ use magicdiv::{
     certify_plan, run_udiv_tournament, ArithmeticCertifier, Certification, DivisorError,
     PlanCertifier, PlanScorer, TournamentResult,
 };
-use magicdiv_codegen::{gen_udiv_plan, gen_urem_plan};
+use magicdiv_ir::{lower_plan, optimize};
 use magicdiv_simcpu::{find_model, TimingModel};
 
 /// The default cost model for tournaments: pipelined multiplier, the
@@ -91,17 +91,19 @@ pub struct OracleCertifier;
 
 impl PlanCertifier for OracleCertifier {
     fn certify(&self, plan: &DivPlan) -> Certification {
-        if plan.width() > 64 {
-            return ArithmeticCertifier.certify(plan);
-        }
-        // (divisor, lowered program, reference function) per shape under
-        // tournament. The remainder oracle is `n % d` — the same ground
-        // truth the diff harness pins `Shape::Urem` to.
-        let (d, prog, oracle): (u64, _, fn(u64, u64) -> u64) = match plan {
-            DivPlan::Unsigned(p) => (p.divisor() as u64, gen_udiv_plan(p), |n, d| n / d),
-            DivPlan::Urem(p) => (p.divisor() as u64, gen_urem_plan(p), |n, d| n % d),
+        // (divisor, reference function) per shape under tournament. The
+        // remainder oracle is `n % d` — the same ground truth the diff
+        // harness pins `Shape::Urem` to.
+        let (d, oracle): (u64, fn(u64, u64) -> u64) = match plan {
+            DivPlan::Unsigned(p) => (p.divisor() as u64, |n, d| n / d),
+            DivPlan::Urem(p) => (p.divisor() as u64, |n, d| n % d),
             _ => return Certification::Skipped,
         };
+        // Above the IR's 64-bit words there is no program to run.
+        let Ok(raw) = lower_plan(plan) else {
+            return ArithmeticCertifier.certify(plan);
+        };
+        let prog = optimize(&raw);
         certify_plan(plan, |n| {
             let n = n as u64;
             let got = prog.eval1(&[n]).map_or(u128::MAX, u128::from);

@@ -12,18 +12,39 @@
 //! division in this module's tests (exhaustively at width 8).
 //!
 //! Strategy selection lives in `magicdiv::plan` — the generators here only
-//! construct a plan and hand it to the `lower_*` functions in
-//! `magicdiv-ir`, so codegen can never pick a different code shape than
-//! the runtime divisors built from the same plan.
+//! construct a plan and hand it to [`magicdiv_ir::lower_plan`], so codegen
+//! can never pick a different code shape than the runtime divisors built
+//! from the same plan. To lower an already-selected plan (a tournament
+//! winner, say), call `lower_plan` and `optimize` directly.
 
 use magicdiv::plan::{
-    DivisibilityPlan, DwordPlan, ExactPlan, FloorPlan, SdivPlan, UdivPlan, UremPlan,
+    DivPlan, DivisibilityPlan, DwordPlan, ExactPlan, FloorPlan, SdivPlan, UdivPlan, UremPlan,
+    UremStrategy,
 };
 use magicdiv::UWord;
 use magicdiv_ir::{
-    lower_divisibility, lower_dword_div, lower_exact_div, lower_floor_div, lower_sdiv, lower_udiv,
-    lower_urem, mask, optimize, Builder, Op, Program, Reg,
+    lower_plan, lower_sdiv, lower_udiv, mask, optimize, sign_extend, Builder, Op, Program, Reg,
 };
+
+/// The optimized program for `plan`.
+///
+/// # Panics
+///
+/// Panics when the plan's width exceeds 64 (the IR limit).
+fn gen_plan(plan: impl Into<DivPlan>) -> Program {
+    optimize(&lower_plan(&plan.into()).expect("plan width must be at most 64 (IR limit)"))
+}
+
+/// The Figure 4.2 plan for `d` masked to `width` bits.
+fn udiv_plan(d: u64, width: u32) -> UdivPlan {
+    UdivPlan::new((d & mask(width)) as u128, width).expect("division by zero")
+}
+
+/// The Figure 5.2 plan for `d` read as a signed `width`-bit value.
+fn sdiv_plan(d: i64, width: u32) -> SdivPlan {
+    let d = sign_extend(d as u64 & mask(width), width);
+    SdivPlan::new(d as i128, width).expect("division by zero")
+}
 
 /// Emits Figure 4.2 — optimized unsigned `q = ⌊n/d⌋` for constant `d != 0`.
 ///
@@ -42,10 +63,7 @@ use magicdiv_ir::{
 /// assert!(!prog.op_counts().uses_divide());
 /// ```
 pub fn gen_unsigned_div(d: u64, width: u32) -> Program {
-    let mut b = Builder::new(width, 1);
-    let n = b.arg(0);
-    let q = emit_unsigned_div(&mut b, n, d);
-    optimize(&b.finish([q]))
+    gen_plan(udiv_plan(d, width))
 }
 
 /// Emits the Figure 4.2 logic into an existing builder, returning the
@@ -56,35 +74,8 @@ pub fn gen_unsigned_div(d: u64, width: u32) -> Program {
 ///
 /// Panics when `d` masks to zero at the builder's width.
 pub fn emit_unsigned_div(b: &mut Builder, n: Reg, d: u64) -> Reg {
-    let width = b.width();
-    let plan = UdivPlan::new((d & mask(width)) as u128, width).expect("division by zero");
+    let plan = udiv_plan(d, b.width());
     lower_udiv(b, n, &plan)
-}
-
-/// Lowers an already-selected unsigned plan — e.g. a planner-tournament
-/// winner carrying a non-Figure-4.2 strategy — to its optimized IR
-/// program, bypassing strategy selection entirely.
-///
-/// # Panics
-///
-/// Panics when the plan's width is not in `1..=64` (the IR limit).
-///
-/// # Examples
-///
-/// ```
-/// use magicdiv::plan::UdivPlan;
-/// use magicdiv_codegen::{gen_udiv_plan, gen_unsigned_div};
-///
-/// let plan = UdivPlan::new(10, 32).unwrap();
-/// let prog = gen_udiv_plan(&plan);
-/// assert_eq!(prog.eval1(&[1234]).unwrap(), 123);
-/// assert_eq!(prog, gen_unsigned_div(10, 32));
-/// ```
-pub fn gen_udiv_plan(plan: &UdivPlan) -> Program {
-    let mut b = Builder::new(plan.width(), 1);
-    let n = b.arg(0);
-    let q = lower_udiv(&mut b, n, plan);
-    optimize(&b.finish([q]))
 }
 
 /// Emits Figure 4.1 — the single branch-free shape for any unsigned
@@ -155,7 +146,7 @@ pub fn gen_signed_div_invariant(d: i64, width: u32) -> Program {
             sh_post,
         )
     }
-    let d_se = magicdiv_ir::sign_extend(d as u64 & mask(width), width);
+    let d_se = sign_extend(d as u64 & mask(width), width);
     assert!(d_se != 0, "division by zero");
     assert!(
         matches!(width, 8 | 16 | 32 | 64),
@@ -207,10 +198,7 @@ pub fn gen_signed_div_invariant(d: i64, width: u32) -> Program {
 /// assert_eq!(q, (-14i64 as u64) & mask(32));
 /// ```
 pub fn gen_signed_div(d: i64, width: u32) -> Program {
-    let mut b = Builder::new(width, 1);
-    let n = b.arg(0);
-    let q = emit_signed_div(&mut b, n, d);
-    optimize(&b.finish([q]))
+    gen_plan(sdiv_plan(d, width))
 }
 
 /// Emits the Figure 5.2 logic into an existing builder.
@@ -219,9 +207,7 @@ pub fn gen_signed_div(d: i64, width: u32) -> Program {
 ///
 /// Panics when `d` sign-extends to zero at the builder's width.
 pub fn emit_signed_div(b: &mut Builder, n: Reg, d: i64) -> Reg {
-    let width = b.width();
-    let d = magicdiv_ir::sign_extend(d as u64 & mask(width), width);
-    let plan = SdivPlan::new(d as i128, width).expect("division by zero");
+    let plan = sdiv_plan(d, b.width());
     lower_sdiv(b, n, &plan)
 }
 
@@ -243,48 +229,21 @@ pub fn emit_signed_div(b: &mut Builder, n: Reg, d: i64) -> Reg {
 /// assert_eq!(prog.eval1(&[(-1i64) as u64 & mask(32)]).unwrap(), (-1i64 as u64) & mask(32));
 /// ```
 pub fn gen_floor_div(d: i64, width: u32) -> Program {
-    let mut b = Builder::new(width, 1);
-    let n = b.arg(0);
-    let d_se = magicdiv_ir::sign_extend(d as u64 & mask(width), width);
-    let plan = FloorPlan::new(d_se as i128, width).expect("division by zero");
-    let q = lower_floor_div(&mut b, n, &plan);
-    optimize(&b.finish([q]))
+    let d_se = sign_extend(d as u64 & mask(width), width);
+    gen_plan(FloorPlan::new(d_se as i128, width).expect("division by zero"))
 }
 
 /// Emits the remainder via multiply-back: `r = n - d * div(n)` (§1's "one
 /// additional multiplication and subtraction").
 pub fn gen_unsigned_rem(d: u64, width: u32) -> Program {
-    let mut b = Builder::new(width, 1);
-    let n = b.arg(0);
-    let q = emit_unsigned_div(&mut b, n, d);
-    let dreg = b.constant(d);
-    let prod = b.push(Op::MulL(q, dreg));
-    let r = b.push(Op::Sub(n, prod));
-    optimize(&b.finish([r]))
-}
-
-/// Lowers an already-selected remainder plan — mask, multiply-back, or
-/// the Lemire–Kaser–Kurz direct fraction — to its optimized IR program.
-///
-/// # Panics
-///
-/// Panics when the plan's width is not in `1..=64` (the IR limit).
-///
-/// # Examples
-///
-/// ```
-/// use magicdiv::plan::UremPlan;
-/// use magicdiv_codegen::gen_urem_plan;
-///
-/// let prog = gen_urem_plan(&UremPlan::new_direct(10, 32).unwrap());
-/// assert_eq!(prog.eval1(&[1234]).unwrap(), 4);
-/// assert!(!prog.op_counts().uses_divide());
-/// ```
-pub fn gen_urem_plan(plan: &UremPlan) -> Program {
-    let mut b = Builder::new(plan.width(), 1);
-    let n = b.arg(0);
-    let r = lower_urem(&mut b, n, plan);
-    optimize(&b.finish([r]))
+    let udiv = udiv_plan(d, width);
+    gen_plan(UremPlan::from_raw(
+        udiv.divisor(),
+        width,
+        UremStrategy::MulBack {
+            udiv: udiv.strategy(),
+        },
+    ))
 }
 
 /// Emits the direct remainder `r = n mod d` with no quotient formed:
@@ -296,19 +255,7 @@ pub fn gen_urem_plan(plan: &UremPlan) -> Program {
 /// Panics when `d` masks to zero at `width`, or `width` is not in
 /// `1..=64`.
 pub fn gen_urem_direct(d: u64, width: u32) -> Program {
-    let plan = UremPlan::new_direct((d & mask(width)) as u128, width).expect("division by zero");
-    gen_urem_plan(&plan)
-}
-
-/// Emits signed remainder (sign of the dividend) via multiply-back.
-pub fn gen_signed_rem(d: i64, width: u32) -> Program {
-    let mut b = Builder::new(width, 1);
-    let n = b.arg(0);
-    let q = emit_signed_div(&mut b, n, d);
-    let dreg = b.constant(d as u64);
-    let prod = b.push(Op::MulL(q, dreg));
-    let r = b.push(Op::Sub(n, prod));
-    optimize(&b.finish([r]))
+    gen_plan(UremPlan::new_direct((d & mask(width)) as u128, width).expect("division by zero"))
 }
 
 /// Emits both quotient and remainder as a two-result program (the shape
@@ -324,43 +271,21 @@ pub fn gen_unsigned_divrem(d: u64, width: u32) -> Program {
 }
 
 /// Emits §9 exact division (`n` known divisible by `d`): one `MULL` and
-/// one shift.
+/// one shift. With `signed`, `d` is the sign-extended low `width` bits
+/// of the argument and the quotient is signed; otherwise `d` is the
+/// unsigned low `width` bits.
 ///
 /// # Panics
 ///
 /// Panics when `d` masks to zero.
 pub fn gen_exact_div(d: i64, width: u32, signed: bool) -> Program {
-    let mut b = Builder::new(width, 1);
-    let n = b.arg(0);
-    let d_se = magicdiv_ir::sign_extend(d as u64 & mask(width), width);
+    let bits = d as u64 & mask(width);
     let plan = if signed {
-        ExactPlan::new_signed(d_se as i128, width)
+        ExactPlan::new_signed(sign_extend(bits, width) as i128, width)
     } else {
-        ExactPlan::new_unsigned((d_se.unsigned_abs() & mask(width)) as u128, width)
-    }
-    .expect("division by zero");
-    let q1 = lower_exact_div(&mut b, n, &plan);
-    // An unsigned plan carries no sign; negate here when the caller's
-    // divisor was negative (signed plans negate inside the lowering).
-    let q = if !signed && d_se < 0 {
-        b.push(Op::Neg(q1))
-    } else {
-        q1
+        ExactPlan::new_unsigned(bits as u128, width)
     };
-    optimize(&b.finish([q]))
-}
-
-/// Lowers an already-selected divisibility plan to its optimized IR
-/// program.
-///
-/// # Panics
-///
-/// Panics when the plan's width is not in `1..=64` (the IR limit).
-pub fn gen_divisibility_plan(plan: &DivisibilityPlan) -> Program {
-    let mut b = Builder::new(plan.width(), 1);
-    let n = b.arg(0);
-    let result = lower_divisibility(&mut b, n, plan);
-    optimize(&b.finish([result]))
+    gen_plan(plan.expect("division by zero"))
 }
 
 /// Emits the §9 divisibility test (`d | n`, unsigned): returns 1 or 0
@@ -370,8 +295,7 @@ pub fn gen_divisibility_plan(plan: &DivisibilityPlan) -> Program {
 ///
 /// Panics when `d` masks to zero.
 pub fn gen_divisibility_test(d: u64, width: u32) -> Program {
-    let plan = DivisibilityPlan::new((d & mask(width)) as u128, width).expect("division by zero");
-    gen_divisibility_plan(&plan)
+    gen_plan(DivisibilityPlan::new((d & mask(width)) as u128, width).expect("division by zero"))
 }
 
 /// Emits Figure 8.1 — doubleword ÷ word division for constant `d != 0`:
@@ -396,11 +320,7 @@ pub fn gen_divisibility_test(d: u64, width: u32) -> Program {
 /// assert_eq!(prog.eval(&[7, 6]).unwrap(), vec![n / 10, n % 10]);
 /// ```
 pub fn gen_dword_div(d: u64, width: u32) -> Program {
-    let plan = DwordPlan::new((d & mask(width)) as u128, width).expect("division by zero");
-    let mut b = Builder::new(width, 2);
-    let (hi, lo) = (b.arg(0), b.arg(1));
-    let (q, r) = lower_dword_div(&mut b, hi, lo, &plan);
-    optimize(&b.finish([q, r]))
+    gen_plan(DwordPlan::new((d & mask(width)) as u128, width).expect("division by zero"))
 }
 
 /// Baseline: one hardware unsigned division instruction.
@@ -511,17 +431,6 @@ mod tests {
                 assert_eq!(direct.eval1(&[n]).unwrap(), n % d, "direct n={n} d={d}");
             }
         }
-        for d in [-7i64, -1, 1, 3, 10, 127, -128] {
-            let prog = gen_signed_rem(d, 8);
-            for n in -128i64..=127 {
-                let expect = ((n as i8).wrapping_rem(d as i8)) as i64 as u64 & 0xff;
-                assert_eq!(
-                    prog.eval1(&[(n as u64) & 0xff]).unwrap(),
-                    expect,
-                    "n={n} d={d}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -562,12 +471,14 @@ mod tests {
 
     #[test]
     fn exact_div_exhaustive_width8() {
-        for d in 1i64..=127 {
-            let unsigned = gen_exact_div(d, 8, false);
-            for q in 0u64..=(255 / d as u64) {
-                let n = q * d as u64;
+        for d in 1u64..=255 {
+            let unsigned = gen_exact_div(d as i64, 8, false);
+            for q in 0u64..=(255 / d) {
+                let n = q * d;
                 assert_eq!(unsigned.eval1(&[n]).unwrap(), q, "n={n} d={d}");
             }
+        }
+        for d in 1i64..=127 {
             let signed = gen_exact_div(d, 8, true);
             for q in -(128 / d)..=(127 / d) {
                 let n = (q * d) as u64 & 0xff;

@@ -12,19 +12,24 @@
 //!
 //!   Strategy selection is **not** performed here: each generator builds
 //!   a `magicdiv::plan` plan (`UdivPlan`, `SdivPlan`, `FloorPlan`,
-//!   `ExactPlan`) and lowers it with the `lower_*` functions in
-//!   [`magicdiv_ir`] — the same plans the runtime divisor types cache, so
-//!   generated code and library divisors always agree on the code shape.
+//!   `ExactPlan`, …) and lowers it with [`magicdiv_ir::lower_plan`] — the
+//!   same plans the runtime divisor types cache, so generated code and
+//!   library divisors always agree on the code shape. An already-selected
+//!   plan (a tournament winner, say) needs no generator: lower it with
+//!   `lower_plan` and run [`magicdiv_ir::optimize`].
 //!
-//!   | Generator | Plan | Lowering |
+//!   | Generator | Plan | `lower_plan` dispatches to |
 //!   |---|---|---|
 //!   | [`gen_unsigned_div`] / [`emit_unsigned_div`] | `UdivPlan` | [`magicdiv_ir::lower_udiv`] |
 //!   | [`gen_signed_div`] / [`emit_signed_div`] | `SdivPlan` | [`magicdiv_ir::lower_sdiv`] |
 //!   | [`gen_floor_div`] | `FloorPlan` | [`magicdiv_ir::lower_floor_div`] |
 //!   | [`gen_exact_div`] | `ExactPlan` | [`magicdiv_ir::lower_exact_div`] |
-//!   | [`gen_urem_direct`] / [`gen_urem_plan`] | `UremPlan` | [`magicdiv_ir::lower_urem`] |
-//!   | [`gen_divisibility_test`] / [`gen_divisibility_plan`] | `DivisibilityPlan` | [`magicdiv_ir::lower_divisibility`] |
+//!   | [`gen_urem_direct`] / [`gen_unsigned_rem`] | `UremPlan` | [`magicdiv_ir::lower_urem`] |
+//!   | [`gen_divisibility_test`] | `DivisibilityPlan` | [`magicdiv_ir::lower_divisibility`] |
 //!   | [`gen_dword_div`] | `DwordPlan` | [`magicdiv_ir::lower_dword_div`] |
+//!
+//!   The `emit_*` forms call the family lowering directly, to embed one
+//!   division in a larger program.
 //! * **Multiplication by constants** — [`plan_mul_const`] /
 //!   [`emit_mul_const`], the Bernstein-style shift/add/sub expansion the
 //!   Alpha column of Table 11.1 relies on.
@@ -69,11 +74,10 @@ pub use crate::asmexec::{
     DEFAULT_STEP_LIMIT,
 };
 pub use crate::divgen::{
-    emit_signed_div, emit_unsigned_div, gen_divisibility_plan, gen_divisibility_test,
-    gen_dword_div, gen_exact_div, gen_floor_div, gen_signed_div, gen_signed_div_hw,
-    gen_signed_div_invariant, gen_signed_rem, gen_udiv_plan, gen_unsigned_div, gen_unsigned_div_hw,
-    gen_unsigned_div_invariant, gen_unsigned_divrem, gen_unsigned_divrem_hw, gen_unsigned_rem,
-    gen_urem_direct, gen_urem_plan,
+    emit_signed_div, emit_unsigned_div, gen_divisibility_test, gen_dword_div, gen_exact_div,
+    gen_floor_div, gen_signed_div, gen_signed_div_hw, gen_signed_div_invariant, gen_unsigned_div,
+    gen_unsigned_div_hw, gen_unsigned_div_invariant, gen_unsigned_divrem, gen_unsigned_divrem_hw,
+    gen_unsigned_rem, gen_urem_direct,
 };
 pub use crate::machine::{gen_unsigned_div_tuned, MachineDesc};
 pub use crate::mulconst::{

@@ -4,7 +4,7 @@
 //! [`select_udiv`] is the selection entry the public constructors wrap:
 //! with [`Strategy::PaperOnly`] it short-circuits to the 1994 Figure 4.2
 //! rules (bit-identical plans, goldens stay reproducible); with
-//! [`Strategy::Tournament`] every [`CandidateGen`] family competes and
+//! [`Strategy::Tournament`] every [`CandidateGen`](crate::CandidateGen) family competes and
 //! the cheapest *certified* plan wins.
 //!
 //! Pricing and certification are injected through [`PlanScorer`] and
@@ -238,9 +238,8 @@ pub struct ArithmeticCertifier;
 /// (however the caller runs it) and the truth.
 ///
 /// At `width <= 16` every dividend is run. Above, the plan must satisfy
-/// its exact [`validity`](crate::validity) predicate — a proof for every
-/// dividend — and then agree on the
-/// [`directed_unsigned_dividends`](crate::testkit::directed_unsigned_dividends),
+/// its exact [`validity`] predicate — a proof for every
+/// dividend — and then agree on the [`directed_unsigned_dividends`],
 /// which exercise the code that runs rather than the constants. A plan
 /// the predicate refutes fails at the predicate's witness. Shapes
 /// without a predicate are [`Certification::Skipped`].

@@ -12,8 +12,9 @@
 //!   the oracle against which generated code is verified;
 //! * [`optimize`] — constant folding, algebraic simplification, CSE and
 //!   DCE (the "obvious simplifications" §3 asks of the optimizer);
-//! * [`lower_udiv`] and friends — lower a [`magicdiv::plan`] division
-//!   plan to the matching Table 3.1 sequence;
+//! * [`lower_plan`] — lower any [`magicdiv::plan`] division plan to the
+//!   matching Table 3.1 sequence ([`lower_udiv`] and friends embed one
+//!   family's sequence in a larger program);
 //! * [`OpCounts`] — per-class operation counts, matching how the paper
 //!   reports code-sequence costs.
 //!
@@ -52,8 +53,8 @@ pub use crate::cost::{OpClass, OpCounts};
 pub use crate::interp::{mask, sign_extend, EvalError, EvalOptions};
 pub use crate::legalize::{legalize, TargetCaps};
 pub use crate::lower::{
-    lower_divisibility, lower_dword_div, lower_exact_div, lower_floor_div, lower_sdiv, lower_udiv,
-    lower_urem,
+    lower_divisibility, lower_dword_div, lower_exact_div, lower_floor_div, lower_plan, lower_sdiv,
+    lower_udiv, lower_urem,
 };
 pub use crate::mutate::{apply_mutation, mutations, Mutation};
 pub use crate::opt::optimize;

@@ -1,11 +1,14 @@
 //! Lowering division plans to IR.
 //!
 //! The planning layer in [`magicdiv::plan`] decides *which* code shape a
-//! divisor gets (Fig 4.2, 5.2, 6.1, §9); this module decides what that
-//! shape *is* in Table 3.1 operations. Each `lower_*` function appends the
-//! straight-line sequence for one plan to a [`Builder`] and returns the
-//! result register; callers (the generators in `magicdiv-codegen`) wrap
-//! the sequence in a [`Program`](crate::Program) and run the optimizer.
+//! divisor gets (Fig 4.2, 5.2, 6.1, 8.1, §9); this module decides what
+//! that shape *is* in Table 3.1 operations. [`lower_plan`] is the one
+//! `DivPlan` → [`Program`] mapping: the codegen generators, the simcpu
+//! pricer, `magic explain` and the tournament's certifier all lower
+//! through it, then run the optimizer on its raw program. Each `lower_*`
+//! function behind it appends the straight-line sequence for one plan
+//! family to a [`Builder`] and returns the result register, so a kernel
+//! can embed one division in a larger program.
 //!
 //! Because the same plan drives both the runtime divisors and this
 //! lowering, the two layers cannot disagree about strategy — the
@@ -14,24 +17,79 @@
 //! # Examples
 //!
 //! ```
-//! use magicdiv::plan::UdivPlan;
-//! use magicdiv_ir::{lower_udiv, optimize, Builder};
+//! use magicdiv::plan::{DivPlan, UdivPlan};
+//! use magicdiv_ir::{lower_plan, optimize};
 //!
-//! let plan = UdivPlan::new(10, 32).unwrap();
-//! let mut b = Builder::new(32, 1);
-//! let n = b.arg(0);
-//! let q = lower_udiv(&mut b, n, &plan);
-//! let prog = optimize(&b.finish([q]));
+//! let plan = DivPlan::from(UdivPlan::new(10, 32).unwrap());
+//! let prog = optimize(&lower_plan(&plan).unwrap());
 //! assert_eq!(prog.eval1(&[1234]).unwrap(), 123);
 //! ```
 
-use magicdiv::plan::FloorStrategy;
 use magicdiv::plan::{
-    DivisibilityPlan, DivisibilityStrategy, DwordPlan, ExactPlan, FloorPlan, SdivPlan,
-    SdivStrategy, UdivPlan, UdivStrategy, UremPlan, UremStrategy,
+    DivPlan, DivisibilityPlan, DivisibilityStrategy, DwordPlan, ExactPlan, FloorPlan,
+    FloorStrategy, SdivPlan, SdivStrategy, UdivPlan, UdivStrategy, UremPlan, UremStrategy,
 };
+use magicdiv::FaultKind;
 
-use crate::program::{Builder, Op, Reg};
+use crate::program::{Builder, Op, Program, Reg};
+
+/// Lowers any division plan to its raw (unoptimized) program; run
+/// [`optimize`](crate::optimize) on the result for the code
+/// `magicdiv-codegen` emits.
+///
+/// The Fig 8.1 [`DivPlan::Dword`] program takes `(hi, lo)` and returns
+/// `(q, r)`; every other plan takes the dividend and returns one value
+/// (quotient, remainder, or the 0/1 divisibility verdict).
+///
+/// # Errors
+///
+/// [`FaultKind::UnsupportedWidth`] when the plan's width exceeds 64 (the
+/// IR's word limit), and [`FaultKind::BadProgram`] for a plan kind this
+/// lowering does not know.
+///
+/// # Examples
+///
+/// ```
+/// use magicdiv::plan::{DivPlan, DwordPlan, UdivPlan};
+/// use magicdiv::FaultKind;
+/// use magicdiv_ir::{lower_plan, optimize};
+///
+/// let plan = DivPlan::from(DwordPlan::new(10, 32).unwrap());
+/// let prog = optimize(&lower_plan(&plan).unwrap());
+/// let n = (7u64 << 32) + 6;
+/// assert_eq!(prog.eval(&[7, 6]).unwrap(), vec![n / 10, n % 10]);
+///
+/// let wide = DivPlan::from(UdivPlan::new(10, 128).unwrap());
+/// assert_eq!(lower_plan(&wide), Err(FaultKind::UnsupportedWidth { width: 128 }));
+/// ```
+pub fn lower_plan(plan: &DivPlan) -> Result<Program, FaultKind> {
+    let width = plan.width();
+    if width > 64 {
+        return Err(FaultKind::UnsupportedWidth { width });
+    }
+    if let DivPlan::Dword(p) = plan {
+        let mut b = Builder::new(width, 2);
+        let (hi, lo) = (b.arg(0), b.arg(1));
+        let (q, r) = lower_dword_div(&mut b, hi, lo, p);
+        return Ok(b.finish([q, r]));
+    }
+    let mut b = Builder::new(width, 1);
+    let n = b.arg(0);
+    let out = match plan {
+        DivPlan::Unsigned(p) => lower_udiv(&mut b, n, p),
+        DivPlan::Signed(p) => lower_sdiv(&mut b, n, p),
+        DivPlan::Floor(p) => lower_floor_div(&mut b, n, p),
+        DivPlan::Exact(p) => lower_exact_div(&mut b, n, p),
+        DivPlan::Urem(p) => lower_urem(&mut b, n, p),
+        DivPlan::Divisibility(p) => lower_divisibility(&mut b, n, p),
+        other => {
+            return Err(FaultKind::BadProgram(format!(
+                "unknown plan kind {other:?}"
+            )))
+        }
+    };
+    Ok(b.finish([out]))
+}
 
 fn check_width(b: &Builder, plan_width: u32) {
     assert_eq!(
@@ -379,18 +437,15 @@ mod tests {
     use crate::interp::mask;
     use crate::opt::optimize;
 
-    fn udiv_prog(d: u64, width: u32) -> crate::program::Program {
-        let plan = UdivPlan::new(d as u128, width).unwrap();
-        let mut b = Builder::new(width, 1);
-        let n = b.arg(0);
-        let q = lower_udiv(&mut b, n, &plan);
-        optimize(&b.finish([q]))
+    /// The optimized program for `plan`, through [`lower_plan`].
+    fn prog(plan: impl Into<DivPlan>) -> Program {
+        optimize(&lower_plan(&plan.into()).unwrap())
     }
 
     #[test]
     fn lowered_udiv_exhaustive_width8() {
         for d in 1u64..=255 {
-            let prog = udiv_prog(d, 8);
+            let prog = prog(UdivPlan::new(d as u128, 8).unwrap());
             for n in 0u64..=255 {
                 assert_eq!(prog.eval1(&[n]).unwrap(), n / d, "n={n} d={d}");
             }
@@ -400,11 +455,7 @@ mod tests {
     #[test]
     fn lowered_sdiv_spot_checks() {
         for d in [-10i64, -3, -1, 1, 3, 7, 10, 16] {
-            let plan = SdivPlan::new(d as i128, 32).unwrap();
-            let mut b = Builder::new(32, 1);
-            let n = b.arg(0);
-            let q = lower_sdiv(&mut b, n, &plan);
-            let prog = optimize(&b.finish([q]));
+            let prog = prog(SdivPlan::new(d as i128, 32).unwrap());
             let m = mask(32);
             for n in [0i64, 1, -1, 12345, -12345, i32::MAX as i64, i32::MIN as i64] {
                 let expect = (n as i32).wrapping_div(d as i32) as u64 & m;
@@ -415,34 +466,19 @@ mod tests {
 
     #[test]
     fn lowered_exact_and_divisibility() {
-        let plan = ExactPlan::new_unsigned(12, 32).unwrap();
-        let mut b = Builder::new(32, 1);
-        let n = b.arg(0);
-        let q = lower_exact_div(&mut b, n, &plan);
-        let prog = optimize(&b.finish([q]));
-        assert_eq!(prog.eval1(&[144]).unwrap(), 12);
+        let exact = prog(ExactPlan::new_unsigned(12, 32).unwrap());
+        assert_eq!(exact.eval1(&[144]).unwrap(), 12);
 
-        let plan = DivisibilityPlan::new(12, 32).unwrap();
-        let mut b = Builder::new(32, 1);
-        let n = b.arg(0);
-        let ok = lower_divisibility(&mut b, n, &plan);
-        let prog = optimize(&b.finish([ok]));
-        assert_eq!(prog.eval1(&[144]).unwrap(), 1);
-        assert_eq!(prog.eval1(&[145]).unwrap(), 0);
-    }
-
-    fn urem_prog(plan: &UremPlan, width: u32) -> crate::program::Program {
-        let mut b = Builder::new(width, 1);
-        let n = b.arg(0);
-        let r = lower_urem(&mut b, n, plan);
-        optimize(&b.finish([r]))
+        let divtest = prog(DivisibilityPlan::new(12, 32).unwrap());
+        assert_eq!(divtest.eval1(&[144]).unwrap(), 1);
+        assert_eq!(divtest.eval1(&[145]).unwrap(), 0);
     }
 
     #[test]
     fn lowered_urem_exhaustive_width8_both_paths() {
         for d in 1u64..=255 {
-            let mulback = urem_prog(&UremPlan::new(d as u128, 8).unwrap(), 8);
-            let direct = urem_prog(&UremPlan::new_direct(d as u128, 8).unwrap(), 8);
+            let mulback = prog(UremPlan::new(d as u128, 8).unwrap());
+            let direct = prog(UremPlan::new_direct(d as u128, 8).unwrap());
             for n in 0u64..=255 {
                 assert_eq!(mulback.eval1(&[n]).unwrap(), n % d, "mulback n={n} d={d}");
                 assert_eq!(direct.eval1(&[n]).unwrap(), n % d, "direct n={n} d={d}");
@@ -453,7 +489,7 @@ mod tests {
     #[test]
     fn lowered_urem_spot_checks_width32() {
         for d in [3u64, 7, 10, 641, 1_000_000_007, u32::MAX as u64] {
-            let direct = urem_prog(&UremPlan::new_direct(d as u128, 32).unwrap(), 32);
+            let direct = prog(UremPlan::new_direct(d as u128, 32).unwrap());
             for n in [
                 0u64,
                 1,
@@ -472,11 +508,7 @@ mod tests {
     #[test]
     fn lowered_divisibility_exhaustive_width8() {
         for d in 1u64..=255 {
-            let plan = DivisibilityPlan::new(d as u128, 8).unwrap();
-            let mut b = Builder::new(8, 1);
-            let n = b.arg(0);
-            let ok = lower_divisibility(&mut b, n, &plan);
-            let prog = optimize(&b.finish([ok]));
+            let prog = prog(DivisibilityPlan::new(d as u128, 8).unwrap());
             for n in 0u64..=255 {
                 assert_eq!(
                     prog.eval1(&[n]).unwrap(),
@@ -487,12 +519,8 @@ mod tests {
         }
     }
 
-    fn dword_prog(d: u64, width: u32) -> crate::program::Program {
-        let plan = DwordPlan::new(d as u128, width).unwrap();
-        let mut b = Builder::new(width, 2);
-        let (hi, lo) = (b.arg(0), b.arg(1));
-        let (q, r) = lower_dword_div(&mut b, hi, lo, &plan);
-        optimize(&b.finish([q, r]))
+    fn dword_prog(d: u64, width: u32) -> Program {
+        prog(DwordPlan::new(d as u128, width).unwrap())
     }
 
     #[test]
@@ -535,6 +563,35 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn lower_plan_rejects_every_kind_above_the_ir_limit() {
+        let plans: [DivPlan; 8] = [
+            UdivPlan::new(10, 128).unwrap().into(),
+            SdivPlan::new(-10, 128).unwrap().into(),
+            FloorPlan::new(-10, 128).unwrap().into(),
+            ExactPlan::new_unsigned(10, 128).unwrap().into(),
+            DwordPlan::new(10, 128).unwrap().into(),
+            UremPlan::new(10, 128).unwrap().into(),
+            UremPlan::new_direct(10, 128).unwrap().into(),
+            DivisibilityPlan::new(10, 128).unwrap().into(),
+        ];
+        for plan in plans {
+            assert_eq!(
+                lower_plan(&plan),
+                Err(FaultKind::UnsupportedWidth { width: 128 }),
+                "{plan:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn lower_plan_picks_the_arity() {
+        let dword = prog(DwordPlan::new(10, 32).unwrap());
+        assert_eq!((dword.arg_count(), dword.results().len()), (2, 2));
+        let udiv = prog(UdivPlan::new(10, 32).unwrap());
+        assert_eq!((udiv.arg_count(), udiv.results().len()), (1, 1));
     }
 
     #[test]

@@ -5,29 +5,16 @@
 use std::sync::Arc;
 
 use magicdiv::plan::{
-    DivisibilityPlan, DwordPlan, ExactPlan, FloorPlan, SdivPlan, UdivPlan, UremPlan,
+    DivPlan, DivisibilityPlan, DwordPlan, ExactPlan, FloorPlan, SdivPlan, UdivPlan, UremPlan,
 };
 use magicdiv::{Fault, FaultKind, FaultLayer};
-use magicdiv_ir::{
-    lower_divisibility, lower_dword_div, lower_exact_div, lower_floor_div, lower_sdiv, lower_udiv,
-    lower_urem, mask, optimize, Builder, EvalError, Op, Program,
-};
+use magicdiv_ir::{lower_plan, mask, optimize, Builder, EvalError, Op, Program};
 use magicdiv_trace::{install, CaptureSink};
-
-fn one_arg(
-    width: u32,
-    lower: impl FnOnce(&mut Builder, magicdiv_ir::Reg) -> magicdiv_ir::Reg,
-) -> Program {
-    let mut b = Builder::new(width, 1);
-    let n = b.arg(0);
-    let q = lower(&mut b, n);
-    optimize(&b.finish([q]))
-}
 
 /// Every single-result lowering at every machine width, for each
 /// divisor in {1, 3, 7, 10, 641, 2^(w-1), 2^w - 1} the shape accepts.
 fn lowered_programs() -> Vec<Program> {
-    let mut progs = Vec::new();
+    let mut plans: Vec<DivPlan> = Vec::new();
     for w in [8u32, 16, 32, 64] {
         let top = mask(w);
         for d in [1u64, 3, 7, 10, 641, 1 << (w - 1), top] {
@@ -35,33 +22,23 @@ fn lowered_programs() -> Vec<Program> {
                 continue;
             }
             let (du, ds) = (u128::from(d), i128::from(d));
-            if let Ok(p) = UdivPlan::new(du, w) {
-                progs.push(one_arg(w, |b, n| lower_udiv(b, n, &p)));
-            }
+            plans.extend(UdivPlan::new(du, w).ok().map(DivPlan::from));
             if d <= top >> 1 {
-                let s = SdivPlan::new(ds, w).unwrap();
-                progs.push(one_arg(w, |b, n| lower_sdiv(b, n, &s)));
-                let f = FloorPlan::new(ds, w).unwrap();
-                progs.push(one_arg(w, |b, n| lower_floor_div(b, n, &f)));
-                if let Ok(e) = ExactPlan::new_signed(ds, w) {
-                    progs.push(one_arg(w, |b, n| lower_exact_div(b, n, &e)));
-                }
+                plans.push(SdivPlan::new(ds, w).unwrap().into());
+                plans.push(FloorPlan::new(ds, w).unwrap().into());
+                plans.extend(ExactPlan::new_signed(ds, w).ok().map(DivPlan::from));
             }
-            if let Ok(e) = ExactPlan::new_unsigned(du, w) {
-                progs.push(one_arg(w, |b, n| lower_exact_div(b, n, &e)));
+            plans.extend(ExactPlan::new_unsigned(du, w).ok().map(DivPlan::from));
+            for r in [UremPlan::new_direct(du, w), UremPlan::new(du, w)] {
+                plans.extend(r.ok().map(DivPlan::from));
             }
-            for r in [UremPlan::new_direct(du, w), UremPlan::new(du, w)]
-                .into_iter()
-                .flatten()
-            {
-                progs.push(one_arg(w, |b, n| lower_urem(b, n, &r)));
-            }
-            if let Ok(t) = DivisibilityPlan::new(du, w) {
-                progs.push(one_arg(w, |b, n| lower_divisibility(b, n, &t)));
-            }
+            plans.extend(DivisibilityPlan::new(du, w).ok().map(DivPlan::from));
         }
     }
-    progs
+    plans
+        .iter()
+        .map(|p| optimize(&lower_plan(p).unwrap()))
+        .collect()
 }
 
 /// `len` chained additions computing `(len + 1) * n`; at 100 the program
@@ -161,11 +138,8 @@ fn eval1_rejects_multi_result_programs() {
     // Checked before evaluation: even a zero divisor is not reached.
     assert_eq!(p.eval1(&[1234, 0]), want);
 
-    let plan = DwordPlan::new(10, 32).unwrap();
-    let mut b = Builder::new(32, 2);
-    let (hi, lo) = (b.arg(0), b.arg(1));
-    let (q, r) = lower_dword_div(&mut b, hi, lo, &plan);
-    assert_eq!(optimize(&b.finish([q, r])).eval1(&[0, 1234]), want);
+    let dword = lower_plan(&DwordPlan::new(10, 32).unwrap().into()).unwrap();
+    assert_eq!(optimize(&dword).eval1(&[0, 1234]), want);
 
     let fault: Fault = err.into();
     assert_eq!(fault.layer, FaultLayer::IrInterp);

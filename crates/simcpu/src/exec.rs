@@ -17,10 +17,7 @@
 
 use magicdiv::plan::DivPlan;
 use magicdiv::{Fault, FaultKind, FaultLayer};
-use magicdiv_ir::{
-    lower_divisibility, lower_dword_div, lower_exact_div, lower_floor_div, lower_sdiv, lower_udiv,
-    lower_urem, optimize, Builder, Op, OpClass, Program,
-};
+use magicdiv_ir::{lower_plan, optimize, Op, OpClass, Program};
 
 use crate::models::TimingModel;
 
@@ -87,10 +84,10 @@ pub fn cycles_for_plan(plan: &DivPlan, model: &TimingModel) -> u64 {
 ///
 /// # Errors
 ///
+/// The [`magicdiv_ir::lower_plan`] fault kinds, at this layer:
 /// [`FaultKind::UnsupportedWidth`] when the plan's width exceeds 64 (the
 /// IR's limit — 128-bit plans have no Table 3.1 encoding to price), and
-/// [`FaultKind::BadProgram`] for a plan kind this simulator does not
-/// know.
+/// [`FaultKind::BadProgram`] for a plan kind the lowering does not know.
 ///
 /// # Examples
 ///
@@ -106,50 +103,16 @@ pub fn cycles_for_plan(plan: &DivPlan, model: &TimingModel) -> u64 {
 /// assert_eq!(fault.kind, FaultKind::UnsupportedWidth { width: 128 });
 /// ```
 pub fn try_cycles_for_plan(plan: &DivPlan, model: &TimingModel) -> Result<u64, Fault> {
-    let prog = lower_plan(plan)?;
+    let prog = optimize(&lower_plan(plan).map_err(simcpu_fault)?);
     Ok(price(plan, &prog, model))
 }
 
-/// Lowers `plan` to the optimized program `magicdiv-codegen` emits for
-/// the same divisor, or the fault [`try_cycles_for_plan`] documents.
-fn lower_plan(plan: &DivPlan) -> Result<Program, Fault> {
-    let width = plan.width();
-    let fault = |kind: FaultKind| Fault {
+/// A lowering fault, reported at this layer.
+fn simcpu_fault(kind: FaultKind) -> Fault {
+    Fault {
         layer: FaultLayer::SimCpu,
         kind,
         at: None,
-    };
-    if width > 64 {
-        return Err(fault(FaultKind::UnsupportedWidth { width }));
-    }
-    // The Fig 8.1 plan is two-argument (hi, lo) and two-result (q, r);
-    // the word plans take a single dividend. Each arm builds the same
-    // optimized program `magicdiv-codegen` emits for that divisor.
-    match plan {
-        DivPlan::Dword(p) => {
-            let mut b = Builder::new(width, 2);
-            let (hi, lo) = (b.arg(0), b.arg(1));
-            let (q, r) = lower_dword_div(&mut b, hi, lo, p);
-            Ok(optimize(&b.finish([q, r])))
-        }
-        _ => {
-            let mut b = Builder::new(width, 1);
-            let n = b.arg(0);
-            let q = match plan {
-                DivPlan::Unsigned(p) => lower_udiv(&mut b, n, p),
-                DivPlan::Signed(p) => lower_sdiv(&mut b, n, p),
-                DivPlan::Floor(p) => lower_floor_div(&mut b, n, p),
-                DivPlan::Exact(p) => lower_exact_div(&mut b, n, p),
-                DivPlan::Urem(p) => lower_urem(&mut b, n, p),
-                DivPlan::Divisibility(p) => lower_divisibility(&mut b, n, p),
-                other => {
-                    return Err(fault(FaultKind::BadProgram(format!(
-                        "unknown plan kind {other:?}"
-                    ))))
-                }
-            };
-            Ok(optimize(&b.finish([q])))
-        }
     }
 }
 
@@ -197,7 +160,7 @@ pub struct PlanPrediction {
 /// assert!(preds.iter().all(|p| p.cycles > 0));
 /// ```
 pub fn predictions_for_plan(plan: &DivPlan) -> Result<Vec<PlanPrediction>, Fault> {
-    let prog = lower_plan(plan)?;
+    let prog = optimize(&lower_plan(plan).map_err(simcpu_fault)?);
     Ok(crate::models::table_1_1()
         .iter()
         .map(|model| PlanPrediction {
@@ -481,10 +444,13 @@ mod tests {
             for d in [3u64, 10, 641, 60000] {
                 let direct = magicdiv::plan::UremPlan::new_direct(d as u128, 32).unwrap();
                 let mulback = magicdiv::plan::UremPlan::new(d as u128, 32).unwrap();
-                for p in [&direct, &mulback] {
+                for (p, prog) in [
+                    (direct, magicdiv_codegen::gen_urem_direct(d, 32)),
+                    (mulback, magicdiv_codegen::gen_unsigned_rem(d, 32)),
+                ] {
                     assert_eq!(
-                        cycles_for_plan(&magicdiv::plan::DivPlan::Urem(*p), &model),
-                        cycles_for_program(&magicdiv_codegen::gen_urem_plan(p), &model),
+                        cycles_for_plan(&magicdiv::plan::DivPlan::Urem(p), &model),
+                        cycles_for_program(&prog, &model),
                         "{} d={d}",
                         model.name
                     );
@@ -493,7 +459,7 @@ mod tests {
                 let dc = cycles_for_plan(&magicdiv::plan::DivPlan::Divisibility(divtest), &model);
                 assert_eq!(
                     dc,
-                    cycles_for_program(&magicdiv_codegen::gen_divisibility_plan(&divtest), &model),
+                    cycles_for_program(&magicdiv_codegen::gen_divisibility_test(d, 32), &model),
                     "{} divtest d={d}",
                     model.name
                 );

@@ -11,10 +11,7 @@ use magicdiv::plan::{
 };
 use magicdiv::{FaultKind, FaultLayer};
 use magicdiv_codegen::gen_unsigned_divrem_hw;
-use magicdiv_ir::{
-    lower_divisibility, lower_dword_div, lower_exact_div, lower_floor_div, lower_sdiv, lower_udiv,
-    lower_urem, optimize, Builder, OpClass, Program,
-};
+use magicdiv_ir::{lower_plan, optimize, OpClass, Program};
 use magicdiv_simcpu::{
     cycles_for_plan, cycles_for_program, predictions_for_plan, table_1_1, trace_program,
     try_cycles_for_plan,
@@ -71,25 +68,7 @@ fn priceable_plans() -> Vec<DivPlan> {
 
 /// Lowers `plan` the way the pricing path does.
 fn lower(plan: &DivPlan) -> Program {
-    let width = plan.width();
-    if let DivPlan::Dword(p) = plan {
-        let mut b = Builder::new(width, 2);
-        let (hi, lo) = (b.arg(0), b.arg(1));
-        let (q, r) = lower_dword_div(&mut b, hi, lo, p);
-        return optimize(&b.finish([q, r]));
-    }
-    let mut b = Builder::new(width, 1);
-    let n = b.arg(0);
-    let q = match plan {
-        DivPlan::Unsigned(p) => lower_udiv(&mut b, n, p),
-        DivPlan::Signed(p) => lower_sdiv(&mut b, n, p),
-        DivPlan::Floor(p) => lower_floor_div(&mut b, n, p),
-        DivPlan::Exact(p) => lower_exact_div(&mut b, n, p),
-        DivPlan::Urem(p) => lower_urem(&mut b, n, p),
-        DivPlan::Divisibility(p) => lower_divisibility(&mut b, n, p),
-        other => panic!("unpriceable plan {other:?}"),
-    };
-    optimize(&b.finish([q]))
+    optimize(&lower_plan(plan).expect("priceable plan"))
 }
 
 #[test]

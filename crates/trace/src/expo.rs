@@ -171,7 +171,8 @@ fn render_histogram_samples(
 
 /// Renders `snap` in the Prometheus text format. Deterministic for a
 /// given snapshot: families and label keys are emitted in sorted order
-/// and label cardinality is bounded (see the [module docs](self)).
+/// and label cardinality is bounded by
+/// [`ExpositionOptions::max_label_card`].
 pub fn render_exposition(snap: &MetricsSnapshot, opts: &ExpositionOptions) -> String {
     let mut counters: BTreeMap<String, CounterFamily> = BTreeMap::new();
     for (name, value) in &snap.counters {

@@ -149,7 +149,7 @@ impl BlackboxDump {
 /// A [`Sink`] that retains the last N events per emitting thread and
 /// snapshots them into a [`BlackboxDump`] whenever a trigger event
 /// (guard demotion, cache poisoning, circuit trip, chaos finding)
-/// arrives. See the [module docs](self) for the full story.
+/// arrives.
 pub struct FlightRecorder {
     id: u64,
     capacity: usize,
@@ -212,8 +212,8 @@ impl FlightRecorder {
             .sum()
     }
 
-    /// Triggers that fired after [`MAX_DUMPS`] dumps were already
-    /// retained (counted instead of stored).
+    /// Triggers that fired once the retained-dump cap was full (counted
+    /// instead of stored).
     pub fn suppressed(&self) -> u64 {
         self.suppressed.load(Ordering::Relaxed)
     }

@@ -25,6 +25,9 @@ echo "== panic-freedom gate: no unwrap()/panic! in library or binary code =="
 cargo clippy --workspace --lib --bins --offline -- \
     -D warnings -D clippy::unwrap_used -D clippy::panic
 
+echo "== rustdoc gate (no broken, redundant or private intra-doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== offline dependency audit (no registry access) =="
 cargo build --release --offline -p magicdiv -p magicdiv-ir \
     -p magicdiv-codegen -p magicdiv-simcpu

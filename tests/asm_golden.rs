@@ -19,13 +19,10 @@ use std::path::PathBuf;
 use std::sync::Once;
 
 use magicdiv_suite::magicdiv::plan::{
-    DivisibilityPlan, DwordPlan, ExactPlan, FloorPlan, SdivPlan, UdivPlan, UremPlan,
+    DivPlan, DivisibilityPlan, DwordPlan, ExactPlan, FloorPlan, SdivPlan, UdivPlan, UremPlan,
 };
 use magicdiv_suite::magicdiv_codegen::{emit_assembly, emit_radix_loop, Assembly, Target};
-use magicdiv_suite::magicdiv_ir::{
-    lower_divisibility, lower_dword_div, lower_exact_div, lower_floor_div, lower_sdiv, lower_udiv,
-    lower_urem, optimize, Builder, Program,
-};
+use magicdiv_suite::magicdiv_ir::{lower_plan, optimize, Program};
 
 const FIVE_TARGETS: [Target; 5] = [
     Target::Alpha,
@@ -65,28 +62,19 @@ fn fits(shape: &str, d: i64, w: u32) -> bool {
 
 /// Raw (unoptimized) IR for one shape at one divisor and width.
 fn lower(shape: &str, d: i64, w: u32) -> Program {
-    let du = d as u128;
-    if shape == "dword" {
-        let plan = DwordPlan::new(du, w).expect("nonzero divisor");
-        let mut b = Builder::new(w, 2);
-        let (hi, lo) = (b.arg(0), b.arg(1));
-        let (q, r) = lower_dword_div(&mut b, hi, lo, &plan);
-        return b.finish([q, r]);
-    }
-    let mut b = Builder::new(w, 1);
-    let n = b.arg(0);
-    let nonzero = "nonzero divisor";
-    let q = match shape {
-        "unsigned" => lower_udiv(&mut b, n, &UdivPlan::new(du, w).expect(nonzero)),
-        "signed" => lower_sdiv(&mut b, n, &SdivPlan::new(d as i128, w).expect(nonzero)),
-        "floor" => lower_floor_div(&mut b, n, &FloorPlan::new(d as i128, w).expect(nonzero)),
-        "exact" => lower_exact_div(&mut b, n, &ExactPlan::new_unsigned(du, w).expect(nonzero)),
-        "urem" => lower_urem(&mut b, n, &UremPlan::new_direct(du, w).expect(nonzero)),
-        "urem_mb" => lower_urem(&mut b, n, &UremPlan::new(du, w).expect(nonzero)),
-        "divtest" => lower_divisibility(&mut b, n, &DivisibilityPlan::new(du, w).expect(nonzero)),
+    let (du, ds) = (d as u128, d as i128);
+    let plan: Result<DivPlan, _> = match shape {
+        "unsigned" => UdivPlan::new(du, w).map(Into::into),
+        "signed" => SdivPlan::new(ds, w).map(Into::into),
+        "floor" => FloorPlan::new(ds, w).map(Into::into),
+        "exact" => ExactPlan::new_unsigned(du, w).map(Into::into),
+        "urem" => UremPlan::new_direct(du, w).map(Into::into),
+        "urem_mb" => UremPlan::new(du, w).map(Into::into),
+        "divtest" => DivisibilityPlan::new(du, w).map(Into::into),
+        "dword" => DwordPlan::new(du, w).map(Into::into),
         other => unreachable!("unknown shape {other}"),
     };
-    b.finish([q])
+    lower_plan(&plan.expect("nonzero divisor")).expect("width within the IR limit")
 }
 
 thread_local! {

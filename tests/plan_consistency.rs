@@ -12,11 +12,16 @@
 //! Width 8 is exhaustive over all divisors and dividends; widths 16, 32
 //! and 64 cover the boundary divisors (1, 2, even, `2^k ± 1`, `2^(N-1)`,
 //! `MAX`) over boundary dividends.
+//!
+//! The structural tests at the end close the loop from the other side:
+//! every plan a typed divisor reports, lowered through
+//! [`lower_plan`], computes what that divisor's kernel computes.
 
 use magicdiv::plan::{
     DivPlan, DivisibilityPlan, DwordPlan, ExactPlan, FloorPlan, SdivPlan, UdivPlan, UdivStrategy,
     UremPlan,
 };
+use magicdiv::testkit::{directed_unsigned_dividends, interesting_signed_dividends};
 use magicdiv::{
     select_udiv, select_urem, ArithmeticCertifier, CandidateSource, Certification, DWord,
     DwordDivisor, ExactUnsignedDivisor, FloorDivisor, OpCountScorer, SignedDivisor, Strategy,
@@ -24,10 +29,15 @@ use magicdiv::{
 };
 use magicdiv_bench::{run_tournament, SplitMix};
 use magicdiv_codegen::{
-    gen_divisibility_plan, gen_dword_div, gen_exact_div, gen_floor_div, gen_signed_div,
-    gen_udiv_plan, gen_unsigned_div, gen_urem_plan,
+    gen_dword_div, gen_exact_div, gen_floor_div, gen_signed_div, gen_unsigned_div,
 };
-use magicdiv_ir::{mask, sign_extend};
+use magicdiv_ir::{lower_plan, mask, optimize, sign_extend, Program};
+
+/// The optimized program for `plan`, through the one plan → IR lowering
+/// codegen, simcpu and the tournament certifier share.
+fn lowered(plan: impl Into<DivPlan>) -> Program {
+    optimize(&lower_plan(&plan.into()).expect("width within the IR limit"))
+}
 
 #[test]
 fn unsigned_width8_exhaustive() {
@@ -101,15 +111,11 @@ fn exact_width8_exhaustive() {
         let rt = ExactUnsignedDivisor::new(d as u8).unwrap();
         let plan = ExactPlan::new_unsigned(d as u128, 8).unwrap();
         assert_eq!(rt.plan(), plan, "d={d}");
-        // gen_exact_div sign-extends its divisor argument, so d >= 128
-        // reads as negative at width 8; compare the IR only below that.
-        let prog = (d < 128).then(|| gen_exact_div(d as i64, 8, false));
+        let prog = gen_exact_div(d as i64, 8, false);
         for q in 0u64..=(255 / d) {
             let n = q * d;
             assert_eq!(rt.divide_exact(n as u8) as u64, q, "runtime n={n} d={d}");
-            if let Some(prog) = &prog {
-                assert_eq!(prog.eval1(&[n]).unwrap(), q, "ir n={n} d={d}");
-            }
+            assert_eq!(prog.eval1(&[n]).unwrap(), q, "ir n={n} d={d}");
         }
     }
 }
@@ -124,8 +130,7 @@ fn urem_width8_exhaustive() {
         let direct = UremPlan::new_direct(d as u128, 8).unwrap();
         assert_eq!(rt.urem_plan(), direct, "d={d}: runtime/plan disagree");
         let back = UremPlan::new(d as u128, 8).unwrap();
-        let prog_direct = gen_urem_plan(&direct);
-        let prog_back = gen_urem_plan(&back);
+        let (prog_direct, prog_back) = (lowered(direct), lowered(back));
         for n in 0u64..=255 {
             assert_eq!(rt.remainder(n as u8) as u64, n % d, "runtime n={n} d={d}");
             assert_eq!(
@@ -145,7 +150,7 @@ fn divisibility_width8_exhaustive() {
     for d in 1u64..=255 {
         let rt = ExactUnsignedDivisor::new(d as u8).unwrap();
         let plan = DivisibilityPlan::new(d as u128, 8).unwrap();
-        let prog = gen_divisibility_plan(&plan);
+        let prog = lowered(plan);
         for n in 0u64..=255 {
             let want = n % d == 0;
             assert_eq!(rt.divides(n as u8), want, "runtime n={n} d={d}");
@@ -249,7 +254,7 @@ fn urem_boundaries_at_16_32_64_and_128() {
         for d in boundary_unsigned(width) {
             let plan = UremPlan::new_direct(d as u128, width).unwrap();
             assert_eq!(DivPlan::from(plan).width(), width, "umbrella w={width}");
-            let prog = gen_urem_plan(&plan);
+            let prog = lowered(plan);
             for n in boundary_dividends(width) {
                 let native = (n & mask(width)) % d;
                 assert_eq!(rem_of(n, d, width), native, "runtime w={width} n={n} d={d}");
@@ -285,7 +290,7 @@ fn urem_tournament_width8_exhaustive_agrees_with_native() {
             &ArithmeticCertifier,
         )
         .unwrap();
-        let prog = gen_urem_plan(&sel.plan);
+        let prog = lowered(sel.plan);
         for n in 0u64..=255 {
             assert_eq!(prog.eval1(&[n]).unwrap(), n % d, "winner n={n} d={d}");
         }
@@ -478,7 +483,7 @@ fn tournament_width8_exhaustive_agrees_with_paper_quotients() {
             &ArithmeticCertifier,
         )
         .unwrap();
-        let prog = gen_udiv_plan(&sel.plan);
+        let prog = lowered(sel.plan);
         for n in 0u64..=255 {
             assert_eq!(prog.eval1(&[n]).unwrap(), n / d, "winner n={n} d={d}");
         }
@@ -508,7 +513,7 @@ fn tournament_boundaries_at_16_32_64_agree_with_native() {
                 &ArithmeticCertifier,
             )
             .unwrap();
-            let prog = gen_udiv_plan(&sel.plan);
+            let prog = lowered(sel.plan);
             for n in boundary_dividends(width) {
                 let n = n & mask(width);
                 assert_eq!(prog.eval1(&[n]).unwrap(), n / d, "w={width} n={n} d={d}");
@@ -635,4 +640,118 @@ fn dword_odd_ir_widths_match_native() {
             }
         }
     }
+}
+
+/// Lowers every plan the typed divisors at one width report — unsigned
+/// quotient and remainder plans from `new`, `new_direct_rem` and the
+/// tournament, signed, floor, exact and doubleword — and checks each
+/// program against the typed kernel that runs it, on every dividend at
+/// width 8 and the testkit's directed dividends above (doubleword: six
+/// high limbs up to `d - 1` against those low limbs). This catches a
+/// lowering that drifts from the host kernel even where the two run
+/// different code for one plan: at u32 the LKK fraction is a rescaled
+/// 64-bit constant on the host and a 2N-limb sequence in the IR.
+macro_rules! check_lowered_plans {
+    ($u:ty, $s:ty, $divisors:expr, $signed_divisors:expr) => {{
+        const W: u32 = <$u>::BITS;
+        for d in $divisors {
+            let du = d as $u;
+            let ns: Vec<u64> = if W == 8 {
+                (0..=255).collect()
+            } else {
+                let ns = directed_unsigned_dividends(u128::from(d), W);
+                ns.into_iter().map(|n| n as u64).collect()
+            };
+            let (tournament, _) = UnsignedDivisor::with_strategy(du, Strategy::Tournament).unwrap();
+            let paper = UnsignedDivisor::new(du).unwrap();
+            let direct = UnsignedDivisor::new_direct_rem(du).unwrap();
+            for rt in [paper, direct, tournament] {
+                let (q_plan, r_plan) = (rt.plan(), rt.urem_plan());
+                let (q_prog, r_prog) = (lowered(q_plan), lowered(r_plan));
+                for &n in &ns {
+                    let want = rt.divide(n as $u) as u64;
+                    assert_eq!(q_prog.eval1(&[n]).unwrap(), want, "{q_plan} n={n}");
+                    let want = rt.remainder(n as $u) as u64;
+                    assert_eq!(r_prog.eval1(&[n]).unwrap(), want, "{r_plan} n={n}");
+                }
+            }
+            let exact = ExactUnsignedDivisor::new(du).unwrap();
+            let prog = lowered(exact.plan());
+            for &n in &ns {
+                let n = n - n % d;
+                let want = exact.divide_exact(n as $u) as u64;
+                assert_eq!(prog.eval1(&[n]).unwrap(), want, "{} n={n}", exact.plan());
+            }
+            let dword = DwordDivisor::new(du).unwrap();
+            let prog = lowered(dword.plan());
+            for hi in [0, 1, 2, d / 2, d.saturating_sub(2), d - 1] {
+                for &lo in ns.iter().filter(|_| hi < d) {
+                    let (q, r) = dword
+                        .div_rem(DWord::from_parts(hi as $u, lo as $u))
+                        .expect("hi < d");
+                    let got = prog.eval(&[hi, lo]).unwrap();
+                    assert_eq!(
+                        got,
+                        [q as u64, r as u64],
+                        "{} hi={hi} lo={lo}",
+                        dword.plan()
+                    );
+                }
+            }
+        }
+        for d in $signed_divisors {
+            let ds = d as $s;
+            let ns: Vec<$s> = if W == 8 {
+                (-128i64..=127).map(|n| n as $s).collect()
+            } else {
+                interesting_signed_dividends(ds)
+            };
+            let trunc = SignedDivisor::new(ds).unwrap();
+            let floor = FloorDivisor::new(ds).unwrap();
+            let (t_prog, f_prog) = (lowered(trunc.plan()), lowered(floor.plan()));
+            for n in ns {
+                let bits = n as $u as u64;
+                let want = trunc.divide(n) as $u as u64;
+                assert_eq!(
+                    t_prog.eval1(&[bits]).unwrap(),
+                    want,
+                    "{} n={n}",
+                    trunc.plan()
+                );
+                let want = floor.divide(n) as $u as u64;
+                assert_eq!(
+                    f_prog.eval1(&[bits]).unwrap(),
+                    want,
+                    "{} n={n}",
+                    floor.plan()
+                );
+            }
+        }
+    }};
+}
+
+#[test]
+fn lowered_plans_run_the_typed_kernels_at_width8() {
+    check_lowered_plans!(u8, i8, 1u64..=255, (-128i64..=127).filter(|&d| d != 0));
+}
+
+#[test]
+fn lowered_plans_run_the_typed_kernels_at_16_32_64() {
+    fn unsigned(width: u32) -> Vec<u64> {
+        let mut ds = boundary_unsigned(width);
+        ds.extend([3, 7, 10, 641]);
+        ds
+    }
+    fn signed(width: u32) -> Vec<i64> {
+        let max = (mask(width) >> 1) as i64;
+        let k = width / 2;
+        let mut ds = vec![max, -max - 1, (1 << k) - 1, -((1 << k) + 1)];
+        for d in [1i64, 2, 3, 6, 7, 10, 641] {
+            ds.extend([d, -d]);
+        }
+        ds
+    }
+    check_lowered_plans!(u16, i16, unsigned(16), signed(16));
+    check_lowered_plans!(u32, i32, unsigned(32), signed(32));
+    check_lowered_plans!(u64, i64, unsigned(64), signed(64));
 }
