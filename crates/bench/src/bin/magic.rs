@@ -406,10 +406,10 @@ where
         InvariantUnsignedDivisor, SignedDivisor, UnsignedDivisor,
     };
 
-    // Constructors go through the fallible `try_new` layer: a rejected
-    // divisor surfaces as a typed fault and a clean exit, not a panic.
-    fn must<V>(what: &str, r: Result<V, magicdiv::Fault>) -> V {
-        r.unwrap_or_else(|fault| {
+    // A rejected divisor surfaces as a typed fault and a clean exit, not
+    // a panic.
+    fn must<V>(what: &str, r: Result<V, magicdiv::DivisorError>) -> V {
+        r.map_err(magicdiv::Fault::from).unwrap_or_else(|fault| {
             eprintln!("error: {what}: {fault}");
             std::process::exit(1)
         })
@@ -431,7 +431,7 @@ where
             eprintln!("divisor does not fit in {n} bits");
             std::process::exit(1);
         }
-        let ud = must("unsigned divisor", UnsignedDivisor::try_new(du));
+        let ud = must("unsigned divisor", UnsignedDivisor::new(du));
         rows.push(plan_row("unsigned plan (Fig 4.2)", ud.plan().into()));
         rows.push(vec![
             "unsigned (Fig 4.2)".into(),
@@ -439,7 +439,7 @@ where
         ]);
         let inv = must(
             "invariant unsigned divisor",
-            InvariantUnsignedDivisor::try_new(du),
+            InvariantUnsignedDivisor::new(du),
         );
         let (m, sh1, sh2) = inv.constants();
         rows.push(vec![
@@ -454,7 +454,7 @@ where
                 c.multiplier, c.sh_post, c.l
             ),
         ]);
-        let dd = must("dword divisor", DwordDivisor::try_new(du));
+        let dd = must("dword divisor", DwordDivisor::new(du));
         rows.push(plan_row("dword plan (Fig 8.1)", dd.plan().into()));
         rows.push(vec!["udword/uword (Fig 8.1)".into(), format!("{dd:?}")]);
         // Direct remainder and divisibility: first-class plan shapes,
@@ -468,15 +468,15 @@ where
     }
     let ds = <T::Signed as magicdiv::SWord>::from_i128_truncate(d);
     if <T::Signed as magicdiv::SWord>::to_i128(ds) == d {
-        let sd = must("signed divisor", SignedDivisor::try_new(ds));
+        let sd = must("signed divisor", SignedDivisor::new(ds));
         rows.push(plan_row("signed plan (Fig 5.2)", sd.plan().into()));
         rows.push(vec![
             "signed trunc (Fig 5.2)".into(),
             format!("{:?}", sd.strategy()),
         ]);
-        let fd = must("floor divisor", FloorDivisor::try_new(ds));
+        let fd = must("floor divisor", FloorDivisor::new(ds));
         rows.push(plan_row("floor plan (Fig 6.1)", fd.plan().into()));
-        let ed = must("exact signed divisor", ExactSignedDivisor::try_new(ds));
+        let ed = must("exact signed divisor", ExactSignedDivisor::new(ds));
         rows.push(plan_row("exact plan (§9)", ed.plan().into()));
         rows.push(vec!["exact / divisibility (§9)".into(), format!("{ed:?}")]);
     } else {

@@ -19,7 +19,7 @@
 //!   `tests/corpus/`.
 
 use magicdiv::mod_inverse_newton;
-use magicdiv::plan::{DivPlan, DwordPlan};
+use magicdiv::plan::DwordPlan;
 use magicdiv::testkit::directed_unsigned_dividends;
 use magicdiv::validity::fraction_valid;
 use magicdiv_ir::{
@@ -205,15 +205,14 @@ impl Case {
             Shape::Divisibility => magicdiv_codegen::gen_divisibility_test(self.d, self.width),
             Shape::Dword => magicdiv_codegen::gen_dword_div(self.d, self.width),
             Shape::UdivTournament => {
-                let sel = magicdiv::select_udiv(
+                let t = magicdiv::run_udiv_tournament(
                     u128::from(self.d),
                     self.width,
-                    magicdiv::Strategy::Tournament,
                     &magicdiv::OpCountScorer,
                     &magicdiv::ArithmeticCertifier,
                 )
                 .expect("d != 0 checked above");
-                optimize(&lower_plan(&DivPlan::from(sel.plan)).expect("case widths fit the IR"))
+                optimize(&lower_plan(&t.winning().candidate.plan).expect("case widths fit the IR"))
             }
             Shape::Urem => magicdiv_codegen::gen_urem_direct(self.d, self.width),
             Shape::UremMulBack => magicdiv_codegen::gen_unsigned_rem(self.d, self.width),

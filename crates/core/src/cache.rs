@@ -273,45 +273,37 @@ impl Shard {
 }
 
 /// A plan family the cache memoizes: its key tag, whether its divisor
-/// is signed, its constructor from the divisor's bit pattern, and the
-/// way back out of a [`DivPlan`].
-trait Cached: Copy + Into<DivPlan> {
+/// is signed, and its constructor from the divisor's bit pattern. The
+/// way back out of a stored [`DivPlan`] is its `TryFrom`.
+trait Cached: Copy + Into<DivPlan> + TryFrom<DivPlan> {
     const SHAPE: PlanShape;
     const SIGNED: bool;
     fn build(d_bits: u128, width: u32) -> Result<Self, DivisorError>;
-    fn from_div_plan(plan: DivPlan) -> Option<Self>;
 }
 
 macro_rules! cached {
-    ($plan:ty, $shape:ident, $variant:ident, $new:path, $d:ty, $signed:literal) => {
+    ($plan:ty, $shape:ident, $new:path, $d:ty, $signed:literal) => {
         impl Cached for $plan {
             const SHAPE: PlanShape = PlanShape::$shape;
             const SIGNED: bool = $signed;
             fn build(d_bits: u128, width: u32) -> Result<Self, DivisorError> {
                 $new(d_bits as $d, width)
             }
-            fn from_div_plan(plan: DivPlan) -> Option<Self> {
-                match plan {
-                    DivPlan::$variant(p) => Some(p),
-                    _ => None,
-                }
-            }
         }
     };
 }
 
-cached!(UdivPlan, Udiv, Unsigned, UdivPlan::new, u128, false);
-cached!(SdivPlan, Sdiv, Signed, SdivPlan::new, i128, true);
-cached!(FloorPlan, Floor, Floor, FloorPlan::new, i128, true);
+cached!(UdivPlan, Udiv, UdivPlan::new, u128, false);
+cached!(SdivPlan, Sdiv, SdivPlan::new, i128, true);
+cached!(FloorPlan, Floor, FloorPlan::new, i128, true);
 cached!(
     ExactPlan,
     ExactUnsigned,
-    Exact,
     ExactPlan::new_unsigned,
     u128,
     false
 );
-cached!(DwordPlan, Dword, Dword, DwordPlan::new, u128, false);
+cached!(DwordPlan, Dword, DwordPlan::new, u128, false);
 
 /// Builds the `P` for (`d_bits`, `width`), turning the constructors'
 /// width and range panics into typed faults at the cache layer.
@@ -414,7 +406,7 @@ impl PlanCache {
         };
         if let Some(entry) = shard.map.get(&key) {
             let healthy = plan_checksum(&entry.plan) == entry.checksum;
-            if let Some(plan) = P::from_div_plan(entry.plan).filter(|_| healthy) {
+            if let Some(plan) = P::try_from(entry.plan).ok().filter(|_| healthy) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 magicdiv_trace::event!("cache.hit",
                     "width" => key.width,

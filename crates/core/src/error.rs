@@ -125,7 +125,8 @@ pub enum FaultKind {
         got: usize,
     },
     /// The program text itself is bad: unknown instruction, unparsable
-    /// operand, missing label, or a structurally invalid IR program.
+    /// operand, missing label, or a structurally invalid IR program. Also
+    /// a plan of a kind the layer does not run.
     BadProgram(String),
     /// The layer cannot model this word width (e.g. pricing a 128-bit
     /// plan on the 64-bit IR).
@@ -266,9 +267,9 @@ impl core::error::Error for Fault {
 }
 
 impl From<DivisorError> for Fault {
-    /// Lifts a construction error into the unified taxonomy — the
-    /// `try_new` constructors of every divisor family use this so
-    /// callers see one fault type end to end.
+    /// Lifts a construction error into the unified taxonomy at
+    /// [`FaultLayer::Plan`]: `new(d).map_err(Fault::from)` gives any
+    /// divisor family's constructor the one fault type used end to end.
     fn from(e: DivisorError) -> Fault {
         let kind = match e {
             DivisorError::Zero => FaultKind::DivideByZero,

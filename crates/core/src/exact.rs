@@ -21,7 +21,6 @@ use magicdiv_dword::Limb;
 
 use crate::error::DivisorError;
 use crate::plan::ExactPlan;
-use crate::tournament::{paper_only_scoreboard, Strategy, TournamentResult};
 use crate::word::{SWord, UWord};
 
 /// Multiplicative inverse of an odd word modulo `2^N` by Newton's
@@ -132,18 +131,6 @@ impl<T: UWord> ExactUnsignedDivisor<T> {
             mod_inverse_newton(d.shr_full(plan.e))
         );
         Ok(Self::from_plan(&plan))
-    }
-
-    /// Like [`new`](Self::new), reporting failure through the unified
-    /// [`Fault`](crate::Fault) taxonomy instead of [`DivisorError`] —
-    /// mirrors [`crate::try_choose_multiplier`].
-    ///
-    /// # Errors
-    ///
-    /// [`FaultKind::DivideByZero`](crate::FaultKind::DivideByZero) at
-    /// [`FaultLayer::Plan`](crate::FaultLayer::Plan) when `d == 0`.
-    pub fn try_new(d: T) -> Result<Self, crate::Fault> {
-        Self::new(d).map_err(crate::Fault::from)
     }
 
     /// Caches an already-selected plan at the native word type — how the
@@ -278,18 +265,6 @@ impl<S: SWord> ExactSignedDivisor<S> {
         Ok(Self::from_plan(&plan))
     }
 
-    /// Like [`new`](Self::new), reporting failure through the unified
-    /// [`Fault`](crate::Fault) taxonomy instead of [`DivisorError`] —
-    /// mirrors [`crate::try_choose_multiplier`].
-    ///
-    /// # Errors
-    ///
-    /// [`FaultKind::DivideByZero`](crate::FaultKind::DivideByZero) at
-    /// [`FaultLayer::Plan`](crate::FaultLayer::Plan) when `d == 0`.
-    pub fn try_new(d: S) -> Result<Self, crate::Fault> {
-        Self::new(d).map_err(crate::Fault::from)
-    }
-
     /// Caches an already-selected plan at the native word type — how the
     /// plan cache (and the guarded-execution layer) turn a stored plan
     /// into a runnable divisor. The plan's constants are trusted as-is.
@@ -318,26 +293,6 @@ impl<S: SWord> ExactSignedDivisor<S> {
             low_mask: word(plan.low_mask),
             is_pow2: plan.is_pow2,
         }
-    }
-
-    /// Builds the divisor through the planner-tournament entry point.
-    ///
-    /// No competing candidate families exist for §9 exact division yet:
-    /// every [`Strategy`] selects the paper's odd-part-inverse plan, and
-    /// [`Strategy::Tournament`] wraps it in the single-candidate
-    /// scoreboard (emitting `plan.tournament` events) so callers can
-    /// treat every shape uniformly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DivisorError::Zero`] when `d == 0`.
-    pub fn with_strategy(
-        d: S,
-        strategy: Strategy,
-    ) -> Result<(Self, Option<TournamentResult>), DivisorError> {
-        let this = Self::new(d)?;
-        let tournament = paper_only_scoreboard(this.plan(), strategy);
-        Ok((this, tournament))
     }
 
     /// The divisor this inverse was computed for.
@@ -504,20 +459,6 @@ impl<S: SWord> Iterator for DivisibilityScanner<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn with_strategy_wraps_the_paper_plan_in_a_scoreboard() {
-        let (paper_only, none) = ExactSignedDivisor::<i32>::with_strategy(12, Strategy::PaperOnly)
-            .expect("nonzero divisor");
-        assert_eq!(none, None);
-        let (selected, tournament) =
-            ExactSignedDivisor::<i32>::with_strategy(12, Strategy::Tournament)
-                .expect("nonzero divisor");
-        assert_eq!(selected.plan(), paper_only.plan());
-        let t = tournament.expect("tournament strategy returns a scoreboard");
-        assert!(t.winner_is_paper());
-        assert_eq!(selected.divide_exact(144), 12);
-    }
 
     #[test]
     fn inverses_agree_and_invert() {

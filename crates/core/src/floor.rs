@@ -18,7 +18,6 @@ use magicdiv_dword::Limb;
 use crate::error::DivisorError;
 use crate::plan::{FloorPlan, FloorStrategy};
 use crate::signed::SignedDivisor;
-use crate::tournament::{paper_only_scoreboard, Strategy, TournamentResult};
 use crate::word::{SWord, UWord};
 
 /// A precomputed signed divisor rounding quotients toward `-∞`.
@@ -62,18 +61,6 @@ impl<S: SWord> FloorDivisor<S> {
         Ok(Self::from_plan(&plan))
     }
 
-    /// Like [`new`](Self::new), reporting failure through the unified
-    /// [`Fault`](crate::Fault) taxonomy instead of [`DivisorError`] —
-    /// mirrors [`crate::try_choose_multiplier`].
-    ///
-    /// # Errors
-    ///
-    /// [`FaultKind::DivideByZero`](crate::FaultKind::DivideByZero) at
-    /// [`FaultLayer::Plan`](crate::FaultLayer::Plan) when `d == 0`.
-    pub fn try_new(d: S) -> Result<Self, crate::Fault> {
-        Self::new(d).map_err(crate::Fault::from)
-    }
-
     /// Caches an already-selected plan at the native word type — how the
     /// plan cache (and the guarded-execution layer) turn a stored plan
     /// into a runnable divisor. The plan's constants are trusted as-is.
@@ -95,26 +82,6 @@ impl<S: SWord> FloorDivisor<S> {
                     SignedDivisor::from_plan(&trunc)
                 }),
         }
-    }
-
-    /// Builds the divisor through the planner-tournament entry point.
-    ///
-    /// No competing candidate families exist for floor division yet:
-    /// every [`Strategy`] selects the paper's Fig 6.1 plan, and
-    /// [`Strategy::Tournament`] wraps it in the single-candidate
-    /// scoreboard (emitting `plan.tournament` events) so callers can
-    /// treat every shape uniformly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DivisorError::Zero`] when `d == 0`.
-    pub fn with_strategy(
-        d: S,
-        strategy: Strategy,
-    ) -> Result<(Self, Option<TournamentResult>), DivisorError> {
-        let this = Self::new(d)?;
-        let tournament = paper_only_scoreboard(this.plan(), strategy);
-        Ok((this, tournament))
     }
 
     /// The divisor this reciprocal was computed for.
@@ -285,19 +252,6 @@ pub fn mod_positive<S: SWord>(n: S, d: S) -> S {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn with_strategy_wraps_the_paper_plan_in_a_scoreboard() {
-        let (paper_only, none) =
-            FloorDivisor::<i32>::with_strategy(7, Strategy::PaperOnly).expect("nonzero divisor");
-        assert_eq!(none, None);
-        let (selected, tournament) =
-            FloorDivisor::<i32>::with_strategy(7, Strategy::Tournament).expect("nonzero divisor");
-        assert_eq!(selected.plan(), paper_only.plan());
-        let t = tournament.expect("tournament strategy returns a scoreboard");
-        assert!(t.winner_is_paper());
-        assert_eq!(selected.divide(-1), -1);
-    }
 
     fn floor_div_oracle(n: i32, d: i32) -> i32 {
         // div_euclid differs from floor for negative divisors; compute floor

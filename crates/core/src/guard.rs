@@ -242,7 +242,12 @@ pub trait GuardKernel: Sized {
 
     /// Builds the kernel from a plan of width [`BITS`](Self::BITS),
     /// together with its divisor.
-    fn build(plan: &Self::Plan) -> (Self, Self::Word);
+    ///
+    /// # Errors
+    ///
+    /// [`FaultKind::BadProgram`] for a plan this kernel does not run: a
+    /// signed [`ExactPlan`] handed to the unsigned exact kernel.
+    fn build(plan: &Self::Plan) -> Result<(Self, Self::Word), FaultKind>;
 
     /// The answer computed from the plan's (possibly corrupt) constants.
     fn planned(&self, n: Self::Input) -> Self::Output;
@@ -323,15 +328,17 @@ impl<K: GuardKernel> Guarded<K> {
     /// # Errors
     ///
     /// [`FaultKind::UnsupportedWidth`] when the plan's width is not the
-    /// word's; [`FaultKind::SelfCheckFailed`] when any probe witness
-    /// gets a wrong answer — the typical symptom of a corrupted constant.
-    /// Both at [`FaultLayer::Guard`].
+    /// word's; [`FaultKind::BadProgram`] when the kernel does not run the
+    /// plan ([`GuardKernel::build`]); [`FaultKind::SelfCheckFailed`] when
+    /// any probe witness gets a wrong answer — the typical symptom of a
+    /// corrupted constant. All at [`FaultLayer::Guard`].
     pub fn from_plan(plan: &K::Plan, policy: &GuardPolicy) -> Result<Self, Fault> {
         let width = Into::<DivPlan>::into(*plan).width();
         if width != K::BITS {
             return Err(guard_fault(FaultKind::UnsupportedWidth { width }));
         }
-        let this = Self::from_plan_unprobed(plan, policy);
+        let (kernel, d) = K::build(plan).map_err(guard_fault)?;
+        let this = Self::start(kernel, d, policy);
         if this.state() == GuardState::Demoted {
             return Ok(this); // circuit open: native division, no probe
         }
@@ -351,9 +358,16 @@ impl<K: GuardKernel> Guarded<K> {
     ///
     /// # Panics
     ///
-    /// Panics when the plan's width is not the word's.
+    /// Panics when the plan's width is not the word's, or the kernel
+    /// does not run the plan.
     pub fn from_plan_unprobed(plan: &K::Plan, policy: &GuardPolicy) -> Self {
-        let (kernel, d) = K::build(plan);
+        let (kernel, d) = K::build(plan).expect("a plan the kernel runs");
+        Self::start(kernel, d, policy)
+    }
+
+    /// The guard around a built kernel, in the state the policy and the
+    /// circuit breaker give a new guard.
+    fn start(kernel: K, d: K::Word, policy: &GuardPolicy) -> Self {
         // The circuit breaker: once the budget is spent, start demoted.
         let state = if fault_budget().exhausted() {
             magicdiv_trace::event!("guard.circuit_bypass",
@@ -468,9 +482,9 @@ impl<T: UWord> GuardKernel for UnsignedDivisor<T> {
         UdivPlan::new(d.to_u128(), T::BITS)
     }
 
-    fn build(plan: &UdivPlan) -> (Self, T) {
+    fn build(plan: &UdivPlan) -> Result<(Self, T), FaultKind> {
         let kernel = UnsignedDivisor::from_plan(plan);
-        (kernel, kernel.divisor())
+        Ok((kernel, kernel.divisor()))
     }
 
     fn planned(&self, n: T) -> T {
@@ -585,9 +599,9 @@ macro_rules! signed_kernel {
                 $plan::new(d.to_i128(), S::BITS)
             }
 
-            fn build(plan: &$plan) -> (Self, S) {
+            fn build(plan: &$plan) -> Result<(Self, S), FaultKind> {
                 let kernel = $kernel::from_plan(plan);
-                (kernel, kernel.divisor())
+                Ok((kernel, kernel.divisor()))
             }
 
             fn planned(&self, n: S) -> S {
@@ -691,12 +705,14 @@ impl<T: UWord> GuardKernel for ExactUnsignedDivisor<T> {
         ExactPlan::new_unsigned(d.to_u128(), T::BITS)
     }
 
-    /// # Panics
-    ///
-    /// Panics when the plan is signed.
-    fn build(plan: &ExactPlan) -> (Self, T) {
+    fn build(plan: &ExactPlan) -> Result<(Self, T), FaultKind> {
+        if plan.is_signed() {
+            return Err(FaultKind::BadProgram(format!(
+                "signed exact plan for the unsigned kernel: {plan}"
+            )));
+        }
         let kernel = ExactUnsignedDivisor::from_plan(plan);
-        (kernel, kernel.divisor())
+        Ok((kernel, kernel.divisor()))
     }
 
     fn planned(&self, (op, n): (ExactOp, T)) -> T {
@@ -799,9 +815,9 @@ impl<T: UWord> GuardKernel for DwordDivisor<T> {
         DwordPlan::new(d.to_u128(), T::BITS)
     }
 
-    fn build(plan: &DwordPlan) -> (Self, T) {
+    fn build(plan: &DwordPlan) -> Result<(Self, T), FaultKind> {
         let kernel = DwordDivisor::from_plan(plan);
-        (kernel, kernel.divisor())
+        Ok((kernel, kernel.divisor()))
     }
 
     /// Every guarded input has `HIGH(n) < d`, so the kernel's
@@ -904,6 +920,12 @@ mod tests {
         refused::<FloorDivisor<i32>>(FloorPlan::new(-7, 64)?);
         refused::<ExactUnsignedDivisor<u32>>(ExactPlan::new_unsigned(12, 64)?);
         refused::<DwordDivisor<u32>>(DwordPlan::new(10, 64)?);
+        // Right width, but the unsigned exact kernel runs no signed plan.
+        let signed = ExactPlan::new_signed(12, 32)?;
+        let err = GuardedExactDivisor::<u32>::from_plan(&signed, &GuardPolicy::default())
+            .expect_err("a signed exact plan must be refused");
+        assert_eq!(err.layer, FaultLayer::Guard);
+        assert!(matches!(err.kind, FaultKind::BadProgram(_)), "{err}");
         Ok(())
     }
 
@@ -1118,7 +1140,7 @@ mod tests {
     {
         let mut refused = 0;
         for plan in plans {
-            let (kernel, d) = K::build(&plan);
+            let (kernel, d) = K::build(&plan).expect("a plan the kernel runs");
             let right = inputs(d)
                 .into_iter()
                 .filter(|&n| K::in_contract(d, n))
@@ -1164,9 +1186,8 @@ mod tests {
     /// flipped ([`crate::testkit::flip_constant`]), as a `P`, keeping
     /// those its kernel can run: `MulAddShift` needs `sh_post >= 1`, the
     /// exact kernel `e < N` and the doubleword kernel `l <= N`.
-    fn flipped<P: Copy + Into<DivPlan>>(
+    fn flipped<P: Copy + Into<DivPlan> + TryFrom<DivPlan>>(
         plans: impl IntoIterator<Item = P>,
-        back: fn(DivPlan) -> Option<P>,
     ) -> Vec<P> {
         use crate::plan::UdivStrategy::MulAddShift;
         let runnable = |plan: &DivPlan| match plan {
@@ -1180,7 +1201,7 @@ mod tests {
             for field in 0..5 {
                 for bit in 0..plan.width() {
                     let flip = crate::testkit::flip_constant(plan, field, bit);
-                    out.extend(flip.filter(runnable).and_then(back));
+                    out.extend(flip.filter(runnable).and_then(|p| P::try_from(p).ok()));
                 }
             }
         }
@@ -1203,25 +1224,13 @@ mod tests {
         fault_budget().set_limit(u64::MAX);
         let exact = |refused: u32, family: &str| assert_eq!(refused, 0, "{family}");
         let unsigned = [3u128, 7, 10, 641, 1000, 32_769, 60_000, 65_535];
-        let plans = flipped(
-            unsigned.map(|d| UdivPlan::new(d, 16).expect("plan")),
-            |p| match p {
-                DivPlan::Unsigned(p) => Some(p),
-                _ => None,
-            },
-        );
+        let plans = flipped(unsigned.map(|d| UdivPlan::new(d, 16).expect("plan")));
         exact(
             refused_but_right::<UnsignedDivisor<u16>>(plans, all_u16),
             "unsigned",
         );
         let signed = [3i128, -3, 7, -7, 10, -10, 641, -641, 1000, 32_767, -32_767];
-        let plans = flipped(
-            signed.map(|d| SdivPlan::new(d, 16).expect("plan")),
-            |p| match p {
-                DivPlan::Signed(p) => Some(p),
-                _ => None,
-            },
-        );
+        let plans = flipped(signed.map(|d| SdivPlan::new(d, 16).expect("plan")));
         exact(
             refused_but_right::<SignedDivisor<i16>>(plans, all_i16),
             "signed",
@@ -1231,32 +1240,20 @@ mod tests {
         let floor = [
             3i128, 7, 10, 641, 1000, 32_767, -3, -7, -10, -641, -1000, -32_767,
         ];
-        let plans = flipped(
-            floor.map(|d| FloorPlan::new(d, 16).expect("plan")),
-            |p| match p {
-                DivPlan::Floor(p) => Some(p),
-                _ => None,
-            },
-        );
+        let plans = flipped(floor.map(|d| FloorPlan::new(d, 16).expect("plan")));
         exact(
             refused_but_right::<FloorDivisor<i16>>(plans, all_i16),
             "floor",
         );
         let exact_ds = [3u128, 7, 10, 12, 641, 1000, 40_000];
         let exact_plans = exact_ds.map(|d| ExactPlan::new_unsigned(d, 16).expect("plan"));
-        let plans = flipped(exact_plans, |p| match p {
-            DivPlan::Exact(p) => Some(p),
-            _ => None,
-        });
+        let plans = flipped(exact_plans);
         exact(
             refused_but_right::<ExactUnsignedDivisor<u16>>(plans, all_exact_inputs),
             "exact",
         );
         let dword = (1..=255).map(|d| DwordPlan::new(d, 8).expect("plan"));
-        let plans = flipped(dword, |p| match p {
-            DivPlan::Dword(p) => Some(p),
-            _ => None,
-        });
+        let plans = flipped(dword);
         let dword_refused = refused_but_right::<DwordDivisor<u8>>(plans, all_dword_inputs);
         assert_eq!(dword_refused, 1552, "dword");
     }

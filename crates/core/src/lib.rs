@@ -16,7 +16,7 @@
 //! | §6 signed, round toward −∞ | [`FloorDivisor`] (Fig 6.1), [`floor_div_via_trunc`], [`ceil_div_via_trunc`], [`mod_positive`] |
 //! | §6.2 multiplier selection | [`choose_multiplier`] (Fig 6.2) |
 //! | strategy selection (all of the above) | [`plan`]: [`UdivPlan`], [`SdivPlan`], [`FloorPlan`], [`ExactPlan`], [`UremPlan`], [`DivisibilityPlan`], [`DivPlan`] |
-//! | planner tournament (candidate families beyond the paper) | [`candidates`], [`tournament`]: [`select_udiv`], [`Strategy`] |
+//! | planner tournament (candidate families beyond the paper) | [`candidates`], [`tournament`]: [`run_udiv_tournament`], [`run_urem_tournament`]; the winner's plan goes to `from_plan` |
 //! | §10 compile-time constants | [`ConstU32Divisor`], [`ConstU64Divisor`] (`const fn` construction) |
 //! | §7 floating point | [`trunc_div_f64`], [`unsigned_div_f64`] |
 //! | §8 udword ÷ uword | [`DwordDivisor`] (Fig 8.1) |
@@ -113,10 +113,9 @@ pub use crate::plan::{
 };
 pub use crate::signed::{InvariantSignedDivisor, SignedDivisor};
 pub use crate::tournament::{
-    certify_plan, paper_only_tournament, run_udiv_tournament, run_urem_tournament, select_udiv,
-    select_urem, ArithmeticCertifier, Certification, LossReason, OpCountScorer, Outcome,
-    PlanCertifier, PlanScorer, ScoredCandidate, Strategy, TournamentResult, UdivSelection,
-    UremSelection,
+    certify_plan, run_udiv_tournament, run_urem_tournament, ArithmeticCertifier, Certification,
+    LossReason, OpCountScorer, Outcome, PlanCertifier, PlanScorer, ScoredCandidate,
+    TournamentResult,
 };
 pub use crate::udword_div::DwordDivisor;
 pub use crate::unsigned::{InvariantUnsignedDivisor, UnsignedDivisor};

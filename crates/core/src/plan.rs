@@ -1580,47 +1580,38 @@ impl fmt::Display for DivPlan {
     }
 }
 
-impl From<UdivPlan> for DivPlan {
-    fn from(p: UdivPlan) -> Self {
-        DivPlan::Unsigned(p)
-    }
+/// `From` each plan kind into [`DivPlan`], and `TryFrom` back out. The
+/// way out fails on any other kind and hands that plan back unchanged.
+macro_rules! div_plan_kinds {
+    ($($plan:ident => $variant:ident),* $(,)?) => {$(
+        impl From<$plan> for DivPlan {
+            fn from(p: $plan) -> Self {
+                DivPlan::$variant(p)
+            }
+        }
+
+        impl TryFrom<DivPlan> for $plan {
+            type Error = DivPlan;
+
+            fn try_from(plan: DivPlan) -> Result<Self, DivPlan> {
+                match plan {
+                    DivPlan::$variant(p) => Ok(p),
+                    other => Err(other),
+                }
+            }
+        }
+    )*};
 }
 
-impl From<SdivPlan> for DivPlan {
-    fn from(p: SdivPlan) -> Self {
-        DivPlan::Signed(p)
-    }
-}
-
-impl From<FloorPlan> for DivPlan {
-    fn from(p: FloorPlan) -> Self {
-        DivPlan::Floor(p)
-    }
-}
-
-impl From<ExactPlan> for DivPlan {
-    fn from(p: ExactPlan) -> Self {
-        DivPlan::Exact(p)
-    }
-}
-
-impl From<DwordPlan> for DivPlan {
-    fn from(p: DwordPlan) -> Self {
-        DivPlan::Dword(p)
-    }
-}
-
-impl From<UremPlan> for DivPlan {
-    fn from(p: UremPlan) -> Self {
-        DivPlan::Urem(p)
-    }
-}
-
-impl From<DivisibilityPlan> for DivPlan {
-    fn from(p: DivisibilityPlan) -> Self {
-        DivPlan::Divisibility(p)
-    }
-}
+div_plan_kinds!(
+    UdivPlan => Unsigned,
+    SdivPlan => Signed,
+    FloorPlan => Floor,
+    ExactPlan => Exact,
+    DwordPlan => Dword,
+    UremPlan => Urem,
+    DivisibilityPlan => Divisibility,
+);
 
 #[cfg(test)]
 mod tests {
@@ -1966,6 +1957,35 @@ mod tests {
         assert!(UremPlan::new(0, 32).is_err());
         assert!(UremPlan::new_direct(0, 32).is_err());
         assert!(DivisibilityPlan::new(0, 32).is_err());
+    }
+
+    #[test]
+    fn try_from_div_plan_takes_back_its_own_kind_only() {
+        let plans: [DivPlan; 7] = [
+            UdivPlan::new(7, 32).unwrap().into(),
+            SdivPlan::new(-7, 32).unwrap().into(),
+            FloorPlan::new(-7, 32).unwrap().into(),
+            ExactPlan::new_unsigned(12, 32).unwrap().into(),
+            DwordPlan::new(10, 32).unwrap().into(),
+            UremPlan::new_direct(10, 32).unwrap().into(),
+            DivisibilityPlan::new(12, 32).unwrap().into(),
+        ];
+        fn kind<P: TryFrom<DivPlan, Error = DivPlan>>(plans: &[DivPlan; 7], own: usize)
+        where
+            DivPlan: From<P>,
+        {
+            for (i, &plan) in plans.iter().enumerate() {
+                let want = if i == own { Ok(plan) } else { Err(plan) };
+                assert_eq!(P::try_from(plan).map(DivPlan::from), want, "{plan}");
+            }
+        }
+        kind::<UdivPlan>(&plans, 0);
+        kind::<SdivPlan>(&plans, 1);
+        kind::<FloorPlan>(&plans, 2);
+        kind::<ExactPlan>(&plans, 3);
+        kind::<DwordPlan>(&plans, 4);
+        kind::<UremPlan>(&plans, 5);
+        kind::<DivisibilityPlan>(&plans, 6);
     }
 
     #[test]

@@ -17,7 +17,6 @@ use core::ops::{Div, Rem};
 
 use crate::error::DivisorError;
 use crate::plan::{SdivPlan, SdivStrategy};
-use crate::tournament::{paper_only_scoreboard, Strategy, TournamentResult};
 use magicdiv_dword::Limb;
 
 use crate::word::SWord;
@@ -59,18 +58,6 @@ impl<S: SWord> SignedDivisor<S> {
         Ok(Self::from_plan(&plan))
     }
 
-    /// Like [`new`](Self::new), reporting failure through the unified
-    /// [`Fault`](crate::Fault) taxonomy instead of [`DivisorError`] —
-    /// mirrors [`crate::try_choose_multiplier`].
-    ///
-    /// # Errors
-    ///
-    /// [`FaultKind::DivideByZero`](crate::FaultKind::DivideByZero) at
-    /// [`FaultLayer::Plan`](crate::FaultLayer::Plan) when `d == 0`.
-    pub fn try_new(d: S) -> Result<Self, crate::Fault> {
-        Self::new(d).map_err(crate::Fault::from)
-    }
-
     /// Caches an already-selected plan at the native word type — how the
     /// plan cache (and the guarded-execution layer) turn a stored plan
     /// into a runnable divisor. The plan's constants are trusted as-is.
@@ -91,28 +78,6 @@ impl<S: SWord> SignedDivisor<S> {
                 .strategy()
                 .map(|m| S::from_unsigned(<S::Unsigned as Limb>::from_u128_truncate(m))),
         }
-    }
-
-    /// Builds the divisor through the planner-tournament entry point.
-    ///
-    /// Only the unsigned pipeline has competing candidate families
-    /// today: every [`Strategy`] selects the paper's Fig 5.2 plan here.
-    /// Under [`Strategy::Tournament`] the returned scoreboard is the
-    /// single-candidate tournament wrapping that plan (with
-    /// `plan.tournament` events emitted), so callers can treat every
-    /// shape uniformly; [`Strategy::PaperOnly`] skips the scoreboard
-    /// entirely.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DivisorError::Zero`] when `d == 0`.
-    pub fn with_strategy(
-        d: S,
-        strategy: Strategy,
-    ) -> Result<(Self, Option<TournamentResult>), DivisorError> {
-        let this = Self::new(d)?;
-        let tournament = paper_only_scoreboard(this.plan(), strategy);
-        Ok((this, tournament))
     }
 
     /// The divisor this reciprocal was computed for.
@@ -385,17 +350,6 @@ impl<S: SWord> InvariantSignedDivisor<S> {
         })
     }
 
-    /// Like [`new`](Self::new), reporting failure through the unified
-    /// [`Fault`](crate::Fault) taxonomy instead of [`DivisorError`].
-    ///
-    /// # Errors
-    ///
-    /// [`FaultKind::DivideByZero`](crate::FaultKind::DivideByZero) at
-    /// [`FaultLayer::Plan`](crate::FaultLayer::Plan) when `d == 0`.
-    pub fn try_new(d: S) -> Result<Self, crate::Fault> {
-        Self::new(d).map_err(crate::Fault::from)
-    }
-
     /// The divisor this reciprocal was computed for.
     #[inline]
     pub fn divisor(&self) -> S {
@@ -479,21 +433,6 @@ impl_div_ops!(i128);
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn with_strategy_wraps_the_paper_plan_in_a_scoreboard() {
-        let (paper_only, none) =
-            SignedDivisor::<i32>::with_strategy(-7, Strategy::PaperOnly).expect("nonzero divisor");
-        assert_eq!(none, None);
-        let (selected, tournament) =
-            SignedDivisor::<i32>::with_strategy(-7, Strategy::Tournament).expect("nonzero divisor");
-        assert_eq!(selected, paper_only);
-        assert_eq!(selected, SignedDivisor::new(-7).unwrap());
-        let t = tournament.expect("tournament strategy returns a scoreboard");
-        assert!(t.winner_is_paper());
-        assert_eq!(t.scoreboard.len(), 1);
-        assert_eq!(selected.divide(100), -14);
-    }
 
     #[test]
     fn exhaustive_i8_both_types() {

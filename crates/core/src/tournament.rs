@@ -1,11 +1,13 @@
 //! The planner tournament: lower every candidate strategy, price it on a
 //! cost model, certify the winner, and keep the full scoreboard.
 //!
-//! [`select_udiv`] is the selection entry the public constructors wrap:
-//! with [`Strategy::PaperOnly`] it short-circuits to the 1994 Figure 4.2
-//! rules (bit-identical plans, goldens stay reproducible); with
-//! [`Strategy::Tournament`] every [`CandidateGen`](crate::CandidateGen) family competes and
-//! the cheapest *certified* plan wins.
+//! The typed divisors' `new` constructors run the paper's rules alone
+//! and never run a tournament. [`run_udiv_tournament`] lets every
+//! [`CandidateGen`](crate::CandidateGen) family compete, and
+//! [`run_urem_tournament`] the remainder plans; the cheapest *certified*
+//! plan wins. A caller who wants the winner takes its plan back out of
+//! the [`DivPlan`] with `TryFrom` and hands it to the divisor's
+//! `from_plan`, as the example on [`run_udiv_tournament`] shows.
 //!
 //! Pricing and certification are injected through [`PlanScorer`] and
 //! [`PlanCertifier`] so this crate stays at the bottom of the dependency
@@ -22,23 +24,9 @@ use core::fmt;
 
 use crate::candidates::{unsigned_generators, urem_candidates, Candidate, CandidateSource};
 use crate::error::DivisorError;
-use crate::plan::{
-    mask, DivPlan, DivisibilityStrategy, UdivPlan, UdivStrategy, UremPlan, UremStrategy,
-};
+use crate::plan::{mask, DivPlan, DivisibilityStrategy, UdivStrategy, UremStrategy};
 use crate::testkit::directed_unsigned_dividends;
 use crate::validity;
-
-/// How a public constructor selects its plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Strategy {
-    /// The escape hatch: exactly the paper's decision rules, no
-    /// competing candidates, no extra trace events. The default — all
-    /// pinned plans and goldens reproduce.
-    #[default]
-    PaperOnly,
-    /// Run the candidate tournament and take the certified winner.
-    Tournament,
-}
 
 /// Prices a plan for the tournament. `None` means this scorer cannot
 /// price the plan (unsupported shape or width); such candidates lose as
@@ -310,16 +298,6 @@ impl PlanCertifier for ArithmeticCertifier {
     }
 }
 
-/// What [`select_udiv`] hands back: the plan to cache, plus the full
-/// scoreboard when a tournament actually ran.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UdivSelection {
-    /// The selected plan.
-    pub plan: UdivPlan,
-    /// The tournament record (`None` under [`Strategy::PaperOnly`]).
-    pub tournament: Option<TournamentResult>,
-}
-
 /// Whether a plan's multiplier exceeds the word (`m >= 2^N`).
 fn wider_multiply(plan: &DivPlan) -> bool {
     matches!(
@@ -367,7 +345,25 @@ fn tie_break_key(c: &Candidate) -> (bool, bool, u128) {
 /// # Panics
 ///
 /// Panics when `width` is unsupported (see [`crate::plan`]) or `d` does
-/// not fit in `width` bits (both via [`UdivPlan::new`]).
+/// not fit in `width` bits (both via [`UdivPlan::new`](crate::UdivPlan::new)).
+///
+/// # Examples
+///
+/// Build the divisor the winner runs:
+///
+/// ```
+/// use magicdiv::{
+///     run_udiv_tournament, ArithmeticCertifier, OpCountScorer, UdivPlan, UnsignedDivisor,
+/// };
+///
+/// let t = run_udiv_tournament(35, 8, &OpCountScorer, &ArithmeticCertifier)?;
+/// let plan = UdivPlan::try_from(t.winning().candidate.plan).expect("an unsigned plan");
+/// let by35 = UnsignedDivisor::<u8>::from_plan(&plan);
+/// for n in 0..=u8::MAX {
+///     assert_eq!(by35.divide(n), n / 35);
+/// }
+/// # Ok::<(), magicdiv::DivisorError>(())
+/// ```
 pub fn run_udiv_tournament(
     d: u128,
     width: u32,
@@ -394,7 +390,7 @@ pub fn run_udiv_tournament(
 /// # Panics
 ///
 /// Panics when `width` is unsupported (see [`crate::plan`]) or `d` does
-/// not fit in `width` bits (both via [`UremPlan::new`]).
+/// not fit in `width` bits (both via [`UremPlan::new`](crate::UremPlan::new)).
 pub fn run_urem_tournament(
     d: u128,
     width: u32,
@@ -503,212 +499,24 @@ fn emit_events(t: &TournamentResult) {
         "model" => t.model.clone());
 }
 
-/// The selection entry the public unsigned constructors wrap.
-///
-/// [`Strategy::PaperOnly`] short-circuits to [`UdivPlan::new`] — no
-/// candidates, no tournament events, bit-identical plans.
-/// [`Strategy::Tournament`] runs [`run_udiv_tournament`] and returns its
-/// certified winner.
-///
-/// # Errors
-///
-/// Returns [`DivisorError::Zero`] when `d == 0`.
-///
-/// # Panics
-///
-/// Panics when `width` is unsupported or `d` does not fit in `width`
-/// bits.
-pub fn select_udiv(
-    d: u128,
-    width: u32,
-    strategy: Strategy,
-    scorer: &dyn PlanScorer,
-    certifier: &dyn PlanCertifier,
-) -> Result<UdivSelection, DivisorError> {
-    match strategy {
-        Strategy::PaperOnly => Ok(UdivSelection {
-            plan: UdivPlan::new(d, width)?,
-            tournament: None,
-        }),
-        Strategy::Tournament => {
-            let t = run_udiv_tournament(d, width, scorer, certifier)?;
-            let plan = match t.winning().candidate.plan {
-                DivPlan::Unsigned(p) => p,
-                // Unsigned generators only produce unsigned plans; fall
-                // back to the paper plan should that ever change.
-                _ => UdivPlan::new(d, width)?,
-            };
-            Ok(UdivSelection {
-                plan,
-                tournament: Some(t),
-            })
-        }
-    }
-}
-
-/// What [`select_urem`] hands back: the remainder plan to cache, plus the
-/// full scoreboard when a tournament actually ran.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UremSelection {
-    /// The selected plan.
-    pub plan: UremPlan,
-    /// The tournament record (`None` under [`Strategy::PaperOnly`]).
-    pub tournament: Option<TournamentResult>,
-}
-
-/// The selection entry for the remainder path.
-///
-/// [`Strategy::PaperOnly`] short-circuits to [`UremPlan::new`] — the §1
-/// multiply-back baseline (or a mask for powers of two), bit-compatible
-/// with what `div_rem` always computed. [`Strategy::Tournament`] runs
-/// [`run_urem_tournament`] and returns its certified winner, which may be
-/// the Lemire–Kaser–Kurz direct fraction plan.
-///
-/// # Errors
-///
-/// Returns [`DivisorError::Zero`] when `d == 0`.
-///
-/// # Panics
-///
-/// Panics when `width` is unsupported or `d` does not fit in `width`
-/// bits.
-pub fn select_urem(
-    d: u128,
-    width: u32,
-    strategy: Strategy,
-    scorer: &dyn PlanScorer,
-    certifier: &dyn PlanCertifier,
-) -> Result<UremSelection, DivisorError> {
-    match strategy {
-        Strategy::PaperOnly => Ok(UremSelection {
-            plan: UremPlan::new(d, width)?,
-            tournament: None,
-        }),
-        Strategy::Tournament => {
-            let t = run_urem_tournament(d, width, scorer, certifier)?;
-            let plan = match t.winning().candidate.plan {
-                DivPlan::Urem(p) => p,
-                // The urem roster only fields urem plans; fall back to
-                // the baseline should that ever change.
-                _ => UremPlan::new(d, width)?,
-            };
-            Ok(UremSelection {
-                plan,
-                tournament: Some(t),
-            })
-        }
-    }
-}
-
-/// Wraps an already-selected plan of any shape as a one-candidate
-/// "tournament" scoreboard — how the signed/floor/exact constructors
-/// surface their (currently uncontested) paper baseline through the same
-/// reporting machinery.
-pub fn paper_only_tournament(
-    plan: DivPlan,
-    scorer: &dyn PlanScorer,
-    certifier: &dyn PlanCertifier,
-) -> TournamentResult {
-    let d = match &plan {
-        DivPlan::Unsigned(p) => p.divisor(),
-        DivPlan::Signed(p) => p.divisor().unsigned_abs(),
-        DivPlan::Floor(p) => p.divisor().unsigned_abs(),
-        DivPlan::Exact(p) => p.divisor_abs(),
-        DivPlan::Dword(p) => p.divisor(),
-        DivPlan::Urem(p) => p.divisor(),
-        DivPlan::Divisibility(p) => p.divisor(),
-    };
-    let width = plan.width();
-    let cycles = scorer.score(&plan);
-    let certification = certifier.certify(&plan);
-    let result = TournamentResult {
-        d,
-        width,
-        model: scorer.model_name().to_string(),
-        scoreboard: vec![ScoredCandidate {
-            candidate: Candidate {
-                plan,
-                source: CandidateSource::PaperBaseline,
-                why: "only family fielding candidates for this shape".to_string(),
-            },
-            cycles,
-            certification,
-            outcome: Outcome::Won,
-        }],
-        winner: 0,
-    };
-    emit_events(&result);
-    result
-}
-
-/// The scoreboard a single-family constructor returns for `strategy`:
-/// none under [`Strategy::PaperOnly`], otherwise `plan` wrapped by
-/// [`paper_only_tournament`] under the core's op-count scorer and
-/// arithmetic certifier.
-pub(crate) fn paper_only_scoreboard(
-    plan: impl Into<DivPlan>,
-    strategy: Strategy,
-) -> Option<TournamentResult> {
-    match strategy {
-        Strategy::PaperOnly => None,
-        Strategy::Tournament => Some(paper_only_tournament(
-            plan.into(),
-            &OpCountScorer,
-            &ArithmeticCertifier,
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::DivisibilityPlan;
+    use crate::plan::{DivisibilityPlan, UdivPlan, UremPlan};
     use crate::validity::{eval_divisibility, eval_unsigned, eval_urem};
-
-    #[test]
-    fn paper_only_matches_legacy_selection() {
-        for d in [1u128, 2, 3, 7, 10, 14, 641, 274177] {
-            for width in [8u32, 16, 32, 64] {
-                if d > ((1u128 << width) - 1) {
-                    continue;
-                }
-                let sel = select_udiv(
-                    d,
-                    width,
-                    Strategy::PaperOnly,
-                    &OpCountScorer,
-                    &ArithmeticCertifier,
-                )
-                .unwrap();
-                assert_eq!(
-                    sel.plan,
-                    UdivPlan::new(d, width).unwrap(),
-                    "d={d} w={width}"
-                );
-                assert!(sel.tournament.is_none());
-            }
-        }
-    }
 
     #[test]
     fn tournament_winner_is_always_certified_w8_exhaustive() {
         for d in 1u128..=255 {
-            let sel = select_udiv(
-                d,
-                8,
-                Strategy::Tournament,
-                &OpCountScorer,
-                &ArithmeticCertifier,
-            )
-            .unwrap();
-            let t = sel.tournament.expect("tournament ran");
+            let t = run_udiv_tournament(d, 8, &OpCountScorer, &ArithmeticCertifier).unwrap();
             match t.winning().certification {
                 Certification::Passed { inputs, .. } => assert_eq!(inputs, 256, "d={d}"),
                 other => panic!("d={d}: winner not certified: {other:?}"),
             }
             // The winner's plan must actually divide.
+            let plan = UdivPlan::try_from(t.winning().candidate.plan).unwrap();
             for n in 0u128..=255 {
-                assert_eq!(eval_unsigned(&sel.plan, n), n / d, "d={d} n={n}");
+                assert_eq!(eval_unsigned(&plan, n), n / d, "d={d} n={n}");
             }
         }
     }
@@ -716,15 +524,7 @@ mod tests {
     #[test]
     fn tournament_never_scores_worse_than_paper() {
         for d in 1u128..=255 {
-            let sel = select_udiv(
-                d,
-                8,
-                Strategy::Tournament,
-                &OpCountScorer,
-                &ArithmeticCertifier,
-            )
-            .unwrap();
-            let t = sel.tournament.unwrap();
+            let t = run_udiv_tournament(d, 8, &OpCountScorer, &ArithmeticCertifier).unwrap();
             let paper = &t.scoreboard[0];
             assert_eq!(paper.candidate.source, CandidateSource::PaperBaseline);
             if let (Some(win), Some(base)) = (t.winning().cycles, paper.cycles) {
@@ -819,42 +619,21 @@ mod tests {
     #[test]
     fn urem_tournament_winner_is_certified_w8_exhaustive() {
         for d in 1u128..=255 {
-            let sel = select_urem(
-                d,
-                8,
-                Strategy::Tournament,
-                &OpCountScorer,
-                &ArithmeticCertifier,
-            )
-            .unwrap();
-            let t = sel.tournament.expect("tournament ran");
+            let t = run_urem_tournament(d, 8, &OpCountScorer, &ArithmeticCertifier).unwrap();
             match t.winning().certification {
                 Certification::Passed { inputs, .. } => assert_eq!(inputs, 256, "d={d}"),
                 other => panic!("d={d}: winner not certified: {other:?}"),
             }
+            let plan = UremPlan::try_from(t.winning().candidate.plan).unwrap();
+            // Multiply-back (or a mask) or the direct fraction: the two
+            // remainder kernels a typed divisor can run.
+            assert!(
+                plan == UremPlan::new(d, 8).unwrap() || plan == UremPlan::new_direct(d, 8).unwrap(),
+                "d={d}: {plan}"
+            );
             for n in 0u128..=255 {
-                assert_eq!(eval_urem(&sel.plan, n), n % d, "d={d} n={n}");
+                assert_eq!(eval_urem(&plan, n), n % d, "d={d} n={n}");
             }
-        }
-    }
-
-    #[test]
-    fn urem_paper_only_is_mulback_or_mask() {
-        for d in [3u128, 7, 10, 16, 641] {
-            let sel = select_urem(
-                d,
-                32,
-                Strategy::PaperOnly,
-                &OpCountScorer,
-                &ArithmeticCertifier,
-            )
-            .unwrap();
-            assert!(sel.tournament.is_none());
-            assert_eq!(sel.plan, UremPlan::new(d, 32).unwrap(), "d={d}");
-            assert!(!matches!(
-                sel.plan.strategy(),
-                UremStrategy::Fraction { .. }
-            ));
         }
     }
 
@@ -938,15 +717,5 @@ mod tests {
                 other => panic!("d={d}: corrupted multiplier not refuted: {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn paper_only_tournament_wraps_any_shape() {
-        let plan = DivPlan::from(crate::plan::SdivPlan::new(-7, 32).unwrap());
-        let t = paper_only_tournament(plan, &OpCountScorer, &ArithmeticCertifier);
-        assert_eq!(t.scoreboard.len(), 1);
-        assert!(t.winner_is_paper());
-        assert_eq!(t.winning().certification, Certification::Skipped);
-        assert_eq!(t.winning().outcome, Outcome::Won);
     }
 }

@@ -60,18 +60,6 @@ impl<T: UWord> DwordDivisor<T> {
         Ok(Self::from_plan(&plan))
     }
 
-    /// Like [`new`](Self::new), reporting failure through the unified
-    /// [`Fault`](crate::Fault) taxonomy instead of [`DivisorError`] —
-    /// mirrors [`crate::try_choose_multiplier`].
-    ///
-    /// # Errors
-    ///
-    /// [`FaultKind::DivideByZero`](crate::FaultKind::DivideByZero) at
-    /// [`FaultLayer::Plan`](crate::FaultLayer::Plan) when `d == 0`.
-    pub fn try_new(d: T) -> Result<Self, crate::Fault> {
-        Self::new(d).map_err(crate::Fault::from)
-    }
-
     /// Caches an already-selected plan at the native word type — how the
     /// plan cache (and the guarded-execution layer) turn a stored plan
     /// into a runnable divisor. The plan's constants are trusted as-is.

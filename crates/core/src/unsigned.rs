@@ -20,10 +20,6 @@ use magicdiv_dword::DWord;
 
 use crate::error::DivisorError;
 use crate::plan::{UdivPlan, UdivStrategy, UremPlan, UremStrategy};
-use crate::tournament::{
-    select_udiv, select_urem, ArithmeticCertifier, OpCountScorer, PlanCertifier, PlanScorer,
-    Strategy, TournamentResult,
-};
 use crate::word::UWord;
 
 /// A precomputed unsigned divisor following the Figure 4.2 constant-divisor
@@ -62,18 +58,6 @@ impl<T: UWord> UnsignedDivisor<T> {
     pub fn new(d: T) -> Result<Self, DivisorError> {
         let plan = UdivPlan::new(d.to_u128(), T::BITS)?;
         Ok(Self::from_plan(&plan))
-    }
-
-    /// Like [`new`](Self::new), reporting failure through the unified
-    /// [`Fault`](crate::Fault) taxonomy instead of [`DivisorError`] —
-    /// mirrors [`crate::try_choose_multiplier`].
-    ///
-    /// # Errors
-    ///
-    /// [`FaultKind::DivideByZero`](crate::FaultKind::DivideByZero) at
-    /// [`FaultLayer::Plan`](crate::FaultLayer::Plan) when `d == 0`.
-    pub fn try_new(d: T) -> Result<Self, crate::Fault> {
-        Self::new(d).map_err(crate::Fault::from)
     }
 
     /// Caches an already-selected plan at the native word type — how the
@@ -121,73 +105,6 @@ impl<T: UWord> UnsignedDivisor<T> {
         Ok(div)
     }
 
-    /// Like [`new`](Self::new), but the plan is chosen by the given
-    /// [`Strategy`]: [`Strategy::PaperOnly`] reproduces `new` exactly,
-    /// while [`Strategy::Tournament`] lets every candidate family compete
-    /// under the core's op-count scorer and arithmetic certifier and
-    /// returns the full scoreboard alongside the divisor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DivisorError::Zero`] when `d == 0`.
-    pub fn with_strategy(
-        d: T,
-        strategy: Strategy,
-    ) -> Result<(Self, Option<TournamentResult>), DivisorError> {
-        Self::with_selection(d, strategy, &OpCountScorer, &ArithmeticCertifier)
-    }
-
-    /// [`with_strategy`](Self::with_strategy) with an injected scorer and
-    /// certifier — `magicdiv-bench` passes its simcpu cycle model and the
-    /// lowered-IR differential oracle here.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DivisorError::Zero`] when `d == 0`.
-    pub fn with_selection(
-        d: T,
-        strategy: Strategy,
-        scorer: &dyn PlanScorer,
-        certifier: &dyn PlanCertifier,
-    ) -> Result<(Self, Option<TournamentResult>), DivisorError> {
-        let selection = select_udiv(d.to_u128(), T::BITS, strategy, scorer, certifier)?;
-        Ok((Self::from_plan(&selection.plan), selection.tournament))
-    }
-
-    /// Like [`new`](Self::new), but the *remainder* strategy is chosen by
-    /// the urem tournament (§1 multiply-back vs the Lemire–Kaser–Kurz
-    /// direct fraction, per [`crate::tournament::select_urem`]) under the
-    /// injected scorer and certifier. [`Strategy::PaperOnly`] reproduces
-    /// `new` exactly. The quotient path is always Fig 4.2.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DivisorError::Zero`] when `d == 0`.
-    pub fn with_urem_selection(
-        d: T,
-        strategy: Strategy,
-        scorer: &dyn PlanScorer,
-        certifier: &dyn PlanCertifier,
-    ) -> Result<(Self, Option<TournamentResult>), DivisorError> {
-        let selection = select_urem(d.to_u128(), T::BITS, strategy, scorer, certifier)?;
-        let mut div = Self::new(d)?;
-        div.rem = selection.plan.strategy().map(T::from_u128_truncate);
-        Ok((div, selection.tournament))
-    }
-
-    /// [`with_urem_selection`](Self::with_urem_selection) under the
-    /// core's op-count scorer and arithmetic certifier.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DivisorError::Zero`] when `d == 0`.
-    pub fn with_urem_strategy(
-        d: T,
-        strategy: Strategy,
-    ) -> Result<(Self, Option<TournamentResult>), DivisorError> {
-        Self::with_urem_selection(d, strategy, &OpCountScorer, &ArithmeticCertifier)
-    }
-
     /// The divisor this reciprocal was computed for.
     #[inline]
     pub fn divisor(&self) -> T {
@@ -208,9 +125,9 @@ impl<T: UWord> UnsignedDivisor<T> {
     }
 
     /// The width-erased [`UremPlan`] this divisor caches for its
-    /// remainder path — multiply-back (or a mask) from [`new`](Self::new),
-    /// the LKK fraction from [`new_direct_rem`](Self::new_direct_rem) or
-    /// a tournament win.
+    /// remainder path — multiply-back (or a mask) from [`new`](Self::new)
+    /// and [`from_plan`](Self::from_plan), the LKK fraction from
+    /// [`new_direct_rem`](Self::new_direct_rem).
     pub fn urem_plan(&self) -> UremPlan {
         UremPlan::from_raw(self.d.to_u128(), T::BITS, self.rem.map(T::to_u128))
     }
@@ -283,8 +200,8 @@ impl<T: UWord> UnsignedDivisor<T> {
     /// From [`new`](Self::new) this multiplies the quotient back
     /// (`r = n - q * d`, one extra `MULL` and subtract as in §1) — or
     /// masks the low bits for power-of-two divisors. From
-    /// [`new_direct_rem`](Self::new_direct_rem) or a remainder
-    /// tournament it evaluates the Lemire–Kaser–Kurz fraction instead.
+    /// [`new_direct_rem`](Self::new_direct_rem) it evaluates the
+    /// Lemire–Kaser–Kurz fraction instead.
     #[inline]
     pub fn remainder(&self, n: T) -> T {
         match self.rem {
@@ -567,17 +484,6 @@ impl<T: UWord> InvariantUnsignedDivisor<T> {
             sh1: l.min(1),
             sh2: l.saturating_sub(1),
         })
-    }
-
-    /// Like [`new`](Self::new), reporting failure through the unified
-    /// [`Fault`](crate::Fault) taxonomy instead of [`DivisorError`].
-    ///
-    /// # Errors
-    ///
-    /// [`FaultKind::DivideByZero`](crate::FaultKind::DivideByZero) at
-    /// [`FaultLayer::Plan`](crate::FaultLayer::Plan) when `d == 0`.
-    pub fn try_new(d: T) -> Result<Self, crate::Fault> {
-        Self::new(d).map_err(crate::Fault::from)
     }
 
     /// The divisor this reciprocal was computed for.
@@ -870,8 +776,16 @@ mod rounding_tests {
     use crate::candidates::unsigned_generators;
     use crate::plan::DivPlan;
     use crate::testkit::interesting_unsigned_divisors;
-    use crate::tournament::Strategy;
+    use crate::tournament::{
+        run_udiv_tournament, run_urem_tournament, ArithmeticCertifier, OpCountScorer,
+    };
     use std::collections::BTreeSet;
+
+    /// The divisor that runs the unsigned tournament's winner for `d`.
+    fn tournament_divisor(d: u8) -> UnsignedDivisor<u8> {
+        let t = run_udiv_tournament(d.into(), 8, &OpCountScorer, &ArithmeticCertifier).unwrap();
+        UnsignedDivisor::from_plan(&UdivPlan::try_from(t.winning().candidate.plan).unwrap())
+    }
 
     #[test]
     fn divide_ceil_exhaustive_u8() {
@@ -917,9 +831,13 @@ mod rounding_tests {
             assert_eq!(cd.urem_plan(), UremPlan::new(d128, w).unwrap(), "d={d}");
             let direct = UnsignedDivisor::new_direct_rem(d).unwrap().urem_plan();
             assert_eq!(direct, UremPlan::new_direct(d128, w).unwrap(), "d={d}");
-            let (sel, t) = UnsignedDivisor::with_urem_strategy(d, Strategy::Tournament).unwrap();
-            let won = t.expect("tournament ran").winning().candidate.plan;
-            assert_eq!(DivPlan::Urem(sel.urem_plan()), won, "d={d}");
+            // The remainder tournament picks one of those two plans.
+            let t = run_urem_tournament(d128, w, &OpCountScorer, &ArithmeticCertifier).unwrap();
+            let won = t.winning().candidate.plan;
+            assert!(
+                won == cd.urem_plan().into() || won == direct.into(),
+                "d={d}"
+            );
         }
     }
 
@@ -952,11 +870,7 @@ mod rounding_tests {
         // divisor actually runs, whichever constructor built it.
         let mut non_paper_quotients = 0;
         for d in 1u8..=u8::MAX {
-            for (cd, _) in [
-                UnsignedDivisor::with_strategy(d, Strategy::PaperOnly).unwrap(),
-                UnsignedDivisor::with_strategy(d, Strategy::Tournament).unwrap(),
-                UnsignedDivisor::with_urem_strategy(d, Strategy::Tournament).unwrap(),
-            ] {
+            for cd in [UnsignedDivisor::new(d).unwrap(), tournament_divisor(d)] {
                 if let UremStrategy::MulBack { udiv } = cd.urem_plan().strategy() {
                     assert_eq!(udiv, cd.plan().strategy(), "d={d}");
                     non_paper_quotients +=
@@ -971,10 +885,9 @@ mod rounding_tests {
     }
 
     #[test]
-    fn tournament_strategy_divides_correctly_exhaustive_u8() {
+    fn tournament_winner_divides_correctly_exhaustive_u8() {
         for d in 1u8..=u8::MAX {
-            let (td, t) = UnsignedDivisor::with_strategy(d, Strategy::Tournament).unwrap();
-            assert!(t.is_some(), "tournament scoreboard present d={d}");
+            let td = tournament_divisor(d);
             for n in 0u8..=u8::MAX {
                 assert_eq!(td.divide(n), n / d, "n={n} d={d}");
                 assert_eq!(td.remainder(n), n % d, "rem n={n} d={d}");
@@ -985,15 +898,6 @@ mod rounding_tests {
             for (&n, &q) in ns.iter().zip(&qs) {
                 assert_eq!(q, n / d, "slice n={n} d={d}");
             }
-        }
-    }
-
-    #[test]
-    fn paper_only_strategy_is_new() {
-        for d in [1u32, 2, 7, 10, 14, 641, u32::MAX] {
-            let (pd, t) = UnsignedDivisor::with_strategy(d, Strategy::PaperOnly).unwrap();
-            assert_eq!(pd, UnsignedDivisor::new(d).unwrap(), "d={d}");
-            assert!(t.is_none(), "no scoreboard under PaperOnly d={d}");
         }
     }
 
@@ -1082,15 +986,5 @@ mod rounding_tests {
             crate::plan::UremPlan::new(10, 32).unwrap(),
             "baseline urem plan matches UremPlan::new"
         );
-    }
-
-    #[test]
-    fn urem_strategy_selection_agrees_with_oracle_u8() {
-        for d in 1u8..=u8::MAX {
-            let (td, _) = UnsignedDivisor::with_urem_strategy(d, Strategy::Tournament).unwrap();
-            for n in 0u8..=u8::MAX {
-                assert_eq!(td.remainder(n), n % d, "n={n} d={d}");
-            }
-        }
     }
 }

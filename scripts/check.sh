@@ -39,6 +39,15 @@ cargo test -q --offline
 echo "== workspace tests: every crate's unit, integration and doc tests =="
 cargo test -q --offline --workspace --release
 
+echo "== examples (release; each must run to completion and exit 0) =="
+for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    cargo run --release --offline --quiet --example "$name" > /dev/null || {
+        echo "example $name failed" >&2
+        exit 1
+    }
+done
+
 echo "== exact validity predicates match exhaustive evaluation at width 16 =="
 cargo test -q --offline --release -p magicdiv -- --ignored predicates_match_exhaustive_evaluation_w16
 

@@ -292,17 +292,18 @@ fn cache_and_budget_faults_render_their_layer_and_cause() {
 fn try_new_constructors_speak_the_same_taxonomy() {
     use magicdiv::{ExactUnsignedDivisor, FloorDivisor, InvariantUnsignedDivisor, UnsignedDivisor};
 
-    // Zero divisors come back as a typed plan-layer fault from every
-    // fallible constructor, never a panic.
-    for fault in [
-        UnsignedDivisor::<u32>::try_new(0).expect_err("zero"),
-        InvariantUnsignedDivisor::<u64>::try_new(0).expect_err("zero"),
-        SignedDivisor::<i32>::try_new(0).expect_err("zero"),
-        InvariantSignedDivisor::<i64>::try_new(0).expect_err("zero"),
-        FloorDivisor::<i16>::try_new(0).expect_err("zero"),
-        ExactUnsignedDivisor::<u16>::try_new(0).expect_err("zero"),
-        DwordDivisor::<u32>::try_new(0).expect_err("zero"),
+    // Zero divisors come back as an error from every constructor, never
+    // a panic, and lift into the same typed plan-layer fault.
+    for err in [
+        UnsignedDivisor::<u32>::new(0).expect_err("zero"),
+        InvariantUnsignedDivisor::<u64>::new(0).expect_err("zero"),
+        SignedDivisor::<i32>::new(0).expect_err("zero"),
+        InvariantSignedDivisor::<i64>::new(0).expect_err("zero"),
+        FloorDivisor::<i16>::new(0).expect_err("zero"),
+        ExactUnsignedDivisor::<u16>::new(0).expect_err("zero"),
+        DwordDivisor::<u32>::new(0).expect_err("zero"),
     ] {
+        let fault = Fault::from(err);
         assert_eq!(fault.layer, FaultLayer::Plan);
         assert_eq!(fault.kind, FaultKind::DivideByZero);
     }

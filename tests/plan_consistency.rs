@@ -23,15 +23,21 @@ use magicdiv::plan::{
 };
 use magicdiv::testkit::{directed_unsigned_dividends, interesting_signed_dividends};
 use magicdiv::{
-    select_udiv, select_urem, ArithmeticCertifier, CandidateSource, Certification, DWord,
-    DwordDivisor, ExactUnsignedDivisor, FloorDivisor, OpCountScorer, SignedDivisor, Strategy,
-    UnsignedDivisor,
+    run_udiv_tournament, run_urem_tournament, ArithmeticCertifier, CandidateSource, Certification,
+    DWord, DwordDivisor, ExactUnsignedDivisor, FloorDivisor, OpCountScorer, SignedDivisor,
+    TournamentResult, UnsignedDivisor,
 };
 use magicdiv_bench::{run_tournament, SplitMix};
 use magicdiv_codegen::{
     gen_dword_div, gen_exact_div, gen_floor_div, gen_signed_div, gen_unsigned_div,
 };
 use magicdiv_ir::{lower_plan, mask, optimize, sign_extend, Program};
+
+/// The unsigned tournament under the core's op-count scorer and
+/// arithmetic certifier.
+fn udiv_tournament(d: u128, width: u32) -> TournamentResult {
+    run_udiv_tournament(d, width, &OpCountScorer, &ArithmeticCertifier).unwrap()
+}
 
 /// The optimized program for `plan`, through the one plan → IR lowering
 /// codegen, simcpu and the tournament certifier share.
@@ -280,28 +286,13 @@ fn urem_boundaries_at_16_32_64_and_128() {
 fn urem_tournament_width8_exhaustive_agrees_with_native() {
     // Whatever remainder candidate wins — mask, fraction or
     // multiply-back — its lowered program must compute native `n % d`
-    // exhaustively, and the selection must return the scoreboard winner.
+    // exhaustively.
     for d in 1u64..=255 {
-        let sel = select_urem(
-            d as u128,
-            8,
-            Strategy::Tournament,
-            &OpCountScorer,
-            &ArithmeticCertifier,
-        )
-        .unwrap();
-        let prog = lowered(sel.plan);
+        let t = run_urem_tournament(d as u128, 8, &OpCountScorer, &ArithmeticCertifier).unwrap();
+        let prog = lowered(t.winning().candidate.plan);
         for n in 0u64..=255 {
             assert_eq!(prog.eval1(&[n]).unwrap(), n % d, "winner n={n} d={d}");
         }
-        let t = sel
-            .tournament
-            .expect("Strategy::Tournament records a scoreboard");
-        assert_eq!(
-            t.winning().candidate.plan,
-            DivPlan::from(sel.plan),
-            "selection must return the scoreboard winner, d={d}"
-        );
     }
 }
 
@@ -475,26 +466,10 @@ fn tournament_width8_exhaustive_agrees_with_paper_quotients() {
     // paper plan's quotients — exhaustively, for every divisor and
     // dividend at width 8.
     for d in 1u64..=255 {
-        let sel = select_udiv(
-            d as u128,
-            8,
-            Strategy::Tournament,
-            &OpCountScorer,
-            &ArithmeticCertifier,
-        )
-        .unwrap();
-        let prog = lowered(sel.plan);
+        let prog = lowered(udiv_tournament(d as u128, 8).winning().candidate.plan);
         for n in 0u64..=255 {
             assert_eq!(prog.eval1(&[n]).unwrap(), n / d, "winner n={n} d={d}");
         }
-        let t = sel
-            .tournament
-            .expect("Strategy::Tournament records a scoreboard");
-        assert_eq!(
-            t.winning().candidate.plan,
-            DivPlan::from(sel.plan),
-            "selection must return the scoreboard winner, d={d}"
-        );
     }
 }
 
@@ -505,20 +480,12 @@ fn tournament_boundaries_at_16_32_64_agree_with_native() {
     // winner must carry a non-Skipped certification.
     for width in [16u32, 32, 64] {
         for d in boundary_unsigned(width) {
-            let sel = select_udiv(
-                d as u128,
-                width,
-                Strategy::Tournament,
-                &OpCountScorer,
-                &ArithmeticCertifier,
-            )
-            .unwrap();
-            let prog = lowered(sel.plan);
+            let t = udiv_tournament(d as u128, width);
+            let prog = lowered(t.winning().candidate.plan);
             for n in boundary_dividends(width) {
                 let n = n & mask(width);
                 assert_eq!(prog.eval1(&[n]).unwrap(), n / d, "w={width} n={n} d={d}");
             }
-            let t = sel.tournament.expect("scoreboard recorded");
             assert!(
                 matches!(t.winning().certification, Certification::Passed { .. }),
                 "w={width} d={d}: winner must be certified"
@@ -534,15 +501,7 @@ fn tournament_pins_the_optimal_bounds_wins_at_width8() {
     // exact multipliers are part of the contract: a cost-model or
     // generator change that silently alters them should fail here.
     for (d, m, sh_post) in [(35u128, 235u128, 5u32), (44, 187, 5)] {
-        let sel = select_udiv(
-            d,
-            8,
-            Strategy::Tournament,
-            &OpCountScorer,
-            &ArithmeticCertifier,
-        )
-        .unwrap();
-        let t = sel.tournament.expect("scoreboard recorded");
+        let t = udiv_tournament(d, 8);
         assert!(!t.winner_is_paper(), "d={d}: paper should lose this cell");
         assert_eq!(
             t.winning().candidate.source,
@@ -550,7 +509,9 @@ fn tournament_pins_the_optimal_bounds_wins_at_width8() {
             "d={d}"
         );
         assert_eq!(
-            sel.plan.strategy(),
+            UdivPlan::try_from(t.winning().candidate.plan)
+                .unwrap()
+                .strategy(),
             UdivStrategy::MulShift {
                 m,
                 sh_pre: 0,
@@ -662,7 +623,8 @@ macro_rules! check_lowered_plans {
                 let ns = directed_unsigned_dividends(u128::from(d), W);
                 ns.into_iter().map(|n| n as u64).collect()
             };
-            let (tournament, _) = UnsignedDivisor::with_strategy(du, Strategy::Tournament).unwrap();
+            let won = udiv_tournament(u128::from(d), W).winning().candidate.plan;
+            let tournament = UnsignedDivisor::from_plan(&UdivPlan::try_from(won).unwrap());
             let paper = UnsignedDivisor::new(du).unwrap();
             let direct = UnsignedDivisor::new_direct_rem(du).unwrap();
             for rt in [paper, direct, tournament] {
