@@ -34,7 +34,7 @@ use std::time::Instant;
 use magicdiv::plan::{DivPlan, DivisibilityPlan, SdivPlan, UdivPlan, UremPlan};
 use magicdiv::{SignedDivisor, UnsignedDivisor};
 use magicdiv_bench::{
-    git_sha, measure_ns_min, render_table, run_overhead, strategy_divisors, unix_time_ms, RunLedger,
+    git_sha, measure_ns_min, render_table, run_overhead, strategy_divisors, unix_time_ms,
 };
 use magicdiv_simcpu::{table_1_1, try_cycles_for_plan};
 use magicdiv_trace::{
@@ -352,7 +352,6 @@ fn overhead_main(args: &[String]) {
         usage()
     }
 
-    let run = RunLedger::start("bench overhead");
     let report = run_overhead(iters, REPEATS);
 
     let rows: Vec<Vec<String>> = report
@@ -399,9 +398,6 @@ fn overhead_main(args: &[String]) {
             std::process::exit(1)
         }
     }
-    if let Err(e) = run.finish() {
-        eprintln!("bench: warning: could not append ledger record: {e}");
-    }
     if !report.pass() {
         eprintln!("error: tracing overhead budget exceeded — see {out_path}");
         std::process::exit(1)
@@ -432,7 +428,6 @@ fn main() {
         .nth(2)
         .unwrap_or_else(|| "BENCH_division.json".to_string());
 
-    let run = RunLedger::start("bench");
     let started = Instant::now();
     let mut rows: Vec<Row> = Vec::new();
     bench_unsigned_at!(u8, iters, rows);
@@ -473,8 +468,5 @@ fn main() {
             eprintln!("failed to write {out_path}: {e}");
             std::process::exit(1);
         }
-    }
-    if let Err(e) = run.finish() {
-        eprintln!("bench: warning: could not append ledger record: {e}");
     }
 }

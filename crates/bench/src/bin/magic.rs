@@ -11,8 +11,7 @@
 //! * `magic explain <width> <divisor> [shape] [--json]` — print the
 //!   plan-decision trace, per-pass IR history and predicted cycles
 //!   (shape defaults to `unsigned`, or `signed` for negative divisors;
-//!   `--json` emits the raw JSONL event stream instead, and archives a
-//!   copy under `results/archive/<git_sha>/` for the `drift` bin);
+//!   `--json` emits the raw JSONL event stream instead);
 //! * `magic calibrate [iters] [repeats] [out.json]` — measure the host
 //!   and score every Table 1.1 cost model against it (see
 //!   `magicdiv_bench::calibrate`); defaults write
@@ -22,27 +21,38 @@
 //!   (see `magicdiv_bench::chaos`): plan-constant bit flips, cache
 //!   poisoning, lock poisoning, interpreter fuel exhaustion and forced
 //!   demotions. Exits 1 if any injected fault produced a silently
-//!   wrong quotient; defaults write `results/chaos.json` and archive a
-//!   copy under `results/archive/<git_sha>/` for the `drift` bin. A
-//!   flight recorder rides along: every demotion / poison detection
-//!   triggers a black-box dump under `results/blackbox/<git_sha>/`
-//!   (set `MAGICDIV_BLACKBOX=off` to disable);
+//!   wrong quotient; defaults write `results/chaos.json`. A flight
+//!   recorder rides along: every demotion / poison detection triggers
+//!   a black-box dump under `results/blackbox/<git_sha>/`, relative to
+//!   the working directory (set `MAGICDIV_BLACKBOX` to another
+//!   directory, or to `off` to disable);
 //! * `magic metrics [seed] [requests] [out.prom]` — drive a seeded
 //!   synthetic request mix through a private plan cache and print the
 //!   resulting Prometheus-style text exposition. The stream is a pure
 //!   function of the seed, so two same-seed runs are byte-identical —
-//!   check.sh diffs them as the exposition golden, and the `drift` bin
-//!   diffs two saved `.prom` files across releases.
+//!   check.sh diffs them against the committed
+//!   `results/metrics_42_2000.prom`, and the `drift` bin diffs two
+//!   saved `.prom` files across releases.
 
 use std::sync::Arc;
 
 use magicdiv::{PlanCache, UnsignedDivisor};
 use magicdiv_bench::{
-    archive_explain_stream, archive_report_json, default_corpus_dir, explain, explain_jsonl,
-    render_table, run_calibration, run_chaos, write_blackbox_dumps, write_entry, CalibrationConfig,
-    ChaosConfig, ExplainShape, RunLedger, SplitMix,
+    default_corpus_dir, explain, explain_jsonl, render_table, run_calibration, run_chaos,
+    write_blackbox_dumps, write_entry, CalibrationConfig, ChaosConfig, ExplainShape, SplitMix,
 };
-use magicdiv_trace::{install, render_exposition, ExpositionOptions, FlightRecorder, Registry};
+use magicdiv_trace::{
+    install, render_exposition, ExpositionOptions, FlightRecorder, MetricsSink, Registry,
+};
+
+fn usage() -> ! {
+    eprintln!("usage: magic <divisor> [width=32]");
+    eprintln!("       magic explain <width> <divisor> [shape] [--json]");
+    eprintln!("       magic calibrate [iters=300] [repeats=5] [out=results/calibration.json]");
+    eprintln!("       magic chaos [seed] [rounds=8] [out=results/chaos.json]");
+    eprintln!("       magic metrics [seed] [requests=2000] [out.prom]");
+    std::process::exit(2)
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -62,15 +72,14 @@ fn main() {
         metrics_main(&args[2..]);
         return;
     }
-    let d: i128 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-        eprintln!("usage: magic <divisor> [width=32]");
-        eprintln!("       magic explain <width> <divisor> [shape] [--json]");
-        eprintln!("       magic calibrate [iters=300] [repeats=5] [out=results/calibration.json]");
-        eprintln!("       magic chaos [seed] [rounds=8] [out=results/chaos.json]");
-        eprintln!("       magic metrics [seed] [requests=2000] [out.prom]");
-        std::process::exit(2)
-    });
-    let width: u32 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(32);
+    let d: i128 = args
+        .get(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| usage());
+    let width: u32 = match args.get(2) {
+        None => 32,
+        Some(s) => s.parse().unwrap_or_else(|_| usage()),
+    };
     if d == 0 {
         eprintln!("divisor must be nonzero");
         std::process::exit(1);
@@ -117,46 +126,18 @@ fn explain_main(args: &[String]) {
         None if d < 0 => ExplainShape::Signed,
         None => ExplainShape::Unsigned,
     };
-    let run = RunLedger::start("magic explain");
     let result = if json {
         explain_jsonl(shape, width, d)
     } else {
         explain(shape, width, d)
     };
     match result {
-        Ok(text) => {
-            print!("{text}");
-            if json {
-                // Archive the stream under results/archive/<git_sha>/ so
-                // the drift bin can diff it against another release.
-                let stem = explain_stem(shape, width, d);
-                match archive_explain_stream(&stem, &text) {
-                    Ok(Some(path)) => eprintln!("archived {}", path.display()),
-                    Ok(None) => {}
-                    Err(e) => eprintln!("warning: could not archive stream: {e}"),
-                }
-            }
-            if let Err(e) = run.finish() {
-                eprintln!("warning: could not append ledger record: {e}");
-            }
-        }
+        Ok(text) => print!("{text}"),
         Err(msg) => {
             eprintln!("error: {msg}");
             std::process::exit(1)
         }
     }
-}
-
-/// Archive file stem for one explain invocation: shape, width and
-/// divisor, with negative divisors spelled `m<abs>` to stay
-/// filesystem-safe (`explain_signed_w32_m7`).
-fn explain_stem(shape: ExplainShape, width: u32, d: i128) -> String {
-    let d = if d < 0 {
-        format!("m{}", d.unsigned_abs())
-    } else {
-        format!("{d}")
-    };
-    format!("explain_{}_w{width}_d{d}", shape.name())
 }
 
 fn calibrate_main(args: &[String]) {
@@ -185,7 +166,6 @@ fn calibrate_main(args: &[String]) {
         usage()
     }
 
-    let run = RunLedger::start("magic calibrate");
     let report = run_calibration(&cfg);
     print!("{}", report.render_text());
     if let Some(parent) = std::path::Path::new(&out_path).parent() {
@@ -206,9 +186,6 @@ fn calibrate_main(args: &[String]) {
             eprintln!("error: cannot write {out_path}: {e}");
             std::process::exit(1)
         }
-    }
-    if let Err(e) = run.finish() {
-        eprintln!("warning: could not append ledger record: {e}");
     }
 }
 
@@ -242,11 +219,10 @@ fn chaos_main(args: &[String]) {
         usage()
     }
 
-    let run = RunLedger::start("magic chaos");
     // The flight recorder rides along for the whole campaign: any
     // demotion / poison detection snapshots the event ring as a
     // black-box dump. It never appears in the report JSON, so the
-    // chaos drift gate stays byte-identical.
+    // report stays byte-identical to the chaos golden.
     let recorder = Arc::new(FlightRecorder::new());
     let recorder_guard = install(recorder.clone());
     // The lock-poisoning scenario panics a writer on purpose; keep the
@@ -291,14 +267,6 @@ fn chaos_main(args: &[String]) {
         std::process::exit(1)
     }
     println!("wrote {out_path}");
-    match archive_report_json("chaos", &json) {
-        Ok(Some(path)) => eprintln!("archived {}", path.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("warning: could not archive report: {e}"),
-    }
-    if let Err(e) = run.finish() {
-        eprintln!("warning: could not append ledger record: {e}");
-    }
     if report.silent_wrong() > 0 {
         // Persist replayable reproducers before failing the gate.
         for entry in &report.repros {
@@ -343,9 +311,13 @@ fn metrics_main(args: &[String]) {
         usage()
     }
 
-    let run = RunLedger::start("magic metrics");
-    drive_service(seed, requests, run.registry());
-    let text = render_exposition(&run.registry().snapshot(), &ExpositionOptions::default());
+    // The service's own trace events (cache hits, misses, plan builds)
+    // land in the same registry as the request counters.
+    let registry = Arc::new(Registry::new());
+    let metrics = install(Arc::new(MetricsSink::new(registry.clone())));
+    drive_service(seed, requests, &registry);
+    drop(metrics);
+    let text = render_exposition(&registry.snapshot(), &ExpositionOptions::default());
     match &out_path {
         Some(path) => {
             if let Some(parent) = std::path::Path::new(path).parent() {
@@ -363,9 +335,6 @@ fn metrics_main(args: &[String]) {
             eprintln!("wrote {path}");
         }
         None => print!("{text}"),
-    }
-    if let Err(e) = run.finish() {
-        eprintln!("warning: could not append ledger record: {e}");
     }
 }
 

@@ -36,7 +36,7 @@ use magicdiv::{
 };
 use magicdiv_bench::{
     build_repro_program, classify_mutant, default_corpus_dir, run, shrink, write_entry_traced,
-    Case, CorpusEntry, MutantFate, Repro, RunLedger, Shape, SplitMix,
+    Case, CorpusEntry, MutantFate, Repro, Shape, SplitMix,
 };
 use magicdiv_codegen::{gen_signed_div_invariant, gen_unsigned_div_invariant};
 use magicdiv_ir::{mask, mutations, sign_extend, EvalOptions};
@@ -419,7 +419,6 @@ fn main() {
         }
     }
 
-    let run = RunLedger::start("verify");
     let started = std::time::Instant::now();
     let mut rng = SplitMix(seed);
     let mut c = Collector {
@@ -467,21 +466,12 @@ fn main() {
         .map(|(class, t)| format!("\"{class}\":{}", t.to_json()))
         .collect();
     let duration_ms = started.elapsed().as_millis() as u64;
-    // The run ledger's metrics registry saw every event the phases
-    // emitted; embed it as Prometheus-style exposition text so the
-    // summary carries the same series `magic metrics` serves.
-    let exposition = magicdiv_trace::render_exposition(
-        &run.registry().snapshot(),
-        &magicdiv_trace::ExpositionOptions::default(),
-    );
-    // The machine-readable summary is the last stdout line (schema v2:
-    // version, git_sha and duration_ms are new; v1 consumers keyed on
-    // status/checks/mutants still read it the same way).
+    // The machine-readable summary is the last stdout line (schema v3).
     println!(
-        "{{\"version\":2,\"status\":\"{status}\",\"seed\":{seed},\"git_sha\":\"{}\",\
+        "{{\"version\":3,\"status\":\"{status}\",\"seed\":{seed},\"git_sha\":\"{}\",\
          \"duration_ms\":{duration_ms},\"checks\":{},\"cases\":{},\"mismatches\":{},\
          \"mutants\":{},\"mutants_by_class\":{{{}}},\
-         \"kill_rate\":{kill_rate:.6},\"corpus_written\":{},\"exposition\":{}}}",
+         \"kill_rate\":{kill_rate:.6},\"corpus_written\":{}}}",
         magicdiv_bench::git_sha(),
         c.checks,
         codegen_cases + mutation_cases,
@@ -489,11 +479,7 @@ fn main() {
         tally.to_json(),
         by_class.join(","),
         c.corpus_written.len(),
-        magicdiv_trace::json_string(&exposition),
     );
-    if let Err(e) = run.finish() {
-        eprintln!("verify: warning: could not append ledger record: {e}");
-    }
     if c.mismatches > 0 {
         std::process::exit(1);
     }

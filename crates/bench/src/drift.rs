@@ -1,30 +1,24 @@
-//! Cross-release drift detection: diffs two archived snapshots and
-//! reports plan drift, bench drift and mutation-kill-rate drift in one
+//! Cross-release drift detection: diffs two directories of saved
+//! reports and reports bench, mutation, chaos and metrics drift in one
 //! report.
 //!
-//! A *snapshot* is a directory of artifacts the bins already emit —
-//! `magic explain --json` streams (`*.jsonl`, usually archived under
-//! `results/archive/<git_sha>/`), `bench` reports and `verify`
-//! summaries (`*.json`). [`diff_snapshots`] pairs files by name and
-//! diffs each pair with a format-aware comparison:
+//! A *snapshot* is a directory of reports the bins already write:
+//! `bench` reports, `verify` summaries, `magic calibrate` and
+//! `magic chaos` reports (`*.json`) and `magic metrics` expositions
+//! (`*.prom`). [`diff_snapshots`] pairs files by name and diffs each
+//! pair with a format-aware comparison:
 //!
-//! * **explain streams** — every `plan.*` event field (strategy,
-//!   constants, provenance) and every `simcpu.plan_cycles` total is
-//!   extracted into a flat summary; any difference is plan drift and a
-//!   regression (a plan must never change silently between releases);
 //! * **bench reports** — rows matched by name, `ns_per_op` growth
 //!   beyond the threshold is bench drift;
 //! * **verify summaries** — a mutation kill-rate drop, new mismatches
 //!   or new surviving mutants are mutation drift;
 //! * **calibration reports** — rank-correlation movement beyond 0.05
 //!   is reported as a note (informational, host-dependent);
-//! * **metric expositions** (`*.prom`, as served by `magic metrics`) —
-//!   any sample-value movement between two expositions is metrics
-//!   drift; series appearing or disappearing are notes;
-//! * **black-box dumps** (`blackbox_*.jsonl`, written by the flight
-//!   recorder) ride the `.jsonl` path: every `guard.*`/`cache.*` event
-//!   field is replayed into the same flat summary as `plan.*` events,
-//!   so two dumps of the same fixed-seed run must agree exactly.
+//! * **chaos reports** — any movement of a fixed-seed counter, or a
+//!   candidate with silently wrong quotients, is chaos drift;
+//! * **metric expositions** — any sample-value movement between two
+//!   expositions is metrics drift; series appearing or disappearing
+//!   are notes.
 //!
 //! Identical snapshots (e.g. two runs of the same build) produce an
 //! empty report — `scripts/check.sh` gates on exactly that.
@@ -37,8 +31,6 @@ use crate::json::{parse, Json};
 /// Which longitudinal signal a finding belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DriftKind {
-    /// A plan's strategy, constants or provenance changed.
-    Plan,
     /// A benchmark row regressed beyond the threshold.
     Bench,
     /// The mutation oracle got weaker (kill rate, survivors, mismatches).
@@ -56,7 +48,6 @@ impl DriftKind {
     /// Short label for report rendering.
     pub fn label(&self) -> &'static str {
         match self {
-            DriftKind::Plan => "plan",
             DriftKind::Bench => "bench",
             DriftKind::Mutation => "mutation",
             DriftKind::Chaos => "chaos",
@@ -123,119 +114,6 @@ fn push(report: &mut DriftReport, kind: DriftKind, file: &str, what: String, reg
         what,
         regression,
     });
-}
-
-/// Flattens one explain JSONL stream (or flight-recorder black-box
-/// dump) into `key -> rendered value`: every field of every `plan.*`,
-/// `guard.*` and `cache.*` event (keyed by event name, occurrence index
-/// and field key) plus every `simcpu.plan_cycles` total keyed by model
-/// name. Non-event lines — spans, the black-box header — are skipped.
-fn plan_summary(jsonl: &str) -> Result<BTreeMap<String, String>, String> {
-    let mut out = BTreeMap::new();
-    let mut seen: BTreeMap<String, usize> = BTreeMap::new();
-    for (i, line) in jsonl.lines().enumerate() {
-        if line.trim().is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let doc = parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        if doc.get("type").and_then(Json::as_str) != Some("event") {
-            continue;
-        }
-        let Some(name) = doc.get("name").and_then(Json::as_str) else {
-            continue;
-        };
-        let Some(Json::Obj(fields)) = doc.get("fields") else {
-            continue;
-        };
-        if name == "simcpu.plan_cycles" {
-            let model = fields
-                .get("model")
-                .and_then(Json::as_str)
-                .unwrap_or("unknown");
-            if let Some(cycles) = fields.get("cycles").and_then(Json::as_f64) {
-                out.insert(format!("cycles[{model}]"), format!("{cycles}"));
-            }
-            if let Some(strategy) = fields.get("strategy").and_then(Json::as_str) {
-                out.insert("strategy".to_string(), strategy.to_string());
-            }
-        } else if name.starts_with("plan.")
-            || name.starts_with("guard.")
-            || name.starts_with("cache.")
-        {
-            let occ = seen.entry(name.to_string()).or_insert(0);
-            for (key, value) in fields {
-                out.insert(format!("{name}#{occ}.{key}"), render(value));
-            }
-            *occ += 1;
-        }
-    }
-    Ok(out)
-}
-
-fn render(v: &Json) -> String {
-    match v {
-        Json::Null => "null".to_string(),
-        Json::Bool(b) => b.to_string(),
-        Json::Num(n) => format!("{n}"),
-        Json::Str(s) => s.clone(),
-        Json::Arr(items) => format!(
-            "[{}]",
-            items.iter().map(render).collect::<Vec<_>>().join(",")
-        ),
-        Json::Obj(map) => format!(
-            "{{{}}}",
-            map.iter()
-                .map(|(k, v)| format!("{k}:{}", render(v)))
-                .collect::<Vec<_>>()
-                .join(",")
-        ),
-    }
-}
-
-fn diff_plan_streams(report: &mut DriftReport, file: &str, a: &str, b: &str) {
-    let (sa, sb) = match (plan_summary(a), plan_summary(b)) {
-        (Ok(sa), Ok(sb)) => (sa, sb),
-        (Err(e), _) | (_, Err(e)) => {
-            push(
-                report,
-                DriftKind::Note,
-                file,
-                format!("unparseable explain stream: {e}"),
-                false,
-            );
-            return;
-        }
-    };
-    for (key, va) in &sa {
-        match sb.get(key) {
-            Some(vb) if va == vb => {}
-            Some(vb) => push(
-                report,
-                DriftKind::Plan,
-                file,
-                format!("{key}: {va} -> {vb}"),
-                true,
-            ),
-            None => push(
-                report,
-                DriftKind::Plan,
-                file,
-                format!("{key}: {va} -> (gone)"),
-                true,
-            ),
-        }
-    }
-    for (key, vb) in &sb {
-        if !sa.contains_key(key) {
-            push(
-                report,
-                DriftKind::Plan,
-                file,
-                format!("{key}: (new) -> {vb}"),
-                true,
-            );
-        }
-    }
 }
 
 /// `name -> ns_per_op` from a v1 (flat array) or v2 (`rows` member)
@@ -517,7 +395,7 @@ fn snapshot_files(dir: &Path) -> Result<BTreeMap<String, std::path::PathBuf>, St
             continue;
         }
         let name = entry.file_name().to_string_lossy().to_string();
-        if name.ends_with(".jsonl") || name.ends_with(".json") || name.ends_with(".prom") {
+        if name.ends_with(".json") || name.ends_with(".prom") {
             out.insert(name, path);
         }
     }
@@ -525,8 +403,8 @@ fn snapshot_files(dir: &Path) -> Result<BTreeMap<String, std::path::PathBuf>, St
 }
 
 /// Diffs two snapshot directories. Bench rows may regress up to
-/// `threshold_pct` percent before they count; plan and mutation drift
-/// have no tolerance.
+/// `threshold_pct` percent before they count; mutation, chaos and
+/// metrics drift have no tolerance.
 ///
 /// # Errors
 ///
@@ -553,9 +431,7 @@ pub fn diff_snapshots(a: &Path, b: &Path, threshold_pct: f64) -> Result<DriftRep
         if ca == cb {
             continue; // byte-identical: nothing can have drifted
         }
-        if name.ends_with(".jsonl") {
-            diff_plan_streams(&mut report, name, &ca, &cb);
-        } else if name.ends_with(".prom") {
+        if name.ends_with(".prom") {
             diff_expositions(&mut report, name, &ca, &cb);
         } else {
             diff_json_pair(&mut report, name, &ca, &cb, threshold_pct);
@@ -578,7 +454,6 @@ pub fn diff_snapshots(a: &Path, b: &Path, threshold_pct: f64) -> Result<DriftRep
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{explain_jsonl, ExplainShape};
 
     fn tmpdir(name: &str) -> std::path::PathBuf {
         let dir =
@@ -592,52 +467,16 @@ mod tests {
     fn identical_snapshots_report_zero_drift() {
         let a = tmpdir("ident_a");
         let b = tmpdir("ident_b");
-        let stream = explain_jsonl(ExplainShape::Unsigned, 32, 7).expect("explain");
-        std::fs::write(a.join("explain_unsigned_w32_d7.jsonl"), &stream).expect("write");
-        std::fs::write(b.join("explain_unsigned_w32_d7.jsonl"), &stream).expect("write");
+        let bench = r#"{"version":2,"rows":[{"name":"u32/scalar/7","ns_per_op":1.0}]}"#;
+        let expo = "# TYPE magicdiv_cache_hit counter\nmagicdiv_cache_hit 10\n";
+        for dir in [&a, &b] {
+            std::fs::write(dir.join("bench.json"), bench).expect("write");
+            std::fs::write(dir.join("metrics.prom"), expo).expect("write");
+        }
         let report = diff_snapshots(&a, &b, 10.0).expect("diff");
-        assert_eq!(report.files_compared, 1);
+        assert_eq!(report.files_compared, 2);
         assert!(report.findings.is_empty(), "{:?}", report.findings);
         assert_eq!(report.regressions(), 0);
-    }
-
-    #[test]
-    fn a_strategy_change_is_plan_drift() {
-        let a = tmpdir("plan_a");
-        let b = tmpdir("plan_b");
-        let stream = explain_jsonl(ExplainShape::Unsigned, 32, 7).expect("explain");
-        // Seed a plan change: the release "lost" the add-shift fallback.
-        let doctored = stream.replace("mul_add_shift", "mul_shift");
-        assert_ne!(stream, doctored, "seeding failed");
-        std::fs::write(a.join("explain.jsonl"), &stream).expect("write");
-        std::fs::write(b.join("explain.jsonl"), &doctored).expect("write");
-        let report = diff_snapshots(&a, &b, 10.0).expect("diff");
-        assert!(report.regressions() > 0, "{report:?}");
-        assert!(
-            report
-                .findings
-                .iter()
-                .any(|f| f.kind == DriftKind::Plan && f.what.contains("mul_add_shift")),
-            "{report:?}"
-        );
-    }
-
-    #[test]
-    fn predicted_cycle_movement_is_plan_drift() {
-        let a = tmpdir("cyc_a");
-        let b = tmpdir("cyc_b");
-        let stream = explain_jsonl(ExplainShape::Dword, 32, 10).expect("explain");
-        let doctored = stream.replacen("\"cycles\":", "\"cycles\":9", 1);
-        std::fs::write(a.join("e.jsonl"), &stream).expect("write");
-        std::fs::write(b.join("e.jsonl"), &doctored).expect("write");
-        let report = diff_snapshots(&a, &b, 10.0).expect("diff");
-        assert!(
-            report
-                .findings
-                .iter()
-                .any(|f| f.kind == DriftKind::Plan && f.what.contains("cycles[")),
-            "{report:?}"
-        );
     }
 
     #[test]
@@ -737,32 +576,10 @@ mod tests {
     }
 
     #[test]
-    fn blackbox_guard_events_are_replayed_as_plan_summary_keys() {
-        let a = tmpdir("bb_a");
-        let b = tmpdir("bb_b");
-        let base = "{\"type\":\"blackbox\",\"trigger\":\"guard.demotion\",\"events\":2,\"dropped\":0}\n\
-                    {\"seq\":1,\"type\":\"event\",\"depth\":0,\"thread\":1,\"name\":\"cache.hit\",\"fields\":{\"width\":32,\"d_bits\":7}}\n\
-                    {\"seq\":2,\"type\":\"event\",\"depth\":0,\"thread\":1,\"name\":\"guard.demotion\",\"fields\":{\"shape\":\"unsigned\",\"width\":32,\"d\":7,\"why\":\"x\"}}\n";
-        let cand = base.replace("\"d\":7", "\"d\":10");
-        assert_ne!(base, cand, "seeding failed");
-        std::fs::write(a.join("blackbox_0_guard_demotion.jsonl"), base).expect("write");
-        std::fs::write(b.join("blackbox_0_guard_demotion.jsonl"), &cand).expect("write");
-        let report = diff_snapshots(&a, &b, 10.0).expect("diff");
-        assert!(report.regressions() >= 1, "{report:?}");
-        assert!(
-            report
-                .findings
-                .iter()
-                .any(|f| f.kind == DriftKind::Plan && f.what.contains("guard.demotion#0.d")),
-            "{report:?}"
-        );
-    }
-
-    #[test]
     fn added_and_removed_files_are_notes_not_regressions() {
         let a = tmpdir("files_a");
         let b = tmpdir("files_b");
-        std::fs::write(a.join("only_a.jsonl"), "").expect("write");
+        std::fs::write(a.join("only_a.prom"), "").expect("write");
         std::fs::write(b.join("only_b.json"), "{}").expect("write");
         let report = diff_snapshots(&a, &b, 10.0).expect("diff");
         assert_eq!(report.regressions(), 0, "{report:?}");

@@ -29,7 +29,6 @@ mod diff;
 pub mod drift;
 mod explain;
 pub mod json;
-pub mod ledger;
 pub mod overhead;
 mod runmeta;
 mod tournament;
@@ -40,8 +39,8 @@ pub use crate::calibrate::{
     CalibrationReport, Inversion, ModelScore,
 };
 pub use crate::chaos::{
-    corrupt_udiv_plan, run_chaos, ChaosConfig, ChaosReport, ScenarioTally, CHAOS_WIDTHS,
-    DEFAULT_CHAOS_ROUNDS, DEFAULT_CHAOS_SEED,
+    blackbox_base, corrupt_udiv_plan, run_chaos, write_blackbox_dumps, ChaosConfig, ChaosReport,
+    ScenarioTally, CHAOS_WIDTHS, DEFAULT_CHAOS_ROUNDS, DEFAULT_CHAOS_SEED,
 };
 pub use crate::corpus::{
     default_corpus_dir, read_corpus, write_entry, write_entry_traced, CorpusEntry,
@@ -52,10 +51,6 @@ pub use crate::diff::{
 };
 pub use crate::drift::{diff_snapshots, DriftFinding, DriftKind, DriftReport};
 pub use crate::explain::{explain, explain_jsonl, render_tournament, ExplainShape};
-pub use crate::ledger::{
-    archive_explain_stream, archive_report_json, blackbox_base, ledger_path, read_ledger,
-    write_blackbox_dumps, LedgerRecord, RunLedger,
-};
 pub use crate::overhead::{run_overhead, OverheadGate, OverheadReport, OverheadRow};
 pub use crate::runmeta::{git_sha, unix_time_ms};
 pub use crate::tournament::{

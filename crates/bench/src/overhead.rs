@@ -226,8 +226,8 @@ fn measure_baseline(iters: u64, repeats: u32) -> (f64, f64) {
 /// applies the pinned budgets.
 ///
 /// Sinks are per-thread, so the cells are measured on a fresh thread:
-/// no sink the caller installed (a bin's run-wide `RunLedger` sink, say)
-/// leaks into them, and the `off` rows really run with none.
+/// no sink the caller has installed on its own thread leaks into them,
+/// and the `off` rows really run with none.
 pub fn run_overhead(iters: u64, repeats: u32) -> OverheadReport {
     std::thread::scope(|s| s.spawn(|| measure_report(iters, repeats)).join())
         .unwrap_or_else(|panic| std::panic::resume_unwind(panic))

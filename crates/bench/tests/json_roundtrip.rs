@@ -1,11 +1,11 @@
 //! Round-trip coverage for the hand-rolled `json` module against every
-//! report schema this repository writes: v2 bench reports, calibration
-//! reports, ledger records, plus string-escape edge cases and the
-//! non-finite rejections the offline writer depends on.
+//! report schema this repository writes: v2 bench reports and
+//! calibration reports, plus string-escape edge cases and the non-finite
+//! rejections the offline writer depends on.
 
 use magicdiv_bench::json::{fmt_num, parse, Json};
 use magicdiv_bench::{
-    score_models, CalibrationCell, CalibrationConfig, CalibrationReport, RunLedger, SplitMix,
+    score_models, CalibrationCell, CalibrationConfig, CalibrationReport, SplitMix,
 };
 use magicdiv_trace::json_string;
 
@@ -104,29 +104,6 @@ fn calibration_report_round_trips_through_writer_and_parser() {
     assert_eq!(
         inv[0].get("predicted_faster").and_then(Json::as_str),
         Some("u32/hardware/7")
-    );
-}
-
-#[test]
-fn ledger_record_round_trips() {
-    let run = RunLedger::start_with_args(
-        "bench",
-        vec!["500".to_string(), "out dir/report.json".to_string()],
-    );
-    run.registry().counter("events.plan.decision").add(7);
-    run.registry().histogram("simcpu.cycles").observe(12);
-    let line = run.to_record_line();
-    let doc = parse(&line).expect("ledger line parses");
-    assert_eq!(doc.get("version").and_then(Json::as_f64), Some(1.0));
-    assert_eq!(doc.get("bin").and_then(Json::as_str), Some("bench"));
-    let args = doc.get("args").and_then(Json::as_arr).expect("args");
-    assert_eq!(args[1].as_str(), Some("out dir/report.json"));
-    assert_eq!(
-        doc.get("metrics")
-            .and_then(|m| m.get("counters"))
-            .and_then(|c| c.get("events.plan.decision"))
-            .and_then(Json::as_f64),
-        Some(7.0)
     );
 }
 

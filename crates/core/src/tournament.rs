@@ -18,7 +18,7 @@
 //!
 //! Every tournament emits `plan.tournament` trace events (one per
 //! candidate, with provenance) plus a `tournament` summary event whose
-//! `candidates`/`winner` fields land in the run-ledger metrics.
+//! `candidates`/`winner` fields land in any installed metrics sink.
 
 use core::fmt;
 
@@ -41,7 +41,8 @@ pub trait PlanScorer {
 }
 
 /// Checks a candidate plan against ground truth. Implementations must be
-/// deterministic — the tournament result feeds drift-gated snapshots.
+/// deterministic — the tournament result is pinned by byte-identical
+/// goldens.
 pub trait PlanCertifier {
     /// Certifies (or refutes) `plan`.
     fn certify(&self, plan: &DivPlan) -> Certification;
@@ -469,8 +470,8 @@ fn rank_candidates(
 }
 
 /// Emits the `plan.tournament` per-candidate events and the `tournament`
-/// summary event (whose `candidates`/`winner` fields become run-ledger
-/// metrics via the metrics sink).
+/// summary event (whose `candidates`/`winner` fields become metrics in
+/// any installed metrics sink).
 fn emit_events(t: &TournamentResult) {
     for (i, row) in t.scoreboard.iter().enumerate() {
         let (outcome, why) = match row.outcome {

@@ -112,8 +112,7 @@ impl BlackboxDump {
     /// Renders the dump as JSON Lines: a `"type":"blackbox"` header
     /// line, then one `"type":"event"` line per retained event in the
     /// same schema as [`JsonlSink`](crate::JsonlSink) (plus a `thread`
-    /// key), so the drift bin can replay the dump like any archived
-    /// trace stream.
+    /// key), so a dump reads like any other trace stream.
     pub fn to_jsonl(&self) -> String {
         let mut out = format!(
             "{{\"type\":\"blackbox\",\"trigger\":{},\"trigger_seq\":{},\
