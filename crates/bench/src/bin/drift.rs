@@ -23,7 +23,7 @@ fn die(msg: &str) -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (Some(base), Some(cand)) = (args.first(), args.get(1)) else {
+    let (Some(base), Some(cand), None) = (args.first(), args.get(1), args.get(3)) else {
         die(
             "usage: drift <baseline_dir> <candidate_dir> [threshold_pct=10]\n\
              snapshot dirs may hold .json reports and .prom expositions",

@@ -38,8 +38,9 @@ use std::sync::Arc;
 
 use magicdiv::{PlanCache, UnsignedDivisor};
 use magicdiv_bench::{
-    default_corpus_dir, explain, explain_jsonl, render_table, run_calibration, run_chaos,
-    write_blackbox_dumps, write_entry, CalibrationConfig, ChaosConfig, ExplainShape, SplitMix,
+    blackbox_base, default_corpus_dir, explain, explain_jsonl, render_table, run_calibration,
+    run_chaos, write_blackbox_dumps, write_entry, CalibrationConfig, ChaosConfig, ExplainShape,
+    SplitMix,
 };
 use magicdiv_trace::{
     install, render_exposition, ExpositionOptions, FlightRecorder, MetricsSink, Registry,
@@ -219,12 +220,12 @@ fn chaos_main(args: &[String]) {
         usage()
     }
 
-    // The flight recorder rides along for the whole campaign: any
-    // demotion / poison detection snapshots the event ring as a
-    // black-box dump. It never appears in the report JSON, so the
-    // report stays byte-identical to the chaos golden.
-    let recorder = Arc::new(FlightRecorder::new());
-    let recorder_guard = install(recorder.clone());
+    // With black-box dumps on, the flight recorder rides along for the
+    // whole campaign: any demotion / poison detection snapshots the
+    // event ring as a black-box dump. It never appears in the report
+    // JSON, so the report stays byte-identical to the chaos golden.
+    let recorder = blackbox_base().map(|_| Arc::new(FlightRecorder::new()));
+    let recorder_guard = recorder.clone().map(|r| install(r));
     // The lock-poisoning scenario panics a writer on purpose; keep the
     // default hook's backtrace chatter out of the report.
     let hook = std::panic::take_hook();
@@ -237,19 +238,21 @@ fn chaos_main(args: &[String]) {
         magicdiv_trace::event!("chaos.finding", "silent_wrong" => report.silent_wrong());
     }
     drop(recorder_guard);
-    match write_blackbox_dumps(&recorder.take_dumps()) {
-        Ok(paths) => {
-            for path in &paths {
-                eprintln!("black-box dump written: {}", path.display());
+    if let Some(recorder) = recorder {
+        match write_blackbox_dumps(&recorder.take_dumps()) {
+            Ok(paths) => {
+                for path in &paths {
+                    eprintln!("black-box dump written: {}", path.display());
+                }
+                if recorder.suppressed() > 0 {
+                    eprintln!(
+                        "({} further trigger(s) suppressed after the dump cap)",
+                        recorder.suppressed()
+                    );
+                }
             }
-            if recorder.suppressed() > 0 {
-                eprintln!(
-                    "({} further trigger(s) suppressed after the dump cap)",
-                    recorder.suppressed()
-                );
-            }
+            Err(e) => eprintln!("warning: could not write black-box dumps: {e}"),
         }
-        Err(e) => eprintln!("warning: could not write black-box dumps: {e}"),
     }
 
     print!("{}", report.render_text());
@@ -377,11 +380,12 @@ where
 
     // A rejected divisor surfaces as a typed fault and a clean exit, not
     // a panic.
-    fn must<V>(what: &str, r: Result<V, magicdiv::DivisorError>) -> V {
-        r.map_err(magicdiv::Fault::from).unwrap_or_else(|fault| {
-            eprintln!("error: {what}: {fault}");
-            std::process::exit(1)
-        })
+    fn must<V>(what: &str, r: Result<V, impl Into<magicdiv::Fault>>) -> V {
+        r.map_err(Into::into)
+            .unwrap_or_else(|fault: magicdiv::Fault| {
+                eprintln!("error: {what}: {fault}");
+                std::process::exit(1)
+            })
     }
 
     let n = T::BITS;
@@ -415,7 +419,7 @@ where
             "unsigned invariant (Fig 4.1)".into(),
             format!("m' = {m:#x}, sh1 = {sh1}, sh2 = {sh2}"),
         ]);
-        let c = choose_multiplier(du, n);
+        let c = must("CHOOSE_MULTIPLIER", choose_multiplier(du, n));
         rows.push(vec![
             "CHOOSE_MULTIPLIER(d, N)".into(),
             format!(

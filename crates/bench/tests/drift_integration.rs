@@ -94,6 +94,11 @@ fn usage_and_missing_dirs_exit_two() {
     assert_eq!(out.status.code(), Some(2));
     let out = drift(&["/nonexistent/a", "/nonexistent/b"]);
     assert_eq!(out.status.code(), Some(2));
+    // A fourth argument is a usage error, not something to ignore.
+    let dir = tmpdir("extra_arg");
+    let out = drift(&[path_str(&dir), path_str(&dir), "10", "junk"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("usage: drift"));
 }
 
 #[test]

@@ -15,6 +15,7 @@
 //!   the §3 legalization otherwise (the POWER/RIOS "signed only" case);
 //! * finally list-scheduling the result for the machine's latencies.
 
+use magicdiv::choose_multiplier_at;
 use magicdiv_ir::{
     legalize, mask, optimize, schedule, Builder, Op, Program, ScheduleWeights, TargetCaps,
 };
@@ -87,15 +88,11 @@ pub fn gen_unsigned_div_tuned(d: u64, machine: &MachineDesc) -> Program {
     // Try the wide-register shift/add expansion first (the Alpha trick):
     // only meaningful for non-power-of-two divisors whose magic multiply
     // is cheaper as a chain than as a multiply instruction.
-    let prog = if machine.wide_registers
-        && width < 64
-        && !d.is_power_of_two()
-        && d != 1
-        && wide_magic(d, width)
-            .map(|(m, _)| expansion_profitable(m, machine.mul_cycles))
-            .unwrap_or(false)
-    {
-        let (m, sh) = wide_magic(d, width).expect("checked above");
+    let expansion = (machine.wide_registers && width < 64 && !d.is_power_of_two() && d != 1)
+        .then(|| wide_magic(d, width))
+        .flatten()
+        .filter(|&(m, _)| expansion_profitable(m, machine.mul_cycles));
+    let prog = if let Some((m, sh)) = expansion {
         let mut b = Builder::new(64, 1);
         let x = b.arg(0);
         let prod = emit_mul_const(&mut b, x, m);
@@ -119,32 +116,16 @@ pub fn gen_unsigned_div_tuned(d: u64, machine: &MachineDesc) -> Program {
     )
 }
 
-/// The N-bit magic multiplier as a value usable in a 64-bit register:
+/// The Fig 6.2 multiplier ([`choose_multiplier_at`] at precision N) as a
+/// value usable in a 64-bit register:
 /// `q = (n * m) >> (N + sh)`. The product `n * m` must fit in 64 bits,
 /// so this requires `m < 2^(64 - N)`; divisors whose reduced multiplier
 /// is wider (the d = 7 family) return `None` and keep the standard
 /// `MULUH` sequence.
 fn wide_magic(d: u64, width: u32) -> Option<(u64, u32)> {
     debug_assert!(width < 64);
-    // Fig 6.2 arithmetic in u128 at prec = width.
-    let l = if d == 1 {
-        0
-    } else {
-        64 - (d - 1).leading_zeros()
-    };
-    let mut sh_post = l;
-    let mut m_low = (1u128 << (width + l)) / d as u128;
-    let mut m_high = ((1u128 << (width + l)) + (1u128 << l)) / d as u128;
-    while m_low / 2 < m_high / 2 && sh_post > 0 {
-        m_low /= 2;
-        m_high /= 2;
-        sh_post -= 1;
-    }
-    if m_high < (1u128 << (64 - width)) {
-        Some((m_high as u64, sh_post))
-    } else {
-        None
-    }
+    let (m, sh_post) = choose_multiplier_at(d.into(), width, width)?;
+    (m < 1 << (64 - width)).then_some((m as u64, sh_post))
 }
 
 #[cfg(test)]

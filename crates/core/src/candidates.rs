@@ -25,15 +25,8 @@
 use core::fmt;
 
 use crate::error::DivisorError;
-use crate::plan::{DivPlan, UdivPlan, UdivStrategy, UremPlan};
+use crate::plan::{mask, DivPlan, UdivPlan, UdivStrategy, UremPlan};
 use crate::validity::udiv_valid;
-
-/// `2^width - 1` as a `u128` (widths `1..=64` here — candidate search
-/// needs `2^(2N)`-scale intermediates, which cap the erased width at 64).
-#[inline]
-fn mask(width: u32) -> u128 {
-    (1u128 << width) - 1
-}
 
 /// Which strategy family produced a candidate, with citation metadata.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -14,10 +14,10 @@
 //! | §4 unsigned division | [`UnsignedDivisor`] (Fig 4.2 constant strategy), [`InvariantUnsignedDivisor`] (Fig 4.1 branch-free) |
 //! | §5 signed, round toward zero | [`SignedDivisor`] (Fig 5.2), [`InvariantSignedDivisor`] (Fig 5.1) |
 //! | §6 signed, round toward −∞ | [`FloorDivisor`] (Fig 6.1), [`floor_div_via_trunc`], [`ceil_div_via_trunc`], [`mod_positive`] |
-//! | §6.2 multiplier selection | [`choose_multiplier`] (Fig 6.2) |
+//! | §6.2 multiplier selection | [`choose_multiplier_at`] (Fig 6.2 as one `const fn` for `N <= 64`), [`choose_multiplier`] (typed, fallible; doubleword at `N = 128`) |
 //! | strategy selection (all of the above) | [`plan`]: [`UdivPlan`], [`SdivPlan`], [`FloorPlan`], [`ExactPlan`], [`UremPlan`], [`DivisibilityPlan`], [`DivPlan`] |
 //! | planner tournament (candidate families beyond the paper) | [`candidates`], [`tournament`]: [`run_udiv_tournament`], [`run_urem_tournament`]; the winner's plan goes to `from_plan` |
-//! | §10 compile-time constants | [`ConstU32Divisor`], [`ConstU64Divisor`] (`const fn` construction) |
+//! | §10 compile-time constants | [`ConstU32Divisor`], [`ConstU64Divisor`] (`const fn` Fig 4.2 into a [`UdivStrategy`]) |
 //! | §7 floating point | [`trunc_div_f64`], [`unsigned_div_f64`] |
 //! | §8 udword ÷ uword | [`DwordDivisor`] (Fig 8.1) |
 //! | §9 exact division & divisibility | [`ExactUnsignedDivisor`], [`ExactSignedDivisor`], [`DivisibilityScanner`], [`mod_inverse_newton`], [`mod_inverse_bitwise`] |
@@ -94,7 +94,7 @@ pub use crate::cache::{global_plan_cache, CacheStats, PlanCache};
 pub use crate::candidates::{
     unsigned_generators, urem_candidates, Candidate, CandidateGen, CandidateSource,
 };
-pub use crate::choose_multiplier::{choose_multiplier, try_choose_multiplier, ChosenMultiplier};
+pub use crate::choose_multiplier::{choose_multiplier, choose_multiplier_at, ChosenMultiplier};
 pub use crate::const_divisor::{ConstU32Divisor, ConstU64Divisor};
 pub use crate::error::{DivisorError, DwordDivError, Fault, FaultKind, FaultLayer};
 pub use crate::exact::{

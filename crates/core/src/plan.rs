@@ -35,7 +35,7 @@
 
 use core::fmt;
 
-use crate::choose_multiplier::choose_multiplier;
+use crate::choose_multiplier::{choose_multiplier_at, choose_multiplier_dword};
 use crate::error::DivisorError;
 
 /// `2^width - 1` as a `u128`.
@@ -50,7 +50,7 @@ pub(crate) fn mask(width: u32) -> u128 {
 
 /// `⌈log2 d⌉` for `d >= 1`.
 #[inline]
-fn ceil_log2(d: u128) -> u32 {
+pub(crate) const fn ceil_log2(d: u128) -> u32 {
     if d == 1 {
         0
     } else {
@@ -96,47 +96,26 @@ struct MagicRaw {
     sh_post: u32,
 }
 
-/// Figure 6.2 at an arbitrary width: `width <= 63` runs the selection
-/// directly in `u128` arithmetic; `width == 64` and `width == 128`
-/// delegate to the typed [`choose_multiplier`], whose doubleword substrate
-/// handles the `2^(N+l)` numerators that overflow `u128`.
+/// Figure 6.2 at an arbitrary width: [`choose_multiplier_at`] up to
+/// width 64, the doubleword body at width 128.
 fn magic(d: u128, width: u32, prec: u32) -> MagicRaw {
     debug_assert!(d >= 1 && (width == 128 || d <= mask(width)));
     debug_assert!((1..=width).contains(&prec));
-    let raw = match width {
-        0..=63 => {
-            let l = ceil_log2(d);
-            let mut sh_post = l;
-            let mut m_low = (1u128 << (width + l)) / d;
-            let mut m_high = ((1u128 << (width + l)) + (1u128 << (width + l - prec))) / d;
-            while m_low >> 1 < m_high >> 1 && sh_post > 0 {
-                m_low >>= 1;
-                m_high >>= 1;
-                sh_post -= 1;
-            }
-            MagicRaw {
-                m_low: m_high & mask(width),
-                fits: m_high <= mask(width),
-                sh_post,
-            }
-        }
-        64 => {
-            let c = choose_multiplier(d as u64, prec);
-            MagicRaw {
-                m_low: c.multiplier_low_word() as u128,
-                fits: c.multiplier_fits_word(),
-                sh_post: c.sh_post,
-            }
-        }
-        128 => {
-            let c = choose_multiplier(d, prec);
+    let raw = match choose_multiplier_at(d, width, prec) {
+        Some((m, sh_post)) => MagicRaw {
+            m_low: m & mask(width),
+            fits: m <= mask(width),
+            sh_post,
+        },
+        // With `d` and `prec` in range, only width 128 is left.
+        None => {
+            let c = choose_multiplier_dword(d, prec);
             MagicRaw {
                 m_low: c.multiplier_low_word(),
                 fits: c.multiplier_fits_word(),
                 sh_post: c.sh_post,
             }
         }
-        _ => unreachable!("width checked by assert_width_supported"),
     };
     magicdiv_trace::event!("plan.choose_multiplier",
         "d" => d, "width" => width, "prec" => prec, "l" => ceil_log2(d),
@@ -1736,34 +1715,59 @@ mod tests {
         assert_eq!(p.inverse(), 1);
     }
 
+    /// The plans Figs 4.2, 5.2 and 6.1 select for each bit pattern in
+    /// `ds` at `width` (read as `iN` by the signed shapes) pass their
+    /// exact validity predicates.
+    fn assert_selected_plans_valid(width: u32, ds: impl IntoIterator<Item = u128>) {
+        use crate::validity::{floor_valid, sdiv_valid, udiv_valid};
+        let unused = 128 - width;
+        for d in ds {
+            let p = UdivPlan::new(d, width).unwrap();
+            assert_eq!(udiv_valid(&p), Ok(()), "{p}");
+            let signed = ((d << unused) as i128) >> unused;
+            let p = SdivPlan::new(signed, width).unwrap();
+            assert_eq!(sdiv_valid(&p), Ok(()), "{p}");
+            let p = FloorPlan::new(signed, width).unwrap();
+            assert_eq!(floor_valid(&p), Ok(()), "{p}");
+        }
+    }
+
     #[test]
-    fn width_8_matches_u8_reference_exhaustively() {
-        // The width-erased selection must agree with the typed Fig 6.2
-        // loop for every divisor at width 8 (the typed path is separately
-        // verified against exhaustive evaluation in the divisor tests).
-        for d in 1u128..=255 {
-            let p = UdivPlan::new(d, 8).unwrap();
-            let c = choose_multiplier::<u8>(d as u8, 8);
-            match p.strategy() {
-                UdivStrategy::Identity => assert_eq!(d, 1),
-                UdivStrategy::Shift { sh } => assert_eq!(1u128 << sh, d),
-                UdivStrategy::MulShift { m, sh_pre, sh_post } => {
-                    if sh_pre == 0 {
-                        assert_eq!(m, c.multiplier.to_u128(), "d={d}");
-                        assert_eq!(sh_post, c.sh_post, "d={d}");
-                    }
-                }
-                UdivStrategy::MulAddShift {
-                    m_minus_pow2n,
-                    sh_post,
-                } => {
-                    assert_eq!(m_minus_pow2n, c.multiplier.to_u128() - (1 << 8), "d={d}");
-                    assert_eq!(sh_post, c.sh_post, "d={d}");
-                }
-                UdivStrategy::MulRoundUp { .. } => {
-                    panic!("d={d}: Fig 4.2 selection never emits mul-round-up")
-                }
-            }
+    fn selected_plans_are_valid_for_every_divisor_at_w8_and_w16() {
+        assert_selected_plans_valid(8, 1..=mask(8));
+        assert_selected_plans_valid(16, 1..=mask(16));
+    }
+
+    #[test]
+    fn selected_plans_are_valid_for_sampled_divisors_at_w32_w64_w128() {
+        use crate::testkit::interesting_unsigned_divisors;
+        // The catalogs hold powers of two and their neighbours, so w64
+        // covers 2^63 + 1, u64::MAX - 1 and u64::MAX: the 2^128 numerator.
+        let catalogs: [Vec<u128>; 3] = [
+            interesting_unsigned_divisors::<u32>()
+                .into_iter()
+                .map(u128::from)
+                .collect(),
+            interesting_unsigned_divisors::<u64>()
+                .into_iter()
+                .map(u128::from)
+                .collect(),
+            interesting_unsigned_divisors::<u128>(),
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15u128;
+        for (width, catalog) in [32, 64, 128].into_iter().zip(catalogs) {
+            assert!(catalog.contains(&mask(width)));
+            assert_selected_plans_valid(width, catalog);
+            let sampled: Vec<u128> = (0..2_000)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(0x2360_ed05_1fc6_5da4_4385_df64_9fcc_f645)
+                        .wrapping_add(0x5851_f42d_4c95_7f2d_1405_7b7e_f767_814f);
+                    // Spread the samples over every magnitude.
+                    ((state & mask(width)) >> ((state >> 121) % u128::from(width))).max(1)
+                })
+                .collect();
+            assert_selected_plans_valid(width, sampled);
         }
     }
 

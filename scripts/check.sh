@@ -171,6 +171,12 @@ if grep -q '\[note\] bench\.json:' target/bench_drift.txt; then
     echo "the two bench reports are not comparable row for row" >&2
     exit 1
 fi
+status=0
+./target/release/drift target/bench_drift_a target/bench_drift_b 1000 junk > /dev/null 2>&1 || status=$?
+test "$status" -eq 2 || {
+    echo "drift with a fourth argument exited $status; it must print the usage and exit 2" >&2
+    exit 1
+}
 
 echo "== calibration smoke run (tiny budget; report must parse) =="
 ./target/release/magic calibrate 20 2 target/calibration_ci.json > /dev/null
@@ -186,11 +192,16 @@ grep -q '"silent_wrong": 0,' target/chaos_ci.json || {
 }
 
 echo "== chaos golden gate (fixed seed must reproduce results/chaos.json) =="
-./target/release/magic chaos 0xC4A05D1F 8 target/chaos_golden.json > /dev/null
+./target/release/magic chaos 0xC4A05D1F 8 target/chaos_golden.json > /dev/null 2> target/chaos_golden.err
 diff <(grep -v '"git_sha"' results/chaos.json) <(grep -v '"git_sha"' target/chaos_golden.json) || {
     echo "fixed-seed chaos report moved from the committed results/chaos.json" >&2
     exit 1
 }
+if grep -q 'suppressed' target/chaos_golden.err; then
+    cat target/chaos_golden.err >&2
+    echo "magic chaos ran the flight recorder with black-box dumps off" >&2
+    exit 1
+fi
 
 echo "== Table 11.1 listing gate (the bin must reproduce results/table_11_1.txt) =="
 ./target/release/table_11_1 > target/table_11_1_ci.txt

@@ -289,7 +289,7 @@ fn choose_multiplier_bound_u64() {
     for _ in 0..CASES {
         let d = rng.edgy_u64().max(1);
         let prec = (rng.next_u64() % 64) as u32 + 1;
-        let c = choose_multiplier(d, prec);
+        let c = choose_multiplier(d, prec).unwrap();
         // The chosen sh_post never exceeds l, and l brackets d.
         assert!(c.sh_post <= c.l, "d={d} prec={prec}");
         if d > 1 {
