@@ -24,7 +24,7 @@ use magicdiv::testkit::directed_unsigned_dividends;
 use magicdiv::validity::fraction_valid;
 use magicdiv_ir::{
     apply_mutation, lower_plan, mask, mutations, optimize, sign_extend, EvalOptions, Mutation, Op,
-    Program, Reg,
+    Program, Reg, LANES,
 };
 
 /// Fuel budget for every harness evaluation of a (possibly mutated)
@@ -488,35 +488,81 @@ pub enum MutantFate {
 /// pair and repack the `(q, r)` result pair, mirroring
 /// [`Case::expected`]'s encoding.
 pub fn run(case: &Case, prog: &Program, n: u64) -> Option<u64> {
+    let mut got = [None];
+    run_lanes(case, prog, &[n], &mut got);
+    got[0]
+}
+
+/// [`run`] on up to [`LANES`] inputs in one interpreter pass: writes to
+/// `got[l]` what [`run`] returns for `ns[l]`.
+fn run_lanes(case: &Case, prog: &Program, ns: &[u64], got: &mut [Option<u64>]) {
     let opts = EvalOptions {
         fuel: Some(DEFAULT_EVAL_FUEL),
         ..EvalOptions::default()
     };
-    if case.shape == Shape::Dword {
-        let w = case.width;
-        let out = prog.eval_with(&[n >> w, n & mask(w)], &opts).ok()?;
-        return Some((out[0] << w) | out[1]);
+    let (lanes, w) = (ns.len(), case.width);
+    let dword = case.shape == Shape::Dword;
+    let results = prog.results().len();
+    let mut args = [0u64; 2 * LANES];
+    let mut out = [0u64; 2 * LANES];
+    let mut status = [Ok(()); LANES];
+    // Every shape returns one or two results; more never match the oracle.
+    let Some(out) = out.get_mut(..results * lanes) else {
+        got.fill(None);
+        return;
+    };
+    let args = if dword {
+        for (l, &n) in ns.iter().enumerate() {
+            (args[l], args[lanes + l]) = (n >> w, n & mask(w));
+        }
+        &args[..2 * lanes]
+    } else {
+        args[..lanes].copy_from_slice(ns);
+        &args[..lanes]
+    };
+    let status = &mut status[..lanes];
+    prog.eval_lanes(args, &opts, out, status);
+    for (l, g) in got.iter_mut().enumerate() {
+        *g = match status[l] {
+            Err(_) => None,
+            Ok(()) if dword => (results == 2).then(|| (out[l] << w) | out[lanes + l]),
+            Ok(()) => (results > 0).then(|| out[l]),
+        };
     }
-    let out = prog.eval_with(&[n], &opts).ok()?;
-    out.first().copied()
 }
 
 /// Exhaustive verdict over every contractual input — feasible through
 /// width 16 (at most 65 536 evaluations for the single-word shapes;
-/// the dword domain is `d·2^width`, which the callers keep small).
+/// the dword domain is `d·2^width`, which the callers keep small). The
+/// contractual inputs run [`LANES`] at a time, in increasing order, so
+/// a kill names the smallest killing input.
 fn exhaustive_fate(case: &Case, mutant: &Program) -> MutantFate {
     let top = match case.shape {
         Shape::Dword => (case.d << case.width) - 1,
         _ => mask(case.width),
     };
-    for n in 0..=top {
-        if let Some(want) = case.expected(n) {
-            if run(case, mutant, n) != Some(want) {
-                return MutantFate::Killed { n };
+    let mut ns = [0u64; LANES];
+    let mut got = [None; LANES];
+    let mut len = 0;
+    let mut killed = |ns: &[u64]| {
+        let got = &mut got[..ns.len()];
+        run_lanes(case, mutant, ns, got);
+        ns.iter()
+            .zip(got)
+            .find(|(&n, g)| **g != case.expected(n))
+            .map(|(&n, _)| MutantFate::Killed { n })
+    };
+    for n in (0..=top).filter(|&n| case.input_valid(n)) {
+        ns[len] = n;
+        len += 1;
+        if len == LANES {
+            if let Some(fate) = killed(&ns) {
+                return fate;
             }
+            len = 0;
         }
     }
-    MutantFate::Equivalent
+    killed(&ns[..len]).unwrap_or(MutantFate::Equivalent)
 }
 
 /// Whether `a` and `b` are the same instruction sequence up to constant

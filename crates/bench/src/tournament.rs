@@ -13,9 +13,9 @@
 use magicdiv::plan::DivPlan;
 use magicdiv::{
     certify_plan, run_udiv_tournament, ArithmeticCertifier, Certification, DivisorError,
-    PlanCertifier, PlanScorer, TournamentResult,
+    PlanCertifier, PlanScorer, Probes, TournamentResult,
 };
-use magicdiv_ir::{lower_plan, optimize};
+use magicdiv_ir::{lower_plan, optimize, EvalOptions, LANES};
 use magicdiv_simcpu::{find_model, TimingModel};
 
 /// The default cost model for tournaments: pipelined multiplier, the
@@ -78,10 +78,14 @@ impl PlanScorer for SimcpuScorer {
 /// Certifies an unsigned or direct-remainder candidate on its *lowered,
 /// optimized* IR program through [`certify_plan`]: every dividend through
 /// width 16; above, the plan's exact validity predicate plus the directed
-/// probes, which here run the program and so exercise the lowering. At
-/// width 128, beyond the IR interpreter's words, it defers to the
-/// [`ArithmeticCertifier`]. Plans with no competing candidate pool
-/// (signed, floor, …) are [`Certification::Skipped`].
+/// probes, which here run the program and so exercise the lowering. The
+/// program runs [`LANES`] probes at a time through
+/// [`Program::eval_lanes`](magicdiv_ir::Program::eval_lanes), one
+/// interpreter pass per batch; a lane that faults reads as `u128::MAX`,
+/// which no truth value equals. At width 128, beyond the IR
+/// interpreter's words, it defers to the [`ArithmeticCertifier`]. Plans
+/// with no competing candidate pool (signed, floor, …) are
+/// [`Certification::Skipped`].
 ///
 /// This is strictly stronger than the core's arithmetic certifier: a bug
 /// in the lowering (not just the plan constants) fails certification
@@ -90,24 +94,35 @@ impl PlanScorer for SimcpuScorer {
 pub struct OracleCertifier;
 
 impl PlanCertifier for OracleCertifier {
-    fn certify(&self, plan: &DivPlan) -> Certification {
-        // (divisor, reference function) per shape under tournament. The
-        // remainder oracle is `n % d` — the same ground truth the diff
-        // harness pins `Shape::Urem` to.
-        let (d, oracle): (u64, fn(u64, u64) -> u64) = match plan {
-            DivPlan::Unsigned(p) => (p.divisor() as u64, |n, d| n / d),
-            DivPlan::Urem(p) => (p.divisor() as u64, |n, d| n % d),
-            _ => return Certification::Skipped,
-        };
+    fn certify(&self, plan: &DivPlan, probes: &Probes) -> Certification {
+        if !matches!(plan, DivPlan::Unsigned(_) | DivPlan::Urem(_)) {
+            return Certification::Skipped;
+        }
         // Above the IR's 64-bit words there is no program to run.
         let Ok(raw) = lower_plan(plan) else {
-            return ArithmeticCertifier.certify(plan);
+            return ArithmeticCertifier.certify(plan, probes);
         };
         let prog = optimize(&raw);
-        certify_plan(plan, |n| {
-            let n = n as u64;
-            let got = prog.eval1(&[n]).map_or(u128::MAX, u128::from);
-            (got, u128::from(oracle(n, d)))
+        let opts = EvalOptions::default();
+        let mut args = [0u64; LANES];
+        let mut out = [0u64; LANES];
+        let mut status = [Ok(()); LANES];
+        certify_plan(plan, probes, |ns, got| {
+            for (ns, got) in ns.chunks(LANES).zip(got.chunks_mut(LANES)) {
+                let lanes = ns.len();
+                for (a, &n) in args.iter_mut().zip(ns) {
+                    *a = n as u64;
+                }
+                prog.eval_lanes(
+                    &args[..lanes],
+                    &opts,
+                    &mut out[..lanes],
+                    &mut status[..lanes],
+                );
+                for ((g, &v), s) in got.iter_mut().zip(&out).zip(&status) {
+                    *g = s.map_or(u128::MAX, |()| u128::from(v));
+                }
+            }
         })
     }
 }
@@ -161,6 +176,11 @@ mod tests {
     use magicdiv::plan::UdivPlan;
     use magicdiv::{CandidateSource, Outcome};
 
+    /// Certifies one plan on its lowered IR and its own pool's probes.
+    fn certify_alone(plan: &DivPlan) -> Certification {
+        OracleCertifier.certify(plan, &Probes::for_plan(plan))
+    }
+
     #[test]
     fn simcpu_scorer_prices_all_word_widths() {
         let scorer = SimcpuScorer::default_model();
@@ -176,7 +196,7 @@ mod tests {
     fn oracle_certifier_passes_paper_plans() {
         for (d, width) in [(3u128, 8u32), (10, 16), (7, 32), (274177, 64)] {
             let plan = DivPlan::from(UdivPlan::new(d, width).unwrap());
-            match OracleCertifier.certify(&plan) {
+            match certify_alone(&plan) {
                 Certification::Passed { inputs, .. } => assert!(inputs > 0),
                 other => panic!("d={d} w={width}: {other:?}"),
             }
@@ -189,7 +209,7 @@ mod tests {
         // multiplier (2^34 + 1)/5 is odd, so flipping bit 0 subtracts one.
         let bad = UdivPlan::new(10, 32).unwrap().flip_bit(0);
         assert!(matches!(
-            OracleCertifier.certify(&DivPlan::from(bad)),
+            certify_alone(&DivPlan::from(bad)),
             Certification::Failed { .. }
         ));
     }
@@ -212,7 +232,7 @@ mod tests {
         use magicdiv::plan::{UremPlan, UremStrategy};
         for (d, width) in [(3u128, 8u32), (10, 16), (7, 32), (641, 64)] {
             let plan = DivPlan::from(UremPlan::new_direct(d, width).unwrap());
-            match OracleCertifier.certify(&plan) {
+            match certify_alone(&plan) {
                 Certification::Passed { inputs, .. } => assert!(inputs > 0),
                 other => panic!("d={d} w={width}: {other:?}"),
             }
@@ -233,7 +253,7 @@ mod tests {
             },
         );
         assert!(matches!(
-            OracleCertifier.certify(&DivPlan::from(bad)),
+            certify_alone(&DivPlan::from(bad)),
             Certification::Failed { .. }
         ));
     }

@@ -114,7 +114,7 @@ pub use crate::plan::{
 pub use crate::signed::{InvariantSignedDivisor, SignedDivisor};
 pub use crate::tournament::{
     certify_plan, run_udiv_tournament, run_urem_tournament, ArithmeticCertifier, Certification,
-    LossReason, OpCountScorer, Outcome, PlanCertifier, PlanScorer, ScoredCandidate,
+    LossReason, OpCountScorer, Outcome, PlanCertifier, PlanScorer, Probes, ScoredCandidate,
     TournamentResult,
 };
 pub use crate::udword_div::DwordDivisor;

@@ -101,10 +101,39 @@ pub fn interesting_unsigned_dividends<T: UWord>(d: T) -> Vec<T> {
 /// ```
 pub fn directed_unsigned_dividends(d: u128, width: u32) -> Vec<u128> {
     let m = crate::plan::mask(width);
+    // Sort the bases, not the three times as many dividends: 0 and m are
+    // bases, so the neighbors that wrap (m + 1 and 0 - 1) are already
+    // there, and walking the sorted bases, a neighbor is new exactly
+    // when it exceeds the last dividend kept.
+    let mut bases = directed_bases(d, width);
+    for b in &mut bases {
+        *b &= m;
+    }
+    bases.sort_unstable();
+    bases.dedup();
+    let mut out: Vec<u128> = Vec::with_capacity(3 * bases.len());
+    for b in bases {
+        let around = [
+            b.checked_sub(1),
+            Some(b),
+            b.checked_add(1).filter(|&n| n <= m),
+        ];
+        for n in around.into_iter().flatten() {
+            if out.last().is_none_or(|&last| n > last) {
+                out.push(n);
+            }
+        }
+    }
+    out
+}
+
+/// The bases of [`directed_unsigned_dividends`], unsorted and not yet
+/// reduced modulo 2^N: each contributes itself and both neighbors.
+fn directed_bases(d: u128, width: u32) -> Vec<u128> {
+    let m = crate::plan::mask(width);
     let half = m >> 1;
     let t = m - m % d;
     let q_top = m / d;
-    // Each base contributes itself and both neighbors, modulo 2^N.
     let mut bases = vec![
         0,
         2,
@@ -116,12 +145,10 @@ pub fn directed_unsigned_dividends(d: u128, width: u32) -> Vec<u128> {
         d.wrapping_mul(2),
         t,
         t - d,
-    ];
-    bases.extend([
         t.wrapping_add(d),
         t.wrapping_add(d.wrapping_mul(2)),
         q_top / 2 * d,
-    ]);
+    ];
     bases.extend((0..width).map(|j| 1u128 << j));
     bases.extend(
         (0..width)
@@ -129,14 +156,7 @@ pub fn directed_unsigned_dividends(d: u128, width: u32) -> Vec<u128> {
             .take_while(|&q| q <= q_top)
             .map(|q| q * d),
     );
-    let mut out: Vec<u128> = bases
-        .into_iter()
-        .flat_map(|b| [b.wrapping_sub(1), b, b.wrapping_add(1)])
-        .map(|n| n & m)
-        .collect();
-    out.sort_unstable();
-    out.dedup();
-    out
+    bases
 }
 
 /// Interesting signed divisors at width `S` (all nonzero, both signs).
@@ -298,6 +318,32 @@ mod tests {
         assert!(interesting_unsigned_divisors::<u32>().contains(&641));
         assert!(interesting_unsigned_divisors::<u64>().contains(&274177));
         assert!(!interesting_unsigned_divisors::<u8>().contains(&0)); // truncation must not create zero
+    }
+
+    #[test]
+    fn directed_dividends_are_every_base_neighbor_in_order() {
+        // The definition: every base and both neighbors mod 2^N, sorted
+        // and deduplicated.
+        let by_sorting_all = |d: u128, width: u32| {
+            let m = crate::plan::mask(width);
+            let mut out: Vec<u128> = directed_bases(d, width)
+                .into_iter()
+                .flat_map(|b| [b.wrapping_sub(1), b, b.wrapping_add(1)])
+                .map(|n| n & m)
+                .collect();
+            out.sort_unstable();
+            out.dedup();
+            out
+        };
+        for width in [1u32, 2, 3, 8, 16, 32, 64, 128] {
+            let m = crate::plan::mask(width);
+            let tops = [m, m - 1, m >> 1, (m >> 1) + 1, (m >> 1).saturating_sub(1)];
+            let ds = (1..=300u128).chain(tops).chain([641, 274177, 6700417]);
+            for d in ds.filter(|&d| d >= 1 && d <= m) {
+                let got = directed_unsigned_dividends(d, width);
+                assert_eq!(got, by_sorting_all(d, width), "d={d} w={width}");
+            }
+        }
     }
 
     #[test]

@@ -44,8 +44,112 @@ pub trait PlanScorer {
 /// deterministic — the tournament result is pinned by byte-identical
 /// goldens.
 pub trait PlanCertifier {
-    /// Certifies (or refutes) `plan`.
-    fn certify(&self, plan: &DivPlan) -> Certification;
+    /// Certifies (or refutes) `plan` on `probes`, the dividends and
+    /// truth values the tournament built once for the plan's candidate
+    /// pool (see [`certify_plan`]).
+    fn certify(&self, plan: &DivPlan, probes: &Probes) -> Certification;
+}
+
+/// How many dividends [`certify_plan`] hands its `run` callback at once.
+const PROBE_CHUNK: usize = 64;
+
+/// The function every plan in a candidate pool computes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Truth {
+    Quotient,
+    Remainder,
+    Divisible,
+}
+
+impl Truth {
+    fn of(plan: &DivPlan) -> Option<(Truth, u128)> {
+        Some(match plan {
+            DivPlan::Unsigned(p) => (Truth::Quotient, p.divisor()),
+            DivPlan::Urem(p) => (Truth::Remainder, p.divisor()),
+            DivPlan::Divisibility(p) => (Truth::Divisible, p.divisor()),
+            _ => return None,
+        })
+    }
+
+    fn at(self, n: u128, d: u128) -> u128 {
+        // Word-sized operands take the native 64-bit divide.
+        let (q, r) = match (u64::try_from(n), u64::try_from(d)) {
+            (Ok(n), Ok(d)) => (u128::from(n / d), u128::from(n % d)),
+            _ => (n / d, n % d),
+        };
+        match self {
+            Truth::Quotient => q,
+            Truth::Remainder => r,
+            Truth::Divisible => u128::from(r == 0),
+        }
+    }
+}
+
+/// The certification probes of one candidate pool: every candidate in a
+/// tournament divides by the same `d` at the same width and computes the
+/// same function, so the tournament builds these once per pool and
+/// [`certify_plan`] runs every candidate on them.
+///
+/// At width ≤ 16 the probes are every dividend, generated 64 at a time
+/// and never stored whole. Above, they are the
+/// [`directed_unsigned_dividends`] with the truth at each, computed here
+/// once. A candidate's predicate witness belongs to the candidate, not
+/// the pool; [`certify_plan`] runs it first.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Probes {
+    /// `None` for a plan shape no tournament pools, which certifies as
+    /// [`Certification::Skipped`].
+    truth: Option<(Truth, u128)>,
+    width: u32,
+    /// The directed dividends (empty at width ≤ 16) and their truth.
+    directed: Vec<u128>,
+    want: Vec<u128>,
+}
+
+impl Probes {
+    /// The probes of `plan`'s candidate pool: its divisor, width and
+    /// function. Shapes no tournament pools (signed, floor, exact,
+    /// doubleword) get empty probes, on which every plan is
+    /// [`Certification::Skipped`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use magicdiv::{certify_plan, Certification, DivPlan, Probes, UdivPlan};
+    ///
+    /// let plan = DivPlan::from(UdivPlan::new(10, 8).unwrap());
+    /// let probes = Probes::for_plan(&plan);
+    /// // Run the "candidate" natively: every u8 dividend passes.
+    /// let cert = certify_plan(&plan, &probes, |ns, got| {
+    ///     for (g, n) in got.iter_mut().zip(ns) {
+    ///         *g = n / 10;
+    ///     }
+    /// });
+    /// assert_eq!(cert, Certification::Passed { inputs: 256, proved: false });
+    /// ```
+    pub fn for_plan(plan: &DivPlan) -> Probes {
+        let truth = Truth::of(plan);
+        let width = plan.width();
+        let directed = match truth {
+            Some((_, d)) if width > 16 => directed_unsigned_dividends(d, width),
+            _ => Vec::new(),
+        };
+        let want = match truth {
+            Some((t, d)) => directed.iter().map(|&n| t.at(n, d)).collect(),
+            None => Vec::new(),
+        };
+        Probes {
+            truth,
+            width,
+            directed,
+            want,
+        }
+    }
+
+    /// Whether these are the probes of `plan`'s pool.
+    fn fit(&self, plan: &DivPlan) -> bool {
+        self.truth == Truth::of(plan) && self.width == plan.width()
+    }
 }
 
 /// The outcome of certifying one candidate.
@@ -222,36 +326,58 @@ impl PlanScorer for OpCountScorer {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ArithmeticCertifier;
 
-/// The certification driver both tournament certifiers share. `run(n)`
-/// returns `(got, want)` for one dividend: what the candidate computes
-/// (however the caller runs it) and the truth.
+/// The certification driver both tournament certifiers share.
+/// `run(ns, got)` writes to `got[i]` what the candidate computes for
+/// dividend `ns[i]`, however the caller runs it, for up to 64 dividends
+/// at a time; `probes` supply the dividends and the truth.
 ///
 /// At `width <= 16` every dividend is run. Above, the plan must satisfy
 /// its exact [`validity`] predicate — a proof for every
 /// dividend — and then agree on the [`directed_unsigned_dividends`],
 /// which exercise the code that runs rather than the constants. A plan
 /// the predicate refutes fails at the predicate's witness. Shapes
-/// without a predicate are [`Certification::Skipped`].
-pub fn certify_plan(plan: &DivPlan, mut run: impl FnMut(u128) -> (u128, u128)) -> Certification {
-    let d = match plan {
-        DivPlan::Unsigned(p) => p.divisor(),
-        DivPlan::Urem(p) => p.divisor(),
-        DivPlan::Divisibility(p) => p.divisor(),
-        _ => return Certification::Skipped,
-    };
-    let w = plan.width();
-    let mut inputs = 0u64;
-    if w <= 16 {
-        return first_failure(0..=mask(w), &mut run, &mut inputs).unwrap_or(
-            Certification::Passed {
-                inputs,
-                proved: false,
-            },
-        );
+/// without a predicate are [`Certification::Skipped`]. A failure names
+/// the first disagreeing dividend in probe order. Probes built for
+/// another pool are not used: the plan is certified on its own.
+pub fn certify_plan(
+    plan: &DivPlan,
+    probes: &Probes,
+    mut run: impl FnMut(&[u128], &mut [u128]),
+) -> Certification {
+    if !probes.fit(plan) {
+        let own = Probes::for_plan(plan);
+        return certify_plan(plan, &own, run);
     }
+    let Some((truth, d)) = probes.truth else {
+        return Certification::Skipped;
+    };
+    let w = probes.width;
+    let mut got = [0u128; PROBE_CHUNK];
+    if w <= 16 {
+        let mut ns = [0u128; PROBE_CHUNK];
+        let mut want = [0u128; PROBE_CHUNK];
+        let end = mask(w) + 1;
+        let mut start = 0u128;
+        while start < end {
+            let len = (end - start).min(PROBE_CHUNK as u128) as usize;
+            for (i, (n, t)) in ns[..len].iter_mut().zip(&mut want).enumerate() {
+                *n = start + i as u128;
+                *t = truth.at(*n, d);
+            }
+            if let Some(fail) = first_failure(&ns[..len], &want, &mut got, &mut run) {
+                return fail;
+            }
+            start += len as u128;
+        }
+        return Certification::Passed {
+            inputs: end as u64,
+            proved: false,
+        };
+    }
+    let mut inputs = probes.directed.len() as u64;
     let mut proved = true;
     if let Some(Err(n)) = validity::plan_valid(plan) {
-        if let Some(fail) = first_failure([n], &mut run, &mut inputs) {
+        if let Some(fail) = first_failure(&[n], &[truth.at(n, d)], &mut got, &mut run) {
             return fail;
         }
         // The predicate refuted the plan but its witness agrees. Only two
@@ -259,40 +385,58 @@ pub fn certify_plan(plan: &DivPlan, mut run: impl FnMut(u128) -> (u128, u128)) -
         // quotient is wrong at `n` while the remainder can still be right,
         // and a §9 test with a wrong inverse whose witness search came up
         // empty. No proof either way, so certify on the probes alone.
+        inputs += 1;
         proved = false;
     }
-    first_failure(directed_unsigned_dividends(d, w), &mut run, &mut inputs)
-        .unwrap_or(Certification::Passed { inputs, proved })
+    for (ns, want) in probes
+        .directed
+        .chunks(PROBE_CHUNK)
+        .zip(probes.want.chunks(PROBE_CHUNK))
+    {
+        if let Some(fail) = first_failure(ns, want, &mut got, &mut run) {
+            return fail;
+        }
+    }
+    Certification::Passed { inputs, proved }
 }
 
-/// Runs `ns` in order, counting them in `inputs`, up to the first that
-/// disagrees with the truth.
+/// Runs one chunk of dividends and returns the first that disagrees with
+/// the truth.
 fn first_failure(
-    ns: impl IntoIterator<Item = u128>,
-    run: &mut impl FnMut(u128) -> (u128, u128),
-    inputs: &mut u64,
+    ns: &[u128],
+    want: &[u128],
+    got: &mut [u128; PROBE_CHUNK],
+    run: &mut impl FnMut(&[u128], &mut [u128]),
 ) -> Option<Certification> {
-    ns.into_iter().find_map(|n| {
-        *inputs += 1;
-        let (got, want) = run(n);
-        (got != want).then_some(Certification::Failed { n, got, want })
+    let got = &mut got[..ns.len()];
+    run(ns, got);
+    (0..ns.len()).find_map(|i| {
+        (got[i] != want[i]).then_some(Certification::Failed {
+            n: ns[i],
+            got: got[i],
+            want: want[i],
+        })
     })
 }
 
+/// Writes `f(n)` to `got` for every dividend of a [`certify_plan`] chunk.
+fn each(ns: &[u128], got: &mut [u128], f: impl Fn(u128) -> u128) {
+    for (g, &n) in got.iter_mut().zip(ns) {
+        *g = f(n);
+    }
+}
+
 impl PlanCertifier for ArithmeticCertifier {
-    fn certify(&self, plan: &DivPlan) -> Certification {
+    fn certify(&self, plan: &DivPlan, probes: &Probes) -> Certification {
         match plan {
-            DivPlan::Unsigned(p) => {
-                certify_plan(plan, |n| (validity::eval_unsigned(p, n), n / p.divisor()))
-            }
-            DivPlan::Urem(p) => {
-                certify_plan(plan, |n| (validity::eval_urem(p, n), n % p.divisor()))
-            }
-            DivPlan::Divisibility(p) => certify_plan(plan, |n| {
-                (
-                    validity::eval_divisibility(p, n),
-                    u128::from(n % p.divisor() == 0),
-                )
+            DivPlan::Unsigned(p) => certify_plan(plan, probes, |ns, got| {
+                each(ns, got, |n| validity::eval_unsigned(p, n))
+            }),
+            DivPlan::Urem(p) => certify_plan(plan, probes, |ns, got| {
+                each(ns, got, |n| validity::eval_urem(p, n))
+            }),
+            DivPlan::Divisibility(p) => certify_plan(plan, probes, |ns, got| {
+                each(ns, got, |n| validity::eval_divisibility(p, n))
             }),
             _ => Certification::Skipped,
         }
@@ -415,12 +559,17 @@ fn rank_candidates(
 ) -> TournamentResult {
     let mut rows: Vec<ScoredCandidate> = Vec::new();
     let mut paper_idx = 0usize;
+    // Every candidate shares `d`, the width and the family: one probe set.
+    let probes = candidates
+        .first()
+        .map(|c| Probes::for_plan(&c.plan))
+        .unwrap_or_default();
     for candidate in candidates {
         if candidate.source == CandidateSource::PaperBaseline {
             paper_idx = rows.len();
         }
         let cycles = scorer.score(&candidate.plan);
-        let certification = certifier.certify(&candidate.plan);
+        let certification = certifier.certify(&candidate.plan, &probes);
         rows.push(ScoredCandidate {
             candidate,
             cycles,
@@ -505,6 +654,11 @@ mod tests {
     use super::*;
     use crate::plan::{DivisibilityPlan, UdivPlan, UremPlan};
     use crate::validity::{eval_divisibility, eval_unsigned, eval_urem};
+
+    /// Certifies one plan arithmetically on its own pool's probes.
+    fn certify_alone(plan: &DivPlan) -> Certification {
+        ArithmeticCertifier.certify(plan, &Probes::for_plan(plan))
+    }
 
     #[test]
     fn tournament_winner_is_always_certified_w8_exhaustive() {
@@ -657,14 +811,41 @@ mod tests {
                 c_lo: c_lo.wrapping_sub(1),
             },
         );
-        match ArithmeticCertifier.certify(&DivPlan::Urem(bad)) {
+        match certify_alone(&DivPlan::Urem(bad)) {
             Certification::Failed { .. } => {}
             other => panic!("corrupted fraction not refuted: {other:?}"),
         }
         assert!(matches!(
-            ArithmeticCertifier.certify(&DivPlan::Urem(good)),
+            certify_alone(&DivPlan::Urem(good)),
             Certification::Passed { .. }
         ));
+    }
+
+    #[test]
+    fn a_refuted_plan_whose_witness_agrees_certifies_on_the_probes_alone() {
+        // A plan the predicate refutes, run by a "candidate" that computes
+        // the truth everywhere: its witness agrees, so the certification
+        // falls back to the probes, unproven, and counts the witness too.
+        let good = UdivPlan::new(10, 32).unwrap();
+        let bad = DivPlan::Unsigned(good.flip_bit(0));
+        assert!(matches!(validity::plan_valid(&bad), Some(Err(_))));
+        let probes = Probes::for_plan(&bad);
+        let truth = |ns: &[u128], got: &mut [u128]| each(ns, got, |n| n / 10);
+        assert_eq!(
+            certify_plan(&bad, &probes, truth),
+            Certification::Passed {
+                inputs: 1 + probes.directed.len() as u64,
+                proved: false
+            }
+        );
+        let good = DivPlan::Unsigned(good);
+        assert_eq!(
+            certify_plan(&good, &probes, truth),
+            Certification::Passed {
+                inputs: probes.directed.len() as u64,
+                proved: true
+            }
+        );
     }
 
     /// Width-128 divisors: small, the paper's worked examples, a Fermat
@@ -709,7 +890,7 @@ mod tests {
                 s => panic!("d={d}: no multiplier in {s:?}"),
             };
             let bad = UdivPlan::from_raw(d, 128, strategy);
-            match ArithmeticCertifier.certify(&DivPlan::Unsigned(bad)) {
+            match certify_alone(&DivPlan::Unsigned(bad)) {
                 Certification::Failed { n, got, want } => {
                     assert_eq!(want, n / d, "d={d}");
                     assert_eq!(got, eval_unsigned(&bad, n), "d={d}");

@@ -129,7 +129,7 @@ fn mul_wide(a: u128, b: u128, w: u32) -> (u128, u128) {
 
 /// Evaluates an unsigned-quotient plan at `n` the way the kernels do:
 /// `N`-bit words, `MULUH` as the high half of the full product.
-pub(crate) fn eval_unsigned(plan: &UdivPlan, n: u128) -> u128 {
+pub fn eval_unsigned(plan: &UdivPlan, n: u128) -> u128 {
     let w = plan.width();
     let nm = mask(w);
     match plan.strategy() {
@@ -155,7 +155,7 @@ pub(crate) fn eval_unsigned(plan: &UdivPlan, n: u128) -> u128 {
 
 /// Evaluates an unsigned-remainder plan at `n`, limb by limb — the same
 /// sequence `lower_urem` emits.
-pub(crate) fn eval_urem(plan: &UremPlan, n: u128) -> u128 {
+pub fn eval_urem(plan: &UremPlan, n: u128) -> u128 {
     let w = plan.width();
     let nm = mask(w);
     let d = plan.divisor();
@@ -180,7 +180,7 @@ pub(crate) fn eval_urem(plan: &UremPlan, n: u128) -> u128 {
 
 /// Evaluates a divisibility-test plan at `n`: `1` when the plan says
 /// `d | n`, else `0`.
-pub(crate) fn eval_divisibility(plan: &DivisibilityPlan, n: u128) -> u128 {
+pub fn eval_divisibility(plan: &DivisibilityPlan, n: u128) -> u128 {
     let w = plan.width();
     let nm = mask(w);
     match plan.strategy() {

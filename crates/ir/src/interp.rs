@@ -3,7 +3,14 @@
 //! Values are carried zero-extended in `u64`; every operation masks its
 //! result back to `N` bits, and signed operations sign-extend internally.
 //! This is the oracle the code generator is verified against.
+//!
+//! There is one interpreter, [`Program::eval_lanes`]: it evaluates a
+//! batch of inputs with one column of lane values per instruction, so
+//! each opcode is dispatched once per batch rather than once per input.
+//! [`Program::eval`], [`Program::eval_with`] and [`Program::eval1`] are
+//! its one-lane calls.
 
+use core::cell::RefCell;
 use core::fmt;
 
 use magicdiv::{Fault, FaultKind, FaultLayer};
@@ -121,16 +128,79 @@ pub fn sign_extend(x: u64, width: u32) -> i64 {
     ((x << shift) as i64) >> shift
 }
 
-/// Instructions [`Program::eval1`] evaluates in a stack buffer; longer
-/// programs fall back to a heap buffer.
-const EVAL1_STACK_SLOTS: usize = 64;
+/// Instructions a one-lane call ([`Program::eval`], [`Program::eval_with`],
+/// [`Program::eval1`]) evaluates in a stack buffer; longer programs fall
+/// back to a heap buffer.
+const ONE_LANE_STACK_SLOTS: usize = 64;
+
+/// The batch size the workspace's lane callers use: the tournament
+/// certifier and the mutation harness hand [`Program::eval_lanes`] at
+/// most this many inputs at a time. Any lane count is accepted; this one
+/// amortises the per-instruction dispatch while the value columns of a
+/// typical kernel stay within a few tens of kilobytes.
+pub const LANES: usize = 64;
+
+thread_local! {
+    /// The value columns [`Program::eval_lanes`] reuses from call to call,
+    /// grown to the largest `instructions × lanes` seen on this thread.
+    static LANE_SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
 
 fn wide_mul(a: u64, b: u64) -> u128 {
     (a as u128) * (b as u128)
 }
 
+/// Records `err` as a lane's error unless an earlier instruction already
+/// faulted it: a lane reports its first fault, as a one-input run stops
+/// there.
+#[inline]
+fn fault(status: &mut Result<(), EvalError>, err: EvalError) {
+    if status.is_ok() {
+        *status = Err(err);
+    }
+}
+
+/// Applies `f` to every lane of one operand column.
+#[inline(always)]
+fn unary(out: &mut [u64], a: &[u64], m: u64, f: impl Fn(u64) -> u64) {
+    for (o, &x) in out.iter_mut().zip(a) {
+        *o = f(x) & m;
+    }
+}
+
+/// Applies `f` to every lane of two operand columns.
+#[inline(always)]
+fn binary(out: &mut [u64], a: &[u64], b: &[u64], m: u64, f: impl Fn(u64, u64) -> u64) {
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *o = f(x, y) & m;
+    }
+}
+
+/// Applies a faulting division `f` to every lane of two operand columns;
+/// a lane whose division faults records the error and reads 0.
+#[inline(always)]
+fn divide(
+    out: &mut [u64],
+    a: &[u64],
+    b: &[u64],
+    status: &mut [Result<(), EvalError>],
+    m: u64,
+    f: impl Fn(u64, u64) -> Result<u64, EvalError>,
+) {
+    for (((o, &x), &y), s) in out.iter_mut().zip(a).zip(b).zip(status) {
+        *o = match f(x, y) {
+            Ok(v) => v & m,
+            Err(e) => {
+                fault(s, e);
+                0
+            }
+        };
+    }
+}
+
 impl Program {
-    /// Evaluates the program on `args`, returning the result values.
+    /// Evaluates the program on `args`, returning the result values. A
+    /// one-lane call of [`Program::eval_lanes`].
     ///
     /// # Errors
     ///
@@ -154,7 +224,8 @@ impl Program {
     }
 
     /// Evaluates the program under an explicit [`EvalOptions`] policy:
-    /// an optional fuel budget and optional trapping `MIN / -1`.
+    /// an optional fuel budget and optional trapping `MIN / -1`. A
+    /// one-lane call of [`Program::eval_lanes`].
     ///
     /// # Errors
     ///
@@ -179,13 +250,14 @@ impl Program {
     /// );
     /// ```
     pub fn eval_with(&self, args: &[u64], opts: &EvalOptions) -> Result<Vec<u64>, EvalError> {
-        let mut vals = vec![0u64; self.insts().len()];
-        self.eval_into(args, opts, &mut vals)?;
-        Ok(self.results().iter().map(|r| vals[r.index()]).collect())
+        self.eval_one_lane(args, opts, |vals| {
+            self.results().iter().map(|r| vals[r.index()]).collect()
+        })
     }
 
-    /// Evaluates a single-result program, returning that value. Programs
-    /// of up to 64 instructions are evaluated without touching the heap.
+    /// Evaluates a single-result program, returning that value. A
+    /// one-lane call of [`Program::eval_lanes`]; programs of up to 64
+    /// instructions are evaluated without touching the heap.
     ///
     /// # Errors
     ///
@@ -198,111 +270,205 @@ impl Program {
                 got: self.results().len(),
             });
         };
+        self.eval_one_lane(args, &EvalOptions::default(), |vals| vals[result.index()])
+    }
+
+    /// Evaluates the program on a batch of inputs, one per lane: each
+    /// instruction is applied to a whole column of lane values at once.
+    ///
+    /// The lane count is `status.len()`. `args` holds one column per
+    /// argument: `args[k * lanes + l]` is argument `k` of lane `l`. On
+    /// return `status[l]` is what [`Program::eval_with`] returns for lane
+    /// `l`'s arguments, without the values: `Ok(())`, or the same
+    /// [`EvalError`] (`DivideByZero { at }`, `SignedOverflow { at }`,
+    /// `FuelExhausted`, or `ArgCount` with `got = args.len() / lanes`).
+    /// For every `Ok` lane, `out[r * lanes + l]` is its result `r`; an
+    /// erring lane's outputs are unspecified.
+    ///
+    /// Each successful lane emits its own `ir.eval` trace event, in lane
+    /// order, exactly as a one-input call would. The value columns live in
+    /// a per-thread buffer that is reused from call to call.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `out` does not hold one column per program result.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use magicdiv_ir::{Builder, EvalError, EvalOptions, Op};
+    ///
+    /// let mut b = Builder::new(8, 2);
+    /// let q = b.push(Op::DivU(b.arg(0), b.arg(1)));
+    /// let p = b.finish([q]);
+    /// // Three lanes: 200 / 7, 9 / 0 and 255 / 255.
+    /// let args = [200, 9, 255, /* divisors */ 7, 0, 255];
+    /// let mut out = [0; 3];
+    /// let mut status = [Ok(()); 3];
+    /// p.eval_lanes(&args, &EvalOptions::default(), &mut out, &mut status);
+    /// assert_eq!(status, [Ok(()), Err(EvalError::DivideByZero { at: 2 }), Ok(())]);
+    /// assert_eq!((out[0], out[2]), (28, 1));
+    /// ```
+    pub fn eval_lanes(
+        &self,
+        args: &[u64],
+        opts: &EvalOptions,
+        out: &mut [u64],
+        status: &mut [Result<(), EvalError>],
+    ) {
+        let lanes = status.len();
+        assert_eq!(
+            out.len(),
+            self.results().len() * lanes,
+            "eval_lanes needs one output column per result"
+        );
+        let cells = self.insts().len() * lanes;
+        let mut run = |vals: &mut Vec<u64>| {
+            if vals.len() < cells {
+                vals.resize(cells, 0);
+            }
+            let vals = &mut vals[..cells];
+            self.run_lanes(args, opts, vals, status);
+            for (col, r) in out.chunks_exact_mut(lanes.max(1)).zip(self.results()) {
+                col.copy_from_slice(&vals[r.index() * lanes..][..lanes]);
+            }
+        };
+        // A trace sink that evaluates a program from inside an event finds
+        // the buffer taken and gets a fresh one.
+        LANE_SCRATCH.with(|cell| match cell.try_borrow_mut() {
+            Ok(mut vals) => run(&mut vals),
+            Err(_) => run(&mut Vec::new()),
+        });
+    }
+
+    /// Runs one lane in a stack buffer (a heap one for long programs) and
+    /// reads its values with `read`.
+    fn eval_one_lane<T>(
+        &self,
+        args: &[u64],
+        opts: &EvalOptions,
+        read: impl FnOnce(&[u64]) -> T,
+    ) -> Result<T, EvalError> {
         let n = self.insts().len();
-        let mut stack = [0u64; EVAL1_STACK_SLOTS];
+        let mut stack = [0u64; ONE_LANE_STACK_SLOTS];
         let mut heap = Vec::new();
-        let vals = if n <= EVAL1_STACK_SLOTS {
+        let vals = if n <= ONE_LANE_STACK_SLOTS {
             &mut stack[..n]
         } else {
             heap.resize(n, 0);
             &mut heap[..]
         };
-        self.eval_into(args, &EvalOptions::default(), vals)?;
-        Ok(vals[result.index()])
+        let mut status = [Ok(())];
+        self.run_lanes(args, opts, vals, &mut status);
+        status[0].map(|()| read(vals))
     }
 
-    /// The interpreter: writes the value of instruction `i` to `vals[i]`
-    /// (`vals` holds one slot per instruction).
-    fn eval_into(
+    /// The interpreter. With `lanes = status.len()`, writes lane `l`'s
+    /// value of instruction `i` to `vals[i * lanes + l]` (`vals` holds one
+    /// column per instruction) and each lane's first fault to `status`.
+    fn run_lanes(
         &self,
         args: &[u64],
         opts: &EvalOptions,
         vals: &mut [u64],
-    ) -> Result<(), EvalError> {
-        if args.len() != self.arg_count() as usize {
-            return Err(EvalError::ArgCount {
+        status: &mut [Result<(), EvalError>],
+    ) {
+        let lanes = status.len();
+        if lanes == 0 {
+            return;
+        }
+        status.fill(Ok(()));
+        if args.len() != self.arg_count() as usize * lanes {
+            status.fill(Err(EvalError::ArgCount {
                 expected: self.arg_count(),
-                got: args.len(),
-            });
+                got: args.len() / lanes,
+            }));
+            return;
         }
         let w = self.width();
         let m = mask(w);
-        let min_signed = 1u64 << (w - 1).min(63); // bit pattern of iN::MIN
-        let tracing = magicdiv_trace::enabled();
-        let mut class_counts = [0u64; 8];
-        for (i, op) in self.insts().iter().enumerate() {
-            if let Some(fuel) = opts.fuel {
-                if i as u64 >= fuel {
-                    return Err(EvalError::FuelExhausted { limit: fuel });
-                }
-            }
-            if tracing {
-                class_counts[op.class().index()] += 1;
-            }
+        // The bit pattern of iN::MIN, when `MIN / -1` traps.
+        let trap_min = opts.trap_signed_overflow.then_some(1u64 << (w - 1).min(63));
+        let insts = self.insts();
+        // A lane runs out of fuel at instruction `fuel` unless an earlier
+        // instruction already faulted it.
+        let executed = opts
+            .fuel
+            .map_or(insts.len(), |fuel| insts.len().min(fuel as usize));
+        for (i, op) in insts[..executed].iter().enumerate() {
             // Operands name earlier instructions only (SSA order); the
-            // slice turns a forward reference into a bounds panic instead
-            // of a read of an unwritten slot.
-            let done = &vals[..i];
-            let v = |r: crate::Reg| done[r.index()];
-            let result = match *op {
-                Op::Arg(k) => args[k as usize] & m,
-                Op::Const(c) => c & m,
-                Op::Add(a, b) => v(a).wrapping_add(v(b)),
-                Op::Sub(a, b) => v(a).wrapping_sub(v(b)),
-                Op::Neg(a) => v(a).wrapping_neg(),
-                Op::MulL(a, b) => v(a).wrapping_mul(v(b)),
-                Op::MulUH(a, b) => (wide_mul(v(a), v(b)) >> w) as u64,
-                Op::MulSH(a, b) => {
-                    let prod = (sign_extend(v(a), w) as i128) * (sign_extend(v(b), w) as i128);
-                    (prod >> w) as u64
+            // split turns a forward reference into a bounds panic instead
+            // of a read of an unwritten column.
+            let (done, rest) = vals.split_at_mut(i * lanes);
+            let out = &mut rest[..lanes];
+            let col = |r: crate::Reg| &done[r.index() * lanes..][..lanes];
+            let sx = |x: u64| sign_extend(x, w);
+            match *op {
+                Op::Arg(k) => unary(out, &args[k as usize * lanes..][..lanes], m, |x| x),
+                Op::Const(c) => out.fill(c & m),
+                Op::Add(a, b) => binary(out, col(a), col(b), m, u64::wrapping_add),
+                Op::Sub(a, b) => binary(out, col(a), col(b), m, u64::wrapping_sub),
+                Op::Neg(a) => unary(out, col(a), m, u64::wrapping_neg),
+                Op::MulL(a, b) => binary(out, col(a), col(b), m, u64::wrapping_mul),
+                Op::MulUH(a, b) => {
+                    binary(out, col(a), col(b), m, |x, y| (wide_mul(x, y) >> w) as u64)
                 }
-                Op::And(a, b) => v(a) & v(b),
-                Op::Or(a, b) => v(a) | v(b),
-                Op::Eor(a, b) => v(a) ^ v(b),
-                Op::Not(a) => !v(a),
-                Op::Sll(a, n) => v(a) << n,
-                Op::Srl(a, n) => v(a) >> n,
-                Op::Sra(a, n) => (sign_extend(v(a), w) >> n) as u64,
-                Op::Xsign(a) => (sign_extend(v(a), w) >> (w - 1).min(63)) as u64,
-                Op::SltS(a, b) => u64::from(sign_extend(v(a), w) < sign_extend(v(b), w)),
-                Op::SltU(a, b) => u64::from(v(a) < v(b)),
+                Op::MulSH(a, b) => binary(out, col(a), col(b), m, |x, y| {
+                    ((sx(x) as i128 * sx(y) as i128) >> w) as u64
+                }),
+                Op::And(a, b) => binary(out, col(a), col(b), m, |x, y| x & y),
+                Op::Or(a, b) => binary(out, col(a), col(b), m, |x, y| x | y),
+                Op::Eor(a, b) => binary(out, col(a), col(b), m, |x, y| x ^ y),
+                Op::Not(a) => unary(out, col(a), m, |x| !x),
+                Op::Sll(a, n) => unary(out, col(a), m, |x| x << n),
+                Op::Srl(a, n) => unary(out, col(a), m, |x| x >> n),
+                Op::Sra(a, n) => unary(out, col(a), m, |x| (sx(x) >> n) as u64),
+                Op::Xsign(a) => unary(out, col(a), m, |x| (sx(x) >> (w - 1).min(63)) as u64),
+                Op::SltS(a, b) => binary(out, col(a), col(b), m, |x, y| u64::from(sx(x) < sx(y))),
+                Op::SltU(a, b) => binary(out, col(a), col(b), m, |x, y| u64::from(x < y)),
                 // Values are stored masked, so the unsigned sum/difference
                 // wraps iff it leaves the N-bit range.
-                Op::Carry(a, b) => u64::from(u128::from(v(a)) + u128::from(v(b)) > u128::from(m)),
-                Op::Borrow(a, b) => u64::from(v(a) < v(b)),
-                Op::DivU(a, b) => v(a)
-                    .checked_div(v(b))
-                    .ok_or(EvalError::DivideByZero { at: i })?,
-                Op::DivS(a, b) => {
-                    let (x, y) = (sign_extend(v(a), w), sign_extend(v(b), w));
-                    if y == 0 {
-                        return Err(EvalError::DivideByZero { at: i });
-                    }
-                    if opts.trap_signed_overflow && v(a) == min_signed && y == -1 {
-                        return Err(EvalError::SignedOverflow { at: i });
-                    }
-                    x.wrapping_div(y) as u64
-                }
-                Op::RemU(a, b) => v(a)
-                    .checked_rem(v(b))
-                    .ok_or(EvalError::DivideByZero { at: i })?,
-                Op::RemS(a, b) => {
-                    let (x, y) = (sign_extend(v(a), w), sign_extend(v(b), w));
-                    if y == 0 {
-                        return Err(EvalError::DivideByZero { at: i });
-                    }
-                    if opts.trap_signed_overflow && v(a) == min_signed && y == -1 {
-                        return Err(EvalError::SignedOverflow { at: i });
-                    }
-                    x.wrapping_rem(y) as u64
-                }
-            };
-            vals[i] = result & m;
+                Op::Carry(a, b) => binary(out, col(a), col(b), m, |x, y| {
+                    u64::from(u128::from(x) + u128::from(y) > u128::from(m))
+                }),
+                Op::Borrow(a, b) => binary(out, col(a), col(b), m, |x, y| u64::from(x < y)),
+                Op::DivU(a, b) => divide(out, col(a), col(b), status, m, |x, y| {
+                    x.checked_div(y).ok_or(EvalError::DivideByZero { at: i })
+                }),
+                Op::RemU(a, b) => divide(out, col(a), col(b), status, m, |x, y| {
+                    x.checked_rem(y).ok_or(EvalError::DivideByZero { at: i })
+                }),
+                Op::DivS(a, b) => divide(out, col(a), col(b), status, m, |x, y| {
+                    signed_divide(x, y, w, trap_min, i, i64::wrapping_div)
+                }),
+                Op::RemS(a, b) => divide(out, col(a), col(b), status, m, |x, y| {
+                    signed_divide(x, y, w, trap_min, i, i64::wrapping_rem)
+                }),
+            }
         }
-        if tracing {
-            use crate::cost::OpClass;
+        if executed < insts.len() {
+            let limit = opts.fuel.unwrap_or_default();
+            for s in status.iter_mut() {
+                fault(s, EvalError::FuelExhausted { limit });
+            }
+        }
+        if magicdiv_trace::enabled() && status.iter().any(Result::is_ok) {
+            self.emit_eval_events(status);
+        }
+    }
+
+    /// Emits one `ir.eval` event per successful lane, in lane order. A
+    /// successful lane executed every instruction, so all carry the same
+    /// per-class counts.
+    fn emit_eval_events(&self, status: &[Result<(), EvalError>]) {
+        use crate::cost::OpClass;
+        let mut class_counts = [0u64; 8];
+        for op in self.insts() {
+            class_counts[op.class().index()] += 1;
+        }
+        for _ in status.iter().filter(|s| s.is_ok()) {
             magicdiv_trace::event!("ir.eval",
-                "width" => w,
+                "width" => self.width(),
                 "executed" => class_counts[1..].iter().sum::<u64>(),
                 "add_sub" => class_counts[OpClass::AddSub.index()],
                 "shift" => class_counts[OpClass::Shift.index()],
@@ -312,8 +478,29 @@ impl Program {
                 "mul_high" => class_counts[OpClass::MulHigh.index()],
                 "div" => class_counts[OpClass::Div.index()]);
         }
-        Ok(())
     }
+}
+
+/// One lane of `DivS`/`RemS`: `f` on the sign-extended operands, after
+/// the zero-divisor check and, when `trap_min` holds the `iN::MIN` bit
+/// pattern, the `MIN / -1` check.
+#[inline(always)]
+fn signed_divide(
+    x: u64,
+    y: u64,
+    w: u32,
+    trap_min: Option<u64>,
+    at: usize,
+    f: impl Fn(i64, i64) -> i64,
+) -> Result<u64, EvalError> {
+    let (sx, sy) = (sign_extend(x, w), sign_extend(y, w));
+    if sy == 0 {
+        return Err(EvalError::DivideByZero { at });
+    }
+    if trap_min == Some(x) && sy == -1 {
+        return Err(EvalError::SignedOverflow { at });
+    }
+    Ok(f(sx, sy) as u64)
 }
 
 #[cfg(test)]
@@ -494,6 +681,57 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(p.eval_with(&[1], &enough).unwrap(), vec![1024]);
+        // The budget counts instructions: exactly enough runs, one short
+        // does not.
+        let len = p.insts().len() as u64;
+        let exact = EvalOptions {
+            fuel: Some(len),
+            ..Default::default()
+        };
+        assert_eq!(p.eval_with(&[1], &exact).unwrap(), vec![1024]);
+        let one_short = EvalOptions {
+            fuel: Some(len - 1),
+            ..Default::default()
+        };
+        assert_eq!(
+            p.eval_with(&[1], &one_short),
+            Err(EvalError::FuelExhausted { limit: len - 1 })
+        );
+    }
+
+    #[test]
+    fn the_first_fault_is_reported() {
+        // v2 divides by zero; v3 traps on MIN / -1; the budget runs out
+        // after v3. Each lane reports only its earliest fault.
+        let mut b = Builder::new(8, 3);
+        let q = b.push(Op::DivU(b.arg(0), b.arg(1)));
+        let s = b.push(Op::DivS(b.arg(0), b.arg(2)));
+        let p = b.finish([q, s]);
+        let opts = EvalOptions {
+            fuel: Some(5),
+            trap_signed_overflow: true,
+        };
+        let zero_then_overflow = [0x80, 0, 0xff];
+        assert_eq!(
+            p.eval_with(&zero_then_overflow, &opts),
+            Err(EvalError::DivideByZero { at: 3 })
+        );
+        assert_eq!(
+            p.eval_with(&[0x80, 1, 0xff], &opts),
+            Err(EvalError::SignedOverflow { at: 4 })
+        );
+        let starved = EvalOptions {
+            fuel: Some(4),
+            ..opts
+        };
+        assert_eq!(
+            p.eval_with(&zero_then_overflow, &starved),
+            Err(EvalError::DivideByZero { at: 3 })
+        );
+        assert_eq!(
+            p.eval_with(&[0x80, 1, 0xff], &starved),
+            Err(EvalError::FuelExhausted { limit: 4 })
+        );
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! compares, and hardware division for baselines.
 //!
 //! * [`Builder`] / [`Program`] — construct and inspect programs;
-//! * [`Program::eval`] — a bit-accurate interpreter at any width ≤ 64,
+//! * [`Program::eval_lanes`] — a bit-accurate interpreter at any width ≤ 64
+//!   that runs a batch of inputs column by column ([`Program::eval`] and
+//!   [`Program::eval1`] are its one-input calls),
 //!   the oracle against which generated code is verified;
 //! * [`optimize`] — constant folding, algebraic simplification, CSE and
 //!   DCE (the "obvious simplifications" §3 asks of the optimizer);
@@ -50,7 +52,7 @@ mod program;
 mod schedule;
 
 pub use crate::cost::{OpClass, OpCounts};
-pub use crate::interp::{mask, sign_extend, EvalError, EvalOptions};
+pub use crate::interp::{mask, sign_extend, EvalError, EvalOptions, LANES};
 pub use crate::legalize::{legalize, TargetCaps};
 pub use crate::lower::{
     lower_divisibility, lower_dword_div, lower_exact_div, lower_floor_div, lower_plan, lower_sdiv,

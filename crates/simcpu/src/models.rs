@@ -67,233 +67,236 @@ impl TimingModel {
 
 /// All Table 1.1 rows, in the paper's order.
 pub fn table_1_1() -> Vec<TimingModel> {
-    vec![
-        TimingModel {
-            name: "Motorola MC68020",
-            year: 1985,
-            bits: 32,
-            mul_high_cycles: 42,
-            mul_low_cycles: 28,
-            div_cycles: 77,
-            div_support: DivSupport::Hardware,
-            mul_pipelined: false,
-            simple_cycles: 1,
-            issue_width: 1,
-            mhz: Some(25.0),
-            notes: "mul 41-44; div 76-78 unsigned, 88-90 signed",
-        },
-        TimingModel {
-            name: "Motorola MC68040",
-            year: 1991,
-            bits: 32,
-            mul_high_cycles: 20,
-            mul_low_cycles: 16,
-            div_cycles: 44,
-            div_support: DivSupport::Hardware,
-            mul_pipelined: false,
-            simple_cycles: 1,
-            issue_width: 1,
-            mhz: Some(25.0),
-            notes: "",
-        },
-        TimingModel {
-            name: "Intel 386",
-            year: 1985,
-            bits: 32,
-            mul_high_cycles: 24,
-            mul_low_cycles: 24,
-            div_cycles: 38,
-            div_support: DivSupport::Hardware,
-            mul_pipelined: false,
-            simple_cycles: 2,
-            issue_width: 1,
-            mhz: None,
-            notes: "mul 9-38 (early-out)",
-        },
-        TimingModel {
-            name: "Intel 486",
-            year: 1989,
-            bits: 32,
-            mul_high_cycles: 27,
-            mul_low_cycles: 27,
-            div_cycles: 40,
-            div_support: DivSupport::Hardware,
-            mul_pipelined: false,
-            simple_cycles: 1,
-            issue_width: 1,
-            mhz: None,
-            notes: "mul 13-42 (early-out)",
-        },
-        TimingModel {
-            name: "Intel Pentium",
-            year: 1993,
-            bits: 32,
-            mul_high_cycles: 10,
-            mul_low_cycles: 10,
-            div_cycles: 46,
-            div_support: DivSupport::Hardware,
-            mul_pipelined: false,
-            simple_cycles: 1,
-            issue_width: 2,
-            mhz: None,
-            notes: "",
-        },
-        TimingModel {
-            name: "SPARC Cypress CY7C601",
-            year: 1989,
-            bits: 32,
-            mul_high_cycles: 40,
-            mul_low_cycles: 40,
-            div_cycles: 100,
-            div_support: DivSupport::Software,
-            mul_pipelined: false,
-            simple_cycles: 1,
-            issue_width: 1,
-            mhz: None,
-            notes: "div ~100s (software)",
-        },
-        TimingModel {
-            name: "SPARC Viking",
-            year: 1992,
-            bits: 32,
-            mul_high_cycles: 5,
-            mul_low_cycles: 5,
-            div_cycles: 19,
-            div_support: DivSupport::Hardware,
-            mul_pipelined: false,
-            simple_cycles: 1,
-            issue_width: 2,
-            mhz: Some(40.0),
-            notes: "",
-        },
-        TimingModel {
-            name: "HP PA 83",
-            year: 1985,
-            bits: 32,
-            mul_high_cycles: 45,
-            mul_low_cycles: 45,
-            div_cycles: 70,
-            div_support: DivSupport::Software,
-            mul_pipelined: false,
-            simple_cycles: 1,
-            issue_width: 1,
-            mhz: None,
-            notes: "both software (s)",
-        },
-        TimingModel {
-            name: "HP PA 7000",
-            year: 1990,
-            bits: 32,
-            mul_high_cycles: 3,
-            mul_low_cycles: 3,
-            div_cycles: 70,
-            div_support: DivSupport::Software,
-            mul_pipelined: false,
-            simple_cycles: 1,
-            issue_width: 1,
-            mhz: Some(99.0),
-            notes: "mul 3 in FP unit (excl. register moves); div ~70s",
-        },
-        TimingModel {
-            name: "MIPS R3000",
-            year: 1988,
-            bits: 32,
-            mul_high_cycles: 12,
-            mul_low_cycles: 12,
-            div_cycles: 35,
-            div_support: DivSupport::Hardware,
-            mul_pipelined: true,
-            simple_cycles: 1,
-            issue_width: 1,
-            mhz: Some(40.0),
-            notes: "mul 12p, div 35p (HI/LO pipelined)",
-        },
-        TimingModel {
-            name: "MIPS R4000",
-            year: 1991,
-            bits: 64,
-            mul_high_cycles: 20,
-            mul_low_cycles: 20,
-            div_cycles: 139,
-            div_support: DivSupport::Hardware,
-            mul_pipelined: true,
-            simple_cycles: 1,
-            issue_width: 1,
-            mhz: Some(100.0),
-            notes: "64-bit; mul 20p",
-        },
-        TimingModel {
-            name: "POWER/RIOS I",
-            year: 1989,
-            bits: 32,
-            mul_high_cycles: 5,
-            mul_low_cycles: 5,
-            div_cycles: 19,
-            div_support: DivSupport::Hardware,
-            mul_pipelined: false,
-            simple_cycles: 1,
-            issue_width: 1,
-            mhz: Some(50.0),
-            notes: "signed only (no unsigned mul-high/div)",
-        },
-        TimingModel {
-            name: "PowerPC/MPC601",
-            year: 1993,
-            bits: 32,
-            mul_high_cycles: 7,
-            mul_low_cycles: 7,
-            div_cycles: 36,
-            div_support: DivSupport::Hardware,
-            mul_pipelined: false,
-            simple_cycles: 1,
-            issue_width: 2,
-            mhz: None,
-            notes: "mul 5-10",
-        },
-        TimingModel {
-            name: "DEC Alpha 21064",
-            year: 1992,
-            bits: 64,
-            mul_high_cycles: 23,
-            mul_low_cycles: 23,
-            div_cycles: 200,
-            div_support: DivSupport::Software,
-            mul_pipelined: true,
-            simple_cycles: 1,
-            issue_width: 2,
-            mhz: Some(133.0),
-            notes: "no integer divide instruction; ~200s library routine",
-        },
-        TimingModel {
-            name: "Motorola MC88100",
-            year: 1989,
-            bits: 32,
-            mul_high_cycles: 17,
-            mul_low_cycles: 17,
-            div_cycles: 38,
-            div_support: DivSupport::Software,
-            mul_pipelined: false,
-            simple_cycles: 1,
-            issue_width: 1,
-            mhz: None,
-            notes: "mul-high 17s (software; only mull in hardware)",
-        },
-        TimingModel {
-            name: "Motorola MC88110",
-            year: 1992,
-            bits: 32,
-            mul_high_cycles: 3,
-            mul_low_cycles: 3,
-            div_cycles: 18,
-            div_support: DivSupport::Hardware,
-            mul_pipelined: true,
-            simple_cycles: 1,
-            issue_width: 2,
-            mhz: None,
-            notes: "",
-        },
-    ]
+    TABLE_1_1.to_vec()
 }
+
+/// The Table 1.1 rows [`table_1_1`] copies and [`find_model`] searches.
+static TABLE_1_1: [TimingModel; 16] = [
+    TimingModel {
+        name: "Motorola MC68020",
+        year: 1985,
+        bits: 32,
+        mul_high_cycles: 42,
+        mul_low_cycles: 28,
+        div_cycles: 77,
+        div_support: DivSupport::Hardware,
+        mul_pipelined: false,
+        simple_cycles: 1,
+        issue_width: 1,
+        mhz: Some(25.0),
+        notes: "mul 41-44; div 76-78 unsigned, 88-90 signed",
+    },
+    TimingModel {
+        name: "Motorola MC68040",
+        year: 1991,
+        bits: 32,
+        mul_high_cycles: 20,
+        mul_low_cycles: 16,
+        div_cycles: 44,
+        div_support: DivSupport::Hardware,
+        mul_pipelined: false,
+        simple_cycles: 1,
+        issue_width: 1,
+        mhz: Some(25.0),
+        notes: "",
+    },
+    TimingModel {
+        name: "Intel 386",
+        year: 1985,
+        bits: 32,
+        mul_high_cycles: 24,
+        mul_low_cycles: 24,
+        div_cycles: 38,
+        div_support: DivSupport::Hardware,
+        mul_pipelined: false,
+        simple_cycles: 2,
+        issue_width: 1,
+        mhz: None,
+        notes: "mul 9-38 (early-out)",
+    },
+    TimingModel {
+        name: "Intel 486",
+        year: 1989,
+        bits: 32,
+        mul_high_cycles: 27,
+        mul_low_cycles: 27,
+        div_cycles: 40,
+        div_support: DivSupport::Hardware,
+        mul_pipelined: false,
+        simple_cycles: 1,
+        issue_width: 1,
+        mhz: None,
+        notes: "mul 13-42 (early-out)",
+    },
+    TimingModel {
+        name: "Intel Pentium",
+        year: 1993,
+        bits: 32,
+        mul_high_cycles: 10,
+        mul_low_cycles: 10,
+        div_cycles: 46,
+        div_support: DivSupport::Hardware,
+        mul_pipelined: false,
+        simple_cycles: 1,
+        issue_width: 2,
+        mhz: None,
+        notes: "",
+    },
+    TimingModel {
+        name: "SPARC Cypress CY7C601",
+        year: 1989,
+        bits: 32,
+        mul_high_cycles: 40,
+        mul_low_cycles: 40,
+        div_cycles: 100,
+        div_support: DivSupport::Software,
+        mul_pipelined: false,
+        simple_cycles: 1,
+        issue_width: 1,
+        mhz: None,
+        notes: "div ~100s (software)",
+    },
+    TimingModel {
+        name: "SPARC Viking",
+        year: 1992,
+        bits: 32,
+        mul_high_cycles: 5,
+        mul_low_cycles: 5,
+        div_cycles: 19,
+        div_support: DivSupport::Hardware,
+        mul_pipelined: false,
+        simple_cycles: 1,
+        issue_width: 2,
+        mhz: Some(40.0),
+        notes: "",
+    },
+    TimingModel {
+        name: "HP PA 83",
+        year: 1985,
+        bits: 32,
+        mul_high_cycles: 45,
+        mul_low_cycles: 45,
+        div_cycles: 70,
+        div_support: DivSupport::Software,
+        mul_pipelined: false,
+        simple_cycles: 1,
+        issue_width: 1,
+        mhz: None,
+        notes: "both software (s)",
+    },
+    TimingModel {
+        name: "HP PA 7000",
+        year: 1990,
+        bits: 32,
+        mul_high_cycles: 3,
+        mul_low_cycles: 3,
+        div_cycles: 70,
+        div_support: DivSupport::Software,
+        mul_pipelined: false,
+        simple_cycles: 1,
+        issue_width: 1,
+        mhz: Some(99.0),
+        notes: "mul 3 in FP unit (excl. register moves); div ~70s",
+    },
+    TimingModel {
+        name: "MIPS R3000",
+        year: 1988,
+        bits: 32,
+        mul_high_cycles: 12,
+        mul_low_cycles: 12,
+        div_cycles: 35,
+        div_support: DivSupport::Hardware,
+        mul_pipelined: true,
+        simple_cycles: 1,
+        issue_width: 1,
+        mhz: Some(40.0),
+        notes: "mul 12p, div 35p (HI/LO pipelined)",
+    },
+    TimingModel {
+        name: "MIPS R4000",
+        year: 1991,
+        bits: 64,
+        mul_high_cycles: 20,
+        mul_low_cycles: 20,
+        div_cycles: 139,
+        div_support: DivSupport::Hardware,
+        mul_pipelined: true,
+        simple_cycles: 1,
+        issue_width: 1,
+        mhz: Some(100.0),
+        notes: "64-bit; mul 20p",
+    },
+    TimingModel {
+        name: "POWER/RIOS I",
+        year: 1989,
+        bits: 32,
+        mul_high_cycles: 5,
+        mul_low_cycles: 5,
+        div_cycles: 19,
+        div_support: DivSupport::Hardware,
+        mul_pipelined: false,
+        simple_cycles: 1,
+        issue_width: 1,
+        mhz: Some(50.0),
+        notes: "signed only (no unsigned mul-high/div)",
+    },
+    TimingModel {
+        name: "PowerPC/MPC601",
+        year: 1993,
+        bits: 32,
+        mul_high_cycles: 7,
+        mul_low_cycles: 7,
+        div_cycles: 36,
+        div_support: DivSupport::Hardware,
+        mul_pipelined: false,
+        simple_cycles: 1,
+        issue_width: 2,
+        mhz: None,
+        notes: "mul 5-10",
+    },
+    TimingModel {
+        name: "DEC Alpha 21064",
+        year: 1992,
+        bits: 64,
+        mul_high_cycles: 23,
+        mul_low_cycles: 23,
+        div_cycles: 200,
+        div_support: DivSupport::Software,
+        mul_pipelined: true,
+        simple_cycles: 1,
+        issue_width: 2,
+        mhz: Some(133.0),
+        notes: "no integer divide instruction; ~200s library routine",
+    },
+    TimingModel {
+        name: "Motorola MC88100",
+        year: 1989,
+        bits: 32,
+        mul_high_cycles: 17,
+        mul_low_cycles: 17,
+        div_cycles: 38,
+        div_support: DivSupport::Software,
+        mul_pipelined: false,
+        simple_cycles: 1,
+        issue_width: 1,
+        mhz: None,
+        notes: "mul-high 17s (software; only mull in hardware)",
+    },
+    TimingModel {
+        name: "Motorola MC88110",
+        year: 1992,
+        bits: 32,
+        mul_high_cycles: 3,
+        mul_low_cycles: 3,
+        div_cycles: 18,
+        div_support: DivSupport::Hardware,
+        mul_pipelined: true,
+        simple_cycles: 1,
+        issue_width: 2,
+        mhz: None,
+        notes: "",
+    },
+];
 
 /// The Table 11.2 subset (rows with measured radix-conversion timings),
 /// in the paper's order.
@@ -335,13 +338,36 @@ pub fn table_11_2_paper_numbers() -> Vec<(&'static str, f64, f64, f64, f64)> {
     ]
 }
 
-/// Looks a model up by (case-insensitive substring) name.
+/// Looks a model up by (case-insensitive substring) name: the first
+/// Table 1.1 row whose name contains `name` once both are lowercased.
+/// Allocates nothing.
 pub fn find_model(name: &str) -> Option<TimingModel> {
-    let needle = name.to_lowercase();
-    table_1_1()
-        .into_iter()
-        .find(|m| m.name.to_lowercase().contains(&needle))
+    // Every model name is ASCII, so only a needle whose every char
+    // lowercases to one ASCII char can match, and none longer than the
+    // longest name.
+    let mut needle = [0u8; LONGEST_NAME];
+    let mut len = 0;
+    for c in name.chars() {
+        let mut lower = c.to_lowercase();
+        match (lower.next(), lower.next()) {
+            (Some(l), None) if l.is_ascii() && len < LONGEST_NAME => needle[len] = l as u8,
+            _ => return None,
+        }
+        len += 1;
+    }
+    let needle = &needle[..len];
+    TABLE_1_1
+        .iter()
+        .find(|m| {
+            let hay = m.name.as_bytes();
+            hay.len() >= len
+                && (0..=hay.len() - len).any(|i| hay[i..i + len].eq_ignore_ascii_case(needle))
+        })
+        .copied()
 }
+
+/// Bytes in the longest Table 1.1 model name.
+const LONGEST_NAME: usize = 21;
 
 #[cfg(test)]
 mod tests {
@@ -398,5 +424,56 @@ mod tests {
     fn find_is_case_insensitive() {
         assert!(find_model("VIKING").is_some());
         assert!(find_model("nonexistent cpu").is_none());
+    }
+
+    #[test]
+    fn find_matches_the_lowercased_substring_search() {
+        // The lookup `find_model` replaced: lowercase both, then search.
+        let allocating = |name: &str| {
+            let needle = name.to_lowercase();
+            table_1_1()
+                .into_iter()
+                .find(|m| m.name.to_lowercase().contains(&needle))
+        };
+        let mut names: Vec<String> = vec![
+            String::new(),
+            "r4000".into(),
+            "MIPS R4000".into(),
+            "mips r4000 ".into(),
+            "Alpha".into(),
+            "dec ALPHA 21064".into(),
+            "pa".into(),
+            "PA 7".into(),
+            "hp pa 83".into(),
+            "486".into(),
+            "i".into(),
+            " ".into(),
+            "x".into(),
+            // KELVIN SIGN lowercases to an ASCII 'k'; DOTTED CAPITAL I to
+            // two chars, the second not ASCII.
+            "VI\u{212a}ING".into(),
+            "\u{130}ntel".into(),
+            "ß".into(),
+            "sparc cypress cy7c601x".into(),
+        ];
+        for m in table_1_1() {
+            let n = m.name;
+            names.extend([n.to_string(), n.to_uppercase(), n[1..].to_string()]);
+            names.push(n[..n.len() - 1].to_lowercase());
+        }
+        for name in &names {
+            assert_eq!(find_model(name), allocating(name), "{name:?}");
+        }
+        assert!(find_model("VI\u{212a}ING").is_some());
+    }
+
+    #[test]
+    fn model_names_are_ascii_and_fit_the_lookup_buffer() {
+        for m in table_1_1() {
+            assert!(m.name.is_ascii(), "{}", m.name);
+            assert!(m.name.len() <= LONGEST_NAME, "{}", m.name);
+        }
+        let longest = table_1_1().iter().map(|m| m.name.len()).max();
+        assert_eq!(longest, Some(LONGEST_NAME));
     }
 }

@@ -46,6 +46,9 @@ done
 echo "== exact validity predicates match exhaustive evaluation at width 16 =="
 cargo test -q --offline --release -p magicdiv -- --ignored predicates_match_exhaustive_evaluation_w16
 
+echo "== IR lane interpreter matches one-input evaluation at every width-16 input (release) =="
+cargo test -q --offline --release -p magicdiv-ir --test eval1 -- --ignored lanes_match_one_input_eval_exhaustive_w16
+
 echo "== exhaustive u8 2-by-1 division step, exact guard verdicts at w16 and w8 (release) =="
 cargo test -q --offline --release -p magicdiv-dword -- div_rem_wide
 cargo test -q --offline --release -p magicdiv -- \
@@ -126,6 +129,11 @@ grep -q '"name":"plan.remainder"' target/urem_drift_a.jsonl || {
 }
 grep -q '"name":"plan.tournament"' target/urem_drift_a.jsonl || {
     echo "urem explain stream carries no remainder-tournament scoreboard" >&2
+    exit 1
+}
+diff -u results/explain_urem_32_10.jsonl target/urem_drift_a.jsonl || {
+    echo "magic explain 32 10 urem --json moved from results/explain_urem_32_10.jsonl" >&2
+    echo "(its 388 ir.eval events pin the certifier's evaluation stream)" >&2
     exit 1
 }
 
