@@ -208,8 +208,7 @@ impl Case {
                 let t = magicdiv::run_udiv_tournament(
                     u128::from(self.d),
                     self.width,
-                    &magicdiv::OpCountScorer,
-                    &magicdiv::ArithmeticCertifier,
+                    &magicdiv::OpCount,
                 )
                 .expect("d != 0 checked above");
                 optimize(&lower_plan(&t.winning().candidate.plan).expect("case widths fit the IR"))

@@ -18,7 +18,7 @@ use magicdiv::plan::{
 };
 use magicdiv::{Certification, Outcome, TournamentResult};
 use magicdiv_ir::{lower_plan, optimize};
-use magicdiv_simcpu::{cycles_for_plan, table_1_1};
+use magicdiv_simcpu::{predictions_for_plan, table_1_1};
 use magicdiv_trace::{install, CaptureSink, Event, JsonlSink, TextTreeSink};
 
 /// Which division flavor `magic explain` should walk through.
@@ -118,13 +118,19 @@ fn build_plan(shape: ExplainShape, width: u32, d: i128) -> Result<DivPlan, Strin
             let du = unsigned_divisor(width, d)?;
             Ok(UdivPlan::new(du, width).map_err(err)?.into())
         }
-        ExplainShape::Signed => Ok(SdivPlan::new(d, width).map_err(err)?.into()),
-        ExplainShape::Floor => Ok(FloorPlan::new(d, width).map_err(err)?.into()),
+        ExplainShape::Signed => {
+            let d = signed_divisor(width, d)?;
+            Ok(SdivPlan::new(d, width).map_err(err)?.into())
+        }
+        ExplainShape::Floor => {
+            let d = signed_divisor(width, d)?;
+            Ok(FloorPlan::new(d, width).map_err(err)?.into())
+        }
         ExplainShape::Exact => {
-            let plan = if d < 0 {
-                ExactPlan::new_signed(d, width)
+            let plan = if d > 0 {
+                ExactPlan::new_unsigned(unsigned_divisor(width, d)?, width)
             } else {
-                ExactPlan::new_unsigned(d as u128, width)
+                ExactPlan::new_signed(signed_divisor(width, d)?, width)
             };
             Ok(plan.map_err(err)?.into())
         }
@@ -154,6 +160,13 @@ fn unsigned_divisor(width: u32, d: i128) -> Result<u128, String> {
         return Err(format!("divisor {d} does not fit in u{width}"));
     }
     Ok(du)
+}
+
+fn signed_divisor(width: u32, d: i128) -> Result<i128, String> {
+    if width < 128 && !(-(1i128 << (width - 1))..1i128 << (width - 1)).contains(&d) {
+        return Err(format!("divisor {d} does not fit in i{width}"));
+    }
+    Ok(d)
 }
 
 fn indent(text: &str) -> String {
@@ -309,15 +322,11 @@ pub fn explain(shape: ExplainShape, width: u32, d: i128) -> Result<String, Strin
     // 3. Cycle prediction per Table 1.1 model (single-issue in-order;
     // matches simcpu::cycles_for_plan exactly).
     out.push_str("\n-- predicted cycles (Table 1.1 latencies, in-order) --\n");
+    let predictions = predictions_for_plan(&plan).map_err(|f| f.to_string())?;
     let rows: Vec<Vec<String>> = table_1_1()
         .iter()
-        .map(|m| {
-            vec![
-                m.name.to_string(),
-                m.year.to_string(),
-                cycles_for_plan(&plan, m).to_string(),
-            ]
-        })
+        .zip(predictions)
+        .map(|(m, p)| vec![m.name.to_string(), m.year.to_string(), p.cycles.to_string()])
         .collect();
     out.push_str(&indent(&crate::render_table(
         &["model", "year", "cycles"],
@@ -356,9 +365,7 @@ pub fn explain_jsonl(shape: ExplainShape, width: u32, d: i128) -> Result<String,
         if width <= 64 {
             let raw = lower_plan(&plan).map_err(|kind| kind.to_string())?;
             let _optimized = optimize(&raw);
-            for model in table_1_1() {
-                cycles_for_plan(&plan, &model);
-            }
+            predictions_for_plan(&plan).map_err(|f| f.to_string())?;
             // The tournament emits one `plan.tournament` event per
             // candidate (with provenance) plus a summary event.
             match shape {
@@ -484,6 +491,34 @@ mod tests {
         assert!(explain(ExplainShape::Unsigned, 32, -7).is_err());
         assert!(explain(ExplainShape::Signed, 32, 0).is_err());
         assert!(explain(ExplainShape::Unsigned, 8, 300).is_err());
+        // A divisor outside the width is an error for every shape, in
+        // both modes, never a panic.
+        for (shape, width, d) in [
+            (ExplainShape::Unsigned, 8, 300),
+            (ExplainShape::Signed, 8, 586),
+            (ExplainShape::Signed, 8, 128),
+            (ExplainShape::Signed, 32, 4_294_967_295),
+            (ExplainShape::Floor, 8, 586),
+            (ExplainShape::Floor, 8, -129),
+            (ExplainShape::Exact, 8, 300),
+            (ExplainShape::Exact, 8, -300),
+            (ExplainShape::Urem, 8, 256),
+        ] {
+            for result in [explain(shape, width, d), explain_jsonl(shape, width, d)] {
+                let err = result.unwrap_err();
+                assert!(err.contains("does not fit"), "{shape:?} {width} {d}: {err}");
+            }
+        }
+        // The extremes that do fit still explain.
+        for (shape, d) in [
+            (ExplainShape::Signed, -128),
+            (ExplainShape::Signed, 127),
+            (ExplainShape::Floor, -128),
+            (ExplainShape::Exact, 255),
+            (ExplainShape::Exact, -128),
+        ] {
+            assert!(explain(shape, 8, d).is_ok(), "{shape:?} {d}");
+        }
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub use crate::explain::{explain, explain_jsonl, render_tournament, ExplainShape
 pub use crate::overhead::{run_overhead, OverheadGate, OverheadReport, OverheadRow};
 pub use crate::runmeta::{git_sha, unix_time_ms};
 pub use crate::tournament::{
-    run_tournament, run_urem_tournament, OracleCertifier, SimcpuScorer, DEFAULT_TOURNAMENT_MODEL,
+    run_tournament, run_urem_tournament, SimcpuJudge, DEFAULT_TOURNAMENT_MODEL,
 };
 
 use std::time::Instant;

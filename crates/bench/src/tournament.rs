@@ -1,113 +1,90 @@
-//! The bench-side half of the planner tournament: a [`PlanScorer`] that
-//! prices candidates on a Table 1.1 cycle model via `magicdiv-simcpu`,
-//! and a [`PlanCertifier`] that certifies the *lowered IR* of each
-//! candidate against the i128 differential oracle — the same ground
-//! truth the `verify` harness uses.
+//! The bench-side half of the planner tournament: a [`PlanJudge`] that
+//! lowers each candidate once, prices that program on a Table 1.1 cycle
+//! model via `magicdiv-simcpu`, and certifies the same program against
+//! the candidate pool's truth values.
 //!
 //! The core crate sits below the IR in the dependency order, so its
-//! default scorer counts operations and its default certifier evaluates
-//! plan arithmetic directly. The implementations here close the loop:
-//! the scoreboard prices what the machine would run, and the winner is
-//! certified on the instruction sequence `magicdiv-codegen` emits.
+//! [`OpCount`] judge counts operations and evaluates plan arithmetic
+//! directly. The judge here closes the loop: the scoreboard prices what
+//! the machine would run, and the winner is certified on the instruction
+//! sequence `magicdiv-codegen` emits.
 
 use magicdiv::plan::DivPlan;
 use magicdiv::{
-    certify_plan, run_udiv_tournament, ArithmeticCertifier, Certification, DivisorError,
-    PlanCertifier, PlanScorer, Probes, TournamentResult,
+    certify_plan, run_udiv_tournament, Certification, DivisorError, OpCount, PlanJudge, Probes,
+    TournamentResult,
 };
 use magicdiv_ir::{lower_plan, optimize, EvalOptions, LANES};
-use magicdiv_simcpu::{find_model, TimingModel};
+use magicdiv_simcpu::{cycles_for_lowered_plan, find_model, TimingModel};
 
 /// The default cost model for tournaments: pipelined multiplier, the
 /// mid-range of Table 1.1 — a model where multiply-heavy candidates can
 /// genuinely overlap independent work.
 pub const DEFAULT_TOURNAMENT_MODEL: &str = "MIPS R4000";
 
-/// Prices a plan by lowering it to optimized IR and simulating it on a
-/// Table 1.1 timing model ([`magicdiv_simcpu::cycles_for_plan`]).
+/// Judges a candidate on its *lowered, optimized* IR program: the plan is
+/// lowered and optimized once, that program is priced on a Table 1.1
+/// timing model ([`cycles_for_lowered_plan`], the same
+/// `simcpu.plan_cycles` event as [`magicdiv_simcpu::cycles_for_plan`]),
+/// and then the same program is certified through [`certify_plan`]. The
+/// program runs [`LANES`] probes at a time through
+/// [`Program::eval_lanes`](magicdiv_ir::Program::eval_lanes), one
+/// interpreter pass per batch; a lane that faults reads as `u128::MAX`,
+/// which no truth value equals.
+///
+/// A bug in the lowering, not just in the plan constants, fails
+/// certification here. At width 128, beyond the IR interpreter's words,
+/// the plan is unpriced and certified on its arithmetic, as [`OpCount`]
+/// certifies it.
 ///
 /// # Examples
 ///
 /// ```
 /// use magicdiv::plan::{DivPlan, UdivPlan};
-/// use magicdiv::PlanScorer;
-/// use magicdiv_bench::SimcpuScorer;
+/// use magicdiv::{Certification, PlanJudge, Probes};
+/// use magicdiv_bench::SimcpuJudge;
 ///
-/// let scorer = SimcpuScorer::default_model();
+/// let judge = SimcpuJudge::default_model();
 /// let plan = DivPlan::from(UdivPlan::new(10, 32).unwrap());
-/// assert!(scorer.score(&plan).unwrap() > 0);
+/// let (cycles, cert) = judge.judge(&plan, &Probes::for_plan(&plan));
+/// assert!(cycles.unwrap() > 0);
+/// assert!(matches!(cert, Certification::Passed { proved: true, .. }));
 /// ```
 #[derive(Debug, Clone)]
-pub struct SimcpuScorer {
+pub struct SimcpuJudge {
     model: TimingModel,
 }
 
-impl SimcpuScorer {
-    /// A scorer on the given timing model.
-    pub fn new(model: TimingModel) -> Self {
-        SimcpuScorer { model }
-    }
-
-    /// A scorer on the Table 1.1 model with the given name (see
+impl SimcpuJudge {
+    /// A judge on the Table 1.1 model with the given name (see
     /// [`magicdiv_simcpu::find_model`]); `None` for an unknown name.
     pub fn named(name: &str) -> Option<Self> {
-        find_model(name).map(SimcpuScorer::new)
+        find_model(name).map(|model| SimcpuJudge { model })
     }
 
-    /// A scorer on [`DEFAULT_TOURNAMENT_MODEL`].
+    /// A judge on [`DEFAULT_TOURNAMENT_MODEL`].
     pub fn default_model() -> Self {
         Self::named(DEFAULT_TOURNAMENT_MODEL).expect("default model is in the Table 1.1 catalog")
     }
-
-    /// The underlying timing model.
-    pub fn model(&self) -> &TimingModel {
-        &self.model
-    }
 }
 
-impl PlanScorer for SimcpuScorer {
-    fn score(&self, plan: &DivPlan) -> Option<u64> {
-        magicdiv_simcpu::try_cycles_for_plan(plan, &self.model).ok()
-    }
-
+impl PlanJudge for SimcpuJudge {
     fn model_name(&self) -> &str {
         self.model.name
     }
-}
 
-/// Certifies an unsigned or direct-remainder candidate on its *lowered,
-/// optimized* IR program through [`certify_plan`]: every dividend through
-/// width 16; above, the plan's exact validity predicate plus the directed
-/// probes, which here run the program and so exercise the lowering. The
-/// program runs [`LANES`] probes at a time through
-/// [`Program::eval_lanes`](magicdiv_ir::Program::eval_lanes), one
-/// interpreter pass per batch; a lane that faults reads as `u128::MAX`,
-/// which no truth value equals. At width 128, beyond the IR
-/// interpreter's words, it defers to the [`ArithmeticCertifier`]. Plans
-/// with no competing candidate pool (signed, floor, …) are
-/// [`Certification::Skipped`].
-///
-/// This is strictly stronger than the core's arithmetic certifier: a bug
-/// in the lowering (not just the plan constants) fails certification
-/// here.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OracleCertifier;
-
-impl PlanCertifier for OracleCertifier {
-    fn certify(&self, plan: &DivPlan, probes: &Probes) -> Certification {
-        if !matches!(plan, DivPlan::Unsigned(_) | DivPlan::Urem(_)) {
-            return Certification::Skipped;
-        }
-        // Above the IR's 64-bit words there is no program to run.
+    fn judge(&self, plan: &DivPlan, probes: &Probes) -> (Option<u64>, Certification) {
+        // Above the IR's 64-bit words there is no program to price or run.
         let Ok(raw) = lower_plan(plan) else {
-            return ArithmeticCertifier.certify(plan, probes);
+            return (None, OpCount.judge(plan, probes).1);
         };
         let prog = optimize(&raw);
+        let cycles = cycles_for_lowered_plan(plan, &prog, &self.model);
         let opts = EvalOptions::default();
         let mut args = [0u64; LANES];
         let mut out = [0u64; LANES];
         let mut status = [Ok(()); LANES];
-        certify_plan(plan, probes, |ns, got| {
+        let certification = certify_plan(plan, probes, |ns, got| {
             for (ns, got) in ns.chunks(LANES).zip(got.chunks_mut(LANES)) {
                 let lanes = ns.len();
                 for (a, &n) in args.iter_mut().zip(ns) {
@@ -123,13 +100,13 @@ impl PlanCertifier for OracleCertifier {
                     *g = s.map_or(u128::MAX, |()| u128::from(v));
                 }
             }
-        })
+        });
+        (Some(cycles), certification)
     }
 }
 
 /// Runs the full unsigned tournament for `(d, width)` on the named
-/// Table 1.1 model, priced by [`SimcpuScorer`] and certified by
-/// [`OracleCertifier`]. `None` model name means
+/// Table 1.1 model, judged by [`SimcpuJudge`]. `None` model name means
 /// [`DEFAULT_TOURNAMENT_MODEL`].
 ///
 /// # Errors
@@ -143,17 +120,13 @@ pub fn run_tournament(
     width: u32,
     model: Option<&str>,
 ) -> Result<TournamentResult, DivisorError> {
-    let scorer = model
-        .and_then(SimcpuScorer::named)
-        .unwrap_or_else(SimcpuScorer::default_model);
-    run_udiv_tournament(d, width, &scorer, &OracleCertifier)
+    run_udiv_tournament(d, width, &judge_for(model))
 }
 
 /// Runs the direct-remainder tournament for `(d, width)` on the named
 /// Table 1.1 model: the LKK fraction, the mask shortcut for powers of
-/// two, and the §1 multiply-back baseline, priced by [`SimcpuScorer`]
-/// and certified on lowered IR by [`OracleCertifier`]. `None` model name
-/// means [`DEFAULT_TOURNAMENT_MODEL`].
+/// two, and the §1 multiply-back baseline, judged by [`SimcpuJudge`].
+/// `None` model name means [`DEFAULT_TOURNAMENT_MODEL`].
 ///
 /// # Errors
 ///
@@ -164,10 +137,15 @@ pub fn run_urem_tournament(
     width: u32,
     model: Option<&str>,
 ) -> Result<TournamentResult, DivisorError> {
-    let scorer = model
-        .and_then(SimcpuScorer::named)
-        .unwrap_or_else(SimcpuScorer::default_model);
-    magicdiv::run_urem_tournament(d, width, &scorer, &OracleCertifier)
+    magicdiv::run_urem_tournament(d, width, &judge_for(model))
+}
+
+/// The judge on the named model, or on the default for `None` or an
+/// unknown name.
+fn judge_for(model: Option<&str>) -> SimcpuJudge {
+    model
+        .and_then(SimcpuJudge::named)
+        .unwrap_or_else(SimcpuJudge::default_model)
 }
 
 #[cfg(test)]
@@ -178,22 +156,27 @@ mod tests {
 
     /// Certifies one plan on its lowered IR and its own pool's probes.
     fn certify_alone(plan: &DivPlan) -> Certification {
-        OracleCertifier.certify(plan, &Probes::for_plan(plan))
+        SimcpuJudge::default_model()
+            .judge(plan, &Probes::for_plan(plan))
+            .1
     }
 
     #[test]
-    fn simcpu_scorer_prices_all_word_widths() {
-        let scorer = SimcpuScorer::default_model();
+    fn simcpu_judge_prices_all_word_widths() {
+        let judge = SimcpuJudge::default_model();
         for width in [8u32, 16, 32, 64] {
             let plan = DivPlan::from(UdivPlan::new(7, width).unwrap());
-            assert!(scorer.score(&plan).is_some(), "w={width}");
+            let probes = Probes::for_plan(&plan);
+            assert!(judge.judge(&plan, &probes).0.is_some(), "w={width}");
         }
         let wide = DivPlan::from(UdivPlan::new(7, 128).unwrap());
-        assert_eq!(scorer.score(&wide), None, "128-bit plans are unpriceable");
+        let (cycles, cert) = judge.judge(&wide, &Probes::for_plan(&wide));
+        assert_eq!(cycles, None, "128-bit plans are unpriceable");
+        assert!(matches!(cert, Certification::Passed { proved: true, .. }));
     }
 
     #[test]
-    fn oracle_certifier_passes_paper_plans() {
+    fn simcpu_judge_passes_paper_plans() {
         for (d, width) in [(3u128, 8u32), (10, 16), (7, 32), (274177, 64)] {
             let plan = DivPlan::from(UdivPlan::new(d, width).unwrap());
             match certify_alone(&plan) {
@@ -204,7 +187,7 @@ mod tests {
     }
 
     #[test]
-    fn oracle_certifier_fails_a_corrupted_plan() {
+    fn simcpu_judge_fails_a_corrupted_plan() {
         // An off-by-one magic multiplier must be caught: d = 10's
         // multiplier (2^34 + 1)/5 is odd, so flipping bit 0 subtracts one.
         let bad = UdivPlan::new(10, 32).unwrap().flip_bit(0);
@@ -228,7 +211,7 @@ mod tests {
     }
 
     #[test]
-    fn oracle_certifier_covers_urem_plans() {
+    fn simcpu_judge_covers_urem_plans() {
         use magicdiv::plan::{UremPlan, UremStrategy};
         for (d, width) in [(3u128, 8u32), (10, 16), (7, 32), (641, 64)] {
             let plan = DivPlan::from(UremPlan::new_direct(d, width).unwrap());
@@ -239,7 +222,7 @@ mod tests {
         }
         // A fraction multiplier one below the LKK minimum fails at the
         // directed probe n = d (upward perturbations are equivalent
-        // plans, not bugs — see the core certifier tests).
+        // plans, not bugs — see the core tournament tests).
         let good = UremPlan::new_direct(10, 32).unwrap();
         let UremStrategy::Fraction { c_hi, c_lo } = good.strategy() else {
             panic!("d=10 w=32 should take the fraction path");
@@ -283,6 +266,45 @@ mod tests {
             t.winning().candidate.plan,
             DivPlan::Urem(p) if matches!(p.strategy(), magicdiv::plan::UremStrategy::Mask { .. })
         ));
+    }
+
+    #[test]
+    fn one_lowering_per_candidate_at_the_standalone_prices() {
+        use magicdiv::{udiv_candidates, urem_candidates};
+        use magicdiv_trace::{install, JsonlSink};
+        use std::sync::Arc;
+
+        // A `CaptureSink` keeps events only; the JSONL stream has spans.
+        for run in [run_tournament, run_urem_tournament] {
+            let sink = Arc::new(JsonlSink::new());
+            let t = {
+                let _guard = install(sink.clone());
+                run(10, 32, None).unwrap()
+            };
+            let lowerings = sink
+                .finish()
+                .lines()
+                .filter(|l| l.contains(r#""type":"span_enter","depth":"#))
+                .filter(|l| l.ends_with(r#""name":"ir.optimize"}"#))
+                .count();
+            assert_eq!(lowerings, t.scoreboard.len());
+        }
+        let judge = SimcpuJudge::default_model();
+        for width in [8u32, 16, 32, 64] {
+            for d in [3u128, 7, 10, 35, 44, 586, 641, 102_807] {
+                if d >> width != 0 {
+                    continue;
+                }
+                let pools = [udiv_candidates(d, width), urem_candidates(d, width)];
+                for pool in pools.map(Result::unwrap) {
+                    let probes = Probes::for_plan(&pool[0].plan);
+                    for c in &pool {
+                        let want = magicdiv_simcpu::try_cycles_for_plan(&c.plan, &judge.model);
+                        assert_eq!(judge.judge(&c.plan, &probes).0, want.ok(), "{}", c.plan);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,48 +1,43 @@
-//! The tournament certifiers run a candidate pool's shared probes in
-//! batches: [`ArithmeticCertifier`] natively, [`OracleCertifier`] on the
-//! lowered program through `Program::eval_lanes`. Each must return
-//! exactly the [`Certification`] of the one-dividend-at-a-time loop
-//! kept here as the reference: the same variant, `inputs` and `proved`,
-//! and on failure the first failing `n`, `got` and `want` in probe order.
+//! The tournament judges run a candidate pool's shared probes in
+//! batches: [`OpCount`] natively, [`SimcpuJudge`] on the lowered program
+//! through `Program::eval_lanes`. Each must return exactly the
+//! [`Certification`] of the one-dividend-at-a-time loop kept here as the
+//! reference: the same variant, `inputs` and `proved`, and on failure the
+//! first failing `n`, `got` and `want` in probe order.
+//!
+//! The judges run the validity predicate and the directed probes, not
+//! every dividend, at every width. The exhaustive evidence that the
+//! lowered candidates divide correctly lives here instead: every
+//! dividend at width 8 and at the interesting width-16 divisors.
 
 use magicdiv::plan::{DivPlan, UdivPlan, UremPlan, UremStrategy};
 use magicdiv::testkit::{directed_unsigned_dividends, interesting_unsigned_divisors};
 use magicdiv::validity::{eval_unsigned, eval_urem, plan_valid};
 use magicdiv::{
-    unsigned_generators, urem_candidates, ArithmeticCertifier, Certification, PlanCertifier, Probes,
+    udiv_candidates, urem_candidates, Candidate, Certification, OpCount, PlanJudge, Probes,
 };
-use magicdiv_bench::OracleCertifier;
-use magicdiv_ir::{lower_plan, optimize};
+use magicdiv_bench::SimcpuJudge;
+use magicdiv_ir::{lower_plan, optimize, EvalOptions, LANES};
 
 fn mask(width: u32) -> u128 {
     u128::MAX >> (128 - width)
 }
 
-/// The per-dividend certification loop: every dividend through width 16;
-/// above, the predicate's witness (when it refutes the plan) and then the
-/// directed dividends, stopping at the first disagreement.
+/// The per-dividend certification loop: the predicate's witness (when
+/// it refutes the plan) and then the directed dividends, stopping at the
+/// first disagreement.
 fn reference(plan: &DivPlan, run: impl Fn(u128) -> u128) -> Certification {
     let (d, truth): (u128, fn(u128, u128) -> u128) = match plan {
         DivPlan::Unsigned(p) => (p.divisor(), |n, d| n / d),
         DivPlan::Urem(p) => (p.divisor(), |n, d| n % d),
         _ => return Certification::Skipped,
     };
-    let w = plan.width();
     let mut inputs = 0u64;
     let mut check = |n: u128| {
         inputs += 1;
         let (got, want) = (run(n), truth(n, d));
         (got != want).then_some(Certification::Failed { n, got, want })
     };
-    if w <= 16 {
-        if let Some(fail) = (0..=mask(w)).find_map(&mut check) {
-            return fail;
-        }
-        return Certification::Passed {
-            inputs,
-            proved: false,
-        };
-    }
     let mut proved = true;
     if let Some(Err(n)) = plan_valid(plan) {
         if let Some(fail) = check(n) {
@@ -50,7 +45,7 @@ fn reference(plan: &DivPlan, run: impl Fn(u128) -> u128) -> Certification {
         }
         proved = false;
     }
-    if let Some(fail) = directed_unsigned_dividends(d, w)
+    if let Some(fail) = directed_unsigned_dividends(d, plan.width())
         .into_iter()
         .find_map(&mut check)
     {
@@ -105,30 +100,87 @@ fn flipped(plan: &DivPlan, bit: u32) -> DivPlan {
     }
 }
 
+/// The quotient and the remainder candidate pools for `(d, width)`.
+fn pools(d: u128, width: u32) -> [Vec<Candidate>; 2] {
+    [
+        udiv_candidates(d, width).unwrap(),
+        urem_candidates(d, width).unwrap(),
+    ]
+}
+
 /// Certifies every quotient and remainder candidate for `(d, width)`,
 /// and its copies with each of `bits` flipped, on the pool's shared
-/// probes; both certifiers must match their references. Returns how many
+/// probes; both judges must match their references. Returns how many
 /// certifications failed.
 fn check_pools(d: u128, width: u32, bits: &[u32]) -> usize {
     let mut failures = 0;
-    let mut udiv = Vec::new();
-    for gen in unsigned_generators() {
-        udiv.extend(gen.generate(d, width).unwrap());
-    }
-    for pool in [udiv, urem_candidates(d, width).unwrap()] {
+    let simcpu = SimcpuJudge::default_model();
+    for pool in pools(d, width) {
         let probes = Probes::for_plan(&pool[0].plan);
         for c in &pool {
             let plans = std::iter::once(c.plan).chain(bits.iter().map(|&b| flipped(&c.plan, b)));
             for plan in plans {
-                let arith = ArithmeticCertifier.certify(&plan, &probes);
+                let (_, arith) = OpCount.judge(&plan, &probes);
                 assert_eq!(arith, arithmetic_reference(&plan), "arithmetic {plan}");
-                let oracle = OracleCertifier.certify(&plan, &probes);
-                assert_eq!(oracle, oracle_reference(&plan), "oracle {plan}");
+                let (_, oracle) = simcpu.judge(&plan, &probes);
+                assert_eq!(oracle, oracle_reference(&plan), "simcpu {plan}");
                 failures += usize::from(matches!(oracle, Certification::Failed { .. }));
             }
         }
     }
     failures
+}
+
+/// Runs every candidate for `(d, width)` on every dividend, its lowered
+/// and optimized program through `eval_lanes` [`LANES`] dividends at a
+/// time, against native division; both judges must prove it.
+fn check_exhaustive(d: u128, width: u32) {
+    let simcpu = SimcpuJudge::default_model();
+    let opts = EvalOptions::default();
+    let mut out = [0u64; LANES];
+    let mut status = [Ok(()); LANES];
+    let dividends: Vec<u64> = (0..=mask(width) as u64).collect();
+    for (pool, truth) in pools(d, width)
+        .into_iter()
+        .zip([(|n, d| n / d) as fn(u64, u64) -> u64, |n, d| n % d])
+    {
+        let probes = Probes::for_plan(&pool[0].plan);
+        for c in &pool {
+            let plan = &c.plan;
+            for judge in [&OpCount as &dyn PlanJudge, &simcpu] {
+                let (_, cert) = judge.judge(plan, &probes);
+                assert!(
+                    matches!(cert, Certification::Passed { proved: true, .. }),
+                    "{} {plan}: {cert:?}",
+                    judge.model_name()
+                );
+            }
+            let prog = optimize(&lower_plan(plan).unwrap());
+            for ns in dividends.chunks(LANES) {
+                let lanes = ns.len();
+                prog.eval_lanes(ns, &opts, &mut out[..lanes], &mut status[..lanes]);
+                for ((&n, &got), s) in ns.iter().zip(&out).zip(&status) {
+                    assert_eq!(*s, Ok(()), "{plan} n={n}");
+                    assert_eq!(got, truth(n, d as u64), "{plan} n={n}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn lowered_candidates_divide_every_dividend_at_w8() {
+    for d in 1..=255u128 {
+        check_exhaustive(d, 8);
+    }
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "exhaustive over u16; run in release")]
+fn lowered_candidates_divide_every_dividend_at_w16() {
+    for d in interesting_unsigned_divisors::<u16>() {
+        check_exhaustive(d.into(), 16);
+    }
 }
 
 #[test]
@@ -167,12 +219,13 @@ fn probes_from_another_pool_are_not_used() {
     let udiv = DivPlan::from(UdivPlan::new(10, 32).unwrap());
     let urem = DivPlan::from(UremPlan::new_direct(10, 32).unwrap());
     let wider = DivPlan::from(UdivPlan::new(10, 64).unwrap());
+    let simcpu = SimcpuJudge::default_model();
     for (plan, foreign) in [(udiv, &urem), (urem, &udiv), (udiv, &wider), (wider, &udiv)] {
         let foreign = Probes::for_plan(foreign);
-        for certifier in [&ArithmeticCertifier as &dyn PlanCertifier, &OracleCertifier] {
+        for judge in [&OpCount as &dyn PlanJudge, &simcpu] {
             assert_eq!(
-                certifier.certify(&plan, &foreign),
-                certifier.certify(&plan, &Probes::for_plan(&plan)),
+                judge.judge(&plan, &foreign),
+                judge.judge(&plan, &Probes::for_plan(&plan)),
                 "{plan}"
             );
         }

@@ -17,10 +17,12 @@
 //!   multiplies are independent, so the sequence beats the serial
 //!   add-fixup chain on machines with pipelined multipliers.
 //!
-//! Each family implements [`CandidateGen`], producing [`Candidate`]s —
-//! a [`DivPlan`] plus provenance — for the [`tournament`](crate::tournament)
-//! to lower, price and certify. The paper baseline is always a candidate,
-//! so the tournament can never do worse than Figure 4.2.
+//! [`udiv_candidates`] fields the paper plan and those two families as
+//! [`Candidate`]s — a [`DivPlan`] plus provenance — for the
+//! [`tournament`](crate::tournament) to price and certify;
+//! [`urem_candidates`] does the same for remainders. The paper baseline
+//! is always a candidate, so the tournament can never do worse than
+//! Figure 4.2.
 
 use core::fmt;
 
@@ -82,47 +84,41 @@ pub struct Candidate {
     pub why: String,
 }
 
-/// A strategy family that can propose plans for a divisor.
+/// The unsigned-quotient candidate pool for dividing by `d` at `width`
+/// bits: the paper's Fig 4.2 plan first, so the tournament always has
+/// the 1994 plan to beat, then the round-up and the optimal-bounds plans
+/// where those families have one. Powers of two (and `d == 1`) already
+/// have 0/1-op plans, and width 128 exceeds the searches' `u128`
+/// arithmetic, so those pools hold the paper plan alone.
 ///
-/// Generators are *sound by construction*: every plan they emit must
-/// already compute `⌊n/d⌋` for the full dividend range — the tournament's
-/// certification stage is a defense-in-depth check, not the correctness
+/// Every plan is sound by construction: the searches keep only plans
+/// their exact [`udiv_valid`] predicate accepts, so the tournament's
+/// certification is a defense-in-depth check, not the correctness
 /// argument.
-pub trait CandidateGen {
-    /// The family this generator implements.
-    fn source(&self) -> CandidateSource;
-
-    /// Proposes zero or more candidate plans for dividing by `d` at
-    /// `width` bits. An empty vector means the family has nothing better
-    /// than the baseline for this cell (e.g. powers of two).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DivisorError::Zero`] when `d == 0`.
-    fn generate(&self, d: u128, width: u32) -> Result<Vec<Candidate>, DivisorError>;
+///
+/// # Errors
+///
+/// Returns [`DivisorError::Zero`] when `d == 0`.
+///
+/// # Panics
+///
+/// Panics when `width` is unsupported or `d` does not fit in `width`
+/// bits (both via [`UdivPlan::new`]).
+pub fn udiv_candidates(d: u128, width: u32) -> Result<Vec<Candidate>, DivisorError> {
+    let mut out = vec![Candidate {
+        plan: DivPlan::Unsigned(UdivPlan::new(d, width)?),
+        source: CandidateSource::PaperBaseline,
+        why: "Fig 4.2 decision rules (the 1994 baseline)".to_string(),
+    }];
+    if width <= 64 && !d.is_power_of_two() {
+        out.extend(round_up(d, width));
+        out.extend(optimal_bounds(d, width));
+    }
+    Ok(out)
 }
 
-/// The paper baseline: wraps [`UdivPlan::new`] (Figure 4.2) as a
-/// candidate so the tournament always has the 1994 plan to beat.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PaperBaselineGen;
-
-impl CandidateGen for PaperBaselineGen {
-    fn source(&self) -> CandidateSource {
-        CandidateSource::PaperBaseline
-    }
-
-    fn generate(&self, d: u128, width: u32) -> Result<Vec<Candidate>, DivisorError> {
-        let plan = UdivPlan::new(d, width)?;
-        Ok(vec![Candidate {
-            plan: DivPlan::Unsigned(plan),
-            source: CandidateSource::PaperBaseline,
-            why: "Fig 4.2 decision rules (the 1994 baseline)".to_string(),
-        }])
-    }
-}
-
-/// Round-up dividend family (Li, arXiv 2412.03680).
+/// The round-up dividend candidate (Li, arXiv 2412.03680) for a `d`
+/// that is not a power of two, at `width <= 64`.
 ///
 /// Uses the round-*down* multiplier `m = ⌊2^(N+s)/d⌋` (always `< 2^N`
 /// for `s <= ⌈log2 d⌉ - 1`) and computes `q = ⌊m(n+1)/2^(N+s)⌋`.
@@ -135,52 +131,35 @@ impl CandidateGen for PaperBaselineGen {
 ///
 /// (the lower bound binds at `n = q_top * d`, the largest exact multiple;
 /// the upper bound always holds because `m` rounds down) — the check
-/// [`udiv_valid`] makes. The generator emits the smallest valid `s`,
-/// since `s == 0` drops the final shift.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RoundUpGen;
-
-impl CandidateGen for RoundUpGen {
-    fn source(&self) -> CandidateSource {
-        CandidateSource::RoundUp
-    }
-
-    fn generate(&self, d: u128, width: u32) -> Result<Vec<Candidate>, DivisorError> {
-        if d == 0 {
-            return Err(DivisorError::Zero);
-        }
-        if !(1..=64).contains(&width) || d > mask(width) || d.is_power_of_two() {
-            // d == 1 and powers of two already have 0/1-op plans; width
-            // 128 exceeds the u128 search arithmetic.
-            return Ok(Vec::new());
-        }
-        let l = 128 - (d - 1).leading_zeros(); // ⌈log2 d⌉, d >= 2
-        for s in 0..l {
-            // s <= l - 1 keeps m = ⌊2^(N+s)/d⌋ < 2^N.
-            let k = width + s;
-            let m = (1u128 << k) / d;
-            let plan = UdivPlan {
-                width,
-                d,
-                strategy: UdivStrategy::MulRoundUp { m, sh_post: s },
-            };
-            if udiv_valid(&plan).is_ok() {
-                return Ok(vec![Candidate {
-                    plan: DivPlan::Unsigned(plan),
-                    source: CandidateSource::RoundUp,
-                    why: format!(
-                        "round-down m with n+1 via carry; valid since \
-                         e(d*q_top+1) <= 2^{k}, independent MULL/MULUH"
-                    ),
-                }]);
-            }
-        }
-        Ok(Vec::new())
-    }
+/// [`udiv_valid`] makes. Returns the smallest valid `s`, since `s == 0`
+/// drops the final shift.
+fn round_up(d: u128, width: u32) -> Option<Candidate> {
+    let l = 128 - (d - 1).leading_zeros(); // ⌈log2 d⌉, d >= 2
+    (0..l).find_map(|s| {
+        // s <= l - 1 keeps m = ⌊2^(N+s)/d⌋ < 2^N.
+        let k = width + s;
+        let plan = UdivPlan {
+            width,
+            d,
+            strategy: UdivStrategy::MulRoundUp {
+                m: (1u128 << k) / d,
+                sh_post: s,
+            },
+        };
+        udiv_valid(&plan).is_ok().then(|| Candidate {
+            plan: DivPlan::Unsigned(plan),
+            source: CandidateSource::RoundUp,
+            why: format!(
+                "round-down m with n+1 via carry; valid since \
+                 e(d*q_top+1) <= 2^{k}, independent MULL/MULUH"
+            ),
+        })
+    })
 }
 
-/// Optimal-bounds multiplier family (Lemire–Bartlett–Kaser,
-/// arXiv 2012.12369).
+/// The optimal-bounds multiplier candidate (Lemire–Bartlett–Kaser,
+/// arXiv 2012.12369) for a `d` that is not a power of two, at
+/// `width <= 64`.
 ///
 /// For each shift `k` in `N..=N+⌈log2 d⌉`, the set of multipliers making
 /// `⌊mn/2^k⌋ = ⌊n/d⌋` over the whole range is the interval
@@ -194,60 +173,36 @@ impl CandidateGen for RoundUpGen {
 /// where `q_top = ⌊(2^N - 1)/d⌋`, so a word-sized multiplier exists at
 /// `k` iff `m_min < 2^N` passes [`udiv_valid`]. The plan is then a bare
 /// `MulShift { sh_pre: 0, sh_post: k - N }` — no add fixup, no
-/// pre-shift. The generator emits the smallest such `k`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OptimalBoundsGen;
-
-impl CandidateGen for OptimalBoundsGen {
-    fn source(&self) -> CandidateSource {
-        CandidateSource::OptimalBounds
+/// pre-shift. Returns the smallest such `k`.
+fn optimal_bounds(d: u128, width: u32) -> Option<Candidate> {
+    let l = 128 - (d - 1).leading_zeros();
+    for k in width..=(width + l).min(127) {
+        let m_min = (1u128 << k) / d + 1; // ⌈2^k/d⌉, exact since d ∤ 2^k
+        if m_min > mask(width) {
+            // Larger k only grows m_min; nothing fits a word anymore.
+            return None;
+        }
+        let plan = UdivPlan {
+            width,
+            d,
+            strategy: UdivStrategy::MulShift {
+                m: m_min,
+                sh_pre: 0,
+                sh_post: k - width,
+            },
+        };
+        if udiv_valid(&plan).is_ok() {
+            return Some(Candidate {
+                plan: DivPlan::Unsigned(plan),
+                source: CandidateSource::OptimalBounds,
+                why: format!(
+                    "smallest word-sized m = {m_min:#x} at k={k}: \
+                     plain MULUH+SRL, no fixup or pre-shift"
+                ),
+            });
+        }
     }
-
-    fn generate(&self, d: u128, width: u32) -> Result<Vec<Candidate>, DivisorError> {
-        if d == 0 {
-            return Err(DivisorError::Zero);
-        }
-        if !(1..=64).contains(&width) || d > mask(width) || d.is_power_of_two() {
-            return Ok(Vec::new());
-        }
-        let l = 128 - (d - 1).leading_zeros();
-        for k in width..=(width + l).min(127) {
-            let m_min = (1u128 << k) / d + 1; // ⌈2^k/d⌉, exact since d ∤ 2^k
-            if m_min > mask(width) {
-                // Larger k only grows m_min; nothing fits a word anymore.
-                break;
-            }
-            let plan = UdivPlan {
-                width,
-                d,
-                strategy: UdivStrategy::MulShift {
-                    m: m_min,
-                    sh_pre: 0,
-                    sh_post: k - width,
-                },
-            };
-            if udiv_valid(&plan).is_ok() {
-                return Ok(vec![Candidate {
-                    plan: DivPlan::Unsigned(plan),
-                    source: CandidateSource::OptimalBounds,
-                    why: format!(
-                        "smallest word-sized m = {m_min:#x} at k={k}: \
-                         plain MULUH+SRL, no fixup or pre-shift"
-                    ),
-                }]);
-            }
-        }
-        Ok(Vec::new())
-    }
-}
-
-/// The full unsigned candidate roster, paper baseline first.
-pub fn unsigned_generators() -> Vec<Box<dyn CandidateGen>> {
-    vec![
-        Box::new(PaperBaselineGen),
-        Box::new(RoundUpGen),
-        Box::new(OptimalBoundsGen),
-    ]
+    None
 }
 
 /// The unsigned-remainder candidate roster: the §1 multiply-back baseline
@@ -292,7 +247,7 @@ mod tests {
     #[test]
     fn round_up_candidates_divide_correctly_w8_exhaustive() {
         for d in 2u128..=255 {
-            for c in RoundUpGen.generate(d, 8).unwrap() {
+            if let Some(c) = round_up(d, 8) {
                 let p = unsigned_plan(&c);
                 for n in 0u128..=255 {
                     assert_eq!(eval_unsigned(&p, n), n / d, "d={d} n={n} [{p}]");
@@ -304,7 +259,7 @@ mod tests {
     #[test]
     fn optimal_bounds_candidates_divide_correctly_w8_exhaustive() {
         for d in 2u128..=255 {
-            for c in OptimalBoundsGen.generate(d, 8).unwrap() {
+            if let Some(c) = optimal_bounds(d, 8) {
                 let p = unsigned_plan(&c);
                 for n in 0u128..=255 {
                     assert_eq!(eval_unsigned(&p, n), n / d, "d={d} n={n} [{p}]");
@@ -318,9 +273,8 @@ mod tests {
         // Fig 4.2 gives d = 44 = 4 * 11 a pre-shift of 2; the interval
         // search finds a direct word-sized multiplier (m = 187 at k = 13)
         // with no pre-shift at all.
-        let cs = OptimalBoundsGen.generate(44, 8).unwrap();
-        assert_eq!(cs.len(), 1);
-        match unsigned_plan(&cs[0]).strategy() {
+        let c = optimal_bounds(44, 8).unwrap();
+        match unsigned_plan(&c).strategy() {
             UdivStrategy::MulShift { m, sh_pre, sh_post } => {
                 assert_eq!((m, sh_pre, sh_post), (187, 0, 5));
             }
@@ -337,9 +291,8 @@ mod tests {
     fn optimal_bounds_replaces_add_fixup_for_d35_w8() {
         // d = 35 needs the N+1-bit add-fixup sequence under Fig 4.2, but
         // a 9-bit-shift word multiplier exists: m = 235 at k = 13.
-        let cs = OptimalBoundsGen.generate(35, 8).unwrap();
-        assert_eq!(cs.len(), 1);
-        match unsigned_plan(&cs[0]).strategy() {
+        let c = optimal_bounds(35, 8).unwrap();
+        match unsigned_plan(&c).strategy() {
             UdivStrategy::MulShift { m, sh_pre, sh_post } => {
                 assert_eq!((m, sh_pre, sh_post), (235, 0, 5));
             }
@@ -355,19 +308,18 @@ mod tests {
     fn optimal_bounds_has_no_word_multiplier_for_d7_w32() {
         // The famous d = 7: every valid multiplier needs 33 bits, at any
         // shift — the paper's add-fixup plan stands.
-        assert!(OptimalBoundsGen.generate(7, 32).unwrap().is_empty());
+        assert!(optimal_bounds(7, 32).is_none());
     }
 
     #[test]
     fn round_up_handles_d7_w32_without_fixup() {
-        let cs = RoundUpGen.generate(7, 32).unwrap();
-        assert_eq!(cs.len(), 1);
-        match unsigned_plan(&cs[0]).strategy() {
+        let c = round_up(7, 32).unwrap();
+        match unsigned_plan(&c).strategy() {
             UdivStrategy::MulRoundUp { m, sh_post } => {
                 assert_eq!(m, (1u128 << (32 + sh_post)) / 7);
                 assert!(m <= u32::MAX as u128);
                 // Spot-check the extremes at width 32.
-                let p = unsigned_plan(&cs[0]);
+                let p = unsigned_plan(&c);
                 for n in [0u128, 1, 6, 7, 8, (u32::MAX - 3) as u128, u32::MAX as u128] {
                     assert_eq!(eval_unsigned(&p, n), n / 7, "n={n}");
                 }
@@ -379,16 +331,30 @@ mod tests {
     #[test]
     fn trivial_divisors_yield_no_alternative_candidates() {
         for d in [1u128, 2, 4, 64, 128] {
-            assert!(RoundUpGen.generate(d, 8).unwrap().is_empty(), "d={d}");
-            assert!(OptimalBoundsGen.generate(d, 8).unwrap().is_empty(), "d={d}");
+            let cs = udiv_candidates(d, 8).unwrap();
+            assert_eq!(cs.len(), 1, "d={d}");
+            assert_eq!(cs[0].source, CandidateSource::PaperBaseline, "d={d}");
         }
+        // Width 128 is beyond the searches: the paper plan alone.
+        assert_eq!(udiv_candidates(7, 128).unwrap().len(), 1);
     }
 
     #[test]
-    fn zero_divisor_rejected_by_every_family() {
-        for g in unsigned_generators() {
-            assert_eq!(g.generate(0, 32).unwrap_err(), DivisorError::Zero);
-        }
+    fn udiv_pool_is_paper_then_round_up_then_optimal_bounds() {
+        let sources: Vec<_> = udiv_candidates(35, 8)
+            .unwrap()
+            .iter()
+            .map(|c| c.source)
+            .collect();
+        assert_eq!(
+            sources,
+            [
+                CandidateSource::PaperBaseline,
+                CandidateSource::RoundUp,
+                CandidateSource::OptimalBounds
+            ]
+        );
+        assert_eq!(udiv_candidates(0, 32).unwrap_err(), DivisorError::Zero);
     }
 
     #[test]

@@ -91,9 +91,7 @@ pub mod validity;
 mod word;
 
 pub use crate::cache::{global_plan_cache, CacheStats, PlanCache};
-pub use crate::candidates::{
-    unsigned_generators, urem_candidates, Candidate, CandidateGen, CandidateSource,
-};
+pub use crate::candidates::{udiv_candidates, urem_candidates, Candidate, CandidateSource};
 pub use crate::choose_multiplier::{choose_multiplier, choose_multiplier_at, ChosenMultiplier};
 pub use crate::const_divisor::{ConstU32Divisor, ConstU64Divisor};
 pub use crate::error::{DivisorError, DwordDivError, Fault, FaultKind, FaultLayer};
@@ -113,9 +111,8 @@ pub use crate::plan::{
 };
 pub use crate::signed::{InvariantSignedDivisor, SignedDivisor};
 pub use crate::tournament::{
-    certify_plan, run_udiv_tournament, run_urem_tournament, ArithmeticCertifier, Certification,
-    LossReason, OpCountScorer, Outcome, PlanCertifier, PlanScorer, Probes, ScoredCandidate,
-    TournamentResult,
+    certify_plan, run_udiv_tournament, run_urem_tournament, Certification, LossReason, OpCount,
+    Outcome, PlanJudge, Probes, ScoredCandidate, TournamentResult,
 };
 pub use crate::udword_div::DwordDivisor;
 pub use crate::unsigned::{InvariantUnsignedDivisor, UnsignedDivisor};

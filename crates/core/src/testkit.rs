@@ -77,7 +77,7 @@ pub fn interesting_unsigned_dividends<T: UWord>(d: T) -> Vec<T> {
 
 /// The directed boundary dividends for divisor `d` (`1 <= d < 2^width`)
 /// at `width` bits (`1..=128`), sorted and deduplicated: the probes the
-/// tournament certifiers run on a candidate and the differential harness
+/// tournament judges run on a candidate and the differential harness
 /// runs on every unsigned kernel.
 ///
 /// They sit where a wrong constant or a wrong lowering first shows:

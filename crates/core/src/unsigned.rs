@@ -773,17 +773,15 @@ mod tests {
 #[cfg(test)]
 mod rounding_tests {
     use super::*;
-    use crate::candidates::unsigned_generators;
+    use crate::candidates::udiv_candidates;
     use crate::plan::DivPlan;
     use crate::testkit::interesting_unsigned_divisors;
-    use crate::tournament::{
-        run_udiv_tournament, run_urem_tournament, ArithmeticCertifier, OpCountScorer,
-    };
+    use crate::tournament::{run_udiv_tournament, run_urem_tournament, OpCount};
     use std::collections::BTreeSet;
 
     /// The divisor that runs the unsigned tournament's winner for `d`.
     fn tournament_divisor(d: u8) -> UnsignedDivisor<u8> {
-        let t = run_udiv_tournament(d.into(), 8, &OpCountScorer, &ArithmeticCertifier).unwrap();
+        let t = run_udiv_tournament(d.into(), 8, &OpCount).unwrap();
         UnsignedDivisor::from_plan(&UdivPlan::try_from(t.winning().candidate.plan).unwrap())
     }
 
@@ -817,14 +815,12 @@ mod rounding_tests {
     ) {
         for d in ds {
             let (d128, w) = (d.to_u128(), T::BITS);
-            for gen in unsigned_generators() {
-                for c in gen.generate(d128, w).unwrap() {
-                    let DivPlan::Unsigned(p) = c.plan else {
-                        panic!("unsigned generator produced {}", c.plan)
-                    };
-                    assert_eq!(UnsignedDivisor::<T>::from_plan(&p).plan(), p, "[{p}]");
-                    seen.insert((c.source.name(), c.plan.strategy_name()));
-                }
+            for c in udiv_candidates(d128, w).unwrap() {
+                let DivPlan::Unsigned(p) = c.plan else {
+                    panic!("unsigned pool fielded {}", c.plan)
+                };
+                assert_eq!(UnsignedDivisor::<T>::from_plan(&p).plan(), p, "[{p}]");
+                seen.insert((c.source.name(), c.plan.strategy_name()));
             }
             let cd = UnsignedDivisor::new(d).unwrap();
             assert_eq!(cd.plan(), UdivPlan::new(d128, w).unwrap(), "d={d}");
@@ -832,7 +828,7 @@ mod rounding_tests {
             let direct = UnsignedDivisor::new_direct_rem(d).unwrap().urem_plan();
             assert_eq!(direct, UremPlan::new_direct(d128, w).unwrap(), "d={d}");
             // The remainder tournament picks one of those two plans.
-            let t = run_urem_tournament(d128, w, &OpCountScorer, &ArithmeticCertifier).unwrap();
+            let t = run_urem_tournament(d128, w, &OpCount).unwrap();
             let won = t.winning().candidate.plan;
             assert!(
                 won == cd.urem_plan().into() || won == direct.into(),

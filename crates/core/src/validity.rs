@@ -747,7 +747,7 @@ pub fn plan_valid(plan: &DivPlan) -> Option<Result<(), u128>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::candidates::unsigned_generators;
+    use crate::candidates::udiv_candidates;
 
     /// Every `n` in `ns` on which `plan` disagrees with `truth`, first one.
     fn first_failure(
@@ -800,22 +800,17 @@ mod tests {
         let n_max = mask(w);
         for d in 1..=n_max {
             let ns = quotient_dividends(d, w, all);
-            for gen in unsigned_generators() {
-                for cand in gen.generate(d, w).unwrap() {
-                    let DivPlan::Unsigned(base) = cand.plan else {
-                        unreachable!()
-                    };
-                    for strategy in udiv_neighbors(base.strategy(), w) {
-                        let plan = UdivPlan::from_raw(d, w, strategy);
-                        let exhaustive = first_failure(
-                            ns.iter().copied(),
-                            |n| eval_unsigned(&plan, n),
-                            |n| n / d,
-                        );
-                        assert_exact(&plan.to_string(), udiv_valid(&plan), exhaustive, |n| {
-                            eval_unsigned(&plan, n) != n / d
-                        });
-                    }
+            for cand in udiv_candidates(d, w).unwrap() {
+                let DivPlan::Unsigned(base) = cand.plan else {
+                    unreachable!()
+                };
+                for strategy in udiv_neighbors(base.strategy(), w) {
+                    let plan = UdivPlan::from_raw(d, w, strategy);
+                    let exhaustive =
+                        first_failure(ns.iter().copied(), |n| eval_unsigned(&plan, n), |n| n / d);
+                    assert_exact(&plan.to_string(), udiv_valid(&plan), exhaustive, |n| {
+                        eval_unsigned(&plan, n) != n / d
+                    });
                 }
             }
         }

@@ -134,7 +134,7 @@ pub fn sign_extend(x: u64, width: u32) -> i64 {
 const ONE_LANE_STACK_SLOTS: usize = 64;
 
 /// The batch size the workspace's lane callers use: the tournament
-/// certifier and the mutation harness hand [`Program::eval_lanes`] at
+/// judge and the mutation harness hand [`Program::eval_lanes`] at
 /// most this many inputs at a time. Any lane count is accepted; this one
 /// amortises the per-instruction dispatch while the value columns of a
 /// typical kernel stay within a few tens of kilobytes.

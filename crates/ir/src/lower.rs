@@ -4,7 +4,7 @@
 //! divisor gets (Fig 4.2, 5.2, 6.1, 8.1, §9); this module decides what
 //! that shape *is* in Table 3.1 operations. [`lower_plan`] is the one
 //! `DivPlan` → [`Program`] mapping: the codegen generators, the simcpu
-//! pricer, `magic explain` and the tournament's certifier all lower
+//! pricer, `magic explain` and the tournament's judge all lower
 //! through it, then run the optimizer on its raw program. Each `lower_*`
 //! function behind it appends the straight-line sequence for one plan
 //! family to a [`Builder`] and returns the result register, so a kernel

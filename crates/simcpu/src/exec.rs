@@ -104,7 +104,7 @@ pub fn cycles_for_plan(plan: &DivPlan, model: &TimingModel) -> u64 {
 /// ```
 pub fn try_cycles_for_plan(plan: &DivPlan, model: &TimingModel) -> Result<u64, Fault> {
     let prog = optimize(&lower_plan(plan).map_err(simcpu_fault)?);
-    Ok(price(plan, &prog, model))
+    Ok(cycles_for_lowered_plan(plan, &prog, model))
 }
 
 /// A lowering fault, reported at this layer.
@@ -116,9 +116,27 @@ fn simcpu_fault(kind: FaultKind) -> Fault {
     }
 }
 
-/// Prices `prog`, the lowering of `plan`, under `model` and reports the
-/// total as a `simcpu.plan_cycles` event.
-fn price(plan: &DivPlan, prog: &Program, model: &TimingModel) -> u64 {
+/// Prices `prog`, the optimized lowering of `plan`, under `model` and
+/// reports the total as a `simcpu.plan_cycles` event. This is
+/// [`try_cycles_for_plan`] for a caller that already holds the program,
+/// so that the program it prices is the one it runs.
+///
+/// # Examples
+///
+/// ```
+/// use magicdiv::plan::{DivPlan, UdivPlan};
+/// use magicdiv_ir::{lower_plan, optimize};
+/// use magicdiv_simcpu::{cycles_for_lowered_plan, find_model, try_cycles_for_plan};
+///
+/// let r4000 = find_model("R4000").unwrap();
+/// let plan = DivPlan::from(UdivPlan::new(7, 32).unwrap());
+/// let prog = optimize(&lower_plan(&plan).unwrap());
+/// assert_eq!(
+///     cycles_for_lowered_plan(&plan, &prog, &r4000),
+///     try_cycles_for_plan(&plan, &r4000).unwrap()
+/// );
+/// ```
+pub fn cycles_for_lowered_plan(plan: &DivPlan, prog: &Program, model: &TimingModel) -> u64 {
     let cycles = cycles_for_program(prog, model);
     magicdiv_trace::event!("simcpu.plan_cycles",
         "model" => model.name, "strategy" => plan.strategy_name(),
@@ -165,7 +183,7 @@ pub fn predictions_for_plan(plan: &DivPlan) -> Result<Vec<PlanPrediction>, Fault
         .iter()
         .map(|model| PlanPrediction {
             model: model.name,
-            cycles: price(plan, &prog, model),
+            cycles: cycles_for_lowered_plan(plan, &prog, model),
         })
         .collect())
 }

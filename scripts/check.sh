@@ -137,6 +137,20 @@ diff -u results/explain_urem_32_10.jsonl target/urem_drift_a.jsonl || {
     exit 1
 }
 
+echo "== magic explain rejects a divisor outside the width (exit 1, no panic) =="
+status=0
+./target/release/magic explain 8 586 signed > /dev/null 2> target/explain_range_ci.err || status=$?
+test "$status" -eq 1 || {
+    cat target/explain_range_ci.err >&2
+    echo "magic explain 8 586 signed exited $status; a divisor outside i8 must be an error with exit 1" >&2
+    exit 1
+}
+if grep -q 'panicked' target/explain_range_ci.err; then
+    cat target/explain_range_ci.err >&2
+    echo "magic explain 8 586 signed panicked instead of reporting the range error" >&2
+    exit 1
+fi
+
 echo "== metrics exposition golden (same seed twice must reproduce results/metrics_42_2000.prom) =="
 ./target/release/magic metrics 42 2000 > target/expo_ci_a.prom
 ./target/release/magic metrics 42 2000 > target/expo_ci_b.prom

@@ -23,9 +23,8 @@ use magicdiv::plan::{
 };
 use magicdiv::testkit::{directed_unsigned_dividends, interesting_signed_dividends};
 use magicdiv::{
-    run_udiv_tournament, run_urem_tournament, ArithmeticCertifier, CandidateSource, Certification,
-    DWord, DwordDivisor, ExactUnsignedDivisor, FloorDivisor, OpCountScorer, SignedDivisor,
-    TournamentResult, UnsignedDivisor,
+    run_udiv_tournament, run_urem_tournament, CandidateSource, Certification, DWord, DwordDivisor,
+    ExactUnsignedDivisor, FloorDivisor, OpCount, SignedDivisor, TournamentResult, UnsignedDivisor,
 };
 use magicdiv_bench::{run_tournament, SplitMix};
 use magicdiv_codegen::{
@@ -33,14 +32,13 @@ use magicdiv_codegen::{
 };
 use magicdiv_ir::{lower_plan, mask, optimize, sign_extend, Program};
 
-/// The unsigned tournament under the core's op-count scorer and
-/// arithmetic certifier.
+/// The unsigned tournament under the core's op-count judge.
 fn udiv_tournament(d: u128, width: u32) -> TournamentResult {
-    run_udiv_tournament(d, width, &OpCountScorer, &ArithmeticCertifier).unwrap()
+    run_udiv_tournament(d, width, &OpCount).unwrap()
 }
 
 /// The optimized program for `plan`, through the one plan → IR lowering
-/// codegen, simcpu and the tournament certifier share.
+/// codegen, simcpu and the tournament judge share.
 fn lowered(plan: impl Into<DivPlan>) -> Program {
     optimize(&lower_plan(&plan.into()).expect("width within the IR limit"))
 }
@@ -288,7 +286,7 @@ fn urem_tournament_width8_exhaustive_agrees_with_native() {
     // multiply-back — its lowered program must compute native `n % d`
     // exhaustively.
     for d in 1u64..=255 {
-        let t = run_urem_tournament(d as u128, 8, &OpCountScorer, &ArithmeticCertifier).unwrap();
+        let t = run_urem_tournament(d as u128, 8, &OpCount).unwrap();
         let prog = lowered(t.winning().candidate.plan);
         for n in 0u64..=255 {
             assert_eq!(prog.eval1(&[n]).unwrap(), n % d, "winner n={n} d={d}");
