@@ -22,10 +22,9 @@
 //!
 //! `bench overhead [iters] [out.json]` instead runs the tracing
 //! overhead self-profile (see `magicdiv_bench::overhead`): baseline /
-//! tracing-off / null-sink / flight-recorder cost per division, with
-//! pinned budget gates. Writes `results/overhead.json` by default and
-//! exits 1 when a gate fails, so check.sh can enforce that tracing-off
-//! stays free and the recorder stays within budget.
+//! tracing-off / null-sink cost per division, with pinned budget gates.
+//! Writes `results/overhead.json` by default and exits 1 when a gate
+//! fails, so check.sh can enforce that tracing-off stays free.
 
 use std::hint::black_box;
 use std::sync::Arc;

@@ -21,11 +21,7 @@
 //!   (see `magicdiv_bench::chaos`): plan-constant bit flips, cache
 //!   poisoning, lock poisoning, interpreter fuel exhaustion and forced
 //!   demotions. Exits 1 if any injected fault produced a silently
-//!   wrong quotient; defaults write `results/chaos.json`. A flight
-//!   recorder rides along: every demotion / poison detection triggers
-//!   a black-box dump under `results/blackbox/<git_sha>/`, relative to
-//!   the working directory (set `MAGICDIV_BLACKBOX` to another
-//!   directory, or to `off` to disable);
+//!   wrong quotient; defaults write `results/chaos.json`;
 //! * `magic metrics [seed] [requests] [out.prom]` — drive a seeded
 //!   synthetic request mix through a private plan cache and print the
 //!   resulting Prometheus-style text exposition. The stream is a pure
@@ -36,15 +32,13 @@
 
 use std::sync::Arc;
 
+use magicdiv::cache::ChaosLockPoison;
 use magicdiv::{PlanCache, UnsignedDivisor};
 use magicdiv_bench::{
-    blackbox_base, default_corpus_dir, explain, explain_jsonl, render_table, run_calibration,
-    run_chaos, write_blackbox_dumps, write_entry, CalibrationConfig, ChaosConfig, ExplainShape,
-    SplitMix,
+    default_corpus_dir, explain, explain_jsonl, render_table, run_calibration, run_chaos,
+    write_entry, CalibrationConfig, ChaosConfig, ExplainShape, SplitMix,
 };
-use magicdiv_trace::{
-    install, render_exposition, ExpositionOptions, FlightRecorder, MetricsSink, Registry,
-};
+use magicdiv_trace::{install, render_exposition, ExpositionOptions, MetricsSink, Registry};
 
 fn usage() -> ! {
     eprintln!("usage: magic <divisor> [width=32]");
@@ -220,40 +214,15 @@ fn chaos_main(args: &[String]) {
         usage()
     }
 
-    // With black-box dumps on, the flight recorder rides along for the
-    // whole campaign: any demotion / poison detection snapshots the
-    // event ring as a black-box dump. It never appears in the report
-    // JSON, so the report stays byte-identical to the chaos golden.
-    let recorder = blackbox_base().map(|_| Arc::new(FlightRecorder::new()));
-    let recorder_guard = recorder.clone().map(|r| install(r));
-    // The lock-poisoning scenario panics a writer on purpose; keep the
-    // default hook's backtrace chatter out of the report.
+    // The lock-poisoning scenario panics a writer on purpose; keep that
+    // one unwind quiet and hand every other panic to the saved hook.
     let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let report = run_chaos(&cfg);
-    std::panic::set_hook(hook);
-    if report.silent_wrong() > 0 {
-        // A silently wrong quotient is the worst finding the campaign
-        // can make; snapshot the ring for it explicitly.
-        magicdiv_trace::event!("chaos.finding", "silent_wrong" => report.silent_wrong());
-    }
-    drop(recorder_guard);
-    if let Some(recorder) = recorder {
-        match write_blackbox_dumps(&recorder.take_dumps()) {
-            Ok(paths) => {
-                for path in &paths {
-                    eprintln!("black-box dump written: {}", path.display());
-                }
-                if recorder.suppressed() > 0 {
-                    eprintln!(
-                        "({} further trigger(s) suppressed after the dump cap)",
-                        recorder.suppressed()
-                    );
-                }
-            }
-            Err(e) => eprintln!("warning: could not write black-box dumps: {e}"),
+    std::panic::set_hook(Box::new(move |info| {
+        if !is_injected_lock_poison(info.payload()) {
+            hook(info);
         }
-    }
+    }));
+    let report = run_chaos(&cfg);
 
     print!("{}", report.render_text());
     let json = report.to_json();
@@ -284,6 +253,13 @@ fn chaos_main(args: &[String]) {
         );
         std::process::exit(1)
     }
+}
+
+/// Whether a panic payload is the lock-poisoning scenario's deliberate
+/// unwind ([`PlanCache::chaos_poison_lock_udiv`]), the one panic the
+/// chaos campaign keeps quiet.
+fn is_injected_lock_poison(payload: &(dyn std::any::Any + Send)) -> bool {
+    payload.is::<ChaosLockPoison>()
 }
 
 fn metrics_main(args: &[String]) {
@@ -457,4 +433,16 @@ where
     }
 
     println!("{}", render_table(&["algorithm", "constants"], &rows));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_the_injected_lock_poison_is_silenced() {
+        assert!(is_injected_lock_poison(&ChaosLockPoison));
+        assert!(!is_injected_lock_poison(&"index out of bounds"));
+        assert!(!is_injected_lock_poison(&String::from("boom")));
+    }
 }

@@ -27,11 +27,6 @@
 //! `results/chaos.json`, and the `drift` bin compares two saved reports
 //! counter by counter.
 //!
-//! `magic chaos` also runs the campaign under a
-//! [`magicdiv_trace::FlightRecorder`]; [`write_blackbox_dumps`] writes
-//! the ring snapshots that guard demotions and poison detections
-//! trigger, for a reader to inspect after the run.
-//!
 //! [`FaultBudget`]: magicdiv::FaultBudget
 
 use magicdiv::plan::UdivPlan;
@@ -41,7 +36,6 @@ use magicdiv::{
 };
 use magicdiv_codegen::{emit_radix_loop, execute_radix_listing_with_limit, AsmErrorKind, Target};
 use magicdiv_ir::{mask, EvalOptions};
-use std::path::PathBuf;
 use std::sync::{Mutex, PoisonError};
 
 use crate::diff::{Case, Shape, SplitMix};
@@ -340,7 +334,14 @@ fn run_bit_flip<T: UWord>(
             }
         }
     } else {
-        GuardedUnsignedDivisor::<T>::from_plan_unprobed(&bad, &policy)
+        match GuardedUnsignedDivisor::<T>::from_plan_unprobed(&bad, &policy) {
+            Ok(g) => g,
+            Err(_) => {
+                // Refused: a plan the kernel does not run.
+                tally.typed_faults += 1;
+                return;
+            }
+        }
     };
     let mut wrong = false;
     for n in sweep_inputs(rng, width, 24) {
@@ -497,8 +498,13 @@ fn run_forced_demotion(rng: &mut SplitMix, tally: &mut ScenarioTally, demotions:
             Err(_) => continue,
         };
         let bad = corrupt_udiv_plan(&good, rng.next_u64() as u32);
-        let g = GuardedUnsignedDivisor::<u32>::from_plan_unprobed(&bad, &GuardPolicy::hardened(1));
         tally.injected += 1;
+        let Ok(g) =
+            GuardedUnsignedDivisor::<u32>::from_plan_unprobed(&bad, &GuardPolicy::hardened(1))
+        else {
+            tally.typed_faults += 1;
+            continue;
+        };
         let mut wrong = false;
         for n in sweep_inputs(rng, 32, 24) {
             let q = g.divide(n as u32);
@@ -640,93 +646,9 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     }
 }
 
-/// Environment variable overriding the black-box dump dir (`off` disables).
-pub const BLACKBOX_ENV: &str = "MAGICDIV_BLACKBOX";
-
-/// Default black-box dump directory, relative to the working directory
-/// (as `magic chaos`'s default report path `results/chaos.json` is).
-pub const DEFAULT_BLACKBOX_DIR: &str = "results/blackbox";
-
-/// The black-box dump base directory, or `None` when disabled via
-/// [`BLACKBOX_ENV`].
-pub fn blackbox_base() -> Option<PathBuf> {
-    match std::env::var(BLACKBOX_ENV) {
-        Ok(v) if v.is_empty() || v == "off" || v == "0" => None,
-        Ok(v) => Some(PathBuf::from(v)),
-        Err(_) => Some(PathBuf::from(DEFAULT_BLACKBOX_DIR)),
-    }
-}
-
-/// Writes every dump a [`magicdiv_trace::FlightRecorder`] captured to
-/// `<blackbox>/<git_sha>/blackbox_<i>_<trigger>.jsonl`, one file per
-/// dump in capture order, in the `JsonlSink` event-line schema.
-///
-/// Returns the written paths (empty when dumping is disabled via
-/// [`BLACKBOX_ENV`] or no dumps were captured).
-///
-/// # Errors
-///
-/// Propagates filesystem errors (unwritable dump directory).
-pub fn write_blackbox_dumps(
-    dumps: &[magicdiv_trace::BlackboxDump],
-) -> std::io::Result<Vec<PathBuf>> {
-    let Some(base) = blackbox_base() else {
-        return Ok(Vec::new());
-    };
-    if dumps.is_empty() {
-        return Ok(Vec::new());
-    }
-    let dir = base.join(git_sha());
-    std::fs::create_dir_all(&dir)?;
-    let mut written = Vec::with_capacity(dumps.len());
-    for (i, dump) in dumps.iter().enumerate() {
-        let trigger: String = dump
-            .trigger
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-            .collect();
-        let path = dir.join(format!("blackbox_{i}_{trigger}.jsonl"));
-        std::fs::write(&path, dump.to_jsonl())?;
-        written.push(path);
-    }
-    Ok(written)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-
-    fn tmp(name: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("magicdiv_chaos_{}_{name}", std::process::id()))
-    }
-
-    #[test]
-    fn blackbox_dumps_land_under_the_sha_dir() {
-        let dir = tmp("blackbox");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::env::set_var(BLACKBOX_ENV, &dir);
-        let rec = Arc::new(magicdiv_trace::FlightRecorder::with_capacity(8));
-        magicdiv_trace::with_sink(rec.clone(), || {
-            magicdiv_trace::event!("plan.decision", "strategy" => "mul_shift");
-            magicdiv_trace::event!("guard.demotion", "d" => 7u64, "why" => "test");
-        });
-        let written = write_blackbox_dumps(&rec.take_dumps()).expect("write");
-        std::env::set_var(BLACKBOX_ENV, "off");
-        assert_eq!(written.len(), 1);
-        let name = written[0].file_name().expect("name").to_string_lossy();
-        assert_eq!(name, "blackbox_0_guard_demotion.jsonl");
-        assert!(written[0].parent().map(|p| p.ends_with(git_sha())) == Some(true));
-        let text = std::fs::read_to_string(&written[0]).expect("read back");
-        let last = text.lines().last().expect("nonempty");
-        assert!(last.contains("\"guard.demotion\""), "{last}");
-        assert!(last.contains("\"d\":7"), "{last}");
-        assert!(
-            write_blackbox_dumps(&[]).expect("empty ok").is_empty(),
-            "no dumps, no files"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 
     #[test]
     fn campaign_finds_no_silent_wrong_quotients() {

@@ -39,8 +39,8 @@ pub use crate::calibrate::{
     CalibrationReport, Inversion, ModelScore,
 };
 pub use crate::chaos::{
-    blackbox_base, corrupt_udiv_plan, run_chaos, write_blackbox_dumps, ChaosConfig, ChaosReport,
-    ScenarioTally, CHAOS_WIDTHS, DEFAULT_CHAOS_ROUNDS, DEFAULT_CHAOS_SEED,
+    corrupt_udiv_plan, run_chaos, ChaosConfig, ChaosReport, ScenarioTally, CHAOS_WIDTHS,
+    DEFAULT_CHAOS_ROUNDS, DEFAULT_CHAOS_SEED,
 };
 pub use crate::corpus::{
     default_corpus_dir, read_corpus, write_entry, write_entry_traced, CorpusEntry,

@@ -4,7 +4,7 @@
 //! guarded service runs instrumentation (`cache.hit`, `guard.*`) on the
 //! same hot paths — so the observability layer must be priced like any
 //! other candidate. This module measures the per-division cost of one
-//! service request under four tracing configurations:
+//! service request under three tracing configurations:
 //!
 //! * **baseline** — the bare division kernel (no cache, no events): the
 //!   pre-instrumentation floor;
@@ -12,9 +12,7 @@
 //!   no sink installed, so every `event!` site reduces to one
 //!   thread-local read;
 //! * **sink** — the same path with a [`NullSink`] installed (events are
-//!   built and dispatched, then discarded);
-//! * **recorder** — the same path with a [`FlightRecorder`] installed
-//!   (events are additionally cloned into the per-thread ring).
+//!   built and dispatched, then discarded).
 //!
 //! Each configuration runs scalar (one cache lookup + one division per
 //! request) and batch (one lookup amortized over a [`BATCH_LEN`]-wide
@@ -28,7 +26,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use magicdiv::{PlanCache, UnsignedDivisor};
-use magicdiv_trace::{install, FlightRecorder, NullSink, Sink};
+use magicdiv_trace::{install, NullSink, Sink};
 
 use crate::measure_ns_min;
 
@@ -38,18 +36,6 @@ pub const BATCH_LEN: usize = 1024;
 /// Divisors the request stream cycles through: the paper's small
 /// mul-shift and add-fixup divisors plus the Fermat factor 641.
 const DIVISORS: [u64; 4] = [3, 7, 10, 641];
-
-/// Scalar recorder gate: `recorder` may cost at most this many times
-/// the scalar `baseline` kernel (plus [`SCALAR_SLACK_NS`]). With the
-/// recorder on, the request's `cache.hit` event is cloned into the
-/// ring. Eight runs of the report on a 2-vCPU x86-64 VM measured
-/// 40–73×; 150 leaves at least 2× headroom.
-pub const RECORDER_SCALAR_FACTOR: f64 = 150.0;
-
-/// Per-division budget for the *batch* path with the recorder installed
-/// (nanoseconds): the lookup and its event amortize over [`BATCH_LEN`]
-/// divisions, so this must sit within a few ns of the bare kernel.
-pub const RECORDER_BATCH_BUDGET_NS: f64 = 25.0;
 
 /// Tracing-off batch gate: `off` may exceed `baseline` by at most this
 /// factor (plus [`OFF_BATCH_SLACK_NS`] absolute slack for timer noise).
@@ -67,8 +53,8 @@ pub const OFF_BATCH_SLACK_NS: f64 = 2.0;
 /// at least 2× headroom.
 pub const OFF_SCALAR_FACTOR: f64 = 40.0;
 
-/// Absolute slack (ns/division) for the two scalar ratio gates, for
-/// timer noise on a ~2 ns baseline.
+/// Absolute slack (ns/division) for the scalar ratio gate, for timer
+/// noise on a ~2 ns baseline.
 pub const SCALAR_SLACK_NS: f64 = 10.0;
 
 /// One measured cell: a tracing configuration × request shape.
@@ -76,7 +62,7 @@ pub const SCALAR_SLACK_NS: f64 = 10.0;
 pub struct OverheadRow {
     /// Request shape: `"scalar"` or `"batch"`.
     pub shape: &'static str,
-    /// Tracing configuration: `baseline`/`off`/`sink`/`recorder`.
+    /// Tracing configuration: `baseline`/`off`/`sink`.
     pub mode: &'static str,
     /// Cost per division, nanoseconds (min-of-k).
     pub ns_per_div: f64,
@@ -115,7 +101,7 @@ impl OverheadReport {
     }
 
     /// The row for a `(shape, mode)` cell (0.0 if absent; the driver
-    /// always emits all eight cells).
+    /// always emits all six cells).
     pub fn ns(&self, shape: &str, mode: &str) -> f64 {
         self.rows
             .iter()
@@ -222,7 +208,7 @@ fn measure_baseline(iters: u64, repeats: u32) -> (f64, f64) {
     (scalar, batch / BATCH_LEN as f64)
 }
 
-/// Runs the full self-profile: four configurations × two shapes, then
+/// Runs the full self-profile: three configurations × two shapes, then
 /// applies the pinned budgets.
 ///
 /// Sinks are per-thread, so the cells are measured on a fresh thread:
@@ -246,14 +232,8 @@ fn measure_report(iters: u64, repeats: u32) -> OverheadReport {
         mode: "baseline",
         ns_per_div: batch,
     });
-    let modes: [(&'static str, Option<Arc<dyn Sink>>); 3] = [
-        ("off", None),
-        ("sink", Some(Arc::new(NullSink))),
-        (
-            "recorder",
-            Some(Arc::new(FlightRecorder::with_capacity(256))),
-        ),
-    ];
+    let modes: [(&'static str, Option<Arc<dyn Sink>>); 2] =
+        [("off", None), ("sink", Some(Arc::new(NullSink)))];
     for (mode, sink) in modes {
         let (scalar, batch) = measure_mode(iters, repeats, sink);
         rows.push(OverheadRow {
@@ -298,18 +278,6 @@ fn measure_report(iters: u64, repeats: u32) -> OverheadReport {
             "off",
             baseline_scalar * OFF_SCALAR_FACTOR + SCALAR_SLACK_NS,
         ),
-        gate(
-            "recorder_scalar_ratio",
-            "scalar",
-            "recorder",
-            baseline_scalar * RECORDER_SCALAR_FACTOR + SCALAR_SLACK_NS,
-        ),
-        gate(
-            "recorder_batch_budget",
-            "batch",
-            "recorder",
-            RECORDER_BATCH_BUDGET_NS,
-        ),
     ];
     OverheadReport { gates, ..report }
 }
@@ -322,20 +290,21 @@ mod tests {
     fn report_carries_all_cells_and_gates() {
         // Tiny budget: this validates shape and JSON, not timing.
         let report = run_overhead(64, 2);
-        assert_eq!(report.rows.len(), 8);
+        assert_eq!(report.rows.len(), 6);
         for shape in ["scalar", "batch"] {
-            for mode in ["baseline", "off", "sink", "recorder"] {
+            for mode in ["baseline", "off", "sink"] {
                 assert!(
                     report.ns(shape, mode) > 0.0,
                     "missing or zero cell {shape}/{mode}"
                 );
             }
         }
-        assert_eq!(report.gates.len(), 4);
+        assert_eq!(report.gates.len(), 2);
         let json = report.to_json();
         assert!(json.contains("\"version\": 1"));
         assert!(json.contains("\"tracing_off_batch_free\""));
-        assert!(json.contains("\"recorder_batch_budget\""));
+        assert!(json.contains("\"tracing_off_scalar_ratio\""));
+        assert!(!json.contains("recorder"), "{json}");
         assert!(!json.contains("NaN"), "{json}");
         crate::json::parse(&json).expect("overhead report parses");
     }

@@ -608,8 +608,9 @@ impl PlanCache {
 }
 
 /// Panic payload [`PlanCache::chaos_poison_lock_udiv`] unwinds with, so
-/// an escaped injection is identifiable.
-struct ChaosLockPoison;
+/// an escaped injection is identifiable (a panic hook can silence this
+/// payload and pass every other panic on).
+pub struct ChaosLockPoison;
 
 /// The process-wide plan cache (capacity 1024), for callers that want
 /// memoized planning without threading a [`PlanCache`] through their

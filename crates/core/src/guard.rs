@@ -333,12 +333,7 @@ impl<K: GuardKernel> Guarded<K> {
     /// any probe witness gets a wrong answer — the typical symptom of a
     /// corrupted constant. All at [`FaultLayer::Guard`].
     pub fn from_plan(plan: &K::Plan, policy: &GuardPolicy) -> Result<Self, Fault> {
-        let width = Into::<DivPlan>::into(*plan).width();
-        if width != K::BITS {
-            return Err(guard_fault(FaultKind::UnsupportedWidth { width }));
-        }
-        let (kernel, d) = K::build(plan).map_err(guard_fault)?;
-        let this = Self::start(kernel, d, policy);
+        let this = Self::from_plan_unprobed(plan, policy)?;
         if this.state() == GuardState::Demoted {
             return Ok(this); // circuit open: native division, no probe
         }
@@ -356,13 +351,18 @@ impl<K: GuardKernel> Guarded<K> {
     /// fault-injection harnesses use to smuggle corrupted constants past
     /// construction so the runtime cross-check path can be exercised.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the plan's width is not the word's, or the kernel
-    /// does not run the plan.
-    pub fn from_plan_unprobed(plan: &K::Plan, policy: &GuardPolicy) -> Self {
-        let (kernel, d) = K::build(plan).expect("a plan the kernel runs");
-        Self::start(kernel, d, policy)
+    /// [`FaultKind::UnsupportedWidth`] when the plan's width is not the
+    /// word's; [`FaultKind::BadProgram`] when the kernel does not run the
+    /// plan ([`GuardKernel::build`]). Both at [`FaultLayer::Guard`].
+    pub fn from_plan_unprobed(plan: &K::Plan, policy: &GuardPolicy) -> Result<Self, Fault> {
+        let width = Into::<DivPlan>::into(*plan).width();
+        if width != K::BITS {
+            return Err(guard_fault(FaultKind::UnsupportedWidth { width }));
+        }
+        let (kernel, d) = K::build(plan).map_err(guard_fault)?;
+        Ok(Self::start(kernel, d, policy))
     }
 
     /// The guard around a built kernel, in the state the policy and the
@@ -453,8 +453,7 @@ impl<K: GuardKernel> Guarded<K> {
     }
 
     /// Transitions to Demoted, charges the budget, emits the typed
-    /// `guard.demotion` event carrying the offending divisor key `d`
-    /// (the flight recorder's black-box dumps key on it).
+    /// `guard.demotion` event carrying the offending divisor key `d`.
     fn demote(&self, fault: &Fault) {
         self.state.store(STATE_DEMOTED, Ordering::Release);
         fault_budget().record_demotion();
@@ -909,11 +908,17 @@ mod tests {
 
     #[test]
     fn wrong_width_plans_are_a_typed_fault() -> Result<(), DivisorError> {
+        // Probed or not, the guard refuses the plan with a fault.
         fn refused<K: GuardKernel>(plan: K::Plan) {
-            let built = Guarded::<K>::from_plan(&plan, &GuardPolicy::default());
-            let err = built.err().expect("width mismatch must be refused");
-            assert_eq!(err.layer, FaultLayer::Guard);
-            assert_eq!(err.kind, FaultKind::UnsupportedWidth { width: 64 });
+            let policy = GuardPolicy::default();
+            for built in [
+                Guarded::<K>::from_plan(&plan, &policy),
+                Guarded::<K>::from_plan_unprobed(&plan, &policy),
+            ] {
+                let err = built.err().expect("width mismatch must be refused");
+                assert_eq!(err.layer, FaultLayer::Guard);
+                assert_eq!(err.kind, FaultKind::UnsupportedWidth { width: 64 });
+            }
         }
         refused::<UnsignedDivisor<u32>>(UdivPlan::new(7, 64)?);
         refused::<SignedDivisor<i32>>(SdivPlan::new(-7, 64)?);
@@ -947,7 +952,8 @@ mod tests {
                 let bad = corrupt(d, bit);
                 let probed = Guarded::<K>::from_plan(&bad, &GuardPolicy::default());
                 counts[0] += u32::from(probed.is_err());
-                let g = Guarded::<K>::from_plan_unprobed(&bad, &GuardPolicy::hardened(1));
+                let g = Guarded::<K>::from_plan_unprobed(&bad, &GuardPolicy::hardened(1))
+                    .expect("a plan of the kernel's width and shape");
                 for (n, want) in cases(d) {
                     assert_eq!(g.run(n), want, "{} w{} d={d} bit={bit}", K::SHAPE, K::BITS);
                 }

@@ -6,7 +6,7 @@
 //! structured records through this crate so a run can answer *why* a
 //! plan was chosen, *what* each pass did and *where* cycles go.
 //!
-//! Five pieces:
+//! Four pieces:
 //!
 //! * **Events and spans** ([`Event`], [`span`], [`event!`]) — typed
 //!   records with static names and key/value fields, nested by spans;
@@ -17,9 +17,6 @@
 //! * **Metrics** ([`Counter`], [`Histogram`], [`Registry`],
 //!   [`MetricsSnapshot`]) — atomic counters and power-of-two histograms
 //!   the bench/verify bins serialize into their JSON reports;
-//! * **Flight recorder** ([`FlightRecorder`]) — a bounded per-thread
-//!   ring of recent events that snapshots a [`BlackboxDump`] when a
-//!   fault-signal event (guard demotion, cache poisoning) fires;
 //! * **Exposition** ([`render_exposition`]) — the Prometheus-style text
 //!   rendering of a registry snapshot served by `magic metrics`.
 //!
@@ -50,7 +47,6 @@
 mod event;
 mod expo;
 mod metrics;
-mod recorder;
 mod sink;
 
 pub use crate::event::{json_string, Event, Field, Value};
@@ -58,10 +54,6 @@ pub use crate::expo::{render_exposition, ExpositionOptions};
 pub use crate::metrics::{
     BucketCount, Counter, Histogram, HistogramSnapshot, MetricsSink, MetricsSnapshot, Registry,
     DEFAULT_REGISTRY_CAPACITY,
-};
-pub use crate::recorder::{
-    BlackboxDump, FlightRecorder, RecordedEvent, DEFAULT_BLACKBOX_TRIGGERS,
-    DEFAULT_RECORDER_CAPACITY,
 };
 pub use crate::sink::{
     emit, enabled, install, span, with_sink, CaptureSink, InstallGuard, JsonlSink, NullSink, Sink,

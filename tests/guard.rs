@@ -124,7 +124,8 @@ fn demoted_output_matches_hardware<T: UWord>(d: u64, inputs: &[u64]) {
     for bit in (0..width).rev() {
         let bad = corrupt_udiv_plan(&good, bit);
         let guarded =
-            GuardedUnsignedDivisor::<T>::from_plan_unprobed(&bad, &GuardPolicy::hardened(1));
+            GuardedUnsignedDivisor::<T>::from_plan_unprobed(&bad, &GuardPolicy::hardened(1))
+                .expect("a plan of the word's width");
         for &n in inputs {
             let n = n & m;
             let q = guarded.divide(T::from_u128_truncate(n as u128));
