@@ -22,9 +22,11 @@
 //!
 //! `bench overhead [iters] [out.json]` instead runs the tracing
 //! overhead self-profile (see `magicdiv_bench::overhead`): baseline /
-//! tracing-off / null-sink cost per division, with pinned budget gates.
-//! Writes `results/overhead.json` by default and exits 1 when a gate
-//! fails, so check.sh can enforce that tracing-off stays free.
+//! tracing-off / null-sink cost per division and a Verified and a
+//! hardened guarded call, with pinned budget gates. Writes
+//! `results/overhead.json` by default and exits 1 when a gate fails, so
+//! check.sh can enforce that tracing-off stays free and hardened
+//! sampling stays cheap.
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -398,7 +400,7 @@ fn overhead_main(args: &[String]) {
         }
     }
     if !report.pass() {
-        eprintln!("error: tracing overhead budget exceeded — see {out_path}");
+        eprintln!("error: overhead budget exceeded — see {out_path}");
         std::process::exit(1)
     }
 }

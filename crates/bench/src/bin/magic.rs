@@ -21,7 +21,8 @@
 //!   (see `magicdiv_bench::chaos`): plan-constant bit flips, cache
 //!   poisoning, lock poisoning, interpreter fuel exhaustion and forced
 //!   demotions. Exits 1 if any injected fault produced a silently
-//!   wrong quotient; defaults write `results/chaos.json`;
+//!   wrong quotient, whose reproducers the report lists under `repros`
+//!   (it writes nothing else); defaults write `results/chaos.json`;
 //! * `magic metrics [seed] [requests] [out.prom]` — drive a seeded
 //!   synthetic request mix through a private plan cache and print the
 //!   resulting Prometheus-style text exposition. The stream is a pure
@@ -35,8 +36,8 @@ use std::sync::Arc;
 use magicdiv::cache::ChaosLockPoison;
 use magicdiv::{PlanCache, UnsignedDivisor};
 use magicdiv_bench::{
-    default_corpus_dir, explain, explain_jsonl, render_table, run_calibration, run_chaos,
-    write_entry, CalibrationConfig, ChaosConfig, ExplainShape, SplitMix,
+    explain, explain_jsonl, render_table, run_calibration, run_chaos, CalibrationConfig,
+    ChaosConfig, ExplainShape, SplitMix,
 };
 use magicdiv_trace::{install, render_exposition, ExpositionOptions, MetricsSink, Registry};
 
@@ -240,15 +241,11 @@ fn chaos_main(args: &[String]) {
     }
     println!("wrote {out_path}");
     if report.silent_wrong() > 0 {
-        // Persist replayable reproducers before failing the gate.
         for entry in &report.repros {
-            match write_entry(&default_corpus_dir(), entry) {
-                Ok(path) => eprintln!("reproducer written: {}", path.display()),
-                Err(e) => eprintln!("warning: could not write reproducer: {e}"),
-            }
+            eprintln!("reproducer: {entry}");
         }
         eprintln!(
-            "error: {} silently wrong quotient(s) — see {out_path}",
+            "error: {} silently wrong quotient(s) — reproducers under \"repros\" in {out_path}",
             report.silent_wrong()
         );
         std::process::exit(1)

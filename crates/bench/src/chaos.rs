@@ -123,8 +123,9 @@ pub struct ChaosReport {
     /// Cache shard locks found poisoned and bypassed.
     pub cache_lock_poisoned: u64,
     /// Reproducers for any silently wrong quotient, in the corpus
-    /// entry format so `tests/corpus_replay.rs` can replay them.
-    /// Empty on a healthy run.
+    /// entry format so `tests/corpus_replay.rs` can replay them. Empty
+    /// on a healthy run; otherwise the JSON report lists them as
+    /// `repros`.
     pub repros: Vec<CorpusEntry>,
 }
 
@@ -158,7 +159,9 @@ impl ChaosReport {
     /// durations): same seed → byte-identical output. Top-level keys
     /// `injected` / `detected_degraded` / `typed_faults` /
     /// `silent_wrong` / `guard_demotions` / `cache_poisoned` /
-    /// `cache_lock_poisoned` are the drift layer's chaos counters.
+    /// `cache_lock_poisoned` are the drift layer's chaos counters. A
+    /// `repros` array of corpus lines follows them only when a quotient
+    /// was silently wrong, so a healthy report does not carry the key.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
@@ -202,10 +205,14 @@ impl ChaosReport {
         ));
         out.push_str(&format!("  \"cache_poisoned\": {},\n", self.cache_poisoned));
         out.push_str(&format!(
-            "  \"cache_lock_poisoned\": {}\n",
+            "  \"cache_lock_poisoned\": {}",
             self.cache_lock_poisoned
         ));
-        out.push_str("}\n");
+        if !self.repros.is_empty() {
+            let lines: Vec<String> = self.repros.iter().map(|r| format!("\"{r}\"")).collect();
+            out.push_str(&format!(",\n  \"repros\": [{}]", lines.join(", ")));
+        }
+        out.push_str("\n}\n");
         out
     }
 
@@ -730,6 +737,24 @@ mod tests {
         ] {
             assert!(json.get(key).is_some(), "missing key {key}");
         }
+    }
+
+    /// A silently wrong quotient's reproducers are in the JSON report,
+    /// one corpus line each; a healthy report has no `repros` key.
+    #[test]
+    fn report_json_lists_repros_only_when_there_are_any() {
+        let mut report = run_chaos(&ChaosConfig { seed: 7, rounds: 1 });
+        let healthy = crate::json::parse(&report.to_json()).expect("chaos report parses");
+        assert!(healthy.get("repros").is_none());
+        report.repros.push(CorpusEntry {
+            case: Case::new(Shape::Udiv, 32, 7),
+            mutation: None,
+            n: 13,
+        });
+        let json = crate::json::parse(&report.to_json()).expect("chaos report parses");
+        let repros = json.get("repros").and_then(|r| r.as_arr()).expect("repros");
+        let lines: Vec<&str> = repros.iter().filter_map(|r| r.as_str()).collect();
+        assert_eq!(lines, ["udiv w=32 d=7 n=13 mut=-"]);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use crate::diff::{
 pub use crate::drift::{diff_snapshots, DriftFinding, DriftKind, DriftReport};
 pub use crate::explain::{explain, explain_jsonl, render_tournament, ExplainShape};
 pub use crate::overhead::{run_overhead, OverheadGate, OverheadReport, OverheadRow};
-pub use crate::runmeta::{git_sha, unix_time_ms};
+pub use crate::runmeta::{git_sha, host, unix_time_ms};
 pub use crate::tournament::{
     run_tournament, run_urem_tournament, SimcpuJudge, DEFAULT_TOURNAMENT_MODEL,
 };

@@ -17,15 +17,21 @@
 //! Each configuration runs scalar (one cache lookup + one division per
 //! request) and batch (one lookup amortized over a [`BATCH_LEN`]-wide
 //! `div_slice`) shapes, min-of-k timed via
-//! [`measure_ns_min`]. The report carries pinned
-//! budgets and pass/fail gates; `bench overhead` exits nonzero when a
-//! gate fails, and check.sh runs it so tracing-off staying free is CI-
-//! enforced, not aspirational.
+//! [`measure_ns_min`]. Two `guard` cells time one guarded u64 call over
+//! the same divisors, with no cache and no sink: **verified** (no
+//! runtime check) and **hardened_1000** (`GuardPolicy::hardened(1000)`),
+//! so the price of deciding whether to sample is measured too.
+//!
+//! The report carries pinned budgets and pass/fail gates; `bench
+//! overhead` exits nonzero when a gate fails, and check.sh runs it so
+//! tracing-off staying free, and hardened sampling staying cheap, is
+//! CI-enforced, not aspirational.
 
 use std::hint::black_box;
 use std::sync::Arc;
 
-use magicdiv::{PlanCache, UnsignedDivisor};
+use magicdiv::plan::UdivPlan;
+use magicdiv::{GuardPolicy, GuardedUnsignedDivisor, PlanCache, UnsignedDivisor};
 use magicdiv_trace::{install, NullSink, Sink};
 
 use crate::measure_ns_min;
@@ -57,12 +63,26 @@ pub const OFF_SCALAR_FACTOR: f64 = 40.0;
 /// noise on a ~2 ns baseline.
 pub const SCALAR_SLACK_NS: f64 = 10.0;
 
+/// Hardened-sampling gate: a `hardened(1000)` guarded call may cost at
+/// most this many times a Verified one (plus [`HARDENED_SLACK_NS`]). One
+/// call in a thousand is cross-checked, so the rest must pay only for a
+/// countdown tick. On a 2-vCPU x86-64 VM the countdown measured 1.1×
+/// (7.3–8.0 ns against 6.8–7.0 ns), while a locked call counter and a
+/// hardware `%` per call measured 2.3–2.7× (17.3–17.8 ns against
+/// 6.4–7.4 ns) and fail it.
+pub const HARDENED_FACTOR: f64 = 2.0;
+
+/// Absolute slack (ns/call) for the hardened-sampling gate, for timer
+/// noise on a ~7 ns Verified cell.
+pub const HARDENED_SLACK_NS: f64 = 1.0;
+
 /// One measured cell: a tracing configuration × request shape.
 #[derive(Debug, Clone)]
 pub struct OverheadRow {
-    /// Request shape: `"scalar"` or `"batch"`.
+    /// Request shape: `"scalar"`, `"batch"` or `"guard"`.
     pub shape: &'static str,
-    /// Tracing configuration: `baseline`/`off`/`sink`.
+    /// Tracing configuration `baseline`/`off`/`sink`, or for a `guard`
+    /// cell its policy, `verified`/`hardened_1000`.
     pub mode: &'static str,
     /// Cost per division, nanoseconds (min-of-k).
     pub ns_per_div: f64,
@@ -101,7 +121,7 @@ impl OverheadReport {
     }
 
     /// The row for a `(shape, mode)` cell (0.0 if absent; the driver
-    /// always emits all six cells).
+    /// always emits all eight cells).
     pub fn ns(&self, shape: &str, mode: &str) -> f64 {
         self.rows
             .iter()
@@ -115,6 +135,7 @@ impl OverheadReport {
         let mut out = String::from("{\n");
         out.push_str("  \"version\": 1,\n");
         out.push_str(&format!("  \"git_sha\": \"{}\",\n", crate::git_sha()));
+        out.push_str(&format!("  \"host\": \"{}\",\n", crate::host()));
         out.push_str(&format!("  \"iters\": {},\n", self.iters));
         out.push_str(&format!("  \"repeats\": {},\n", self.repeats));
         out.push_str(&format!("  \"batch_len\": {BATCH_LEN},\n"));
@@ -208,8 +229,22 @@ fn measure_baseline(iters: u64, repeats: u32) -> (f64, f64) {
     (scalar, batch / BATCH_LEN as f64)
 }
 
-/// Runs the full self-profile: three configurations × two shapes, then
-/// applies the pinned budgets.
+/// Measures one guarded u64 call per divisor under `policy`, the guards
+/// built once: the guard's own cost over the bare kernel.
+fn measure_guard(iters: u64, repeats: u32, policy: GuardPolicy) -> f64 {
+    let guards: Vec<GuardedUnsignedDivisor<u64>> = DIVISORS
+        .iter()
+        .filter_map(|&d| UdivPlan::new(u128::from(d), 64).ok())
+        .filter_map(|plan| GuardedUnsignedDivisor::from_plan(&plan, &policy).ok())
+        .collect();
+    measure_ns_min(iters, repeats, |i| {
+        let g = &guards[(i % 4) as usize];
+        g.divide(black_box(i.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
+    })
+}
+
+/// Runs the full self-profile: three configurations × two shapes and
+/// the two guard cells, then applies the pinned budgets.
 ///
 /// Sinks are per-thread, so the cells are measured on a fresh thread:
 /// no sink the caller has installed on its own thread leaks into them,
@@ -247,6 +282,17 @@ fn measure_report(iters: u64, repeats: u32) -> OverheadReport {
             ns_per_div: batch,
         });
     }
+    let guards = [
+        ("verified", GuardPolicy::default()),
+        ("hardened_1000", GuardPolicy::hardened(1000)),
+    ];
+    for (mode, policy) in guards {
+        rows.push(OverheadRow {
+            shape: "guard",
+            mode,
+            ns_per_div: measure_guard(iters, repeats, policy),
+        });
+    }
 
     let report = OverheadReport {
         iters,
@@ -278,6 +324,12 @@ fn measure_report(iters: u64, repeats: u32) -> OverheadReport {
             "off",
             baseline_scalar * OFF_SCALAR_FACTOR + SCALAR_SLACK_NS,
         ),
+        gate(
+            "hardened_sampling_cheap",
+            "guard",
+            "hardened_1000",
+            report.ns("guard", "verified") * HARDENED_FACTOR + HARDENED_SLACK_NS,
+        ),
     ];
     OverheadReport { gates, ..report }
 }
@@ -290,20 +342,24 @@ mod tests {
     fn report_carries_all_cells_and_gates() {
         // Tiny budget: this validates shape and JSON, not timing.
         let report = run_overhead(64, 2);
-        assert_eq!(report.rows.len(), 6);
-        for shape in ["scalar", "batch"] {
-            for mode in ["baseline", "off", "sink"] {
-                assert!(
-                    report.ns(shape, mode) > 0.0,
-                    "missing or zero cell {shape}/{mode}"
-                );
-            }
+        assert_eq!(report.rows.len(), 8);
+        let cells = ["scalar", "batch"]
+            .into_iter()
+            .flat_map(|shape| ["baseline", "off", "sink"].map(|mode| (shape, mode)))
+            .chain([("guard", "verified"), ("guard", "hardened_1000")]);
+        for (shape, mode) in cells {
+            assert!(
+                report.ns(shape, mode) > 0.0,
+                "missing or zero cell {shape}/{mode}"
+            );
         }
-        assert_eq!(report.gates.len(), 2);
+        assert_eq!(report.gates.len(), 3);
         let json = report.to_json();
         assert!(json.contains("\"version\": 1"));
+        assert!(json.contains("\"host\": \""));
         assert!(json.contains("\"tracing_off_batch_free\""));
         assert!(json.contains("\"tracing_off_scalar_ratio\""));
+        assert!(json.contains("\"hardened_sampling_cheap\""));
         assert!(!json.contains("recorder"), "{json}");
         assert!(!json.contains("NaN"), "{json}");
         crate::json::parse(&json).expect("overhead report parses");

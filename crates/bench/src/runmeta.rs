@@ -1,6 +1,6 @@
 //! Run-level metadata stamped into the JSON reports: schema version,
-//! git revision and wall-clock timestamps, so two report files can be
-//! compared knowing exactly which tree and when produced each.
+//! git revision, host and wall-clock timestamps, so two report files can
+//! be compared knowing exactly which tree, where and when produced each.
 
 use std::process::Command;
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -18,6 +18,29 @@ pub fn git_sha() -> String {
         Some(sha) if !sha.is_empty() => sha,
         _ => "unknown".to_string(),
     }
+}
+
+/// The machine a timing report was measured on: architecture, logical
+/// CPU count and, where `/proc/cpuinfo` names it, the CPU model — e.g.
+/// `x86_64, 2 CPUs, Intel(R) Xeon(R) Processor`. Safe to embed in a
+/// JSON string.
+pub fn host() -> String {
+    let cpus = std::thread::available_parallelism().map_or(0, usize::from);
+    let mut host = format!("{}, {cpus} CPUs", std::env::consts::ARCH);
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let model = cpuinfo
+        .lines()
+        .find_map(|line| line.strip_prefix("model name")?.split_once(':'))
+        .map(|(_, name)| name.trim());
+    if let Some(model) = model {
+        host.push_str(", ");
+        host.extend(
+            model
+                .chars()
+                .filter(|c| !matches!(c, '"' | '\\') && !c.is_control()),
+        );
+    }
+    host
 }
 
 /// Milliseconds since the Unix epoch (0 if the clock is before it).
@@ -39,6 +62,13 @@ mod tests {
             sha == "unknown" || (sha.len() == 40 && sha.chars().all(|c| c.is_ascii_hexdigit())),
             "unexpected sha {sha:?}"
         );
+    }
+
+    #[test]
+    fn host_names_the_architecture() {
+        let host = host();
+        assert!(host.starts_with(std::env::consts::ARCH), "{host}");
+        assert!(!host.contains('"'), "{host}");
     }
 
     #[test]

@@ -32,9 +32,15 @@
 //! does not refresh an entry, so the victim is always the shard's oldest
 //! insert. Each shard keeps its inserts in a queue of `(key, stamp)`
 //! pairs, which makes an eviction O(1) instead of a scan over the
-//! shard. Stamps are unique: a queued pair whose stamp no longer
-//! matches its entry (evicted as poisoned, then rebuilt) is stale and
-//! skipped.
+//! shard. Stamps are unique within a shard: a queued pair whose stamp no
+//! longer matches its entry (evicted as poisoned, then rebuilt) is stale
+//! and skipped.
+//!
+//! The counters and the stamp live in each shard and are updated under
+//! the shard lock the lookup already holds, so a lookup pays no locked
+//! read-modify-write for them; [`PlanCache::stats`] sums the shards.
+//! Only the count of lookups that bypassed a poisoned lock is a shared
+//! atomic, since those lookups hold no lock.
 //!
 //! # Examples
 //!
@@ -54,7 +60,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use crate::error::{DivisorError, Fault, FaultKind, FaultLayer};
 use crate::plan::{
@@ -220,7 +226,8 @@ impl Queued {
     }
 }
 
-/// One shard: its map and the insertion-ordered queue eviction pops.
+/// One shard: its map, the insertion-ordered queue eviction pops, the
+/// next stamp and the shard's share of the lifetime counters.
 #[derive(Debug, Default)]
 struct Shard {
     map: ShardMap,
@@ -228,6 +235,11 @@ struct Shard {
     /// key's entry still carries its stamp; stale ones are skipped on
     /// eviction and dropped when the queue is compacted.
     fifo: VecDeque<Queued>,
+    /// The stamp of the next insert, so each queue is in stamp order.
+    stamp: u64,
+    /// Counts `hits`, `misses`, `poisoned` and `evictions`; its
+    /// `lock_poisoned` stays 0 (that count is the cache's).
+    stats: CacheStats,
 }
 
 impl Shard {
@@ -266,6 +278,7 @@ impl Shard {
         self.map.insert(key, Box::new(entry));
     }
 
+    /// Drops every entry; the counters and the stamp live on.
     fn clear(&mut self) {
         self.map.clear();
         self.fifo.clear();
@@ -350,12 +363,7 @@ pub struct CacheStats {
 pub struct PlanCache {
     shards: [Mutex<Shard>; SHARDS],
     per_shard_capacity: usize,
-    stamp: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    poisoned: AtomicU64,
     lock_poisoned: AtomicU64,
-    evictions: AtomicU64,
 }
 
 impl PlanCache {
@@ -365,12 +373,7 @@ impl PlanCache {
         PlanCache {
             shards: std::array::from_fn(|_| Mutex::default()),
             per_shard_capacity: capacity.div_ceil(SHARDS).max(1),
-            stamp: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            poisoned: AtomicU64::new(0),
             lock_poisoned: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
         }
     }
 
@@ -407,7 +410,7 @@ impl PlanCache {
         if let Some(entry) = shard.map.get(&key) {
             let healthy = plan_checksum(&entry.plan) == entry.checksum;
             if let Some(plan) = P::try_from(entry.plan).ok().filter(|_| healthy) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                shard.stats.hits += 1;
                 magicdiv_trace::event!("cache.hit",
                     "width" => key.width,
                     "d_bits" => key.d_bits);
@@ -416,28 +419,28 @@ impl PlanCache {
             // Corrupt entry: evict, count, fall through to rebuild. Its
             // queued pair goes stale.
             shard.map.remove(&key);
-            self.poisoned.fetch_add(1, Ordering::Relaxed);
+            shard.stats.poisoned += 1;
             magicdiv_trace::event!("cache.poisoned",
                 "width" => key.width,
                 "d_bits" => key.d_bits);
         } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            shard.stats.misses += 1;
             magicdiv_trace::event!("cache.miss",
                 "width" => key.width,
                 "d_bits" => key.d_bits);
         }
         let plan = build::<P>(d_bits, width)?;
         if shard.map.len() >= self.per_shard_capacity && shard.evict_oldest() {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+            shard.stats.evictions += 1;
             magicdiv_trace::event!("cache.evicted", "width" => key.width);
         }
         let stored = plan.into();
-        // Stamped under the shard lock, so each queue is in stamp order.
         let entry = Entry {
             plan: stored,
             checksum: plan_checksum(&stored),
-            stamp: self.stamp.fetch_add(1, Ordering::Relaxed),
+            stamp: shard.stamp,
         };
+        shard.stamp += 1;
         shard.insert(key, entry, self.per_shard_capacity);
         Ok(plan)
     }
@@ -490,15 +493,22 @@ impl PlanCache {
         self.lookup(d, width)
     }
 
-    /// Lifetime counters plus the current entry count.
+    /// Lifetime counters: the shards' counts summed, a poisoned shard's
+    /// read through its lock all the same (each count is a whole `u64`
+    /// increment, so a panicked writer leaves none half-updated).
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            poisoned: self.poisoned.load(Ordering::Relaxed),
+        let mut total = CacheStats {
             lock_poisoned: self.lock_poisoned.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            ..CacheStats::default()
+        };
+        for shard in &self.shards {
+            let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
+            total.hits += shard.stats.hits;
+            total.misses += shard.stats.misses;
+            total.poisoned += shard.stats.poisoned;
+            total.evictions += shard.stats.evictions;
         }
+        total
     }
 
     /// Live entries across all healthy shards.
@@ -516,7 +526,8 @@ impl PlanCache {
     }
 
     /// Drops every entry in every healthy shard (poisoned shards are
-    /// left alone — they are bypassed anyway).
+    /// left alone — they are bypassed anyway). The lifetime counters
+    /// keep counting.
     pub fn clear(&self) {
         for shard in &self.shards {
             if let Ok(mut shard) = shard.lock() {
@@ -597,9 +608,7 @@ impl PlanCache {
     pub fn chaos_poison_lock_udiv(&self, d: u128, width: u32) -> bool {
         let (_, shard) = self.udiv_shard(d, width);
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let _guard = shard.lock().unwrap_or_else(PoisonError::into_inner);
             // Unwinding through `_guard` marks the mutex poisoned.
             std::panic::panic_any(ChaosLockPoison);
         }));
@@ -792,7 +801,36 @@ mod tests {
         });
         let s = cache.stats();
         assert_eq!(s.poisoned, 0);
-        assert!(s.hits + s.misses >= 4 * 99);
+        assert_eq!(s.hits + s.misses, 4 * 99);
+    }
+
+    /// The lifetime counters are exact: `clear` keeps them, the counts of
+    /// a shard whose lock is later poisoned still show, and a lookup
+    /// that bypasses the poisoned lock counts only as `lock_poisoned`.
+    #[test]
+    fn counters_survive_clear_and_lock_poisoning() {
+        let cache = PlanCache::new(64);
+        for _ in 0..3 {
+            cache.udiv(10, 32).expect("plan");
+        }
+        cache.clear();
+        cache.udiv(10, 32).expect("plan");
+        let before = cache.stats();
+        let counted = CacheStats {
+            hits: 2,
+            misses: 2,
+            ..CacheStats::default()
+        };
+        assert_eq!(before, counted);
+        assert!(cache.chaos_poison_lock_udiv(10, 32));
+        for _ in 0..5 {
+            cache.udiv(10, 32).expect("bypass build");
+        }
+        let bypassed = CacheStats {
+            lock_poisoned: 5,
+            ..before
+        };
+        assert_eq!(cache.stats(), bypassed);
     }
 
     #[test]

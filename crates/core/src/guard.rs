@@ -18,7 +18,8 @@
 //!   which exercise the kernel code itself; execution trusts the plan
 //!   with zero per-call overhead;
 //! * **Hardened** — execution additionally cross-checks every
-//!   `sample_every`-th quotient against native division;
+//!   `sample_every`-th quotient against native division, chosen by a
+//!   countdown with no locked read-modify-write and no division;
 //! * **Demoted** — a cross-check mismatched: the instance permanently
 //!   falls back to native (hardware) division, emits a
 //!   `guard.demotion` trace event and charges the process-wide
@@ -100,6 +101,11 @@ pub struct GuardPolicy {
     /// Cross-check every `sample_every`-th call in hardened mode;
     /// `0` disables runtime checks (the divisor starts Verified),
     /// `1` checks every call.
+    ///
+    /// For one caller the checked calls are exactly calls `0, k, 2k, …`.
+    /// Concurrent callers share the countdown through plain relaxed
+    /// loads and stores, so a racing call may repeat or skip a sample;
+    /// the rate stays about one call in `k`.
     pub sample_every: u64,
 }
 
@@ -291,7 +297,9 @@ pub struct Guarded<K: GuardKernel> {
     kernel: K,
     d: K::Word,
     state: AtomicU8,
-    calls: AtomicU64,
+    /// Hardened calls left before the next cross-check: the call that
+    /// reads `0` is checked and resets it to `sample_every - 1`.
+    countdown: AtomicU64,
     sample_every: u64,
 }
 
@@ -382,7 +390,7 @@ impl<K: GuardKernel> Guarded<K> {
             kernel,
             d,
             state: AtomicU8::new(state),
-            calls: AtomicU64::new(0),
+            countdown: AtomicU64::new(0),
             sample_every: policy.sample_every,
         }
     }
@@ -429,11 +437,12 @@ impl<K: GuardKernel> Guarded<K> {
     /// instance and returns the *native* answer, so a detected fault is
     /// never served.
     fn run(&self, n: K::Input) -> K::Output {
-        if self.state.load(Ordering::Acquire) == STATE_DEMOTED {
+        let state = self.state.load(Ordering::Acquire);
+        if state == STATE_DEMOTED {
             return K::native(self.d, n);
         }
         let got = self.kernel.planned(n);
-        if self.should_check() && K::in_contract(self.d, n) {
+        if state == STATE_HARDENED && self.should_check() && K::in_contract(self.d, n) {
             let want = K::native(self.d, n);
             if got != want {
                 self.demote(&K::mismatch(n, got, want));
@@ -443,13 +452,19 @@ impl<K: GuardKernel> Guarded<K> {
         got
     }
 
-    /// Whether this call should be cross-checked (hardened mode only).
+    /// Whether this hardened call should be cross-checked: one tick of
+    /// the countdown. A relaxed load and store, not a locked
+    /// read-modify-write, so two racing calls may both read the same
+    /// value; that can repeat or skip a sample, never stop sampling.
     fn should_check(&self) -> bool {
-        if self.state.load(Ordering::Acquire) != STATE_HARDENED {
-            return false;
+        let left = self.countdown.load(Ordering::Relaxed);
+        if left == 0 {
+            let reset = self.sample_every.saturating_sub(1);
+            self.countdown.store(reset, Ordering::Relaxed);
+            return true;
         }
-        let c = self.calls.fetch_add(1, Ordering::Relaxed);
-        self.sample_every == 1 || c % self.sample_every == 0
+        self.countdown.store(left - 1, Ordering::Relaxed);
+        false
     }
 
     /// Transitions to Demoted, charges the budget, emits the typed
@@ -1324,6 +1339,62 @@ mod tests {
         }
         assert!(proof_only > 0, "no flip needed the proof");
         Ok(())
+    }
+
+    /// For one caller, hardened mode checks exactly calls `0, k, 2k, …`:
+    /// after `calls` right answers, the first wrong one is caught (served
+    /// native, and the guard demotes) iff `calls % k == 0`.
+    #[test]
+    fn hardened_checks_exactly_every_kth_call() {
+        fault_budget().set_limit(u64::MAX);
+        // Division by 8 for d = 7: right on 0, wrong on 7.
+        let bad = UdivPlan::from_raw(7, 32, crate::plan::UdivStrategy::Shift { sh: 3 });
+        for k in [1u64, 2, 3, 16, 1000] {
+            for calls in 0..3 * k + 2 {
+                let g = GuardedUnsignedDivisor::<u32>::from_plan_unprobed(
+                    &bad,
+                    &GuardPolicy::hardened(k),
+                )
+                .expect("a w32 unsigned plan");
+                for _ in 0..calls {
+                    assert_eq!(g.divide(0), 0);
+                }
+                let sampled = calls % k == 0;
+                let (served, state) = if sampled {
+                    (1, GuardState::Demoted)
+                } else {
+                    (0, GuardState::Hardened)
+                };
+                assert_eq!(g.divide(7), served, "k={k} calls={calls}");
+                assert_eq!(g.state(), state, "k={k} calls={calls}");
+            }
+        }
+    }
+
+    /// Four threads, released together, share one `hardened(16)` guard
+    /// over a plan wrong on every input they send. Racing on the
+    /// countdown may repeat or skip a sample but never stops sampling, so
+    /// the guard ends demoted.
+    #[test]
+    fn racing_callers_still_sample_and_demote() {
+        fault_budget().set_limit(u64::MAX);
+        // The identity for d = 7: wrong on every nonzero dividend.
+        let bad = UdivPlan::from_raw(7, 32, crate::plan::UdivStrategy::Identity);
+        let g = GuardedUnsignedDivisor::<u32>::from_plan_unprobed(&bad, &GuardPolicy::hardened(16))
+            .expect("a w32 unsigned plan");
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    start.wait();
+                    for n in 1..=10_000u32 {
+                        let _ = g.divide(n);
+                    }
+                });
+            }
+        });
+        assert_eq!(g.state(), GuardState::Demoted);
+        assert_eq!(g.divide(700), 100);
     }
 
     #[test]

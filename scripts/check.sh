@@ -256,9 +256,9 @@ test "$left" = "./r.json" || {
     exit 1
 }
 
-echo "== tracing overhead budget gate (tracing-off stays free) =="
+echo "== overhead budget gates (tracing-off stays free, hardened sampling stays cheap) =="
 ./target/release/bench overhead 2000 target/overhead_ci.json > /dev/null || {
-    echo "tracing overhead exceeded its pinned budget — see target/overhead_ci.json" >&2
+    echo "overhead exceeded a pinned budget — see target/overhead_ci.json" >&2
     exit 1
 }
 
