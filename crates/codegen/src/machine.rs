@@ -15,7 +15,7 @@
 //!   the §3 legalization otherwise (the POWER/RIOS "signed only" case);
 //! * finally list-scheduling the result for the machine's latencies.
 
-use magicdiv::choose_multiplier_at;
+use magicdiv::{choose_multiplier_at, DivisorError};
 use magicdiv_ir::{
     legalize, mask, optimize, schedule, Builder, Op, Program, ScheduleWeights, TargetCaps,
 };
@@ -58,9 +58,10 @@ impl MachineDesc {
 
 /// Generates tuned, legalized, scheduled code for `⌊n/d⌋` on `machine`.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics when `d` masks to zero at the machine's width.
+/// [`DivisorError::Zero`] when `d` masks to zero at the machine's width
+/// (`d = 0`, or `d = 2^32` on a 32-bit machine).
 ///
 /// # Examples
 ///
@@ -76,14 +77,17 @@ impl MachineDesc {
 ///     caps: TargetCaps::FULL,
 ///     wide_registers: true,
 /// };
-/// let prog = gen_unsigned_div_tuned(10, &alpha);
+/// let prog = gen_unsigned_div_tuned(10, &alpha)?;
 /// assert!(!prog.op_counts().uses_multiply()); // expanded into shifts/adds
 /// assert_eq!(prog.eval1(&[1994]).unwrap(), 199);
+/// # Ok::<(), magicdiv::DivisorError>(())
 /// ```
-pub fn gen_unsigned_div_tuned(d: u64, machine: &MachineDesc) -> Program {
+pub fn gen_unsigned_div_tuned(d: u64, machine: &MachineDesc) -> Result<Program, DivisorError> {
     let width = machine.width;
     let d = d & mask(width);
-    assert!(d != 0, "division by zero");
+    if d == 0 {
+        return Err(DivisorError::Zero);
+    }
 
     // Try the wide-register shift/add expansion first (the Alpha trick):
     // only meaningful for non-power-of-two divisors whose magic multiply
@@ -106,14 +110,14 @@ pub fn gen_unsigned_div_tuned(d: u64, machine: &MachineDesc) -> Program {
     };
 
     let legal = legalize(&prog, machine.caps);
-    schedule(
+    Ok(schedule(
         &optimize(&legal),
         ScheduleWeights {
             multiply: machine.mul_cycles,
             divide: machine.div_cycles,
             simple: 1,
         },
-    )
+    ))
 }
 
 /// The Fig 6.2 multiplier ([`choose_multiplier_at`] at precision N) as a
@@ -184,7 +188,7 @@ mod tests {
         ];
         for m in &machines {
             for d in 1u64..=255 {
-                let prog = gen_unsigned_div_tuned(d, m);
+                let prog = gen_unsigned_div_tuned(d, m).unwrap();
                 for n in (0u64..=255).step_by(3) {
                     assert_eq!(prog.eval1(&[n]).unwrap(), n / d, "{m:?} n={n} d={d}");
                 }
@@ -193,9 +197,27 @@ mod tests {
     }
 
     #[test]
+    fn divisor_masked_to_zero_is_an_error() {
+        // The divisor is masked to the machine's width first, so a
+        // nonzero runtime value can still be a zero divisor.
+        for m in [alpha_like(), viking_like(), rios_like()] {
+            assert_eq!(gen_unsigned_div_tuned(0, &m), Err(DivisorError::Zero));
+            assert_eq!(gen_unsigned_div_tuned(1 << 32, &m), Err(DivisorError::Zero));
+            assert_eq!(
+                gen_unsigned_div_tuned((1 << 32) + 10, &m),
+                gen_unsigned_div_tuned(10, &m)
+            );
+        }
+        assert_eq!(
+            gen_unsigned_div_tuned(0x300, &MachineDesc::generic(8)),
+            Err(DivisorError::Zero)
+        );
+    }
+
+    #[test]
     fn alpha_expands_small_divisors() {
         for d in [3u64, 5, 10, 100] {
-            let prog = gen_unsigned_div_tuned(d, &alpha_like());
+            let prog = gen_unsigned_div_tuned(d, &alpha_like()).unwrap();
             assert!(!prog.op_counts().uses_multiply(), "d={d}: {prog}");
             for n in [0u64, 1, d, 1994, u32::MAX as u64] {
                 assert_eq!(prog.eval1(&[n]).unwrap(), n / d, "d={d} n={n}");
@@ -206,7 +228,7 @@ mod tests {
     #[test]
     fn fast_multiplier_keeps_the_multiply() {
         for d in [3u64, 10, 1_000_000_007] {
-            let prog = gen_unsigned_div_tuned(d, &viking_like());
+            let prog = gen_unsigned_div_tuned(d, &viking_like()).unwrap();
             assert!(prog.op_counts().mul_high >= 1, "d={d}: {prog}");
         }
     }
@@ -214,7 +236,7 @@ mod tests {
     #[test]
     fn rios_gets_legalized_muluh() {
         // No unsigned multiply-high: the §3 identity must appear.
-        let prog = gen_unsigned_div_tuned(10, &rios_like());
+        let prog = gen_unsigned_div_tuned(10, &rios_like()).unwrap();
         assert!(prog.op_counts().mul_high >= 1);
         assert!(
             prog.insts().iter().all(|o| !matches!(o, Op::MulUH(..))),
@@ -237,7 +259,7 @@ mod tests {
             wide_registers: true,
         };
         for d in [3u64, 10, 2_654_435_761] {
-            let prog = gen_unsigned_div_tuned(d, &fast_wide);
+            let prog = gen_unsigned_div_tuned(d, &fast_wide).unwrap();
             assert!(prog.op_counts().uses_multiply(), "d={d}: {prog}");
         }
     }
@@ -253,8 +275,8 @@ mod tests {
             caps: TargetCaps::FULL,
             wide_registers: true,
         };
-        let slow = gen_unsigned_div_tuned(10, &mk(23));
-        let fast = gen_unsigned_div_tuned(10, &mk(3));
+        let slow = gen_unsigned_div_tuned(10, &mk(23)).unwrap();
+        let fast = gen_unsigned_div_tuned(10, &mk(3)).unwrap();
         assert!(!slow.op_counts().uses_multiply(), "{slow}");
         assert!(fast.op_counts().uses_multiply(), "{fast}");
     }

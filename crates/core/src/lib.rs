@@ -17,7 +17,6 @@
 //! | §6.2 multiplier selection | [`choose_multiplier_at`] (Fig 6.2 as one `const fn` for `N <= 64`), [`choose_multiplier`] (typed, fallible; doubleword at `N = 128`) |
 //! | strategy selection (all of the above) | [`plan`]: [`UdivPlan`], [`SdivPlan`], [`FloorPlan`], [`ExactPlan`], [`UremPlan`], [`DivisibilityPlan`], [`DivPlan`] |
 //! | planner tournament (candidate families beyond the paper) | [`candidates`], [`tournament`]: [`run_udiv_tournament`], [`run_urem_tournament`]; the winner's plan goes to `from_plan` |
-//! | §10 compile-time constants | [`ConstU32Divisor`], [`ConstU64Divisor`] (`const fn` Fig 4.2 into a [`UdivStrategy`]) |
 //! | §7 floating point | [`trunc_div_f64`], [`unsigned_div_f64`] |
 //! | §8 udword ÷ uword | [`DwordDivisor`] (Fig 8.1) |
 //! | §9 exact division & divisibility | [`ExactUnsignedDivisor`], [`ExactSignedDivisor`], [`DivisibilityScanner`], [`mod_inverse_newton`], [`mod_inverse_bitwise`] |
@@ -75,7 +74,6 @@
 pub mod cache;
 pub mod candidates;
 mod choose_multiplier;
-mod const_divisor;
 mod error;
 mod exact;
 mod float;
@@ -93,7 +91,6 @@ mod word;
 pub use crate::cache::{global_plan_cache, CacheStats, PlanCache};
 pub use crate::candidates::{udiv_candidates, urem_candidates, Candidate, CandidateSource};
 pub use crate::choose_multiplier::{choose_multiplier, choose_multiplier_at, ChosenMultiplier};
-pub use crate::const_divisor::{ConstU32Divisor, ConstU64Divisor};
 pub use crate::error::{DivisorError, DwordDivError, Fault, FaultKind, FaultLayer};
 pub use crate::exact::{
     mod_inverse_bitwise, mod_inverse_newton, DivisibilityScanner, ExactSignedDivisor,
@@ -120,12 +117,3 @@ pub use crate::word::{SWord, UWord};
 
 // Re-export the doubleword substrate: DwordDivisor takes DWord dividends.
 pub use magicdiv_dword::{DWord, Limb};
-
-/// Convenience alias: unsigned 32-bit magic divisor.
-pub type MagicU32 = UnsignedDivisor<u32>;
-/// Convenience alias: unsigned 64-bit magic divisor.
-pub type MagicU64 = UnsignedDivisor<u64>;
-/// Convenience alias: signed 32-bit magic divisor (round toward zero).
-pub type MagicI32 = SignedDivisor<i32>;
-/// Convenience alias: signed 64-bit magic divisor (round toward zero).
-pub type MagicI64 = SignedDivisor<i64>;

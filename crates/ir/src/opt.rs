@@ -7,8 +7,12 @@
 //! should make the obvious simplifications" — this module is that
 //! optimizer, built as a single forward value-numbering pass iterated to a
 //! fixed point, followed by DCE.
-
-use std::collections::HashMap;
+//!
+//! Value numbering needs no hash table: the programs are a few dozen
+//! instructions, so looking an operation up is a scan of the new
+//! instruction list. Every operation enters that list only through the
+//! lookup, so the first match is the register a table would have
+//! recorded, and the output is the same as a hash-based pass's.
 
 use crate::interp::{mask, sign_extend};
 use crate::program::{Op, Program, Reg};
@@ -35,28 +39,53 @@ use crate::program::{Op, Program, Reg};
 /// ```
 pub fn optimize(program: &Program) -> Program {
     let _span = magicdiv_trace::span("ir.optimize");
-    let mut current = program.clone();
+    let mut bufs = Buffers::default();
     // Iterate simplify+CSE to a fixed point (each pass can expose more).
-    for pass in 0..8 {
-        let ops_before = current.insts().len();
-        let (simplified, stats) = simplify_and_cse(&current);
-        let next = dce(&simplified);
-        let changed = next != current;
-        magicdiv_trace::event!("ir.pass",
-            "pass" => pass,
-            "ops_before" => ops_before,
-            "ops_after" => next.insts().len(),
-            "folded" => stats.folded,
-            "copy_propagated" => stats.copy_propagated,
-            "cse_hits" => stats.cse_hits,
-            "dce_removed" => simplified.insts().len() - next.insts().len(),
-            "changed" => changed);
+    // The first pass reads `program` itself.
+    let (mut current, mut changed) = run_pass(0, program, &mut bufs);
+    for pass in 1..8 {
         if !changed {
             break;
         }
-        current = next;
+        (current, changed) = run_pass(pass, &current, &mut bufs);
     }
     current
+}
+
+/// One fixed-point pass of [`optimize`]: simplify and value-number, then
+/// DCE. Returns the new program and whether it differs from `input`,
+/// and reports the pass as an `ir.pass` event.
+fn run_pass(pass: i32, input: &Program, bufs: &mut Buffers) -> (Program, bool) {
+    let stats = simplify_and_cse(input, bufs);
+    let simplified_len = bufs.simplified.len();
+    let next = dce(input, bufs);
+    let changed = next != *input;
+    magicdiv_trace::event!("ir.pass",
+        "pass" => pass,
+        "ops_before" => input.insts().len(),
+        "ops_after" => next.insts().len(),
+        "folded" => stats.folded,
+        "copy_propagated" => stats.copy_propagated,
+        "cse_hits" => stats.cse_hits,
+        "dce_removed" => simplified_len - next.insts().len(),
+        "changed" => changed);
+    (next, changed)
+}
+
+/// Working storage the passes of one [`optimize`] call share, so a pass
+/// allocates only the program it returns.
+#[derive(Default)]
+struct Buffers {
+    /// [`simplify_and_cse`]'s instruction list, which [`dce`] reads.
+    simplified: Vec<Op>,
+    /// [`simplify_and_cse`]'s result registers.
+    results: Vec<Reg>,
+    /// Old register → new register, rebuilt by each pass.
+    remap: Vec<Reg>,
+    /// [`dce`]'s liveness marks.
+    live: Vec<bool>,
+    /// [`dce`]'s work list.
+    stack: Vec<usize>,
 }
 
 /// Rewrites fired by one [`simplify_and_cse`] pass, reported through the
@@ -73,29 +102,17 @@ struct PassStats {
 }
 
 /// One forward pass of constant folding, algebraic rewriting and value
-/// numbering.
-fn simplify_and_cse(program: &Program) -> (Program, PassStats) {
+/// numbering over `program`, into `bufs.simplified` and `bufs.results`.
+fn simplify_and_cse(program: &Program, bufs: &mut Buffers) -> PassStats {
     let w = program.width();
     let m = mask(w);
-    let mut out: Vec<Op> = Vec::with_capacity(program.insts().len());
+    let out = &mut bufs.simplified;
     // Map from old register to new register.
-    let mut remap: Vec<Reg> = Vec::with_capacity(program.insts().len());
-    // Value numbering table over the *new* instruction list.
-    let mut table: HashMap<Op, Reg> = HashMap::new();
+    let remap = &mut bufs.remap;
+    out.clear();
+    remap.clear();
 
     let mut stats = PassStats::default();
-
-    let intern =
-        |op: Op, out: &mut Vec<Op>, table: &mut HashMap<Op, Reg>, stats: &mut PassStats| -> Reg {
-            if let Some(&r) = table.get(&op) {
-                stats.cse_hits += 1;
-                return r;
-            }
-            let r = Reg(out.len() as u32);
-            out.push(op);
-            table.insert(op, r);
-            r
-        };
 
     for op in program.insts() {
         let original = op.map_operands(|r| remap[r.index()]);
@@ -113,17 +130,26 @@ fn simplify_and_cse(program: &Program) -> (Program, PassStats) {
                 if matches!(op, Op::Const(_)) && !matches!(original, Op::Const(_)) {
                     stats.folded += 1;
                 }
-                intern(op, &mut out, &mut table, &mut stats)
+                // Value numbering: reuse the first identical operation.
+                match out.iter().position(|o| *o == op) {
+                    Some(i) => {
+                        stats.cse_hits += 1;
+                        Reg(i as u32)
+                    }
+                    None => {
+                        out.push(op);
+                        Reg(out.len() as u32 - 1)
+                    }
+                }
             }
         };
         remap.push(new_reg);
     }
 
-    let results = program.results().iter().map(|r| remap[r.index()]).collect();
-    (
-        Program::from_raw(w, program.arg_count(), out, results),
-        stats,
-    )
+    bufs.results.clear();
+    bufs.results
+        .extend(program.results().iter().map(|r| remap[r.index()]));
+    stats
 }
 
 /// Result of rewriting one operation: either reuse an existing register
@@ -134,7 +160,7 @@ enum Rewrite {
 }
 
 /// Rewrites one operation given operand constant-ness.
-fn simplify_op(op: Op, w: u32, m: u64, const_of: &dyn Fn(Reg) -> Option<u64>) -> Rewrite {
+fn simplify_op(op: Op, w: u32, m: u64, const_of: &impl Fn(Reg) -> Option<u64>) -> Rewrite {
     use Op::*;
     let fold2 = |a: Reg, b: Reg, f: &dyn Fn(u64, u64) -> Option<u64>| -> Option<u64> {
         match (const_of(a), const_of(b)) {
@@ -332,32 +358,39 @@ fn simplify_op(op: Op, w: u32, m: u64, const_of: &dyn Fn(Reg) -> Option<u64>) ->
     }
 }
 
-/// Dead-code elimination: keeps only instructions reachable from the
-/// results, preserving argument slots (arguments are always retained so
-/// the calling convention stays stable).
-fn dce(program: &Program) -> Program {
-    let n = program.insts().len();
-    let mut live = vec![false; n];
-    let mut stack: Vec<usize> = program.results().iter().map(|r| r.index()).collect();
+/// Dead-code elimination over [`simplify_and_cse`]'s output in `bufs`:
+/// keeps only instructions reachable from the results, preserving
+/// argument slots (arguments are always retained so the calling
+/// convention stays stable). `program` supplies the width and signature.
+fn dce(program: &Program, bufs: &mut Buffers) -> Program {
+    let insts = &bufs.simplified;
+    let n = insts.len();
+    let live = &mut bufs.live;
+    live.clear();
+    live.resize(n, false);
+    let stack = &mut bufs.stack;
+    stack.clear();
+    stack.extend(bufs.results.iter().map(|r| r.index()));
     while let Some(i) = stack.pop() {
         if live[i] {
             continue;
         }
         live[i] = true;
-        for r in program.insts()[i].operands() {
+        for r in insts[i].operands() {
             stack.push(r.index());
         }
     }
     // Arguments always stay (they define the signature).
-    for (i, op) in program.insts().iter().enumerate() {
+    for (i, op) in insts.iter().enumerate() {
         if matches!(op, Op::Arg(_)) {
             live[i] = true;
         }
     }
-    let mut remap: Vec<Reg> = Vec::with_capacity(n);
-    let mut out: Vec<Op> = Vec::new();
-    for (i, op) in program.insts().iter().enumerate() {
-        if live[i] {
+    let remap = &mut bufs.remap;
+    remap.clear();
+    let mut out: Vec<Op> = Vec::with_capacity(live.iter().filter(|&&l| l).count());
+    for (op, &is_live) in insts.iter().zip(live.iter()) {
+        if is_live {
             let new = Reg(out.len() as u32);
             out.push(op.map_operands(|r| remap[r.index()]));
             remap.push(new);
@@ -365,7 +398,7 @@ fn dce(program: &Program) -> Program {
             remap.push(Reg(u32::MAX)); // never read: not live, no live users
         }
     }
-    let results = program.results().iter().map(|r| remap[r.index()]).collect();
+    let results = bufs.results.iter().map(|r| remap[r.index()]).collect();
     Program::from_raw(program.width(), program.arg_count(), out, results)
 }
 
@@ -427,6 +460,67 @@ mod tests {
             .filter(|o| matches!(o, Op::Add(..)))
             .count();
         assert_eq!(adds, 1);
+    }
+
+    #[test]
+    fn cse_keeps_one_of_many_duplicates() {
+        let mut b = Builder::new(32, 2);
+        let (x, y) = (b.arg(0), b.arg(1));
+        let sums: Vec<Reg> = (0..40).map(|_| b.push(Op::Add(x, y))).collect();
+        let mut acc = sums[0];
+        for &s in &sums[1..] {
+            acc = b.push(Op::Eor(acc, s));
+        }
+        let prog = b.finish([acc, sums[39]]);
+        let opt = optimize(&prog);
+        let adds = opt
+            .insts()
+            .iter()
+            .filter(|o| matches!(o, Op::Add(..)))
+            .count();
+        assert_eq!(adds, 1, "{opt}");
+        for args in [[0, 0], [3, 4], [u32::MAX.into(), 1]] {
+            assert_eq!(opt.eval(&args).unwrap(), prog.eval(&args).unwrap());
+        }
+    }
+
+    /// A second `optimize` finds nothing left to do, for every lowered
+    /// plan shape at every machine width.
+    #[test]
+    fn optimize_is_a_fixed_point_on_lowered_plans() {
+        use magicdiv::plan::{
+            DivPlan, DivisibilityPlan, DwordPlan, ExactPlan, FloorPlan, SdivPlan, UdivPlan,
+            UremPlan,
+        };
+        let mut checked = 0;
+        for w in [8u32, 16, 32, 64] {
+            for d in [3u64, 7, 10, 641, (1 << (w - 1)) + 1] {
+                if w < 64 && d >> w != 0 {
+                    continue;
+                }
+                let (du, ds) = (u128::from(d), i128::from(d));
+                // Signed shapes take ±d where it fits a signed w-bit word.
+                let signed = d < 1 << (w - 1);
+                let plans: [Option<DivPlan>; 10] = [
+                    UdivPlan::new(du, w).ok().map(Into::into),
+                    signed.then(|| SdivPlan::new(ds, w).unwrap().into()),
+                    signed.then(|| SdivPlan::new(-ds, w).unwrap().into()),
+                    signed.then(|| FloorPlan::new(ds, w).unwrap().into()),
+                    signed.then(|| FloorPlan::new(-ds, w).unwrap().into()),
+                    ExactPlan::new_unsigned(du, w).ok().map(Into::into),
+                    UremPlan::new_direct(du, w).ok().map(Into::into),
+                    UremPlan::new(du, w).ok().map(Into::into),
+                    DivisibilityPlan::new(du, w).ok().map(Into::into),
+                    DwordPlan::new(du, w).ok().map(Into::into),
+                ];
+                for plan in plans.into_iter().flatten() {
+                    let once = optimize(&crate::lower_plan(&plan).unwrap());
+                    assert_eq!(optimize(&once), once, "{plan:?}");
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked >= 4 * 5 * 7, "only {checked} plans lowered");
     }
 
     #[test]

@@ -19,20 +19,7 @@ use magicdiv::plan::DivPlan;
 use magicdiv::{Fault, FaultKind, FaultLayer};
 use magicdiv_ir::{lower_plan, optimize, Op, OpClass, Program};
 
-use crate::models::TimingModel;
-
-/// The cycle cost of one operation class under a model, ignoring hazards.
-fn latency(model: &TimingModel, op: &Op) -> u64 {
-    match op.class() {
-        OpClass::Nop => 0,
-        OpClass::AddSub | OpClass::Shift | OpClass::BitOp | OpClass::Cmp => {
-            model.simple_cycles as u64
-        }
-        OpClass::MulLow => model.mul_low_cycles as u64,
-        OpClass::MulHigh => model.mul_high_cycles as u64,
-        OpClass::Div => model.div_cycles as u64,
-    }
-}
+use crate::models::{TimingModel, TABLE_1_1};
 
 /// Prices a straight-line program in cycles under `model`.
 ///
@@ -48,7 +35,7 @@ fn latency(model: &TimingModel, op: &Op) -> u64 {
 /// assert!(magic < hw, "magic {magic} >= divide {hw}");
 /// ```
 pub fn cycles_for_program(prog: &Program, model: &TimingModel) -> u64 {
-    schedule(prog, model, |_, _, _, _| {})
+    decode(prog).run(model, |_, _, _| {})
 }
 
 /// Prices a division *plan* in cycles under `model`: the plan is lowered
@@ -137,7 +124,18 @@ fn simcpu_fault(kind: FaultKind) -> Fault {
 /// );
 /// ```
 pub fn cycles_for_lowered_plan(plan: &DivPlan, prog: &Program, model: &TimingModel) -> u64 {
-    let cycles = cycles_for_program(prog, model);
+    price_decoded_plan(plan, prog, &mut decode(prog), model)
+}
+
+/// [`cycles_for_lowered_plan`] with `prog` already decoded, so one
+/// decode serves every model [`predictions_for_plan`] prices.
+fn price_decoded_plan(
+    plan: &DivPlan,
+    prog: &Program,
+    decoded: &mut Decoded,
+    model: &TimingModel,
+) -> u64 {
+    let cycles = decoded.run(model, |_, _, _| {});
     magicdiv_trace::event!("simcpu.plan_cycles",
         "model" => model.name, "strategy" => plan.strategy_name(),
         "width" => plan.width(), "ops" => prog.op_counts().total_executed(),
@@ -157,8 +155,9 @@ pub struct PlanPrediction {
 
 /// Prices `plan` under **every** Table 1.1 model in one call, in the
 /// paper's row order. This is the joining surface for measured-vs-
-/// predicted calibration: the plan is lowered once and that program is
-/// priced under every model, each total labelled with its model name.
+/// predicted calibration: the plan is lowered and decoded once and that
+/// program is priced under every model, each total labelled with its
+/// model name.
 ///
 /// # Errors
 ///
@@ -179,11 +178,12 @@ pub struct PlanPrediction {
 /// ```
 pub fn predictions_for_plan(plan: &DivPlan) -> Result<Vec<PlanPrediction>, Fault> {
     let prog = optimize(&lower_plan(plan).map_err(simcpu_fault)?);
-    Ok(crate::models::table_1_1()
+    let mut decoded = decode(&prog);
+    Ok(TABLE_1_1
         .iter()
         .map(|model| PlanPrediction {
             model: model.name,
-            cycles: cycles_for_lowered_plan(plan, &prog, model),
+            cycles: price_decoded_plan(plan, &prog, &mut decoded, model),
         })
         .collect())
 }
@@ -217,10 +217,10 @@ pub struct InstrTiming {
 /// ```
 pub fn trace_program(prog: &Program, model: &TimingModel) -> Vec<InstrTiming> {
     let mut trace = Vec::new();
-    schedule(prog, model, |index, op, issue, complete| {
+    decode(prog).run(model, |index, issue, complete| {
         trace.push(InstrTiming {
             index,
-            text: format!("{op:?}"),
+            text: format!("{:?}", prog.insts()[index]),
             issue,
             complete,
         });
@@ -228,101 +228,159 @@ pub fn trace_program(prog: &Program, model: &TimingModel) -> Vec<InstrTiming> {
     trace
 }
 
-/// The scheduler behind [`cycles_for_program`] and [`trace_program`]:
-/// simulates `prog` under `model`, calls `on_inst(index, op, issue,
-/// complete)` once per executed instruction, and returns the cycle the
-/// last result is available.
-fn schedule(
-    prog: &Program,
-    model: &TimingModel,
-    mut on_inst: impl FnMut(usize, &Op, u64, u64),
-) -> u64 {
-    let insts = prog.insts();
-    let tracing = magicdiv_trace::enabled();
-    let mut class_busy = [0u64; 8];
-    let mut executed = 0usize;
-    let mut ready = vec![0u64; insts.len()];
-    // Earliest cycle at which the next instruction may issue, plus how
-    // many issue slots that cycle has already consumed (superscalar
-    // machines issue `issue_width` instructions per cycle, in order).
-    let mut next_issue = 0u64;
-    let mut slots_used = 0u32;
-    let issue_width = model.issue_width.max(1);
-    let mut finish = 0u64;
-    let mut last_div: Option<(usize, &Op)> = None;
+/// One executed instruction as the scheduler reads it, whatever the
+/// model.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    /// Instruction index in the program.
+    index: u32,
+    /// Its cost class.
+    class: OpClass,
+    /// Instruction indices of its operands (a unary operation repeats its
+    /// one operand).
+    operands: [u32; 2],
+    /// A remainder of the same operands as the latest divide: HI/LO
+    /// fusion makes it a register read, priced as a simple operation.
+    fused_rem: bool,
+}
 
+/// A program decoded once for the scheduler: its executed instructions
+/// (constants and arguments are free and left out) in program order.
+/// [`Decoded::run`] prices it under one model; every pricing entry point
+/// is [`decode`] followed by one `run` per model.
+#[derive(Debug)]
+struct Decoded {
+    steps: Vec<Step>,
+    /// Cycle each instruction's result is available, by instruction
+    /// index. A run writes each step's slot before any later step reads
+    /// it, so runs share the buffer; constants and arguments keep 0.
+    ready: Vec<u64>,
+}
+
+/// Decodes `prog` for [`Decoded::run`].
+fn decode(prog: &Program) -> Decoded {
+    let insts = prog.insts();
+    let mut steps = Vec::with_capacity(insts.len());
+    let mut last_div: Option<&Op> = None;
     for (i, op) in insts.iter().enumerate() {
-        if matches!(op.class(), OpClass::Nop) {
-            ready[i] = 0;
+        let class = op.class();
+        if matches!(class, OpClass::Nop) {
             continue;
         }
-        // HI/LO fusion: a remainder right after the matching divide is a
-        // register read.
         let fused_rem = match (op, last_div) {
-            (Op::RemU(a, b), Some((_, Op::DivU(x, y)))) if *a == *x && *b == *y => true,
-            (Op::RemS(a, b), Some((_, Op::DivS(x, y)))) if *a == *x && *b == *y => true,
+            (Op::RemU(a, b), Some(Op::DivU(x, y))) => a == x && b == y,
+            (Op::RemS(a, b), Some(Op::DivS(x, y))) => a == x && b == y,
             _ => false,
         };
-        let lat = if fused_rem {
-            model.simple_cycles as u64
-        } else {
-            latency(model, op)
-        };
-        if tracing {
-            class_busy[op.class().index()] += lat;
-        }
-        let operands_ready = op.operands().map(|r| ready[r.index()]).max().unwrap_or(0);
-        // Earliest legal issue cycle: the in-order floor (bumped by one
-        // when this cycle's issue slots are full) and the data dependences.
-        let floor = if slots_used >= issue_width {
-            next_issue + 1
-        } else {
-            next_issue
-        };
-        let issue = floor.max(operands_ready);
-        ready[i] = issue + lat;
-        finish = finish.max(ready[i]);
-        if issue == next_issue {
-            slots_used += 1;
-        } else {
-            next_issue = issue;
-            slots_used = 1;
-        }
-        // Pipelining: only the multiplier is pipelined (when flagged);
-        // everything else blocks issue until done. Simple ops complete in
-        // `simple_cycles` anyway.
-        let blocking = match op.class() {
-            OpClass::MulLow | OpClass::MulHigh => !model.mul_pipelined,
-            OpClass::Div => false, // divides park in HI/LO on pipelined parts too; treat as blocking only through data deps
-            _ => false,
-        };
-        if blocking && ready[i] > next_issue {
-            // The unit stalls issue until completion; no slots consumed
-            // at the completion cycle itself.
-            next_issue = ready[i];
-            slots_used = 0;
-        }
         if matches!(op, Op::DivU(..) | Op::DivS(..)) {
-            last_div = Some((i, op));
+            last_div = Some(op);
         }
-        executed += 1;
-        on_inst(i, op, issue, ready[i]);
+        let mut operands = op.operands().map(|r| r.index() as u32);
+        let a = operands.next().unwrap_or(0);
+        let b = operands.next().unwrap_or(a);
+        steps.push(Step {
+            index: i as u32,
+            class,
+            operands: [a, b],
+            fused_rem,
+        });
     }
-    if tracing {
-        magicdiv_trace::event!("simcpu.cycles",
-            "model" => model.name,
-            "total" => finish,
-            "instructions" => executed,
-            "add_sub_busy" => class_busy[OpClass::AddSub.index()],
-            "shift_busy" => class_busy[OpClass::Shift.index()],
-            "bit_op_busy" => class_busy[OpClass::BitOp.index()],
-            "cmp_busy" => class_busy[OpClass::Cmp.index()],
-            "mul_low_busy" => class_busy[OpClass::MulLow.index()],
-            "mul_high_busy" => class_busy[OpClass::MulHigh.index()],
-            "div_busy" => class_busy[OpClass::Div.index()],
-            "paper" => "Table 1.1 latencies, single-issue in-order");
+    Decoded {
+        steps,
+        ready: vec![0; insts.len()],
     }
-    finish
+}
+
+impl Decoded {
+    /// Simulates the decoded program under `model`, calls
+    /// `on_inst(index, issue, complete)` once per executed instruction,
+    /// and returns the cycle the last result is available. Emits the
+    /// `simcpu.cycles` event.
+    fn run(&mut self, model: &TimingModel, mut on_inst: impl FnMut(usize, u64, u64)) -> u64 {
+        let tracing = magicdiv_trace::enabled();
+        let simple = u64::from(model.simple_cycles);
+        // Latency per class, in `OpClass::index` order; constants and
+        // arguments never reach the loop.
+        let latency = [
+            0,
+            simple,
+            simple,
+            simple,
+            simple,
+            u64::from(model.mul_low_cycles),
+            u64::from(model.mul_high_cycles),
+            u64::from(model.div_cycles),
+        ];
+        let mut class_busy = [0u64; 8];
+        let ready = &mut self.ready;
+        // Earliest cycle at which the next instruction may issue, plus how
+        // many issue slots that cycle has already consumed (superscalar
+        // machines issue `issue_width` instructions per cycle, in order).
+        let mut next_issue = 0u64;
+        let mut slots_used = 0u32;
+        let issue_width = model.issue_width.max(1);
+        let mut finish = 0u64;
+
+        for step in &self.steps {
+            let class = step.class.index();
+            let lat = if step.fused_rem {
+                simple
+            } else {
+                latency[class]
+            };
+            if tracing {
+                class_busy[class] += lat;
+            }
+            let [a, b] = step.operands;
+            let operands_ready = ready[a as usize].max(ready[b as usize]);
+            // Earliest legal issue cycle: the in-order floor (bumped by one
+            // when this cycle's issue slots are full) and the data
+            // dependences.
+            let floor = if slots_used >= issue_width {
+                next_issue + 1
+            } else {
+                next_issue
+            };
+            let issue = floor.max(operands_ready);
+            let complete = issue + lat;
+            ready[step.index as usize] = complete;
+            finish = finish.max(complete);
+            if issue == next_issue {
+                slots_used += 1;
+            } else {
+                next_issue = issue;
+                slots_used = 1;
+            }
+            // Pipelining: only the multiplier is pipelined (when flagged);
+            // everything else blocks issue only through data dependences
+            // (divides park in HI/LO). Simple ops complete in
+            // `simple_cycles` anyway.
+            let blocking =
+                matches!(step.class, OpClass::MulLow | OpClass::MulHigh) && !model.mul_pipelined;
+            if blocking && complete > next_issue {
+                // The unit stalls issue until completion; no slots consumed
+                // at the completion cycle itself.
+                next_issue = complete;
+                slots_used = 0;
+            }
+            on_inst(step.index as usize, issue, complete);
+        }
+        if tracing {
+            magicdiv_trace::event!("simcpu.cycles",
+                "model" => model.name,
+                "total" => finish,
+                "instructions" => self.steps.len(),
+                "add_sub_busy" => class_busy[OpClass::AddSub.index()],
+                "shift_busy" => class_busy[OpClass::Shift.index()],
+                "bit_op_busy" => class_busy[OpClass::BitOp.index()],
+                "cmp_busy" => class_busy[OpClass::Cmp.index()],
+                "mul_low_busy" => class_busy[OpClass::MulLow.index()],
+                "mul_high_busy" => class_busy[OpClass::MulHigh.index()],
+                "div_busy" => class_busy[OpClass::Div.index()],
+                "paper" => "Table 1.1 latencies, single-issue in-order");
+        }
+        finish
+    }
 }
 
 /// Prices a loop kernel: `iterations` executions of `body` plus

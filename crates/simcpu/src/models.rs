@@ -70,8 +70,9 @@ pub fn table_1_1() -> Vec<TimingModel> {
     TABLE_1_1.to_vec()
 }
 
-/// The Table 1.1 rows [`table_1_1`] copies and [`find_model`] searches.
-static TABLE_1_1: [TimingModel; 16] = [
+/// The Table 1.1 rows [`table_1_1`] copies, [`find_model`] searches and
+/// `predictions_for_plan` prices under.
+pub(crate) static TABLE_1_1: [TimingModel; 16] = [
     TimingModel {
         name: "Motorola MC68020",
         year: 1985,

@@ -11,7 +11,7 @@ use magicdiv::plan::{
 };
 use magicdiv::{FaultKind, FaultLayer};
 use magicdiv_codegen::gen_unsigned_divrem_hw;
-use magicdiv_ir::{lower_plan, optimize, OpClass, Program};
+use magicdiv_ir::{lower_plan, optimize, Builder, Op, OpClass, Program};
 use magicdiv_simcpu::{
     cycles_for_plan, cycles_for_program, predictions_for_plan, table_1_1, trace_program,
     try_cycles_for_plan,
@@ -121,6 +121,63 @@ fn one_lowering_prices_like_sixteen() {
     assert_eq!(fault.layer, FaultLayer::SimCpu);
     assert_eq!(fault.kind, FaultKind::UnsupportedWidth { width: 128 });
     assert!(capture.named("simcpu.plan_cycles").is_empty());
+}
+
+/// With no sink installed, `predictions_for_plan` (one decode, sixteen
+/// runs) prices every plan exactly as `cycles_for_program` prices the
+/// same optimized lowering, model by model.
+#[test]
+fn untraced_predictions_match_single_pricings() {
+    assert!(!magicdiv_trace::enabled());
+    let models = table_1_1();
+    for plan in priceable_plans() {
+        let preds = predictions_for_plan(&plan).expect("machine widths are priceable");
+        let prog = lower(&plan);
+        assert_eq!(preds.len(), models.len());
+        for (pred, model) in preds.iter().zip(&models) {
+            assert_eq!(pred.model, model.name);
+            assert_eq!(
+                pred.cycles,
+                cycles_for_program(&prog, model),
+                "{plan:?} on {}",
+                model.name
+            );
+        }
+    }
+}
+
+/// A program longer than any fixed-size scheduler buffer: a chain of 100
+/// dependent adds costs exactly 100 simple operations on every
+/// single-issue model, traced or not.
+#[test]
+fn long_dependent_chain_prices_every_link() {
+    let mut b = Builder::new(32, 2);
+    let (x, y) = (b.arg(0), b.arg(1));
+    let mut acc = x;
+    for _ in 0..100 {
+        acc = b.push(Op::Add(acc, y));
+    }
+    let chain = b.finish([acc]);
+    let mut single_issue = 0;
+    for model in table_1_1().iter().filter(|m| m.issue_width == 1) {
+        let want = 100 * u64::from(model.simple_cycles);
+        assert_eq!(cycles_for_program(&chain, model), want, "{}", model.name);
+        let trace = trace_program(&chain, model);
+        assert_eq!(trace.len(), 100);
+        assert_eq!(trace.last().map(|t| t.complete), Some(want));
+        let capture = Arc::new(CaptureSink::new());
+        let traced = {
+            let _g = install(capture.clone());
+            cycles_for_program(&chain, model)
+        };
+        assert_eq!(traced, want, "{} traced", model.name);
+        assert_eq!(
+            u64_field(&capture.named("simcpu.cycles")[0], "add_sub_busy"),
+            want
+        );
+        single_issue += 1;
+    }
+    assert!(single_issue > 0, "Table 1.1 has single-issue rows");
 }
 
 /// The `simcpu.plan_cycles` event must report exactly the number

@@ -21,8 +21,8 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(10);
-    if d == 0 {
-        eprintln!("divisor must be nonzero");
+    if d == 0 || d > u64::from(u32::MAX) {
+        eprintln!("divisor must be in 1..2^32");
         std::process::exit(1);
     }
 
@@ -62,7 +62,7 @@ fn main() {
         caps: TargetCaps::FULL,
         wide_registers: true,
     };
-    let tuned = gen_unsigned_div_tuned(d, &alpha_like);
+    let tuned = gen_unsigned_div_tuned(d, &alpha_like).expect("0 < d < 2^32 was checked above");
     println!(
         "tuned program uses multiply: {} ({} ops)",
         tuned.op_counts().uses_multiply(),

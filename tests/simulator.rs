@@ -151,7 +151,7 @@ fn machine_tuned_codegen_beats_or_matches_generic() {
             wide_registers: false,
         };
         for d in [3u64, 10, 100, 641] {
-            let tuned = gen_unsigned_div_tuned(d, &desc);
+            let tuned = gen_unsigned_div_tuned(d, &desc).unwrap();
             let generic = gen_unsigned_div(d, 32);
             let tc = cycles_for_program(&tuned, &model);
             let gc = cycles_for_program(&generic, &model);
