@@ -7,9 +7,15 @@
 //! Alpha's scaled-add (`s4addq`/`s8addq`) expansion of the magic-constant
 //! multiply — not 1994 GCC's exact register choices.
 //!
-//! Emission is a linear scan over the (already optimized) IR with
-//! last-use register recycling; the straight-line programs the paper
-//! generates never exceed a RISC temp pool.
+//! Instruction selection is data: each target has a static table from
+//! IR operation kind to an instruction template sequence whose holes are
+//! filled from slots (destination, operands, shift count, width − 1).
+//! Alpha at 32 bits has its own table. One loop walks the (already
+//! optimized) IR with last-use register recycling and applies the rules;
+//! explicit code handles only what a table cannot say: Alpha scaled-add
+//! folding, x86 operand staging and immediates, and constant splitting.
+//! The allocator keeps its state on the stack, and the straight-line
+//! programs the paper generates never exceed a RISC temp pool.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -95,6 +101,18 @@ impl Target {
             Target::X86 => ["eax", "edx"],
         }
     }
+
+    /// The emission rules for a `width`-bit program.
+    fn rules(self, width: u32) -> &'static Table {
+        match self {
+            Target::Alpha if width == 32 => &ALPHA_W32,
+            Target::Alpha => &ALPHA,
+            Target::Mips => &MIPS,
+            Target::Power => &POWER,
+            Target::Sparc => &SPARC,
+            Target::X86 => &X86,
+        }
+    }
 }
 
 impl fmt::Display for Target {
@@ -142,12 +160,17 @@ impl fmt::Display for Operand {
     }
 }
 
+/// The most operands an [`Ins`] holds.
+const MAX_OPERANDS: usize = 3;
+/// The operand of an unused slot.
+const BLANK: Operand = Operand::Sym("");
+
 /// One machine instruction: a text template whose `{}` holes are filled,
-/// in order, by up to four operands when the instruction is rendered.
+/// in order, by up to three operands when the instruction is rendered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ins {
     template: &'static str,
-    ops: [Operand; 4],
+    ops: [Operand; MAX_OPERANDS],
     len: u8,
 }
 
@@ -157,7 +180,7 @@ impl Ins {
     ///
     /// # Panics
     ///
-    /// Panics when given more than four operands. Debug builds also check
+    /// Panics when given more than three operands. Debug builds also check
     /// that the template has one `{}` hole per operand.
     #[track_caller]
     pub(crate) fn new(template: &'static str, operands: &[Operand]) -> Ins {
@@ -166,7 +189,7 @@ impl Ins {
             operands.len(),
             "one operand per hole in {template:?}"
         );
-        let mut ops = [Operand::Sym(""); 4];
+        let mut ops = [BLANK; MAX_OPERANDS];
         ops[..operands.len()].copy_from_slice(operands);
         Ins {
             template,
@@ -180,25 +203,18 @@ impl Ins {
         &self.ops[..usize::from(self.len)]
     }
 
-    /// The mnemonic: the template's first word, or the first operand when
-    /// the template starts with a hole.
-    fn mnemonic(&self) -> &'static str {
-        let head = self.template.split(' ').next().unwrap_or_default();
-        match (head, self.ops[0]) {
-            ("{}", Operand::Sym(mn)) => mn,
-            _ => head,
-        }
-    }
-
     /// `true` for a divide instruction or a call to a division routine.
     fn divides(&self) -> bool {
-        let mn = self.mnemonic();
+        let mn = self.template.split(' ').next().unwrap_or_default();
+        let calls = |s: &str| s.contains("__div") || s.contains("__rem");
         mn.starts_with("div")
             || mn.starts_with("udiv")
             || mn.starts_with("sdiv")
-            || self.operands().iter().any(|op| {
-                matches!(op, Operand::Sym(s) if s.starts_with("__div") || s.starts_with("__rem"))
-            })
+            || calls(self.template)
+            || self
+                .operands()
+                .iter()
+                .any(|op| matches!(op, Operand::Sym(s) if calls(s)))
     }
 }
 
@@ -282,105 +298,6 @@ impl fmt::Display for Assembly {
     }
 }
 
-struct Emitter {
-    target: Target,
-    lines: Vec<Line>,
-    /// Constant materializations, kept separate so loop emitters can hoist
-    /// them out of the loop body (as the paper's listings do).
-    const_lines: Vec<Line>,
-    emit_to_consts: bool,
-    /// Free temp registers (reverse-ordered stack).
-    free: Vec<&'static str>,
-    /// value index -> currently assigned register.
-    loc: Vec<Option<&'static str>>,
-    /// value index -> index of its last use.
-    last_use: Vec<usize>,
-    use_count: Vec<usize>,
-}
-
-impl Emitter {
-    fn new(target: Target, prog: &Program) -> Self {
-        let n = prog.insts().len();
-        let mut last_use = vec![usize::MAX; n];
-        let mut use_count = vec![0usize; n];
-        for (i, op) in prog.insts().iter().enumerate() {
-            for r in op.operands() {
-                last_use[r.index()] = i;
-                use_count[r.index()] += 1;
-            }
-        }
-        for r in prog.results() {
-            last_use[r.index()] = n; // live out
-            use_count[r.index()] += 1;
-        }
-        // Constants are hoisted out of loop kernels, so their registers
-        // must never be recycled mid-body (iteration 2 would read a
-        // clobbered register otherwise).
-        for (i, op) in prog.insts().iter().enumerate() {
-            if matches!(op, Op::Const(_)) {
-                last_use[i] = n;
-            }
-        }
-        Emitter {
-            target,
-            lines: Vec::with_capacity(2 * n),
-            const_lines: Vec::new(),
-            emit_to_consts: false,
-            free: target.temp_registers().iter().rev().copied().collect(),
-            loc: vec![None; n],
-            last_use,
-            use_count,
-        }
-    }
-
-    fn emit(&mut self, ins: Ins) {
-        if self.emit_to_consts {
-            self.const_lines.push(Line::Ins(ins));
-        } else {
-            self.lines.push(Line::Ins(ins));
-        }
-    }
-
-    fn comment(&mut self, text: &'static str) {
-        self.lines.push(Line::Comment(text));
-    }
-
-    fn alloc(&mut self, value: usize) -> &'static str {
-        let reg = self
-            .free
-            .pop()
-            .expect("register pool exhausted (program too large for straight-line allocation)");
-        self.loc[value] = Some(reg);
-        reg
-    }
-
-    /// Claims a specific register from the pool for `value`; returns
-    /// `false` when the register is not in the pool.
-    fn alloc_specific(&mut self, value: usize, name: &str) -> bool {
-        match self.free.iter().position(|&r| r == name) {
-            Some(pos) => {
-                self.loc[value] = Some(self.free.remove(pos));
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn reg(&self, r: Reg) -> &'static str {
-        self.loc[r.index()].expect("register allocator assigned every live value")
-    }
-
-    fn release_dead(&mut self, at: usize, op: &Op) {
-        for r in op.operands() {
-            if self.last_use[r.index()] == at {
-                if let Some(reg) = self.loc[r.index()].take() {
-                    self.free.push(reg);
-                }
-            }
-        }
-    }
-}
-
 /// Emits `prog` as an assembly listing for `target`.
 ///
 /// The 32-bit operation set is mapped per architecture; on Alpha (a 64-bit
@@ -405,31 +322,28 @@ impl Emitter {
 /// assert!(!asm.uses_divide());
 /// ```
 pub fn emit_assembly(prog: &Program, target: Target, name: &str) -> Assembly {
-    let body = emit_body(prog, target);
-    let mut lines = Vec::with_capacity(body.const_lines.len() + body.lines.len() + 5);
+    let mut lines = Vec::with_capacity(2 * prog.insts().len() + 8);
     lines.push(Line::Label(Cow::Owned(name.to_owned())));
-    lines.extend(body.const_lines);
-    lines.extend(body.lines);
-    // Move results to return registers.
-    for (&src, dst) in body.results.iter().zip(target.return_registers()) {
-        if src != Operand::Sym(dst) {
-            lines.push(Line::Ins(match target {
-                Target::Alpha => ins!("bis {},{},{}", src, src, dst),
-                Target::Mips => ins!("move {},{}", dst, src),
-                Target::Power => ins!("mr {},{}", dst, src),
-                Target::Sparc => ins!("mov {},{}", src, dst),
-                Target::X86 => ins!("mov {},{}", dst, src),
-            }));
+    Emitter::scope(prog, target, &mut lines, |e| {
+        e.body();
+        // Move results to return registers: a full-width table's
+        // argument rule is a plain register move.
+        let mv = target.rules(64)[Kind::Arg as usize];
+        for (&r, ret) in prog.results().iter().zip(target.return_registers()) {
+            let (src, ret) = (e.operand(r), Operand::Sym(ret));
+            if src != ret {
+                e.run(mv, ret, src, BLANK, 0);
+            }
         }
-    }
-    let ret: &[Ins] = match target {
-        Target::Alpha => &[ins!("ret $31,($26),1")],
-        Target::Mips => &[ins!("j $31")],
-        Target::Power => &[ins!("br")],
-        Target::Sparc => &[ins!("retl"), ins!("nop")],
-        Target::X86 => &[ins!("ret")],
+    });
+    let ret: &[&str] = match target {
+        Target::Alpha => &["ret $31,($26),1"],
+        Target::Mips => &["j $31"],
+        Target::Power => &["br"],
+        Target::Sparc => &["retl", "nop"],
+        Target::X86 => &["ret"],
     };
-    lines.extend(ret.iter().copied().map(Line::Ins));
+    lines.extend(ret.iter().map(|&t| Line::Ins(Ins::new(t, &[]))));
     Assembly { target, lines }
 }
 
@@ -449,724 +363,799 @@ pub struct EmittedBody {
 /// Emits just the body of `prog` for `target` (no label, no return),
 /// reporting where the results live.
 pub fn emit_body(prog: &Program, target: Target) -> EmittedBody {
-    let mut e = Emitter::new(target, prog);
-    let w = prog.width();
-    let insts = prog.insts();
-
-    // Alpha fold map: value index -> (base reg value, shift) for an Sll by
-    // 2 or 3 that is folded into a scaled add.
-    let alpha_fold: Vec<Option<(Reg, u32)>> = if target == Target::Alpha {
-        insts
-            .iter()
-            .enumerate()
-            .map(|(i, op)| match *op {
-                // Only fold when the single use is an Add (either operand)
-                // or the *scaled* (first) operand of a Sub — s4subq
-                // computes 4*a - b, not a - 4*b. A single use's index is
-                // its last use (a live-out value's points past the end).
-                Op::Sll(a, sh @ (2 | 3)) if e.use_count[i] == 1 => match insts.get(e.last_use[i]) {
-                    Some(Op::Add(x, y)) if x.index() == i || y.index() == i => Some((a, sh)),
-                    Some(Op::Sub(x, _)) if x.index() == i => Some((a, sh)),
-                    _ => None,
-                },
-                _ => None,
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    // Pre-pass A: pin arguments to their calling-convention registers
-    // when those registers are in the temp pool (MIPS/POWER/SPARC keep x
-    // in the incoming register, as the paper's listings do).
-    for (i, op) in insts.iter().enumerate() {
-        if let Op::Arg(k) = op {
-            e.alloc_specific(i, target.arg_register(*k));
-        }
-    }
-    // Pre-pass B: materialize every constant, so constant registers are
-    // claimed before any body instruction and (being live-out) are never
-    // recycled — the loop emitters hoist these loads out of the loop,
-    // which is only sound if no body instruction touches them. (x86 folds
-    // constants as immediate operands instead — it has imm32 forms and
-    // only four free registers.)
-    if target != Target::X86 {
-        e.emit_to_consts = true;
-        for (i, op) in insts.iter().enumerate() {
-            if let Op::Const(c) = op {
-                let dst = e.alloc(i);
-                load_const(&mut e, dst, *c, w);
-            }
-        }
-        e.emit_to_consts = false;
-    }
-
-    for (i, op) in insts.iter().enumerate() {
-        if matches!(op, Op::Const(_)) && target != Target::X86 {
-            continue; // materialized in the pre-pass
-        }
-        if matches!(op, Op::Arg(_)) && e.loc[i].is_some() {
-            continue; // pinned to its incoming register in pre-pass A
-        }
-        if let Some(&Some((base, _))) = alpha_fold.get(i) {
-            // Folded into the consuming scaled add; emit nothing, but the
-            // base must stay live until the consumer — conservatively keep
-            // our own last_use bookkeeping: extend base's last use.
-            let consumer = e.last_use[i];
-            if e.last_use[base.index()] < consumer {
-                e.last_use[base.index()] = consumer;
-            }
-            continue;
-        }
-        emit_one(&mut e, prog, i, op, w, &alpha_fold);
-        e.release_dead(i, op);
-    }
-
-    let results = prog
-        .results()
-        .iter()
-        .map(|&r| match insts[r.index()] {
-            Op::Const(c) if target == Target::X86 => Operand::Imm(c),
-            _ => Operand::Sym(e.reg(r)),
-        })
-        .collect();
+    let mut const_lines = Vec::with_capacity(2 * prog.insts().len());
+    let (consts, results) = Emitter::scope(prog, target, &mut const_lines, |e| {
+        let consts = e.body();
+        (
+            consts,
+            prog.results().iter().map(|&r| e.operand(r)).collect(),
+        )
+    });
+    let lines = const_lines.split_off(consts);
     EmittedBody {
-        const_lines: e.const_lines,
-        lines: e.lines,
+        const_lines,
+        lines,
         results,
     }
 }
 
-fn load_const(e: &mut Emitter, dst: &'static str, c: u64, width: u32) {
-    let c = c & mask(width);
-    match e.target {
-        Target::Alpha => {
-            // lda/ldah build 32-bit constants; wider ones via shifts. For
-            // listing purposes emit the canonical pair (or one lda).
-            if c <= 0x7fff {
-                e.emit(ins!("lda {},{}", dst, c));
-            } else if c <= 0xffff_ffff {
-                let hi = (c >> 16) & 0xffff;
-                let lo = c & 0xffff;
-                e.emit(ins!("ldah {},{}($31)", dst, hi));
-                if lo != 0 {
-                    e.emit(ins!("lda {},{}({})", dst, lo, dst));
-                }
-            } else {
-                e.emit(ins!("ldiq {},{}", dst, Operand::Imm(c))); // assembler macro
+/// The IR operation kinds, in [`Op`] declaration order: the index of an
+/// operation's rule in a [`Table`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Arg,
+    Const,
+    Add,
+    Sub,
+    Neg,
+    MulL,
+    MulUH,
+    MulSH,
+    And,
+    Or,
+    Eor,
+    Not,
+    Sll,
+    Srl,
+    Sra,
+    Xsign,
+    SltS,
+    SltU,
+    Carry,
+    Borrow,
+    DivU,
+    DivS,
+    RemU,
+    RemS,
+}
+
+const KINDS: usize = Kind::RemS as usize + 1;
+
+/// An operation's kind, its register operands and its shift count (0
+/// for an operation without one).
+fn decode(op: &Op) -> (Kind, Option<Reg>, Option<Reg>, u32) {
+    let (kind, a, b, n) = match *op {
+        Op::Arg(_) => (Kind::Arg, None, None, 0),
+        Op::Const(_) => (Kind::Const, None, None, 0),
+        Op::Add(a, b) => (Kind::Add, Some(a), Some(b), 0),
+        Op::Sub(a, b) => (Kind::Sub, Some(a), Some(b), 0),
+        Op::Neg(a) => (Kind::Neg, Some(a), None, 0),
+        Op::MulL(a, b) => (Kind::MulL, Some(a), Some(b), 0),
+        Op::MulUH(a, b) => (Kind::MulUH, Some(a), Some(b), 0),
+        Op::MulSH(a, b) => (Kind::MulSH, Some(a), Some(b), 0),
+        Op::And(a, b) => (Kind::And, Some(a), Some(b), 0),
+        Op::Or(a, b) => (Kind::Or, Some(a), Some(b), 0),
+        Op::Eor(a, b) => (Kind::Eor, Some(a), Some(b), 0),
+        Op::Not(a) => (Kind::Not, Some(a), None, 0),
+        Op::Sll(a, n) => (Kind::Sll, Some(a), None, n),
+        Op::Srl(a, n) => (Kind::Srl, Some(a), None, n),
+        Op::Sra(a, n) => (Kind::Sra, Some(a), None, n),
+        Op::Xsign(a) => (Kind::Xsign, Some(a), None, 0),
+        Op::SltS(a, b) => (Kind::SltS, Some(a), Some(b), 0),
+        Op::SltU(a, b) => (Kind::SltU, Some(a), Some(b), 0),
+        Op::Carry(a, b) => (Kind::Carry, Some(a), Some(b), 0),
+        Op::Borrow(a, b) => (Kind::Borrow, Some(a), Some(b), 0),
+        Op::DivU(a, b) => (Kind::DivU, Some(a), Some(b), 0),
+        Op::DivS(a, b) => (Kind::DivS, Some(a), Some(b), 0),
+        Op::RemU(a, b) => (Kind::RemU, Some(a), Some(b), 0),
+        Op::RemS(a, b) => (Kind::RemS, Some(a), Some(b), 0),
+    };
+    (kind, a, b, n)
+}
+
+/// Where the operand filling one template hole comes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Src {
+    /// The destination register.
+    D,
+    /// The first operand: a register, an x86 immediate, or an argument's
+    /// incoming register.
+    A,
+    /// The second operand.
+    B,
+    /// The shift count, in decimal.
+    N,
+    /// The word width minus one, in decimal.
+    W1,
+    /// No operand: pads a template's unused operand slots.
+    Blank,
+}
+
+/// One step of an operation's emission rule.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// An instruction: its template, where each hole's operand comes
+    /// from, and how many holes it has (see [`i`]).
+    I(&'static str, [Src; MAX_OPERANDS], u8),
+    /// A comment line.
+    Note(&'static str),
+    /// x86 two-address staging: `mov dst,a`, unless `a` already is `dst`.
+    Stage,
+    /// x86: an immediate operand that must be r/m is moved into `dst`,
+    /// which then stands in for it.
+    StageImm(Src),
+}
+
+use Src::{A, B, D, N, W1};
+use Step::{Note, Stage, StageImm, I};
+
+/// An instruction step: `template`'s holes are filled from `srcs`.
+const fn i(template: &'static str, srcs: &[Src]) -> Step {
+    let mut padded = [Src::Blank; MAX_OPERANDS];
+    let mut k = 0;
+    while k < srcs.len() {
+        padded[k] = srcs[k];
+        k += 1;
+    }
+    I(template, padded, srcs.len() as u8)
+}
+
+/// One emission rule per operation [`Kind`]. `Const` rules are empty:
+/// constants are loaded before the body (see `Emitter::load_const`), or
+/// on x86 folded as immediates.
+type Table = [&'static [Step]; KINDS];
+
+/// DEC Alpha at 64 bits, and at 8 and 16, whose values live in the low
+/// bits of 64-bit registers.
+const ALPHA: Table = [
+    &[i("bis {},{},{}", &[A, A, D])],
+    &[],
+    &[i("addq {},{},{}", &[A, B, D])],
+    &[i("subq {},{},{}", &[A, B, D])],
+    &[i("subq $31,{},{}", &[A, D])],
+    &[i("mulq {},{},{}", &[A, B, D])],
+    &[i("umulh {},{},{}", &[A, B, D])],
+    // No mulsh on Alpha: umulh + the §3 correction.
+    &[
+        i("umulh {},{},{}", &[A, B, D]),
+        Note("mulsh correction: dst -= (a<0 ? b : 0) + (b<0 ? a : 0)"),
+        i("sra {},63,$28", &[A]),
+        i("and $28,{},$28", &[B]),
+        i("subq {},$28,{}", &[D, D]),
+        i("sra {},63,$28", &[B]),
+        i("and $28,{},$28", &[A]),
+        i("subq {},$28,{}", &[D, D]),
+    ],
+    &[i("and {},{},{}", &[A, B, D])],
+    &[i("bis {},{},{}", &[A, B, D])],
+    &[i("xor {},{},{}", &[A, B, D])],
+    &[i("ornot $31,{},{}", &[A, D])],
+    &[i("sll {},{},{}", &[A, N, D])],
+    &[i("srl {},{},{}", &[A, N, D])],
+    &[i("sra {},{},{}", &[A, N, D])],
+    &[i("sra {},63,{}", &[A, D])],
+    &[i("cmplt {},{},{}", &[A, B, D])],
+    &[i("cmpult {},{},{}", &[A, B, D])],
+    &[i("addq {},{},$28", &[A, B]), i("cmpult $28,{},{}", &[A, D])],
+    &[i("cmpult {},{},{}", &[A, B, D])],
+    // No divide instruction: a library call (the paper's Table 11.2
+    // footnote).
+    &[
+        i("bis {},{},$24", &[A, A]),
+        i("bis {},{},$25", &[B, B]),
+        i("jsr $23,__divqu", &[]),
+        i("bis $27,$27,{}", &[D]),
+    ],
+    &[
+        i("bis {},{},$24", &[A, A]),
+        i("bis {},{},$25", &[B, B]),
+        i("jsr $23,__divq", &[]),
+        i("bis $27,$27,{}", &[D]),
+    ],
+    &[
+        i("bis {},{},$24", &[A, A]),
+        i("bis {},{},$25", &[B, B]),
+        i("jsr $23,__remqu", &[]),
+        i("bis $27,$27,{}", &[D]),
+    ],
+    &[
+        i("bis {},{},$24", &[A, A]),
+        i("bis {},{},$25", &[B, B]),
+        i("jsr $23,__remq", &[]),
+        i("bis $27,$27,{}", &[D]),
+    ],
+];
+
+/// Alpha at 32 bits: values run zero-extended in 64-bit registers, so
+/// the argument is zero-extended (Table 11.1's `zapnot $16,15,$3`), a
+/// high multiply is the 64-bit product shifted down, and left shifts,
+/// arithmetic shifts and the carry work on the low 32 bits.
+const ALPHA_W32: Table = {
+    let mut t = ALPHA;
+    t[Kind::Arg as usize] = &[i("zapnot {},15,{}", &[A, D])];
+    t[Kind::MulUH as usize] = &[i("mulq {},{},{}", &[A, B, D]), i("srl {},32,{}", &[D, D])];
+    t[Kind::MulSH as usize] = &[i("mulq {},{},{}", &[A, B, D]), i("sra {},32,{}", &[D, D])];
+    t[Kind::Sll as usize] = &[i("sll {},{},{}", &[A, N, D]), i("zapnot {},15,{}", &[D, D])];
+    // addl sign-extends bit 31 first.
+    t[Kind::Sra as usize] = &[
+        i("addl {},0,{}", &[A, D]),
+        i("sra {},{},{}", &[D, N, D]),
+        i("zapnot {},15,{}", &[D, D]),
+    ];
+    t[Kind::Xsign as usize] = &[
+        i("addl {},0,{}", &[A, D]),
+        i("sra {},31,{}", &[D, D]),
+        i("zapnot {},15,{}", &[D, D]),
+    ];
+    // The carry is bit 32 of the exact 64-bit sum.
+    t[Kind::Carry as usize] = &[i("addq {},{},$28", &[A, B]), i("srl $28,32,{}", &[D])];
+    t
+};
+
+/// Alpha's scaled adds and subtract (`s4addq a,b,d` is `4*a + b`), by
+/// whether the consumer subtracts and whether the folded shift is 3.
+const SCALED: [[&[Step]; 2]; 2] = [
+    [
+        &[i("s4addq {},{},{}", &[A, B, D])],
+        &[i("s8addq {},{},{}", &[A, B, D])],
+    ],
+    [
+        &[i("s4subq {},{},{}", &[A, B, D])],
+        &[i("s8subq {},{},{}", &[A, B, D])],
+    ],
+];
+
+/// MIPS: `multu`/`mfhi` through HI/LO.
+const MIPS: Table = [
+    &[i("move {},{}", &[D, A])],
+    &[],
+    &[i("addu {},{},{}", &[D, A, B])],
+    &[i("subu {},{},{}", &[D, A, B])],
+    &[i("negu {},{}", &[D, A])],
+    &[i("multu {},{}", &[A, B]), i("mflo {}", &[D])],
+    &[i("multu {},{}", &[A, B]), i("mfhi {}", &[D])],
+    &[i("mult {},{}", &[A, B]), i("mfhi {}", &[D])],
+    &[i("and {},{},{}", &[D, A, B])],
+    &[i("or {},{},{}", &[D, A, B])],
+    &[i("xor {},{},{}", &[D, A, B])],
+    &[i("nor {},{},$0", &[D, A])],
+    &[i("sll {},{},{}", &[D, A, N])],
+    &[i("srl {},{},{}", &[D, A, N])],
+    &[i("sra {},{},{}", &[D, A, N])],
+    &[i("sra {},{},{}", &[D, A, W1])],
+    &[i("slt {},{},{}", &[D, A, B])],
+    &[i("sltu {},{},{}", &[D, A, B])],
+    // No carry flag: compare the wrapped sum against an addend.
+    &[
+        i("addu {},{},{}", &[D, A, B]),
+        i("sltu {},{},{}", &[D, D, A]),
+    ],
+    &[i("sltu {},{},{}", &[D, A, B])],
+    &[i("divu $0,{},{}", &[A, B]), i("mflo {}", &[D])],
+    &[i("div $0,{},{}", &[A, B]), i("mflo {}", &[D])],
+    &[i("divu $0,{},{}", &[A, B]), i("mfhi {}", &[D])],
+    &[i("div $0,{},{}", &[A, B]), i("mfhi {}", &[D])],
+];
+
+/// POWER: three-address, destination first, `mulhwu` high multiplies.
+const POWER: Table = [
+    &[i("mr {},{}", &[D, A])],
+    &[],
+    &[i("a {},{},{}", &[D, A, B])],
+    &[i("sf {},{},{}", &[D, B, A])],
+    &[i("neg {},{}", &[D, A])],
+    &[i("muls {},{},{}", &[D, A, B])],
+    &[i("mulhwu {},{},{}", &[D, A, B])],
+    &[i("mulhw {},{},{}", &[D, A, B])],
+    &[i("and {},{},{}", &[D, A, B])],
+    &[i("or {},{},{}", &[D, A, B])],
+    &[i("xor {},{},{}", &[D, A, B])],
+    &[i("sfi {},{},-1", &[D, A])],
+    &[i("sli {},{},{}", &[D, A, N])],
+    &[i("sri {},{},{}", &[D, A, N])],
+    &[i("srai {},{},{}", &[D, A, N])],
+    &[i("srai {},{},{}", &[D, A, W1])],
+    // POWER lacks set-less-than; the classic expansion.
+    &[
+        Note("slt via subfc/subfe carry sequence"),
+        i("slt.pseudo {},{},{}", &[D, A, B]),
+    ],
+    &[
+        Note("slt via subfc/subfe carry sequence"),
+        i("sltu.pseudo {},{},{}", &[D, A, B]),
+    ],
+    &[
+        Note("carry-out via XER CA: a sets it, aze reads it"),
+        i("a {},{},{}", &[D, A, B]),
+        i("lil {},0", &[D]),
+        i("aze {},{}", &[D, D]),
+    ],
+    &[
+        Note("borrow = 1 - CA after subtract-from"),
+        i("sf {},{},{}", &[D, B, A]),
+        i("sfe {},{},{}", &[D, D, D]),
+        i("neg {},{}", &[D, D]),
+    ],
+    &[i("divwu {},{},{}", &[D, A, B])],
+    &[i("divw {},{},{}", &[D, A, B])],
+    &[
+        i("divwu {},{},{}", &[D, A, B]),
+        i("muls {},{},{}", &[D, D, B]),
+        i("sf {},{},{}", &[D, D, A]),
+    ],
+    &[
+        i("divw {},{},{}", &[D, A, B]),
+        i("muls {},{},{}", &[D, D, B]),
+        i("sf {},{},{}", &[D, D, A]),
+    ],
+];
+
+/// SPARC V8: three-address, destination last, `umul`/`rd %y`.
+const SPARC: Table = [
+    &[i("mov {},{}", &[A, D])],
+    &[],
+    &[i("add {},{},{}", &[A, B, D])],
+    &[i("sub {},{},{}", &[A, B, D])],
+    &[i("sub %g0,{},{}", &[A, D])],
+    &[i("umul {},{},{}", &[A, B, D])],
+    &[i("umul {},{},%g0", &[A, B]), i("rd %y,{}", &[D])],
+    &[i("smul {},{},%g0", &[A, B]), i("rd %y,{}", &[D])],
+    &[i("and {},{},{}", &[A, B, D])],
+    &[i("or {},{},{}", &[A, B, D])],
+    &[i("xor {},{},{}", &[A, B, D])],
+    &[i("xnor {},%g0,{}", &[A, D])],
+    &[i("sll {},{},{}", &[A, N, D])],
+    &[i("srl {},{},{}", &[A, N, D])],
+    &[i("sra {},{},{}", &[A, N, D])],
+    &[i("sra {},{},{}", &[A, W1, D])],
+    &[
+        i("cmp {},{}", &[A, B]),
+        i("addx %g0,0,{}", &[D]),
+        Note("signed variant uses bl/set sequence on V8"),
+    ],
+    &[i("cmp {},{}", &[A, B]), i("addx %g0,0,{}", &[D])],
+    &[i("addcc {},{},%g0", &[A, B]), i("addx %g0,0,{}", &[D])],
+    &[i("cmp {},{}", &[A, B]), i("addx %g0,0,{}", &[D])],
+    &[i("wr %g0,%g0,%y", &[]), i("udiv {},{},{}", &[A, B, D])],
+    &[i("wr %g0,%g0,%y", &[]), i("sdiv {},{},{}", &[A, B, D])],
+    &[
+        i("wr %g0,%g0,%y", &[]),
+        i("udiv {},{},{}", &[A, B, D]),
+        i("smul {},{},{}", &[D, B, D]),
+        i("sub {},{},{}", &[A, D, D]),
+    ],
+    &[
+        i("wr %g0,%g0,%y", &[]),
+        i("sdiv {},{},{}", &[A, B, D]),
+        i("smul {},{},{}", &[D, B, D]),
+        i("sub {},{},{}", &[A, D, D]),
+    ],
+];
+
+/// x86: two-address code. Every value-producing op starts by staging
+/// its first operand in `dst`; multiplies and divides go through
+/// `EDX:EAX` (both outside the pool), and constants fold as `imm32`
+/// operands (x86 has them; the pool only has four registers).
+const X86: Table = [
+    // eax is not in the pool, so the argument always moves.
+    &[i("mov {},{}", &[D, A])],
+    &[],
+    &[Stage, i("add {},{}", &[D, B])],
+    &[Stage, i("sub {},{}", &[D, B])],
+    &[Stage, i("neg {}", &[D])],
+    // imul r32, r/m32/imm32.
+    &[Stage, i("imul {},{}", &[D, B])],
+    // One-operand mul/imul: EDX:EAX = EAX * r/m32.
+    &[
+        i("mov eax,{}", &[A]),
+        i("mul {}", &[B]),
+        i("mov {},edx", &[D]),
+    ],
+    &[
+        i("mov eax,{}", &[A]),
+        i("imul {}", &[B]),
+        i("mov {},edx", &[D]),
+    ],
+    &[Stage, i("and {},{}", &[D, B])],
+    &[Stage, i("or {},{}", &[D, B])],
+    &[Stage, i("xor {},{}", &[D, B])],
+    &[Stage, i("not {}", &[D])],
+    &[Stage, i("shl {},{}", &[D, N])],
+    &[Stage, i("shr {},{}", &[D, N])],
+    &[Stage, i("sar {},{}", &[D, N])],
+    &[Stage, i("sar {},31", &[D])],
+    // cmp's first operand must be r/m.
+    &[
+        StageImm(A),
+        i("cmp {},{}", &[A, B]),
+        i("setl dl", &[]),
+        i("movzx {},dl", &[D]),
+    ],
+    &[
+        StageImm(A),
+        i("cmp {},{}", &[A, B]),
+        i("setb dl", &[]),
+        i("movzx {},dl", &[D]),
+    ],
+    // x86 has the real flag: add sets CF, setc materializes it.
+    &[
+        Stage,
+        i("add {},{}", &[D, B]),
+        i("setc dl", &[]),
+        i("movzx {},dl", &[D]),
+    ],
+    // CF after cmp is the borrow.
+    &[
+        StageImm(A),
+        i("cmp {},{}", &[A, B]),
+        i("setb dl", &[]),
+        i("movzx {},dl", &[D]),
+    ],
+    // The divisor must be r/m: an immediate is staged in dst, which is
+    // read before the result overwrites it.
+    &[
+        i("mov eax,{}", &[A]),
+        StageImm(B),
+        i("xor edx,edx", &[]),
+        i("div {}", &[B]),
+        i("mov {},eax", &[D]),
+    ],
+    &[
+        i("mov eax,{}", &[A]),
+        StageImm(B),
+        i("cdq", &[]),
+        i("idiv {}", &[B]),
+        i("mov {},eax", &[D]),
+    ],
+    &[
+        i("mov eax,{}", &[A]),
+        StageImm(B),
+        i("xor edx,edx", &[]),
+        i("div {}", &[B]),
+        i("mov {},edx", &[D]),
+    ],
+    &[
+        i("mov eax,{}", &[A]),
+        StageImm(B),
+        i("cdq", &[]),
+        i("idiv {}", &[B]),
+        i("mov {},edx", &[D]),
+    ],
+];
+
+/// Allocation state of one value.
+#[derive(Debug, Clone, Copy)]
+struct Value {
+    /// The register holding the value, numbered from 1 in pool order, or
+    /// 0 for none.
+    reg: u8,
+    /// Alpha: 2 or 3 when the value is an `Sll` by that much folded into
+    /// its one consumer's scaled add or subtract, else 0.
+    fold: u8,
+    /// Index of the instruction that reads the value last: the program
+    /// length for a result or a constant (0, never consulted, when nothing
+    /// reads it).
+    last_use: u32,
+    /// Reads by instructions and results.
+    uses: u32,
+}
+
+impl Value {
+    const FRESH: Value = Value {
+        reg: 0,
+        fold: 0,
+        last_use: 0,
+        uses: 0,
+    };
+}
+
+/// Programs up to this many values keep their allocation state on the
+/// stack; longer ones use one heap buffer.
+const STACK_VALUES: usize = 64;
+/// The largest temp pool (MIPS).
+const MAX_POOL: usize = 16;
+
+/// A linear scan over the IR with last-use register recycling, writing
+/// one listing vector.
+struct Emitter<'a> {
+    target: Target,
+    width: u32,
+    insts: &'a [Op],
+    rules: &'static Table,
+    pool: &'static [&'static str],
+    /// Free register numbers; allocation takes the last.
+    free: [u8; MAX_POOL],
+    n_free: usize,
+    values: &'a mut [Value],
+    out: &'a mut Vec<Line>,
+}
+
+impl Emitter<'_> {
+    /// Runs `f` on an emitter for `prog` that appends to `out`.
+    fn scope<R>(
+        prog: &Program,
+        target: Target,
+        out: &mut Vec<Line>,
+        f: impl FnOnce(&mut Emitter<'_>) -> R,
+    ) -> R {
+        let insts = prog.insts();
+        let n = insts.len();
+        let mut stack = [Value::FRESH; STACK_VALUES];
+        let mut heap = Vec::new();
+        let values = if n <= STACK_VALUES {
+            &mut stack[..n]
+        } else {
+            heap.resize(n, Value::FRESH);
+            &mut heap[..]
+        };
+        let end = n as u32;
+        for (i, op) in insts.iter().enumerate() {
+            for r in op.operands() {
+                let v = &mut values[r.index()];
+                v.last_use = i as u32;
+                v.uses += 1;
             }
         }
-        Target::Mips => {
-            let hi = (c >> 16) & 0xffff;
-            let lo = c & 0xffff;
-            if hi != 0 {
-                e.emit(ins!("lui {},{}", dst, Operand::Imm(hi)));
-                if lo != 0 {
-                    e.emit(ins!("ori {},{},{}", dst, dst, Operand::Imm(lo)));
-                }
-            } else {
-                e.emit(ins!("li {},{}", dst, Operand::Imm(lo)));
+        for r in prog.results() {
+            let v = &mut values[r.index()];
+            v.last_use = end; // live out
+            v.uses += 1;
+        }
+        // Constants are hoisted out of loop kernels, so their registers
+        // must never be recycled mid-body (iteration 2 would read a
+        // clobbered register otherwise).
+        for (v, op) in values.iter_mut().zip(insts) {
+            if matches!(op, Op::Const(_)) {
+                v.last_use = end;
             }
         }
-        Target::Power => {
-            let hi = (c >> 16) & 0xffff;
-            let lo = c & 0xffff;
-            if hi != 0 {
-                e.emit(ins!("cau {},0,{}", dst, Operand::Imm(hi)));
-                if lo != 0 {
-                    e.emit(ins!("oril {},{},{}", dst, dst, Operand::Imm(lo)));
+        if target == Target::Alpha {
+            // Fold an Sll by 2 or 3 into a scaled add only when its single
+            // use is an Add (either operand) or the *scaled* (first)
+            // operand of a Sub — s4subq computes 4*a - b, not a - 4*b. A
+            // single use's index is its last use (a live-out value's
+            // points past the end).
+            for (i, op) in insts.iter().enumerate() {
+                if let Op::Sll(_, sh @ (2 | 3)) = *op {
+                    let v = &mut values[i];
+                    let folds = v.uses == 1
+                        && match insts.get(v.last_use as usize) {
+                            Some(Op::Add(x, y)) => x.index() == i || y.index() == i,
+                            Some(Op::Sub(x, _)) => x.index() == i,
+                            _ => false,
+                        };
+                    if folds {
+                        v.fold = sh as u8;
+                    }
                 }
-            } else {
-                e.emit(ins!("cal {},{}(0)", dst, Operand::Imm(lo)));
             }
         }
-        Target::Sparc => {
-            if c < 0x1000 {
-                e.emit(ins!("mov {},{}", c, dst));
-            } else {
-                e.emit(ins!("sethi %hi({}),{}", Operand::Imm(c), dst));
+        let pool = target.temp_registers();
+        let mut free = [0; MAX_POOL];
+        for (slot, k) in free.iter_mut().zip((1..=pool.len() as u8).rev()) {
+            *slot = k;
+        }
+        let mut e = Emitter {
+            target,
+            width: prog.width(),
+            insts,
+            rules: target.rules(prog.width()),
+            pool,
+            free,
+            n_free: pool.len(),
+            values,
+            out,
+        };
+        f(&mut e)
+    }
+
+    /// Emits the constants, then the body; returns how many lines the
+    /// constants took.
+    fn body(&mut self) -> usize {
+        let insts = self.insts;
+        let start = self.out.len();
+        // Pre-pass A: pin arguments to their calling-convention registers
+        // when those registers are in the temp pool (MIPS/POWER/SPARC keep
+        // x in the incoming register, as the paper's listings do).
+        for (i, op) in insts.iter().enumerate() {
+            if let Op::Arg(k) = *op {
+                self.pin(i, self.target.arg_register(k));
+            }
+        }
+        // Pre-pass B: materialize every constant, so constant registers
+        // are claimed before any body instruction and (being live-out)
+        // are never recycled — the loop emitters hoist these loads out of
+        // the loop, which is only sound if no body instruction touches
+        // them. (x86 folds constants as immediate operands instead.)
+        if self.target != Target::X86 {
+            for (i, op) in insts.iter().enumerate() {
+                if let Op::Const(c) = *op {
+                    let dst = self.alloc(i);
+                    self.load_const(dst, c);
+                }
+            }
+        }
+        let consts = self.out.len() - start;
+        for (i, op) in insts.iter().enumerate() {
+            let (kind, a, b, n) = decode(op);
+            let v = self.values[i];
+            if kind == Kind::Const || (kind == Kind::Arg && v.reg != 0) {
+                continue; // hoisted or an immediate; pinned in pre-pass A
+            }
+            if v.fold != 0 {
+                // Folded into the consuming scaled add: emit nothing, but
+                // keep the base live until the consumer.
+                let base = &mut self.values[a.map_or(i, Reg::index)];
+                base.last_use = base.last_use.max(v.last_use);
+                continue;
+            }
+            self.emit_op(i, kind, a, b, n);
+            self.release_dead(i, [a, b]);
+        }
+        consts
+    }
+
+    fn emit_op(&mut self, i: usize, kind: Kind, ra: Option<Reg>, rb: Option<Reg>, n: u32) {
+        let fold = |r: Option<Reg>| r.map_or(0, |r| self.values[r.index()].fold);
+        let (mut rule, fa, fb) = (self.rules[kind as usize], fold(ra), fold(rb));
+        let operand = |r: Option<Reg>| r.map_or(BLANK, |r| self.operand(r));
+        let (mut a, mut b) = if let Op::Arg(k) = self.insts[i] {
+            (Operand::Sym(self.target.arg_register(k)), BLANK)
+        } else if fa != 0 {
+            // Alpha scaled-add folding: 4*x + y, 8*x + y, 4*x - y, 8*x - y.
+            rule = SCALED[usize::from(kind == Kind::Sub)][usize::from(fa == 3)];
+            (self.shift_base(ra), operand(rb))
+        } else if fb != 0 {
+            rule = SCALED[0][usize::from(fb == 3)];
+            (self.shift_base(rb), operand(ra))
+        } else {
+            (operand(ra), operand(rb))
+        };
+        if matches!(kind, Kind::MulUH | Kind::MulSH) && matches!(b, Operand::Imm(_)) {
+            // x86's one-operand multiply reads a register: a constant
+            // goes in EAX instead (multiplication commutes).
+            if matches!(a, Operand::Imm(_)) {
+                unreachable!("const*const folds in the optimizer");
+            }
+            std::mem::swap(&mut a, &mut b);
+        }
+        let dst = self.alloc(i);
+        if kind == Kind::Arg && a == dst {
+            return; // already in its incoming register
+        }
+        self.run(rule, dst, a, b, n);
+    }
+
+    /// Appends `rule`'s lines for the given destination and operands.
+    fn run(&mut self, rule: &[Step], dst: Operand, a: Operand, b: Operand, n: u32) {
+        // The operand of each `Src`, in declaration order.
+        let width_m1 = u64::from(self.width - 1);
+        let mut slots = [
+            dst,
+            a,
+            b,
+            Operand::Dec(n.into()),
+            Operand::Dec(width_m1),
+            BLANK,
+        ];
+        for step in rule {
+            match *step {
+                I(template, srcs, len) => {
+                    let ops = srcs.map(|src| slots[src as usize]);
+                    self.out.push(Line::Ins(Ins { template, ops, len }));
+                }
+                Note(text) => self.out.push(Line::Comment(text)),
+                Stage => {
+                    if slots[A as usize] != dst {
+                        let ins = ins!("mov {},{}", dst, slots[A as usize]);
+                        self.out.push(Line::Ins(ins));
+                    }
+                }
+                StageImm(src) => {
+                    let op = &mut slots[src as usize];
+                    if matches!(op, Operand::Imm(_)) {
+                        let ins = ins!("mov {},{}", dst, *op);
+                        self.out.push(Line::Ins(ins));
+                        *op = dst;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Splits a constant into the target's immediate forms.
+    fn load_const(&mut self, dst: Operand, c: u64) {
+        let c = c & mask(self.width);
+        let (hi, lo) = ((c >> 16) & 0xffff, c & 0xffff);
+        let mut emit = |ins: Ins| self.out.push(Line::Ins(ins));
+        match self.target {
+            Target::Alpha => {
+                // lda/ldah build 32-bit constants; wider ones via shifts.
+                // For listing purposes emit the canonical pair (or one lda).
+                if c <= 0x7fff {
+                    emit(ins!("lda {},{}", dst, c));
+                } else if c <= 0xffff_ffff {
+                    emit(ins!("ldah {},{}($31)", dst, hi));
+                    if lo != 0 {
+                        emit(ins!("lda {},{}({})", dst, lo, dst));
+                    }
+                } else {
+                    emit(ins!("ldiq {},{}", dst, Operand::Imm(c))); // assembler macro
+                }
+            }
+            Target::Mips if hi != 0 => {
+                emit(ins!("lui {},{}", dst, Operand::Imm(hi)));
+                if lo != 0 {
+                    emit(ins!("ori {},{},{}", dst, dst, Operand::Imm(lo)));
+                }
+            }
+            Target::Mips => emit(ins!("li {},{}", dst, Operand::Imm(lo))),
+            Target::Power if hi != 0 => {
+                emit(ins!("cau {},0,{}", dst, Operand::Imm(hi)));
+                if lo != 0 {
+                    emit(ins!("oril {},{},{}", dst, dst, Operand::Imm(lo)));
+                }
+            }
+            Target::Power => emit(ins!("cal {},{}(0)", dst, Operand::Imm(lo))),
+            Target::Sparc if c < 0x1000 => emit(ins!("mov {},{}", c, dst)),
+            Target::Sparc => {
+                emit(ins!("sethi %hi({}),{}", Operand::Imm(c), dst));
                 if c & 0x3ff != 0 {
-                    e.emit(ins!("or {},%lo({}),{}", dst, Operand::Imm(c), dst));
+                    emit(ins!("or {},%lo({}),{}", dst, Operand::Imm(c), dst));
                 }
             }
-        }
-        Target::X86 => {
-            e.emit(ins!("mov {},{}", dst, Operand::Imm(c)));
+            Target::X86 => emit(ins!("mov {},{}", dst, Operand::Imm(c))),
         }
     }
-}
 
-#[allow(clippy::too_many_lines)]
-fn emit_one(
-    e: &mut Emitter,
-    prog: &Program,
-    i: usize,
-    op: &Op,
-    w: u32,
-    alpha_fold: &[Option<(Reg, u32)>],
-) {
-    if e.target == Target::X86 {
-        emit_one_x86(e, prog, i, op);
-        return;
+    fn alloc(&mut self, value: usize) -> Operand {
+        self.n_free = self
+            .n_free
+            .checked_sub(1)
+            .expect("register pool exhausted (program too large for straight-line allocation)");
+        let k = self.free[self.n_free];
+        self.values[value].reg = k;
+        self.name(k)
     }
-    // Resolve an operand that may be a folded Alpha scaled shift.
-    let scaled = |e: &Emitter, r: Reg| -> Option<(&'static str, u32)> {
-        alpha_fold
-            .get(r.index())
-            .copied()
-            .flatten()
-            .map(|(base, sh)| (e.reg(base), sh))
-    };
-    match *op {
-        Op::Arg(k) => {
-            let argreg = e.target.arg_register(k);
-            let dst = e.alloc(i);
-            if dst != argreg {
-                match e.target {
-                    Target::Alpha => {
-                        if w == 32 {
-                            // zapnot zero-extends the 32-bit argument into
-                            // the 64-bit working register (Table 11.1's
-                            // `zapnot $16,15,$3`).
-                            e.emit(ins!("zapnot {},15,{}", argreg, dst));
-                        } else {
-                            e.emit(ins!("bis {},{},{}", argreg, argreg, dst));
-                        }
-                    }
-                    Target::Mips => e.emit(ins!("move {},{}", dst, argreg)),
-                    Target::Power => e.emit(ins!("mr {},{}", dst, argreg)),
-                    Target::Sparc => e.emit(ins!("mov {},{}", argreg, dst)),
-                    Target::X86 => unreachable!("x86 uses emit_one_x86"),
-                }
-            }
-        }
-        Op::Const(c) => {
-            let dst = e.alloc(i);
-            load_const(e, dst, c, w);
-        }
-        Op::Add(a, b) => {
-            // Alpha scaled-add folding: 4*x + y / 8*x + y.
-            if e.target == Target::Alpha {
-                if let Some((base, sh)) = scaled(e, a) {
-                    let yb = e.reg(b);
-                    let dst = e.alloc(i);
-                    let mn = if sh == 2 { "s4addq" } else { "s8addq" };
-                    e.emit(ins!("{} {},{},{}", mn, base, yb, dst));
-                    return;
-                }
-                if let Some((base, sh)) = scaled(e, b) {
-                    let ya = e.reg(a);
-                    let dst = e.alloc(i);
-                    let mn = if sh == 2 { "s4addq" } else { "s8addq" };
-                    e.emit(ins!("{} {},{},{}", mn, base, ya, dst));
-                    return;
-                }
-            }
-            let (ra, rb) = (e.reg(a), e.reg(b));
-            let dst = e.alloc(i);
-            match e.target {
-                Target::Alpha => e.emit(ins!("addq {},{},{}", ra, rb, dst)),
-                Target::Mips => e.emit(ins!("addu {},{},{}", dst, ra, rb)),
-                Target::Power => e.emit(ins!("a {},{},{}", dst, ra, rb)),
-                Target::Sparc => e.emit(ins!("add {},{},{}", ra, rb, dst)),
-                Target::X86 => unreachable!("x86 uses emit_one_x86"),
-            }
-        }
-        Op::Sub(a, b) => {
-            if e.target == Target::Alpha {
-                if let Some((base, sh)) = scaled(e, a) {
-                    let yb = e.reg(b);
-                    let dst = e.alloc(i);
-                    let mn = if sh == 2 { "s4subq" } else { "s8subq" };
-                    e.emit(ins!("{} {},{},{}", mn, base, yb, dst));
-                    return;
-                }
-            }
-            let (ra, rb) = (e.reg(a), e.reg(b));
-            let dst = e.alloc(i);
-            match e.target {
-                Target::Alpha => e.emit(ins!("subq {},{},{}", ra, rb, dst)),
-                Target::Mips => e.emit(ins!("subu {},{},{}", dst, ra, rb)),
-                Target::Power => e.emit(ins!("sf {},{},{}", dst, rb, ra)),
-                Target::Sparc => e.emit(ins!("sub {},{},{}", ra, rb, dst)),
-                Target::X86 => unreachable!("x86 uses emit_one_x86"),
-            }
-        }
-        Op::Neg(a) => {
-            let ra = e.reg(a);
-            let dst = e.alloc(i);
-            match e.target {
-                Target::Alpha => e.emit(ins!("subq $31,{},{}", ra, dst)),
-                Target::Mips => e.emit(ins!("negu {},{}", dst, ra)),
-                Target::Power => e.emit(ins!("neg {},{}", dst, ra)),
-                Target::Sparc => e.emit(ins!("sub %g0,{},{}", ra, dst)),
-                Target::X86 => unreachable!("x86 uses emit_one_x86"),
-            }
-        }
-        Op::MulL(a, b) => {
-            let (ra, rb) = (e.reg(a), e.reg(b));
-            let dst = e.alloc(i);
-            match e.target {
-                Target::Alpha => e.emit(ins!("mulq {},{},{}", ra, rb, dst)),
-                Target::Mips => {
-                    e.emit(ins!("multu {},{}", ra, rb));
-                    e.emit(ins!("mflo {}", dst));
-                }
-                Target::Power => e.emit(ins!("muls {},{},{}", dst, ra, rb)),
-                Target::Sparc => e.emit(ins!("umul {},{},{}", ra, rb, dst)),
-                Target::X86 => unreachable!("x86 uses emit_one_x86"),
-            }
-        }
-        Op::MulUH(a, b) => {
-            let (ra, rb) = (e.reg(a), e.reg(b));
-            let dst = e.alloc(i);
-            match e.target {
-                Target::Alpha => {
-                    if w == 32 {
-                        // 64-bit full product then a 32-bit shift down.
-                        e.emit(ins!("mulq {},{},{}", ra, rb, dst));
-                        e.emit(ins!("srl {},32,{}", dst, dst));
-                    } else {
-                        e.emit(ins!("umulh {},{},{}", ra, rb, dst));
-                    }
-                }
-                Target::Mips => {
-                    e.emit(ins!("multu {},{}", ra, rb));
-                    e.emit(ins!("mfhi {}", dst));
-                }
-                Target::Power => e.emit(ins!("mulhwu {},{},{}", dst, ra, rb)),
-                Target::Sparc => {
-                    e.emit(ins!("umul {},{},%g0", ra, rb));
-                    e.emit(ins!("rd %y,{}", dst));
-                }
-                Target::X86 => unreachable!("x86 uses emit_one_x86"),
-            }
-        }
-        Op::MulSH(a, b) => {
-            let (ra, rb) = (e.reg(a), e.reg(b));
-            let dst = e.alloc(i);
-            match e.target {
-                Target::Alpha => {
-                    if w == 32 {
-                        e.emit(ins!("mulq {},{},{}", ra, rb, dst));
-                        e.emit(ins!("sra {},32,{}", dst, dst));
-                    } else {
-                        // No mulsh on Alpha: umulh + the §3 correction.
-                        e.emit(ins!("umulh {},{},{}", ra, rb, dst));
-                        e.comment("mulsh correction: dst -= (a<0 ? b : 0) + (b<0 ? a : 0)");
-                        e.emit(ins!("sra {},63,$28", ra));
-                        e.emit(ins!("and $28,{},$28", rb));
-                        e.emit(ins!("subq {},$28,{}", dst, dst));
-                        e.emit(ins!("sra {},63,$28", rb));
-                        e.emit(ins!("and $28,{},$28", ra));
-                        e.emit(ins!("subq {},$28,{}", dst, dst));
-                    }
-                }
-                Target::Mips => {
-                    e.emit(ins!("mult {},{}", ra, rb));
-                    e.emit(ins!("mfhi {}", dst));
-                }
-                Target::Power => e.emit(ins!("mulhw {},{},{}", dst, ra, rb)),
-                Target::Sparc => {
-                    e.emit(ins!("smul {},{},%g0", ra, rb));
-                    e.emit(ins!("rd %y,{}", dst));
-                }
-                Target::X86 => unreachable!("x86 uses emit_one_x86"),
-            }
-        }
-        Op::And(a, b) | Op::Or(a, b) | Op::Eor(a, b) => {
-            let (ra, rb) = (e.reg(a), e.reg(b));
-            let dst = e.alloc(i);
-            let (alpha, mips, power, sparc) = match op {
-                Op::And(..) => ("and", "and", "and", "and"),
-                Op::Or(..) => ("bis", "or", "or", "or"),
-                _ => ("xor", "xor", "xor", "xor"),
-            };
-            match e.target {
-                Target::Alpha => e.emit(ins!("{} {},{},{}", alpha, ra, rb, dst)),
-                Target::Mips => e.emit(ins!("{} {},{},{}", mips, dst, ra, rb)),
-                Target::Power => e.emit(ins!("{} {},{},{}", power, dst, ra, rb)),
-                Target::Sparc => e.emit(ins!("{} {},{},{}", sparc, ra, rb, dst)),
-                Target::X86 => unreachable!("x86 uses emit_one_x86"),
-            }
-        }
-        Op::Not(a) => {
-            let ra = e.reg(a);
-            let dst = e.alloc(i);
-            match e.target {
-                Target::Alpha => e.emit(ins!("ornot $31,{},{}", ra, dst)),
-                Target::Mips => e.emit(ins!("nor {},{},$0", dst, ra)),
-                Target::Power => e.emit(ins!("sfi {},{},-1", dst, ra)),
-                Target::Sparc => e.emit(ins!("xnor {},%g0,{}", ra, dst)),
-                Target::X86 => unreachable!("x86 uses emit_one_x86"),
-            }
-        }
-        Op::Sll(a, n) | Op::Srl(a, n) | Op::Sra(a, n) => {
-            let ra = e.reg(a);
-            let dst = e.alloc(i);
-            let kind = match op {
-                Op::Sll(..) => 0,
-                Op::Srl(..) => 1,
-                _ => 2,
-            };
-            match e.target {
-                Target::Alpha => {
-                    // 32-bit programs run zero-extended in 64-bit regs:
-                    // logical shifts need the 64-bit counts adjusted only
-                    // for SRA (sign lives at bit 31). Keep it simple: for
-                    // w == 32 sra first sign-extends with addl.
-                    match kind {
-                        0 => {
-                            e.emit(ins!("sll {},{},{}", ra, n, dst));
-                            if w == 32 {
-                                e.emit(ins!("zapnot {},15,{}", dst, dst));
-                            }
-                        }
-                        1 => e.emit(ins!("srl {},{},{}", ra, n, dst)),
-                        _ => {
-                            if w == 32 {
-                                e.emit(ins!("addl {},0,{}", ra, dst)); // sign-extend
-                                e.emit(ins!("sra {},{},{}", dst, n, dst));
-                                e.emit(ins!("zapnot {},15,{}", dst, dst));
-                            } else {
-                                e.emit(ins!("sra {},{},{}", ra, n, dst));
-                            }
-                        }
-                    }
-                }
-                Target::Mips => {
-                    let mn = ["sll", "srl", "sra"][kind];
-                    e.emit(ins!("{} {},{},{}", mn, dst, ra, n));
-                }
-                Target::Power => {
-                    let mn = ["sli", "sri", "srai"][kind];
-                    e.emit(ins!("{} {},{},{}", mn, dst, ra, n));
-                }
-                Target::Sparc => {
-                    let mn = ["sll", "srl", "sra"][kind];
-                    e.emit(ins!("{} {},{},{}", mn, ra, n, dst));
-                }
-                Target::X86 => unreachable!("x86 uses emit_one_x86"),
-            }
-        }
-        Op::Xsign(a) => {
-            let ra = e.reg(a);
-            let dst = e.alloc(i);
-            let n = w - 1;
-            match e.target {
-                Target::Alpha => {
-                    if w == 32 {
-                        e.emit(ins!("addl {},0,{}", ra, dst));
-                        e.emit(ins!("sra {},31,{}", dst, dst));
-                        e.emit(ins!("zapnot {},15,{}", dst, dst));
-                    } else {
-                        e.emit(ins!("sra {},63,{}", ra, dst));
-                    }
-                }
-                Target::Mips => e.emit(ins!("sra {},{},{}", dst, ra, n)),
-                Target::Power => e.emit(ins!("srai {},{},{}", dst, ra, n)),
-                Target::Sparc => e.emit(ins!("sra {},{},{}", ra, n, dst)),
-                Target::X86 => unreachable!("x86 uses emit_one_x86"),
-            }
-        }
-        Op::SltS(a, b) | Op::SltU(a, b) => {
-            let (ra, rb) = (e.reg(a), e.reg(b));
-            let dst = e.alloc(i);
-            let signed = matches!(op, Op::SltS(..));
-            match e.target {
-                Target::Alpha => {
-                    let mn = if signed { "cmplt" } else { "cmpult" };
-                    e.emit(ins!("{} {},{},{}", mn, ra, rb, dst));
-                }
-                Target::Mips => {
-                    let mn = if signed { "slt" } else { "sltu" };
-                    e.emit(ins!("{} {},{},{}", mn, dst, ra, rb));
-                }
-                Target::Power => {
-                    // POWER lacks set-less-than; the classic expansion.
-                    e.comment("slt via subfc/subfe carry sequence");
-                    let mn = if signed { "slt.pseudo" } else { "sltu.pseudo" };
-                    e.emit(ins!("{} {},{},{}", mn, dst, ra, rb));
-                }
-                Target::Sparc => {
-                    e.emit(ins!("cmp {},{}", ra, rb));
-                    e.emit(ins!("addx %g0,0,{}", dst));
-                    if signed {
-                        e.comment("signed variant uses bl/set sequence on V8");
-                    }
-                }
-                Target::X86 => unreachable!("x86 uses emit_one_x86"),
-            }
-        }
-        Op::Carry(a, b) => {
-            // Carry-out of the unsigned word add (the Fig 8.1 doubleword
-            // sums). Machines with a carry flag read it directly; the
-            // others recompute it as an unsigned compare of the wrapped
-            // sum against an addend.
-            let (ra, rb) = (e.reg(a), e.reg(b));
-            let dst = e.alloc(i);
-            match e.target {
-                Target::Alpha => {
-                    if w == 32 {
-                        // Zero-extended 32-bit operands: the carry is
-                        // bit 32 of the exact 64-bit sum.
-                        e.emit(ins!("addq {},{},$28", ra, rb));
-                        e.emit(ins!("srl $28,32,{}", dst));
-                    } else {
-                        e.emit(ins!("addq {},{},$28", ra, rb));
-                        e.emit(ins!("cmpult $28,{},{}", ra, dst));
-                    }
-                }
-                Target::Mips => {
-                    e.emit(ins!("addu {},{},{}", dst, ra, rb));
-                    e.emit(ins!("sltu {},{},{}", dst, dst, ra));
-                }
-                Target::Power => {
-                    e.comment("carry-out via XER CA: a sets it, aze reads it");
-                    e.emit(ins!("a {},{},{}", dst, ra, rb));
-                    e.emit(ins!("lil {},0", dst));
-                    e.emit(ins!("aze {},{}", dst, dst));
-                }
-                Target::Sparc => {
-                    e.emit(ins!("addcc {},{},%g0", ra, rb));
-                    e.emit(ins!("addx %g0,0,{}", dst));
-                }
-                Target::X86 => unreachable!("x86 uses emit_one_x86"),
-            }
-        }
-        Op::Borrow(a, b) => {
-            // Borrow-out of the unsigned word subtract: exactly the
-            // unsigned a < b compare.
-            let (ra, rb) = (e.reg(a), e.reg(b));
-            let dst = e.alloc(i);
-            match e.target {
-                Target::Alpha => e.emit(ins!("cmpult {},{},{}", ra, rb, dst)),
-                Target::Mips => e.emit(ins!("sltu {},{},{}", dst, ra, rb)),
-                Target::Power => {
-                    e.comment("borrow = 1 - CA after subtract-from");
-                    e.emit(ins!("sf {},{},{}", dst, rb, ra));
-                    e.emit(ins!("sfe {},{},{}", dst, dst, dst));
-                    e.emit(ins!("neg {},{}", dst, dst));
-                }
-                Target::Sparc => {
-                    e.emit(ins!("cmp {},{}", ra, rb));
-                    e.emit(ins!("addx %g0,0,{}", dst));
-                }
-                Target::X86 => unreachable!("x86 uses emit_one_x86"),
-            }
-        }
-        Op::DivU(a, b) | Op::DivS(a, b) | Op::RemU(a, b) | Op::RemS(a, b) => {
-            let (ra, rb) = (e.reg(a), e.reg(b));
-            let dst = e.alloc(i);
-            let (unsigned, rem) = match op {
-                Op::DivU(..) => (true, false),
-                Op::DivS(..) => (false, false),
-                Op::RemU(..) => (true, true),
-                _ => (false, true),
-            };
-            match e.target {
-                Target::Alpha => {
-                    // No divide instruction: a library call (the paper's
-                    // Table 11.2 footnote).
-                    let f = match (unsigned, rem) {
-                        (true, false) => "__divqu",
-                        (false, false) => "__divq",
-                        (true, true) => "__remqu",
-                        (false, true) => "__remq",
-                    };
-                    e.emit(ins!("bis {},{},$24", ra, ra));
-                    e.emit(ins!("bis {},{},$25", rb, rb));
-                    e.emit(ins!("jsr $23,{}", f));
-                    e.emit(ins!("bis $27,$27,{}", dst));
-                }
-                Target::Mips => {
-                    let mn = if unsigned { "divu" } else { "div" };
-                    e.emit(ins!("{} $0,{},{}", mn, ra, rb));
-                    e.emit(ins!("{} {}", if rem { "mfhi" } else { "mflo" }, dst));
-                }
-                Target::Power => {
-                    let mn = if unsigned { "divwu" } else { "divw" };
-                    e.emit(ins!("{} {},{},{}", mn, dst, ra, rb));
-                    if rem {
-                        e.emit(ins!("muls {},{},{}", dst, dst, rb));
-                        e.emit(ins!("sf {},{},{}", dst, dst, ra));
-                    }
-                }
-                Target::Sparc => {
-                    let mn = if unsigned { "udiv" } else { "sdiv" };
-                    e.emit(ins!("wr %g0,%g0,%y"));
-                    e.emit(ins!("{} {},{},{}", mn, ra, rb, dst));
-                    if rem {
-                        e.emit(ins!("smul {},{},{}", dst, rb, dst));
-                        e.emit(ins!("sub {},{},{}", ra, dst, dst));
-                    }
-                }
-                Target::X86 => unreachable!("x86 uses emit_one_x86"),
-            }
-        }
-    }
-}
 
-/// Two-address x86 emission: every value-producing op starts with a
-/// `mov dst, src1`, multiplies and divides go through `EDX:EAX`,
-/// constants fold as `imm32` operands (x86 has them; the pool only has
-/// four registers once `eax`/`edx` are reserved for `mul`/`div`).
-fn emit_one_x86(e: &mut Emitter, prog: &Program, i: usize, op: &Op) {
-    // Resolve an operand to either its register or an immediate.
-    let rm = |e: &Emitter, r: Reg| -> (Operand, bool) {
-        match prog.insts()[r.index()] {
-            Op::Const(c) => (Operand::Imm(c), true),
-            _ => (Operand::Sym(e.reg(r)), false),
+    /// Claims the register `name` for `value` when it is free.
+    fn pin(&mut self, value: usize, name: &str) {
+        let free = &mut self.free[..self.n_free];
+        if let Some(pos) = free
+            .iter()
+            .position(|&k| self.pool[usize::from(k) - 1] == name)
+        {
+            self.values[value].reg = free[pos];
+            free.copy_within(pos + 1.., pos);
+            self.n_free -= 1;
         }
-    };
-    let two_addr = |e: &mut Emitter, i: usize, mn: &'static str, a: Reg, b: Reg| {
-        let (ra, a_imm) = rm(e, a);
-        let (rb, _) = rm(e, b);
-        let dst = e.alloc(i);
-        // An immediate first operand always needs staging; a register one
-        // only when allocation picked a different destination.
-        if a_imm || Operand::Sym(dst) != ra {
-            e.emit(ins!("mov {},{}", dst, ra));
-        }
-        e.emit(ins!("{} {},{}", mn, dst, rb));
-    };
-    let unary = |e: &mut Emitter, i: usize, mn: &'static str, a: Reg| {
-        let (ra, _) = rm(e, a);
-        let dst = e.alloc(i);
-        if Operand::Sym(dst) != ra {
-            e.emit(ins!("mov {},{}", dst, ra));
-        }
-        e.emit(ins!("{} {}", mn, dst));
-    };
-    let shift = |e: &mut Emitter, i: usize, mn: &'static str, a: Reg, n: u32| {
-        let (ra, _) = rm(e, a);
-        let dst = e.alloc(i);
-        if Operand::Sym(dst) != ra {
-            e.emit(ins!("mov {},{}", dst, ra));
-        }
-        e.emit(ins!("{} {},{}", mn, dst, n));
-    };
-    match *op {
-        Op::Arg(k) => {
-            let argreg = e.target.arg_register(k);
-            let dst = e.alloc(i);
-            // eax is not in the pool, so this always moves the argument
-            // into a callee-chosen register (eax stays free for mul/div).
-            e.emit(ins!("mov {},{}", dst, argreg));
-        }
-        Op::Const(_) => {
-            // Folded as an immediate at each use; nothing to emit.
-        }
-        Op::Add(a, b) => two_addr(e, i, "add", a, b),
-        Op::Sub(a, b) => two_addr(e, i, "sub", a, b),
-        Op::And(a, b) => two_addr(e, i, "and", a, b),
-        Op::Or(a, b) => two_addr(e, i, "or", a, b),
-        Op::Eor(a, b) => two_addr(e, i, "xor", a, b),
-        Op::MulL(a, b) => two_addr(e, i, "imul", a, b), // imul r32, r/m32/imm32
-        Op::Neg(a) => unary(e, i, "neg", a),
-        Op::Not(a) => unary(e, i, "not", a),
-        Op::Sll(a, n) => shift(e, i, "shl", a, n),
-        Op::Srl(a, n) => shift(e, i, "shr", a, n),
-        Op::Sra(a, n) => shift(e, i, "sar", a, n),
-        Op::Xsign(a) => shift(e, i, "sar", a, 31),
-        Op::MulUH(a, b) | Op::MulSH(a, b) => {
-            // One-operand mul/imul: EDX:EAX = EAX * r/m32. The r/m operand
-            // must be a register, so when one side is a constant put it in
-            // EAX (multiplication commutes).
-            let mn = if matches!(op, Op::MulUH(..)) {
-                "mul"
-            } else {
-                "imul"
-            };
-            let (ra, a_imm) = rm(e, a);
-            let (rb, b_imm) = rm(e, b);
-            let dst = e.alloc(i);
-            match (a_imm, b_imm) {
-                (false, false) | (true, false) => {
-                    e.emit(ins!("mov eax,{}", ra));
-                    e.emit(ins!("{} {}", mn, rb));
-                }
-                (false, true) => {
-                    e.emit(ins!("mov eax,{}", rb));
-                    e.emit(ins!("{} {}", mn, ra));
-                }
-                (true, true) => unreachable!("const*const folds in the optimizer"),
+    }
+
+    /// Register number `k` (see [`Value::reg`]).
+    fn name(&self, k: u8) -> Operand {
+        Operand::Sym(self.pool[usize::from(k) - 1])
+    }
+
+    /// Where value `r` is read from: its register, or on x86 (which
+    /// folds constants as immediates) the constant itself.
+    fn operand(&self, r: Reg) -> Operand {
+        match self.insts[r.index()] {
+            Op::Const(c) if self.target == Target::X86 => Operand::Imm(c),
+            _ => {
+                let k = self.values[r.index()].reg;
+                assert!(k != 0, "register allocator assigned every live value");
+                self.name(k)
             }
-            e.emit(ins!("mov {},edx", dst));
         }
-        Op::SltU(a, b) | Op::SltS(a, b) => {
-            let set = if matches!(op, Op::SltU(..)) {
-                "setb"
-            } else {
-                "setl"
-            };
-            let (ra, a_imm) = rm(e, a);
-            let (rb, _) = rm(e, b);
-            let dst = e.alloc(i);
-            if a_imm {
-                // cmp's first operand must be r/m: stage the immediate.
-                e.emit(ins!("mov {},{}", dst, ra));
-                e.emit(ins!("cmp {},{}", dst, rb));
-            } else {
-                e.emit(ins!("cmp {},{}", ra, rb));
-            }
-            e.emit(ins!("{} dl", set));
-            e.emit(ins!("movzx {},dl", dst));
+    }
+
+    /// The register of a folded `Sll`'s shifted operand.
+    fn shift_base(&self, r: Option<Reg>) -> Operand {
+        match r.map(|r| self.insts[r.index()]) {
+            Some(Op::Sll(base, _)) => self.operand(base),
+            _ => unreachable!("only an Sll folds into a scaled add"),
         }
-        Op::Carry(a, b) => {
-            // x86 has the real flag: add sets CF, setc materializes it.
-            let (ra, a_imm) = rm(e, a);
-            let (rb, _) = rm(e, b);
-            let dst = e.alloc(i);
-            if a_imm || Operand::Sym(dst) != ra {
-                e.emit(ins!("mov {},{}", dst, ra));
+    }
+
+    /// Frees the registers of the operands instruction `at` reads last.
+    fn release_dead(&mut self, at: usize, operands: [Option<Reg>; 2]) {
+        for r in operands.into_iter().flatten() {
+            let v = &mut self.values[r.index()];
+            if v.last_use == at as u32 && v.reg != 0 {
+                self.free[self.n_free] = v.reg;
+                self.n_free += 1;
+                v.reg = 0;
             }
-            e.emit(ins!("add {},{}", dst, rb));
-            e.emit(ins!("setc dl"));
-            e.emit(ins!("movzx {},dl", dst));
-        }
-        Op::Borrow(a, b) => {
-            // Same compare shape as unsigned set-less-than: CF after cmp
-            // is the borrow.
-            let (ra, a_imm) = rm(e, a);
-            let (rb, _) = rm(e, b);
-            let dst = e.alloc(i);
-            if a_imm {
-                e.emit(ins!("mov {},{}", dst, ra));
-                e.emit(ins!("cmp {},{}", dst, rb));
-            } else {
-                e.emit(ins!("cmp {},{}", ra, rb));
-            }
-            e.emit(ins!("setb dl"));
-            e.emit(ins!("movzx {},dl", dst));
-        }
-        Op::DivU(a, b) | Op::DivS(a, b) | Op::RemU(a, b) | Op::RemS(a, b) => {
-            let (unsigned, rem) = match op {
-                Op::DivU(..) => (true, false),
-                Op::DivS(..) => (false, false),
-                Op::RemU(..) => (true, true),
-                _ => (false, true),
-            };
-            let (ra, _) = rm(e, a);
-            let (rb, b_imm) = rm(e, b);
-            let dst = e.alloc(i);
-            e.emit(ins!("mov eax,{}", ra));
-            let divisor = if b_imm {
-                // The divisor must be r/m: stage it in dst (read before
-                // dst is overwritten with the result).
-                e.emit(ins!("mov {},{}", dst, rb));
-                Operand::Sym(dst)
-            } else {
-                rb
-            };
-            if unsigned {
-                e.emit(ins!("xor edx,edx"));
-                e.emit(ins!("div {}", divisor));
-            } else {
-                e.emit(ins!("cdq"));
-                e.emit(ins!("idiv {}", divisor));
-            }
-            e.emit(ins!("mov {},{}", dst, if rem { "edx" } else { "eax" }));
         }
     }
 }
@@ -1175,6 +1164,56 @@ fn emit_one_x86(e: &mut Emitter, prog: &Program, i: usize, op: &Op) {
 mod tests {
     use super::*;
     use crate::divgen::{gen_signed_div, gen_unsigned_div, gen_unsigned_divrem};
+
+    #[test]
+    fn every_template_has_one_slot_per_hole() {
+        let tables = [&ALPHA, &ALPHA_W32, &MIPS, &POWER, &SPARC, &X86];
+        let rules = tables
+            .iter()
+            .flat_map(|t| t.iter())
+            .chain(SCALED.iter().flatten());
+        for rule in rules {
+            for step in rule.iter() {
+                if let I(template, srcs, len) = *step {
+                    let len = usize::from(len);
+                    assert_eq!(template.matches("{}").count(), len, "{template}");
+                    assert!(srcs[len..].iter().all(|&s| s == Src::Blank), "{template}");
+                }
+            }
+        }
+        for t in tables {
+            assert!(t[Kind::Const as usize].is_empty());
+        }
+    }
+
+    #[test]
+    fn programs_past_the_stack_buffer_emit_like_short_ones() {
+        // A chain of dependent adds of one constant: each add emits the
+        // same lines, however long the chain, and 100 values take the
+        // allocator's heap buffer.
+        let chain = |len: usize| {
+            let mut b = magicdiv_ir::Builder::new(32, 1);
+            let c = b.constant(3);
+            let mut x = b.arg(0);
+            for _ in 0..len {
+                x = b.push(Op::Add(x, c));
+            }
+            b.finish([x])
+        };
+        assert!(chain(100).insts().len() > STACK_VALUES);
+        for t in [
+            Target::Alpha,
+            Target::Mips,
+            Target::Power,
+            Target::Sparc,
+            Target::X86,
+        ] {
+            let count = |len| emit_assembly(&chain(len), t, "f").instruction_count();
+            let per_add = (count(20) - count(10)) / 10;
+            assert!(per_add >= 1, "{t}");
+            assert_eq!(count(100), count(10) + 90 * per_add, "{t}");
+        }
+    }
 
     #[test]
     fn all_targets_emit_divide_free_magic_code() {

@@ -72,16 +72,13 @@ impl fmt::Display for CandidateSource {
     }
 }
 
-/// One competing plan: what to run, who proposed it, and why it might
-/// win.
+/// One competing plan: what to run, and who proposed it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Candidate {
     /// The complete plan this family proposes.
     pub plan: DivPlan,
     /// The proposing strategy family.
     pub source: CandidateSource,
-    /// One line of rationale (shown by `magic explain`).
-    pub why: String,
 }
 
 /// The unsigned-quotient candidate pool for dividing by `d` at `width`
@@ -108,7 +105,6 @@ pub fn udiv_candidates(d: u128, width: u32) -> Result<Vec<Candidate>, DivisorErr
     let mut out = vec![Candidate {
         plan: DivPlan::Unsigned(UdivPlan::new(d, width)?),
         source: CandidateSource::PaperBaseline,
-        why: "Fig 4.2 decision rules (the 1994 baseline)".to_string(),
     }];
     if width <= 64 && !d.is_power_of_two() {
         out.extend(round_up(d, width));
@@ -146,13 +142,9 @@ fn round_up(d: u128, width: u32) -> Option<Candidate> {
                 sh_post: s,
             },
         };
-        udiv_valid(&plan).is_ok().then(|| Candidate {
+        udiv_valid(&plan).is_ok().then_some(Candidate {
             plan: DivPlan::Unsigned(plan),
             source: CandidateSource::RoundUp,
-            why: format!(
-                "round-down m with n+1 via carry; valid since \
-                 e(d*q_top+1) <= 2^{k}, independent MULL/MULUH"
-            ),
         })
     })
 }
@@ -195,10 +187,6 @@ fn optimal_bounds(d: u128, width: u32) -> Option<Candidate> {
             return Some(Candidate {
                 plan: DivPlan::Unsigned(plan),
                 source: CandidateSource::OptimalBounds,
-                why: format!(
-                    "smallest word-sized m = {m_min:#x} at k={k}: \
-                     plain MULUH+SRL, no fixup or pre-shift"
-                ),
             });
         }
     }
@@ -218,15 +206,11 @@ pub fn urem_candidates(d: u128, width: u32) -> Result<Vec<Candidate>, DivisorErr
     let mut out = vec![Candidate {
         plan: DivPlan::Urem(baseline),
         source: CandidateSource::PaperBaseline,
-        why: "quotient per Fig 4.2 then r = n - q*d (§1 multiply-back)".to_string(),
     }];
     if !d.is_power_of_two() {
         out.push(Candidate {
             plan: DivPlan::Urem(UremPlan::new_direct(d, width)?),
             source: CandidateSource::LkkFraction,
-            why: "r = HIGH_2N((n*c mod 2^2N) * d) with c = ceil(2^2N/d): \
-                  no quotient, leading multiplies independent"
-                .to_string(),
         });
     }
     Ok(out)

@@ -908,12 +908,6 @@ impl ExactPlan {
         self.width
     }
 
-    /// `|d|`.
-    #[inline]
-    pub fn divisor_abs(&self) -> u128 {
-        self.d_abs
-    }
-
     /// Whether this is a signed plan.
     #[inline]
     pub fn is_signed(&self) -> bool {

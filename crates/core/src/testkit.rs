@@ -101,40 +101,13 @@ pub fn interesting_unsigned_dividends<T: UWord>(d: T) -> Vec<T> {
 /// ```
 pub fn directed_unsigned_dividends(d: u128, width: u32) -> Vec<u128> {
     let m = crate::plan::mask(width);
-    // Sort the bases, not the three times as many dividends: 0 and m are
-    // bases, so the neighbors that wrap (m + 1 and 0 - 1) are already
-    // there, and walking the sorted bases, a neighbor is new exactly
-    // when it exceeds the last dividend kept.
-    let mut bases = directed_bases(d, width);
-    for b in &mut bases {
-        *b &= m;
-    }
-    bases.sort_unstable();
-    bases.dedup();
-    let mut out: Vec<u128> = Vec::with_capacity(3 * bases.len());
-    for b in bases {
-        let around = [
-            b.checked_sub(1),
-            Some(b),
-            b.checked_add(1).filter(|&n| n <= m),
-        ];
-        for n in around.into_iter().flatten() {
-            if out.last().is_none_or(|&last| n > last) {
-                out.push(n);
-            }
-        }
-    }
-    out
-}
-
-/// The bases of [`directed_unsigned_dividends`], unsorted and not yet
-/// reduced modulo 2^N: each contributes itself and both neighbors.
-fn directed_bases(d: u128, width: u32) -> Vec<u128> {
-    let m = crate::plan::mask(width);
     let half = m >> 1;
     let t = m - m % d;
     let q_top = m / d;
-    let mut bases = vec![
+    // Three ascending runs of bases: the thirteen specials (reduced mod
+    // 2^N and sorted), every power of two, and d times every power of
+    // two up to q_top.
+    let mut specials = [
         0,
         2,
         m,
@@ -148,15 +121,40 @@ fn directed_bases(d: u128, width: u32) -> Vec<u128> {
         t.wrapping_add(d),
         t.wrapping_add(d.wrapping_mul(2)),
         q_top / 2 * d,
-    ];
-    bases.extend((0..width).map(|j| 1u128 << j));
-    bases.extend(
-        (0..width)
-            .map(|j| 1u128 << j)
-            .take_while(|&q| q <= q_top)
-            .map(|q| q * d),
-    );
-    bases
+    ]
+    .map(|b| b & m);
+    specials.sort_unstable();
+    let powers = (0..width).map(|j| 1u128 << j);
+    let multiples = powers.clone().take_while(|&q| q <= q_top).map(|q| q * d);
+    let bases = merge(merge(specials.into_iter(), powers), multiples);
+    // Each base contributes itself and both neighbors. 0 and m are
+    // bases, so the neighbors that wrap (m + 1 and 0 - 1) are already
+    // there, and walking the bases in order, a neighbor is new exactly
+    // when it is at least `next`, the smallest dividend not yet kept.
+    let mut out = Vec::with_capacity(3 * (specials.len() + 2 * width as usize));
+    let mut next = 0;
+    for b in bases {
+        let hi = b.saturating_add(1).min(m);
+        out.extend(b.saturating_sub(1).max(next)..=hi);
+        if hi == m {
+            break; // every later base is within one of m
+        }
+        next = next.max(hi + 1);
+    }
+    out
+}
+
+/// Merges two ascending runs into one.
+fn merge(
+    a: impl Iterator<Item = u128>,
+    b: impl Iterator<Item = u128>,
+) -> impl Iterator<Item = u128> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    std::iter::from_fn(move || match (a.peek(), b.peek()) {
+        (Some(x), Some(y)) if y < x => b.next(),
+        (Some(_), _) => a.next(),
+        (None, _) => b.next(),
+    })
 }
 
 /// Interesting signed divisors at width `S` (all nonzero, both signs).
@@ -318,6 +316,38 @@ mod tests {
         assert!(interesting_unsigned_divisors::<u32>().contains(&641));
         assert!(interesting_unsigned_divisors::<u64>().contains(&274177));
         assert!(!interesting_unsigned_divisors::<u8>().contains(&0)); // truncation must not create zero
+    }
+
+    /// The bases of [`directed_unsigned_dividends`], unsorted and not yet
+    /// reduced modulo 2^N: each contributes itself and both neighbors.
+    fn directed_bases(d: u128, width: u32) -> Vec<u128> {
+        let m = crate::plan::mask(width);
+        let half = m >> 1;
+        let t = m - m % d;
+        let q_top = m / d;
+        let mut bases = vec![
+            0,
+            2,
+            m,
+            m - 1,
+            half,
+            half + 1,
+            d,
+            d.wrapping_mul(2),
+            t,
+            t - d,
+            t.wrapping_add(d),
+            t.wrapping_add(d.wrapping_mul(2)),
+            q_top / 2 * d,
+        ];
+        bases.extend((0..width).map(|j| 1u128 << j));
+        bases.extend(
+            (0..width)
+                .map(|j| 1u128 << j)
+                .take_while(|&q| q <= q_top)
+                .map(|q| q * d),
+        );
+        bases
     }
 
     #[test]

@@ -13,9 +13,20 @@
 //! instruction list. Every operation enters that list only through the
 //! lookup, so the first match is the register a table would have
 //! recorded, and the output is the same as a hash-based pass's.
+//!
+//! A pass works in buffers on the stack (on the heap for programs over
+//! [`STACK_INSTS`] instructions). A pass that fires no rewrite and whose
+//! DCE keeps every instruction has left the program as it was, so it
+//! builds nothing; a pass that changes it rewrites the one output
+//! program in place.
 
 use crate::interp::{mask, sign_extend};
 use crate::program::{Op, Program, Reg};
+
+/// Programs up to this many instructions are optimized in stack buffers.
+const STACK_INSTS: usize = 64;
+/// Marks an instruction DCE drops.
+const DEAD: Reg = Reg(u32::MAX);
 
 /// Optimizes a program: folds constants, applies algebraic identities,
 /// shares common subexpressions and drops dead code. Semantics are
@@ -39,59 +50,66 @@ use crate::program::{Op, Program, Reg};
 /// ```
 pub fn optimize(program: &Program) -> Program {
     let _span = magicdiv_trace::span("ir.optimize");
-    let mut bufs = Buffers::default();
+    let n = program.insts().len();
+    let mut stack_ops = [Op::Arg(0); STACK_INSTS];
+    let mut stack_regs = [Reg(0); 2 * STACK_INSTS];
+    let (mut heap_ops, mut heap_regs) = (Vec::new(), Vec::new());
+    let (ops, regs) = if n <= STACK_INSTS {
+        (&mut stack_ops[..n], &mut stack_regs[..2 * n])
+    } else {
+        heap_ops.resize(n, Op::Arg(0));
+        heap_regs.resize(2 * n, Reg(0));
+        (&mut heap_ops[..], &mut heap_regs[..])
+    };
+    let (remap, keep) = regs.split_at_mut(n);
+    // The output, built by the first pass that changes the program and
+    // rewritten in place by later ones.
+    let mut out: Option<Program> = None;
     // Iterate simplify+CSE to a fixed point (each pass can expose more).
-    // The first pass reads `program` itself.
-    let (mut current, mut changed) = run_pass(0, program, &mut bufs);
-    for pass in 1..8 {
+    for pass in 0..8 {
+        let input = out.as_ref().unwrap_or(program);
+        let stats = simplify_and_cse(input, ops, remap);
+        let ops = &ops[..stats.len];
+        let kept = dce(ops, input.results().iter().map(|r| remap[r.index()]), keep);
+        // With no rewrite and nothing dead, the pass rebuilt its input.
+        let changed = stats.folded + stats.copy_propagated + stats.cse_hits > 0 || kept < ops.len();
+        magicdiv_trace::event!("ir.pass",
+            "pass" => pass,
+            "ops_before" => input.insts().len(),
+            "ops_after" => kept,
+            "folded" => stats.folded,
+            "copy_propagated" => stats.copy_propagated,
+            "cse_hits" => stats.cse_hits,
+            "dce_removed" => ops.len() - kept,
+            "changed" => changed);
         if !changed {
             break;
         }
-        (current, changed) = run_pass(pass, &current, &mut bufs);
+        let next = out.get_or_insert_with(|| {
+            let results = program.results().to_vec();
+            Program::from_raw(program.width(), program.arg_count(), Vec::new(), results)
+        });
+        let (insts, results) = next.parts_mut();
+        for r in results.iter_mut() {
+            *r = keep[remap[r.index()].index()];
+        }
+        insts.clear();
+        insts.extend(
+            ops.iter()
+                .zip(&*keep)
+                .filter(|&(_, &k)| k != DEAD)
+                .map(|(op, _)| op.map_operands(|r| keep[r.index()])),
+        );
     }
-    current
-}
-
-/// One fixed-point pass of [`optimize`]: simplify and value-number, then
-/// DCE. Returns the new program and whether it differs from `input`,
-/// and reports the pass as an `ir.pass` event.
-fn run_pass(pass: i32, input: &Program, bufs: &mut Buffers) -> (Program, bool) {
-    let stats = simplify_and_cse(input, bufs);
-    let simplified_len = bufs.simplified.len();
-    let next = dce(input, bufs);
-    let changed = next != *input;
-    magicdiv_trace::event!("ir.pass",
-        "pass" => pass,
-        "ops_before" => input.insts().len(),
-        "ops_after" => next.insts().len(),
-        "folded" => stats.folded,
-        "copy_propagated" => stats.copy_propagated,
-        "cse_hits" => stats.cse_hits,
-        "dce_removed" => simplified_len - next.insts().len(),
-        "changed" => changed);
-    (next, changed)
-}
-
-/// Working storage the passes of one [`optimize`] call share, so a pass
-/// allocates only the program it returns.
-#[derive(Default)]
-struct Buffers {
-    /// [`simplify_and_cse`]'s instruction list, which [`dce`] reads.
-    simplified: Vec<Op>,
-    /// [`simplify_and_cse`]'s result registers.
-    results: Vec<Reg>,
-    /// Old register → new register, rebuilt by each pass.
-    remap: Vec<Reg>,
-    /// [`dce`]'s liveness marks.
-    live: Vec<bool>,
-    /// [`dce`]'s work list.
-    stack: Vec<usize>,
+    out.unwrap_or_else(|| program.clone())
 }
 
 /// Rewrites fired by one [`simplify_and_cse`] pass, reported through the
 /// `ir.pass` trace event.
 #[derive(Default)]
 struct PassStats {
+    /// Length of the simplified instruction list.
+    len: usize,
     /// Operations folded to a `Const`.
     folded: usize,
     /// Operations replaced by an existing register (algebraic identity /
@@ -102,26 +120,26 @@ struct PassStats {
 }
 
 /// One forward pass of constant folding, algebraic rewriting and value
-/// numbering over `program`, into `bufs.simplified` and `bufs.results`.
-fn simplify_and_cse(program: &Program, bufs: &mut Buffers) -> PassStats {
+/// numbering over `program`: writes the simplified instructions to the
+/// front of `out` and each old register's new one to `remap`.
+fn simplify_and_cse(program: &Program, out: &mut [Op], remap: &mut [Reg]) -> PassStats {
     let w = program.width();
     let m = mask(w);
-    let out = &mut bufs.simplified;
-    // Map from old register to new register.
-    let remap = &mut bufs.remap;
-    out.clear();
-    remap.clear();
-
     let mut stats = PassStats::default();
-
-    for op in program.insts() {
+    for (i, op) in program.insts().iter().enumerate() {
         let original = op.map_operands(|r| remap[r.index()]);
+        let simplified = &out[..stats.len];
         // Constant value of a (new) register, if known.
-        let const_of = |r: Reg| match out[r.index()] {
+        let const_of = |r: Reg| match simplified[r.index()] {
             Op::Const(c) => Some(c),
             _ => None,
         };
-        let new_reg = match simplify_op(original, w, m, &const_of) {
+        let mut regs = original.operands();
+        let (ca, cb) = (
+            regs.next().and_then(const_of),
+            regs.next().and_then(const_of),
+        );
+        remap[i] = match simplify_op(original, w, m, ca, cb) {
             Rewrite::Use(r) => {
                 stats.copy_propagated += 1;
                 r
@@ -131,24 +149,20 @@ fn simplify_and_cse(program: &Program, bufs: &mut Buffers) -> PassStats {
                     stats.folded += 1;
                 }
                 // Value numbering: reuse the first identical operation.
-                match out.iter().position(|o| *o == op) {
-                    Some(i) => {
+                match simplified.iter().position(|o| *o == op) {
+                    Some(j) => {
                         stats.cse_hits += 1;
-                        Reg(i as u32)
+                        Reg(j as u32)
                     }
                     None => {
-                        out.push(op);
-                        Reg(out.len() as u32 - 1)
+                        out[stats.len] = op;
+                        stats.len += 1;
+                        Reg(stats.len as u32 - 1)
                     }
                 }
             }
         };
-        remap.push(new_reg);
     }
-
-    bufs.results.clear();
-    bufs.results
-        .extend(program.results().iter().map(|r| remap[r.index()]));
     stats
 }
 
@@ -159,247 +173,90 @@ enum Rewrite {
     Emit(Op),
 }
 
-/// Rewrites one operation given operand constant-ness.
-fn simplify_op(op: Op, w: u32, m: u64, const_of: &impl Fn(Reg) -> Option<u64>) -> Rewrite {
+/// Rewrites one operation, given the constant values of its first and
+/// second operands where they are known.
+fn simplify_op(op: Op, w: u32, m: u64, ca: Option<u64>, cb: Option<u64>) -> Rewrite {
     use Op::*;
-    let fold2 = |a: Reg, b: Reg, f: &dyn Fn(u64, u64) -> Option<u64>| -> Option<u64> {
-        match (const_of(a), const_of(b)) {
-            (Some(x), Some(y)) => f(x, y).map(|v| v & m),
-            _ => None,
+    use Rewrite::{Emit, Use};
+    let fold = |v: u64| Emit(Const(v & m));
+    let sx = |v: u64| sign_extend(v, w);
+    match (op, ca, cb) {
+        (Add(..), Some(x), Some(y)) => fold(x.wrapping_add(y)),
+        (Add(a, _), _, Some(0)) => Use(a),
+        (Add(_, b), Some(0), _) => Use(b),
+        (Sub(..), Some(x), Some(y)) => fold(x.wrapping_sub(y)),
+        (Sub(a, _), _, Some(0)) => Use(a),
+        (Sub(a, b), ..) if a == b => Emit(Const(0)),
+        (Neg(_), Some(x), _) => fold(x.wrapping_neg()),
+        (MulL(..), Some(x), Some(y)) => fold(x.wrapping_mul(y)),
+        (MulL(a, _), _, Some(1)) => Use(a),
+        (MulL(_, b), Some(1), _) => Use(b),
+        (MulUH(..), Some(x), Some(y)) => fold(((u128::from(x) * u128::from(y)) >> w) as u64),
+        (MulSH(..), Some(x), Some(y)) => {
+            fold(((i128::from(sx(x)) * i128::from(sx(y))) >> w) as u64)
         }
-    };
-
-    match op {
-        Add(a, b) => {
-            if let Some(v) = fold2(a, b, &|x, y| Some(x.wrapping_add(y))) {
-                return Rewrite::Emit(Const(v));
-            }
-            if const_of(b) == Some(0) {
-                return Rewrite::Use(a);
-            }
-            if const_of(a) == Some(0) {
-                return Rewrite::Use(b);
-            }
-            Rewrite::Emit(op)
+        (MulL(..) | MulUH(..) | MulSH(..), Some(0), _)
+        | (MulL(..) | MulUH(..) | MulSH(..), _, Some(0)) => Emit(Const(0)),
+        (And(..), Some(x), Some(y)) => fold(x & y),
+        (Or(..), Some(x), Some(y)) => fold(x | y),
+        (Eor(..), Some(x), Some(y)) => fold(x ^ y),
+        (And(a, _), _, Some(y)) if y == m => Use(a),
+        (And(_, b), Some(x), _) if x == m => Use(b),
+        (And(..), Some(0), _) | (And(..), _, Some(0)) => Emit(Const(0)),
+        (Or(a, _) | Eor(a, _), _, Some(0)) => Use(a),
+        (Or(_, b) | Eor(_, b), Some(0), _) => Use(b),
+        (And(a, b) | Or(a, b), ..) if a == b => Use(a),
+        (Eor(a, b), ..) if a == b => Emit(Const(0)),
+        (Not(_), Some(x), _) => fold(!x),
+        (Sll(a, 0) | Srl(a, 0) | Sra(a, 0), ..) => Use(a),
+        (Sll(_, n), Some(x), _) => fold(x << n),
+        (Srl(_, n), Some(x), _) => fold(x >> n),
+        (Sra(_, n), Some(x), _) => fold((sx(x) >> n) as u64),
+        (Xsign(_), Some(x), _) => fold((sx(x) >> (w - 1).min(63)) as u64),
+        (SltS(..), Some(x), Some(y)) => fold(u64::from(sx(x) < sx(y))),
+        (SltU(..) | Borrow(..), Some(x), Some(y)) => fold(u64::from(x < y)),
+        (Carry(..), Some(x), Some(y)) => {
+            fold(u64::from(u128::from(x) + u128::from(y) > u128::from(m)))
         }
-        Sub(a, b) => {
-            if let Some(v) = fold2(a, b, &|x, y| Some(x.wrapping_sub(y))) {
-                return Rewrite::Emit(Const(v));
-            }
-            if const_of(b) == Some(0) {
-                return Rewrite::Use(a);
-            }
-            if a == b {
-                return Rewrite::Emit(Const(0));
-            }
-            Rewrite::Emit(op)
-        }
-        Neg(a) => match const_of(a) {
-            Some(x) => Rewrite::Emit(Const(x.wrapping_neg() & m)),
-            None => Rewrite::Emit(op),
-        },
-        MulL(a, b) => {
-            if let Some(v) = fold2(a, b, &|x, y| Some(x.wrapping_mul(y))) {
-                return Rewrite::Emit(Const(v));
-            }
-            if const_of(b) == Some(1) {
-                return Rewrite::Use(a);
-            }
-            if const_of(a) == Some(1) {
-                return Rewrite::Use(b);
-            }
-            if const_of(a) == Some(0) || const_of(b) == Some(0) {
-                return Rewrite::Emit(Const(0));
-            }
-            Rewrite::Emit(op)
-        }
-        MulUH(a, b) => {
-            if let Some(v) = fold2(a, b, &|x, y| {
-                Some((((x as u128) * (y as u128)) >> w) as u64)
-            }) {
-                return Rewrite::Emit(Const(v));
-            }
-            if const_of(a) == Some(0) || const_of(b) == Some(0) {
-                return Rewrite::Emit(Const(0));
-            }
-            Rewrite::Emit(op)
-        }
-        MulSH(a, b) => {
-            if let Some(v) = fold2(a, b, &|x, y| {
-                Some((((sign_extend(x, w) as i128) * (sign_extend(y, w) as i128)) >> w) as u64)
-            }) {
-                return Rewrite::Emit(Const(v));
-            }
-            if const_of(a) == Some(0) || const_of(b) == Some(0) {
-                return Rewrite::Emit(Const(0));
-            }
-            Rewrite::Emit(op)
-        }
-        And(a, b) => {
-            if let Some(v) = fold2(a, b, &|x, y| Some(x & y)) {
-                return Rewrite::Emit(Const(v));
-            }
-            if const_of(b) == Some(m) {
-                return Rewrite::Use(a);
-            }
-            if const_of(a) == Some(m) {
-                return Rewrite::Use(b);
-            }
-            if const_of(a) == Some(0) || const_of(b) == Some(0) {
-                return Rewrite::Emit(Const(0));
-            }
-            if a == b {
-                return Rewrite::Use(a);
-            }
-            Rewrite::Emit(op)
-        }
-        Or(a, b) => {
-            if let Some(v) = fold2(a, b, &|x, y| Some(x | y)) {
-                return Rewrite::Emit(Const(v));
-            }
-            if const_of(b) == Some(0) {
-                return Rewrite::Use(a);
-            }
-            if const_of(a) == Some(0) {
-                return Rewrite::Use(b);
-            }
-            if a == b {
-                return Rewrite::Use(a);
-            }
-            Rewrite::Emit(op)
-        }
-        Eor(a, b) => {
-            if let Some(v) = fold2(a, b, &|x, y| Some(x ^ y)) {
-                return Rewrite::Emit(Const(v));
-            }
-            if const_of(b) == Some(0) {
-                return Rewrite::Use(a);
-            }
-            if const_of(a) == Some(0) {
-                return Rewrite::Use(b);
-            }
-            if a == b {
-                return Rewrite::Emit(Const(0));
-            }
-            Rewrite::Emit(op)
-        }
-        Not(a) => match const_of(a) {
-            Some(x) => Rewrite::Emit(Const(!x & m)),
-            None => Rewrite::Emit(op),
-        },
-        Sll(a, 0) | Srl(a, 0) | Sra(a, 0) => Rewrite::Use(a),
-        Sll(a, n) => match const_of(a) {
-            Some(x) => Rewrite::Emit(Const((x << n) & m)),
-            None => Rewrite::Emit(op),
-        },
-        Srl(a, n) => match const_of(a) {
-            Some(x) => Rewrite::Emit(Const(x >> n)),
-            None => Rewrite::Emit(op),
-        },
-        Sra(a, n) => match const_of(a) {
-            Some(x) => Rewrite::Emit(Const((sign_extend(x, w) >> n) as u64 & m)),
-            None => Rewrite::Emit(op),
-        },
-        Xsign(a) => match const_of(a) {
-            Some(x) => Rewrite::Emit(Const((sign_extend(x, w) >> (w - 1).min(63)) as u64 & m)),
-            None => Rewrite::Emit(op),
-        },
-        SltS(a, b) => fold2(a, b, &|x, y| {
-            Some(u64::from(sign_extend(x, w) < sign_extend(y, w)))
-        })
-        .map(|v| Rewrite::Emit(Const(v)))
-        .unwrap_or(Rewrite::Emit(op)),
-        SltU(a, b) => fold2(a, b, &|x, y| Some(u64::from(x < y)))
-            .map(|v| Rewrite::Emit(Const(v)))
-            .unwrap_or(Rewrite::Emit(op)),
-        Carry(a, b) => {
-            if let Some(v) = fold2(a, b, &|x, y| {
-                Some(u64::from(u128::from(x) + u128::from(y) > u128::from(m)))
-            }) {
-                return Rewrite::Emit(Const(v));
-            }
-            // x + 0 never carries.
-            if const_of(a) == Some(0) || const_of(b) == Some(0) {
-                return Rewrite::Emit(Const(0));
-            }
-            Rewrite::Emit(op)
-        }
-        Borrow(a, b) => {
-            if let Some(v) = fold2(a, b, &|x, y| Some(u64::from(x < y))) {
-                return Rewrite::Emit(Const(v));
-            }
-            // x - 0 and x - x never borrow.
-            if const_of(b) == Some(0) || a == b {
-                return Rewrite::Emit(Const(0));
-            }
-            Rewrite::Emit(op)
-        }
+        // x + 0 never carries; x - 0 and x - x never borrow.
+        (Carry(..), Some(0), _) | (Carry(..) | Borrow(..), _, Some(0)) => Emit(Const(0)),
+        (Borrow(a, b), ..) if a == b => Emit(Const(0)),
         // Hardware division folds only when the divisor constant is
         // nonzero (folding a trap away would change semantics).
-        DivU(a, b) => fold2(a, b, &|x, y| x.checked_div(y))
-            .map(|v| Rewrite::Emit(Const(v)))
-            .unwrap_or(Rewrite::Emit(op)),
-        RemU(a, b) => fold2(a, b, &|x, y| x.checked_rem(y))
-            .map(|v| Rewrite::Emit(Const(v)))
-            .unwrap_or(Rewrite::Emit(op)),
-        DivS(a, b) => fold2(a, b, &|x, y| {
-            let (x, y) = (sign_extend(x, w), sign_extend(y, w));
-            (y != 0).then(|| x.wrapping_div(y) as u64)
-        })
-        .map(|v| Rewrite::Emit(Const(v)))
-        .unwrap_or(Rewrite::Emit(op)),
-        RemS(a, b) => fold2(a, b, &|x, y| {
-            let (x, y) = (sign_extend(x, w), sign_extend(y, w));
-            (y != 0).then(|| x.wrapping_rem(y) as u64)
-        })
-        .map(|v| Rewrite::Emit(Const(v)))
-        .unwrap_or(Rewrite::Emit(op)),
-        Arg(_) | Const(_) => Rewrite::Emit(op),
+        (DivU(..), Some(x), Some(y)) if y != 0 => fold(x / y),
+        (RemU(..), Some(x), Some(y)) if y != 0 => fold(x % y),
+        (DivS(..), Some(x), Some(y)) if y != 0 => fold(sx(x).wrapping_div(sx(y)) as u64),
+        (RemS(..), Some(x), Some(y)) if y != 0 => fold(sx(x).wrapping_rem(sx(y)) as u64),
+        _ => Emit(op),
     }
 }
 
-/// Dead-code elimination over [`simplify_and_cse`]'s output in `bufs`:
-/// keeps only instructions reachable from the results, preserving
-/// argument slots (arguments are always retained so the calling
-/// convention stays stable). `program` supplies the width and signature.
-fn dce(program: &Program, bufs: &mut Buffers) -> Program {
-    let insts = &bufs.simplified;
-    let n = insts.len();
-    let live = &mut bufs.live;
-    live.clear();
-    live.resize(n, false);
-    let stack = &mut bufs.stack;
-    stack.clear();
-    stack.extend(bufs.results.iter().map(|r| r.index()));
-    while let Some(i) = stack.pop() {
-        if live[i] {
-            continue;
-        }
-        live[i] = true;
-        for r in insts[i].operands() {
-            stack.push(r.index());
+/// Dead-code elimination over the simplified instructions `ops` whose
+/// results are `results`: sets `keep[i]` to instruction `i`'s index in
+/// the output, or [`DEAD`], and returns how many stay. Arguments always
+/// stay, so the calling convention is stable.
+fn dce(ops: &[Op], results: impl Iterator<Item = Reg>, keep: &mut [Reg]) -> usize {
+    let keep = &mut keep[..ops.len()];
+    keep.fill(DEAD);
+    for r in results {
+        keep[r.index()] = Reg(0);
+    }
+    // Operands precede their users, so one backward sweep marks every
+    // instruction a result reaches.
+    for (i, op) in ops.iter().enumerate().rev() {
+        if keep[i] != DEAD || matches!(op, Op::Arg(_)) {
+            keep[i] = Reg(0);
+            for r in op.operands() {
+                keep[r.index()] = Reg(0);
+            }
         }
     }
-    // Arguments always stay (they define the signature).
-    for (i, op) in insts.iter().enumerate() {
-        if matches!(op, Op::Arg(_)) {
-            live[i] = true;
-        }
+    let mut kept = 0;
+    for k in keep.iter_mut().filter(|k| **k != DEAD) {
+        *k = Reg(kept);
+        kept += 1;
     }
-    let remap = &mut bufs.remap;
-    remap.clear();
-    let mut out: Vec<Op> = Vec::with_capacity(live.iter().filter(|&&l| l).count());
-    for (op, &is_live) in insts.iter().zip(live.iter()) {
-        if is_live {
-            let new = Reg(out.len() as u32);
-            out.push(op.map_operands(|r| remap[r.index()]));
-            remap.push(new);
-        } else {
-            remap.push(Reg(u32::MAX)); // never read: not live, no live users
-        }
-    }
-    let results = bufs.results.iter().map(|r| remap[r.index()]).collect();
-    Program::from_raw(program.width(), program.arg_count(), out, results)
+    kept as usize
 }
 
 #[cfg(test)]

@@ -101,6 +101,7 @@ pub enum Op {
 
 impl Op {
     /// The operand registers of this operation, in order.
+    #[inline]
     pub fn operands(&self) -> OperandIter {
         use Op::*;
         let (a, b) = match *self {
@@ -198,6 +199,7 @@ pub struct OperandIter {
 
 impl Iterator for OperandIter {
     type Item = Reg;
+    #[inline]
     fn next(&mut self) -> Option<Reg> {
         self.a.take().or_else(|| self.b.take())
     }
@@ -292,6 +294,12 @@ impl Program {
             return Err("program returns no values".into());
         }
         Ok(())
+    }
+
+    /// The instruction list and results, for the optimizer to rewrite in
+    /// place.
+    pub(crate) fn parts_mut(&mut self) -> (&mut Vec<Op>, &mut Vec<Reg>) {
+        (&mut self.insts, &mut self.results)
     }
 
     pub(crate) fn from_raw(width: u32, n_args: u32, insts: Vec<Op>, results: Vec<Reg>) -> Self {

@@ -40,11 +40,6 @@ impl PointerDiff {
         })
     }
 
-    /// The object size in bytes.
-    pub fn object_size(&self) -> i64 {
-        self.size
-    }
-
     /// `(p - q) / size` for byte addresses `p`, `q` that point into the
     /// same array (so the difference is an exact multiple of the size).
     ///

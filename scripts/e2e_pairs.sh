@@ -2,28 +2,38 @@
 # Paired end-to-end comparison of a parent revision against the working
 # tree, on one workload of the benchmark that BENCHMARK.json declares.
 #
-#   scripts/e2e_pairs.sh <parent-rev> <workload> <seed> <pairs> [seconds]
+#   scripts/e2e_pairs.sh [--trace] <parent-rev> <workload> <seed> <pairs> [seconds]
 #
 # The parent revision is exported with `git archive` into
 # target/e2e_pairs/<sha>/ (no worktree is registered, so an interrupted
 # run leaves nothing in .git) and each side builds the benchmark from
-# its own sources into its own .bench_build/. Runs are untraced and
-# alternate: odd pairs run the parent first, even pairs the change
-# first, so a drift in host speed lands on both sides. `seconds`
+# its own sources into its own .bench_build/. Runs are untraced (but
+# see --trace) and alternate: odd pairs run the parent first, even pairs
+# the change first, so a drift in host speed lands on both sides. `seconds`
 # defaults to BENCHMARK.json's run_seconds.
 #
 # For every end-to-end metric the summary prints each side's median and
 # interquartile range, the median of the per-pair change/parent ratios,
 # how many pairs the change won (by the metric's "better" direction),
 # and whether the gap between the medians exceeds the parent's IQR.
+# With --trace the runs are traced instead, and the same summary covers
+# every per-layer metric BENCHMARK.json declares that the workload
+# times (codegen.emit_ns_p50, ir.lower_opt_ns_p50, ...): a stage's
+# time, parent against change. Traced end-to-end numbers include the
+# tracing cost, so they are not summarized.
 # Reports land in target/e2e_pairs/runs/. Host noise is not removed,
 # only shared between sides: read small differences with the IQRs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 root="$(pwd)"
 
+trace=0
+if [ "${1:-}" = "--trace" ]; then
+    trace=1
+    shift
+fi
 if [ $# -lt 4 ] || [ $# -gt 5 ]; then
-    echo "usage: $0 <parent-rev> <workload> <seed> <pairs> [seconds]" >&2
+    echo "usage: $0 [--trace] <parent-rev> <workload> <seed> <pairs> [seconds]" >&2
     exit 2
 fi
 rev="$1" workload="$2" seed="$3" pairs="$4"
@@ -47,12 +57,12 @@ import json
 for arg in json.load(open("BENCHMARK.json"))["command"]:
     print(arg)')
 
-# run <side> <dir> <pair>: one untraced run from <dir>'s sources.
+# run <side> <dir> <pair>: one run from <dir>'s sources.
 run() {
     local side="$1" dir="$2" pair="$3"
-    local out="$runs/$workload-seed$seed-$side-$pair.json"
+    local out="$runs/$workload-seed$seed-trace$trace-$side-$pair.json"
     (cd "$dir" && CARGO_TARGET_DIR="$dir/.bench_build" "${command[@]}" \
-        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 \
+        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace "$trace" \
         --out "$out" > /dev/null)
     echo "$out"
 }
@@ -76,18 +86,26 @@ for pair in $(seq 1 "$pairs"); do
     echo "pair $pair/$pairs done" >&2
 done
 
-python3 - "$workload" "$seed" "$seconds" "$sha" "${#parent_reports[@]}" \
+python3 - "$workload" "$seed" "$seconds" "$sha" "$trace" "${#parent_reports[@]}" \
     "${parent_reports[@]}" "${change_reports[@]}" <<'EOF'
 import json
 import statistics
 import sys
 
-workload, seed, seconds, sha, n = sys.argv[1:6]
-n = int(n)
-paths = sys.argv[6:]
+workload, seed, seconds, sha, traced, n = sys.argv[1:7]
+traced, n = traced == "1", int(n)
+paths = sys.argv[7:]
 parent = [json.load(open(p)) for p in paths[:n]]
 change = [json.load(open(p)) for p in paths[n:]]
-metrics = json.load(open("BENCHMARK.json"))["end_to_end"]
+declared = json.load(open("BENCHMARK.json"))
+metrics = declared["per_layer"] if traced else declared["end_to_end"]
+if traced:
+    # Only the layers this workload times: a report lists every layer,
+    # with 0 for those its workload never enters.
+    metrics = [
+        m for m in metrics
+        if any(r["metrics"].get(m["name"], {}).get("value") for r in parent + change)
+    ]
 
 
 def quartiles(xs):
@@ -101,7 +119,8 @@ def fmt(x):
     return f"{x:.6g}"
 
 
-print(f"{workload}, seed {seed}, {n} pairs of {seconds} s, parent {sha[:12]}")
+mode = "traced" if traced else "untraced"
+print(f"{workload}, seed {seed}, {n} {mode} pairs of {seconds} s, parent {sha[:12]}")
 for side, reports in (("parent", parent), ("change", change)):
     bad = [r for r in reports if not r.get("correct") or r.get("failed")]
     if bad:

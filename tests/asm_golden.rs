@@ -21,7 +21,9 @@ use std::sync::Once;
 use magicdiv_suite::magicdiv::plan::{
     DivPlan, DivisibilityPlan, DwordPlan, ExactPlan, FloorPlan, SdivPlan, UdivPlan, UremPlan,
 };
-use magicdiv_suite::magicdiv_codegen::{emit_assembly, emit_radix_loop, Assembly, Target};
+use magicdiv_suite::magicdiv_codegen::{
+    emit_assembly, emit_body, emit_radix_loop, Assembly, Line, Target,
+};
 use magicdiv_suite::magicdiv_ir::{lower_plan, optimize, Program};
 
 const FIVE_TARGETS: [Target; 5] = [
@@ -105,7 +107,9 @@ fn catch(emit: impl FnOnce() -> Assembly) -> Result<Assembly, String> {
     })
 }
 
-fn corpus() -> Vec<Listing> {
+/// The division programs of the corpus, named by shape, width, divisor
+/// and form, in snapshot order.
+fn programs() -> Vec<(String, Program)> {
     let mut out = Vec::new();
     for shape in SHAPES {
         for w in [8, 16, 32, 64] {
@@ -114,19 +118,24 @@ fn corpus() -> Vec<Listing> {
                     continue;
                 }
                 let raw = lower(shape, d, w);
-                let mut forms = vec![("opt", optimize(&raw))];
+                out.push((format!("{shape} w{w} d={d} opt"), optimize(&raw)));
                 if d.abs() == 7 {
-                    forms.push(("raw", raw));
-                }
-                for (form, prog) in &forms {
-                    for t in FIVE_TARGETS {
-                        out.push(Listing {
-                            name: format!("{shape} w{w} d={d} {form} {t}"),
-                            asm: catch(|| emit_assembly(prog, t, "f")),
-                        });
-                    }
+                    out.push((format!("{shape} w{w} d={d} raw"), raw));
                 }
             }
+        }
+    }
+    out
+}
+
+fn corpus() -> Vec<Listing> {
+    let mut out = Vec::new();
+    for (name, prog) in programs() {
+        for t in FIVE_TARGETS {
+            out.push(Listing {
+                name: format!("{name} {t}"),
+                asm: catch(|| emit_assembly(&prog, t, "f")),
+            });
         }
     }
     for t in FIVE_TARGETS {
@@ -259,4 +268,100 @@ fn typed_predicates_agree_with_the_text_rules() {
     // The hardware radix loops divide on every target, so both answers
     // of the divide rule are exercised.
     assert!(divides >= 5, "only {divides} listings divide");
+}
+
+/// The registers a function returns its results in, and the return
+/// sequence.
+fn epilogue(t: Target) -> ([&'static str; 2], &'static [&'static str]) {
+    match t {
+        Target::Alpha => (["$0", "$1"], &["ret $31,($26),1"]),
+        Target::Mips => (["$2", "$3"], &["j $31"]),
+        Target::Power => (["3", "4"], &["br"]),
+        Target::Sparc => (["%o0", "%o1"], &["retl", "nop"]),
+        _ => (["eax", "edx"], &["ret"]),
+    }
+}
+
+/// The register an instruction's text names as its destination, by the
+/// target's operand order, or `None` when it writes no pool register
+/// (compares, and the multiplies and divides that write HI/LO or
+/// EDX:EAX).
+fn written_register(t: Target, text: &str) -> Option<&str> {
+    let (mnemonic, rest) = text.trim().split_once(' ').unwrap_or((text.trim(), ""));
+    let operands: Vec<&str> = rest.split(',').filter(|o| !o.is_empty()).collect();
+    let first = operands.first().copied();
+    match (t, mnemonic) {
+        (Target::Alpha, "lda" | "ldah" | "ldiq" | "jsr") => first,
+        (Target::Alpha | Target::Sparc, "cmp") => None,
+        (Target::Alpha | Target::Sparc, _) => operands.last().copied(),
+        (Target::Mips, "mult" | "multu") => None,
+        (Target::Power | Target::Mips, _) => first,
+        (_, "cmp" | "test" | "cdq") => None,
+        (_, "mul" | "imul" | "div" | "idiv") if operands.len() == 1 => None,
+        _ => first,
+    }
+}
+
+#[test]
+fn listings_are_label_constants_body_then_epilogue() {
+    let mut checked = 0;
+    for (name, prog) in programs() {
+        for t in FIVE_TARGETS {
+            let Ok(asm) = catch(|| emit_assembly(&prog, t, "f")) else {
+                continue; // the recorded x86 register-pool panics
+            };
+            let body = emit_body(&prog, t);
+            let at = |i: usize| &asm.lines[i.min(asm.lines.len())..];
+            let (consts, lines) = (body.const_lines.len(), body.lines.len());
+            assert_eq!(asm.lines[0], Line::Label("f".into()), "{name} {t}");
+            assert_eq!(at(1)[..consts], body.const_lines[..], "{name} {t}");
+            assert_eq!(at(1 + consts)[..lines], body.lines[..], "{name} {t}");
+            // Then a move for each result outside its return register,
+            // and the return.
+            let tail: Vec<String> = at(1 + consts + lines)
+                .iter()
+                .map(|l| l.to_string())
+                .collect();
+            let (rets, ret) = epilogue(t);
+            let moves: Vec<(String, &str)> = body
+                .results
+                .iter()
+                .map(ToString::to_string)
+                .zip(rets)
+                .filter(|(src, ret)| src != ret)
+                .collect();
+            assert_eq!(tail.len(), moves.len() + ret.len(), "{name} {t}: {tail:?}");
+            for (line, (src, dst)) in tail.iter().zip(&moves) {
+                assert_eq!(written_register(t, line), Some(*dst), "{name} {t}: {line}");
+                assert!(
+                    line.split([' ', ',']).any(|o| o == src),
+                    "{name} {t}: {line}"
+                );
+            }
+            let ret_text: Vec<String> = ret.iter().map(|r| format!("\t{r}")).collect();
+            assert_eq!(tail[moves.len()..], ret_text[..], "{name} {t}");
+            // No body instruction writes a register holding a hoisted
+            // constant: the radix loops load the constants once, before
+            // the loop.
+            let constant_regs: Vec<String> = body
+                .const_lines
+                .iter()
+                .map(|l| l.to_string())
+                .filter_map(|l| written_register(t, &l).map(str::to_owned))
+                .collect();
+            assert_eq!(constant_regs.is_empty(), consts == 0, "{name} {t}");
+            for line in &body.lines {
+                if let Line::Ins(ins) = line {
+                    let text = ins.to_string();
+                    let written = written_register(t, &text);
+                    assert!(
+                        written.is_none_or(|r| !constant_regs.iter().any(|c| c == r)),
+                        "{name} {t}: {text} overwrites a constant register"
+                    );
+                }
+            }
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 920 - 23);
 }
