@@ -6,13 +6,15 @@
 //! * host-measured multiply/divide latencies as a modern datapoint
 //!   showing the §1 discrepancy persists.
 
+use magicdiv::plan::UdivPlan;
 use magicdiv_bench::{measure_ns, render_table};
-use magicdiv_codegen::{gen_unsigned_div, gen_unsigned_div_hw};
+use magicdiv_codegen::gen_unsigned_div_hw;
+use magicdiv_ir::compile;
 use magicdiv_simcpu::{cycles_for_program, table_1_1, DivSupport};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== Table 1.1: multiplication and division times on different CPUs ==\n");
-    let magic10 = gen_unsigned_div(10, 32);
+    let magic10 = compile(UdivPlan::new(10, 32)?)?;
     let hw = gen_unsigned_div_hw(32);
 
     let rows: Vec<Vec<String>> = table_1_1()
@@ -99,4 +101,5 @@ fn main() {
         "\ndivide/multiply latency ratio on this host: {:.1}x (the paper's motivating gap)",
         div_ns / mul_ns
     );
+    Ok(())
 }

@@ -4,8 +4,9 @@
 //!
 //! Usage: `cargo run -p magicdiv-bench --bin timeline -- [divisor] [cpu]`
 
-use magicdiv_codegen::{gen_unsigned_div, gen_unsigned_div_hw};
-use magicdiv_ir::Program;
+use magicdiv::plan::UdivPlan;
+use magicdiv_codegen::gen_unsigned_div_hw;
+use magicdiv_ir::{compile, Program};
 use magicdiv_simcpu::{find_model, trace_program, TimingModel};
 
 fn main() {
@@ -18,10 +19,13 @@ fn main() {
         eprintln!("unknown CPU {cpu:?}; try e.g. R3000, Pentium, Alpha, Viking");
         std::process::exit(1);
     };
-    if d == 0 {
-        eprintln!("divisor must be nonzero");
-        std::process::exit(1);
-    }
+    let magic = match UdivPlan::new(d.into(), 32) {
+        Ok(plan) => compile(plan),
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(1);
+        }
+    };
 
     println!(
         "== {} (mul {} cy{}, div {} cy, issue width {}) ==",
@@ -37,7 +41,10 @@ fn main() {
     );
 
     println!("\n-- magic division by {d} --");
-    show(&gen_unsigned_div(d, 32), &model);
+    match magic {
+        Ok(prog) => show(&prog, &model),
+        Err(kind) => println!("({kind})"),
+    }
     println!("\n-- hardware divide --");
     show(&gen_unsigned_div_hw(32), &model);
 }

@@ -19,12 +19,16 @@
 //!   `tests/corpus/`.
 
 use magicdiv::mod_inverse_newton;
-use magicdiv::plan::DwordPlan;
+use magicdiv::plan::{
+    DivPlan, DivisibilityPlan, DwordPlan, ExactPlan, FloorPlan, SdivPlan, UdivPlan, UremPlan,
+    UremStrategy,
+};
 use magicdiv::testkit::directed_unsigned_dividends;
 use magicdiv::validity::fraction_valid;
+use magicdiv::DivisorError;
 use magicdiv_ir::{
-    apply_mutation, lower_plan, mask, mutations, optimize, sign_extend, EvalOptions, Mutation, Op,
-    Program, Reg, LANES,
+    apply_mutation, compile, mask, mutations, sign_extend, EvalOptions, Mutation, Op, Program, Reg,
+    LANES,
 };
 
 /// Fuel budget for every harness evaluation of a (possibly mutated)
@@ -184,38 +188,39 @@ impl Case {
         sign_extend(self.d, self.width)
     }
 
-    /// Generates the pristine program for this case.
+    /// Generates the pristine program for this case: its plan, compiled.
     ///
     /// # Panics
     ///
-    /// Panics when `d` is zero (no kernel exists), mirroring the
-    /// generators' documented preconditions, and when a [`Shape::Dword`]
-    /// case is built at a width the packed-input harness cannot drive.
+    /// Panics when `d` is zero (no kernel exists), and when a
+    /// [`Shape::Dword`] case is built at a width the packed-input harness
+    /// cannot drive.
     pub fn program(&self) -> Program {
-        assert!(self.d != 0, "no kernel for d = 0");
         assert!(
             self.shape.supports_width(self.width),
             "dword cases pack (hi, lo) into one u64 and need width <= 32"
         );
-        match self.shape {
-            Shape::Udiv => magicdiv_codegen::gen_unsigned_div(self.d, self.width),
-            Shape::Sdiv => magicdiv_codegen::gen_signed_div(self.d_signed(), self.width),
-            Shape::Floor => magicdiv_codegen::gen_floor_div(self.d_signed(), self.width),
-            Shape::Exact => magicdiv_codegen::gen_exact_div(self.d as i64, self.width, false),
-            Shape::Divisibility => magicdiv_codegen::gen_divisibility_test(self.d, self.width),
-            Shape::Dword => magicdiv_codegen::gen_dword_div(self.d, self.width),
-            Shape::UdivTournament => {
-                let t = magicdiv::run_udiv_tournament(
-                    u128::from(self.d),
-                    self.width,
-                    &magicdiv::OpCount,
-                )
-                .expect("d != 0 checked above");
-                optimize(&lower_plan(&t.winning().candidate.plan).expect("case widths fit the IR"))
-            }
-            Shape::Urem => magicdiv_codegen::gen_urem_direct(self.d, self.width),
-            Shape::UremMulBack => magicdiv_codegen::gen_unsigned_rem(self.d, self.width),
-        }
+        let (d, ds, w) = (u128::from(self.d), i128::from(self.d_signed()), self.width);
+        let plan: Result<DivPlan, DivisorError> = match self.shape {
+            Shape::Udiv => UdivPlan::new(d, w).map(Into::into),
+            Shape::Sdiv => SdivPlan::new(ds, w).map(Into::into),
+            Shape::Floor => FloorPlan::new(ds, w).map(Into::into),
+            Shape::Exact => ExactPlan::new_unsigned(d, w).map(Into::into),
+            Shape::Divisibility => DivisibilityPlan::new(d, w).map(Into::into),
+            Shape::Dword => DwordPlan::new(d, w).map(Into::into),
+            Shape::UdivTournament => magicdiv::run_udiv_tournament(d, w, &magicdiv::OpCount)
+                .map(|t| t.winning().candidate.plan),
+            Shape::Urem => UremPlan::new_direct(d, w).map(Into::into),
+            // Multiply-back at every divisor, powers of two included
+            // (`UremPlan::new` masks those).
+            Shape::UremMulBack => UdivPlan::new(d, w).map(|udiv| {
+                let strategy = UremStrategy::MulBack {
+                    udiv: udiv.strategy(),
+                };
+                UremPlan::from_raw(d, w, strategy).into()
+            }),
+        };
+        compile(plan.expect("no kernel for d = 0")).expect("case widths fit the IR")
     }
 
     /// Whether the oracle is defined at input `n` (exact division only

@@ -17,7 +17,7 @@ use magicdiv::plan::{
     DivPlan, DivisibilityPlan, DwordPlan, ExactPlan, FloorPlan, SdivPlan, UdivPlan, UremPlan,
 };
 use magicdiv::{Certification, Outcome, TournamentResult};
-use magicdiv_ir::{lower_plan, optimize};
+use magicdiv_ir::{compile, lower_plan, optimize};
 use magicdiv_simcpu::{predictions_for_plan, table_1_1};
 use magicdiv_trace::{install, CaptureSink, Event, JsonlSink, TextTreeSink};
 
@@ -110,63 +110,25 @@ fn check_width(width: u32) -> Result<(), String> {
 }
 
 /// Builds the plan for `(shape, width, d)` with whatever trace sinks are
-/// installed, so decision events land in them.
+/// installed, so decision events land in them. The plan constructors
+/// reject a divisor outside the width.
 fn build_plan(shape: ExplainShape, width: u32, d: i128) -> Result<DivPlan, String> {
-    let err = |e: magicdiv::DivisorError| e.to_string();
-    match shape {
-        ExplainShape::Unsigned => {
-            let du = unsigned_divisor(width, d)?;
-            Ok(UdivPlan::new(du, width).map_err(err)?.into())
-        }
-        ExplainShape::Signed => {
-            let d = signed_divisor(width, d)?;
-            Ok(SdivPlan::new(d, width).map_err(err)?.into())
-        }
-        ExplainShape::Floor => {
-            let d = signed_divisor(width, d)?;
-            Ok(FloorPlan::new(d, width).map_err(err)?.into())
-        }
-        ExplainShape::Exact => {
-            let plan = if d > 0 {
-                ExactPlan::new_unsigned(unsigned_divisor(width, d)?, width)
-            } else {
-                ExactPlan::new_signed(signed_divisor(width, d)?, width)
-            };
-            Ok(plan.map_err(err)?.into())
-        }
-        ExplainShape::Dword => {
-            let du = unsigned_divisor(width, d)?;
-            Ok(DwordPlan::new(du, width).map_err(err)?.into())
-        }
-        ExplainShape::Urem => {
-            let du = unsigned_divisor(width, d)?;
-            Ok(UremPlan::new_direct(du, width).map_err(err)?.into())
-        }
-        ExplainShape::Divtest => {
-            let du = unsigned_divisor(width, d)?;
-            Ok(DivisibilityPlan::new(du, width).map_err(err)?.into())
-        }
-    }
-}
-
-fn unsigned_divisor(width: u32, d: i128) -> Result<u128, String> {
-    if d <= 0 {
-        return Err(format!(
-            "shape unsigned/dword/urem/divtest requires a positive divisor, got {d}"
-        ));
-    }
-    let du = d as u128;
-    if width < 128 && (du >> width) != 0 {
-        return Err(format!("divisor {d} does not fit in u{width}"));
-    }
-    Ok(du)
-}
-
-fn signed_divisor(width: u32, d: i128) -> Result<i128, String> {
-    if width < 128 && !(-(1i128 << (width - 1))..1i128 << (width - 1)).contains(&d) {
-        return Err(format!("divisor {d} does not fit in i{width}"));
-    }
-    Ok(d)
+    let unsigned = || {
+        u128::try_from(d).ok().filter(|&du| du > 0).ok_or_else(|| {
+            format!("shape unsigned/dword/urem/divtest requires a positive divisor, got {d}")
+        })
+    };
+    let plan: Result<DivPlan, magicdiv::DivisorError> = match shape {
+        ExplainShape::Unsigned => UdivPlan::new(unsigned()?, width).map(Into::into),
+        ExplainShape::Signed => SdivPlan::new(d, width).map(Into::into),
+        ExplainShape::Floor => FloorPlan::new(d, width).map(Into::into),
+        ExplainShape::Exact if d > 0 => ExactPlan::new_unsigned(d as u128, width).map(Into::into),
+        ExplainShape::Exact => ExactPlan::new_signed(d, width).map(Into::into),
+        ExplainShape::Dword => DwordPlan::new(unsigned()?, width).map(Into::into),
+        ExplainShape::Urem => UremPlan::new_direct(unsigned()?, width).map(Into::into),
+        ExplainShape::Divtest => DivisibilityPlan::new(unsigned()?, width).map(Into::into),
+    };
+    plan.map_err(|e| e.to_string())
 }
 
 fn indent(text: &str) -> String {
@@ -320,7 +282,7 @@ pub fn explain(shape: ExplainShape, width: u32, d: i128) -> Result<String, Strin
     out.push_str(&indent(&optimized.to_string()));
 
     // 3. Cycle prediction per Table 1.1 model (single-issue in-order;
-    // matches simcpu::cycles_for_plan exactly).
+    // matches simcpu::try_cycles_for_plan exactly).
     out.push_str("\n-- predicted cycles (Table 1.1 latencies, in-order) --\n");
     let predictions = predictions_for_plan(&plan).map_err(|f| f.to_string())?;
     let rows: Vec<Vec<String>> = table_1_1()
@@ -363,8 +325,7 @@ pub fn explain_jsonl(shape: ExplainShape, width: u32, d: i128) -> Result<String,
         let _guard = install(sink.clone());
         let plan = build_plan(shape, width, d)?;
         if width <= 64 {
-            let raw = lower_plan(&plan).map_err(|kind| kind.to_string())?;
-            let _optimized = optimize(&raw);
+            compile(plan).map_err(|kind| kind.to_string())?;
             predictions_for_plan(&plan).map_err(|f| f.to_string())?;
             // The tournament emits one `plan.tournament` event per
             // candidate (with provenance) plus a summary event.

@@ -14,7 +14,7 @@ use magicdiv::{
     certify_plan, run_udiv_tournament, Certification, DivisorError, OpCount, PlanJudge, Probes,
     TournamentResult,
 };
-use magicdiv_ir::{lower_plan, optimize, EvalOptions, LANES};
+use magicdiv_ir::{compile, EvalOptions, LANES};
 use magicdiv_simcpu::{cycles_for_lowered_plan, find_model, TimingModel};
 
 /// The default cost model for tournaments: pipelined multiplier, the
@@ -23,9 +23,9 @@ use magicdiv_simcpu::{cycles_for_lowered_plan, find_model, TimingModel};
 pub const DEFAULT_TOURNAMENT_MODEL: &str = "MIPS R4000";
 
 /// Judges a candidate on its *lowered, optimized* IR program: the plan is
-/// lowered and optimized once, that program is priced on a Table 1.1
-/// timing model ([`cycles_for_lowered_plan`], the same
-/// `simcpu.plan_cycles` event as [`magicdiv_simcpu::cycles_for_plan`]),
+/// compiled once ([`magicdiv_ir::compile`]), that program is priced on a
+/// Table 1.1 timing model ([`cycles_for_lowered_plan`], the same
+/// `simcpu.plan_cycles` event as [`magicdiv_simcpu::try_cycles_for_plan`]),
 /// and then the same program is certified through [`certify_plan`]. The
 /// program runs [`LANES`] probes at a time through
 /// [`Program::eval_lanes`](magicdiv_ir::Program::eval_lanes), one
@@ -75,10 +75,9 @@ impl PlanJudge for SimcpuJudge {
 
     fn judge(&self, plan: &DivPlan, probes: &Probes) -> (Option<u64>, Certification) {
         // Above the IR's 64-bit words there is no program to price or run.
-        let Ok(raw) = lower_plan(plan) else {
+        let Ok(prog) = compile(*plan) else {
             return (None, OpCount.judge(plan, probes).1);
         };
-        let prog = optimize(&raw);
         let cycles = cycles_for_lowered_plan(plan, &prog, &self.model);
         let opts = EvalOptions::default();
         let mut args = [0u64; LANES];

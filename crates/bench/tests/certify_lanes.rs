@@ -17,7 +17,7 @@ use magicdiv::{
     udiv_candidates, urem_candidates, Candidate, Certification, OpCount, PlanJudge, Probes,
 };
 use magicdiv_bench::SimcpuJudge;
-use magicdiv_ir::{lower_plan, optimize, EvalOptions, LANES};
+use magicdiv_ir::{compile, EvalOptions, LANES};
 
 fn mask(width: u32) -> u128 {
     u128::MAX >> (128 - width)
@@ -66,10 +66,9 @@ fn arithmetic_reference(plan: &DivPlan) -> Certification {
 /// The reference loop on the lowered, optimized program, one `eval1`
 /// per dividend; a faulting dividend reads `u128::MAX`.
 fn oracle_reference(plan: &DivPlan) -> Certification {
-    let Ok(raw) = lower_plan(plan) else {
+    let Ok(prog) = compile(*plan) else {
         return arithmetic_reference(plan);
     };
-    let prog = optimize(&raw);
     reference(plan, |n| {
         prog.eval1(&[n as u64]).map_or(u128::MAX, u128::from)
     })
@@ -155,7 +154,7 @@ fn check_exhaustive(d: u128, width: u32) {
                     judge.model_name()
                 );
             }
-            let prog = optimize(&lower_plan(plan).unwrap());
+            let prog = compile(*plan).unwrap();
             for ns in dividends.chunks(LANES) {
                 let lanes = ns.len();
                 prog.eval_lanes(ns, &opts, &mut out[..lanes], &mut status[..lanes]);

@@ -4,32 +4,19 @@
 //! algorithms inside GCC 2.6. This crate reproduces that half of the work
 //! on top of [`magicdiv_ir`]:
 //!
-//! * **Division code generation** — [`gen_unsigned_div`] (Fig 4.2),
-//!   [`gen_unsigned_div_invariant`] (Fig 4.1), [`gen_signed_div`]
-//!   (Fig 5.2), [`gen_floor_div`] (Fig 6.1), remainders by multiply-back,
-//!   [`gen_exact_div`] and [`gen_divisibility_test`] (§9), plus
-//!   hardware-division baselines for the simulator.
-//!
-//!   Strategy selection is **not** performed here: each generator builds
-//!   a `magicdiv::plan` plan (`UdivPlan`, `SdivPlan`, `FloorPlan`,
-//!   `ExactPlan`, …) and lowers it with [`magicdiv_ir::lower_plan`] — the
-//!   same plans the runtime divisor types cache, so generated code and
-//!   library divisors always agree on the code shape. An already-selected
-//!   plan (a tournament winner, say) needs no generator: lower it with
-//!   `lower_plan` and run [`magicdiv_ir::optimize`].
-//!
-//!   | Generator | Plan | `lower_plan` dispatches to |
-//!   |---|---|---|
-//!   | [`gen_unsigned_div`] / [`emit_unsigned_div`] | `UdivPlan` | [`magicdiv_ir::lower_udiv`] |
-//!   | [`gen_signed_div`] / [`emit_signed_div`] | `SdivPlan` | [`magicdiv_ir::lower_sdiv`] |
-//!   | [`gen_floor_div`] | `FloorPlan` | [`magicdiv_ir::lower_floor_div`] |
-//!   | [`gen_exact_div`] | `ExactPlan` | [`magicdiv_ir::lower_exact_div`] |
-//!   | [`gen_urem_direct`] / [`gen_unsigned_rem`] | `UremPlan` | [`magicdiv_ir::lower_urem`] |
-//!   | [`gen_divisibility_test`] | `DivisibilityPlan` | [`magicdiv_ir::lower_divisibility`] |
-//!   | [`gen_dword_div`] | `DwordPlan` | [`magicdiv_ir::lower_dword_div`] |
-//!
-//!   The `emit_*` forms call the family lowering directly, to embed one
-//!   division in a larger program.
+//! * **Division code generation** — the code for one constant divisor
+//!   is its `magicdiv::plan` plan (`UdivPlan` for Fig 4.2, `SdivPlan` for
+//!   Fig 5.2, `FloorPlan` for Fig 6.1, `ExactPlan` and
+//!   `DivisibilityPlan` for §9, `UremPlan`, `DwordPlan` for Fig 8.1)
+//!   compiled by [`magicdiv_ir::compile`] — the same plans the runtime
+//!   divisor types cache, so generated code and library divisors always
+//!   agree on the code shape. This crate adds what is not one plan: the
+//!   run-time-invariant forms [`gen_unsigned_div_invariant`] (Fig 4.1)
+//!   and [`gen_signed_div_invariant`] (Fig 5.1), the quotient-and-remainder
+//!   pair [`gen_unsigned_divrem`], the machine-tuned
+//!   [`gen_unsigned_div_tuned`], and hardware-division baselines for the
+//!   simulator. To embed one division in a larger program, call the
+//!   family lowering ([`magicdiv_ir::lower_udiv`] and friends).
 //! * **Multiplication by constants** — [`plan_mul_const`] /
 //!   [`emit_mul_const`], the Bernstein-style shift/add/sub expansion the
 //!   Alpha column of Table 11.1 relies on.
@@ -44,15 +31,19 @@
 //! # Examples
 //!
 //! ```
-//! use magicdiv_codegen::{emit_radix_loop, gen_unsigned_div, Target};
+//! use magicdiv::plan::UdivPlan;
+//! use magicdiv_codegen::{emit_assembly, emit_radix_loop, Target};
+//! use magicdiv_ir::compile;
 //!
 //! // The Table 11.1 kernel: x / 10 with no divide instruction.
-//! let prog = gen_unsigned_div(10, 32);
-//! assert_eq!(prog.eval1(&[1994]).unwrap(), 199);
+//! let prog = compile(UdivPlan::new(10, 32)?)?;
+//! assert_eq!(prog.eval1(&[1994])?, 199);
+//! assert!(!emit_assembly(&prog, Target::Mips, "div10").uses_divide());
 //!
 //! // And the full per-target loop listing.
 //! let asm = emit_radix_loop(Target::Sparc, true);
 //! assert!(!asm.uses_divide());
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 // This repository *reimplements division*: clippy's suggestions to use the
@@ -74,10 +65,8 @@ pub use crate::asmexec::{
     DEFAULT_STEP_LIMIT,
 };
 pub use crate::divgen::{
-    emit_signed_div, emit_unsigned_div, gen_divisibility_test, gen_dword_div, gen_exact_div,
-    gen_floor_div, gen_signed_div, gen_signed_div_hw, gen_signed_div_invariant, gen_unsigned_div,
-    gen_unsigned_div_hw, gen_unsigned_div_invariant, gen_unsigned_divrem, gen_unsigned_divrem_hw,
-    gen_unsigned_rem, gen_urem_direct,
+    gen_signed_div_hw, gen_signed_div_invariant, gen_unsigned_div_hw, gen_unsigned_div_invariant,
+    gen_unsigned_divrem, gen_unsigned_divrem_hw,
 };
 pub use crate::machine::{gen_unsigned_div_tuned, MachineDesc};
 pub use crate::mulconst::{

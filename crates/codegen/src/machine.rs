@@ -15,12 +15,13 @@
 //!   the §3 legalization otherwise (the POWER/RIOS "signed only" case);
 //! * finally list-scheduling the result for the machine's latencies.
 
+use magicdiv::plan::UdivPlan;
 use magicdiv::{choose_multiplier_at, DivisorError};
 use magicdiv_ir::{
-    legalize, mask, optimize, schedule, Builder, Op, Program, ScheduleWeights, TargetCaps,
+    legalize, lower_udiv, mask, optimize, schedule, Builder, Op, Program, ScheduleWeights,
+    TargetCaps,
 };
 
-use crate::divgen::emit_unsigned_div;
 use crate::mulconst::{emit_mul_const, expansion_profitable};
 
 /// What the tuning pass needs to know about a machine. Convertible from
@@ -84,10 +85,8 @@ impl MachineDesc {
 /// ```
 pub fn gen_unsigned_div_tuned(d: u64, machine: &MachineDesc) -> Result<Program, DivisorError> {
     let width = machine.width;
-    let d = d & mask(width);
-    if d == 0 {
-        return Err(DivisorError::Zero);
-    }
+    let plan = UdivPlan::new(u128::from(d & mask(width)), width)?;
+    let d = plan.divisor() as u64;
 
     // Try the wide-register shift/add expansion first (the Alpha trick):
     // only meaningful for non-power-of-two divisors whose magic multiply
@@ -105,7 +104,7 @@ pub fn gen_unsigned_div_tuned(d: u64, machine: &MachineDesc) -> Result<Program, 
     } else {
         let mut b = Builder::new(width, 1);
         let x = b.arg(0);
-        let q = emit_unsigned_div(&mut b, x, d);
+        let q = lower_udiv(&mut b, x, &plan);
         optimize(&b.finish([q]))
     };
 

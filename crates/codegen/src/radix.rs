@@ -7,9 +7,9 @@
 //! do { *--bp = '0' + x % 10; x /= 10; } while (x != 0);
 //! ```
 
-use magicdiv_ir::{optimize, Builder, Op, Program};
+use magicdiv::plan::UdivPlan;
+use magicdiv_ir::{lower_udiv, optimize, Builder, Op, Program};
 
-use crate::divgen::emit_unsigned_div;
 use crate::mulconst::emit_mul_const;
 use crate::targets::{emit_body, ins, Assembly, Line, Operand, Target};
 
@@ -49,7 +49,8 @@ pub fn radix_body(width: u32, style: RadixStyle) -> Program {
         RadixStyle::Magic => {
             let mut b = Builder::new(width, 1);
             let x = b.arg(0);
-            let q = emit_unsigned_div(&mut b, x, 10);
+            let by10 = UdivPlan::new(10, width).expect("10 fits every width in 8..=64");
+            let q = lower_udiv(&mut b, x, &by10);
             let ten = b.constant(10);
             let prod = b.push(Op::MulL(q, ten));
             let r = b.push(Op::Sub(x, prod));

@@ -20,7 +20,7 @@
 use std::borrow::Cow;
 use std::fmt;
 
-use magicdiv_ir::{mask, Op, Program, Reg};
+use magicdiv_ir::{mask, Op, OpClass, Program, Reg};
 
 /// One of the paper's four evaluation architectures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -54,9 +54,17 @@ impl Target {
         }
     }
 
-    /// The allocatable temp registers, in allocation order.
-    fn temp_registers(self) -> &'static [&'static str] {
+    /// The allocatable temp registers, in allocation order, for a
+    /// program that calls a division routine (`divides`) or not.
+    fn temp_registers(self, divides: bool) -> &'static [&'static str] {
         match self {
+            // Alpha's divide routines take their operands in $24/$25 and
+            // return through $23, and they preserve the argument
+            // registers: a program that divides allocates $18-$21
+            // instead.
+            Target::Alpha if divides => &[
+                "$1", "$2", "$3", "$4", "$5", "$6", "$7", "$8", "$22", "$18", "$19", "$20", "$21",
+            ],
             Target::Alpha => &[
                 "$1", "$2", "$3", "$4", "$5", "$6", "$7", "$8", "$22", "$23", "$24", "$25",
             ],
@@ -314,12 +322,15 @@ impl fmt::Display for Assembly {
 /// # Examples
 ///
 /// ```
-/// use magicdiv_codegen::{gen_unsigned_div, emit_assembly, Target};
+/// use magicdiv::plan::UdivPlan;
+/// use magicdiv_codegen::{emit_assembly, Target};
+/// use magicdiv_ir::compile;
 ///
-/// let prog = gen_unsigned_div(10, 32);
+/// let prog = compile(UdivPlan::new(10, 32)?)?;
 /// let asm = emit_assembly(&prog, Target::Mips, "udiv10");
 /// assert!(asm.to_string().contains("multu"));
 /// assert!(!asm.uses_divide());
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn emit_assembly(prog: &Program, target: Target, name: &str) -> Assembly {
     let mut lines = Vec::with_capacity(2 * prog.insts().len() + 8);
@@ -920,7 +931,8 @@ impl Emitter<'_> {
                 }
             }
         }
-        let pool = target.temp_registers();
+        let divides = target == Target::Alpha && insts.iter().any(|op| op.class() == OpClass::Div);
+        let pool = target.temp_registers(divides);
         let mut free = [0; MAX_POOL];
         for (slot, k) in free.iter_mut().zip((1..=pool.len() as u8).rev()) {
             *slot = k;
@@ -1163,7 +1175,16 @@ impl Emitter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::divgen::{gen_signed_div, gen_unsigned_div, gen_unsigned_divrem};
+    use crate::divgen::gen_unsigned_divrem;
+    use magicdiv::plan::{SdivPlan, UdivPlan};
+    use magicdiv_ir::compile;
+
+    type TestResult = Result<(), Box<dyn std::error::Error>>;
+
+    /// The Table 11.1 kernel, `x / 10` at 32 bits.
+    fn div10() -> Program {
+        compile(UdivPlan::new(10, 32).expect("10 fits u32")).expect("w32 lowers")
+    }
 
     #[test]
     fn every_template_has_one_slot_per_hole() {
@@ -1218,8 +1239,7 @@ mod tests {
     #[test]
     fn all_targets_emit_divide_free_magic_code() {
         for &t in &Target::ALL {
-            let prog = gen_unsigned_div(10, 32);
-            let asm = emit_assembly(&prog, t, "udiv10");
+            let asm = emit_assembly(&div10(), t, "udiv10");
             assert!(!asm.uses_divide(), "{t}: {asm}");
             assert!(asm.instruction_count() >= 3, "{t}: {asm}");
         }
@@ -1227,7 +1247,7 @@ mod tests {
 
     #[test]
     fn mips_uses_multu_mfhi() {
-        let asm = emit_assembly(&gen_unsigned_div(10, 32), Target::Mips, "f");
+        let asm = emit_assembly(&div10(), Target::Mips, "f");
         let text = asm.to_string();
         assert!(text.contains("multu"), "{text}");
         assert!(text.contains("mfhi"), "{text}");
@@ -1235,7 +1255,7 @@ mod tests {
 
     #[test]
     fn sparc_reads_y_register() {
-        let asm = emit_assembly(&gen_unsigned_div(10, 32), Target::Sparc, "f");
+        let asm = emit_assembly(&div10(), Target::Sparc, "f");
         let text = asm.to_string();
         assert!(text.contains("umul"), "{text}");
         assert!(text.contains("rd %y"), "{text}");
@@ -1244,13 +1264,13 @@ mod tests {
 
     #[test]
     fn power_uses_mulhwu() {
-        let asm = emit_assembly(&gen_unsigned_div(10, 32), Target::Power, "f");
+        let asm = emit_assembly(&div10(), Target::Power, "f");
         assert!(asm.to_string().contains("mulhwu"), "{asm}");
     }
 
     #[test]
     fn alpha_32bit_uses_full_product() {
-        let asm = emit_assembly(&gen_unsigned_div(10, 32), Target::Alpha, "f");
+        let asm = emit_assembly(&div10(), Target::Alpha, "f");
         let text = asm.to_string();
         assert!(text.contains("mulq"), "{text}");
         assert!(text.contains("srl"), "{text}");
@@ -1266,30 +1286,58 @@ mod tests {
     }
 
     #[test]
-    fn signed_division_emits_everywhere() {
+    fn signed_division_emits_everywhere() -> TestResult {
         for &t in &Target::ALL {
-            for d in [3i64, -7, 16, -100] {
-                let asm = emit_assembly(&gen_signed_div(d, 32), t, "sdiv");
+            for d in [3i128, -7, 16, -100] {
+                let asm = emit_assembly(&compile(SdivPlan::new(d, 32)?)?, t, "sdiv");
                 assert!(!asm.uses_divide(), "{t} d={d}: {asm}");
             }
         }
+        Ok(())
     }
 
     #[test]
-    fn divrem_emits_both_results() {
-        let asm = emit_assembly(&gen_unsigned_divrem(10, 32), Target::Mips, "dr");
-        let text = asm.to_string();
+    fn divrem_emits_both_results() -> TestResult {
+        let prog = gen_unsigned_divrem(&UdivPlan::new(10, 32)?)?;
+        let text = emit_assembly(&prog, Target::Mips, "dr").to_string();
         // Two results moved into $2/$3 (or already there).
         assert!(text.contains("mfhi") || text.contains("mflo"), "{text}");
+        Ok(())
     }
 
     #[test]
-    fn register_pools_survive_long_programs() {
+    fn register_pools_survive_long_programs() -> TestResult {
         // The d = 7 long sequence plus remainder on every target.
+        let prog = gen_unsigned_divrem(&UdivPlan::new(7, 32)?)?;
         for &t in &Target::ALL {
-            let prog = gen_unsigned_divrem(7, 32);
             let asm = emit_assembly(&prog, t, "dr7");
             assert!(asm.instruction_count() > 0, "{t}");
         }
+        Ok(())
+    }
+
+    #[test]
+    fn alpha_divide_calls_clobber_no_live_value() {
+        // Ten constants and both arguments live across a library divide:
+        // `jsr $23,__divqu` and its operand copies into $24/$25 overwrite
+        // those three registers, so no value may be allocated there.
+        let mut b = magicdiv_ir::Builder::new(64, 2);
+        let consts: Vec<Reg> = (1..=10).map(|c| b.constant(c * 1000 + 1)).collect();
+        let mut x = b.push(Op::DivU(b.arg(0), b.arg(1)));
+        for c in consts {
+            x = b.push(Op::Add(x, c));
+        }
+        let text = emit_assembly(&b.finish([x]), Target::Alpha, "f").to_string();
+        let clobbered = |line: &str| {
+            ["$23", "$24", "$25"]
+                .iter()
+                .filter(|r| line.contains(*r))
+                .count()
+        };
+        let lines: Vec<&str> = text.lines().filter(|l| clobbered(l) > 0).collect();
+        // Only the two operand copies and the call name them, once each.
+        assert_eq!(lines.len(), 3, "{text}");
+        assert!(lines.iter().all(|l| clobbered(l) == 1), "{text}");
+        assert!(lines[2].contains("jsr $23,__divqu"), "{text}");
     }
 }

@@ -23,9 +23,10 @@
 //! one multiply step per integer field, so a hit costs a few dozen
 //! cycles of hashing rather than one step per byte.
 //!
-//! Keys are validated before anything is built. An unsupported width
-//! or a divisor that does not fit is a typed [`Fault`], and such a key
-//! is never inserted, so hits pay nothing for the check.
+//! A miss builds its plan, and the plan constructor validates the key:
+//! an unsupported width or a divisor that does not fit is a typed
+//! [`Fault`], and such a key is never inserted, so hits pay nothing for
+//! the check.
 //!
 //! Capacity is bounded: each shard evicts in FIFO order once full, so a
 //! divisor-churning workload cannot grow the cache without bound. A hit
@@ -63,9 +64,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 use crate::error::{DivisorError, Fault, FaultKind, FaultLayer};
-use crate::plan::{
-    divisor_fits, width_supported, DivPlan, DwordPlan, ExactPlan, FloorPlan, SdivPlan, UdivPlan,
-};
+use crate::plan::{DivPlan, DwordPlan, ExactPlan, FloorPlan, SdivPlan, UdivPlan};
 
 /// Number of independently locked shards. A power of two so the shard
 /// index is a bit field of the key's digest.
@@ -285,20 +284,18 @@ impl Shard {
     }
 }
 
-/// A plan family the cache memoizes: its key tag, whether its divisor
-/// is signed, and its constructor from the divisor's bit pattern. The
-/// way back out of a stored [`DivPlan`] is its `TryFrom`.
+/// A plan family the cache memoizes: its key tag and its constructor
+/// from the divisor's bit pattern. The way back out of a stored
+/// [`DivPlan`] is its `TryFrom`.
 trait Cached: Copy + Into<DivPlan> + TryFrom<DivPlan> {
     const SHAPE: PlanShape;
-    const SIGNED: bool;
     fn build(d_bits: u128, width: u32) -> Result<Self, DivisorError>;
 }
 
 macro_rules! cached {
-    ($plan:ty, $shape:ident, $new:path, $d:ty, $signed:literal) => {
+    ($plan:ty, $shape:ident, $new:path, $d:ty) => {
         impl Cached for $plan {
             const SHAPE: PlanShape = PlanShape::$shape;
-            const SIGNED: bool = $signed;
             fn build(d_bits: u128, width: u32) -> Result<Self, DivisorError> {
                 $new(d_bits as $d, width)
             }
@@ -306,36 +303,18 @@ macro_rules! cached {
     };
 }
 
-cached!(UdivPlan, Udiv, UdivPlan::new, u128, false);
-cached!(SdivPlan, Sdiv, SdivPlan::new, i128, true);
-cached!(FloorPlan, Floor, FloorPlan::new, i128, true);
-cached!(
-    ExactPlan,
-    ExactUnsigned,
-    ExactPlan::new_unsigned,
-    u128,
-    false
-);
-cached!(DwordPlan, Dword, DwordPlan::new, u128, false);
+cached!(UdivPlan, Udiv, UdivPlan::new, u128);
+cached!(SdivPlan, Sdiv, SdivPlan::new, i128);
+cached!(FloorPlan, Floor, FloorPlan::new, i128);
+cached!(ExactPlan, ExactUnsigned, ExactPlan::new_unsigned, u128);
+cached!(DwordPlan, Dword, DwordPlan::new, u128);
 
-/// Builds the `P` for (`d_bits`, `width`), turning the constructors'
-/// width and range panics into typed faults at the cache layer.
+/// Builds the `P` for (`d_bits`, `width`); the constructor's error is
+/// reported at the cache layer.
 fn build<P: Cached>(d_bits: u128, width: u32) -> Result<P, Fault> {
-    let kind = if !width_supported(width) {
-        FaultKind::UnsupportedWidth { width }
-    } else if !divisor_fits(d_bits, P::SIGNED, width) {
-        FaultKind::DivisorOutOfRange {
-            d_bits,
-            signed: P::SIGNED,
-            width,
-        }
-    } else {
-        return Ok(P::build(d_bits, width)?);
-    };
-    Err(Fault {
+    P::build(d_bits, width).map_err(|e| Fault {
         layer: FaultLayer::Cache,
-        kind,
-        at: None,
+        ..Fault::from(e)
     })
 }
 
@@ -449,10 +428,11 @@ impl PlanCache {
     ///
     /// # Errors
     ///
-    /// `DivideByZero` (as a [`Fault`]) when `d == 0`. At
-    /// [`FaultLayer::Cache`]: [`FaultKind::UnsupportedWidth`] for a width
-    /// outside `1..=64` and `128`, and [`FaultKind::DivisorOutOfRange`]
-    /// when `d` does not fit in `width` bits.
+    /// The plan constructor's error, at [`FaultLayer::Cache`]:
+    /// [`FaultKind::DivideByZero`] when `d == 0`,
+    /// [`FaultKind::UnsupportedWidth`] for a width outside `1..=64` and
+    /// `128`, and [`FaultKind::DivisorOutOfRange`] when `d` does not fit
+    /// in `width` bits.
     pub fn udiv(&self, d: u128, width: u32) -> Result<UdivPlan, Fault> {
         self.lookup(d, width)
     }

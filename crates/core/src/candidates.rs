@@ -95,12 +95,8 @@ pub struct Candidate {
 ///
 /// # Errors
 ///
-/// Returns [`DivisorError::Zero`] when `d == 0`.
-///
-/// # Panics
-///
-/// Panics when `width` is unsupported or `d` does not fit in `width`
-/// bits (both via [`UdivPlan::new`]).
+/// [`UdivPlan::new`]'s: an unsupported width, a zero divisor, or one
+/// that does not fit in `width` bits.
 pub fn udiv_candidates(d: u128, width: u32) -> Result<Vec<Candidate>, DivisorError> {
     let mut out = vec![Candidate {
         plan: DivPlan::Unsigned(UdivPlan::new(d, width)?),
@@ -200,7 +196,8 @@ fn optimal_bounds(d: u128, width: u32) -> Option<Candidate> {
 ///
 /// # Errors
 ///
-/// Returns [`DivisorError::Zero`] when `d == 0`.
+/// [`UremPlan::new`]'s: an unsupported width, a zero divisor, or one
+/// that does not fit in `width` bits.
 pub fn urem_candidates(d: u128, width: u32) -> Result<Vec<Candidate>, DivisorError> {
     let baseline = UremPlan::new(d, width)?;
     let mut out = vec![Candidate {

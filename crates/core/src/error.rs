@@ -17,12 +17,49 @@ use core::fmt;
 pub enum DivisorError {
     /// The divisor was zero; no reciprocal exists.
     Zero,
+    /// No plan exists at this width: plans cover `1..=64` and exactly
+    /// `128`.
+    UnsupportedWidth {
+        /// The offending width in bits.
+        width: u32,
+    },
+    /// The divisor does not fit the requested width: above `2^N - 1`
+    /// unsigned, or outside `iN` signed.
+    OutOfRange {
+        /// The divisor's bit pattern (a signed divisor as `d as u128`).
+        d_bits: u128,
+        /// Whether the divisor was read as signed.
+        signed: bool,
+        /// The requested width `N` in bits.
+        width: u32,
+    },
+}
+
+impl DivisorError {
+    /// The [`FaultKind`] this construction error is, in the unified
+    /// taxonomy.
+    fn kind(self) -> FaultKind {
+        match self {
+            DivisorError::Zero => FaultKind::DivideByZero,
+            DivisorError::UnsupportedWidth { width } => FaultKind::UnsupportedWidth { width },
+            DivisorError::OutOfRange {
+                d_bits,
+                signed,
+                width,
+            } => FaultKind::DivisorOutOfRange {
+                d_bits,
+                signed,
+                width,
+            },
+        }
+    }
 }
 
 impl fmt::Display for DivisorError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DivisorError::Zero => write!(f, "divisor is zero"),
+            _ => self.kind().fmt(f),
         }
     }
 }
@@ -271,12 +308,9 @@ impl From<DivisorError> for Fault {
     /// [`FaultLayer::Plan`]: `new(d).map_err(Fault::from)` gives any
     /// divisor family's constructor the one fault type used end to end.
     fn from(e: DivisorError) -> Fault {
-        let kind = match e {
-            DivisorError::Zero => FaultKind::DivideByZero,
-        };
         Fault {
             layer: FaultLayer::Plan,
-            kind,
+            kind: e.kind(),
             at: None,
         }
     }
@@ -300,9 +334,51 @@ mod tests {
     }
 
     #[test]
+    fn divisor_errors_lift_to_their_fault_kinds_at_the_plan_layer() {
+        let out_of_range = DivisorError::OutOfRange {
+            d_bits: 300,
+            signed: false,
+            width: 8,
+        };
+        for (e, kind) in [
+            (DivisorError::Zero, FaultKind::DivideByZero),
+            (
+                DivisorError::UnsupportedWidth { width: 65 },
+                FaultKind::UnsupportedWidth { width: 65 },
+            ),
+            (
+                out_of_range,
+                FaultKind::DivisorOutOfRange {
+                    d_bits: 300,
+                    signed: false,
+                    width: 8,
+                },
+            ),
+        ] {
+            let f = Fault::from(e);
+            assert_eq!((f.layer, f.at), (FaultLayer::Plan, None));
+            assert_eq!(f.kind, kind);
+        }
+    }
+
+    #[test]
     fn divisor_errors_implement_error_with_stable_messages() {
         let z: &dyn Error = &DivisorError::Zero;
         assert_eq!(z.to_string(), "divisor is zero");
+        let w: &dyn Error = &DivisorError::UnsupportedWidth { width: 100 };
+        assert_eq!(w.to_string(), "unsupported width 100");
+        let s: &dyn Error = &DivisorError::OutOfRange {
+            d_bits: 586,
+            signed: true,
+            width: 8,
+        };
+        assert_eq!(s.to_string(), "divisor 586 does not fit in i8");
+        let u: &dyn Error = &DivisorError::OutOfRange {
+            d_bits: 1 << 40,
+            signed: false,
+            width: 32,
+        };
+        assert_eq!(u.to_string(), "divisor 1099511627776 does not fit in u32");
         let q: &dyn Error = &DwordDivError::QuotientOverflow;
         assert_eq!(q.to_string(), "quotient does not fit in a single word");
     }

@@ -59,20 +59,13 @@ pub(crate) const fn ceil_log2(d: u128) -> u32 {
 }
 
 /// Whether plans exist at `width`: `1..=64` or exactly `128`.
-pub(crate) fn width_supported(width: u32) -> bool {
+fn width_supported(width: u32) -> bool {
     (1..=64).contains(&width) || width == 128
-}
-
-fn assert_width_supported(width: u32) {
-    assert!(
-        width_supported(width),
-        "plan width must be in 1..=64 or exactly 128, got {width}"
-    );
 }
 
 /// Whether the divisor with bit pattern `d_bits` fits a supported
 /// `width`: as `uN`, or as `iN` (read as `d_bits as i128`) when `signed`.
-pub(crate) fn divisor_fits(d_bits: u128, signed: bool, width: u32) -> bool {
+fn divisor_fits(d_bits: u128, signed: bool, width: u32) -> bool {
     if !signed {
         return d_bits <= mask(width);
     }
@@ -81,6 +74,25 @@ pub(crate) fn divisor_fits(d_bits: u128, signed: bool, width: u32) -> bool {
     }
     let half = 1i128 << (width - 1);
     (-half..half).contains(&(d_bits as i128))
+}
+
+/// The one input check every plan constructor runs before selection:
+/// the width is supported, the divisor is nonzero, and it fits the
+/// width (as `iN` when `signed`, reading `d_bits as i128`).
+fn check_divisor(d_bits: u128, signed: bool, width: u32) -> Result<(), DivisorError> {
+    if !width_supported(width) {
+        Err(DivisorError::UnsupportedWidth { width })
+    } else if d_bits == 0 {
+        Err(DivisorError::Zero)
+    } else if !divisor_fits(d_bits, signed, width) {
+        Err(DivisorError::OutOfRange {
+            d_bits,
+            signed,
+            width,
+        })
+    } else {
+        Ok(())
+    }
 }
 
 /// The raw output of the Figure 6.2 multiplier selection, width-erased:
@@ -237,18 +249,11 @@ impl UdivPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`DivisorError::Zero`] when `d == 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `width` is unsupported (see the module docs) or `d`
-    /// does not fit in `width` bits.
+    /// [`DivisorError::UnsupportedWidth`] when `width` is unsupported (see
+    /// the module docs), [`DivisorError::Zero`] when `d == 0`, and
+    /// [`DivisorError::OutOfRange`] when `d` does not fit in `width` bits.
     pub fn new(d: u128, width: u32) -> Result<Self, DivisorError> {
-        assert_width_supported(width);
-        if d == 0 {
-            return Err(DivisorError::Zero);
-        }
-        assert!(d <= mask(width), "divisor does not fit in {width} bits");
+        check_divisor(d, false, width)?;
         let _span = magicdiv_trace::span("plan.udiv");
         magicdiv_trace::event!("plan.query",
             "shape" => "unsigned", "width" => width, "d" => d);
@@ -470,22 +475,13 @@ impl SdivPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`DivisorError::Zero`] when `d == 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `width` is unsupported or `d` does not fit in `width`
-    /// bits as a signed value.
+    /// [`DivisorError::UnsupportedWidth`] when `width` is unsupported (see
+    /// the module docs), [`DivisorError::Zero`] when `d == 0`, and
+    /// [`DivisorError::OutOfRange`] when `d` does not fit in `width` bits
+    /// as a signed value.
     pub fn new(d: i128, width: u32) -> Result<Self, DivisorError> {
-        assert_width_supported(width);
-        if d == 0 {
-            return Err(DivisorError::Zero);
-        }
+        check_divisor(d as u128, true, width)?;
         let abs_d = d.unsigned_abs();
-        assert!(
-            abs_d <= mask(width - 1).wrapping_add(u128::from(d < 0)),
-            "divisor does not fit in i{width}"
-        );
         let negate = d < 0;
         let _span = magicdiv_trace::span("plan.sdiv");
         magicdiv_trace::event!("plan.query",
@@ -672,17 +668,12 @@ impl FloorPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`DivisorError::Zero`] when `d == 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `width` is unsupported or `d` does not fit in `width`
-    /// bits as a signed value.
+    /// [`DivisorError::UnsupportedWidth`] when `width` is unsupported (see
+    /// the module docs), [`DivisorError::Zero`] when `d == 0`, and
+    /// [`DivisorError::OutOfRange`] when `d` does not fit in `width` bits
+    /// as a signed value.
     pub fn new(d: i128, width: u32) -> Result<Self, DivisorError> {
-        assert_width_supported(width);
-        if d == 0 {
-            return Err(DivisorError::Zero);
-        }
+        check_divisor(d as u128, true, width)?;
         let _span = magicdiv_trace::span("plan.floor");
         magicdiv_trace::event!("plan.query",
             "shape" => "floor", "width" => width, "d" => d);
@@ -708,10 +699,6 @@ impl FloorPlan {
                 l: (d as u128).trailing_zeros(),
             }
         } else {
-            assert!(
-                d as u128 <= mask(width - 1),
-                "divisor does not fit in i{width}"
-            );
             let raw = magic(d as u128, width, width - 1);
             debug_assert!(raw.fits, "Fig 6.1 asserts m < 2^N");
             magicdiv_trace::event!("plan.decision",
@@ -812,17 +799,11 @@ impl ExactPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`DivisorError::Zero`] when `d == 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `width` is unsupported or `d` does not fit.
+    /// [`DivisorError::UnsupportedWidth`] when `width` is unsupported (see
+    /// the module docs), [`DivisorError::Zero`] when `d == 0`, and
+    /// [`DivisorError::OutOfRange`] when `d` does not fit in `width` bits.
     pub fn new_unsigned(d: u128, width: u32) -> Result<Self, DivisorError> {
-        assert_width_supported(width);
-        if d == 0 {
-            return Err(DivisorError::Zero);
-        }
-        assert!(d <= mask(width), "divisor does not fit in {width} bits");
+        check_divisor(d, false, width)?;
         let _span = magicdiv_trace::span("plan.exact");
         magicdiv_trace::event!("plan.query",
             "shape" => "exact_unsigned", "width" => width, "d" => d);
@@ -857,21 +838,13 @@ impl ExactPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`DivisorError::Zero`] when `d == 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `width` is unsupported or `d` does not fit.
+    /// [`DivisorError::UnsupportedWidth`] when `width` is unsupported (see
+    /// the module docs), [`DivisorError::Zero`] when `d == 0`, and
+    /// [`DivisorError::OutOfRange`] when `d` does not fit in `width` bits
+    /// as a signed value.
     pub fn new_signed(d: i128, width: u32) -> Result<Self, DivisorError> {
-        assert_width_supported(width);
-        if d == 0 {
-            return Err(DivisorError::Zero);
-        }
+        check_divisor(d as u128, true, width)?;
         let d_abs = d.unsigned_abs();
-        assert!(
-            d_abs <= mask(width - 1).wrapping_add(u128::from(d < 0)),
-            "divisor does not fit in i{width}"
-        );
         let _span = magicdiv_trace::span("plan.exact");
         magicdiv_trace::event!("plan.query",
             "shape" => "exact_signed", "width" => width, "d" => d);
@@ -1009,18 +982,11 @@ impl DwordPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`DivisorError::Zero`] when `d == 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `width` is unsupported (see the module docs) or `d`
-    /// does not fit in `width` bits.
+    /// [`DivisorError::UnsupportedWidth`] when `width` is unsupported (see
+    /// the module docs), [`DivisorError::Zero`] when `d == 0`, and
+    /// [`DivisorError::OutOfRange`] when `d` does not fit in `width` bits.
     pub fn new(d: u128, width: u32) -> Result<Self, DivisorError> {
-        assert_width_supported(width);
-        if d == 0 {
-            return Err(DivisorError::Zero);
-        }
-        assert!(d <= mask(width), "divisor does not fit in {width} bits");
+        check_divisor(d, false, width)?;
         let _span = magicdiv_trace::span("plan.dword");
         magicdiv_trace::event!("plan.query",
             "shape" => "dword", "width" => width, "d" => d);
@@ -1209,18 +1175,11 @@ impl UremPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`DivisorError::Zero`] when `d == 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `width` is unsupported (see the module docs) or `d`
-    /// does not fit in `width` bits.
+    /// [`DivisorError::UnsupportedWidth`] when `width` is unsupported (see
+    /// the module docs), [`DivisorError::Zero`] when `d == 0`, and
+    /// [`DivisorError::OutOfRange`] when `d` does not fit in `width` bits.
     pub fn new(d: u128, width: u32) -> Result<Self, DivisorError> {
-        assert_width_supported(width);
-        if d == 0 {
-            return Err(DivisorError::Zero);
-        }
-        assert!(d <= mask(width), "divisor does not fit in {width} bits");
+        check_divisor(d, false, width)?;
         let _span = magicdiv_trace::span("plan.urem");
         magicdiv_trace::event!("plan.query",
             "shape" => "urem", "width" => width, "d" => d);
@@ -1244,18 +1203,11 @@ impl UremPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`DivisorError::Zero`] when `d == 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `width` is unsupported (see the module docs) or `d`
-    /// does not fit in `width` bits.
+    /// [`DivisorError::UnsupportedWidth`] when `width` is unsupported (see
+    /// the module docs), [`DivisorError::Zero`] when `d == 0`, and
+    /// [`DivisorError::OutOfRange`] when `d` does not fit in `width` bits.
     pub fn new_direct(d: u128, width: u32) -> Result<Self, DivisorError> {
-        assert_width_supported(width);
-        if d == 0 {
-            return Err(DivisorError::Zero);
-        }
-        assert!(d <= mask(width), "divisor does not fit in {width} bits");
+        check_divisor(d, false, width)?;
         let _span = magicdiv_trace::span("plan.urem");
         magicdiv_trace::event!("plan.query",
             "shape" => "urem", "width" => width, "d" => d);
@@ -1389,18 +1341,11 @@ impl DivisibilityPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`DivisorError::Zero`] when `d == 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `width` is unsupported (see the module docs) or `d`
-    /// does not fit in `width` bits.
+    /// [`DivisorError::UnsupportedWidth`] when `width` is unsupported (see
+    /// the module docs), [`DivisorError::Zero`] when `d == 0`, and
+    /// [`DivisorError::OutOfRange`] when `d` does not fit in `width` bits.
     pub fn new(d: u128, width: u32) -> Result<Self, DivisorError> {
-        assert_width_supported(width);
-        if d == 0 {
-            return Err(DivisorError::Zero);
-        }
-        assert!(d <= mask(width), "divisor does not fit in {width} bits");
+        check_divisor(d, false, width)?;
         let _span = magicdiv_trace::span("plan.divtest");
         magicdiv_trace::event!("plan.query",
             "shape" => "divtest", "width" => width, "d" => d);
@@ -1987,8 +1932,73 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "plan width")]
-    fn unsupported_width_panics() {
-        let _ = UdivPlan::new(3, 100);
+    fn unsupported_width_is_a_typed_error() {
+        assert_eq!(
+            UdivPlan::new(3, 100),
+            Err(DivisorError::UnsupportedWidth { width: 100 })
+        );
+    }
+
+    /// Every plan constructor at `(d, width)`: the six unsigned ones
+    /// (reading `d as u128`), then the three signed ones.
+    fn every_constructor(d: i128, width: u32) -> [Result<(), DivisorError>; 9] {
+        let u = d as u128;
+        [
+            UdivPlan::new(u, width).map(drop),
+            ExactPlan::new_unsigned(u, width).map(drop),
+            DwordPlan::new(u, width).map(drop),
+            UremPlan::new(u, width).map(drop),
+            UremPlan::new_direct(u, width).map(drop),
+            DivisibilityPlan::new(u, width).map(drop),
+            SdivPlan::new(d, width).map(drop),
+            FloorPlan::new(d, width).map(drop),
+            ExactPlan::new_signed(d, width).map(drop),
+        ]
+    }
+
+    #[test]
+    fn out_of_range_inputs_are_typed_errors_from_every_constructor() {
+        for width in [0u32, 65, 127, 129] {
+            for d in [1i128, 3, -3] {
+                for got in every_constructor(d, width) {
+                    assert_eq!(got, Err(DivisorError::UnsupportedWidth { width }));
+                }
+            }
+        }
+        let out_of_range = |d: i128, signed, width| {
+            Err(DivisorError::OutOfRange {
+                d_bits: d as u128,
+                signed,
+                width,
+            })
+        };
+        for width in 1u32..=64 {
+            // Unsigned: one past the top of uN; the top itself fits.
+            let (past, top) = (1i128 << width, mask(width) as i128);
+            for got in &every_constructor(past, width)[..6] {
+                assert_eq!(*got, out_of_range(past, false, width), "w={width}");
+            }
+            for got in &every_constructor(top, width)[..6] {
+                assert_eq!(*got, Ok(()), "w={width}");
+            }
+            // Signed: one past each end of iN; both ends fit.
+            let half = 1i128 << (width - 1);
+            for d in [half, -half - 1] {
+                for got in &every_constructor(d, width)[6..] {
+                    assert_eq!(*got, out_of_range(d, true, width), "w={width} d={d}");
+                }
+            }
+            for d in [half - 1, -half].into_iter().filter(|&d| d != 0) {
+                for got in &every_constructor(d, width)[6..] {
+                    assert_eq!(*got, Ok(()), "w={width} d={d}");
+                }
+            }
+        }
+        // Floor's shift path needs no multiplier, so only the up-front
+        // check can refuse these.
+        for (d, width) in [(128, 8), (1 << 40, 32)] {
+            let got = FloorPlan::new(d, width).map(drop);
+            assert_eq!(got, out_of_range(d, true, width));
+        }
     }
 }

@@ -463,12 +463,8 @@ fn tie_break_key(c: &Candidate) -> (bool, bool, u128) {
 ///
 /// # Errors
 ///
-/// Returns [`DivisorError::Zero`] when `d == 0`.
-///
-/// # Panics
-///
-/// Panics when `width` is unsupported (see [`crate::plan`]) or `d` does
-/// not fit in `width` bits (both via [`UdivPlan::new`](crate::UdivPlan::new)).
+/// [`UdivPlan::new`](crate::UdivPlan::new)'s: an unsupported width, a
+/// zero divisor, or one that does not fit in `width` bits.
 ///
 /// # Examples
 ///
@@ -502,12 +498,8 @@ pub fn run_udiv_tournament(
 ///
 /// # Errors
 ///
-/// Returns [`DivisorError::Zero`] when `d == 0`.
-///
-/// # Panics
-///
-/// Panics when `width` is unsupported (see [`crate::plan`]) or `d` does
-/// not fit in `width` bits (both via [`UremPlan::new`](crate::UremPlan::new)).
+/// [`UremPlan::new`](crate::UremPlan::new)'s: an unsupported width, a
+/// zero divisor, or one that does not fit in `width` bits.
 pub fn run_urem_tournament(
     d: u128,
     width: u32,

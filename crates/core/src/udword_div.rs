@@ -146,16 +146,6 @@ impl<T: UWord> DwordDivisor<T> {
         let r = dr.lo().wrapping_add(self.d & dr.hi());
         Ok((q, r))
     }
-
-    /// Divides, panicking on quotient overflow.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `HIGH(n) >= d`.
-    #[inline]
-    pub fn div_rem_unchecked_quotient(&self, n: DWord<T>) -> (T, T) {
-        self.div_rem(n).expect("quotient overflow")
-    }
 }
 
 impl<T: UWord> fmt::Display for DwordDivisor<T> {
@@ -327,13 +317,6 @@ mod tests {
     #[test]
     fn zero_divisor_rejected() {
         assert_eq!(DwordDivisor::<u32>::new(0).unwrap_err(), DivisorError::Zero);
-    }
-
-    #[test]
-    #[should_panic(expected = "quotient overflow")]
-    fn unchecked_panics_on_overflow() {
-        let dd = DwordDivisor::<u32>::new(5).unwrap();
-        let _ = dd.div_rem_unchecked_quotient(DWord::from_parts(5, 0));
     }
 }
 

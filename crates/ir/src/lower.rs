@@ -3,12 +3,12 @@
 //! The planning layer in [`magicdiv::plan`] decides *which* code shape a
 //! divisor gets (Fig 4.2, 5.2, 6.1, 8.1, §9); this module decides what
 //! that shape *is* in Table 3.1 operations. [`lower_plan`] is the one
-//! `DivPlan` → [`Program`] mapping: the codegen generators, the simcpu
-//! pricer, `magic explain` and the tournament's judge all lower
-//! through it, then run the optimizer on its raw program. Each `lower_*`
-//! function behind it appends the straight-line sequence for one plan
-//! family to a [`Builder`] and returns the result register, so a kernel
-//! can embed one division in a larger program.
+//! `DivPlan` → [`Program`] mapping, and [`compile`] is that mapping
+//! followed by the optimizer: the code the codegen targets emit, the
+//! simcpu pricer prices and the tournament's judge certifies. Each
+//! `lower_*` function behind it appends the straight-line sequence for
+//! one plan family to a [`Builder`] and returns the result register, so
+//! a kernel can embed one division in a larger program.
 //!
 //! Because the same plan drives both the runtime divisors and this
 //! lowering, the two layers cannot disagree about strategy — the
@@ -17,12 +17,12 @@
 //! # Examples
 //!
 //! ```
-//! use magicdiv::plan::{DivPlan, UdivPlan};
-//! use magicdiv_ir::{lower_plan, optimize};
+//! use magicdiv::plan::UdivPlan;
+//! use magicdiv_ir::compile;
 //!
-//! let plan = DivPlan::from(UdivPlan::new(10, 32).unwrap());
-//! let prog = optimize(&lower_plan(&plan).unwrap());
-//! assert_eq!(prog.eval1(&[1234]).unwrap(), 123);
+//! let prog = compile(UdivPlan::new(10, 32)?)?;
+//! assert_eq!(prog.eval1(&[1234])?, 123);
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 use magicdiv::plan::{
@@ -33,9 +33,9 @@ use magicdiv::FaultKind;
 
 use crate::program::{Builder, Op, Program, Reg};
 
-/// Lowers any division plan to its raw (unoptimized) program; run
-/// [`optimize`](crate::optimize) on the result for the code
-/// `magicdiv-codegen` emits.
+/// Lowers any division plan to its raw (unoptimized) program;
+/// [`compile`] also optimizes it, giving the code `magicdiv-codegen`
+/// emits.
 ///
 /// The Fig 8.1 [`DivPlan::Dword`] program takes `(hi, lo)` and returns
 /// `(q, r)`; every other plan takes the dividend and returns one value
@@ -52,10 +52,9 @@ use crate::program::{Builder, Op, Program, Reg};
 /// ```
 /// use magicdiv::plan::{DivPlan, DwordPlan, UdivPlan};
 /// use magicdiv::FaultKind;
-/// use magicdiv_ir::{lower_plan, optimize};
+/// use magicdiv_ir::{compile, lower_plan};
 ///
-/// let plan = DivPlan::from(DwordPlan::new(10, 32).unwrap());
-/// let prog = optimize(&lower_plan(&plan).unwrap());
+/// let prog = compile(DwordPlan::new(10, 32).unwrap()).unwrap();
 /// let n = (7u64 << 32) + 6;
 /// assert_eq!(prog.eval(&[7, 6]).unwrap(), vec![n / 10, n % 10]);
 ///
@@ -89,6 +88,30 @@ pub fn lower_plan(plan: &DivPlan) -> Result<Program, FaultKind> {
         }
     };
     Ok(b.finish([out]))
+}
+
+/// The optimized lowering of `plan`: [`lower_plan`], then
+/// [`optimize`](crate::optimize). This is the program `magicdiv-codegen`
+/// emits and `magicdiv-simcpu` prices for the plan.
+///
+/// # Errors
+///
+/// As [`lower_plan`]: [`FaultKind::UnsupportedWidth`] above 64 bits and
+/// [`FaultKind::BadProgram`] for a plan kind the lowering does not know.
+///
+/// # Examples
+///
+/// ```
+/// use magicdiv::plan::UdivPlan;
+/// use magicdiv_ir::compile;
+///
+/// let prog = compile(UdivPlan::new(10, 32)?)?;
+/// assert_eq!(prog.eval1(&[1234])?, 123);
+/// assert!(!prog.op_counts().uses_divide());
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub fn compile(plan: impl Into<DivPlan>) -> Result<Program, FaultKind> {
+    lower_plan(&plan.into()).map(|raw| crate::optimize(&raw))
 }
 
 fn check_width(b: &Builder, plan_width: u32) {

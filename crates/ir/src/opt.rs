@@ -371,7 +371,7 @@ mod tests {
                     DwordPlan::new(du, w).ok().map(Into::into),
                 ];
                 for plan in plans.into_iter().flatten() {
-                    let once = optimize(&crate::lower_plan(&plan).unwrap());
+                    let once = crate::compile(plan).unwrap();
                     assert_eq!(optimize(&once), once, "{plan:?}");
                     checked += 1;
                 }

@@ -14,8 +14,8 @@ use magicdiv::plan::{
 use magicdiv::testkit::directed_unsigned_dividends;
 use magicdiv::{Fault, FaultKind, FaultLayer};
 use magicdiv_ir::{
-    apply_mutation, lower_plan, mask, mutations, optimize, Builder, EvalError, EvalOptions, Op,
-    Program, LANES,
+    apply_mutation, compile, lower_plan, mask, mutations, optimize, Builder, EvalError,
+    EvalOptions, Op, Program, LANES,
 };
 use magicdiv_trace::{install, CaptureSink, Event};
 
@@ -43,10 +43,7 @@ fn lowered_programs() -> Vec<Program> {
             plans.extend(DivisibilityPlan::new(du, w).ok().map(DivPlan::from));
         }
     }
-    plans
-        .iter()
-        .map(|p| optimize(&lower_plan(p).unwrap()))
-        .collect()
+    plans.iter().map(|&p| compile(p).unwrap()).collect()
 }
 
 /// `len` chained additions computing `(len + 1) * n`; at 100 the program

@@ -17,7 +17,7 @@
 
 use magicdiv::plan::DivPlan;
 use magicdiv::{Fault, FaultKind, FaultLayer};
-use magicdiv_ir::{lower_plan, optimize, Op, OpClass, Program};
+use magicdiv_ir::{compile, Op, OpClass, Program};
 
 use crate::models::{TimingModel, TABLE_1_1};
 
@@ -26,52 +26,34 @@ use crate::models::{TimingModel, TABLE_1_1};
 /// # Examples
 ///
 /// ```
-/// use magicdiv_codegen::{gen_unsigned_div, gen_unsigned_div_hw};
+/// use magicdiv::plan::UdivPlan;
+/// use magicdiv_codegen::gen_unsigned_div_hw;
+/// use magicdiv_ir::compile;
 /// use magicdiv_simcpu::{cycles_for_program, find_model};
 ///
 /// let pentium = find_model("pentium").unwrap();
-/// let magic = cycles_for_program(&gen_unsigned_div(10, 32), &pentium);
+/// let magic = cycles_for_program(&compile(UdivPlan::new(10, 32)?)?, &pentium);
 /// let hw = cycles_for_program(&gen_unsigned_div_hw(32), &pentium);
 /// assert!(magic < hw, "magic {magic} >= divide {hw}");
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn cycles_for_program(prog: &Program, model: &TimingModel) -> u64 {
     decode(prog).run(model, |_, _, _| {})
 }
 
-/// Prices a division *plan* in cycles under `model`: the plan is lowered
-/// to its optimized IR sequence (exactly what `magicdiv-codegen` emits
-/// for the same divisor) and priced with [`cycles_for_program`].
+/// Prices a division *plan* in cycles under `model`: the plan is
+/// compiled to its optimized IR sequence ([`magicdiv_ir::compile`],
+/// exactly what `magicdiv-codegen` emits for the same divisor) and priced
+/// with [`cycles_for_program`].
 ///
 /// This is the estimator's entry point for "what would dividing by this
 /// constant cost on machine X?" without the caller assembling a program.
-///
-/// # Panics
-///
-/// Panics when the plan's width exceeds 64 (the IR's limit — 128-bit
-/// plans have no Table 3.1 encoding to price).
-///
-/// # Examples
-///
-/// ```
-/// use magicdiv::plan::{DivPlan, UdivPlan};
-/// use magicdiv_simcpu::{cycles_for_plan, find_model};
-///
-/// let pentium = find_model("pentium").unwrap();
-/// let by_10 = DivPlan::from(UdivPlan::new(10, 32).unwrap());
-/// let by_1024 = DivPlan::from(UdivPlan::new(1024, 32).unwrap());
-/// assert!(cycles_for_plan(&by_1024, &pentium) <= cycles_for_plan(&by_10, &pentium));
-/// ```
-pub fn cycles_for_plan(plan: &DivPlan, model: &TimingModel) -> u64 {
-    try_cycles_for_plan(plan, model).expect("plan width must be 8..=64 (IR limit)")
-}
-
-/// Fallible variant of [`cycles_for_plan`] for the differential harness:
-/// an unpriceable plan is reported as a typed [`Fault`] (layer
-/// [`FaultLayer::SimCpu`]) instead of a panic.
+/// An unpriceable plan is reported as a typed [`Fault`] (layer
+/// [`FaultLayer::SimCpu`]).
 ///
 /// # Errors
 ///
-/// The [`magicdiv_ir::lower_plan`] fault kinds, at this layer:
+/// The [`magicdiv_ir::compile`] fault kinds, at this layer:
 /// [`FaultKind::UnsupportedWidth`] when the plan's width exceeds 64 (the
 /// IR's limit — 128-bit plans have no Table 3.1 encoding to price), and
 /// [`FaultKind::BadProgram`] for a plan kind the lowering does not know.
@@ -84,13 +66,18 @@ pub fn cycles_for_plan(plan: &DivPlan, model: &TimingModel) -> u64 {
 /// use magicdiv_simcpu::{find_model, try_cycles_for_plan};
 ///
 /// let pentium = find_model("pentium").unwrap();
-/// let wide = DivPlan::from(UdivPlan::new(10, 128).unwrap());
+/// let by_10 = DivPlan::from(UdivPlan::new(10, 32)?);
+/// let by_1024 = DivPlan::from(UdivPlan::new(1024, 32)?);
+/// assert!(try_cycles_for_plan(&by_1024, &pentium)? <= try_cycles_for_plan(&by_10, &pentium)?);
+///
+/// let wide = DivPlan::from(UdivPlan::new(10, 128)?);
 /// let fault = try_cycles_for_plan(&wide, &pentium).unwrap_err();
 /// assert_eq!(fault.layer, FaultLayer::SimCpu);
 /// assert_eq!(fault.kind, FaultKind::UnsupportedWidth { width: 128 });
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn try_cycles_for_plan(plan: &DivPlan, model: &TimingModel) -> Result<u64, Fault> {
-    let prog = optimize(&lower_plan(plan).map_err(simcpu_fault)?);
+    let prog = compile(*plan).map_err(simcpu_fault)?;
     Ok(cycles_for_lowered_plan(plan, &prog, model))
 }
 
@@ -103,7 +90,7 @@ fn simcpu_fault(kind: FaultKind) -> Fault {
     }
 }
 
-/// Prices `prog`, the optimized lowering of `plan`, under `model` and
+/// Prices `prog`, the compiled `plan`, under `model` and
 /// reports the total as a `simcpu.plan_cycles` event. This is
 /// [`try_cycles_for_plan`] for a caller that already holds the program,
 /// so that the program it prices is the one it runs.
@@ -112,12 +99,12 @@ fn simcpu_fault(kind: FaultKind) -> Fault {
 ///
 /// ```
 /// use magicdiv::plan::{DivPlan, UdivPlan};
-/// use magicdiv_ir::{lower_plan, optimize};
+/// use magicdiv_ir::compile;
 /// use magicdiv_simcpu::{cycles_for_lowered_plan, find_model, try_cycles_for_plan};
 ///
 /// let r4000 = find_model("R4000").unwrap();
 /// let plan = DivPlan::from(UdivPlan::new(7, 32).unwrap());
-/// let prog = optimize(&lower_plan(&plan).unwrap());
+/// let prog = compile(plan).unwrap();
 /// assert_eq!(
 ///     cycles_for_lowered_plan(&plan, &prog, &r4000),
 ///     try_cycles_for_plan(&plan, &r4000).unwrap()
@@ -149,13 +136,13 @@ fn price_decoded_plan(
 pub struct PlanPrediction {
     /// Table 1.1 model name, exactly as [`TimingModel::name`] spells it.
     pub model: &'static str,
-    /// Predicted cycle total from [`cycles_for_plan`].
+    /// Predicted cycle total from [`try_cycles_for_plan`].
     pub cycles: u64,
 }
 
 /// Prices `plan` under **every** Table 1.1 model in one call, in the
 /// paper's row order. This is the joining surface for measured-vs-
-/// predicted calibration: the plan is lowered and decoded once and that
+/// predicted calibration: the plan is compiled and decoded once and that
 /// program is priced under every model, each total labelled with its
 /// model name.
 ///
@@ -177,7 +164,7 @@ pub struct PlanPrediction {
 /// assert!(preds.iter().all(|p| p.cycles > 0));
 /// ```
 pub fn predictions_for_plan(plan: &DivPlan) -> Result<Vec<PlanPrediction>, Fault> {
-    let prog = optimize(&lower_plan(plan).map_err(simcpu_fault)?);
+    let prog = compile(*plan).map_err(simcpu_fault)?;
     let mut decoded = decode(&prog);
     Ok(TABLE_1_1
         .iter()
@@ -208,12 +195,15 @@ pub struct InstrTiming {
 /// # Examples
 ///
 /// ```
-/// use magicdiv_codegen::gen_unsigned_div;
+/// use magicdiv::plan::UdivPlan;
+/// use magicdiv_ir::compile;
 /// use magicdiv_simcpu::{find_model, trace_program};
 ///
-/// let trace = trace_program(&gen_unsigned_div(10, 32), &find_model("R3000").unwrap());
+/// let prog = compile(UdivPlan::new(10, 32)?)?;
+/// let trace = trace_program(&prog, &find_model("R3000").unwrap());
 /// assert!(!trace.is_empty());
 /// assert!(trace.windows(2).all(|w| w[0].issue <= w[1].issue)); // in order
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn trace_program(prog: &Program, model: &TimingModel) -> Vec<InstrTiming> {
     let mut trace = Vec::new();
@@ -412,20 +402,24 @@ pub fn cycles_for_loop(
 mod tests {
     use super::*;
     use crate::models::find_model;
-    use magicdiv_codegen::{gen_unsigned_div, gen_unsigned_div_hw, gen_unsigned_divrem_hw};
+    use magicdiv::plan::{DivisibilityPlan, DwordPlan, SdivPlan, UdivPlan, UremPlan};
+    use magicdiv_codegen::{gen_unsigned_div_hw, gen_unsigned_divrem_hw};
     use magicdiv_ir::Builder;
 
+    type TestResult = Result<(), Box<dyn std::error::Error>>;
+
     #[test]
-    fn magic_beats_divide_on_every_table_row() {
+    fn magic_beats_divide_on_every_table_row() -> TestResult {
         // The headline claim: the multiply sequence beats the divide on
         // every Table 1.1 machine for d = 10.
-        let magic = gen_unsigned_div(10, 32);
+        let magic = compile(UdivPlan::new(10, 32)?)?;
         let hw = gen_unsigned_div_hw(32);
         for model in crate::models::table_1_1() {
             let mc = cycles_for_program(&magic, &model);
             let dc = cycles_for_program(&hw, &model);
             assert!(mc < dc, "{}: magic {mc} >= divide {dc}", model.name);
         }
+        Ok(())
     }
 
     #[test]
@@ -466,83 +460,44 @@ mod tests {
     }
 
     #[test]
-    fn plan_cycles_match_generated_code() {
-        // Pricing a plan must agree with pricing the code generated for
-        // the same divisor — both go through the shared lowering.
-        let model = find_model("pentium").unwrap();
-        for d in [1u64, 2, 3, 7, 10, 641, 60000] {
-            let plan = magicdiv::plan::DivPlan::from(
-                magicdiv::plan::UdivPlan::new(d as u128, 32).unwrap(),
-            );
-            assert_eq!(
-                cycles_for_plan(&plan, &model),
-                cycles_for_program(&gen_unsigned_div(d, 32), &model),
-                "d={d}"
-            );
+    fn plan_cycles_price_the_compiled_program() -> TestResult {
+        // Pricing a plan must agree with pricing the program compiled
+        // from it, for every shape on every Table 1.1 timing model.
+        let mut plans: Vec<DivPlan> = Vec::new();
+        for d in [1u128, 2, 3, 7, 10, 641, 60000, 0xffff_ffff] {
+            plans.push(UdivPlan::new(d, 32)?.into());
+            plans.push(DwordPlan::new(d, 32)?.into());
+            plans.push(UremPlan::new(d, 32)?.into());
+            plans.push(UremPlan::new_direct(d, 32)?.into());
+            plans.push(DivisibilityPlan::new(d, 32)?.into());
         }
-        for d in [-10i64, -3, 3, 7, 16] {
-            let plan = magicdiv::plan::DivPlan::from(
-                magicdiv::plan::SdivPlan::new(d as i128, 32).unwrap(),
-            );
-            assert_eq!(
-                cycles_for_plan(&plan, &model),
-                cycles_for_program(&magicdiv_codegen::gen_signed_div(d, 32), &model),
-                "d={d}"
-            );
+        for d in [-10i128, -3, 3, 7, 16] {
+            plans.push(SdivPlan::new(d, 32)?.into());
         }
-    }
-
-    #[test]
-    fn dword_plan_cycles_match_generated_code() {
-        // Fig 8.1 pricing goes through the same lowering codegen uses, on
-        // every Table 1.1 timing model.
         for model in crate::models::table_1_1() {
-            for d in [1u64, 3, 10, 641, 0xffff_ffff] {
-                let plan = magicdiv::plan::DivPlan::from(
-                    magicdiv::plan::DwordPlan::new(d as u128, 32).unwrap(),
-                );
+            for &plan in &plans {
                 assert_eq!(
-                    cycles_for_plan(&plan, &model),
-                    cycles_for_program(&magicdiv_codegen::gen_dword_div(d, 32), &model),
-                    "{} d={d}",
+                    try_cycles_for_plan(&plan, &model)?,
+                    cycles_for_program(&compile(plan)?, &model),
+                    "{} {plan}",
                     model.name
                 );
             }
         }
+        Ok(())
     }
 
     #[test]
-    fn urem_and_divisibility_price_on_every_table_row() {
-        // Both new shapes must be priceable on every Table 1.1 model,
-        // agreeing with the code generated for the same plan, and both
-        // must beat the hardware remainder/divide path.
+    fn divisibility_beats_divide_on_every_table_row() -> TestResult {
         for model in crate::models::table_1_1() {
-            for d in [3u64, 10, 641, 60000] {
-                let direct = magicdiv::plan::UremPlan::new_direct(d as u128, 32).unwrap();
-                let mulback = magicdiv::plan::UremPlan::new(d as u128, 32).unwrap();
-                for (p, prog) in [
-                    (direct, magicdiv_codegen::gen_urem_direct(d, 32)),
-                    (mulback, magicdiv_codegen::gen_unsigned_rem(d, 32)),
-                ] {
-                    assert_eq!(
-                        cycles_for_plan(&magicdiv::plan::DivPlan::Urem(p), &model),
-                        cycles_for_program(&prog, &model),
-                        "{} d={d}",
-                        model.name
-                    );
-                }
-                let divtest = magicdiv::plan::DivisibilityPlan::new(d as u128, 32).unwrap();
-                let dc = cycles_for_plan(&magicdiv::plan::DivPlan::Divisibility(divtest), &model);
-                assert_eq!(
-                    dc,
-                    cycles_for_program(&magicdiv_codegen::gen_divisibility_test(d, 32), &model),
-                    "{} divtest d={d}",
-                    model.name
-                );
-                let hw = cycles_for_program(&gen_unsigned_div_hw(32), &model);
+            let hw = cycles_for_program(&gen_unsigned_div_hw(32), &model);
+            for d in [3u128, 10, 641, 60000] {
+                let plan = DivPlan::from(DivisibilityPlan::new(d, 32)?);
+                let dc = try_cycles_for_plan(&plan, &model)?;
                 assert!(dc < hw, "{}: divtest {dc} >= divide {hw}", model.name);
             }
         }
+        Ok(())
     }
 
     #[test]
@@ -552,10 +507,10 @@ mod tests {
         // (price the divide as two chained word divides, the usual
         // library fallback).
         let model = find_model("pentium").unwrap();
-        let dword = magicdiv::plan::DivPlan::from(magicdiv::plan::DwordPlan::new(10, 32).unwrap());
-        let word = magicdiv::plan::DivPlan::from(magicdiv::plan::UdivPlan::new(10, 32).unwrap());
-        let dc = cycles_for_plan(&dword, &model);
-        let wc = cycles_for_plan(&word, &model);
+        let dword = DivPlan::from(DwordPlan::new(10, 32).unwrap());
+        let word = DivPlan::from(UdivPlan::new(10, 32).unwrap());
+        let dc = try_cycles_for_plan(&dword, &model).unwrap();
+        let wc = try_cycles_for_plan(&word, &model).unwrap();
         let hw = 2 * cycles_for_program(&gen_unsigned_div_hw(32), &model);
         assert!(wc < dc, "word {wc} >= dword {dc}");
         assert!(dc < hw, "dword {dc} >= 2x divide {hw}");
@@ -572,11 +527,12 @@ mod tests {
     }
 
     #[test]
-    fn loop_scales_linearly() {
+    fn loop_scales_linearly() -> TestResult {
         let model = find_model("viking").unwrap();
-        let body = gen_unsigned_div(10, 32);
+        let body = compile(UdivPlan::new(10, 32)?)?;
         let one = cycles_for_loop(&body, &model, 1, 3);
         let ten = cycles_for_loop(&body, &model, 10, 3);
         assert_eq!(ten, one * 10);
+        Ok(())
     }
 }

@@ -34,8 +34,8 @@ mod kernel;
 mod models;
 
 pub use crate::exec::{
-    cycles_for_loop, cycles_for_lowered_plan, cycles_for_plan, cycles_for_program,
-    predictions_for_plan, trace_program, try_cycles_for_plan, InstrTiming, PlanPrediction,
+    cycles_for_loop, cycles_for_lowered_plan, cycles_for_program, predictions_for_plan,
+    trace_program, try_cycles_for_plan, InstrTiming, PlanPrediction,
 };
 pub use crate::kernel::{
     bodies_for, radix_conversion_timing, RadixTiming, FULL_32BIT_DIGITS, LOOP_OVERHEAD_OPS,

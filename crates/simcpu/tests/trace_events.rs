@@ -11,10 +11,9 @@ use magicdiv::plan::{
 };
 use magicdiv::{FaultKind, FaultLayer};
 use magicdiv_codegen::gen_unsigned_divrem_hw;
-use magicdiv_ir::{lower_plan, optimize, Builder, Op, OpClass, Program};
+use magicdiv_ir::{compile, Builder, Op, OpClass, Program};
 use magicdiv_simcpu::{
-    cycles_for_plan, cycles_for_program, predictions_for_plan, table_1_1, trace_program,
-    try_cycles_for_plan,
+    cycles_for_program, predictions_for_plan, table_1_1, trace_program, try_cycles_for_plan,
 };
 use magicdiv_trace::{install, CaptureSink, Event, MetricsSink, Registry, Value};
 
@@ -47,13 +46,12 @@ fn priceable_plans() -> Vec<DivPlan> {
             if d > top {
                 continue;
             }
-            let (du, ds) = (u128::from(d), i128::from(d));
             // 2^(w-1) and 2^w - 1 do not fit a signed w-bit divisor.
-            let signed = d <= top >> 1;
+            let (du, ds) = (u128::from(d), i128::from(d));
             let shapes: [Option<DivPlan>; 8] = [
                 UdivPlan::new(du, w).ok().map(Into::into),
-                signed.then(|| SdivPlan::new(ds, w).unwrap().into()),
-                signed.then(|| FloorPlan::new(ds, w).unwrap().into()),
+                SdivPlan::new(ds, w).ok().map(Into::into),
+                FloorPlan::new(ds, w).ok().map(Into::into),
                 ExactPlan::new_unsigned(du, w).ok().map(Into::into),
                 UremPlan::new_direct(du, w).ok().map(Into::into),
                 UremPlan::new(du, w).ok().map(Into::into),
@@ -64,11 +62,6 @@ fn priceable_plans() -> Vec<DivPlan> {
         }
     }
     plans
-}
-
-/// Lowers `plan` the way the pricing path does.
-fn lower(plan: &DivPlan) -> Program {
-    optimize(&lower_plan(plan).expect("priceable plan"))
 }
 
 #[test]
@@ -132,7 +125,7 @@ fn untraced_predictions_match_single_pricings() {
     let models = table_1_1();
     for plan in priceable_plans() {
         let preds = predictions_for_plan(&plan).expect("machine widths are priceable");
-        let prog = lower(&plan);
+        let prog = compile(plan).expect("priceable plan");
         assert_eq!(preds.len(), models.len());
         for (pred, model) in preds.iter().zip(&models) {
             assert_eq!(pred.model, model.name);
@@ -181,22 +174,22 @@ fn long_dependent_chain_prices_every_link() {
 }
 
 /// The `simcpu.plan_cycles` event must report exactly the number
-/// `cycles_for_plan` returns, for every plan × model combination.
+/// `try_cycles_for_plan` returns, for every plan × model combination.
 #[test]
-fn plan_cycles_event_matches_cycles_for_plan() {
+fn plan_cycles_event_matches_try_cycles_for_plan() {
     for plan in sample_plans() {
         for model in table_1_1() {
             let capture = Arc::new(CaptureSink::new());
             let cycles = {
                 let _g = install(capture.clone());
-                cycles_for_plan(&plan, &model)
+                try_cycles_for_plan(&plan, &model).expect("priceable plan")
             };
             let events = capture.named("simcpu.plan_cycles");
             assert_eq!(events.len(), 1, "one pricing event per call");
             assert_eq!(
                 u64_field(&events[0], "cycles"),
                 cycles,
-                "trace total diverges from cycles_for_plan for {} on {}",
+                "trace total diverges from try_cycles_for_plan for {} on {}",
                 plan.strategy_name(),
                 model.name,
             );
@@ -216,7 +209,10 @@ fn plan_cycles_event_matches_cycles_for_plan() {
 /// every Table 1.1 model.
 #[test]
 fn cycle_attribution_total_matches_cycles_for_program() {
-    let mut progs: Vec<Program> = priceable_plans().iter().map(lower).collect();
+    let mut progs: Vec<Program> = priceable_plans()
+        .into_iter()
+        .map(|p| compile(p).expect("priceable plan"))
+        .collect();
     progs.push(gen_unsigned_divrem_hw(32));
     let busy_fields = [
         (OpClass::AddSub, "add_sub_busy"),
@@ -297,7 +293,7 @@ fn metrics_sink_aggregates_pricing_events() {
         let _g = install(Arc::new(MetricsSink::new(registry.clone())));
         for plan in sample_plans() {
             for model in table_1_1() {
-                cycles_for_plan(&plan, &model);
+                try_cycles_for_plan(&plan, &model).expect("priceable plan");
             }
         }
     }
@@ -322,7 +318,7 @@ fn no_sink_means_no_tracing() {
             .into_iter()
             .find(|m| m.name.contains("Pentium"))
             .expect("Pentium row");
-        cycles_for_plan(&plan, &pentium);
+        try_cycles_for_plan(&plan, &pentium).expect("priceable plan");
     }
     assert!(capture.events().is_empty(), "uninstalled sink saw events");
 }

@@ -162,15 +162,6 @@ impl HistogramSnapshot {
         }
     }
 
-    /// [`quantile`](Self::quantile) as an Option: `None` when empty.
-    pub fn try_quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.quantile(q))
-        }
-    }
-
     /// Estimated value at quantile `q` (clamped to `0.0..=1.0`),
     /// interpolated linearly *within* the power-of-two bucket that
     /// contains the target rank and clamped to the exact observed
@@ -598,7 +589,6 @@ mod tests {
     fn empty_histogram_stats_stay_finite() {
         let s = Histogram::new().snapshot();
         assert_eq!(s.try_mean(), None);
-        assert_eq!(s.try_quantile(0.5), None);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.quantile(0.5), 0.0);
         // NaN q is pinned, not propagated.
@@ -614,7 +604,6 @@ mod tests {
         h.observe(42);
         let s = h.snapshot();
         assert_eq!(s.quantile(f64::NAN), 42.0);
-        assert_eq!(s.try_quantile(0.9), Some(42.0));
         assert_eq!(s.try_mean(), Some(42.0));
     }
 

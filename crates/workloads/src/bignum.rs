@@ -41,11 +41,6 @@ impl BigUint {
         BigUint { limbs }
     }
 
-    /// Builds from a `u128`.
-    pub fn from_u128(x: u128) -> Self {
-        BigUint::from_limbs(vec![x as u64, (x >> 64) as u64])
-    }
-
     /// The power `2^k`.
     pub fn from_pow2(k: u32) -> Self {
         let mut limbs = vec![0u64; (k / 64) as usize + 1];
@@ -57,11 +52,6 @@ impl BigUint {
     /// `true` when the value is zero.
     pub fn is_zero(&self) -> bool {
         self.limbs.is_empty()
-    }
-
-    /// Number of limbs (zero for the value zero).
-    pub fn limb_count(&self) -> usize {
-        self.limbs.len()
     }
 
     /// Divides in place by a single nonzero limb using the §8 invariant
@@ -181,7 +171,7 @@ mod tests {
             u128::MAX,
             12345678901234567890123456789012345678,
         ] {
-            let b = BigUint::from_u128(x);
+            let b = BigUint::from_limbs(vec![x as u64, (x >> 64) as u64]);
             assert_eq!(b.to_decimal_magic(), x.to_string(), "{x}");
             assert_eq!(b.to_decimal_baseline(), x.to_string(), "{x}");
         }
@@ -225,11 +215,11 @@ mod tests {
     fn divmod_reduces_limb_count_eventually() {
         let mut n = BigUint::from_pow2(192);
         let divider = DwordDivisor::new(CHUNK).unwrap();
-        let before = n.limb_count();
+        let before = n.limbs.len();
         for _ in 0..2 {
             n.divmod_limb_magic(&divider);
         }
-        assert!(n.limb_count() < before);
+        assert!(n.limbs.len() < before);
     }
 
     #[test]

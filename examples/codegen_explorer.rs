@@ -6,13 +6,13 @@
 //! Run with: `cargo run --example codegen_explorer -- [divisor] [width]`
 //! e.g. `cargo run --example codegen_explorer -- -7 32`
 
+use magicdiv_suite::magicdiv::plan::{SdivPlan, UdivPlan};
 use magicdiv_suite::magicdiv::{SignedDivisor, UnsignedDivisor};
-use magicdiv_suite::magicdiv_codegen::{
-    emit_assembly, gen_signed_div, gen_unsigned_div, gen_unsigned_div_hw, Target,
-};
+use magicdiv_suite::magicdiv_codegen::{emit_assembly, gen_unsigned_div_hw, Target};
+use magicdiv_suite::magicdiv_ir::compile;
 use magicdiv_suite::magicdiv_simcpu::{cycles_for_program, table_1_1};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let d: i64 = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
@@ -46,9 +46,9 @@ fn main() {
     }
 
     let prog = if d > 0 {
-        gen_unsigned_div(d as u64, width)
+        compile(UdivPlan::new(d as u128, width)?)?
     } else {
-        gen_signed_div(d, width)
+        compile(SdivPlan::new(d.into(), width)?)?
     };
     println!("\n-- IR ({}) --\n{prog}\n", prog.op_counts());
 
@@ -75,4 +75,5 @@ fn main() {
             div as f64 / magic as f64
         );
     }
+    Ok(())
 }

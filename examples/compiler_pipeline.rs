@@ -9,14 +9,14 @@
 //!
 //! Run with: `cargo run --example compiler_pipeline -- [divisor]`
 
+use magicdiv_suite::magicdiv::plan::UdivPlan;
 use magicdiv_suite::magicdiv_codegen::{
-    emit_radix_loop, execute_radix_listing, gen_unsigned_div, gen_unsigned_div_tuned, MachineDesc,
-    Target,
+    emit_radix_loop, execute_radix_listing, gen_unsigned_div_tuned, MachineDesc, Target,
 };
-use magicdiv_suite::magicdiv_ir::{legalize, schedule, ScheduleWeights, TargetCaps};
+use magicdiv_suite::magicdiv_ir::{compile, legalize, schedule, ScheduleWeights, TargetCaps};
 use magicdiv_suite::magicdiv_simcpu::{cycles_for_program, find_model};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let d: u64 = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
@@ -27,7 +27,7 @@ fn main() {
     }
 
     println!("== 1. Machine-independent code (Fig 4.2) for n / {d} ==\n");
-    let prog = gen_unsigned_div(d, 32);
+    let prog = compile(UdivPlan::new(d.into(), 32)?)?;
     println!("{prog}\n   [{}]", prog.op_counts());
 
     println!("\n== 2. Legalized for POWER/RIOS (no unsigned multiply-high) ==\n");
@@ -77,4 +77,5 @@ fn main() {
         assert_eq!(out, "271828182");
     }
     println!("\nPipeline complete: generated, legalized, scheduled, emitted, executed.");
+    Ok(())
 }

@@ -16,6 +16,15 @@ echo "== panic-freedom gate: no unwrap()/panic! in library or binary code =="
 cargo clippy --workspace --lib --bins --offline -- \
     -D warnings -D clippy::unwrap_used -D clippy::panic
 
+echo "== total plan constructors: no assert!/assert_eq!/panic! in plan.rs outside its tests =="
+# Every plan constructor returns a typed DivisorError for a bad width or
+# divisor; debug_assert! (internal invariants) stays allowed.
+if sed '/^#\[cfg(test)\]/,$d' crates/core/src/plan.rs | grep -v '^[[:space:]]*//' |
+    grep -nE '(^|[^_[:alnum:]])(assert|assert_eq|assert_ne|panic)!'; then
+    echo "crates/core/src/plan.rs panics in non-test code" >&2
+    exit 1
+fi
+
 echo "== rustdoc gate (no broken, redundant or private intra-doc links) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 

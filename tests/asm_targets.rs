@@ -4,11 +4,15 @@
 //! through the reproduction: magic constants → IR → optimizer → register
 //! allocation → target syntax → simulated machine.
 
-use magicdiv_suite::magicdiv_codegen::{
-    emit_assembly, emit_radix_loop, execute_radix_listing, gen_divisibility_test, gen_signed_div,
-    gen_unsigned_div, gen_unsigned_divrem, gen_unsigned_rem, gen_urem_direct, Target,
+use magicdiv_suite::magicdiv::plan::{
+    DivisibilityPlan, SdivPlan, UdivPlan, UdivStrategy, UremPlan, UremStrategy,
 };
-use magicdiv_suite::magicdiv_ir::Program;
+use magicdiv_suite::magicdiv_codegen::{
+    emit_assembly, emit_radix_loop, execute_radix_listing, gen_unsigned_divrem, Target,
+};
+use magicdiv_suite::magicdiv_ir::{compile, mask, sign_extend, Program};
+
+type TestResult = Result<(), Box<dyn std::error::Error>>;
 
 const FIVE_TARGETS: [Target; 5] = [
     Target::Alpha,
@@ -67,17 +71,18 @@ fn radix_listings_randomized_everywhere() {
 }
 
 #[test]
-fn emitted_functions_have_sane_shape_for_many_divisors() {
+fn emitted_functions_have_sane_shape_for_many_divisors() -> TestResult {
     // Every generated division function emits for every target without
     // exhausting register pools, and the magic ones never divide.
-    let divisors: [i64; 8] = [2, 3, 7, 10, 14, 100, 641, 1_000_000_007];
+    let divisors: [i128; 8] = [2, 3, 7, 10, 14, 100, 641, 1_000_000_007];
     for t in FIVE_TARGETS {
         for &d in &divisors {
+            let udiv = UdivPlan::new(d as u128, 32)?;
             let progs: Vec<Program> = vec![
-                gen_unsigned_div(d as u64, 32),
-                gen_signed_div(d, 32),
-                gen_signed_div(-d, 32),
-                gen_unsigned_divrem(d as u64, 32),
+                compile(udiv)?,
+                compile(SdivPlan::new(d, 32)?)?,
+                compile(SdivPlan::new(-d, 32)?)?,
+                gen_unsigned_divrem(&udiv)?,
             ];
             for prog in &progs {
                 prog.validate().expect("generated programs are well-formed");
@@ -87,27 +92,37 @@ fn emitted_functions_have_sane_shape_for_many_divisors() {
             }
         }
     }
+    Ok(())
 }
 
 #[test]
-fn generated_programs_validate_across_widths() {
+fn generated_programs_validate_across_widths() -> TestResult {
     for width in [8u32, 16, 24, 32, 48, 57, 64] {
         for d in [1u64, 3, 10, 255] {
-            gen_unsigned_div(d, width).validate().unwrap();
-            gen_signed_div(d as i64, width).validate().unwrap();
+            compile(UdivPlan::new(d.into(), width)?)?.validate()?;
+            // The signed divisor with the same low bits (255 is -1 at w8).
+            let ds = sign_extend(d & mask(width), width);
+            compile(SdivPlan::new(ds.into(), width)?)?.validate()?;
         }
     }
+    Ok(())
 }
 
 #[test]
-fn x86_materializes_a_constant_result_in_eax() {
+fn x86_materializes_a_constant_result_in_eax() -> TestResult {
     // Optimized `n % 1` is the constant 0 and `1 | n` the constant 1. x86
     // folds constants as immediates, so neither ever had a register.
+    let mul_back = UremStrategy::MulBack {
+        udiv: UdivStrategy::Identity,
+    };
     for w in [8, 16, 32, 64] {
         for (prog, want) in [
-            (gen_urem_direct(1, w), "\tmov eax,0x0\n"),
-            (gen_unsigned_rem(1, w), "\tmov eax,0x0\n"),
-            (gen_divisibility_test(1, w), "\tmov eax,0x1\n"),
+            (compile(UremPlan::new_direct(1, w)?)?, "\tmov eax,0x0\n"),
+            (
+                compile(UremPlan::from_raw(1, w, mul_back))?,
+                "\tmov eax,0x0\n",
+            ),
+            (compile(DivisibilityPlan::new(1, w)?)?, "\tmov eax,0x1\n"),
         ] {
             let asm = emit_assembly(&prog, Target::X86, "f");
             let text = asm.to_string();
@@ -116,4 +131,5 @@ fn x86_materializes_a_constant_result_in_eax() {
             assert!(!asm.uses_divide(), "w{w}:\n{text}");
         }
     }
+    Ok(())
 }

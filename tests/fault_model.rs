@@ -15,14 +15,15 @@
 //!   (`HIGH(n) >= d`, i.e. `n >= d * 2^N`) is enforced exactly at the
 //!   boundary for every limb width.
 
+use magicdiv::plan::SdivPlan;
 use magicdiv::{
     DWord, DwordDivError, DwordDivisor, Fault, FaultKind, FaultLayer, InvariantSignedDivisor,
     SignedDivisor,
 };
 use magicdiv_codegen::{
-    emit_radix_loop, execute_radix_listing_with_limit, gen_signed_div, gen_signed_div_hw, Target,
+    emit_radix_loop, execute_radix_listing_with_limit, gen_signed_div_hw, Target,
 };
-use magicdiv_ir::{EvalError, EvalOptions};
+use magicdiv_ir::{compile, EvalError, EvalOptions};
 
 // --- MIN / -1: agreement between the runtime divisors and the IR ---
 
@@ -46,7 +47,7 @@ macro_rules! min_over_minus_one_agrees {
             // hardware-baseline DivS program both wrap by default...
             let min_bits = (min as i64) as u64 & magicdiv_ir::mask($width);
             let neg1_bits = (-1i64) as u64 & magicdiv_ir::mask($width);
-            let gen = gen_signed_div(-1, $width);
+            let gen = compile(SdivPlan::new(-1, $width).unwrap()).unwrap();
             assert_eq!(gen.eval1(&[min_bits]).unwrap(), min_bits);
             let hw = gen_signed_div_hw($width);
             assert_eq!(
@@ -84,7 +85,7 @@ min_over_minus_one_agrees!(min_over_minus_one_agrees_w64, i64, 64);
 
 #[test]
 fn ir_fuel_exhaustion_is_a_typed_fault() {
-    let prog = gen_signed_div(-7, 32);
+    let prog = compile(SdivPlan::new(-7, 32).unwrap()).unwrap();
     // Plenty of fuel: fine.
     let opts = EvalOptions {
         fuel: Some(1_000),

@@ -2,6 +2,7 @@
 //! library's divisor types, and native division must agree everywhere —
 //! exhaustively at width 8, over the boundary catalog at wider widths.
 
+use magicdiv_suite::magicdiv::plan::{DivisibilityPlan, ExactPlan, FloorPlan, SdivPlan, UdivPlan};
 use magicdiv_suite::magicdiv::testkit::{
     interesting_signed_dividends, interesting_signed_divisors, interesting_unsigned_dividends,
     interesting_unsigned_divisors,
@@ -10,15 +11,16 @@ use magicdiv_suite::magicdiv::{
     FloorDivisor, InvariantSignedDivisor, InvariantUnsignedDivisor, SignedDivisor, UnsignedDivisor,
 };
 use magicdiv_suite::magicdiv_codegen::{
-    emit_radix_loop, gen_divisibility_test, gen_exact_div, gen_floor_div, gen_signed_div,
-    gen_unsigned_div, gen_unsigned_div_invariant, gen_unsigned_divrem, Target,
+    emit_radix_loop, gen_unsigned_div_invariant, gen_unsigned_divrem, Target,
 };
-use magicdiv_suite::magicdiv_ir::{mask, sign_extend};
+use magicdiv_suite::magicdiv_ir::{compile, mask, sign_extend};
+
+type TestResult = Result<(), Box<dyn std::error::Error>>;
 
 #[test]
-fn three_layers_agree_unsigned_width8_exhaustive() {
+fn three_layers_agree_unsigned_width8_exhaustive() -> TestResult {
     for d in 1u64..=255 {
-        let prog = gen_unsigned_div(d, 8);
+        let prog = compile(UdivPlan::new(d.into(), 8)?)?;
         let prog_inv = gen_unsigned_div_invariant(d, 8);
         let lib = UnsignedDivisor::<u8>::new(d as u8).unwrap();
         let lib_inv = InvariantUnsignedDivisor::<u8>::new(d as u8).unwrap();
@@ -38,15 +40,16 @@ fn three_layers_agree_unsigned_width8_exhaustive() {
             );
         }
     }
+    Ok(())
 }
 
 #[test]
-fn three_layers_agree_signed_width8_exhaustive() {
+fn three_layers_agree_signed_width8_exhaustive() -> TestResult {
     for d in -128i64..=127 {
         if d == 0 {
             continue;
         }
-        let prog = gen_signed_div(d, 8);
+        let prog = compile(SdivPlan::new(d.into(), 8)?)?;
         let lib = SignedDivisor::<i8>::new(d as i8).unwrap();
         let lib_inv = InvariantSignedDivisor::<i8>::new(d as i8).unwrap();
         for n in -128i64..=127 {
@@ -61,13 +64,14 @@ fn three_layers_agree_signed_width8_exhaustive() {
             assert_eq!(lib_inv.divide(n as i8), expect, "lib-inv n={n} d={d}");
         }
     }
+    Ok(())
 }
 
 #[test]
-fn catalog_sweep_width32() {
+fn catalog_sweep_width32() -> TestResult {
     let ds = interesting_unsigned_divisors::<u32>();
     for &d in &ds {
-        let prog = gen_unsigned_div(d as u64, 32);
+        let prog = compile(UdivPlan::new(d.into(), 32)?)?;
         let lib = UnsignedDivisor::<u32>::new(d).unwrap();
         for n in interesting_unsigned_dividends::<u32>(d) {
             let expect = (n / d) as u64;
@@ -75,13 +79,14 @@ fn catalog_sweep_width32() {
             assert_eq!(lib.divide(n) as u64, expect, "n={n} d={d}");
         }
     }
+    Ok(())
 }
 
 #[test]
-fn catalog_sweep_signed_width32() {
+fn catalog_sweep_signed_width32() -> TestResult {
     for &d in &interesting_signed_divisors::<i32>() {
-        let prog = gen_signed_div(d as i64, 32);
-        let fprog = gen_floor_div(d as i64, 32);
+        let prog = compile(SdivPlan::new(d.into(), 32)?)?;
+        let fprog = compile(FloorPlan::new(d.into(), 32)?)?;
         let lib = SignedDivisor::<i32>::new(d).unwrap();
         let flib = FloorDivisor::<i32>::new(d).unwrap();
         for n in interesting_signed_dividends::<i32>(d) {
@@ -101,48 +106,52 @@ fn catalog_sweep_signed_width32() {
             );
         }
     }
+    Ok(())
 }
 
 #[test]
-fn catalog_sweep_width64() {
+fn catalog_sweep_width64() -> TestResult {
     for &d in interesting_unsigned_divisors::<u64>().iter().step_by(3) {
-        let prog = gen_unsigned_div(d, 64);
+        let prog = compile(UdivPlan::new(d.into(), 64)?)?;
         let lib = UnsignedDivisor::<u64>::new(d).unwrap();
         for n in interesting_unsigned_dividends::<u64>(d) {
             assert_eq!(prog.eval1(&[n]).unwrap(), n / d, "n={n} d={d}");
             assert_eq!(lib.divide(n), n / d, "n={n} d={d}");
         }
     }
+    Ok(())
 }
 
 #[test]
-fn divrem_program_invariant_width8() {
+fn divrem_program_invariant_width8() -> TestResult {
     for d in 1u64..=255 {
-        let prog = gen_unsigned_divrem(d, 8);
+        let prog = gen_unsigned_divrem(&UdivPlan::new(d.into(), 8)?)?;
         for n in (0u64..=255).step_by(3) {
             let out = prog.eval(&[n]).unwrap();
             assert_eq!(out[0] * d + out[1], n, "q*d+r n={n} d={d}");
             assert!(out[1] < d, "r<d n={n} d={d}");
         }
     }
+    Ok(())
 }
 
 #[test]
-fn exact_and_divisibility_codegen_width16() {
-    for d in [1i64, 2, 3, 12, 24, 100, 255, 256, 1000] {
-        let exact = gen_exact_div(d, 16, false);
-        for q in (0u64..=(0xffff / d as u64)).step_by(7) {
-            assert_eq!(exact.eval1(&[q * d as u64]).unwrap(), q, "q={q} d={d}");
+fn exact_and_divisibility_codegen_width16() -> TestResult {
+    for d in [1u64, 2, 3, 12, 24, 100, 255, 256, 1000] {
+        let exact = compile(ExactPlan::new_unsigned(d.into(), 16)?)?;
+        for q in (0u64..=(0xffff / d)).step_by(7) {
+            assert_eq!(exact.eval1(&[q * d]).unwrap(), q, "q={q} d={d}");
         }
-        let test = gen_divisibility_test(d as u64, 16);
+        let test = compile(DivisibilityPlan::new(d.into(), 16)?)?;
         for n in (0u64..=0xffff).step_by(11) {
             assert_eq!(
                 test.eval1(&[n]).unwrap(),
-                u64::from(n % d as u64 == 0),
+                u64::from(n % d == 0),
                 "n={n} d={d}"
             );
         }
     }
+    Ok(())
 }
 
 #[test]

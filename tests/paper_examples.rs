@@ -6,11 +6,10 @@
 #![allow(clippy::manual_div_ceil)] // the manual forms are the subject matter
 use magicdiv_suite::magicdiv::{
     choose_multiplier, mod_inverse_newton, DivisibilityScanner, ExactSignedDivisor, FloorDivisor,
-    SdivStrategy, SignedDivisor, UdivStrategy, UnsignedDivisor,
+    SdivStrategy, SignedDivisor, UdivPlan, UdivStrategy, UnsignedDivisor,
 };
-use magicdiv_suite::magicdiv_codegen::{
-    emit_radix_loop, gen_unsigned_div, plan_mul_const, plan_op_count, Target,
-};
+use magicdiv_suite::magicdiv_codegen::{emit_radix_loop, plan_mul_const, plan_op_count, Target};
+use magicdiv_suite::magicdiv_ir::compile;
 use magicdiv_suite::magicdiv_workloads::decimal_magic;
 
 #[test]
@@ -157,5 +156,6 @@ fn figure_11_1_behaviour() {
     // decimal() converts correctly for a full 32-bit number...
     assert_eq!(decimal_magic(u32::MAX), "4294967295");
     // ...and the generated kernel has no divide.
-    assert!(!gen_unsigned_div(10, 32).op_counts().uses_divide());
+    let by10 = compile(UdivPlan::new(10, 32).unwrap()).unwrap();
+    assert!(!by10.op_counts().uses_divide());
 }

@@ -15,7 +15,7 @@
 //!
 //! The structural tests at the end close the loop from the other side:
 //! every plan a typed divisor reports, lowered through
-//! [`lower_plan`], computes what that divisor's kernel computes.
+//! [`compile`], computes what that divisor's kernel computes.
 
 use magicdiv::plan::{
     DivPlan, DivisibilityPlan, DwordPlan, ExactPlan, FloorPlan, SdivPlan, UdivPlan, UdivStrategy,
@@ -27,20 +27,17 @@ use magicdiv::{
     ExactUnsignedDivisor, FloorDivisor, OpCount, SignedDivisor, TournamentResult, UnsignedDivisor,
 };
 use magicdiv_bench::{run_tournament, SplitMix};
-use magicdiv_codegen::{
-    gen_dword_div, gen_exact_div, gen_floor_div, gen_signed_div, gen_unsigned_div,
-};
-use magicdiv_ir::{lower_plan, mask, optimize, sign_extend, Program};
+use magicdiv_ir::{compile, mask, sign_extend, Program};
 
 /// The unsigned tournament under the core's op-count judge.
 fn udiv_tournament(d: u128, width: u32) -> TournamentResult {
     run_udiv_tournament(d, width, &OpCount).unwrap()
 }
 
-/// The optimized program for `plan`, through the one plan → IR lowering
-/// codegen, simcpu and the tournament judge share.
+/// The compiled program for `plan`, through the one plan → IR entry
+/// point codegen, simcpu and the tournament judge share.
 fn lowered(plan: impl Into<DivPlan>) -> Program {
-    optimize(&lower_plan(&plan.into()).expect("width within the IR limit"))
+    compile(plan).expect("width within the IR limit")
 }
 
 #[test]
@@ -49,7 +46,7 @@ fn unsigned_width8_exhaustive() {
         let rt = UnsignedDivisor::new(d as u8).unwrap();
         let plan = UdivPlan::new(d as u128, 8).unwrap();
         assert_eq!(rt.plan(), plan, "d={d}: runtime and plan layer disagree");
-        let prog = gen_unsigned_div(d, 8);
+        let prog = lowered(plan);
         for n in 0u64..=255 {
             let (q, r) = rt.div_rem(n as u8);
             assert_eq!((q as u64, r as u64), (n / d, n % d), "runtime n={n} d={d}");
@@ -67,7 +64,7 @@ fn signed_width8_exhaustive() {
         let rt = SignedDivisor::new(d as i8).unwrap();
         let plan = SdivPlan::new(d as i128, 8).unwrap();
         assert_eq!(rt.plan(), plan, "d={d}");
-        let prog = gen_signed_div(d, 8);
+        let prog = lowered(plan);
         for n in -128i64..=127 {
             let (q, r) = rt.div_rem(n as i8);
             let qe = (n as i8).wrapping_div(d as i8);
@@ -91,7 +88,7 @@ fn floor_width8_exhaustive() {
         let rt = FloorDivisor::new(d as i8).unwrap();
         let plan = FloorPlan::new(d as i128, 8).unwrap();
         assert_eq!(rt.plan(), plan, "d={d}");
-        let prog = gen_floor_div(d, 8);
+        let prog = lowered(plan);
         for n in -128i64..=127 {
             if n == -128 && d == -1 {
                 continue; // quotient overflows i8; both sides wrap
@@ -115,7 +112,7 @@ fn exact_width8_exhaustive() {
         let rt = ExactUnsignedDivisor::new(d as u8).unwrap();
         let plan = ExactPlan::new_unsigned(d as u128, 8).unwrap();
         assert_eq!(rt.plan(), plan, "d={d}");
-        let prog = gen_exact_div(d as i64, 8, false);
+        let prog = lowered(plan);
         for q in 0u64..=(255 / d) {
             let n = q * d;
             assert_eq!(rt.divide_exact(n as u8) as u64, q, "runtime n={n} d={d}");
@@ -218,7 +215,7 @@ fn unsigned_boundaries_at_16_32_64() {
                 width,
                 "umbrella width w={width} d={d}"
             );
-            let prog = gen_unsigned_div(d, width);
+            let prog = lowered(plan);
             for n in boundary_dividends(width) {
                 let native = ((n & mask(width)) / d, (n & mask(width)) % d);
                 assert_eq!(
@@ -338,7 +335,7 @@ fn signed_boundaries_at_16_32_64() {
         for d in divisors {
             let plan = SdivPlan::new(d as i128, width).unwrap();
             assert_eq!(plan_of(d, width), plan, "w={width} d={d}");
-            let prog = gen_signed_div(d, width);
+            let prog = lowered(plan);
             for n in [0i64, 1, -1, max / 3, -max / 3, max - 1, max, min + 1, min] {
                 if n == min && d == -1 {
                     continue; // quotient overflows; wrapping covered at width 8
@@ -384,7 +381,7 @@ fn dword_width8_exhaustive() {
         let rt = DwordDivisor::new(d as u8).unwrap();
         let plan = DwordPlan::new(d as u128, 8).unwrap();
         assert_eq!(rt.plan(), plan, "d={d}: runtime and plan layer disagree");
-        let prog = gen_dword_div(d, 8);
+        let prog = lowered(plan);
         for n in 0..(d << 8) {
             let (hi, lo) = (n >> 8, n & 0xff);
             let (q, r) = rt
@@ -417,7 +414,7 @@ fn dword_boundaries_at_16_32_64() {
                 let plan = DwordPlan::new(d as u128, width).unwrap();
                 assert_eq!(rt.plan(), plan, "w={width} d={d}");
                 assert_eq!(DivPlan::from(plan).width(), width, "umbrella w={width}");
-                let prog = gen_dword_div(d, width);
+                let prog = lowered(plan);
                 let directed_his = [0u64, 1, d / 2, d.saturating_sub(2), d - 1];
                 let directed_los = [0u64, 1, 2, m / 3, m / 2, m - 1, m];
                 let mut pairs: Vec<(u64, u64)> = Vec::new();
@@ -579,7 +576,7 @@ fn dword_odd_ir_widths_match_native() {
         for d in [1u64, 3, 10, (1 << (width / 2)) + 1, m - 1, m] {
             let plan = DwordPlan::new(d as u128, width).unwrap();
             assert_eq!(plan.divisor(), d as u128, "w={width} d={d}");
-            let prog = gen_dword_div(d, width);
+            let prog = lowered(plan);
             for i in 0..64u64 {
                 let (hi, lo) = match i {
                     0 => (0, 0),

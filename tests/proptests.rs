@@ -12,14 +12,15 @@
 // replace the checked identity with itself.
 #![allow(clippy::manual_is_multiple_of)]
 
+use magicdiv_suite::magicdiv::plan::{SdivPlan, UdivPlan};
 use magicdiv_suite::magicdiv::{
     choose_multiplier, floor_div_via_trunc, mod_inverse_bitwise, mod_inverse_newton, trunc_div_f64,
     DWord, DwordDivisor, ExactSignedDivisor, ExactUnsignedDivisor, FloorDivisor,
     InvariantSignedDivisor, InvariantUnsignedDivisor, SignedDivisor, UnsignedDivisor,
 };
-use magicdiv_suite::magicdiv_codegen::{gen_signed_div, gen_unsigned_div};
 use magicdiv_suite::magicdiv_ir::{
-    legalize, mask, optimize, schedule, Builder, Op, Program, Reg, ScheduleWeights, TargetCaps,
+    compile, legalize, mask, optimize, schedule, Builder, Op, Program, Reg, ScheduleWeights,
+    TargetCaps,
 };
 
 const CASES: usize = 512;
@@ -305,7 +306,7 @@ fn codegen_matches_native_u64() {
     for _ in 0..CASES {
         let n = rng.edgy_u64();
         let d = rng.edgy_u64().max(1);
-        let prog = gen_unsigned_div(d, 64);
+        let prog = compile(UdivPlan::new(d.into(), 64).unwrap()).unwrap();
         assert_eq!(prog.eval1(&[n]).unwrap(), n / d, "n={n} d={d}");
     }
 }
@@ -319,7 +320,7 @@ fn codegen_matches_native_i32() {
         if d == 0 {
             continue;
         }
-        let prog = gen_signed_div(d as i64, 32);
+        let prog = compile(SdivPlan::new(d.into(), 32).unwrap()).unwrap();
         let got = prog.eval1(&[(n as u32) as u64]).unwrap();
         assert_eq!(got as u32, n.wrapping_div(d) as u32, "n={n} d={d}");
     }

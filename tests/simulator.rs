@@ -2,15 +2,21 @@
 //! who wins, by roughly what factor, where the crossovers fall — hold on
 //! the Table 1.1 timing models.
 
+use magicdiv_suite::magicdiv::plan::{SdivPlan, UdivPlan};
 use magicdiv_suite::magicdiv_codegen::{
-    gen_signed_div, gen_unsigned_div, gen_unsigned_div_hw, gen_unsigned_div_invariant,
-    gen_unsigned_div_tuned, radix_body, MachineDesc, RadixStyle,
+    gen_unsigned_div_hw, gen_unsigned_div_invariant, gen_unsigned_div_tuned, radix_body,
+    MachineDesc, RadixStyle,
 };
-use magicdiv_suite::magicdiv_ir::{schedule, ScheduleWeights, TargetCaps};
+use magicdiv_suite::magicdiv_ir::{compile, schedule, Program, ScheduleWeights, TargetCaps};
 use magicdiv_suite::magicdiv_simcpu::{
     cycles_for_program, find_model, radix_conversion_timing, table_11_2_models,
     table_11_2_paper_numbers, table_1_1,
 };
+
+/// The Fig 4.2 program for `d` at 32 bits.
+fn udiv32(d: u64) -> Program {
+    compile(UdivPlan::new(d.into(), 32).unwrap()).unwrap()
+}
 
 #[test]
 fn magic_beats_divide_for_every_divisor_class_on_every_machine() {
@@ -18,7 +24,7 @@ fn magic_beats_divide_for_every_divisor_class_on_every_machine() {
     for model in table_1_1() {
         let div_cost = cycles_for_program(&hw, &model);
         for d in [3u64, 7, 10, 14, 641, 1_000_000_007] {
-            let magic_cost = cycles_for_program(&gen_unsigned_div(d, 32), &model);
+            let magic_cost = cycles_for_program(&udiv32(d), &model);
             assert!(
                 magic_cost < div_cost,
                 "{}: d={d} magic {magic_cost} >= div {div_cost}",
@@ -34,7 +40,8 @@ fn signed_magic_also_wins_broadly() {
     for model in table_1_1() {
         let div_cost = cycles_for_program(&hw, &model);
         for d in [-100i64, -3, 3, 7, 1_000_000_007] {
-            let magic_cost = cycles_for_program(&gen_signed_div(d, 32), &model);
+            let sdiv = compile(SdivPlan::new(d.into(), 32).unwrap()).unwrap();
+            let magic_cost = cycles_for_program(&sdiv, &model);
             assert!(
                 magic_cost <= div_cost,
                 "{}: d={d} magic {magic_cost} > div {div_cost}",
@@ -66,7 +73,7 @@ fn crossover_constant_vs_invariant_form() {
     // shape, and strictly faster for powers of two.
     for model in table_1_1() {
         for d in [2u64, 8, 10, 641, 4096] {
-            let tuned = cycles_for_program(&gen_unsigned_div(d, 32), &model);
+            let tuned = cycles_for_program(&udiv32(d), &model);
             let generic = cycles_for_program(&gen_unsigned_div_invariant(d, 32), &model);
             assert!(tuned <= generic, "{} d={d}", model.name);
             if d.is_power_of_two() {
@@ -152,7 +159,7 @@ fn machine_tuned_codegen_beats_or_matches_generic() {
         };
         for d in [3u64, 10, 100, 641] {
             let tuned = gen_unsigned_div_tuned(d, &desc).unwrap();
-            let generic = gen_unsigned_div(d, 32);
+            let generic = udiv32(d);
             let tc = cycles_for_program(&tuned, &model);
             let gc = cycles_for_program(&generic, &model);
             assert!(tc <= gc, "{} d={d}: tuned {tc} > generic {gc}", model.name);
