@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for &d in &divisors {
         let udiv = UdivPlan::new(d as u128, 32)?;
         let ud = compile(udiv)?.op_counts();
-        let inv = gen_unsigned_div_invariant(d as u64, 32).op_counts();
+        let inv = gen_unsigned_div_invariant(d as u64, 32)?.op_counts();
         let sd = compile(SdivPlan::new(d.into(), 32)?)?.op_counts();
         let fd = compile(FloorPlan::new(d.into(), 32)?)?.op_counts();
         // Multiply-back at every divisor, powers of two included.
@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!("== Paper claims checked ==\n");
-    let fig41 = gen_unsigned_div_invariant(7, 32).op_counts();
+    let fig41 = gen_unsigned_div_invariant(7, 32)?.op_counts();
     println!(
         "Fig 4.1 (d=7):        {} -> claim: 1 multiply, 2 adds/subtracts, 2 shifts: {}",
         fig41,

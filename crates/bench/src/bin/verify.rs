@@ -261,8 +261,18 @@ fn codegen_phase(c: &mut Collector, rng: &mut SplitMix, gen_iters: u64) -> u64 {
                 fuel: Some(magicdiv_bench::DEFAULT_EVAL_FUEL),
                 ..EvalOptions::default()
             };
-            let iprog = gen_unsigned_div_invariant(dw, width);
-            let siprog = gen_signed_div_invariant(sign_extend(dw, width), width);
+            let (iprog, siprog) = match (
+                gen_unsigned_div_invariant(dw, width),
+                gen_signed_div_invariant(sign_extend(dw, width), width),
+            ) {
+                (Ok(i), Ok(s)) => (i, s),
+                (i, s) => {
+                    c.check(false, || {
+                        format!("codegen inv w{width} d={dw}: {:?} {:?}", i.err(), s.err())
+                    });
+                    continue;
+                }
+            };
             for _ in 0..8 {
                 let nraw = rng.next_u64() & m;
                 c.check(

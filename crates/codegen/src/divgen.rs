@@ -19,34 +19,51 @@
 //! plan.
 
 use magicdiv::plan::UdivPlan;
-use magicdiv::{FaultKind, UWord};
+use magicdiv::{DivisorError, FaultKind, UWord};
 use magicdiv_ir::{lower_udiv, mask, optimize, sign_extend, Builder, Op, Program};
 
-/// Emits Figure 4.1 — the single branch-free shape for any unsigned
-/// divisor (the run-time-invariant form).
-///
-/// # Panics
-///
-/// Panics when `d` masks to zero, or `width` is not one of 8/16/32/64
-/// (the invariant form mirrors real machine word sizes).
-pub fn gen_unsigned_div_invariant(d: u64, width: u32) -> Program {
-    fn consts<T: UWord>(d: u64) -> (u64, u32, u32) {
-        let dt = T::from_u128_truncate(d as u128);
-        let inv = magicdiv::InvariantUnsignedDivisor::new(dt).expect("nonzero");
-        let (m, sh1, sh2) = inv.constants();
-        (m.to_u128() as u64, sh1, sh2)
+/// The run-time-invariant forms mirror real machine word sizes: they
+/// exist at widths 8, 16, 32 and 64 only.
+fn check_machine_width(width: u32) -> Result<(), DivisorError> {
+    if matches!(width, 8 | 16 | 32 | 64) {
+        Ok(())
+    } else {
+        Err(DivisorError::UnsupportedWidth { width })
     }
-    let d = d & mask(width);
-    assert!(d != 0, "division by zero");
-    assert!(
-        matches!(width, 8 | 16 | 32 | 64),
-        "invariant form requires a machine width (8/16/32/64)"
-    );
+}
+
+/// Emits Figure 4.1 — the single branch-free shape for any unsigned
+/// divisor (the run-time-invariant form). `d` is read modulo `2^width`.
+///
+/// # Errors
+///
+/// [`DivisorError::UnsupportedWidth`] when `width` is not one of
+/// 8/16/32/64, and [`DivisorError::Zero`] when `d` masks to zero at
+/// `width` (`d = 0`, or `d = 2^32` at width 32).
+///
+/// # Examples
+///
+/// ```
+/// use magicdiv::DivisorError;
+/// use magicdiv_codegen::gen_unsigned_div_invariant;
+///
+/// let prog = gen_unsigned_div_invariant(7, 32)?;
+/// assert_eq!(prog.eval1(&[100])?, 14);
+/// assert_eq!(gen_unsigned_div_invariant(1 << 32, 32).err(), Some(DivisorError::Zero));
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub fn gen_unsigned_div_invariant(d: u64, width: u32) -> Result<Program, DivisorError> {
+    fn consts<T: UWord>(d: u64) -> Result<(u64, u32, u32), DivisorError> {
+        let dt = T::from_u128_truncate(d as u128);
+        let (m, sh1, sh2) = magicdiv::InvariantUnsignedDivisor::new(dt)?.constants();
+        Ok((m.to_u128() as u64, sh1, sh2))
+    }
+    check_machine_width(width)?;
     let (m_prime, sh1, sh2) = match width {
-        8 => consts::<u8>(d),
-        16 => consts::<u16>(d),
-        32 => consts::<u32>(d),
-        _ => consts::<u64>(d),
+        8 => consts::<u8>(d)?,
+        16 => consts::<u16>(d)?,
+        32 => consts::<u32>(d)?,
+        _ => consts::<u64>(d)?,
     };
     let mut b = Builder::new(width, 1);
     let n = b.arg(0);
@@ -66,41 +83,38 @@ pub fn gen_unsigned_div_invariant(d: u64, width: u32) -> Program {
     };
     // Deliberately *not* optimized: this is the fixed code shape a
     // compiler emits when the divisor is unknown until run time.
-    b.finish([q])
+    Ok(b.finish([q]))
 }
 
 /// Emits Figure 5.1 — the single branch-free shape for any signed
 /// divisor (the run-time-invariant form): 1 multiply, 3 adds, 2 shifts,
-/// 1 bit-op per quotient.
+/// 1 bit-op per quotient. `d` is read as its low `width` bits,
+/// sign-extended.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics when `d` sign-extends to zero, or `width` is not one of
-/// 8/16/32/64.
-pub fn gen_signed_div_invariant(d: i64, width: u32) -> Program {
-    fn consts<T: UWord>(d: i64) -> (u64, u32)
+/// [`DivisorError::UnsupportedWidth`] when `width` is not one of
+/// 8/16/32/64, and [`DivisorError::Zero`] when `d`'s low `width` bits
+/// are zero.
+pub fn gen_signed_div_invariant(d: i64, width: u32) -> Result<Program, DivisorError> {
+    fn consts<T: UWord>(d: i64) -> Result<(u64, u32), DivisorError>
     where
         T::Signed: magicdiv::SWord<Unsigned = T>,
     {
         let ds = <T::Signed as magicdiv::SWord>::from_i128_truncate(d as i128);
-        let inv = magicdiv::InvariantSignedDivisor::new(ds).expect("nonzero");
-        let (m_prime, sh_post) = inv.constants();
-        (
+        let (m_prime, sh_post) = magicdiv::InvariantSignedDivisor::new(ds)?.constants();
+        Ok((
             <T::Signed as magicdiv::SWord>::as_unsigned(m_prime).to_u128() as u64,
             sh_post,
-        )
+        ))
     }
+    check_machine_width(width)?;
     let d_se = sign_extend(d as u64 & mask(width), width);
-    assert!(d_se != 0, "division by zero");
-    assert!(
-        matches!(width, 8 | 16 | 32 | 64),
-        "invariant form requires a machine width (8/16/32/64)"
-    );
     let (m_prime, sh_post) = match width {
-        8 => consts::<u8>(d_se),
-        16 => consts::<u16>(d_se),
-        32 => consts::<u32>(d_se),
-        _ => consts::<u64>(d_se),
+        8 => consts::<u8>(d_se)?,
+        16 => consts::<u16>(d_se)?,
+        32 => consts::<u32>(d_se)?,
+        _ => consts::<u64>(d_se)?,
     };
     let d_sign = if d_se < 0 { mask(width) } else { 0 };
     let mut b = Builder::new(width, 1);
@@ -121,7 +135,7 @@ pub fn gen_signed_div_invariant(d: i64, width: u32) -> Program {
     let flipped = b.push(Op::Eor(q0, dsign_reg));
     let q = b.push(Op::Sub(flipped, dsign_reg));
     // Deliberately *not* optimized: the fixed run-time-invariant shape.
-    b.finish([q])
+    Ok(b.finish([q]))
 }
 
 /// Emits the quotient and remainder of `plan`'s division as a
@@ -184,7 +198,6 @@ pub fn gen_unsigned_divrem_hw(width: u32) -> Program {
 mod tests {
     use super::*;
     use magicdiv::plan::{DivisibilityPlan, DwordPlan, ExactPlan, FloorPlan, SdivPlan, UremPlan};
-    use magicdiv::DivisorError;
     use magicdiv_ir::compile;
 
     type TestResult = Result<(), Box<dyn std::error::Error>>;
@@ -193,7 +206,7 @@ mod tests {
     fn unsigned_exhaustive_width8() -> TestResult {
         for d in 1u64..=255 {
             let prog = compile(UdivPlan::new(d.into(), 8)?)?;
-            let inv = gen_unsigned_div_invariant(d, 8);
+            let inv = gen_unsigned_div_invariant(d, 8)?;
             assert!(!prog.op_counts().uses_divide());
             for n in 0u64..=255 {
                 assert_eq!(prog.eval1(&[n])?, n / d, "n={n} d={d}");
@@ -234,12 +247,12 @@ mod tests {
     }
 
     #[test]
-    fn signed_invariant_exhaustive_width8() {
+    fn signed_invariant_exhaustive_width8() -> TestResult {
         for d in -128i64..=127 {
             if d == 0 {
                 continue;
             }
-            let prog = gen_signed_div_invariant(d, 8);
+            let prog = gen_signed_div_invariant(d, 8)?;
             // The Fig 5.1 cost claim: 1 multiply, 3 adds, 2 shifts, 1 bit-op
             // (our count folds XSIGN into the shift class, and sh_post may
             // vanish for |d| <= 2).
@@ -248,12 +261,40 @@ mod tests {
             assert!(c.add_sub == 3 && c.bit_op == 1, "d={d}: {c}");
             for n in -128i64..=127 {
                 let expect = (n as i8).wrapping_div(d as i8) as u8 as u64;
-                assert_eq!(
-                    prog.eval1(&[(n as u64) & 0xff]).unwrap(),
-                    expect,
-                    "n={n} d={d}"
-                );
+                assert_eq!(prog.eval1(&[(n as u64) & 0xff])?, expect, "n={n} d={d}");
             }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn invariant_forms_reject_divisors_that_mask_to_zero() {
+        for width in [8u32, 16, 32, 64] {
+            let zero = Some(DivisorError::Zero);
+            assert_eq!(
+                gen_unsigned_div_invariant(0, width).err(),
+                zero,
+                "w={width}"
+            );
+            assert_eq!(gen_signed_div_invariant(0, width).err(), zero, "w={width}");
+            if width < 64 {
+                // Only the low `width` bits count.
+                let wrap = 1u64 << width;
+                assert_eq!(gen_unsigned_div_invariant(wrap, width).err(), zero);
+                assert_eq!(gen_signed_div_invariant(wrap as i64, width).err(), zero);
+                assert_eq!(gen_signed_div_invariant(-(wrap as i64), width).err(), zero);
+            }
+        }
+    }
+
+    #[test]
+    fn invariant_forms_reject_widths_that_are_not_machine_words() {
+        for width in [0u32, 1, 7, 24, 57, 63, 65, 128, u32::MAX] {
+            let unsupported = Some(DivisorError::UnsupportedWidth { width });
+            assert_eq!(gen_unsigned_div_invariant(10, width).err(), unsupported);
+            assert_eq!(gen_signed_div_invariant(-10, width).err(), unsupported);
+            // The width is checked before the divisor.
+            assert_eq!(gen_unsigned_div_invariant(0, width).err(), unsupported);
         }
     }
 

@@ -61,8 +61,10 @@ impl MachineDesc {
 ///
 /// # Errors
 ///
-/// [`DivisorError::Zero`] when `d` masks to zero at the machine's width
-/// (`d = 0`, or `d = 2^32` on a 32-bit machine).
+/// [`DivisorError::UnsupportedWidth`] when the machine's width is
+/// outside `1..=64` (the IR's words), and [`DivisorError::Zero`] when `d`
+/// masks to zero at that width (`d = 0`, or `d = 2^32` on a 32-bit
+/// machine).
 ///
 /// # Examples
 ///
@@ -85,6 +87,9 @@ impl MachineDesc {
 /// ```
 pub fn gen_unsigned_div_tuned(d: u64, machine: &MachineDesc) -> Result<Program, DivisorError> {
     let width = machine.width;
+    if !(1..=64).contains(&width) {
+        return Err(DivisorError::UnsupportedWidth { width });
+    }
     let plan = UdivPlan::new(u128::from(d & mask(width)), width)?;
     let d = plan.divisor() as u64;
 
@@ -211,6 +216,27 @@ mod tests {
             gen_unsigned_div_tuned(0x300, &MachineDesc::generic(8)),
             Err(DivisorError::Zero)
         );
+    }
+
+    #[test]
+    fn width_outside_the_ir_words_is_an_error() {
+        for width in [0u32, 65, 128] {
+            for m in [
+                MachineDesc::generic(width),
+                MachineDesc {
+                    width,
+                    ..alpha_like()
+                },
+            ] {
+                for d in [0u64, 10, 1 << 32] {
+                    assert_eq!(
+                        gen_unsigned_div_tuned(d, &m),
+                        Err(DivisorError::UnsupportedWidth { width }),
+                        "{m:?} d={d}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! u64), limb by limb, each step a 128÷64 division with an invariant
 //! divisor — Figure 8.1's home turf.
 
+use std::fmt::Write;
+
 use magicdiv::{DWord, DwordDivisor};
 
 /// Largest power of ten fitting in a `u64`: `10^19`.
@@ -54,6 +56,22 @@ impl BigUint {
         self.limbs.is_empty()
     }
 
+    /// Long division by one limb, most significant limb first: `step`
+    /// divides each udword `(rem, limb)` into `(quotient, remainder)`.
+    /// Trims the limbs that became zero and returns the remainder. The
+    /// magic and baseline paths differ only in `step`.
+    #[inline(always)]
+    fn divmod_limb_by(&mut self, step: impl Fn(u64, u64) -> (u64, u64)) -> u64 {
+        let mut rem = 0u64;
+        for limb in self.limbs.iter_mut().rev() {
+            (*limb, rem) = step(rem, *limb);
+        }
+        while self.limbs.last() == Some(&0) {
+            self.limbs.pop();
+        }
+        rem
+    }
+
     /// Divides in place by a single nonzero limb using the §8 invariant
     /// divider, returning the remainder.
     ///
@@ -64,18 +82,11 @@ impl BigUint {
     ///
     /// Panics when `d == 0`.
     pub fn divmod_limb_magic(&mut self, divider: &DwordDivisor<u64>) -> u64 {
-        let mut rem = 0u64;
-        for limb in self.limbs.iter_mut().rev() {
-            let (q, r) = divider
-                .div_rem(DWord::from_parts(rem, *limb))
-                .expect("rem < d keeps the quotient in one limb");
-            *limb = q;
-            rem = r;
-        }
-        while self.limbs.last() == Some(&0) {
-            self.limbs.pop();
-        }
-        rem
+        self.divmod_limb_by(|rem, limb| {
+            divider
+                .div_rem(DWord::from_parts(rem, limb))
+                .expect("rem < d keeps the quotient in one limb")
+        })
     }
 
     /// Baseline: the same long division with native `u128` division.
@@ -85,50 +96,52 @@ impl BigUint {
     /// Panics when `d == 0`.
     pub fn divmod_limb_baseline(&mut self, d: u64) -> u64 {
         assert!(d != 0, "division by zero");
-        let mut rem = 0u64;
-        for limb in self.limbs.iter_mut().rev() {
-            let wide = ((rem as u128) << 64) | *limb as u128;
-            *limb = (wide / d as u128) as u64;
-            rem = (wide % d as u128) as u64;
+        self.divmod_limb_by(|rem, limb| {
+            let wide = ((rem as u128) << 64) | limb as u128;
+            ((wide / d as u128) as u64, (wide % d as u128) as u64)
+        })
+    }
+
+    /// The decimal string from repeated `divmod` of a working copy by
+    /// `10^19`: one chunk of 19 digits per call, least significant first.
+    #[inline(always)]
+    fn to_decimal_by(&self, mut divmod: impl FnMut(&mut BigUint) -> u64) -> String {
+        let mut work = self.clone();
+        // A value below 2^(64 L) has at most ⌈19.27 L⌉ digits, so at most
+        // L + L/64 + 1 chunks.
+        let limbs = self.limbs.len();
+        let mut chunks = Vec::with_capacity(limbs + limbs / 64 + 1);
+        while !work.is_zero() {
+            chunks.push(divmod(&mut work));
         }
-        while self.limbs.last() == Some(&0) {
-            self.limbs.pop();
-        }
-        rem
+        Self::chunks_to_string(&chunks)
     }
 
     /// Decimal string via repeated §8 division by `10^19`.
     pub fn to_decimal_magic(&self) -> String {
         let divider = DwordDivisor::new(CHUNK).expect("10^19 != 0");
-        let mut work = self.clone();
-        let mut chunks: Vec<u64> = Vec::new();
-        while !work.is_zero() {
-            chunks.push(work.divmod_limb_magic(&divider));
-        }
-        Self::chunks_to_string(&chunks)
+        self.to_decimal_by(|work| work.divmod_limb_magic(&divider))
     }
 
     /// Decimal string via native `u128` long division (baseline).
     pub fn to_decimal_baseline(&self) -> String {
-        let mut work = self.clone();
-        let mut chunks: Vec<u64> = Vec::new();
-        while !work.is_zero() {
-            chunks.push(work.divmod_limb_baseline(CHUNK));
-        }
-        Self::chunks_to_string(&chunks)
+        self.to_decimal_by(|work| work.divmod_limb_baseline(CHUNK))
     }
 
+    /// Joins base-`10^19` chunks (least significant first) into one
+    /// `String` sized up front: the leading chunk unpadded, every other
+    /// chunk written zero-padded to 19 digits in place.
     fn chunks_to_string(chunks: &[u64]) -> String {
-        match chunks.split_last() {
-            None => "0".to_string(),
-            Some((most, rest)) => {
-                let mut s = most.to_string();
-                for c in rest.iter().rev() {
-                    s.push_str(&format!("{c:0width$}", width = CHUNK_DIGITS));
-                }
-                s
-            }
+        let Some((most, rest)) = chunks.split_last() else {
+            return "0".to_string();
+        };
+        let mut s = String::with_capacity(chunks.len() * CHUNK_DIGITS);
+        // Writing into a `String` cannot fail.
+        let _ = write!(s, "{most}");
+        for c in rest.iter().rev() {
+            let _ = write!(s, "{c:0width$}", width = CHUNK_DIGITS);
         }
+        s
     }
 }
 
@@ -220,6 +233,45 @@ mod tests {
             n.divmod_limb_magic(&divider);
         }
         assert!(n.limbs.len() < before);
+    }
+
+    /// Pins `bignum_kernel` for 0 to 64 limbs to the digit bytes of an
+    /// independent decimal conversion: schoolbook division of the same
+    /// limbs by 10, one digit at a time, in native `u128`.
+    #[test]
+    fn kernel_is_the_digit_byte_sum_of_the_decimal() {
+        fn naive(limbs: usize) -> u64 {
+            let mut state = 0x243F_6A88_85A3_08D3u64;
+            let mut n: Vec<u64> = (0..limbs)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    state
+                })
+                .collect();
+            let mut sum = 0;
+            loop {
+                let mut rem = 0u128;
+                for limb in n.iter_mut().rev() {
+                    let wide = (rem << 64) | u128::from(*limb);
+                    *limb = (wide / 10) as u64;
+                    rem = wide % 10;
+                }
+                sum += u64::from(b'0') + rem as u64;
+                while n.last() == Some(&0) {
+                    n.pop();
+                }
+                if n.is_empty() {
+                    return sum;
+                }
+            }
+        }
+        for limbs in 0..=64 {
+            let want = naive(limbs);
+            assert_eq!(bignum_kernel(limbs, true), want, "limbs={limbs}");
+            assert_eq!(bignum_kernel(limbs, false), want, "limbs={limbs}");
+        }
     }
 
     #[test]

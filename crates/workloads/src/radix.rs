@@ -6,7 +6,41 @@
 //! conversion is one of the §1 motivating workloads ("integer division is
 //! used heavily in base conversions").
 
+use std::sync::OnceLock;
+
 use magicdiv::{DivisorError, UnsignedDivisor};
+
+/// Figure 11.1's digit loop: writes the decimal digits of `x` into the
+/// tail of `buf`, one quotient and one remainder per digit from
+/// `div_rem`, and returns the index of the leading digit. The two paths
+/// of every radix kernel differ only in the `div_rem` they pass.
+#[inline(always)]
+fn decimal_digits(mut x: u32, buf: &mut [u8; 10], div_rem: impl Fn(u32) -> (u32, u32)) -> usize {
+    let mut i = buf.len();
+    loop {
+        let (q, r) = div_rem(x);
+        i -= 1;
+        buf[i] = b'0' + r as u8;
+        x = q;
+        if x == 0 {
+            return i;
+        }
+    }
+}
+
+/// The baseline's division by ten: native `/` and `%`. The divisor is a
+/// compile-time constant, so rustc may apply this paper to it itself.
+#[inline(always)]
+fn hw_div_rem10(x: u32) -> (u32, u32) {
+    (x / 10, x % 10)
+}
+
+/// The plan-backed `/10` divisor. The divisor is a compile-time constant
+/// here, exactly as in Fig 11.1, so it is planned once per process.
+fn by10() -> &'static UnsignedDivisor<u32> {
+    static BY10: OnceLock<UnsignedDivisor<u32>> = OnceLock::new();
+    BY10.get_or_init(|| UnsignedDivisor::new(10).expect("10 != 0"))
+}
 
 /// Converts `x` to decimal with hardware division (the baseline of
 /// Table 11.2's "time with division performed" column).
@@ -19,17 +53,9 @@ use magicdiv::{DivisorError, UnsignedDivisor};
 /// assert_eq!(decimal_baseline(0), "0");
 /// assert_eq!(decimal_baseline(1994), "1994");
 /// ```
-pub fn decimal_baseline(mut x: u32) -> String {
+pub fn decimal_baseline(x: u32) -> String {
     let mut buf = [0u8; 10];
-    let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (x % 10) as u8;
-        x /= 10;
-        if x == 0 {
-            break;
-        }
-    }
+    let i = decimal_digits(x, &mut buf, hw_div_rem10);
     String::from_utf8_lossy(&buf[i..]).into_owned()
 }
 
@@ -44,21 +70,10 @@ pub fn decimal_baseline(mut x: u32) -> String {
 ///
 /// assert_eq!(decimal_magic(u32::MAX), u32::MAX.to_string());
 /// ```
-pub fn decimal_magic(mut x: u32) -> String {
-    // The divisor is a compile-time constant here, exactly as in Fig 11.1.
-    static BY10: std::sync::OnceLock<UnsignedDivisor<u32>> = std::sync::OnceLock::new();
-    let by10 = BY10.get_or_init(|| UnsignedDivisor::new(10).expect("10 != 0"));
+pub fn decimal_magic(x: u32) -> String {
+    let by10 = by10();
     let mut buf = [0u8; 10];
-    let mut i = buf.len();
-    loop {
-        let (q, r) = by10.div_rem(x);
-        i -= 1;
-        buf[i] = b'0' + r as u8;
-        x = q;
-        if x == 0 {
-            break;
-        }
-    }
+    let i = decimal_digits(x, &mut buf, |x| by10.div_rem(x));
     String::from_utf8_lossy(&buf[i..]).into_owned()
 }
 
@@ -100,19 +115,31 @@ pub fn to_base(mut x: u64, base: u32) -> Result<String, DivisorError> {
     Ok(String::from_utf8(out).expect("digits are ASCII"))
 }
 
-/// Sums the digits of `count` consecutive values starting at `start`,
-/// converting each with either path — the bench harness's inner loop
-/// (returns a checksum so the work cannot be optimized away).
+/// Sums the decimal digit bytes (`b'0'..=b'9'`) of `count` values
+/// starting at `start` with a golden-ratio stride, converting each with
+/// either path: the bench harness's inner loop, returning a checksum so
+/// the work cannot be optimized away. Each value runs the same digit loop
+/// as [`decimal_magic`] / [`decimal_baseline`] into one stack buffer and
+/// is summed from there, so nothing is allocated per value; the magic
+/// path fetches its `/10` divisor once per call.
 pub fn radix_checksum(start: u32, count: u32, magic: bool) -> u64 {
+    if magic {
+        let by10 = by10();
+        digit_byte_sum(start, count, |x| by10.div_rem(x))
+    } else {
+        digit_byte_sum(start, count, hw_div_rem10)
+    }
+}
+
+/// [`radix_checksum`]'s body for one `div_rem`.
+#[inline(always)]
+fn digit_byte_sum(start: u32, count: u32, div_rem: impl Fn(u32) -> (u32, u32)) -> u64 {
+    let mut buf = [0u8; 10];
     let mut sum = 0u64;
     for i in 0..count {
         let x = start.wrapping_add(i.wrapping_mul(2_654_435_769)); // golden-ratio stride
-        let s = if magic {
-            decimal_magic(x)
-        } else {
-            decimal_baseline(x)
-        };
-        sum += s.bytes().map(u64::from).sum::<u64>();
+        let first = decimal_digits(x, &mut buf, &div_rem);
+        sum += buf[first..].iter().map(|&b| u64::from(b)).sum::<u64>();
     }
     sum
 }
@@ -168,6 +195,33 @@ mod tests {
         assert!(to_base(5, 0).is_err());
         assert!(to_base(5, 1).is_err());
         assert!(to_base(5, 37).is_err());
+    }
+
+    /// Pins `radix_checksum` to the digit bytes of `x.to_string()` for
+    /// every value it visits, on both paths.
+    #[test]
+    fn checksum_is_the_digit_byte_sum_of_to_string() {
+        fn naive(start: u32, count: u32) -> u64 {
+            (0..count)
+                .map(|i| start.wrapping_add(i.wrapping_mul(2_654_435_769)))
+                .flat_map(|x| x.to_string().into_bytes())
+                .map(u64::from)
+                .sum()
+        }
+        // 0 itself, a stride that wraps past u32::MAX on its second
+        // value, and the top of the range.
+        for start in [0u32, 1, 9, 10, 1994, u32::MAX - 5, u32::MAX] {
+            for count in [0u32, 1, 2, 3, 257] {
+                let want = naive(start, count);
+                for magic in [true, false] {
+                    assert_eq!(
+                        radix_checksum(start, count, magic),
+                        want,
+                        "start={start} count={count} magic={magic}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

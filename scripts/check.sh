@@ -16,14 +16,17 @@ echo "== panic-freedom gate: no unwrap()/panic! in library or binary code =="
 cargo clippy --workspace --lib --bins --offline -- \
     -D warnings -D clippy::unwrap_used -D clippy::panic
 
-echo "== total plan constructors: no assert!/assert_eq!/panic! in plan.rs outside its tests =="
-# Every plan constructor returns a typed DivisorError for a bad width or
-# divisor; debug_assert! (internal invariants) stays allowed.
-if sed '/^#\[cfg(test)\]/,$d' crates/core/src/plan.rs | grep -v '^[[:space:]]*//' |
-    grep -nE '(^|[^_[:alnum:]])(assert|assert_eq|assert_ne|panic)!'; then
-    echo "crates/core/src/plan.rs panics in non-test code" >&2
-    exit 1
-fi
+echo "== total plan constructors and generators: no assert!/assert_eq!/panic! outside tests =="
+# Every plan constructor and code generator returns a typed DivisorError
+# for a bad width or divisor; debug_assert! (internal invariants) stays
+# allowed.
+for file in crates/core/src/plan.rs crates/codegen/src/divgen.rs crates/codegen/src/machine.rs; do
+    if sed '/^#\[cfg(test)\]/,$d' "$file" | grep -v '^[[:space:]]*//' |
+        grep -nE '(^|[^_[:alnum:]])(assert|assert_eq|assert_ne|panic)!'; then
+        echo "$file panics in non-test code" >&2
+        exit 1
+    fi
+done
 
 echo "== rustdoc gate (no broken, redundant or private intra-doc links) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline

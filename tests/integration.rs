@@ -21,7 +21,7 @@ type TestResult = Result<(), Box<dyn std::error::Error>>;
 fn three_layers_agree_unsigned_width8_exhaustive() -> TestResult {
     for d in 1u64..=255 {
         let prog = compile(UdivPlan::new(d.into(), 8)?)?;
-        let prog_inv = gen_unsigned_div_invariant(d, 8);
+        let prog_inv = gen_unsigned_div_invariant(d, 8)?;
         let lib = UnsignedDivisor::<u8>::new(d as u8).unwrap();
         let lib_inv = InvariantUnsignedDivisor::<u8>::new(d as u8).unwrap();
         for n in 0u64..=255 {

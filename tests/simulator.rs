@@ -74,7 +74,7 @@ fn crossover_constant_vs_invariant_form() {
     for model in table_1_1() {
         for d in [2u64, 8, 10, 641, 4096] {
             let tuned = cycles_for_program(&udiv32(d), &model);
-            let generic = cycles_for_program(&gen_unsigned_div_invariant(d, 32), &model);
+            let generic = cycles_for_program(&gen_unsigned_div_invariant(d, 32).unwrap(), &model);
             assert!(tuned <= generic, "{} d={d}", model.name);
             if d.is_power_of_two() {
                 assert!(tuned < generic, "{} d={d}", model.name);
